@@ -19,7 +19,8 @@ from .runner import run_experiment, sweep
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="replication-level parallelism")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted, no effect; results never depended on it")
     parser.add_argument("--out-dir", default="out", help="artifact directory")
 
 

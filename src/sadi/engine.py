@@ -4,8 +4,8 @@ One recursion step adds, scaled by the step size, a set-valued selection, a
 smooth noisy term, a pure-noise term, and a bias term, then optionally
 projects onto a compact region.  Randomness is split into per-role
 substreams keyed by (seed, replication, role), so adding or editing one
-role never perturbs another role's draws, and replications are independent
-regardless of how they are chunked across threads.
+role never perturbs another role's draws, and every replication's draws are
+fixed by its own index alone.
 """
 
 from __future__ import annotations
@@ -249,6 +249,9 @@ class BoundedNoise(NoiseModel):
 class BiasModel:
     dim: int = 0
     declared_eta: float = 0.0
+    # False for a model that consumes no randomness: the engine then gives
+    # it no substream and adds its single-step value at every step
+    draws: bool = True
 
     def sample_block(self, gen: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -261,6 +264,8 @@ class BiasModel:
 
 
 class ZeroBias(BiasModel):
+    draws = False
+
     def __init__(self, dim: int):
         self.dim = int(dim)
         self.declared_eta = 0.0
@@ -287,6 +292,7 @@ class ShrinkingGaussianBias(BiasModel):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         self.declared_eta = 0.0 if self.gamma > 0 or self.c == 0 else math.inf
+        self._sd_block = (0, np.zeros((0, 1)))  # (n, per-step sd column) of the last block
 
     def variance_at(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=float)
@@ -294,8 +300,9 @@ class ShrinkingGaussianBias(BiasModel):
 
     def sample_block(self, gen, n):
         z = gen.standard_normal((n, self.dim))
-        sd = np.sqrt(self.variance_at(np.arange(n)))
-        return z * sd[:, None]
+        if self._sd_block[0] != n:
+            self._sd_block = (n, np.sqrt(self.variance_at(np.arange(n)))[:, None])
+        return z * self._sd_block[1]
 
     def sample_at(self, gen, n):
         return gen.standard_normal(self.dim) * math.sqrt(float(self.variance_at(n)))
@@ -305,6 +312,8 @@ class ShrinkingGaussianBias(BiasModel):
 
 
 class ConstantBias(BiasModel):
+    draws = False
+
     def __init__(self, vector):
         self.vector = np.atleast_1d(np.asarray(vector, dtype=float))
         self.dim = self.vector.shape[0]
@@ -625,8 +634,105 @@ class RunSpec:
             raise ValueError("bias dimension does not match the state")
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list:
+    """Little-endian 32-bit words of a nonnegative int, as SeedSequence
+    splits its entropy (zero is one word)."""
+    if value < 0:
+        raise ValueError("seed must be nonnegative")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_state(seed: int, rep, role: int) -> list:
+    """The four uint64 words ``SeedSequence(entropy=seed, spawn_key=(rep,
+    role)).generate_state(4, np.uint64)``.
+
+    Words are Python ints or uint64 arrays holding 32-bit values; ``rep``
+    may be an array of replication indices below 2**32, and every word that
+    depends on it is then an array.  A product of two 32-bit values fits in
+    64 bits, so masking after each product or difference gives the hash's
+    uint32 arithmetic for both kinds.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    run_words = _uint32_words(int(seed))
+    # a spawn key pads short run entropy with zeros up to the pool size
+    run_words += [0] * (_POOL_SIZE - len(run_words))
+    entropy = run_words + [rep, int(role)]
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> 16))
+    # uint32 pairs read as little-endian uint64
+    return [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)]
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the state words that ``_seed_state`` computed, so PCG64
+    runs its own seeding exactly as it does from a SeedSequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's four uint64 seed words are precomputed")
+        return self.words
+
+
+def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
+    """One generator per replication for ``role``: the generator
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(rep, role)))``,
+    with the SeedSequence hash run once for all replications (on plain
+    ints for a single one)."""
+    reps = np.asarray(reps, dtype=np.int64)
+    if reps.size and (reps.min() < 0 or reps.max() > _MASK32):
+        raise ValueError("replication indices must lie in [0, 2**32)")
+    key = int(reps[0]) if reps.size == 1 else reps.astype(np.uint64)
+    state = np.array(_seed_state(seed, key, role), dtype=np.uint64).reshape(4, -1)
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
+    return [Generator(PCG64(_SeedWords(row))) for row in np.ascontiguousarray(state.T)]
+
+
 def _role_generator(seed: int, rep: int, role: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(rep), int(role))))
+    return _role_generators(seed, [rep], role)[0]
 
 
 def step(x, n: int, drift: Drift, noises, bias: BiasModel, sched: StepSchedule,
@@ -687,37 +793,39 @@ class EnsembleResult:
         return self.finals[self.fail_steps < 0]
 
 
-def _simulate_reps(spec: RunSpec, seed: int, reps: Sequence[int],
+def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                    checkpoints: Optional[Sequence[int]], record_paths: bool,
                    record_logs: bool):
     drift = spec.drift
     d = drift.dim
     n_steps = spec.n_steps
-    r = len(reps)
+    r = n_reps
+    reps = range(n_reps)
     a = spec.schedule.step_sizes(0, n_steps) if n_steps else np.zeros(0)
 
     def block(model, role):
         if model.dim == 0:
             return np.zeros((r, n_steps, 0))
         out = np.empty((r, n_steps, model.dim))
-        for i, rep in enumerate(reps):
-            out[i] = model.sample_block(_role_generator(seed, rep, role), n_steps)
+        for i, gen in enumerate(_role_generators(seed, reps, role)):
+            out[i] = model.sample_block(gen, n_steps)
         return out
 
     xi = block(spec.noise_xi, ROLE_XI)
     zeta = block(spec.noise_zeta, ROLE_ZETA)
     zt = block(spec.noise_zetatilde, ROLE_ZETATILDE)
-    beta = block(spec.bias, ROLE_BIAS)
+    # a draw-free bias takes no substream: its one row, broadcast without a copy
+    beta = (block(spec.bias, ROLE_BIAS) if spec.bias.draws
+            else np.broadcast_to(spec.bias.sample_block(None, 1), (r, n_steps, d)))
     usel = np.empty((r, n_steps))
-    for i, rep in enumerate(reps):
-        usel[i] = _role_generator(seed, rep, ROLE_SELECTOR).random(n_steps)
+    for i, gen in enumerate(_role_generators(seed, reps, ROLE_SELECTOR)):
+        usel[i] = gen.random(n_steps)
     pert = None
     if drift.m_rule is not None:
         pert = np.empty((r, n_steps, d + 1))
-        for i, rep in enumerate(reps):
-            g = _role_generator(seed, rep, ROLE_PERTURB)
-            pert[i, :, :d] = g.standard_normal((n_steps, d))
-            pert[i, :, d] = g.random(n_steps)
+        for i, gen in enumerate(_role_generators(seed, reps, ROLE_PERTURB)):
+            pert[i, :, :d] = gen.standard_normal((n_steps, d))
+            pert[i, :, d] = gen.random(n_steps)
 
     x = np.tile(spec.x0, (r, 1))
     fail = np.full(r, -1, dtype=int)
@@ -744,14 +852,14 @@ def _simulate_reps(spec: RunSpec, seed: int, reps: Sequence[int],
         bb = beta[:, n, :]
         total = b + h + h0 + bb
         x_new = x + a[n] * total
-        projected_rows = np.zeros(r, dtype=bool)
         if has_proj:
             proj_new = spec.projection.project_rows(x_new)
-            projected_rows = np.any(proj_new != x_new, axis=1)
+            if record_logs:
+                logs["projected"][n] = np.any(proj_new[0] != x_new[0])
             x_new = proj_new
-        bad = ~np.all(np.isfinite(x_new), axis=1)
-        newly = bad & (fail < 0)
-        if newly.any():
+        finite = np.isfinite(x_new)
+        if not finite.all():
+            newly = ~finite.all(axis=1) & (fail < 0)
             fail[newly] = n
         x = x_new
         if record_paths:
@@ -763,7 +871,6 @@ def _simulate_reps(spec: RunSpec, seed: int, reps: Sequence[int],
             logs["smooth"][n] = h[0]
             logs["noise"][n] = h0[0]
             logs["bias"][n] = bb[0]
-            logs["projected"][n] = projected_rows[0]
 
     result = EnsembleResult(
         finals=x,
@@ -777,7 +884,7 @@ def _simulate_reps(spec: RunSpec, seed: int, reps: Sequence[int],
 
 def run(spec: RunSpec, seed: int) -> Trajectory:
     """One fully-logged replication; raises on the first non-finite iterate."""
-    result, a, logs = _simulate_reps(spec, seed, [0], None, record_paths=True,
+    result, a, logs = _simulate_reps(spec, seed, 1, None, record_paths=True,
                                      record_logs=True)
     if result.fail_steps[0] >= 0:
         raise SimulationBlowup(int(result.fail_steps[0]))
@@ -801,34 +908,10 @@ def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
                  record_paths: bool = False, threads: int = 1) -> EnsembleResult:
     """Independent replications with per-replication substreams.
 
-    Results are identical for any thread count: every replication's draws
-    are keyed by its absolute index, and chunks are merged in order.
+    ``threads`` is accepted and has no effect: every replication's draws
+    are keyed by its absolute index, so results never depended on it.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
-    reps = list(range(n_reps))
-    threads = max(1, int(threads))
-    if threads == 1 or n_reps == 1:
-        chunks = [reps]
-    else:
-        size = math.ceil(n_reps / threads)
-        chunks = [reps[i:i + size] for i in range(0, n_reps, size)]
-
-    if len(chunks) == 1:
-        result, _, _ = _simulate_reps(spec, seed, reps, checkpoints, record_paths, False)
-        return result
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda ch: _simulate_reps(spec, seed, ch, checkpoints, record_paths, False)[0],
-            chunks))
-    finals = np.concatenate([p.finals for p in parts], axis=0)
-    fails = np.concatenate([p.fail_steps for p in parts], axis=0)
-    ck_idx = parts[0].checkpoint_indices
-    ck = (np.concatenate([p.checkpoint_states for p in parts], axis=0)
-          if parts[0].checkpoint_states is not None else None)
-    paths = (np.concatenate([p.paths for p in parts], axis=0)
-             if record_paths else None)
-    return EnsembleResult(finals, fails, ck_idx, ck, paths)
+    result, _, _ = _simulate_reps(spec, seed, n_reps, checkpoints, record_paths, False)
+    return result

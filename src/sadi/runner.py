@@ -1,7 +1,6 @@
 """Experiment orchestration: replicated runs, aggregation, sweeps, and the
 CSV/report artifacts.  All file output carries the config fingerprint and
-seed in a header comment, and results are byte-identical for any thread
-count.
+seed in a header comment.  ``threads`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -47,11 +46,23 @@ class StartAggregate:
 
     @property
     def mean_final(self) -> np.ndarray:
+        if self.clean.shape[0] == 0:
+            return np.full(self.finals.shape[1], math.nan)
         return self.clean.mean(axis=0)
 
     @property
     def std_final(self) -> np.ndarray:
-        return self.clean.std(axis=0, ddof=1) if self.clean.shape[0] > 1 else np.zeros_like(self.mean_final)
+        n = self.clean.shape[0]
+        if n < 2:
+            return np.full(self.finals.shape[1], math.nan if n == 0 else 0.0)
+        return self.clean.std(axis=0, ddof=1)
+
+    def _errs(self) -> Optional[np.ndarray]:
+        """Per-replication |final - x*| of the clean replications, or None
+        when there is no x* or no clean replication."""
+        if self.x_star is None or self.clean.shape[0] == 0:
+            return None
+        return np.linalg.norm(self.clean - self.x_star, axis=1)
 
     def err_mean_final(self) -> float:
         """|mean final - x*|: the headline error of a replicated table row."""
@@ -60,15 +71,12 @@ class StartAggregate:
         return float(np.linalg.norm(self.mean_final - self.x_star))
 
     def mean_abs_err(self) -> float:
-        if self.x_star is None:
-            return math.nan
-        return float(np.mean(np.linalg.norm(self.clean - self.x_star, axis=1)))
+        errs = self._errs()
+        return math.nan if errs is None else float(np.mean(errs))
 
     def err_quantiles(self, qs=(0.1, 0.5, 0.9)) -> np.ndarray:
-        if self.x_star is None:
-            return np.full(len(qs), math.nan)
-        errs = np.linalg.norm(self.clean - self.x_star, axis=1)
-        return np.quantile(errs, qs)
+        errs = self._errs()
+        return np.full(len(qs), math.nan) if errs is None else np.quantile(errs, qs)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """The command-line verbs, exercised end to end on small configs."""
 
 import json
+import math
+import warnings
 from pathlib import Path
 
 from sadi.cli import main
@@ -39,6 +41,24 @@ def test_run_verb_seed_override(tmp_path):
     assert main(["run", str(cfg), "--out-dir", str(out1)]) == 0
     assert main(["run", str(cfg), "--seed", "77", "--out-dir", str(out2)]) == 0
     assert (out1 / "report.csv").read_bytes() != (out2 / "report.csv").read_bytes()
+
+
+def test_run_all_replications_blow_up(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "ex1.json").read_text(encoding="utf-8"))
+    raw.update(x0=[math.nan], replications=5, iterations=50)
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert "failed=5/5" in capsys.readouterr().out
+    lines = (tmp_path / "out" / "report.csv").read_text(encoding="utf-8").splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["n_failed"] == "5"
+    for col in ("mean_final0", "err_mean_final", "mean_abs_err", "std0",
+                "err_q10", "err_q50", "err_q90"):
+        assert row[col] == "nan", col
 
 
 def test_sweep_verb(tmp_path, capsys):

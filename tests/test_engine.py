@@ -29,8 +29,9 @@ from sadi.engine import (
     step,
     time_mesh,
 )
+from sadi.engine import ROLE_BIAS, ROLE_ZETA, _role_generator, _role_generators
 from sadi.sets import Box, LeastNorm, Region, SetValuedMap, contains
-from sadi.presets import lasso_preset, RegressionLaw
+from sadi.presets import lasso_preset, pegasos_preset, RegressionLaw
 
 
 # --- schedules and the time mesh -------------------------------------------
@@ -293,6 +294,71 @@ def test_ensemble_thread_chunking_identical():
     b = run_ensemble(spec, 4, 40, threads=8)
     assert np.array_equal(a.finals, b.finals)
     assert np.array_equal(a.fail_steps, b.fail_steps)
+
+
+def _reference_generator(seed, rep, role):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, role)))
+
+
+def test_batched_substreams_match_seed_sequence():
+    reps = (0, 1, 65536, 2**32 - 1)
+    for seed in (0, 3, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 1):
+        for role in range(6):
+            expected = [_reference_generator(seed, rep, role).bit_generator.state
+                        for rep in reps]
+            batched = _role_generators(seed, reps, role)
+            assert [g.bit_generator.state for g in batched] == expected
+            single = [_role_generator(seed, rep, role) for rep in reps]
+            assert [g.bit_generator.state for g in single] == expected
+
+
+def test_ensemble_finals_follow_seed_sequence_streams():
+    spec = _ou_spec(n_steps=120)
+    seed = 2**40 + 3
+    ens = run_ensemble(spec, seed, 3)
+    a = spec.schedule.step_sizes(0, spec.n_steps)
+    for rep in range(3):
+        z = spec.noise_zeta.sample_block(_reference_generator(seed, rep, ROLE_ZETA),
+                                         spec.n_steps)
+        x = spec.x0.copy()
+        for n in range(spec.n_steps):
+            x = x + a[n] * (-(x - 0.3) + z[n])
+        assert np.array_equal(ens.finals[rep], x)
+
+
+def _pegasos_spec(n_steps):
+    # ZeroBias (draw-free) with Gaussian noise on xi
+    return pegasos_preset(1.0).run_spec(x0=[3.0, 5.0], n_steps=n_steps)
+
+
+def _shrinking_bias_spec(n_steps, bias=None):
+    preset = lasso_preset(0.7, RegressionLaw(theta=[1.0], features="ones"))
+    return preset.run_spec(x0=[5.0], n_steps=n_steps,
+                           bias=bias or ShrinkingGaussianBias(1, c=1.0, gamma=1.0))
+
+
+@pytest.mark.parametrize("make_spec", [_pegasos_spec, _shrinking_bias_spec])
+def test_run_matches_ensemble_row_bitwise(make_spec):
+    spec = make_spec(250)
+    traj = run(spec, 13)
+    ens = run_ensemble(spec, 13, 4, record_paths=True)
+    assert np.array_equal(ens.paths[0], traj.iterates)
+    assert np.array_equal(ens.finals[0], traj.iterates[-1])
+
+
+def test_draw_free_bias_terms_are_zero():
+    traj = run(_pegasos_spec(150), 13)
+    assert traj.bias_terms.shape == (150, 2)
+    assert not traj.bias_terms.any()
+
+
+def test_shrinking_bias_terms_follow_bias_stream():
+    bias = ShrinkingGaussianBias(1, c=1.0, gamma=1.0)
+    for n_steps in (200, 80, 200):  # the per-step deviation is cached by block length
+        traj = run(_shrinking_bias_spec(n_steps, bias), 13)
+        z = _reference_generator(13, 0, ROLE_BIAS).standard_normal((n_steps, 1))
+        sd = np.sqrt(1.0 * (np.arange(n_steps) + 1.0) ** -1.0)
+        assert np.array_equal(traj.bias_terms, z * sd[:, None])
 
 
 def test_role_streams_isolated():
