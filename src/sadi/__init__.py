@@ -64,7 +64,6 @@ from .engine import (  # noqa: F401
     project,
     run,
     run_ensemble,
-    step,
     time_mesh,
 )
 from .inclusions import (  # noqa: F401
@@ -93,7 +92,6 @@ from .presets import (  # noqa: F401
     preset_by_name,
     rootfind_preset,
     sign_error_filter_preset,
-    simulate_nonconv,
 )
 from .config import ConfigError, ExperimentConfig, parse_config  # noqa: F401
 from .runner import AggregateReport, run_experiment, sweep  # noqa: F401

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +27,7 @@ from .engine import (
     UniformNoise,
     ZeroBias,
 )
-from .presets import Preset, preset_by_name
+from .presets import PRESET_NAMES, Preset, preset_by_name, sign_interval_map, sign_term
 from .sets import Box, LeastNorm, Region, SetValuedMap
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "config_fingerprint"]
@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 _TOP_KEYS = {
     "name", "preset", "preset_params", "drift", "dim", "x0", "iterations",
     "replications", "seed", "schedule", "bias", "noise", "projection",
-    "x_star", "outputs", "checkpoints", "tolerances", "sdi", "di", "chain",
+    "x_star", "outputs", "checkpoints", "sdi", "di", "chain",
 }
 _SCHEDULE_KEYS = {"kind", "c", "alpha"}
 _BIAS_KEYS = {"kind", "c", "gamma", "vector"}
@@ -58,7 +58,6 @@ _DI_KEYS = {"dt", "horizon", "x0"}
 _CHAIN_KEYS = {"probes", "eps", "t_min", "dt", "budget"}
 _OUTPUT_NAMES = {"report", "finals", "trajectory", "checkpoints", "normalized",
                  "certificate", "sdi_compare", "chain"}
-_TOLERANCE_KEYS = {"membership", "set_equality"}
 
 
 @dataclass
@@ -82,10 +81,10 @@ class ExperimentConfig:
     x_star_override: Optional[list]
     outputs: list
     checkpoints: int
-    tolerances: dict
     sdi_spec: Optional[dict]
     di_spec: Optional[dict]
     chain_spec: Optional[dict]
+    preset: Optional[Preset] = field(default=None, init=False, repr=False)  # built once
 
     @property
     def fingerprint(self) -> str:
@@ -94,9 +93,9 @@ class ExperimentConfig:
     # -- resolution into engine objects -------------------------------------
 
     def build_preset(self) -> Optional[Preset]:
-        if self.preset_name is None:
-            return None
-        return preset_by_name(self.preset_name, self.preset_params)
+        if self.preset is None and self.preset_name is not None:
+            self.preset = preset_by_name(self.preset_name, self.preset_params)
+        return self.preset
 
     def build_schedule(self, default: Optional[StepSchedule] = None) -> StepSchedule:
         spec = self.schedule_spec
@@ -168,13 +167,8 @@ class ExperimentConfig:
             kind = set_spec["kind"]
             if kind == "sign_box":
                 lam = float(set_spec["lam"])
-                from .presets import sign_interval_map
-
                 set_map = sign_interval_map(dim, lam)
-
-                def sample_term(x_rows, xi_rows, u_rows, _lam=lam):
-                    return -_lam * np.sign(x_rows)
-
+                sample_term = sign_term(lam)
             elif kind == "constant_set":
                 lo = np.asarray(set_spec["lo"], dtype=float)
                 hi = np.asarray(set_spec["hi"], dtype=float)
@@ -266,8 +260,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if preset_name is None and drift_spec is None:
         errors.append("either preset or drift must be given")
     if preset_name is not None:
-        _expect(preset_name in ("lasso", "pegasos", "rootfind", "sign_filter", "nonconv"),
-                f"preset: unknown name {preset_name!r}", errors)
+        _expect(preset_name in PRESET_NAMES, f"preset: unknown name {preset_name!r}", errors)
     if drift_spec is not None:
         _expect(isinstance(drift_spec, dict), "drift: must be an object", errors)
         if isinstance(drift_spec, dict):
@@ -364,12 +357,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(isinstance(checkpoints, int) and checkpoints >= 2,
             "checkpoints: must be an integer >= 2", errors)
 
-    tolerances = raw.get("tolerances", {})
-    if tolerances and isinstance(tolerances, dict):
-        _check_keys(tolerances, _TOLERANCE_KEYS, "tolerances", errors)
-    elif tolerances and not isinstance(tolerances, dict):
-        errors.append("tolerances: must be an object")
-
     for block_name, keys in (("sdi", _SDI_KEYS), ("di", _DI_KEYS), ("chain", _CHAIN_KEYS)):
         block = raw.get(block_name)
         if block is not None:
@@ -392,15 +379,57 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         raw=raw, name=name, seed=seed, iterations=iterations, replications=replications,
         starts=starts, preset_name=preset_name, preset_params=preset_params,
         drift_spec=drift_spec, dim=dim, schedule_spec=schedule_spec,
         bias_spec=bias_spec, noise_spec=noise_spec or {},
         projection_spec=projection_spec, x_star_override=x_star_override,
-        outputs=outputs, checkpoints=checkpoints, tolerances=tolerances or {},
+        outputs=outputs, checkpoints=checkpoints,
         sdi_spec=raw.get("sdi"), di_spec=raw.get("di"), chain_spec=raw.get("chain"),
     )
+    errors = _resolution_errors(config)
+    if errors:
+        raise ConfigError(errors)
+    return config
+
+
+def _resolution_errors(config: ExperimentConfig) -> list:
+    """Problems that show only when a well-formed config is turned into
+    engine objects; dimensions are checked once the preset builds."""
+    errors, dim = [], config.dim
+
+    def attempt(where: str, build):
+        try:
+            return build()
+        except KeyError as exc:
+            errors.append(f"{where}.{exc.args[0]}: required by its kind")
+        except (ValueError, TypeError) as exc:  # a ConfigError carries its own list
+            errors.extend(getattr(exc, "errors", [f"{where}: {exc}"]))
+
+    if config.preset_name is not None:
+        preset = attempt("preset_params", config.build_preset)
+        dim = preset.dim if preset is not None else None
+    else:
+        attempt("drift.set_part", config.build_inline_drift)
+    # zero and shrinking biases take the state dimension, so only a vector can differ
+    bias = attempt("bias", lambda: config.build_bias(dim or 1))
+    region = attempt("projection", config.build_projection)
+    noises = {key: attempt(f"noise.{key}", lambda key=key: config.build_noise(key, dim))
+              for key in config.noise_spec}
+    if dim is None:
+        return errors
+    sizes = [(f"x0[{i}]", len(x0)) for i, x0 in enumerate(config.starts)]
+    if config.x_star_override is not None:
+        sizes.append(("x_star", len(config.x_star_override)))
+    if bias is not None:
+        sizes.append(("bias.vector", bias.dim))
+    if region is not None and not isinstance(region, NoProjection):
+        sizes.append(("projection", region.as_convex_set().dim))
+    if noises.get("zetatilde") is not None and noises["zetatilde"].dim:
+        sizes.append(("noise.zetatilde", noises["zetatilde"].dim))
+    return errors + [f"{where}: has dimension {got}, the state has {dim}"
+                     for where, got in sizes if got != dim]
 
 
 def parse_config(path) -> ExperimentConfig:

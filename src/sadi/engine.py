@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .sets import ConvexSet, Box as BoxSet, Ball as BallSet, LeastNorm, SetValuedMap, select
+from .sets import (ConvexSet, Box as BoxSet, Ball as BallSet, CellTable, LeastNorm,
+                   SetValuedMap, select)
 
 __all__ = [
     "StepSchedule",
@@ -41,7 +42,6 @@ __all__ = [
     "Trajectory",
     "interpolate",
     "RunSpec",
-    "step",
     "run",
     "run_ensemble",
     "EnsembleResult",
@@ -164,9 +164,6 @@ class NoiseModel:
     def sample_block(self, gen: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, gen: np.random.Generator) -> np.ndarray:
-        return self.sample_block(gen, 1)[0]
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -256,9 +253,6 @@ class BiasModel:
     def sample_block(self, gen: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_at(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return self.sample_block(gen, 1)[0]
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -304,9 +298,6 @@ class ShrinkingGaussianBias(BiasModel):
             self._sd_block = (n, np.sqrt(self.variance_at(np.arange(n)))[:, None])
         return z * self._sd_block[1]
 
-    def sample_at(self, gen, n):
-        return gen.standard_normal(self.dim) * math.sqrt(float(self.variance_at(n)))
-
     def describe(self):
         return {"kind": "gaussian_shrinking", "c": self.c, "gamma": self.gamma, "dim": self.dim}
 
@@ -341,9 +332,6 @@ class CustomBias(BiasModel):
         for i in range(n):
             out[i] = np.atleast_1d(np.asarray(self.fn(gen, i), dtype=float))
         return out
-
-    def sample_at(self, gen, n):
-        return np.atleast_1d(np.asarray(self.fn(gen, n), dtype=float))
 
     def describe(self):
         return {"kind": "custom", "dim": self.dim, "eta": self.declared_eta}
@@ -731,52 +719,6 @@ def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
     return [Generator(PCG64(_SeedWords(row))) for row in np.ascontiguousarray(state.T)]
 
 
-def _role_generator(seed: int, rep: int, role: int) -> np.random.Generator:
-    return _role_generators(seed, [rep], role)[0]
-
-
-def step(x, n: int, drift: Drift, noises, bias: BiasModel, sched: StepSchedule,
-         proj: ProjectionRegion, rng: np.random.Generator):
-    """One reference recursion step; draws noise sequentially from ``rng``.
-
-    Returns the next iterate and a log of every summand.  The engine loop
-    reproduces this arithmetic with role-split streams.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    noise_xi, noise_zeta, noise_zt = noises
-    xi = noise_xi.sample_block(rng, 1)
-    zeta = noise_zeta.sample_block(rng, 1)
-    zt = noise_zt.sample_block(rng, 1)
-    beta = bias.sample_at(rng, n)[None, :]
-    u = rng.random()
-    pert = None
-    if drift.m_rule is not None:
-        pert = np.concatenate([rng.standard_normal(drift.dim), [rng.random()]])[None, :]
-    x_rows = x[None, :]
-    b = drift.set_term_rows(x_rows, xi, np.array([u]), pert)
-    h = drift.smooth(x_rows, zeta) if drift.smooth is not None else np.zeros_like(x_rows)
-    h0 = zt if noise_zt.dim else np.zeros_like(x_rows)
-    a_n = sched.step_size(n)
-    total = b + h + h0 + beta
-    x_next = x_rows + a_n * total
-    projected = False
-    if not isinstance(proj, NoProjection):
-        before = x_next
-        x_next = proj.project_rows(x_next)
-        projected = bool(np.any(before != x_next))
-    if not np.all(np.isfinite(x_next)):
-        raise SimulationBlowup(n)
-    log = {
-        "a": a_n,
-        "set_term": b[0],
-        "smooth_term": h[0],
-        "noise_term": h0[0],
-        "bias_term": beta[0],
-        "projected": projected,
-    }
-    return x_next[0], log
-
-
 @dataclass
 class EnsembleResult:
     finals: np.ndarray               # (R, d)
@@ -793,46 +735,51 @@ class EnsembleResult:
         return self.finals[self.fail_steps < 0]
 
 
+def _draw(model, seed: int, reps: Sequence[int], role: int, n_steps: int) -> np.ndarray:
+    """(R, N, dim) draws of ``model``, one ``role`` substream per replication."""
+    out = np.empty((len(reps), n_steps, model.dim))
+    if model.dim:
+        for i, gen in enumerate(_role_generators(seed, reps, role)):
+            out[i] = model.sample_block(gen, n_steps)
+    return out
+
+
 def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                    checkpoints: Optional[Sequence[int]], record_paths: bool,
                    record_logs: bool):
     drift = spec.drift
     d = drift.dim
     n_steps = spec.n_steps
-    r = n_reps
     reps = range(n_reps)
     a = spec.schedule.step_sizes(0, n_steps) if n_steps else np.zeros(0)
+    ck = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
+    if ck and not 0 <= ck[0] <= ck[-1] <= n_steps:
+        raise ValueError("checkpoints must lie in [0, n_steps]")
+    if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
+            and drift.m_rule is None and isinstance(spec.projection, NoProjection)):
+        return _simulate_float(spec, seed, a, ck, record_paths, record_logs)
 
-    def block(model, role):
-        if model.dim == 0:
-            return np.zeros((r, n_steps, 0))
-        out = np.empty((r, n_steps, model.dim))
-        for i, gen in enumerate(_role_generators(seed, reps, role)):
-            out[i] = model.sample_block(gen, n_steps)
-        return out
-
-    xi = block(spec.noise_xi, ROLE_XI)
-    zeta = block(spec.noise_zeta, ROLE_ZETA)
-    zt = block(spec.noise_zetatilde, ROLE_ZETATILDE)
+    xi = _draw(spec.noise_xi, seed, reps, ROLE_XI, n_steps)
+    zeta = _draw(spec.noise_zeta, seed, reps, ROLE_ZETA, n_steps)
+    zt = _draw(spec.noise_zetatilde, seed, reps, ROLE_ZETATILDE, n_steps)
     # a draw-free bias takes no substream: its one row, broadcast without a copy
-    beta = (block(spec.bias, ROLE_BIAS) if spec.bias.draws
-            else np.broadcast_to(spec.bias.sample_block(None, 1), (r, n_steps, d)))
-    usel = np.empty((r, n_steps))
+    beta = (_draw(spec.bias, seed, reps, ROLE_BIAS, n_steps) if spec.bias.draws
+            else np.broadcast_to(spec.bias.sample_block(None, 1), (n_reps, n_steps, d)))
+    usel = np.empty((n_reps, n_steps))
     for i, gen in enumerate(_role_generators(seed, reps, ROLE_SELECTOR)):
         usel[i] = gen.random(n_steps)
     pert = None
     if drift.m_rule is not None:
-        pert = np.empty((r, n_steps, d + 1))
+        pert = np.empty((n_reps, n_steps, d + 1))
         for i, gen in enumerate(_role_generators(seed, reps, ROLE_PERTURB)):
             pert[i, :, :d] = gen.standard_normal((n_steps, d))
             pert[i, :, d] = gen.random(n_steps)
 
-    x = np.tile(spec.x0, (r, 1))
-    fail = np.full(r, -1, dtype=int)
-    ck = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
-    ck_states = np.empty((r, len(ck), d)) if ck else None
+    x = np.tile(spec.x0, (n_reps, 1))
+    fail = np.full(n_reps, -1, dtype=int)
+    ck_states = np.empty((n_reps, len(ck), d)) if ck else None
     ck_pos = {c: i for i, c in enumerate(ck)}
-    paths = np.empty((r, n_steps + 1, d)) if record_paths else None
+    paths = np.empty((n_reps, n_steps + 1, d)) if record_paths else None
     if record_paths:
         paths[:, 0, :] = x
     logs = None
@@ -843,7 +790,7 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         ck_states[:, ck_pos[0], :] = x
 
     has_proj = not isinstance(spec.projection, NoProjection)
-    zeros = np.zeros((r, d))
+    zeros = np.zeros((n_reps, d))
     for n in range(n_steps):
         b = drift.set_term_rows(x, xi[:, n, :], usel[:, n],
                                 pert[:, n, :] if pert is not None else None)
@@ -879,6 +826,47 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         checkpoint_states=ck_states,
         paths=paths,
     )
+    return result, a, logs
+
+
+# steps the plain-float loop turns into Python floats at a time, bounding its list memory
+_FLOAT_BLOCK = 4096
+
+
+def _simulate_float(spec: RunSpec, seed: int, a: np.ndarray, ck: list,
+                    record_paths: bool, record_logs: bool):
+    """One replication of a ``CellTable``-only drift on plain floats.  It draws
+    the additive-noise and bias substreams as the row loop does (a table reads
+    no other role) and sums in the same order, x + a*(((b + h) + h0) + beta)
+    with h = 0, so every output is bit-identical."""
+    d, n_steps = spec.drift.dim, spec.n_steps
+    term_at = spec.drift.sample_term.term_at
+    h0 = (_draw(spec.noise_zetatilde, seed, [0], ROLE_ZETATILDE, n_steps)[0]
+          if spec.noise_zetatilde.dim else np.zeros((n_steps, d)))
+    beta = (_draw(spec.bias, seed, [0], ROLE_BIAS, n_steps)[0] if spec.bias.draws
+            else np.broadcast_to(spec.bias.sample_block(None, 1), (n_steps, d)))
+    path = np.empty((n_steps + 1, d))
+    path[0] = x = spec.x0.tolist()
+    for n0 in range(0, n_steps, _FLOAT_BLOCK):
+        n1 = min(n0 + _FLOAT_BLOCK, n_steps)
+        xs = []
+        for an, h0_n, beta_n in zip(a[n0:n1].tolist(), h0[n0:n1].tolist(), beta[n0:n1].tolist()):
+            offset, slope = term_at(x)
+            x = [v + an * ((((o + slope * v if slope else o) + 0.0) + z) + e)
+                 for v, o, z, e in zip(x, offset, h0_n, beta_n)]
+            xs.append(x)
+        path[n0 + 1:n1 + 1] = xs
+
+    # a non-finite coordinate stays non-finite, so the first bad row is the failure
+    bad = ~np.isfinite(path[1:]).all(axis=1)
+    logs = None
+    if record_logs:
+        # the row term picks the same cell at every state, so it rebuilds b exactly
+        logs = {"set": spec.drift.sample_term(path[:-1]), "smooth": np.zeros((n_steps, d)),
+                "noise": h0, "bias": np.array(beta), "projected": np.zeros(n_steps, dtype=bool)}
+    result = EnsembleResult(path[-1:].copy(), np.array([np.argmax(bad) if bad.any() else -1]),
+                            np.asarray(ck, dtype=int), path[ck][None] if ck else None,
+                            path[None] if record_paths else None)
     return result, a, logs
 
 

@@ -9,6 +9,7 @@ generic states; the agreement is covered by tests.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import warnings
@@ -28,8 +29,6 @@ from .engine import (
     ShrinkingGaussianBias,
     StepSchedule,
     ZeroBias,
-    _role_generator,
-    ROLE_BIAS,
 )
 from .nonsmooth import (
     KinkSurface,
@@ -41,6 +40,8 @@ from .nonsmooth import (
 )
 from .sets import (
     Box,
+    Cell,
+    CellTable,
     ConvexSet,
     FieldPiece,
     LeastNorm,
@@ -65,9 +66,6 @@ __all__ = [
     "sign_error_filter_preset",
     "nonconvergence_preset",
     "preset_by_name",
-    "simulate_nonconv",
-    "NonconvRun",
-    "nonconv_regions",
 ]
 
 
@@ -329,6 +327,8 @@ def _sign_interval_bounds(w: np.ndarray, lam: float):
 def sign_interval_map(dim: int, lam: float, name: str = "subgradient_box") -> SetValuedMap:
     """Product of per-coordinate intervals: {-lam} for positive entries,
     {+lam} for negative ones, [-lam, lam] at zero."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
 
     def rule(w: np.ndarray) -> ConvexSet:
         lo, hi = _sign_interval_bounds(w, lam)
@@ -337,6 +337,15 @@ def sign_interval_map(dim: int, lam: float, name: str = "subgradient_box") -> Se
     return SetValuedMap(dim, [Region(lambda w: True, rule)],
                         common_bound=lam * math.sqrt(dim), name=name,
                         thresholds=[[0.0]] * dim)
+
+
+def sign_term(lam: float) -> Callable:
+    """Rowwise -lam*sign(w), the least-norm selection of ``sign_interval_map``."""
+
+    def sample_term(w_rows, xi_rows, u_rows):
+        return -lam * np.sign(w_rows)
+
+    return sample_term
 
 
 def soft_threshold_solution(m: np.ndarray, b: np.ndarray, lam: float,
@@ -362,8 +371,6 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1,
                  schedule: Optional[StepSchedule] = None) -> Preset:
     """Online L1-penalized regression: smooth residual term plus the
     per-coordinate sign interval map scaled by the penalty."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     if data is None:
         data = RegressionLaw(theta=np.ones(dim), features="ones")
     dim = data.dim
@@ -377,14 +384,11 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1,
 
     gmap = sign_interval_map(dim, lam)
 
-    def sample_term(w_rows, xi_rows, u_rows):
-        return -lam * np.sign(w_rows)
-
     def smooth_mean(w):
         return b - m @ w
 
     drift = Drift(dim=dim, smooth=data.smooth_term(), smooth_mean=smooth_mean,
-                  set_map=gmap, selector=LeastNorm(), sample_term=sample_term)
+                  set_map=gmap, selector=LeastNorm(), sample_term=sign_term(lam))
 
     x_star = soft_threshold_solution(m, b, lam) if pd else None
 
@@ -663,59 +667,31 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None,
 
 _NONCONV_THRESHOLDS = [[-2.0, -1.0, 1.0, 2.0], [-2.0, -1.0, 1.0, 2.0]]
 
-
-def _nonconv_rule(w: np.ndarray) -> ConvexSet:
-    x1, x2 = float(w[0]), float(w[1])
-    if x1 == 2.0 and x2 == 2.0:
-        return Box([0.0, -2.0], [1.0, 1.0])
-    if 1.0 <= x1 <= 2.0 and -1.0 < x2 <= 2.0:
-        return Box([0.0, -2.0], [0.0, -1.0])
-    if -1.0 < x1 <= 2.0 and -2.0 < x2 <= -1.0:
-        return Box([-2.0, 0.0], [-1.0, 0.0])
-    if -2.0 < x1 <= -1.0 and -2.0 <= x2 < -1.0:
-        return Box([0.0, 1.0], [0.0, 2.0])
-    if -2.0 <= x1 < 1.0 and 1.0 <= x2 <= 2.0:
-        return Box([1.0, 0.0], [2.0, 0.0])
-    return Singleton([-0.005 * x1, -0.005 * x2])
-
-
-def nonconv_regions(points: np.ndarray) -> np.ndarray:
-    """Vectorized region id per point: 1 the double root cell, 2..5 the
-    annular branch corridors, 6 the inward-creep remainder."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x1, x2 = pts[:, 0], pts[:, 1]
-    r1 = (x1 == 2.0) & (x2 == 2.0)
-    r2 = (x1 >= 1.0) & (x1 <= 2.0) & (x2 > -1.0) & (x2 <= 2.0) & ~r1
-    r3 = (x1 > -1.0) & (x1 <= 2.0) & (x2 > -2.0) & (x2 <= -1.0)
-    r4 = (x1 > -2.0) & (x1 <= -1.0) & (x2 >= -2.0) & (x2 < -1.0)
-    r5 = (x1 >= -2.0) & (x1 < 1.0) & (x2 >= 1.0) & (x2 <= 2.0)
-    return np.select([r1, r2, r3, r4, r5], [1, 2, 3, 4, 5], default=6)
+# region ids 1..6: the double-root cell, the four annular corridors, and the
+# inward creep everywhere else
+_NONCONV_CELLS = CellTable(2, [
+    Cell(lambda x: (x[0] == 2.0) & (x[1] == 2.0), (0.0, -2.0), (1.0, 1.0)),
+    Cell(lambda x: (1.0 <= x[0]) & (x[0] <= 2.0) & (-1.0 < x[1]) & (x[1] <= 2.0),
+         (0.0, -2.0), (0.0, -1.0)),
+    Cell(lambda x: (-1.0 < x[0]) & (x[0] <= 2.0) & (-2.0 < x[1]) & (x[1] <= -1.0),
+         (-2.0, 0.0), (-1.0, 0.0)),
+    Cell(lambda x: (-2.0 < x[0]) & (x[0] <= -1.0) & (-2.0 <= x[1]) & (x[1] < -1.0),
+         (0.0, 1.0), (0.0, 2.0)),
+    Cell(lambda x: (-2.0 <= x[0]) & (x[0] < 1.0) & (1.0 <= x[1]) & (x[1] <= 2.0),
+         (1.0, 0.0), (2.0, 0.0)),
+    Cell(None, (0.0, 0.0), (0.0, 0.0), slope=-0.005),
+])
 
 
 def nonconvergence_preset(schedule: Optional[StepSchedule] = None) -> Preset:
     """The cycling field whose roots repel: corridor branches push the state
     around an annulus, so checkpoints rarely sit near either root."""
     dim = 2
-    gmap = SetValuedMap(dim, [Region(lambda w: True, _nonconv_rule)],
+    gmap = SetValuedMap(dim, [Region(lambda w: True, _NONCONV_CELLS.value)],
                         common_bound=4.0, name="nonconv",
                         thresholds=_NONCONV_THRESHOLDS)
-
-    def sample_term(w_rows, xi_rows, u_rows):
-        region = nonconv_regions(w_rows)
-        g = np.where(
-            (region == 2)[:, None], [0.0, -1.0],
-            np.where((region == 3)[:, None], [-1.0, 0.0],
-                     np.where((region == 4)[:, None], [0.0, 1.0],
-                              np.where((region == 5)[:, None], [1.0, 0.0],
-                                       np.where((region == 1)[:, None], [0.0, 0.0],
-                                                np.zeros(2))))))
-        creep = region == 6
-        if creep.any():
-            g = np.where(creep[:, None], -0.005 * w_rows, g)
-        return g
-
     drift = Drift(dim=dim, smooth=None, smooth_mean=None, set_map=gmap,
-                  selector=LeastNorm(), sample_term=sample_term)
+                  selector=LeastNorm(), sample_term=_NONCONV_CELLS)
 
     return Preset(
         name="nonconv", dim=dim, drift=drift,
@@ -728,97 +704,28 @@ def nonconvergence_preset(schedule: Optional[StepSchedule] = None) -> Preset:
     )
 
 
-@dataclass
-class NonconvRun:
-    checkpoint_indices: np.ndarray
-    checkpoint_states: np.ndarray
-    regions_visited: set
-    region_counts: np.ndarray  # counts for ids 1..6
-    final: np.ndarray
-    path: Optional[np.ndarray] = None
-
-
-def simulate_nonconv(n_steps: int, seed: int, w0=(2.0, 2.0),
-                     checkpoint_every: int = 100_000,
-                     keep_path: bool = False) -> NonconvRun:
-    """Specialized scalar loop for long single runs of the cycling preset.
-
-    Reproduces the generic engine bit for bit (same substreams, same
-    arithmetic order) at a fraction of the per-step cost.
-    """
-    sched = StepSchedule.power_law(1.0, 0.5)
-    a = sched.step_sizes(0, n_steps).tolist()
-    gen = _role_generator(seed, 0, ROLE_BIAS)
-    beta = gen.standard_normal((n_steps, 2))
-    b1 = beta[:, 0].tolist()
-    b2 = beta[:, 1].tolist()
-    x1, x2 = float(w0[0]), float(w0[1])
-    counts = [0, 0, 0, 0, 0, 0]
-    cks, ck_states = [], []
-    path = [(x1, x2)] if keep_path else None
-    for n in range(n_steps):
-        if 1.0 <= x1 <= 2.0 and -1.0 < x2 <= 2.0 and not (x1 == 2.0 and x2 == 2.0):
-            g1 = 0.0
-            g2 = -1.0
-            counts[1] += 1
-        elif -1.0 < x1 <= 2.0 and -2.0 < x2 <= -1.0:
-            g1 = -1.0
-            g2 = 0.0
-            counts[2] += 1
-        elif -2.0 < x1 <= -1.0 and -2.0 <= x2 < -1.0:
-            g1 = 0.0
-            g2 = 1.0
-            counts[3] += 1
-        elif -2.0 <= x1 < 1.0 and 1.0 <= x2 <= 2.0:
-            g1 = 1.0
-            g2 = 0.0
-            counts[4] += 1
-        elif x1 == 2.0 and x2 == 2.0:
-            g1 = 0.0
-            g2 = 0.0
-            counts[0] += 1
-        else:
-            g1 = -0.005 * x1
-            g2 = -0.005 * x2
-            counts[5] += 1
-        an = a[n]
-        x1 = x1 + an * (g1 + b1[n])
-        x2 = x2 + an * (g2 + b2[n])
-        if keep_path:
-            path.append((x1, x2))
-        if (n + 1) % checkpoint_every == 0:
-            cks.append(n + 1)
-            ck_states.append((x1, x2))
-    visited = {i + 1 for i, c in enumerate(counts) if c > 0}
-    return NonconvRun(
-        checkpoint_indices=np.asarray(cks, dtype=int),
-        checkpoint_states=np.asarray(ck_states, dtype=float).reshape(-1, 2),
-        regions_visited=visited,
-        region_counts=np.asarray(counts, dtype=int),
-        final=np.array([x1, x2]),
-        path=np.asarray(path) if keep_path else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
 
+_PRESETS = {"lasso": lasso_preset, "pegasos": pegasos_preset, "rootfind": rootfind_preset,
+            "sign_filter": sign_error_filter_preset, "nonconv": nonconvergence_preset}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset_by_name(name: str, params: Optional[dict] = None) -> Preset:
+    """A preset from its function's keyword names (``schedule`` excepted),
+    ``data``/``law`` given as ``RegressionLaw``/``SignFilterLaw`` fields."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
     params = dict(params or {})
-    if name == "lasso":
-        data_params = params.pop("data", None)
-        data = RegressionLaw(**data_params) if data_params else None
-        return lasso_preset(params.pop("lam", 0.7), data=data, **params)
-    if name == "pegasos":
-        return pegasos_preset(params.pop("lam", 1.0), **params)
-    if name == "rootfind":
-        return rootfind_preset(**params)
-    if name == "sign_filter":
-        law_params = params.pop("law", None)
-        law = SignFilterLaw(**law_params) if law_params else None
-        return sign_error_filter_preset(law, **params)
-    if name == "nonconv":
-        return nonconvergence_preset(**params)
-    raise ValueError(f"unknown preset {name!r}")
+    unknown = sorted(set(params) - (set(inspect.signature(_PRESETS[name]).parameters) - {"schedule"}))
+    if unknown:
+        raise ValueError(f"preset {name!r} has no parameter " + ", ".join(map(repr, unknown)))
+    for key, law in (("data", RegressionLaw), ("law", SignFilterLaw)):
+        if key in params:
+            params[key] = law(**params[key]) if params[key] else None
+    if name in ("lasso", "pegasos"):
+        params.setdefault("lam", 0.7 if name == "lasso" else 1.0)
+    return _PRESETS[name](**params)

@@ -42,10 +42,11 @@ __all__ = [
     "Midpoint",
     "CustomSelector",
     "select",
+    "Cell",
+    "CellTable",
 ]
 
 MEMBERSHIP_TOL = 1e-9
-SET_EQUALITY_TOL = 1e-6
 
 # canonical cores with more vertices than this refuse exact projection
 _MAX_PROJECTION_VERTICES = 14
@@ -515,11 +516,6 @@ def least_norm_point(s: ConvexSet) -> np.ndarray:
     return _nearest(s, np.zeros(s.dim))
 
 
-def distance_to(s: ConvexSet, y) -> float:
-    y = _as_vector(y, "point")
-    return float(np.linalg.norm(_nearest(s, y) - y))
-
-
 # ---------------------------------------------------------------------------
 # the sum-of-directed-distances set metric
 # ---------------------------------------------------------------------------
@@ -683,6 +679,86 @@ def select(mapping: SetValuedMap, x, strategy=None, rng=None) -> np.ndarray:
     x = _as_vector(x, "state")
     value = mapping.value(x)
     return _select_from(value, x, strategy, rng)
+
+
+# ---------------------------------------------------------------------------
+# cell tables: a piecewise set-valued field written once
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cell:
+    predicate: Optional[Callable]  # None for the catch-all
+    lo: tuple
+    hi: tuple
+    slope: float = 0.0
+
+
+class CellTable:
+    """Ordered cells, the first match winning and the last the catch-all;
+    where a cell's predicate holds, the value is Box(lo + slope*x, hi + slope*x).
+
+    A predicate joins comparisons of the coordinates ``x[i]`` with ``&``, so
+    it answers for plain floats and for the columns ``rows.T`` of a row array
+    alike.  A sloped cell must be a point.  The table yields the analysis
+    value (``value``), region ids (1-based cell positions) and the least-norm
+    selection, row-vectorized (``__call__``, a ``Drift.sample_term``) and on
+    plain floats (``term_at``).
+    """
+
+    def __init__(self, dim: int, cells: Sequence[Cell]):
+        self.dim = int(dim)
+        self.cells = list(cells)
+        self._preds = [c.predicate for c in self.cells[:-1]]
+        if self.cells[-1].predicate is not None or None in self._preds:
+            raise ValueError("the last cell, and only it, must be the catch-all")
+        self._values = []  # the value of a constant cell, None for a sloped one
+        self._terms = []   # (offset, slope): the least-norm point is offset + slope*x
+        for c in self.cells:
+            lo, hi = _as_vector(c.lo, "lo"), _as_vector(c.hi, "hi")
+            _check_dims(lo.shape[0], self.dim, "cell bounds")
+            point = np.array_equal(lo, hi)
+            if c.slope == 0.0:
+                value = Singleton(lo) if point else Box(lo, hi)
+                self._values.append(value)
+                self._terms.append((tuple(least_norm_point(value).tolist()), 0.0))
+            elif point:
+                self._values.append(None)
+                # -0.0 is the exact additive identity: a zero offset keeps slope*x bit for bit
+                self._terms.append((tuple(v or -0.0 for v in lo.tolist()), float(c.slope)))
+            else:
+                raise ValueError("a cell with a nonzero slope must be a point (lo == hi)")
+
+    def term_at(self, coords) -> tuple:
+        """``(offset, slope)`` of the cell at ``coords`` (a list of plain
+        floats): the least-norm point there is offset + slope*coords."""
+        for pred, term in zip(self._preds, self._terms):
+            if pred(coords):
+                return term
+        return self._terms[-1]
+
+    def value(self, x) -> ConvexSet:
+        x = [float(v) for v in x]
+        k = next((k for k, pred in enumerate(self._preds) if pred(x)), -1)
+        if self._values[k] is not None:
+            return self._values[k]
+        offset, slope = self._terms[k]
+        return Singleton(np.asarray(offset) + slope * np.asarray(x))
+
+    def _masks(self, rows: np.ndarray) -> list:
+        return [np.broadcast_to(np.asarray(pred(rows.T), dtype=bool), rows.shape[:1])
+                for pred in self._preds]
+
+    def region_ids(self, points) -> np.ndarray:
+        rows = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.select(self._masks(rows), range(1, len(self.cells)), default=len(self.cells))
+
+    def __call__(self, x_rows, xi_rows=None, u_rows=None) -> np.ndarray:
+        """Row-vectorized least-norm term, as one ``np.select``."""
+        choices = [np.asarray(offset) + slope * x_rows if slope else np.asarray(offset)
+                   for offset, slope in self._terms]
+        masks = [m[:, None] for m in self._masks(x_rows)]
+        return np.select(masks, choices[:-1], default=choices[-1])
 
 
 # ---------------------------------------------------------------------------

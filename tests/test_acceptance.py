@@ -19,8 +19,8 @@ from sadi.presets import (
     RegressionLaw,
     lasso_preset,
     pegasos_preset,
+    nonconvergence_preset,
     rootfind_preset,
-    simulate_nonconv,
 )
 from sadi.rates import NormalizedSeries, SDIModel, compare_to_sdi, tightness_diagnostic
 from sadi.runner import run_experiment, sweep
@@ -83,12 +83,16 @@ def test_c03_root_finding_both_starts():
 
 
 def test_c04_nonconvergent_cycling():
-    nc = simulate_nonconv(1_000_000, seed=3, checkpoint_every=100_000)
-    ck = nc.checkpoint_states
+    preset = nonconvergence_preset()
+    spec = preset.run_spec(x0=[2.0, 2.0], n_steps=1_000_000)
+    nc = run_ensemble(spec, 3, 1, checkpoints=range(100_000, 1_000_001, 100_000),
+                      record_paths=True)
+    ck = nc.checkpoint_states[0]
     near = np.minimum(np.linalg.norm(ck, axis=1),
                       np.linalg.norm(ck - 2.0, axis=1)) <= 0.1
     frac = float(np.mean(near))
-    corridors = nc.regions_visited & {2, 3, 4, 5}
+    visited = set(preset.drift.sample_term.region_ids(nc.paths[0][:-1]).tolist())
+    corridors = visited & {2, 3, 4, 5}
     ok = frac <= 0.3 and len(corridors) >= 3
     assert _report("4 non-convergence", ok,
                    f"near-root fraction={frac:.2f}, corridors visited={sorted(corridors)}")

@@ -5,6 +5,8 @@ import math
 import warnings
 from pathlib import Path
 
+import pytest
+
 from sadi.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -114,6 +116,54 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "iterations" in err and "seed" in err
+
+
+def _ex1_copy(tmp_path, **changes):
+    raw = json.loads((CONFIGS / "ex1.json").read_text(encoding="utf-8"))
+    raw.update(iterations=5, replications=3)
+    raw.update(changes)
+    path = tmp_path / "ex1_copy.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+def test_tolerances_key_rejected(tmp_path, capsys):
+    cfg = _ex1_copy(tmp_path, tolerances={"membership": 1e-9})
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "'tolerances'" in capsys.readouterr().err
+
+
+_SEMANTIC_ERRORS = [
+    ("negative_lam", {"preset_params": {"lam": -0.7, "data": {"theta": [1.0]}}},
+     "lam must be positive"),
+    ("unknown_param", {"preset_params": {"lam": 0.7, "penalty": 2.0}}, "'penalty'"),
+    ("box_missing_lo", {"projection": {"kind": "box", "hi": [10.0]}}, "projection.lo"),
+    ("bias_dim", {"bias": {"kind": "constant", "vector": [0.1, 0.2]}}, "bias.vector"),
+    ("x0_dim", {"x0": [5.0, 1.0]}, "x0"),
+]
+
+
+@pytest.mark.parametrize("changes,needle", [case[1:] for case in _SEMANTIC_ERRORS],
+                         ids=[case[0] for case in _SEMANTIC_ERRORS])
+def test_semantic_config_errors_exit_2(tmp_path, capsys, changes, needle):
+    cfg = _ex1_copy(tmp_path, **changes)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid experiment config" in err and needle in err
+
+
+def test_semantic_config_errors_reported_together(tmp_path, capsys):
+    # dimensions are checked against a preset that builds, so the preset
+    # parameter cases are left out here
+    cases = _SEMANTIC_ERRORS[2:]
+    changes = {}
+    for _, change, _ in cases:
+        changes.update(change)
+    cfg = _ex1_copy(tmp_path, **changes)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    for _, _, needle in cases:
+        assert needle in err
 
 
 def test_shipped_configs_parse():

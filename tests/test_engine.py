@@ -1,5 +1,6 @@
 """Schedules, noise/bias families, projections, the recursion step, full
-runs, interpolations, and the determinism guarantees."""
+runs, the plain-float loop of table-backed drifts, interpolations, and the
+determinism guarantees."""
 
 import math
 
@@ -26,12 +27,11 @@ from sadi.engine import (
     project,
     run,
     run_ensemble,
-    step,
     time_mesh,
 )
-from sadi.engine import ROLE_BIAS, ROLE_ZETA, _role_generator, _role_generators
-from sadi.sets import Box, LeastNorm, Region, SetValuedMap, contains
-from sadi.presets import lasso_preset, pegasos_preset, RegressionLaw
+from sadi.engine import ROLE_BIAS, ROLE_ZETA, _role_generators
+from sadi.sets import Box, Cell, CellTable, LeastNorm, Region, SetValuedMap, contains
+from sadi.presets import lasso_preset, nonconvergence_preset, pegasos_preset, RegressionLaw
 
 
 # --- schedules and the time mesh -------------------------------------------
@@ -113,15 +113,15 @@ def test_custom_bias_rule(rng):
                        declared_eta=0.0)
     block = model.sample_block(rng, 4)
     assert np.allclose(block[:, 0], [1.0, 0.5, 1.0 / 3.0, 0.25])
-    assert model.sample_at(rng, 9)[0] == pytest.approx(0.1)
+    assert model.sample_block(rng, 10)[9, 0] == pytest.approx(0.1)
 
 
 def test_shrinking_bias_variance_schedule(rng):
     model = ShrinkingGaussianBias(1, c=1.0, gamma=0.5)
+    rows = np.array([model.sample_block(rng, 100)[:, 0] for _ in range(10_000)])
     for n in (0, 9, 99):
-        draws = np.array([model.sample_at(rng, n)[0] for _ in range(10_000)])
         target = (n + 1.0) ** -0.5
-        assert draws.var() == pytest.approx(target, rel=0.08)
+        assert rows[:, n].var() == pytest.approx(target, rel=0.08)
     assert model.declared_eta == 0.0
     assert ShrinkingGaussianBias(1, c=1.0, gamma=0.0).declared_eta == math.inf
     assert ConstantBias([0.3, 0.4]).declared_eta == pytest.approx(0.5)
@@ -188,29 +188,31 @@ def _zero_drift(dim):
     return Drift(dim=dim)
 
 
-def test_step_identity_with_no_terms(rng):
+def _one_step(drift, x0, sched, noise_zeta=None, n_steps=1):
+    spec = RunSpec(drift=drift, schedule=sched, x0=x0, n_steps=n_steps,
+                   noise_zeta=noise_zeta or NoNoise())
+    return run(spec, 0)
+
+
+def test_step_identity_with_no_terms():
     x = np.array([0.7, -0.2])
-    sched = StepSchedule.harmonic(1.0)
-    x1, log = step(x, 0, _zero_drift(2), (NoNoise(), NoNoise(), NoNoise()),
-                   ZeroBias(2), sched, NoProjection(), rng)
-    assert np.array_equal(x1, x)
-    assert not log["projected"]
+    traj = _one_step(_zero_drift(2), x, StepSchedule.harmonic(1.0))
+    assert np.array_equal(traj.iterates[1], x)
+    assert not traj.projection_active[0]
 
 
-def test_step_sign_error_filter_arithmetic(rng):
+def test_step_sign_error_filter_arithmetic():
     # residual sign update with unit regressor: 0 + 0.5*1*sign(1 - 0) = 0.5
     def sample_term(x_rows, xi_rows, u_rows):
         resid = 1.0 - x_rows[:, 0]
         return np.sign(resid)[:, None]
 
     drift = Drift(dim=1, sample_term=sample_term)
-    sched = StepSchedule.custom(lambda n: 0.5)
-    x1, _ = step(np.array([0.0]), 0, drift, (NoNoise(), NoNoise(), NoNoise()),
-                 ZeroBias(1), sched, NoProjection(), rng)
-    assert x1[0] == 0.5
+    traj = _one_step(drift, [0.0], StepSchedule.custom(lambda n: 0.5))
+    assert traj.iterates[1, 0] == 0.5
 
 
-def test_step_penalized_regression_arithmetic(rng):
+def test_step_penalized_regression_arithmetic():
     # w=1, sample (x,y)=(1,1), penalty 0.7, a=0.1: 1 + 0.1*0 + 0.1*(-0.7) = 0.93
     lam = 0.7
 
@@ -223,24 +225,107 @@ def test_step_penalized_regression_arithmetic(rng):
 
     drift = Drift(dim=1, smooth=smooth, sample_term=sample_term)
     fixed = BoundedNoise(lambda g: np.array([1.0, 1.0]), bound=2.0, dim=2)
-    sched = StepSchedule.custom(lambda n: 0.1)
-    x1, log = step(np.array([1.0]), 0, drift, (NoNoise(), fixed, NoNoise()),
-                   ZeroBias(1), sched, NoProjection(), rng)
-    assert x1[0] == pytest.approx(0.93, abs=1e-15)
-    assert log["smooth_term"][0] == 0.0
-    assert log["set_term"][0] == -0.7
+    traj = _one_step(drift, [1.0], StepSchedule.custom(lambda n: 0.1), noise_zeta=fixed)
+    assert traj.iterates[1, 0] == pytest.approx(0.93, abs=1e-15)
+    assert traj.smooth_terms[0, 0] == 0.0
+    assert traj.set_terms[0, 0] == -0.7
 
 
-def test_step_blowup_carries_index(rng):
+def test_step_blowup_carries_index():
+    # unit steps walk 0, 1, 2, 3; the smooth term turns infinite at 3
     def smooth(x_rows, z_rows):
-        return np.full_like(x_rows, np.inf)
+        return np.where(x_rows >= 3.0, np.inf, 1.0)
 
     drift = Drift(dim=1, smooth=smooth)
-    sched = StepSchedule.harmonic(1.0)
     with pytest.raises(SimulationBlowup) as err:
-        step(np.array([0.0]), 3, drift, (NoNoise(), NoNoise(), NoNoise()),
-             ZeroBias(1), sched, NoProjection(), rng)
+        _one_step(drift, [0.0], StepSchedule.custom(lambda n: 1.0), n_steps=6)
     assert err.value.step_index == 3
+
+
+# --- the plain-float loop of table-backed drifts ------------------------------------
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_float_loop_matches_row_loop_bitwise():
+    p = nonconvergence_preset()
+    table = p.drift.sample_term
+    # seed 3 enters all four corridors by step 713; 5,000 steps span two of
+    # the float loop's 4,096-step blocks
+    spec = p.run_spec(x0=[2.0, 2.0], n_steps=5_000)
+    ck = [0, 4_096, 4_500, 5_000]
+    one = run_ensemble(spec, 3, 1, checkpoints=ck, record_paths=True)
+    two = run_ensemble(spec, 3, 2, checkpoints=ck, record_paths=True)
+    traj = run(spec, 3)
+    assert len(set(table.region_ids(one.paths[0][:-1]).tolist()) & {2, 3, 4, 5}) >= 3
+    _assert_same_bits(one.paths[0], two.paths[0])
+    _assert_same_bits(traj.iterates, two.paths[0])
+    _assert_same_bits(one.finals[0], two.finals[0])
+    _assert_same_bits(one.checkpoint_states[0], two.checkpoint_states[0])
+    assert one.fail_steps.tolist() == [-1]
+    _assert_same_bits(traj.set_terms, table(traj.iterates[:-1]))
+
+
+def test_float_loop_is_taken_for_one_replication(monkeypatch):
+    # the float loop never calls the row term; more replications do
+    p = nonconvergence_preset()
+    spec = p.run_spec(x0=[1.5, 0.0], n_steps=200)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row term called")
+
+    monkeypatch.setattr(Drift, "set_term_rows", refuse)
+    run_ensemble(spec, 1, 1)
+    with pytest.raises(AssertionError):
+        run_ensemble(spec, 1, 2)
+
+
+def test_float_loop_additive_noise_and_constant_bias():
+    p = nonconvergence_preset()
+    spec = p.run_spec(x0=[0.0, 0.0], n_steps=2_000, bias=ConstantBias([0.01, -0.02]))
+    spec.noise_zetatilde = GaussianNoise([0.0, 0.0], [[0.5, 0.1], [0.1, 0.3]])
+    one = run_ensemble(spec, 8, 1, checkpoints=[0, 1_000, 2_000], record_paths=True)
+    two = run_ensemble(spec, 8, 2, checkpoints=[0, 1_000, 2_000], record_paths=True)
+    _assert_same_bits(one.paths[0], two.paths[0])
+    _assert_same_bits(one.checkpoint_states[0], two.checkpoint_states[0])
+    traj = run(spec, 8)
+    assert np.all(traj.bias_terms == [0.01, -0.02])
+    assert np.any(traj.noise_terms != 0.0)
+
+
+def _diverging_table_spec(n_steps=40):
+    # x grows by a factor of about 1 + 1e100*a_n per step until it overflows
+    table = CellTable(1, [
+        Cell(lambda x: x[0] < -1.0, (1.0,), (1.0,)),
+        Cell(None, (0.0,), (0.0,), slope=1e100),
+    ])
+    return RunSpec(drift=Drift(dim=1, sample_term=table),
+                   schedule=StepSchedule.harmonic(1.0), x0=[1.0], n_steps=n_steps)
+
+
+@pytest.mark.parametrize("n_reps", [1, 2])
+def test_checkpoints_outside_the_horizon_rejected(n_reps):
+    spec = nonconvergence_preset().run_spec(x0=[1.5, 0.0], n_steps=10)
+    with pytest.raises(ValueError):
+        run_ensemble(spec, 0, n_reps, checkpoints=[0, 11])
+
+
+def test_float_loop_records_blowup_and_run_raises():
+    spec = _diverging_table_spec()
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = run_ensemble(spec, 0, 1, checkpoints=[0, 40], record_paths=True)
+        two = run_ensemble(spec, 0, 2, checkpoints=[0, 40], record_paths=True)
+    fail = int(one.fail_steps[0])
+    assert fail >= 0 and fail == int(two.fail_steps[0])
+    assert np.all(np.isfinite(one.paths[0, :fail + 1]))
+    assert not np.isfinite(one.paths[0, fail + 1, 0])
+    _assert_same_bits(one.paths[0], two.paths[0])
+    _assert_same_bits(one.finals[0], two.finals[0])
+    with pytest.raises(SimulationBlowup) as err, np.errstate(over="ignore"):
+        run(spec, 0)
+    assert err.value.step_index == fail
 
 
 # --- runs -------------------------------------------------------------------------
@@ -308,7 +393,7 @@ def test_batched_substreams_match_seed_sequence():
                         for rep in reps]
             batched = _role_generators(seed, reps, role)
             assert [g.bit_generator.state for g in batched] == expected
-            single = [_role_generator(seed, rep, role) for rep in reps]
+            single = [_role_generators(seed, [rep], role)[0] for rep in reps]
             assert [g.bit_generator.state for g in single] == expected
 
 

@@ -11,13 +11,11 @@ from sadi.presets import (
     RegressionLaw,
     SignFilterLaw,
     lasso_preset,
-    nonconv_regions,
     nonconvergence_preset,
     pegasos_preset,
     preset_by_name,
     rootfind_preset,
     sign_error_filter_preset,
-    simulate_nonconv,
     soft_threshold_solution,
 )
 from sadi.sets import LeastNorm, contains, select, support
@@ -220,31 +218,42 @@ def test_nonconv_region_classification():
         [-1.5, 1.5],   # top row pushing right
         [0.0, 0.0],    # interior creep
     ])
-    assert nonconv_regions(pts).tolist() == [1, 2, 3, 4, 5, 6]
+    table = nonconvergence_preset().drift.sample_term
+    assert table.region_ids(pts).tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_nonconv_fast_term_matches_map(rng):
     p = nonconvergence_preset()
-    states = rng.uniform(-3, 3, size=(400, 2))
-    terms = p.drift.sample_term(states, np.zeros((400, 0)), np.zeros(400))
-    for i in range(400):
-        v = select(p.drift.set_map, states[i], LeastNorm())
-        assert np.allclose(terms[i], v, atol=1e-12)
+    table = p.drift.sample_term
+    grid = np.stack(np.meshgrid(np.arange(-3, 3.5, 0.5), np.arange(-3, 3.5, 0.5)), -1)
+    states = np.concatenate([rng.uniform(-3, 3, size=(400, 2)), grid.reshape(-1, 2)])
+    terms = table(states, np.zeros((len(states), 0)), np.zeros(len(states)))
+    for x, term in zip(states, terms):
+        v = select(p.drift.set_map, x, LeastNorm())
+        assert np.allclose(term, v, atol=1e-12)
+        offset, slope = table.term_at(x.tolist())
+        assert np.array_equal(np.asarray(offset) + slope * x, term)
 
 
 def test_nonconv_fast_loop_matches_engine():
+    # one replication takes the plain-float loop, two the row loop
     p = nonconvergence_preset()
     spec = p.run_spec(x0=[2.0, 2.0], n_steps=5000)
-    ens = run_ensemble(spec, 31, 1, record_paths=True)
-    fast = simulate_nonconv(5000, seed=31, keep_path=True, checkpoint_every=1000)
-    assert np.array_equal(ens.paths[0], fast.path)
+    fast = run_ensemble(spec, 31, 1, record_paths=True)
+    rows = run_ensemble(spec, 31, 2, record_paths=True)
+    assert fast.paths[0].tobytes() == rows.paths[0].tobytes()
 
 
 def test_nonconv_long_run_cycles_without_converging():
-    nc = simulate_nonconv(200_000, seed=2, checkpoint_every=20_000)
-    assert len(nc.regions_visited & {2, 3, 4, 5}) >= 3
-    d0 = np.linalg.norm(nc.checkpoint_states, axis=1)
-    d2 = np.linalg.norm(nc.checkpoint_states - 2.0, axis=1)
+    p = nonconvergence_preset()
+    spec = p.run_spec(x0=[2.0, 2.0], n_steps=200_000)
+    nc = run_ensemble(spec, 2, 1, checkpoints=range(20_000, 200_001, 20_000),
+                      record_paths=True)
+    visited = set(p.drift.sample_term.region_ids(nc.paths[0][:-1]).tolist())
+    assert len(visited & {2, 3, 4, 5}) >= 3
+    ck = nc.checkpoint_states[0]
+    d0 = np.linalg.norm(ck, axis=1)
+    d2 = np.linalg.norm(ck - 2.0, axis=1)
     assert np.mean(np.minimum(d0, d2) <= 0.1) <= 0.3
 
 
