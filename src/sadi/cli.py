@@ -25,14 +25,7 @@ def _common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args):
-    config = parse_config(args.config)
-    if args.seed is not None:
-        raw = dict(config.raw)
-        raw["seed"] = int(args.seed)
-        from .config import validate_config
-
-        config = validate_config(raw)
-    return config
+    return parse_config(args.config, seed=args.seed)
 
 
 def _cmd_run(args) -> int:

@@ -432,9 +432,10 @@ def _resolution_errors(config: ExperimentConfig) -> list:
                      for where, got in sizes if got != dim]
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a JSON experiment file; raises ConfigError listing
-    every problem found."""
+def parse_config(path, seed: Optional[int] = None) -> ExperimentConfig:
+    """Load and validate a JSON experiment file, with ``seed`` (when given)
+    in place of the file's seed; raises ConfigError listing every problem
+    found."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file {path} does not exist"])
@@ -442,4 +443,6 @@ def parse_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = int(seed)
     return validate_config(raw)

@@ -68,6 +68,10 @@ class SimulationBlowup(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# the time mesh holds at most this many times; mesh_index raises beyond it
+_MESH_LIMIT = 100_000_000
+
+
 class StepSchedule:
     """Positive step sizes a_n with a_n -> 0 and divergent partial sums.
 
@@ -128,15 +132,28 @@ class StepSchedule:
         self._ensure_times(n)
         return float(self._times[n])
 
+    def _beyond_mesh_limit(self, t: float) -> bool:
+        """True when t provably exceeds t_N at N = _MESH_LIMIT.  For
+        a_n = c*(n+1)^-alpha, t_N <= c*(1 + int_1^N s^-alpha ds); the factor
+        1 + 1e-6 covers the rounding of the cumulative sum.  Custom
+        schedules have no such bound."""
+        if self.kind not in ("harmonic", "power_law"):
+            return False
+        c, alpha, n = self.params["c"], self.params.get("alpha", 1.0), float(_MESH_LIMIT)
+        integral = math.log(n) if alpha == 1.0 else (n ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+        return t > c * (1.0 + integral) * (1.0 + 1e-6)
+
     def mesh_index(self, t: float) -> int:
         if t < 0.0:
             return 0
+        if self._beyond_mesh_limit(t):
+            raise ValueError("time beyond any representable mesh horizon")
         block = max(64, self._times.shape[0])
         while self._times[-1] <= t:
+            if self._times.shape[0] + block > _MESH_LIMIT:
+                raise ValueError("time beyond any representable mesh horizon")
             self._ensure_times(self._times.shape[0] - 1 + block)
             block *= 2
-            if self._times.shape[0] > 100_000_000:
-                raise ValueError("time beyond any representable mesh horizon")
         return int(np.searchsorted(self._times, t, side="right")) - 1
 
     def describe(self) -> dict:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .sets import (
     Box,
@@ -50,6 +49,18 @@ __all__ = [
 ]
 
 _CONSTANCY_TOL = 1e-9
+# a constancy row that misses its slab by more than this, times one plus the
+# largest |row value| at a vertex, makes the reduction empty without an LP;
+# it is far above HiGHS's primal feasibility tolerance of 1e-7
+_EMPTY_GUARD = 1e-5
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call so that
+    importing sadi does not load scipy."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 class NegInfinity:
@@ -242,6 +253,18 @@ def _constancy_rows(u_list: Sequence[PiecewiseSmoothScalar], x: np.ndarray) -> n
     return np.asarray(rows)
 
 
+def _outside_slab(dv: np.ndarray, bound: float) -> bool:
+    """True when some row of ``dv`` (a constancy row's values at the
+    vertices) misses the slab [-bound, bound] by more than the guard.  Over
+    the vertex hull that row takes exactly the values between its smallest
+    and largest entry, so no point of the hull satisfies it."""
+    if dv.size == 0:
+        return False
+    guard = _EMPTY_GUARD * (1.0 + float(np.max(np.abs(dv))))
+    return bool(np.any(dv.min(axis=1) > bound + guard)
+                or np.any(dv.max(axis=1) < -bound - guard))
+
+
 def _reduced_polytope(value: ConvexSet, rows: np.ndarray,
                       tol: float = _CONSTANCY_TOL) -> Optional[ConvexSet]:
     """Intersect ``value`` with the null space of ``rows`` (constancy
@@ -258,6 +281,8 @@ def _reduced_polytope(value: ConvexSet, rows: np.ndarray,
     m = verts.shape[0]
     scale = 1.0 + float(np.max(np.abs(verts)))
     dv = rows @ verts.T  # (k, m)
+    if _outside_slab(dv, tol * scale):
+        return None
     a_eq = np.ones((1, m))
     b_eq = np.array([1.0])
     a_ub = np.vstack([dv, -dv])
@@ -412,6 +437,33 @@ def _grid_points(lo, hi, resolution):
     return pts, tuple(int(r) for r in resolution)
 
 
+def _near_kinks(pts: np.ndarray, scalars: Sequence[PiecewiseSmoothScalar],
+                tol: float = _CONSTANCY_TOL) -> np.ndarray:
+    """Mask of the rows of ``pts`` within rounding of a declared kink surface
+    of any of ``scalars``: twice ``active_kinks``'s tolerance plus a bound on
+    the rounding of the dot product.  Off the mask no kink is active, so
+    every Clarke gradient is a singleton."""
+    kinks = [k for s in scalars for k in s.kinks]
+    if not kinks:
+        return np.zeros(pts.shape[0], dtype=bool)
+    normals = np.asarray([k.normal for k in kinks], dtype=float)
+    offsets = np.asarray([k.offset for k in kinks], dtype=float)
+    gap = np.abs(pts @ normals.T - offsets)
+    size = np.abs(offsets)
+    slack = 2.0 * tol * (1.0 + size) + 1e-12 * (np.abs(pts) @ np.abs(normals).T + size)
+    return np.any(gap <= slack, axis=1)
+
+
+def _outside_ball(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the rows with ``not norm(x) <= radius``; rows within rounding
+    of the radius are decided by the per-point norm."""
+    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    keep = ~(norms <= radius)
+    for i in np.flatnonzero(np.abs(norms - radius) <= 1e-9 * (1.0 + abs(radius))):
+        keep[i] = not float(np.linalg.norm(pts[i])) <= radius
+    return keep
+
+
 def certify_stability(v: PiecewiseSmoothScalar,
                       u_list: Sequence[PiecewiseSmoothScalar],
                       fmap: SetValuedMap,
@@ -422,21 +474,32 @@ def certify_stability(v: PiecewiseSmoothScalar,
                       name: str = "") -> StabilityCertificate:
     """Evaluate the generalized decay inequality at every grid point outside
     the excluded ball around the origin.  Failures are recorded, not raised.
+
+    Points off every kink of ``v`` and of the ``u_list`` have singleton
+    Clarke gradients and no constancy rows, so their derivative is the
+    support of F(x) along grad v(x), evaluated directly; only points near a
+    kink go through ``u_generalized_derivative``.
     """
     pts, res = _grid_points(grid_lo, grid_hi, resolution)
+    pts.setflags(write=False)
     lo = np.atleast_1d(np.asarray(grid_lo, dtype=float))
     hi = np.atleast_1d(np.asarray(grid_hi, dtype=float))
     cert = StabilityCertificate(
         grid_lo=tuple(lo.tolist()), grid_hi=tuple(hi.tolist()),
         resolution=res, exclude_radius=float(exclude_radius), name=name)
-    for x in pts:
-        if float(np.linalg.norm(x)) <= exclude_radius:
-            continue
-        deriv = u_generalized_derivative(v, u_list, fmap, x)
+    near = _near_kinks(pts, [v, *u_list])
+    coords = pts.tolist()
+    for i in np.flatnonzero(_outside_ball(pts, exclude_radius)).tolist():
+        x = pts[i]
+        if near[i]:
+            deriv = u_generalized_derivative(v, u_list, fmap, x)
+        else:
+            value = fmap.value(x)
+            deriv = value._support(_as_vector(v.piece_at(x).gradient(x), "point"))
         threshold = -bound.value(x)
         if isinstance(deriv, NegInfinity):
             ok = True
         else:
             ok = deriv <= threshold + pass_tol
-        cert.records.append(GridRecord(tuple(x.tolist()), deriv, threshold, ok))
+        cert.records.append(GridRecord(tuple(coords[i]), deriv, threshold, ok))
     return cert

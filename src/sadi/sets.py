@@ -141,7 +141,7 @@ class Box(ConvexSet):
         self.lo = _as_vector(lo, "lo")
         self.hi = _as_vector(hi, "hi")
         _check_dims(self.lo.shape[0], self.hi.shape[0], "Box bounds")
-        if np.any(self.lo > self.hi):
+        if (self.lo > self.hi).any():
             raise ValueError("Box requires lo <= hi componentwise")
 
     @property
@@ -149,7 +149,7 @@ class Box(ConvexSet):
         return self.lo.shape[0]
 
     def _support(self, p):
-        return float(np.sum(np.where(p >= 0.0, p * self.hi, p * self.lo)))
+        return float(np.where(p >= 0.0, p * self.hi, p * self.lo).sum())
 
     def _support_point(self, p):
         pt = np.where(p > 0.0, self.hi, np.where(p < 0.0, self.lo, 0.5 * (self.lo + self.hi)))

@@ -166,6 +166,43 @@ def test_semantic_config_errors_reported_together(tmp_path, capsys):
         assert needle in err
 
 
+def test_seed_override_validates_once(tmp_path, monkeypatch):
+    import sadi.config
+
+    counts = {"validate": 0, "build": 0}
+    validate, build = sadi.config.validate_config, sadi.config.preset_by_name
+
+    def counting_validate(raw):
+        counts["validate"] += 1
+        return validate(raw)
+
+    def counting_build(*args, **kwargs):
+        counts["build"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sadi.config, "validate_config", counting_validate)
+    monkeypatch.setattr(sadi.config, "preset_by_name", counting_build)
+    cfg = _ex1_copy(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--seed", "5", "--out-dir", str(out)]) == 0
+    assert counts == {"validate": 1, "build": 1}
+    assert "seed=5" in (out / "report.csv").read_text(encoding="utf-8").splitlines()[0]
+
+
+def test_seed_override_keeps_config_errors_exit_2(tmp_path, capsys):
+    syntax = tmp_path / "syntax.json"
+    syntax.write_text('{"name": "x",', encoding="utf-8")
+    assert main(["run", str(syntax), "--seed", "5"]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]", encoding="utf-8")
+    assert main(["run", str(not_object), "--seed", "5"]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    semantic = _ex1_copy(tmp_path, x0=[5.0, 1.0])
+    assert main(["run", str(semantic), "--seed", "5", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "x0" in capsys.readouterr().err
+
+
 def test_shipped_configs_parse():
     from sadi.config import parse_config
 

@@ -81,6 +81,45 @@ def test_mesh_roundtrip():
         assert mesh_index(sched, time_mesh(sched, n)) == n
 
 
+_FAMILIES = {"harmonic_1": (1.0, 1.0), "harmonic_0.3": (0.3, 1.0),
+             "power_1_0.5": (1.0, 0.5), "power_2_1": (2.0, 1.0), "power_0.5_0.05": (0.5, 0.05)}
+
+
+def _family(name):
+    c, alpha = _FAMILIES[name]
+    if name.startswith("harmonic"):
+        return StepSchedule.harmonic(c)
+    return StepSchedule.power_law(c, alpha)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_unreachable_time_raises_before_growing_the_mesh(name):
+    import tracemalloc
+
+    sched = _family(name)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="horizon"):
+            sched.mesh_index(1e9)
+        with pytest.raises(ValueError, match="horizon"):
+            sched.mesh_index(math.inf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_mesh_index_is_exact_at_reachable_times(name):
+    sched = _family(name)
+    for n in (1, 2, 63, 64, 65, 1000, 20_000, 300_000):
+        t = time_mesh(sched, n)
+        assert mesh_index(sched, t) == n
+        assert mesh_index(sched, math.nextafter(t, -math.inf)) == n - 1
+        assert mesh_index(sched, math.nextafter(t, math.inf)) == n
+        assert mesh_index(sched, 0.5 * (t + time_mesh(sched, n + 1))) == n
+
+
 # --- noise and bias families -------------------------------------------------
 
 

@@ -3,6 +3,8 @@ derivatives, and the grid certifier."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sadi.nonsmooth import (
     NEG_INFINITY,
@@ -295,3 +297,197 @@ def test_certificate_serialization(tmp_path):
     assert lines[0].startswith("# stability certificate")
     assert "x,derivative,bound,pass" in lines[3]
     assert len(lines) == 4 + len(cert.records)
+
+
+# --- the certifier's kink classification and the emptiness pre-check ----------
+
+
+def _reference_certificate(v, u_list, fmap, grid_lo, grid_hi, resolution,
+                           exclude_radius, bound):
+    """Every grid point through u_generalized_derivative, as the certifier
+    did before off-kink points took the direct path."""
+    from sadi.nonsmooth import GridRecord, StabilityCertificate, _grid_points
+
+    pts, res = _grid_points(grid_lo, grid_hi, resolution)
+    cert = StabilityCertificate(
+        grid_lo=tuple(np.atleast_1d(np.asarray(grid_lo, dtype=float)).tolist()),
+        grid_hi=tuple(np.atleast_1d(np.asarray(grid_hi, dtype=float)).tolist()),
+        resolution=res, exclude_radius=float(exclude_radius))
+    for x in pts:
+        if float(np.linalg.norm(x)) <= exclude_radius:
+            continue
+        deriv = u_generalized_derivative(v, u_list, fmap, x)
+        threshold = -bound.value(x)
+        ok = True if isinstance(deriv, NegInfinity) else deriv <= threshold + 1e-9
+        cert.records.append(GridRecord(tuple(x.tolist()), deriv, threshold, ok))
+    return cert
+
+
+def _bundles():
+    from sadi.presets import RegressionLaw, lasso_preset, pegasos_preset
+
+    return {
+        "lasso_1d": lasso_preset(0.7).stability,
+        "lasso_2d": lasso_preset(0.3, RegressionLaw(theta=[1.0, -0.5],
+                                                    features="gaussian")).stability,
+        "pegasos": pegasos_preset(1.0).stability,
+        "pegasos_small_lam": pegasos_preset(0.1).stability,
+        "rootfind": rootfind_preset().stability,
+    }
+
+
+def _both(bundle, grid_lo=None, grid_hi=None, resolution=None, exclude_radius=None):
+    args = (bundle.v, bundle.u_list, bundle.shifted_map,
+            bundle.grid_lo if grid_lo is None else grid_lo,
+            bundle.grid_hi if grid_hi is None else grid_hi,
+            bundle.resolution if resolution is None else resolution,
+            bundle.exclude_radius if exclude_radius is None else exclude_radius,
+            bundle.bound)
+    return certify_stability(*args).to_text(), _reference_certificate(*args).to_text()
+
+
+@pytest.mark.parametrize("name", sorted(_bundles()))
+def test_certifier_matches_point_by_point_reference(name):
+    fast, reference = _both(_bundles()[name])
+    assert fast == reference
+
+
+def test_certifier_on_and_near_rootfind_kinks():
+    bundle = rootfind_preset().stability
+    # resolution 13 on [-3, 3] puts points on the lines |w_i| = 1 and on
+    # their four intersections
+    fast, reference = _both(bundle, resolution=13)
+    assert fast == reference
+    assert "-inf" in fast
+    # single columns just inside, at and beyond the kink tolerance and the
+    # classification band around w_0 = +-1
+    for kink in (1.0, -1.0):
+        for offset in (0.0, 1e-10, 1.9e-9, 2.1e-9, 3.9e-9, 4.1e-9, 1e-6):
+            for sign in (1.0, -1.0):
+                w0 = kink + sign * offset
+                fast, reference = _both(bundle, (w0, -3.0), (w0, 3.0), [1, 13])
+                assert fast == reference, w0
+
+
+def test_certifier_point_exactly_on_the_exclusion_radius():
+    from sadi.nonsmooth import _grid_points
+
+    bundles = _bundles()
+    lasso = bundles["lasso_1d"]
+    pts, _ = _grid_points(lasso.grid_lo, lasso.grid_hi, lasso.resolution)
+    radius = float(abs(pts[125, 0]))  # the grid point 0.125
+    for r in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, 1.0)):
+        fast, reference = _both(lasso, exclude_radius=r)
+        assert fast == reference
+    peg = bundles["pegasos"]
+    pts, _ = _grid_points(peg.grid_lo, peg.grid_hi, 21)
+    radius = float(np.linalg.norm(pts[13 * 21 + 12]))  # the norm of (0.6, 0.4)
+    for r in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, 1.0)):
+        fast, reference = _both(peg, resolution=21, exclude_radius=r)
+        assert fast == reference
+
+
+def test_certifier_bytes_do_not_depend_on_the_precheck(monkeypatch):
+    import sadi.nonsmooth
+
+    bundle = rootfind_preset().stability
+
+    def certificate():
+        return certify_stability(bundle.v, bundle.u_list, bundle.shifted_map,
+                                 bundle.grid_lo, bundle.grid_hi, 25,
+                                 bundle.exclude_radius, bundle.bound, name="r").to_text()
+
+    with_check = certificate()
+    lps = []
+    solve = sadi.nonsmooth.linprog
+
+    def counted(*args, **kwargs):
+        lps.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sadi.nonsmooth, "_outside_slab", lambda dv, bound: False)
+    monkeypatch.setattr(sadi.nonsmooth, "linprog", counted)
+    assert certificate() == with_check
+    assert lps  # the on-kink points went through HiGHS
+
+
+def test_on_kink_reductions_solve_no_lp(monkeypatch):
+    import sadi.nonsmooth
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(sadi.nonsmooth, "linprog", no_lp)
+    cert = rootfind_preset().stability.certify()
+    assert sum(isinstance(r.derivative, NegInfinity) for r in cert.records) == 480
+
+
+def _slab_lp_infeasible(dv, bound):
+    """The feasibility LP of _reduced_polytope on the same rows."""
+    from sadi.nonsmooth import linprog
+
+    k, m = dv.shape
+    res = linprog(np.zeros(m), A_ub=np.vstack([dv, -dv]), b_ub=np.full(2 * k, bound),
+                  A_eq=np.ones((1, m)), b_eq=np.array([1.0]),
+                  bounds=[(0.0, None)] * m, method="highs")
+    return res.status == 2
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_emptiness_precheck_implies_an_infeasible_lp(data):
+    from sadi.nonsmooth import _EMPTY_GUARD, _outside_slab
+
+    k = data.draw(st.integers(1, 3), label="rows")
+    m = data.draw(st.integers(1, 6), label="vertices")
+    dv = np.array(data.draw(st.lists(st.lists(st.floats(-3.0, 3.0, **_finite),
+                                              min_size=m, max_size=m),
+                                     min_size=k, max_size=k), label="dv"))
+    bound = 1e-9 * data.draw(st.floats(1.0, 10.0, **_finite), label="scale")
+    # move one row off the slab by a multiple of the guard, near 1 on purpose
+    ratio = data.draw(st.one_of(st.sampled_from([0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 1e3]),
+                                st.floats(0.0, 5.0, **_finite)), label="ratio")
+    row = data.draw(st.integers(0, k - 1), label="row")
+    sign = data.draw(st.sampled_from([1.0, -1.0]), label="side")
+    spread = np.abs(dv[row]) - np.min(np.abs(dv[row]))
+    for _ in range(4):  # the guard scales with the largest |dv|
+        guard = _EMPTY_GUARD * (1.0 + float(np.max(np.abs(dv))))
+        dv[row] = sign * (bound + ratio * guard + spread)
+    guard = _EMPTY_GUARD * (1.0 + float(np.max(np.abs(dv))))
+    miss = max(float(np.max(dv.min(axis=1) - bound)), float(np.max(-bound - dv.max(axis=1))))
+
+    empty = _outside_slab(dv, bound)
+    if empty:
+        assert _slab_lp_infeasible(dv, bound)
+    assert empty == (miss > guard)
+    if miss <= guard:
+        # inside the guard band (or on the slab) the LP decides
+        assert not empty
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(verts=st.lists(st.lists(st.floats(-3.0, 3.0, **_finite), min_size=2, max_size=2),
+                      min_size=1, max_size=6),
+       row=st.lists(st.floats(-2.0, 2.0, **_finite), min_size=2, max_size=2))
+def test_reduction_precheck_matches_the_lp(verts, row):
+    """_reduced_polytope returns None by the pre-check only where the LP
+    path alone also returns None."""
+    import sadi.nonsmooth
+    from sadi.nonsmooth import _reduced_polytope
+    from sadi.sets import Polytope
+
+    rows = np.array([row])
+    value = Polytope(np.array(verts))
+    reduced = _reduced_polytope(value, rows)
+    original = sadi.nonsmooth._outside_slab
+    sadi.nonsmooth._outside_slab = lambda dv, bound: False
+    try:
+        lp_only = _reduced_polytope(value, rows)
+    finally:
+        sadi.nonsmooth._outside_slab = original
+    assert (reduced is None) == (lp_only is None)
+    if reduced is not None:
+        assert repr(reduced) == repr(lp_only)
