@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .sets import (ConvexSet, Box as BoxSet, Ball as BallSet, CellTable, LeastNorm,
-                   SetValuedMap, select)
+from .sets import (ConvexSet, Box as BoxSet, Ball as BallSet, CellTable, CustomSelector,
+                   LeastNorm, SetValuedMap, UniformVertex, select)
 
 __all__ = [
     "StepSchedule",
@@ -123,8 +123,10 @@ class StepSchedule:
         have = self._times.shape[0] - 1
         if n <= have:
             return
-        extra = self.step_sizes(have, n)
-        self._times = np.concatenate([self._times, self._times[-1] + np.cumsum(extra)])
+        # one sequential sum continued from the last time, so t_n has the same
+        # bits however the mesh was grown
+        extra = np.cumsum(np.concatenate([self._times[-1:], self.step_sizes(have, n)]))
+        self._times = np.concatenate([self._times, extra[1:]])
 
     def time_at(self, n: int) -> float:
         if n < 0:
@@ -175,21 +177,63 @@ def mesh_index(sched: StepSchedule, t: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-class NoiseModel:
-    dim: int = 0
+class _Sampler:
+    """The draws of one role.  ``sample_block(gen, n, n0)`` returns the next
+    n steps of one replication's stream as an (n, dim) array, the first of
+    them step n0 of the run: noise is i.i.d. and ignores n0, a bias may
+    depend on it."""
 
-    def sample_block(self, gen: np.random.Generator, n: int) -> np.ndarray:
+    dim: int = 0
+    # False for a model that consumes no randomness: the engine then gives
+    # it no substream and repeats its single-step value at every step
+    draws: bool = True
+
+    def sample_block(self, gen: np.random.Generator, n: int, n0: int = 0) -> np.ndarray:
         raise NotImplementedError
+
+    def fill_block(self, gens: Sequence, n0: int, out: np.ndarray) -> None:
+        """Steps n0 .. n0+K-1 of every generator's stream, K = ``out.shape[0]``,
+        into the step-major ``out`` of shape (K, R, dim): ``out[:, i]`` holds
+        what ``sample_block(gens[i], K, n0)`` returns."""
+        k = out.shape[0]
+        for i, gen in enumerate(gens):
+            out[:, i, :] = self.sample_block(gen, k, n0)
 
     def describe(self) -> dict:
         raise NotImplementedError
 
 
+# raw normals drawn at a time before they are mapped into a block, in doubles
+_NORMALS_CHUNK = 1 << 16
+
+
+def _normal_chunks(gens: Sequence, shape: tuple):
+    """Each generator's next standard normals for a step-major block of
+    ``shape`` (K, R, dim), a few replications at a time: yields (slice of
+    replications, their (K, C, dim) normals).  Generator i fills row i of a
+    small replication-major buffer, reused for every chunk, so the raw
+    normals never take a second block's worth of memory."""
+    k, n_reps, dim = shape
+    step = max(1, _NORMALS_CHUNK // max(1, k * dim))
+    buf = np.empty((min(step, n_reps), k, dim))
+    for r0 in range(0, n_reps, step):
+        z = buf[:min(step, n_reps - r0)]
+        for gen, row in zip(gens[r0:r0 + step], z):
+            gen.standard_normal(out=row)
+        yield slice(r0, r0 + z.shape[0]), z.transpose(1, 0, 2)
+
+
+class NoiseModel(_Sampler):
+    """Noise of one role, i.i.d. across steps."""
+
+
 class NoNoise(NoiseModel):
+    draws = False
+
     def __init__(self, dim: int = 0):
         self.dim = int(dim)
 
-    def sample_block(self, gen, n):
+    def sample_block(self, gen, n, n0=0):
         return np.zeros((n, self.dim))
 
     def describe(self):
@@ -216,9 +260,27 @@ class GaussianNoise(NoiseModel):
             raise ValueError("covariance must be positive semidefinite")
         self._root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
-    def sample_block(self, gen, n):
-        z = gen.standard_normal((n, self.dim))
-        return self.mean + z @ self._root.T
+    def sample_block(self, gen, n, n0=0):
+        return self._affine(gen.standard_normal((n, self.dim)), np.empty((n, self.dim)))
+
+    def fill_block(self, gens, n0, out):
+        # the affine map runs over the stacked normals of many replications
+        for rows, z in _normal_chunks(gens, out.shape):
+            self._affine(z, out[:, rows])
+
+    def _affine(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``mean + z @ root.T`` over the last axis, into ``out``, summed column
+        by column in a fixed order.  BLAS rounds a one-row product (gemv)
+        differently from a many-row one (gemm) when the root has off-diagonal
+        entries, so a matrix product would tie each draw to the block length."""
+        root = self._root
+        for k in range(self.dim):
+            col = out[..., k]
+            np.multiply(z[..., 0], root[k, 0], out=col)
+            for j in range(1, self.dim):
+                col += z[..., j] * root[k, j]
+        out += self.mean
+        return out
 
     def describe(self):
         return {"kind": "gaussian", "mean": self.mean.tolist(), "cov": self.cov.tolist()}
@@ -232,7 +294,7 @@ class UniformNoise(NoiseModel):
             raise ValueError("uniform noise requires lo <= hi componentwise")
         self.dim = self.lo.shape[0]
 
-    def sample_block(self, gen, n):
+    def sample_block(self, gen, n, n0=0):
         return self.lo + gen.random((n, self.dim)) * (self.hi - self.lo)
 
     def describe(self):
@@ -247,7 +309,7 @@ class BoundedNoise(NoiseModel):
         self.bound = float(bound)
         self.dim = int(dim)
 
-    def sample_block(self, gen, n):
+    def sample_block(self, gen, n, n0=0):
         out = np.empty((n, self.dim))
         for i in range(n):
             v = np.atleast_1d(np.asarray(self.sampler(gen), dtype=float))
@@ -260,18 +322,10 @@ class BoundedNoise(NoiseModel):
         return {"kind": "bounded", "bound": self.bound, "dim": self.dim}
 
 
-class BiasModel:
-    dim: int = 0
+class BiasModel(_Sampler):
+    """The bias term, with a declared asymptotic bound on its norm."""
+
     declared_eta: float = 0.0
-    # False for a model that consumes no randomness: the engine then gives
-    # it no substream and adds its single-step value at every step
-    draws: bool = True
-
-    def sample_block(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
 
 
 class ZeroBias(BiasModel):
@@ -281,7 +335,7 @@ class ZeroBias(BiasModel):
         self.dim = int(dim)
         self.declared_eta = 0.0
 
-    def sample_block(self, gen, n):
+    def sample_block(self, gen, n, n0=0):
         return np.zeros((n, self.dim))
 
     def describe(self):
@@ -303,17 +357,24 @@ class ShrinkingGaussianBias(BiasModel):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         self.declared_eta = 0.0 if self.gamma > 0 or self.c == 0 else math.inf
-        self._sd_block = (0, np.zeros((0, 1)))  # (n, per-step sd column) of the last block
+        self._sd_block = (None, np.zeros(0))  # ((n0, n), per-step sd) of the last block
 
     def variance_at(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=float)
         return self.c * (n + 1.0) ** (-self.gamma)
 
-    def sample_block(self, gen, n):
-        z = gen.standard_normal((n, self.dim))
-        if self._sd_block[0] != n:
-            self._sd_block = (n, np.sqrt(self.variance_at(np.arange(n)))[:, None])
-        return z * self._sd_block[1]
+    def _sd(self, n0: int, n: int) -> np.ndarray:
+        if self._sd_block[0] != (n0, n):
+            self._sd_block = ((n0, n), np.sqrt(self.variance_at(np.arange(n0, n0 + n))))
+        return self._sd_block[1]
+
+    def sample_block(self, gen, n, n0=0):
+        return gen.standard_normal((n, self.dim)) * self._sd(n0, n)[:, None]
+
+    def fill_block(self, gens, n0, out):
+        sd = self._sd(n0, out.shape[0])[:, None, None]
+        for rows, z in _normal_chunks(gens, out.shape):
+            np.multiply(z, sd, out=out[:, rows])
 
     def describe(self):
         return {"kind": "gaussian_shrinking", "c": self.c, "gamma": self.gamma, "dim": self.dim}
@@ -327,7 +388,7 @@ class ConstantBias(BiasModel):
         self.dim = self.vector.shape[0]
         self.declared_eta = float(np.linalg.norm(self.vector))
 
-    def sample_block(self, gen, n):
+    def sample_block(self, gen, n, n0=0):
         return np.tile(self.vector, (n, 1))
 
     def describe(self):
@@ -335,8 +396,8 @@ class ConstantBias(BiasModel):
 
 
 class CustomBias(BiasModel):
-    """Caller-supplied rule ``fn(gen, n) -> vector`` with a declared
-    asymptotic bound on its norm."""
+    """Caller-supplied rule ``fn(gen, n) -> vector`` at step n, with a
+    declared asymptotic bound on its norm."""
 
     def __init__(self, fn: Callable[[np.random.Generator, int], np.ndarray],
                  dim: int, declared_eta: float = 0.0):
@@ -344,10 +405,10 @@ class CustomBias(BiasModel):
         self.dim = int(dim)
         self.declared_eta = float(declared_eta)
 
-    def sample_block(self, gen, n):
+    def sample_block(self, gen, n, n0=0):
         out = np.empty((n, self.dim))
         for i in range(n):
-            out[i] = np.atleast_1d(np.asarray(self.fn(gen, i), dtype=float))
+            out[i] = np.atleast_1d(np.asarray(self.fn(gen, n0 + i), dtype=float))
         return out
 
     def describe(self):
@@ -452,6 +513,13 @@ class Drift:
     (vectorized, possibly sample-dependent) or a selector applied to
     ``set_map`` row by row.  ``m_rule(x, xi) -> radius`` inflates the
     selection by a random point of the closed ball of that radius.
+
+    The engine hands each step the rows of that step's draws, read from
+    its substreams in time blocks whose buffers hold a fixed number of
+    doubles, so they do not grow with the horizon N.  Only a random
+    selection on ``set_map`` reads selector draws; a sample term gets
+    ``u_rows=None``, and a cell-table term without ``m_rule`` also gets
+    ``xi_rows=None``.
     """
 
     dim: int
@@ -462,14 +530,16 @@ class Drift:
     sample_term: Optional[Callable] = None
     m_rule: Optional[Callable] = None
 
-    def set_term_rows(self, x_rows: np.ndarray, xi_rows: np.ndarray,
-                      u_rows: np.ndarray, pert_rows: Optional[np.ndarray]) -> np.ndarray:
+    def set_term_rows(self, x_rows: np.ndarray, xi_rows: Optional[np.ndarray],
+                      u_rows: Optional[np.ndarray],
+                      pert_rows: Optional[np.ndarray]) -> np.ndarray:
         if self.sample_term is not None:
             b = np.asarray(self.sample_term(x_rows, xi_rows, u_rows), dtype=float)
         elif self.set_map is not None:
             b = np.empty_like(x_rows)
             for i in range(x_rows.shape[0]):
-                b[i] = _select_row(self.set_map, x_rows[i], self.selector, u_rows[i])
+                rng = None if u_rows is None else _PrimedGenerator(u_rows[i])
+                b[i] = select(self.set_map, x_rows[i], self.selector, rng)
         else:
             return np.zeros_like(x_rows)
         if self.m_rule is not None:
@@ -498,10 +568,6 @@ class _PrimedGenerator:
 
     def random(self):
         return self.u
-
-
-def _select_row(mapping: SetValuedMap, x: np.ndarray, strategy, u: float) -> np.ndarray:
-    return select(mapping, x, strategy, _PrimedGenerator(u))
 
 
 def _ball_point(pert_row: np.ndarray, dim: int) -> np.ndarray:
@@ -752,13 +818,101 @@ class EnsembleResult:
         return self.finals[self.fail_steps < 0]
 
 
-def _draw(model, seed: int, reps: Sequence[int], role: int, n_steps: int) -> np.ndarray:
-    """(R, N, dim) draws of ``model``, one ``role`` substream per replication."""
-    out = np.empty((len(reps), n_steps, model.dim))
-    if model.dim:
-        for i, gen in enumerate(_role_generators(seed, reps, role)):
-            out[i] = model.sample_block(gen, n_steps)
-    return out
+# doubles that one time block of draws holds, summed over the roles that
+# draw; a block is at least one step
+_DRAW_BUDGET = 1 << 22
+
+
+class _BallDraws(_Sampler):
+    """Perturbation draws, a point of the closed ball per step: dim-1
+    normals and one uniform.  A replication's stream holds all N*(dim-1)
+    normals before its N uniforms, so it is read through a pair of
+    generators on the same seed words, the second advanced past the
+    normals (``_past_normals``)."""
+
+    def __init__(self, ball_dim: int):
+        self.dim = ball_dim + 1
+
+    def sample_block(self, pair, n, n0=0):
+        normals, uniforms = pair
+        out = np.empty((n, self.dim))
+        out[:, :-1] = normals.standard_normal((n, self.dim - 1))
+        out[:, -1] = uniforms.random(n)
+        return out
+
+
+def _past_normals(gens: list, count: int) -> list:
+    """The generators, each advanced past its next ``count`` standard normals."""
+    for gen in gens:
+        for m in range(0, count, _DRAW_BUDGET):
+            gen.standard_normal(min(_DRAW_BUDGET, count - m))
+    return gens
+
+
+class _Draws:
+    """Every role's draws for all replications, one time block at a time.
+
+    Each (replication, role) generator is built once and kept for the whole
+    run.  A stream read K steps at a time yields the same numbers as one
+    whole-horizon draw, so the block length never changes a result.  A block
+    is step-major, (K, R, dim): the rows of one step are one contiguous
+    slice.  A role no step reads gives None, and a draw-free model takes no
+    substream and repeats its single-step value.
+    """
+
+    def __init__(self, spec: RunSpec, seed: int, n_reps: int):
+        drift, d = spec.drift, spec.drift.dim
+        term = drift.sample_term
+        reads_xi = drift.m_rule is not None or (term is not None
+                                                and not isinstance(term, CellTable))
+        # a random selection on the set-valued map; a caller's rule gets the
+        # draw as its generator
+        reads_u = (term is None and drift.set_map is not None
+                   and isinstance(drift.selector, (UniformVertex, CustomSelector)))
+        roles = (
+            (ROLE_XI, spec.noise_xi, reads_xi),
+            (ROLE_ZETA, spec.noise_zeta, drift.smooth is not None),
+            # the additive term is added at every step, as zeros when absent
+            (ROLE_ZETATILDE, spec.noise_zetatilde if spec.noise_zetatilde.dim else NoNoise(d),
+             True),
+            (ROLE_BIAS, spec.bias, True),
+            # one uniform per step: 0 + u*(1 - 0) is u itself
+            (ROLE_SELECTOR, UniformNoise([0.0], [1.0]), reads_u),
+            (ROLE_PERTURB, _BallDraws(d), drift.m_rule is not None),
+        )
+        reps = range(n_reps)
+        self.n_reps = n_reps
+        self.width = 0  # doubles drawn per replication and step
+        self._roles = []
+        for role, model, read in roles:
+            gens = None
+            if read and model.draws and model.dim:
+                gens = _role_generators(seed, reps, role)
+                if role == ROLE_PERTURB:
+                    gens = list(zip(gens, _past_normals(_role_generators(seed, reps, role),
+                                                        spec.n_steps * d)))
+                self.width += model.dim
+            self._roles.append((model, gens) if read else None)
+        self._bufs = [None] * len(roles)
+
+    def block(self, n0: int, k: int) -> list:
+        """Steps n0 .. n0+k-1 of every role, in role order; a buffer is
+        reused by the next block."""
+        out = []
+        for i, entry in enumerate(self._roles):
+            if entry is None:
+                out.append(None)
+                continue
+            model, gens = entry
+            shape = (k, self.n_reps, model.dim)
+            if gens is None:
+                out.append(np.broadcast_to(model.sample_block(None, 1), shape))
+                continue
+            if self._bufs[i] is None or self._bufs[i].shape[0] < k:
+                self._bufs[i] = np.empty(shape)
+            model.fill_block(gens, n0, self._bufs[i][:k])
+            out.append(self._bufs[i][:k])
+        return out
 
 
 def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
@@ -767,30 +921,13 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
     drift = spec.drift
     d = drift.dim
     n_steps = spec.n_steps
-    reps = range(n_reps)
-    a = spec.schedule.step_sizes(0, n_steps) if n_steps else np.zeros(0)
     ck = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
     if ck and not 0 <= ck[0] <= ck[-1] <= n_steps:
         raise ValueError("checkpoints must lie in [0, n_steps]")
+    draws = _Draws(spec, seed, n_reps)
     if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
             and drift.m_rule is None and isinstance(spec.projection, NoProjection)):
-        return _simulate_float(spec, seed, a, ck, record_paths, record_logs)
-
-    xi = _draw(spec.noise_xi, seed, reps, ROLE_XI, n_steps)
-    zeta = _draw(spec.noise_zeta, seed, reps, ROLE_ZETA, n_steps)
-    zt = _draw(spec.noise_zetatilde, seed, reps, ROLE_ZETATILDE, n_steps)
-    # a draw-free bias takes no substream: its one row, broadcast without a copy
-    beta = (_draw(spec.bias, seed, reps, ROLE_BIAS, n_steps) if spec.bias.draws
-            else np.broadcast_to(spec.bias.sample_block(None, 1), (n_reps, n_steps, d)))
-    usel = np.empty((n_reps, n_steps))
-    for i, gen in enumerate(_role_generators(seed, reps, ROLE_SELECTOR)):
-        usel[i] = gen.random(n_steps)
-    pert = None
-    if drift.m_rule is not None:
-        pert = np.empty((n_reps, n_steps, d + 1))
-        for i, gen in enumerate(_role_generators(seed, reps, ROLE_PERTURB)):
-            pert[i, :, :d] = gen.standard_normal((n_steps, d))
-            pert[i, :, d] = gen.random(n_steps)
+        return _simulate_float(spec, draws, ck, record_paths, record_logs)
 
     x = np.tile(spec.x0, (n_reps, 1))
     fail = np.full(n_reps, -1, dtype=int)
@@ -808,33 +945,40 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
 
     has_proj = not isinstance(spec.projection, NoProjection)
     zeros = np.zeros((n_reps, d))
-    for n in range(n_steps):
-        b = drift.set_term_rows(x, xi[:, n, :], usel[:, n],
-                                pert[:, n, :] if pert is not None else None)
-        h = drift.smooth(x, zeta[:, n, :]) if drift.smooth is not None else zeros
-        h0 = zt[:, n, :] if spec.noise_zetatilde.dim else zeros
-        bb = beta[:, n, :]
-        total = b + h + h0 + bb
-        x_new = x + a[n] * total
-        if has_proj:
-            proj_new = spec.projection.project_rows(x_new)
+    block = max(1, min(n_steps, _DRAW_BUDGET // (n_reps * max(1, draws.width))))
+    for n0 in range(0, n_steps, block):
+        k = min(block, n_steps - n0)
+        a = spec.schedule.step_sizes(n0, n0 + k)
+        xi, zeta, zt, beta, usel, pert = draws.block(n0, k)
+        for j in range(k):
+            n = n0 + j
+            b = drift.set_term_rows(x, None if xi is None else xi[j],
+                                    None if usel is None else usel[j, :, 0],
+                                    None if pert is None else pert[j])
+            h = drift.smooth(x, zeta[j]) if drift.smooth is not None else zeros
+            h0 = zt[j]
+            bb = beta[j]
+            total = b + h + h0 + bb
+            x_new = x + a[j] * total
+            if has_proj:
+                proj_new = spec.projection.project_rows(x_new)
+                if record_logs:
+                    logs["projected"][n] = np.any(proj_new[0] != x_new[0])
+                x_new = proj_new
+            finite = np.isfinite(x_new)
+            if not finite.all():
+                newly = ~finite.all(axis=1) & (fail < 0)
+                fail[newly] = n
+            x = x_new
+            if record_paths:
+                paths[:, n + 1, :] = x
+            if (n + 1) in ck_pos:
+                ck_states[:, ck_pos[n + 1], :] = x
             if record_logs:
-                logs["projected"][n] = np.any(proj_new[0] != x_new[0])
-            x_new = proj_new
-        finite = np.isfinite(x_new)
-        if not finite.all():
-            newly = ~finite.all(axis=1) & (fail < 0)
-            fail[newly] = n
-        x = x_new
-        if record_paths:
-            paths[:, n + 1, :] = x
-        if (n + 1) in ck_pos:
-            ck_states[:, ck_pos[n + 1], :] = x
-        if record_logs:
-            logs["set"][n] = b[0]
-            logs["smooth"][n] = h[0]
-            logs["noise"][n] = h0[0]
-            logs["bias"][n] = bb[0]
+                logs["set"][n] = b[0]
+                logs["smooth"][n] = h[0]
+                logs["noise"][n] = h0[0]
+                logs["bias"][n] = bb[0]
 
     result = EnsembleResult(
         finals=x,
@@ -843,31 +987,36 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         checkpoint_states=ck_states,
         paths=paths,
     )
-    return result, a, logs
+    return result, logs
 
 
 # steps the plain-float loop turns into Python floats at a time, bounding its list memory
 _FLOAT_BLOCK = 4096
 
 
-def _simulate_float(spec: RunSpec, seed: int, a: np.ndarray, ck: list,
+def _simulate_float(spec: RunSpec, draws: _Draws, ck: list,
                     record_paths: bool, record_logs: bool):
-    """One replication of a ``CellTable``-only drift on plain floats.  It draws
-    the additive-noise and bias substreams as the row loop does (a table reads
-    no other role) and sums in the same order, x + a*(((b + h) + h0) + beta)
+    """One replication of a ``CellTable``-only drift on plain floats.  It reads
+    the additive-noise and bias draws as the row loop does (a table reads no
+    other role) and sums in the same order, x + a*(((b + h) + h0) + beta)
     with h = 0, so every output is bit-identical."""
     d, n_steps = spec.drift.dim, spec.n_steps
     term_at = spec.drift.sample_term.term_at
-    h0 = (_draw(spec.noise_zetatilde, seed, [0], ROLE_ZETATILDE, n_steps)[0]
-          if spec.noise_zetatilde.dim else np.zeros((n_steps, d)))
-    beta = (_draw(spec.bias, seed, [0], ROLE_BIAS, n_steps)[0] if spec.bias.draws
-            else np.broadcast_to(spec.bias.sample_block(None, 1), (n_steps, d)))
     path = np.empty((n_steps + 1, d))
     path[0] = x = spec.x0.tolist()
+    logs = None
+    if record_logs:
+        logs = {k: np.zeros((n_steps, d)) for k in ("smooth", "noise", "bias")}
     for n0 in range(0, n_steps, _FLOAT_BLOCK):
         n1 = min(n0 + _FLOAT_BLOCK, n_steps)
+        _, _, h0, beta, _, _ = draws.block(n0, n1 - n0)
+        h0, beta = h0[:, 0], beta[:, 0]
+        if record_logs:
+            logs["noise"][n0:n1] = h0
+            logs["bias"][n0:n1] = beta
         xs = []
-        for an, h0_n, beta_n in zip(a[n0:n1].tolist(), h0[n0:n1].tolist(), beta[n0:n1].tolist()):
+        for an, h0_n, beta_n in zip(spec.schedule.step_sizes(n0, n1).tolist(),
+                                    h0.tolist(), beta.tolist()):
             offset, slope = term_at(x)
             x = [v + an * ((((o + slope * v if slope else o) + 0.0) + z) + e)
                  for v, o, z, e in zip(x, offset, h0_n, beta_n)]
@@ -876,27 +1025,25 @@ def _simulate_float(spec: RunSpec, seed: int, a: np.ndarray, ck: list,
 
     # a non-finite coordinate stays non-finite, so the first bad row is the failure
     bad = ~np.isfinite(path[1:]).all(axis=1)
-    logs = None
     if record_logs:
         # the row term picks the same cell at every state, so it rebuilds b exactly
-        logs = {"set": spec.drift.sample_term(path[:-1]), "smooth": np.zeros((n_steps, d)),
-                "noise": h0, "bias": np.array(beta), "projected": np.zeros(n_steps, dtype=bool)}
+        logs["set"] = spec.drift.sample_term(path[:-1])
+        logs["projected"] = np.zeros(n_steps, dtype=bool)
     result = EnsembleResult(path[-1:].copy(), np.array([np.argmax(bad) if bad.any() else -1]),
                             np.asarray(ck, dtype=int), path[ck][None] if ck else None,
                             path[None] if record_paths else None)
-    return result, a, logs
+    return result, logs
 
 
 def run(spec: RunSpec, seed: int) -> Trajectory:
     """One fully-logged replication; raises on the first non-finite iterate."""
-    result, a, logs = _simulate_reps(spec, seed, 1, None, record_paths=True,
-                                     record_logs=True)
+    result, logs = _simulate_reps(spec, seed, 1, None, record_paths=True, record_logs=True)
     if result.fail_steps[0] >= 0:
         raise SimulationBlowup(int(result.fail_steps[0]))
     return Trajectory(
         schedule=spec.schedule,
         iterates=result.paths[0],
-        step_sizes_used=a,
+        step_sizes_used=spec.schedule.step_sizes(0, spec.n_steps),
         set_terms=logs["set"],
         smooth_terms=logs["smooth"],
         noise_terms=logs["noise"],
@@ -918,5 +1065,5 @@ def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
-    result, _, _ = _simulate_reps(spec, seed, n_reps, checkpoints, record_paths, False)
+    result, _ = _simulate_reps(spec, seed, n_reps, checkpoints, record_paths, False)
     return result

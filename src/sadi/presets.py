@@ -198,7 +198,7 @@ class SignFilterLaw:
         class _Laplace(NoiseModel):
             dim = 1
 
-            def sample_block(self, gen, n):
+            def sample_block(self, gen, n, n0=0):
                 return sampler_block(gen, n)
 
             def describe(self):

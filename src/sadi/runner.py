@@ -169,7 +169,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
         result = run_ensemble(spec, config.seed, config.replications,
                               checkpoints=ck_idx.tolist(), record_paths=record_paths,
                               threads=threads)
-        ck_mean = result.checkpoint_states.mean(axis=0)
+        clean = result.checkpoint_states[result.fail_steps < 0]
+        ck_mean = (clean.mean(axis=0) if clean.shape[0]
+                   else np.full(result.checkpoint_states.shape[1:], math.nan))
         if x_star is not None:
             ck_err = np.linalg.norm(ck_mean - np.asarray(x_star), axis=1)
         else:

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import sadi
 from sadi.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -27,6 +31,16 @@ def _small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported on the first LP solve, so a run pays nothing for it
+    src = str(Path(sadi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c",
+                    "import sadi.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=60)
 
 
 def test_run_verb(tmp_path, capsys):

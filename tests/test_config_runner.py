@@ -120,6 +120,23 @@ def test_run_experiment_aggregation_matches_reference_reduction(tmp_path):
         float(np.linalg.norm(finals.mean(axis=0) - 0.3)), abs=1e-12)
 
 
+def test_checkpoint_means_exclude_blown_up_replications():
+    # x' = 11x + zeta with zeta of sd 1e100 overflows in some replications only
+    cfg = validate_config({
+        "name": "partial_blowup",
+        "drift": {"smooth": {"kind": "linear", "matrix": [[11.0]], "noise": "add"},
+                  "set_part": {"kind": "none"}},
+        "dim": 1, "x0": [0.0], "iterations": 1000, "replications": 200, "seed": 3,
+        "noise": {"zeta": {"kind": "gaussian", "mean": [0.0], "cov": [[1e200]]}},
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        agg = run_experiment(cfg).starts[0]
+    assert 0 < agg.n_failed < 200
+    assert np.isfinite(agg.checkpoint_mean).all()
+    # the last checkpoint is the final iterate, averaged over the same rows
+    assert agg.checkpoint_mean[-1] == pytest.approx(agg.mean_final, rel=1e-12)
+
+
 def test_outputs_carry_provenance(tmp_path):
     cfg = validate_config(_minimal(outputs=["report", "finals", "trajectory",
                                             "checkpoints"]))

@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import sadi.engine as engine
 from sadi.engine import (
     BallRegion,
     BoundedNoise,
     BoxRegion,
     ConstantBias,
+    CustomBias,
     Drift,
     GaussianNoise,
     NoNoise,
@@ -29,9 +33,11 @@ from sadi.engine import (
     run_ensemble,
     time_mesh,
 )
-from sadi.engine import ROLE_BIAS, ROLE_ZETA, _role_generators
-from sadi.sets import Box, Cell, CellTable, LeastNorm, Region, SetValuedMap, contains
-from sadi.presets import lasso_preset, nonconvergence_preset, pegasos_preset, RegressionLaw
+from sadi.engine import ROLE_BIAS, ROLE_PERTURB, ROLE_SELECTOR, ROLE_ZETA, _role_generators
+from sadi.sets import (Box, Cell, CellTable, LeastNorm, Region, SetValuedMap, UniformVertex,
+                       contains, select)
+from sadi.presets import (lasso_preset, nonconvergence_preset, pegasos_preset, RegressionLaw,
+                          SignFilterLaw)
 
 
 # --- schedules and the time mesh -------------------------------------------
@@ -120,6 +126,19 @@ def test_mesh_index_is_exact_at_reachable_times(name):
         assert mesh_index(sched, 0.5 * (t + time_mesh(sched, n + 1))) == n
 
 
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_time_mesh_bits_do_not_depend_on_growth(name):
+    fresh = _family(name)
+    whole = [time_mesh(fresh, n) for n in range(0, 300_001, 997)]
+    for pattern in ((1, 2, 63, 1000, 20_000), (300_000,), (64, 65, 66, 4096, 4097)):
+        sched = _family(name)
+        for n in pattern:
+            time_mesh(sched, n)
+        sched.mesh_index(time_mesh(fresh, 150_000))  # grows by doubling blocks
+        assert [time_mesh(sched, n) for n in range(0, 300_001, 997)] == whole
+        assert mesh_index(sched, time_mesh(fresh, 300_000)) == 300_000
+
+
 # --- noise and bias families -------------------------------------------------
 
 
@@ -146,8 +165,6 @@ def test_bounded_noise_enforces_bound(rng):
 
 
 def test_custom_bias_rule(rng):
-    from sadi.engine import CustomBias
-
     model = CustomBias(lambda g, n: np.array([1.0 / (n + 1.0)]), dim=1,
                        declared_eta=0.0)
     block = model.sample_block(rng, 4)
@@ -615,3 +632,169 @@ def test_trajectory_csv_roundtrip(tmp_path):
     # 17-significant-digit round trip of the first iterate
     first = float(lines[2].split(",")[3])
     assert first == traj.iterates[0][0]
+
+
+# --- time-blocked draws -----------------------------------------------------------
+
+
+def _gaussian(dim):
+    a = np.arange(1.0, dim * dim + 1.0).reshape(dim, dim) / dim
+    return GaussianNoise(np.linspace(-1.0, 1.0, dim), a @ a.T + np.eye(dim))
+
+
+_MODELS = {
+    **{f"gaussian_{d}": (lambda d=d: _gaussian(d)) for d in (1, 2, 3, 4)},
+    "gaussian_singular": lambda: GaussianNoise([0.5, 0.0], [[1.0, 1.0], [1.0, 1.0]]),
+    "uniform": lambda: UniformNoise([-1.0, 0.0], [1.0, 2.0]),
+    "bounded": lambda: BoundedNoise(lambda g: g.uniform(-0.5, 0.5, size=2), bound=1.0, dim=2),
+    "laplace": lambda: SignFilterLaw([1.0], noise="laplace").noise_model(),
+    "none": lambda: NoNoise(2),
+    "zero_bias": lambda: ZeroBias(2),
+    "constant_bias": lambda: ConstantBias([0.3, -0.4]),
+    "shrinking_bias": lambda: ShrinkingGaussianBias(2, c=2.0, gamma=0.7),
+    "custom_bias": lambda: CustomBias(lambda g, n: g.standard_normal(2) / (n + 1.0), dim=2),
+}
+
+
+def _streams(n_reps, seed=5):
+    return [_reference_generator(seed, rep, 1) for rep in range(n_reps)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_MODELS)), n_reps=st.integers(1, 5),
+       start=st.integers(0, 10_000),
+       cuts=st.lists(st.integers(1, 39), max_size=6, unique=True),
+       chunk=st.sampled_from([1, 50, 200, engine._NORMALS_CHUNK]))
+def test_block_draws_equal_one_whole_horizon_draw(name, n_reps, start, cuts, chunk):
+    n = 40
+    model = _MODELS[name]()
+    whole = np.stack([model.sample_block(gen, n, start) for gen in _streams(n_reps)], axis=1)
+    bounds = [0] + sorted(cuts) + [n]
+    filled, single = np.empty((n, n_reps, model.dim)), np.empty((n, n_reps, model.dim))
+    gens, gen_rows = _streams(n_reps), _streams(n_reps)
+    saved = engine._NORMALS_CHUNK
+    engine._NORMALS_CHUNK = chunk  # normals drawn for one or a few replications at a time
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            model.fill_block(gens, start + lo, filled[lo:hi])
+            for i, gen in enumerate(gen_rows):
+                single[lo:hi, i] = model.sample_block(gen, hi - lo, start + lo)
+    finally:
+        engine._NORMALS_CHUNK = saved
+    assert np.array_equal(filled, whole)
+    assert np.array_equal(single, whole)
+
+
+def _square_map():
+    square = Box([-1.0, -1.0], [1.0, 1.0])
+    return SetValuedMap(2, [Region(lambda x: True, lambda x: square)], common_bound=1.5)
+
+
+def _uniform_vertex_spec(n_steps):
+    # a square's four vertices, picked by the selector draw, and a ball perturbation
+    drift = Drift(dim=2, set_map=_square_map(), selector=UniformVertex(),
+                  m_rule=lambda x, xi: 0.1 * abs(xi[0]))
+    return RunSpec(drift=drift, schedule=StepSchedule.power_law(1.0, 0.5), x0=[0.2, -0.1],
+                   n_steps=n_steps, noise_xi=_gaussian(2),
+                   noise_zetatilde=_gaussian(2), bias=ShrinkingGaussianBias(2, 1.0, 0.5))
+
+
+_CHUNK_SPECS = {
+    "lasso_shrinking_bias": lambda n: _shrinking_bias_spec(n),
+    "pegasos": _pegasos_spec,
+    "ou": lambda n: _ou_spec(n_steps=n),
+    "uniform_vertex_perturbed": _uniform_vertex_spec,
+    "custom_bias": lambda n: _shrinking_bias_spec(
+        n, CustomBias(lambda g, k: g.standard_normal(1) / (k + 1.0), dim=1)),
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_CHUNK_SPECS)), n_reps=st.integers(1, 3),
+       block=st.integers(1, 50))
+@example(name="uniform_vertex_perturbed", n_reps=3, block=1)
+@example(name="pegasos", n_reps=1, block=1)
+@example(name="lasso_shrinking_bias", n_reps=2, block=7)
+def test_ensemble_bytes_do_not_depend_on_block_length(name, n_reps, block):
+    n_steps = 45
+    spec = _CHUNK_SPECS[name](n_steps)
+    reference = run_ensemble(spec, 11, n_reps, checkpoints=[0, 13, 45], record_paths=True)
+    width = engine._Draws(spec, 11, n_reps).width
+    saved = engine._DRAW_BUDGET
+    engine._DRAW_BUDGET = block * n_reps * max(width, 1)
+    try:
+        blocked = run_ensemble(spec, 11, n_reps, checkpoints=[0, 13, 45], record_paths=True)
+    finally:
+        engine._DRAW_BUDGET = saved
+    assert np.array_equal(blocked.finals, reference.finals)
+    assert np.array_equal(blocked.checkpoint_states, reference.checkpoint_states)
+    assert np.array_equal(blocked.paths, reference.paths)
+    assert np.array_equal(blocked.fail_steps, reference.fail_steps)
+
+
+def test_draw_memory_does_not_grow_with_the_horizon(monkeypatch):
+    import tracemalloc
+
+    # a budget below R*N*width for both horizons, so both run in blocks
+    monkeypatch.setattr(engine, "_DRAW_BUDGET", 1 << 14)
+    peaks = []
+    for n_steps in (2_000, 20_000):
+        spec = _shrinking_bias_spec(n_steps)
+        run_ensemble(spec, 3, 20)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            run_ensemble(spec, 3, 20)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one step-size block of the longer run is the only allowed difference
+    assert peaks[1] <= peaks[0] + 8 * (1 << 14)
+
+
+def test_sample_terms_build_no_selector_streams(monkeypatch):
+    roles = []
+    role_generators = engine._role_generators
+
+    def recording(seed, reps, role):
+        roles.append(role)
+        return role_generators(seed, reps, role)
+
+    monkeypatch.setattr(engine, "_role_generators", recording)
+    for spec in (_shrinking_bias_spec(30), _pegasos_spec(30)):
+        run_ensemble(spec, 3, 4)
+        run(spec, 3)
+    assert roles and ROLE_SELECTOR not in roles
+
+
+def test_uniform_vertex_selects_with_selector_stream():
+    gmap = _square_map()
+    spec = RunSpec(drift=Drift(dim=2, set_map=gmap, selector=UniformVertex()),
+                   schedule=StepSchedule.power_law(1.0, 0.5), x0=[0.2, -0.1], n_steps=60)
+    seed = 9
+    ens = run_ensemble(spec, seed, 3, record_paths=True)
+    a = spec.schedule.step_sizes(0, spec.n_steps)
+    for rep in range(3):
+        gen = _reference_generator(seed, rep, ROLE_SELECTOR)
+        x = spec.x0.copy()
+        for n in range(spec.n_steps):
+            x = x + a[n] * select(gmap, x, UniformVertex(), gen)
+            assert np.array_equal(ens.paths[rep, n + 1], x)
+
+
+@pytest.mark.parametrize("budget", [engine._DRAW_BUDGET, 5])
+def test_perturbation_reads_normals_then_uniforms(monkeypatch, budget):
+    # the least-norm point of the square is 0, so each step moves by the ball point alone
+    monkeypatch.setattr(engine, "_DRAW_BUDGET", budget)
+    spec = RunSpec(drift=Drift(dim=2, set_map=_square_map(), m_rule=lambda x, xi: 0.5),
+                   schedule=StepSchedule.power_law(1.0, 0.5), x0=[0.2, -0.1], n_steps=40)
+    seed = 4
+    ens = run_ensemble(spec, seed, 2, record_paths=True)
+    a = spec.schedule.step_sizes(0, spec.n_steps)
+    for rep in range(2):
+        gen = _reference_generator(seed, rep, ROLE_PERTURB)
+        g, u = gen.standard_normal((spec.n_steps, 2)), gen.random(spec.n_steps)
+        x = spec.x0.copy()
+        for n in range(spec.n_steps):
+            point = (u[n] ** 0.5) * g[n] / float(np.linalg.norm(g[n]))
+            x = x + a[n] * (0.0 + 0.5 * point)
+            assert np.array_equal(ens.paths[rep, n + 1], x)
