@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import ConfigError, parse_config
 from .inclusions import epsilon_chain_diagnostic, integrate
-from .rates import SDIModel, simulate_sdi
+from .rates import simulate_sdi
 from .runner import run_experiment, sweep
 
 
@@ -102,9 +102,7 @@ def _cmd_simulate_sdi(args) -> int:
     if sdi is None:
         print("simulate-sdi requires an sdi block in the config", file=sys.stderr)
         return 2
-    model = SDIModel(A=np.asarray(sdi["A"], dtype=float),
-                     sigma=np.asarray(sdi["sigma"], dtype=float),
-                     half_identity=bool(sdi.get("half_identity", False)))
+    model = config.build_sdi_model()
     n_reps = int(sdi.get("n_reps", 100))
     horizon = float(sdi.get("t_eval", 1.0))
     dt = float(sdi.get("dt", 1e-3))

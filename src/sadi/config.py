@@ -27,6 +27,7 @@ from .engine import (
     UniformNoise,
     ZeroBias,
 )
+from .rates import SDIModel
 from .presets import PRESET_NAMES, Preset, preset_by_name, sign_interval_map, sign_term
 from .sets import Box, LeastNorm, Region, SetValuedMap
 
@@ -181,6 +182,11 @@ class ExperimentConfig:
         return Drift(dim=dim, smooth=smooth, smooth_mean=smooth_mean,
                      set_map=set_map, selector=LeastNorm(), sample_term=sample_term)
 
+    def build_sdi_model(self) -> SDIModel:
+        sdi = self.sdi_spec
+        return SDIModel(A=sdi["A"], sigma=sdi["sigma"],
+                        half_identity=bool(sdi.get("half_identity", False)))
+
     def resolve(self):
         """Returns (preset or None, list of RunSpec (one per start), x_star)."""
         preset = self.build_preset()
@@ -235,6 +241,18 @@ def _expect(cond: bool, msg: str, errors: list) -> None:
         errors.append(msg)
 
 
+def _object(parent: dict, key: str, keys: set, errors: list, prefix: str = "") -> Optional[dict]:
+    """parent[key] with its unknown keys reported, or None when it is absent
+    or, reported as such, not an object."""
+    block = parent.get(key)
+    if block is not None and not isinstance(block, dict):
+        errors.append(f"{prefix}{key}: must be an object")
+        return None
+    if block is not None:
+        _check_keys(block, keys, prefix + key, errors)
+    return block
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     errors: list[str] = []
     if not isinstance(raw, dict):
@@ -262,13 +280,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if preset_name is not None:
         _expect(preset_name in PRESET_NAMES, f"preset: unknown name {preset_name!r}", errors)
     if drift_spec is not None:
-        _expect(isinstance(drift_spec, dict), "drift: must be an object", errors)
-        if isinstance(drift_spec, dict):
-            _check_keys(drift_spec, _DRIFT_KEYS, "drift", errors)
-            if "smooth" in drift_spec and isinstance(drift_spec["smooth"], dict):
-                _check_keys(drift_spec["smooth"], _SMOOTH_KEYS, "drift.smooth", errors)
-            if "set_part" in drift_spec and isinstance(drift_spec["set_part"], dict):
-                _check_keys(drift_spec["set_part"], _SET_PART_KEYS, "drift.set_part", errors)
+        drift = _object(raw, "drift", _DRIFT_KEYS, errors) or {}
+        _object(drift, "smooth", _SMOOTH_KEYS, errors, "drift.")
+        _object(drift, "set_part", _SET_PART_KEYS, errors, "drift.")
         if raw.get("dim") is None:
             errors.append("dim: required with an inline drift")
 
@@ -291,59 +305,45 @@ def validate_config(raw: dict) -> ExperimentConfig:
         else:
             errors.append("x0: must be a vector or a list of vectors")
 
-    schedule_spec = raw.get("schedule")
+    schedule_spec = _object(raw, "schedule", _SCHEDULE_KEYS, errors)
     if schedule_spec is not None:
-        _expect(isinstance(schedule_spec, dict), "schedule: must be an object", errors)
-        if isinstance(schedule_spec, dict):
-            _check_keys(schedule_spec, _SCHEDULE_KEYS, "schedule", errors)
-            kind = schedule_spec.get("kind", "power_law")
-            _expect(kind in ("harmonic", "power_law"),
-                    f"schedule.kind: unknown {kind!r}", errors)
-            c = schedule_spec.get("c", 1.0)
-            _expect(isinstance(c, (int, float)) and c > 0, "schedule.c: must be > 0", errors)
-            alpha = schedule_spec.get("alpha", 0.5)
-            _expect(isinstance(alpha, (int, float)) and 0 < alpha <= 1,
-                    "schedule.alpha: must lie in (0, 1]", errors)
+        kind = schedule_spec.get("kind", "power_law")
+        _expect(kind in ("harmonic", "power_law"), f"schedule.kind: unknown {kind!r}", errors)
+        c = schedule_spec.get("c", 1.0)
+        _expect(isinstance(c, (int, float)) and c > 0, "schedule.c: must be > 0", errors)
+        alpha = schedule_spec.get("alpha", 0.5)
+        _expect(isinstance(alpha, (int, float)) and 0 < alpha <= 1,
+                "schedule.alpha: must lie in (0, 1]", errors)
 
-    bias_spec = raw.get("bias")
+    bias_spec = _object(raw, "bias", _BIAS_KEYS, errors)
     if bias_spec is not None:
-        _expect(isinstance(bias_spec, dict), "bias: must be an object", errors)
-        if isinstance(bias_spec, dict):
-            _check_keys(bias_spec, _BIAS_KEYS, "bias", errors)
-            kind = bias_spec.get("kind")
-            _expect(kind in ("zero", "gaussian_shrinking", "constant"),
-                    f"bias.kind: unknown {kind!r}", errors)
-            if kind == "constant":
-                _expect(isinstance(bias_spec.get("vector"), list),
-                        "bias.vector: required vector for constant bias", errors)
-            if kind == "gaussian_shrinking":
-                c = bias_spec.get("c", 1.0)
-                gamma = bias_spec.get("gamma", 1.0)
-                _expect(isinstance(c, (int, float)) and c >= 0, "bias.c: must be >= 0", errors)
-                _expect(isinstance(gamma, (int, float)) and gamma >= 0,
-                        "bias.gamma: must be >= 0", errors)
+        kind = bias_spec.get("kind")
+        _expect(kind in ("zero", "gaussian_shrinking", "constant"),
+                f"bias.kind: unknown {kind!r}", errors)
+        if kind == "constant":
+            _expect(isinstance(bias_spec.get("vector"), list),
+                    "bias.vector: required vector for constant bias", errors)
+        if kind == "gaussian_shrinking":
+            c = bias_spec.get("c", 1.0)
+            gamma = bias_spec.get("gamma", 1.0)
+            _expect(isinstance(c, (int, float)) and c >= 0, "bias.c: must be >= 0", errors)
+            _expect(isinstance(gamma, (int, float)) and gamma >= 0,
+                    "bias.gamma: must be >= 0", errors)
 
     noise_spec = raw.get("noise", {})
     if noise_spec is not None and not isinstance(noise_spec, dict):
         errors.append("noise: must be an object keyed by role")
         noise_spec = {}
-    for key, block in (noise_spec or {}).items():
+    for key in noise_spec or {}:
         if key not in ("xi", "zeta", "zetatilde"):
             errors.append(f"noise: unknown role {key!r}")
-            continue
-        if not isinstance(block, dict):
-            errors.append(f"noise.{key}: must be an object")
-            continue
-        _check_keys(block, _NOISE_KEYS, f"noise.{key}", errors)
+        else:
+            _object(noise_spec, key, _NOISE_KEYS, errors, "noise.")
 
-    projection_spec = raw.get("projection")
+    projection_spec = _object(raw, "projection", _PROJECTION_KEYS, errors)
     if projection_spec is not None:
-        _expect(isinstance(projection_spec, dict), "projection: must be an object", errors)
-        if isinstance(projection_spec, dict):
-            _check_keys(projection_spec, _PROJECTION_KEYS, "projection", errors)
-            kind = projection_spec.get("kind", "none")
-            _expect(kind in ("none", "box", "ball"),
-                    f"projection.kind: unknown {kind!r}", errors)
+        kind = projection_spec.get("kind", "none")
+        _expect(kind in ("none", "box", "ball"), f"projection.kind: unknown {kind!r}", errors)
 
     outputs = raw.get("outputs", ["report"])
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
@@ -358,12 +358,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             "checkpoints: must be an integer >= 2", errors)
 
     for block_name, keys in (("sdi", _SDI_KEYS), ("di", _DI_KEYS), ("chain", _CHAIN_KEYS)):
-        block = raw.get(block_name)
-        if block is not None:
-            if not isinstance(block, dict):
-                errors.append(f"{block_name}: must be an object")
-            else:
-                _check_keys(block, keys, block_name, errors)
+        _object(raw, block_name, keys, errors)
 
     preset_params = raw.get("preset_params", {})
     if not isinstance(preset_params, dict):
@@ -397,7 +392,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 def _resolution_errors(config: ExperimentConfig) -> list:
     """Problems that show only when a well-formed config is turned into
     engine objects; dimensions are checked once the preset builds."""
-    errors, dim = [], config.dim
+    errors, dim, model = [], config.dim, None
 
     def attempt(where: str, build):
         try:
@@ -407,11 +402,34 @@ def _resolution_errors(config: ExperimentConfig) -> list:
         except (ValueError, TypeError) as exc:  # a ConfigError carries its own list
             errors.extend(getattr(exc, "errors", [f"{where}: {exc}"]))
 
+    x_star_known, has_bundle = config.x_star_override is not None, False
     if config.preset_name is not None:
         preset = attempt("preset_params", config.build_preset)
         dim = preset.dim if preset is not None else None
+        # a preset that does not build has its own error, so nothing is said about it here
+        x_star_known = x_star_known or preset is None or preset.x_star is not None
+        has_bundle = preset is None or preset.stability is not None
     else:
         attempt("drift.set_part", config.build_inline_drift)
+    _expect("certificate" not in config.outputs or has_bundle,
+            "outputs: certificate needs a preset that declares a stability bundle", errors)
+    # the rate outputs are checked here so that none fails after the run
+    for name, least in (("normalized", 100), ("sdi_compare", 200)):
+        if name in config.outputs:
+            _expect(x_star_known, f"outputs: {name} needs a known x_star", errors)
+            _expect(config.replications >= least,
+                    f"replications: {name} needs at least {least}", errors)
+    sdi = config.sdi_spec
+    if "sdi_compare" in config.outputs and sdi is None:
+        errors.append("sdi: sdi_compare needs an sdi block")
+    elif "sdi_compare" in config.outputs:
+        n_reps, start, dt = sdi.get("n_reps", 200), sdi.get("start_index", 0), sdi.get("dt", 1e-3)
+        _expect(isinstance(n_reps, (int, float)) and n_reps >= 200,
+                "sdi.n_reps: sdi_compare needs at least 200", errors)
+        _expect(isinstance(start, (int, float)) and 0 <= start <= config.iterations,
+                f"sdi.start_index: must lie in [0, {config.iterations}]", errors)
+        _expect(isinstance(dt, (int, float)) and dt > 0, "sdi.dt: must be > 0", errors)
+        model = attempt("sdi", config.build_sdi_model)
     # zero and shrinking biases take the state dimension, so only a vector can differ
     bias = attempt("bias", lambda: config.build_bias(dim or 1))
     region = attempt("projection", config.build_projection)
@@ -428,6 +446,8 @@ def _resolution_errors(config: ExperimentConfig) -> list:
         sizes.append(("projection", region.as_convex_set().dim))
     if noises.get("zetatilde") is not None and noises["zetatilde"].dim:
         sizes.append(("noise.zetatilde", noises["zetatilde"].dim))
+    if model is not None:
+        sizes.append(("sdi.A", model.dim))
     return errors + [f"{where}: has dimension {got}, the state has {dim}"
                      for where, got in sizes if got != dim]
 

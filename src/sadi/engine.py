@@ -814,9 +814,6 @@ class EnsembleResult:
     def n_failed(self) -> int:
         return int(np.sum(self.fail_steps >= 0))
 
-    def clean_finals(self) -> np.ndarray:
-        return self.finals[self.fail_steps < 0]
-
 
 # doubles that one time block of draws holds, summed over the roles that
 # draw; a block is at least one step

@@ -46,10 +46,6 @@ class InclusionPath:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.states.shape[0])
 
-    def state_at(self, t: float) -> np.ndarray:
-        k = min(int(round(t / self.dt)), self.n_steps)
-        return np.array(self.states[k])
-
     def to_csv(self, path, header: Optional[dict] = None) -> None:
         d = self.states.shape[1]
         cols = ["n", "t", "a"] + [f"x{i}" for i in range(d)] + [f"set{i}" for i in range(d)]

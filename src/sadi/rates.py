@@ -17,6 +17,7 @@ from .sets import (
     Ball,
     LeastNorm,
     SetValuedMap,
+    _sphere_directions,
     hausdorff,
     minkowski_sum,
     scale,
@@ -26,10 +27,12 @@ from .sets import (
 
 __all__ = [
     "NormalizedSeries",
+    "shifted_index",
     "normalize",
     "SDIModel",
     "simulate_sdi",
     "TightnessReport",
+    "tightness_indices",
     "tightness_diagnostic",
     "OuterDerivativeReport",
     "outer_t_check",
@@ -49,10 +52,6 @@ class NormalizedSeries:
     x_star: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
     def last_index(self) -> int:
         return self.start + self.values.shape[0] - 1
 
@@ -61,14 +60,9 @@ class NormalizedSeries:
             raise ValueError(f"index {n} outside [{self.start}, {self.last_index}]")
         return np.array(self.values[n - self.start])
 
-    def interpolate(self, t: float, shift: Optional[int] = None) -> np.ndarray:
-        """Piecewise-constant value at shifted time t (shift defaults to the
-        series start index)."""
-        shift = self.start if shift is None else shift
-        s = t + self.schedule.time_at(shift)
-        n = self.schedule.mesh_index(s)
-        n = max(self.start, min(n, self.last_index))
-        return self.value(n)
+    def interpolate(self, t: float) -> np.ndarray:
+        """Piecewise-constant value at time t after the series start."""
+        return self.value(shifted_index(self.schedule, self.start, t, self.last_index))
 
     @classmethod
     def from_iterates(cls, iterates: np.ndarray, schedule: StepSchedule,
@@ -81,6 +75,13 @@ class NormalizedSeries:
         a = schedule.step_sizes(start, iterates.shape[0])
         vals = (iterates[idx] - x_star) / np.sqrt(a)[:, None]
         return cls(schedule=schedule, values=vals, start=start, x_star=x_star)
+
+
+def shifted_index(schedule: StepSchedule, start: int, t: float, last: int) -> int:
+    """The mesh index that a piecewise-constant series over [start, last]
+    reads at time t after its start."""
+    n = schedule.mesh_index(t + schedule.time_at(start))
+    return max(start, min(n, last))
 
 
 def normalize(traj: Trajectory, x_star, start: int = 0) -> NormalizedSeries:
@@ -209,10 +210,19 @@ class TightnessReport:
         return "\n".join(lines) + "\n"
 
 
-def tightness_diagnostic(series: Sequence[NormalizedSeries], kappa: float,
-                         n_checkpoints: int = 10) -> TightnessReport:
+def tightness_indices(start: int, last: int, n_checkpoints: int = 10) -> np.ndarray:
+    """The mesh indices the tightness diagnostic reads: ``n_checkpoints``
+    spread evenly over [start, last], repeats removed."""
+    return np.unique(np.linspace(start, last, max(2, n_checkpoints)).astype(int))
+
+
+def tightness_diagnostic(indices, values, kappa: float) -> TightnessReport:
     """Empirical (1-kappa)-quantiles of the normalized magnitudes across the
     ensemble at spread-out checkpoints.
+
+    ``values`` is an (R, k, d) array: the normalized iterates
+    (X_n - x*)/sqrt(a_n) of R replications at the k increasing mesh
+    indices ``indices``, such as those of ``tightness_indices``.
 
     The sequence is called tight-consistent when the late-checkpoint maximum
     stays within twice the first checkpoint's quantile, and diverging
@@ -220,24 +230,21 @@ def tightness_diagnostic(series: Sequence[NormalizedSeries], kappa: float,
     the initial level is what actually separates the two behaviours at
     finite horizons.
     """
-    if len(series) < 100:
+    indices = np.asarray(indices, dtype=int)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1] != indices.shape[0]:
+        raise ValueError("values must have shape (replications, len(indices), dim)")
+    if values.shape[0] < 100:
         raise ValueError("tightness diagnostic needs at least 100 replications")
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
-    start = series[0].start
-    last = series[0].last_index
-    for s in series:
-        if s.start != start or s.last_index != last:
-            raise ValueError("all series must share the same index range")
-    idx = np.unique(np.linspace(start, last, max(2, n_checkpoints)).astype(int))
-    mags = np.empty((len(series), idx.shape[0]))
-    for i, s in enumerate(series):
-        mags[i] = [float(np.linalg.norm(s.value(int(n)))) for n in idx]
+    # one norm per vector: an axis-wise norm sums in another order and rounds differently
+    mags = np.array([[np.linalg.norm(v) for v in row] for row in values])
     quant = np.quantile(mags, 1.0 - kappa, axis=0)
-    late = quant[idx.shape[0] // 2:]
+    late = quant[indices.shape[0] // 2:]
     base = quant[0]
     flag = "tight-consistent" if float(np.max(late)) <= 2.0 * float(base) else "diverging"
-    return TightnessReport(checkpoints=idx, quantiles=quant, kappa=kappa, flag=flag)
+    return TightnessReport(checkpoints=indices, quantiles=quant, kappa=kappa, flag=flag)
 
 
 @dataclass
@@ -258,12 +265,6 @@ class OuterDerivativeReport:
                 f"worst violation {self.worst_violation:.3g}")
 
 
-def _sampled_directions(d: int, n: int) -> np.ndarray:
-    from .sets import _sphere_directions
-
-    return _sphere_directions(d, n)
-
-
 def outer_t_check(gmap: SetValuedMap, x_star, t_map: SetValuedMap, delta: float,
                   probes: Sequence, n_dirs: int = 32,
                   tol: float = 1e-9) -> OuterDerivativeReport:
@@ -275,7 +276,7 @@ def outer_t_check(gmap: SetValuedMap, x_star, t_map: SetValuedMap, delta: float,
         raise ValueError("delta must be positive")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     base = gmap.value(x_star)
-    dirs = _sampled_directions(x_star.shape[0], n_dirs)
+    dirs = _sphere_directions(x_star.shape[0], n_dirs)
     failures = []
     worst = 0.0
     for probe in probes:
@@ -317,22 +318,27 @@ class KSReport:
                 f"({self.n_series} vs {self.n_sdi} samples)")
 
 
-def compare_to_sdi(series: Sequence[NormalizedSeries], model: SDIModel,
-                   t_eval: float, n_sdi_reps: int, strategy=None,
-                   seed: int = 0, dt: float = 1e-3) -> KSReport:
+def compare_to_sdi(u_start, u_eval, model: SDIModel, t_eval: float, n_sdi_reps: int,
+                   strategy=None, seed: int = 0, dt: float = 1e-3) -> KSReport:
     """Kolmogorov-Smirnov distance per coordinate between the normalized
     ensemble at shifted time t_eval and simulated limit paths started from
     the ensemble's own initial values.
 
+    ``u_start`` and ``u_eval`` are (R, d) arrays of each replication's
+    normalized iterate at the start index and at shifted time t_eval, as
+    ``NormalizedSeries.value(start)`` and ``interpolate(t_eval)`` read them.
+
     Descriptive only: weak convergence holds toward a solution set, so no
     single-law acceptance threshold is attached.
     """
-    if len(series) < 200:
+    starts = np.asarray(u_start, dtype=float)
+    sa_vals = np.asarray(u_eval, dtype=float)
+    if starts.ndim != 2 or starts.shape != sa_vals.shape:
+        raise ValueError("u_start and u_eval must be (replications, dim) arrays of one shape")
+    if starts.shape[0] < 200:
         raise ValueError("marginal comparison needs at least 200 replications")
     if n_sdi_reps < 200:
         raise ValueError("marginal comparison needs at least 200 simulated paths")
-    sa_vals = np.stack([s.interpolate(t_eval) for s in series])
-    starts = np.stack([s.value(s.start) for s in series])
     gen = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(7,)))
     pick = gen.integers(0, starts.shape[0], size=n_sdi_reps)
     u0 = starts[pick]
@@ -341,4 +347,4 @@ def compare_to_sdi(series: Sequence[NormalizedSeries], model: SDIModel,
     dists = np.array([ks_distance(sa_vals[:, j], finals[:, j])
                       for j in range(sa_vals.shape[1])])
     return KSReport(t_eval=float(t_eval), distances=dists,
-                    n_series=len(series), n_sdi=int(n_sdi_reps))
+                    n_series=starts.shape[0], n_sdi=int(n_sdi_reps))

@@ -16,14 +16,14 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, validate_config
 from .engine import run, run_ensemble
-from .rates import NormalizedSeries, SDIModel, compare_to_sdi, tightness_diagnostic
+from .rates import compare_to_sdi, shifted_index, tightness_diagnostic, tightness_indices
 
 __all__ = ["StartAggregate", "AggregateReport", "run_experiment", "sweep",
            "set_by_path", "write_report_csv"]
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _fmt(v) -> str:
+    return str(v) if isinstance(v, (int, np.integer)) else f"{float(v):.17g}"
 
 
 @dataclass
@@ -118,9 +118,7 @@ def write_report_csv(report: AggregateReport, path) -> None:
         fh.write(_header_line(report.name, report.fingerprint, report.seed) + "\n")
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            fh.write(",".join(
-                str(row[c]) if isinstance(row[c], (int, np.integer)) else _fmt(row[c])
-                for c in cols) + "\n")
+            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
 def _write_checkpoints_csv(report: AggregateReport, path) -> None:
@@ -160,28 +158,32 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
     """
     preset, specs, x_star = config.resolve()
     n = config.iterations
-    ck_count = max(2, config.checkpoints)
-    ck_idx = np.unique(np.linspace(0, n, ck_count).astype(int))
+    # the tightness diagnostic reads the report's own checkpoints
+    ck_idx = tightness_indices(0, n, config.checkpoints)
+    sdi, sdi_idx = config.sdi_spec or {}, []
+    if "sdi_compare" in config.outputs:
+        # its start index, and the index a series from there reads at t_eval
+        start, t_eval = int(sdi.get("start_index", 0)), float(sdi.get("t_eval", 1.0))
+        sdi_idx = [start, shifted_index(specs[0].schedule, start, t_eval, n)]
+    run_idx = np.union1d(ck_idx, np.asarray(sdi_idx, dtype=int))
+    cols = np.searchsorted(run_idx, ck_idx)
     aggregates = []
-    record_paths = "normalized" in config.outputs or "sdi_compare" in config.outputs
-    path_store = []
-    for spec in specs:
+    for i, spec in enumerate(specs):
         result = run_ensemble(spec, config.seed, config.replications,
-                              checkpoints=ck_idx.tolist(), record_paths=record_paths,
-                              threads=threads)
-        clean = result.checkpoint_states[result.fail_steps < 0]
-        ck_mean = (clean.mean(axis=0) if clean.shape[0]
-                   else np.full(result.checkpoint_states.shape[1:], math.nan))
+                              checkpoints=run_idx.tolist(), threads=threads)
+        if i == 0:
+            first = result
+        clean = result.checkpoint_states[np.ix_(result.fail_steps < 0, cols)]
+        ck_mean = clean.mean(axis=0) if clean.shape[0] else np.full(clean.shape[1:], math.nan)
         if x_star is not None:
             ck_err = np.linalg.norm(ck_mean - np.asarray(x_star), axis=1)
         else:
             ck_err = np.full(ck_mean.shape[0], math.nan)
         aggregates.append(StartAggregate(
             start=spec.x0, finals=result.finals, fail_steps=result.fail_steps,
-            checkpoint_indices=result.checkpoint_indices, checkpoint_mean=ck_mean,
+            checkpoint_indices=ck_idx, checkpoint_mean=ck_mean,
             checkpoint_err=ck_err,
             x_star=np.asarray(x_star, dtype=float) if x_star is not None else None))
-        path_store.append(result.paths)
 
     report = AggregateReport(name=config.name, fingerprint=config.fingerprint,
                              seed=config.seed, n_reps=config.replications,
@@ -202,44 +204,27 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
                 traj.to_csv(out / f"trajectory_start{i}.csv",
                             header={"fingerprint": config.fingerprint})
         if "certificate" in config.outputs:
-            if preset is None or preset.stability is None:
-                raise ConfigError(["certificate requested but the preset declares no bundle"])
-            cert = preset.stability.certify(name=config.name)
-            cert.write(out / "certificate.txt")
-        if "normalized" in config.outputs and x_star is not None:
-            series = _normalized_ensemble(specs[0], path_store[0], x_star)
-            rep = tightness_diagnostic(series, kappa=0.05,
-                                       n_checkpoints=ck_count)
-            (out / "tightness.txt").write_text(
-                _header_line(config.name, config.fingerprint, config.seed) + "\n"
-                + rep.to_text(), encoding="utf-8")
+            preset.stability.certify(name=config.name).write(out / "certificate.txt")
+        header = _header_line(config.name, config.fingerprint, config.seed) + "\n"
+        if "normalized" in config.outputs:
+            u = _normalized(first, ck_idx, specs[0].schedule, x_star, 0, n)
+            rep = tightness_diagnostic(ck_idx, u, kappa=0.05)
+            (out / "tightness.txt").write_text(header + rep.to_text(), encoding="utf-8")
         if "sdi_compare" in config.outputs:
-            if config.sdi_spec is None or x_star is None:
-                raise ConfigError(["sdi_compare requires an sdi block and a known x_star"])
-            text = _sdi_compare_text(config, specs[0], path_store[0], x_star)
-            (out / "sdi_compare.txt").write_text(text, encoding="utf-8")
+            u = _normalized(first, sdi_idx, specs[0].schedule, x_star, sdi_idx[0], n)
+            ks = compare_to_sdi(u[:, 0], u[:, 1], config.build_sdi_model(), t_eval=t_eval,
+                                n_sdi_reps=int(sdi.get("n_reps", max(200, u.shape[0]))),
+                                seed=config.seed, dt=float(sdi.get("dt", 1e-3)))
+            (out / "sdi_compare.txt").write_text(header + str(ks) + "\n", encoding="utf-8")
     return report
 
 
-def _normalized_ensemble(spec, paths, x_star, start: int = 0):
-    if paths is None:
-        raise ConfigError(["normalized outputs need recorded paths"])
-    return [NormalizedSeries.from_iterates(paths[r], spec.schedule, x_star, start=start)
-            for r in range(paths.shape[0])]
-
-
-def _sdi_compare_text(config, spec, paths, x_star) -> str:
-    sdi = config.sdi_spec
-    start = int(sdi.get("start_index", 0))
-    series = _normalized_ensemble(spec, paths, x_star, start=start)
-    model = SDIModel(A=np.asarray(sdi["A"], dtype=float),
-                     sigma=np.asarray(sdi["sigma"], dtype=float),
-                     t_map=None, half_identity=bool(sdi.get("half_identity", False)))
-    ks = compare_to_sdi(series, model, t_eval=float(sdi.get("t_eval", 1.0)),
-                        n_sdi_reps=int(sdi.get("n_reps", max(200, len(series)))),
-                        seed=config.seed, dt=float(sdi.get("dt", 1e-3)))
-    return (_header_line(config.name, config.fingerprint, config.seed) + "\n"
-            + str(ks) + "\n")
+def _normalized(result, indices, schedule, x_star, start: int, n: int) -> np.ndarray:
+    """(X_k - x*)/sqrt(a_k) of every replication at checkpoint indices, a_k
+    taken from the step sizes start..n as a series from ``start`` takes them."""
+    a = schedule.step_sizes(start, n + 1)[np.asarray(indices) - start]
+    states = result.checkpoint_states[:, np.searchsorted(result.checkpoint_indices, indices)]
+    return (states - np.atleast_1d(np.asarray(x_star, dtype=float))) / np.sqrt(a)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +282,5 @@ def sweep(config: ExperimentConfig, param_path: str, values: Sequence[float],
             fh.write(",".join(cols) + "\n")
             for v, rep in reports:
                 for row in rep.row_dicts():
-                    line = [_fmt(v)] + [
-                        str(row[c]) if isinstance(row[c], (int, np.integer)) else _fmt(row[c])
-                        for c in cols[1:]]
-                    fh.write(",".join(line) + "\n")
+                    fh.write(",".join([_fmt(v)] + [_fmt(row[c]) for c in cols[1:]]) + "\n")
     return reports

@@ -65,3 +65,19 @@ def squared_norm(dim: int) -> PiecewiseSmoothScalar:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def tightness_arrays(series, n_checkpoints):
+    """A list of NormalizedSeries as the (indices, values) arrays of
+    ``tightness_diagnostic``."""
+    from sadi.rates import tightness_indices
+
+    idx = tightness_indices(series[0].start, series[0].last_index, n_checkpoints)
+    return idx, np.stack([[s.value(int(n)) for n in idx] for s in series])
+
+
+def sdi_arrays(series, t_eval):
+    """A list of NormalizedSeries as the (u_start, u_eval) arrays of
+    ``compare_to_sdi``."""
+    return (np.stack([s.value(s.start) for s in series]),
+            np.stack([s.interpolate(t_eval) for s in series]))

@@ -25,7 +25,8 @@ from sadi.presets import (
 from sadi.rates import NormalizedSeries, SDIModel, compare_to_sdi, tightness_diagnostic
 from sadi.runner import run_experiment, sweep
 from sadi.sets import Box, krasovskii
-from conftest import neg_sign_field, neg_sign_map, relu_scalar, squared_norm
+from conftest import (neg_sign_field, neg_sign_map, relu_scalar, sdi_arrays, squared_norm,
+                      tightness_arrays)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -183,7 +184,8 @@ def test_c08_rate_diagnostics():
               for r in range(cfg.replications)]
     model = SDIModel(A=np.asarray(cfg.sdi_spec["A"]), sigma=np.asarray(cfg.sdi_spec["sigma"]),
                      half_identity=cfg.sdi_spec["half_identity"])
-    ks = compare_to_sdi(series, model, t_eval=cfg.sdi_spec["t_eval"],
+    ks = compare_to_sdi(*sdi_arrays(series, cfg.sdi_spec["t_eval"]), model,
+                        t_eval=cfg.sdi_spec["t_eval"],
                         n_sdi_reps=cfg.sdi_spec["n_reps"], seed=cfg.seed,
                         dt=cfg.sdi_spec["dt"])
     ok_ks = float(ks.distances[0]) <= 0.15
@@ -194,13 +196,13 @@ def test_c08_rate_diagnostics():
     ex1_series = [NormalizedSeries.from_iterates(ex1_res.paths[r], ex1_specs[0].schedule,
                                                  ex1_star, start=0)
                   for r in range(ex1.replications)]
-    tight = tightness_diagnostic(ex1_series, kappa=0.05, n_checkpoints=20)
+    tight = tightness_diagnostic(*tightness_arrays(ex1_series, 20), kappa=0.05)
     ok_tight = tight.flag == "tight-consistent"
 
     offset = np.full((1001, 1), 0.8)
     fake = [NormalizedSeries.from_iterates(offset, ex1_specs[0].schedule, [0.3])
             for _ in range(150)]
-    div = tightness_diagnostic(fake, kappa=0.05, n_checkpoints=20)
+    div = tightness_diagnostic(*tightness_arrays(fake, 20), kappa=0.05)
     ok_div = div.flag == "diverging"
 
     ok = ok_ks and ok_tight and ok_div

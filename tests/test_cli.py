@@ -223,3 +223,79 @@ def test_shipped_configs_parse():
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = parse_config(path)
         assert cfg.seed >= 0
+
+
+def _ou_rates_copy(tmp_path, drop=(), **changes):
+    raw = json.loads((CONFIGS / "ou_rates.json").read_text(encoding="utf-8"))
+    for key in drop:
+        del raw[key]
+    raw.update(changes)
+    path = tmp_path / "ou_rates_copy.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+_SDI = json.loads((CONFIGS / "ou_rates.json").read_text(encoding="utf-8"))["sdi"]
+_OUTPUT_ERRORS = [
+    ("sdi_compare_replications", (), {"replications": 150},
+     "replications: sdi_compare needs at least 200"),
+    ("normalized_replications", (), {"replications": 50, "outputs": ["normalized"]},
+     "replications: normalized needs at least 100"),
+    ("sdi_n_reps", (), {"sdi": dict(_SDI, n_reps=150)}, "sdi.n_reps"),
+    ("start_index", (), {"sdi": dict(_SDI, start_index=5000)}, "sdi.start_index"),
+    ("sdi_dt", (), {"sdi": dict(_SDI, dt=0.0)}, "sdi.dt"),
+    ("sdi_missing_A", (), {"sdi": {k: v for k, v in _SDI.items() if k != "A"}}, "sdi.A"),
+    ("sdi_dim", (), {"sdi": dict(_SDI, A=[[-1.0, 0.0], [0.0, -1.0]], sigma=[1.0, 1.0])},
+     "sdi.A: has dimension 2, the state has 1"),
+    ("no_sdi_block", ("sdi",), {}, "sdi: sdi_compare needs an sdi block"),
+    ("sdi_compare_no_x_star", ("x_star",), {"outputs": ["sdi_compare"]},
+     "outputs: sdi_compare needs a known x_star"),
+    ("normalized_no_x_star", ("x_star",), {"outputs": ["normalized"]},
+     "outputs: normalized needs a known x_star"),
+    ("certificate_no_preset", (), {"outputs": ["certificate"]},
+     "outputs: certificate needs a preset that declares a stability bundle"),
+]
+
+
+@pytest.mark.parametrize("drop,changes,needle", [case[1:] for case in _OUTPUT_ERRORS],
+                         ids=[case[0] for case in _OUTPUT_ERRORS])
+def test_output_errors_exit_2_before_running(tmp_path, capsys, monkeypatch,
+                                             drop, changes, needle):
+    import sadi.runner
+
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sadi.runner, "run_ensemble", never)
+    cfg = _ou_rates_copy(tmp_path, drop, **changes)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid experiment config" in err and needle in err
+    assert not out.exists()
+
+
+def test_output_errors_reported_with_the_others(tmp_path, capsys):
+    cfg = _ou_rates_copy(tmp_path, ("x_star",), replications=150, x0=[1.3, 0.0],
+                         sdi=dict(_SDI, start_index=5000))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    for needle in ("outputs: normalized needs a known x_star",
+                   "outputs: sdi_compare needs a known x_star",
+                   "replications: sdi_compare needs at least 200",
+                   "sdi.start_index", "x0[0]: has dimension 2"):
+        assert needle in err
+
+
+def test_preset_x_star_serves_the_rate_outputs(tmp_path, capsys):
+    from sadi.config import parse_config
+
+    ok = parse_config(_ex1_copy(tmp_path, replications=100, outputs=["normalized"]))
+    assert ok.outputs == ["normalized"]
+    # the cycling preset has no equilibrium, so no x*
+    raw = json.loads((CONFIGS / "nonconv_long.json").read_text(encoding="utf-8"))
+    raw.update(replications=100, outputs=["normalized"])
+    path = tmp_path / "nonconv.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "outputs: normalized needs a known x_star" in capsys.readouterr().err

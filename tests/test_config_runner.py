@@ -92,6 +92,16 @@ def test_inline_drift_requires_dim():
     assert any("dim" in e for e in err.value.errors)
 
 
+def test_inline_drift_parts_must_be_objects():
+    raw = _minimal()
+    del raw["preset"], raw["preset_params"]
+    raw.update(dim=1, drift={"smooth": [[-1.0]], "set_part": "none"})
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert {"drift.smooth: must be an object", "drift.set_part: must be an object"} <= set(
+        err.value.errors)
+
+
 def test_seed_required():
     raw = _minimal()
     del raw["seed"]
@@ -233,3 +243,93 @@ def test_inline_drift_round_trip(tmp_path):
     cfg = parse_config(_write(tmp_path, raw))
     report = run_experiment(cfg)
     assert abs(report.starts[0].mean_final[0] - 0.3) < 0.1
+
+
+# --- rate outputs -----------------------------------------------------------------
+
+
+def _planar_rates(**overrides):
+    """A 2-dim linear drift with correlated noise, so that the normalized
+    magnitudes are sums of two squares."""
+    raw = {
+        "name": "planar_rates",
+        "drift": {"smooth": {"kind": "linear", "matrix": [[-1.0, 0.3], [0.2, -0.8]],
+                             "offset": [0.3, -0.2], "noise": "add"},
+                  "set_part": {"kind": "none"}},
+        "dim": 2, "x0": [[1.3, -0.7], [0.4, 0.9]], "iterations": 300,
+        "replications": 200, "seed": 8, "checkpoints": 7,
+        "noise": {"zeta": {"kind": "gaussian", "mean": [0.0, 0.0],
+                           "cov": [[1.0, 0.3], [0.3, 0.5]]}},
+        "x_star": [0.3, -0.2],
+        "outputs": ["report", "checkpoints", "finals", "normalized", "sdi_compare"],
+        "sdi": {"A": [[-1.0, 0.3], [0.2, -0.8]], "sigma": [[1.0, 0.3], [0.3, 0.5]],
+                "t_eval": 2.0, "dt": 0.01, "n_reps": 250, "start_index": 123},
+    }
+    raw.update(overrides)
+    return validate_config(raw)
+
+
+@pytest.mark.parametrize("t_eval", [2.0, 50.0], ids=["inside", "past_the_horizon"])
+def test_rate_outputs_equal_the_per_series_computation(tmp_path, t_eval):
+    from sadi.engine import run_ensemble
+    from sadi.rates import (KSReport, NormalizedSeries, TightnessReport, ks_distance,
+                            simulate_sdi)
+    from sadi.runner import _header_line
+
+    sdi = dict(_planar_rates().sdi_spec, t_eval=t_eval)
+    cfg = _planar_rates(sdi=sdi)
+    run_experiment(cfg, out_dir=tmp_path)
+    _, specs, x_star = cfg.resolve()
+    sched = specs[0].schedule
+    paths = run_ensemble(specs[0], cfg.seed, cfg.replications, record_paths=True).paths
+    header = _header_line(cfg.name, cfg.fingerprint, cfg.seed) + "\n"
+
+    # tightness: every replication's series from index 0, one norm per vector
+    series = [NormalizedSeries.from_iterates(p, sched, x_star) for p in paths]
+    idx = np.unique(np.linspace(0, cfg.iterations, cfg.checkpoints).astype(int))
+    mags = np.array([[float(np.linalg.norm(s.value(int(n)))) for n in idx] for s in series])
+    quant = np.quantile(mags, 0.95, axis=0)
+    flag = ("tight-consistent" if np.max(quant[idx.shape[0] // 2:]) <= 2.0 * quant[0]
+            else "diverging")
+    expected = header + TightnessReport(idx, quant, 0.05, flag).to_text()
+    assert (tmp_path / "tightness.txt").read_text(encoding="utf-8") == expected
+
+    # sdi_compare: series from start_index, read at the last mesh index up to
+    # shifted time t_eval, clipped to the horizon
+    start = sdi["start_index"]
+    series = [NormalizedSeries.from_iterates(p, sched, x_star, start=start) for p in paths]
+    n_eval = min(sched.mesh_index(t_eval + sched.time_at(start)), cfg.iterations)
+    assert (n_eval == cfg.iterations) == (t_eval > 20.0)
+    starts = np.stack([s.value(start) for s in series])
+    at_t = np.stack([s.value(n_eval) for s in series])
+    gen = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(7,)))
+    u0 = starts[gen.integers(0, starts.shape[0], size=sdi["n_reps"])]
+    finals = simulate_sdi(cfg.build_sdi_model(), u0, dt=sdi["dt"], horizon=sdi["t_eval"],
+                          seed=cfg.seed, n_reps=sdi["n_reps"], record_paths=False)
+    dists = np.array([ks_distance(at_t[:, j], finals[:, j]) for j in range(2)])
+    expected = header + str(KSReport(sdi["t_eval"], dists, len(series), sdi["n_reps"])) + "\n"
+    assert (tmp_path / "sdi_compare.txt").read_text(encoding="utf-8") == expected
+
+
+def test_rate_indices_stay_out_of_the_other_artifacts(tmp_path, monkeypatch):
+    import sadi.runner
+
+    asked = []
+    real = sadi.runner.run_ensemble
+
+    def no_paths(spec, seed, n_reps, checkpoints=None, record_paths=False, threads=1):
+        assert not record_paths
+        asked.append(list(checkpoints))
+        return real(spec, seed, n_reps, checkpoints=checkpoints, threads=threads)
+
+    monkeypatch.setattr(sadi.runner, "run_ensemble", no_paths)
+    plain, rates = tmp_path / "plain", tmp_path / "rates"
+    run_experiment(_planar_rates(outputs=["report", "checkpoints", "finals"]), out_dir=plain)
+    run_experiment(_planar_rates(), out_dir=rates)
+    # two starts each; the rate run also reads the sdi start and t_eval indices
+    assert len(asked) == 4 and asked[0] == asked[1] and asked[2] == asked[3]
+    assert set(asked[0]) < set(asked[2])
+    for name in ("report.csv", "checkpoints.csv", "finals.csv"):
+        # the header line carries the fingerprint, which covers the outputs list
+        body = [(d / name).read_bytes().split(b"\n", 1)[1] for d in (plain, rates)]
+        assert body[0] == body[1]

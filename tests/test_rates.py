@@ -19,6 +19,7 @@ from sadi.rates import (
 )
 from sadi.sets import Box, ExtremeVertex, Region, SetValuedMap, Singleton
 from sadi.presets import sign_interval_map
+from conftest import sdi_arrays, tightness_arrays
 
 
 def _ou_spec(n_steps=800, x0=1.3):
@@ -175,7 +176,7 @@ def test_tightness_zero_series():
     sched = StepSchedule.power_law(1.0, 0.5)
     its = np.full((101, 1), 0.3)
     series = [NormalizedSeries.from_iterates(its, sched, [0.3]) for _ in range(120)]
-    rep = tightness_diagnostic(series, kappa=0.1, n_checkpoints=8)
+    rep = tightness_diagnostic(*tightness_arrays(series, 8), kappa=0.1)
     assert rep.flag == "tight-consistent"
     assert np.all(rep.quantiles == 0.0)
 
@@ -185,14 +186,14 @@ def test_tightness_requires_ensemble():
     its = np.full((11, 1), 0.3)
     series = [NormalizedSeries.from_iterates(its, sched, [0.3]) for _ in range(5)]
     with pytest.raises(ValueError):
-        tightness_diagnostic(series, kappa=0.1)
+        tightness_diagnostic(*tightness_arrays(series, 10), kappa=0.1)
 
 
 def test_tightness_stationary_ensemble():
     spec = _ou_spec(n_steps=600)
     res = run_ensemble(spec, 5, 200, record_paths=True)
     series = _series_from_paths(res.paths, spec.schedule, [0.3])
-    rep = tightness_diagnostic(series, kappa=0.05, n_checkpoints=15)
+    rep = tightness_diagnostic(*tightness_arrays(series, 15), kappa=0.05)
     assert rep.flag == "tight-consistent"
 
 
@@ -200,7 +201,7 @@ def test_tightness_constant_offset_flags_divergence():
     sched = StepSchedule.power_law(1.0, 0.5)
     its = np.full((1001, 1), 0.8)
     series = [NormalizedSeries.from_iterates(its, sched, [0.3]) for _ in range(150)]
-    rep = tightness_diagnostic(series, kappa=0.05, n_checkpoints=15)
+    rep = tightness_diagnostic(*tightness_arrays(series, 15), kappa=0.05)
     assert rep.flag == "diverging"
 
 
@@ -281,7 +282,7 @@ def test_compare_to_sdi_linear_gaussian():
     res = run_ensemble(spec, 11, 500, record_paths=True)
     series = _series_from_paths(res.paths, sched, [0.3], start=start)
     model = SDIModel(A=[[-1.0]], sigma=[[1.0]])
-    rep = compare_to_sdi(series, model, t_eval=5.0, n_sdi_reps=500, seed=11)
+    rep = compare_to_sdi(*sdi_arrays(series, 5.0), model, t_eval=5.0, n_sdi_reps=500, seed=11)
     assert rep.distances[0] <= 0.15
 
 
@@ -300,10 +301,10 @@ def test_compare_to_sdi_detects_mismatch():
     res = run_ensemble(spec, 13, 400, record_paths=True)
     series = _series_from_paths(res.paths, sched, [0.3], start=start)
     wrong = SDIModel(A=[[-8.0]], sigma=[[1.0]])
-    rep = compare_to_sdi(series, wrong, t_eval=1.0, n_sdi_reps=400, seed=13)
+    rep = compare_to_sdi(*sdi_arrays(series, 1.0), wrong, t_eval=1.0, n_sdi_reps=400, seed=13)
     assert rep.distances[0] > 0.2
     right = SDIModel(A=[[-1.0]], sigma=[[1.0]])
-    rep_ok = compare_to_sdi(series, right, t_eval=1.0, n_sdi_reps=400, seed=13)
+    rep_ok = compare_to_sdi(*sdi_arrays(series, 1.0), right, t_eval=1.0, n_sdi_reps=400, seed=13)
     assert rep_ok.distances[0] < rep.distances[0]
 
 
@@ -313,4 +314,4 @@ def test_compare_requires_enough_replications():
     series = _series_from_paths(res.paths, spec.schedule, [0.3])
     model = SDIModel(A=[[-1.0]], sigma=[[1.0]])
     with pytest.raises(ValueError):
-        compare_to_sdi(series, model, t_eval=1.0, n_sdi_reps=500)
+        compare_to_sdi(*sdi_arrays(series, 1.0), model, t_eval=1.0, n_sdi_reps=500)
