@@ -1,0 +1,42 @@
+"""The one layout of every artifact file: an optional provenance line
+``# k=v k=v ...``, further ``# `` comment lines, an optional column line, and
+one comma-joined line per row.  A cell is ``str`` of an int or a string, and
+otherwise a float to 17 significant digits, which reads back to the same
+double.  Files are UTF-8 with ``\\n`` line ends on every platform, and their
+directory is created when missing.
+"""
+
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+
+def cell(v) -> str:
+    return str(v) if isinstance(v, (int, str, np.integer)) else f"{float(v):.17g}"
+
+
+@dataclass
+class Artifact:
+    columns: Optional[Sequence[str]]  # None: no column line
+    rows: Iterable                    # of cell sequences, read once
+    comments: Sequence[str] = ()
+    provenance: Iterable = ()         # (key, value) pairs, values printed by str
+
+    def lines(self):
+        if self.provenance:
+            yield "# " + " ".join(f"{k}={v}" for k, v in self.provenance) + "\n"
+        for c in self.comments:
+            yield f"# {c}\n"
+        if self.columns is not None:
+            yield ",".join(self.columns) + "\n"
+        for row in self.rows:
+            # floats and strings, the common cells, are formatted without a call
+            yield ",".join([f"{v:.17g}" if isinstance(v, float) else v if isinstance(v, str)
+                            else cell(v) for v in row]) + "\n"
+
+    def write(self, path) -> None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(self.lines())

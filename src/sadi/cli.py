@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import Artifact
 from .config import ConfigError, parse_config
 from .inclusions import epsilon_chain_diagnostic, integrate
 from .rates import simulate_sdi
@@ -22,6 +23,10 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted, no effect; results never depended on it")
     parser.add_argument("--out-dir", default="out", help="artifact directory")
+
+
+def _provenance(config) -> list:  # the header pairs of the simulators' artifacts
+    return [("fingerprint", config.fingerprint), ("seed", config.seed)]
 
 
 def _load(args):
@@ -57,9 +62,7 @@ def _cmd_certify(args) -> int:
         print("config has no preset stability bundle to certify", file=sys.stderr)
         return 2
     cert = preset.stability.certify(name=config.name)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cert.write(out / "certificate.txt")
+    cert.write(Path(args.out_dir) / "certificate.txt")
     print(cert.summary())
     return 0 if cert.passed else 1
 
@@ -77,9 +80,7 @@ def _cmd_simulate_di(args) -> int:
     smooth = preset.drift.mean_field if preset.drift.smooth_mean is not None else None
     path = integrate(preset.drift.set_map, smooth, x0, dt, horizon)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path.to_csv(out / "inclusion_path.csv",
-                header={"fingerprint": config.fingerprint, "seed": config.seed})
+    path.to_csv(out / "inclusion_path.csv", header=dict(_provenance(config)))
     end = ", ".join(f"{v:.6g}" for v in path.states[-1])
     print(f"integrated {path.n_steps} steps; final state ({end})")
     if config.chain_spec:
@@ -88,9 +89,8 @@ def _cmd_simulate_di(args) -> int:
             preset.drift.set_map, smooth, ch["probes"], eps=float(ch.get("eps", 0.5)),
             t_min=float(ch.get("t_min", 1.0)), dt=dt, budget=int(ch.get("budget", 16)))
         lines = [str(r) for r in reports]
-        (out / "chain_report.txt").write_text(
-            "\n".join([f"# fingerprint={config.fingerprint} seed={config.seed}"] + lines) + "\n",
-            encoding="utf-8")
+        Artifact(None, ([line] for line in lines),
+                 provenance=_provenance(config)).write(out / "chain_report.txt")
         for line in lines:
             print(line)
     return 0
@@ -108,13 +108,8 @@ def _cmd_simulate_sdi(args) -> int:
     dt = float(sdi.get("dt", 1e-3))
     finals = simulate_sdi(model, np.zeros(model.dim), dt=dt, horizon=horizon,
                           seed=config.seed, n_reps=n_reps, record_paths=False)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sdi_finals.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# fingerprint={config.fingerprint} seed={config.seed}\n")
-        fh.write(",".join(f"u{j}" for j in range(model.dim)) + "\n")
-        for row in np.atleast_2d(finals):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    Artifact([f"u{j}" for j in range(model.dim)], np.atleast_2d(finals).tolist(),
+             provenance=_provenance(config)).write(Path(args.out_dir) / "sdi_finals.csv")
     print(f"simulated {n_reps} paths to t={horizon}; "
           f"mean |u| = {float(np.mean(np.linalg.norm(finals, axis=1))):.6g}")
     return 0

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -27,7 +28,7 @@ from .engine import (
     UniformNoise,
     ZeroBias,
 )
-from .rates import SDIModel
+from .rates import SDIModel, shifted_index
 from .presets import PRESET_NAMES, Preset, preset_by_name, sign_interval_map, sign_term
 from .sets import Box, LeastNorm, Region, SetValuedMap
 
@@ -236,9 +237,10 @@ def _check_keys(block: dict, allowed: set, where: str, errors: list) -> None:
             errors.append(f"unknown key {k!r} in {where}")
 
 
-def _expect(cond: bool, msg: str, errors: list) -> None:
+def _expect(cond: bool, msg: str, errors: list) -> bool:
     if not cond:
         errors.append(msg)
+    return cond
 
 
 def _object(parent: dict, key: str, keys: set, errors: list, prefix: str = "") -> Optional[dict]:
@@ -409,8 +411,10 @@ def _resolution_errors(config: ExperimentConfig) -> list:
         # a preset that does not build has its own error, so nothing is said about it here
         x_star_known = x_star_known or preset is None or preset.x_star is not None
         has_bundle = preset is None or preset.stability is not None
+        schedule = config.build_schedule(preset.schedule) if preset is not None else None
     else:
         attempt("drift.set_part", config.build_inline_drift)
+        schedule = config.build_schedule()
     _expect("certificate" not in config.outputs or has_bundle,
             "outputs: certificate needs a preset that declares a stability bundle", errors)
     # the rate outputs are checked here so that none fails after the run
@@ -419,17 +423,24 @@ def _resolution_errors(config: ExperimentConfig) -> list:
             _expect(x_star_known, f"outputs: {name} needs a known x_star", errors)
             _expect(config.replications >= least,
                     f"replications: {name} needs at least {least}", errors)
-    sdi = config.sdi_spec
-    if "sdi_compare" in config.outputs and sdi is None:
+    sdi, compare = config.sdi_spec, "sdi_compare" in config.outputs
+    if compare and sdi is None:
         errors.append("sdi: sdi_compare needs an sdi block")
-    elif "sdi_compare" in config.outputs:
-        n_reps, start, dt = sdi.get("n_reps", 200), sdi.get("start_index", 0), sdi.get("dt", 1e-3)
-        _expect(isinstance(n_reps, (int, float)) and n_reps >= 200,
-                "sdi.n_reps: sdi_compare needs at least 200", errors)
-        _expect(isinstance(start, (int, float)) and 0 <= start <= config.iterations,
-                f"sdi.start_index: must lie in [0, {config.iterations}]", errors)
+    elif sdi is not None:
+        # simulate-sdi reads the block whatever the outputs, so it is checked when present
+        least, start = (200 if compare else 1), sdi.get("start_index", 0)
+        n_reps, dt, t_eval = sdi.get("n_reps", least), sdi.get("dt", 1e-3), sdi.get("t_eval", 1.0)
+        _expect(isinstance(n_reps, (int, float)) and n_reps >= least,
+                f"sdi.n_reps: must be at least {least}", errors)
         _expect(isinstance(dt, (int, float)) and dt > 0, "sdi.dt: must be > 0", errors)
+        timed = _expect(isinstance(t_eval, (int, float)) and math.isfinite(t_eval),
+                        "sdi.t_eval: must be a finite number", errors)
         model = attempt("sdi", config.build_sdi_model)
+        if compare and _expect(isinstance(start, (int, float)) and 0 <= start <= config.iterations,
+                               f"sdi.start_index: must lie in [0, {config.iterations}]", errors):
+            if timed and schedule is not None:
+                attempt("sdi.t_eval", lambda: shifted_index(schedule, int(start), float(t_eval),
+                                                            config.iterations))
     # zero and shrinking biases take the state dimension, so only a vector can differ
     bias = attempt("bias", lambda: config.build_bias(dim or 1))
     region = attempt("projection", config.build_projection)

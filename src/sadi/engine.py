@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import Artifact
 from .sets import (ConvexSet, Box as BoxSet, Ball as BallSet, CellTable, CustomSelector,
                    LeastNorm, SetValuedMap, UniformVertex, select)
 
@@ -240,25 +241,30 @@ class NoNoise(NoiseModel):
         return {"kind": "none", "dim": self.dim}
 
 
+def psd_root(m, d: int, what: str, mismatch: str):
+    """``m`` as a (d, d) matrix (a scalar is m*I, a vector a diagonal), and the
+    root of its PSD symmetric part; ``what`` names ``m`` in the PSD error."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 0:
+        m = np.eye(d) * float(m)
+    elif m.ndim == 1:
+        m = np.diag(m)
+    if m.shape != (d, d):
+        raise ValueError(mismatch)
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    if np.any(w < -1e-10):
+        raise ValueError(f"{what} must be positive semidefinite")
+    return m, v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
 class GaussianNoise(NoiseModel):
     """i.i.d. Gaussian draws with the given mean and covariance."""
 
     def __init__(self, mean, cov):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
         self.dim = self.mean.shape[0]
-        cov = np.asarray(cov, dtype=float)
-        if cov.ndim == 0:
-            cov = np.eye(self.dim) * float(cov)
-        elif cov.ndim == 1:
-            cov = np.diag(cov)
-        if cov.shape != (self.dim, self.dim):
-            raise ValueError("covariance shape does not match the mean")
-        self.cov = cov
-        # symmetric PSD square root
-        w, v = np.linalg.eigh(0.5 * (cov + cov.T))
-        if np.any(w < -1e-10):
-            raise ValueError("covariance must be positive semidefinite")
-        self._root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+        self.cov, self._root = psd_root(cov, self.dim, "covariance",
+                                        "covariance shape does not match the mean")
 
     def sample_block(self, gen, n, n0=0):
         return self._affine(gen.standard_normal((n, self.dim)), np.empty((n, self.dim)))
@@ -613,33 +619,15 @@ class Trajectory:
         return interpolate(self, t, mode, shift)
 
     def to_csv(self, path, header: Optional[dict] = None) -> None:
-        d = self.dim
-        cols = (["n", "t", "a"]
-                + [f"x{i}" for i in range(d)]
-                + [f"set{i}" for i in range(d)]
-                + [f"smooth{i}" for i in range(d)]
-                + [f"noise{i}" for i in range(d)]
-                + [f"bias{i}" for i in range(d)]
-                + ["projected"])
-        meta = {"seed": self.seed, "fingerprint": self.fingerprint or "-", "name": self.name or "-"}
-        if header:
-            meta.update(header)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-            fh.write(",".join(cols) + "\n")
-            for n in range(self.n_steps):
-                row = [str(n), _fmt(self.schedule.time_at(n)), _fmt(self.step_sizes_used[n])]
-                row += [_fmt(v) for v in self.iterates[n]]
-                row += [_fmt(v) for v in self.set_terms[n]]
-                row += [_fmt(v) for v in self.smooth_terms[n]]
-                row += [_fmt(v) for v in self.noise_terms[n]]
-                row += [_fmt(v) for v in self.bias_terms[n]]
-                row += [str(int(self.projection_active[n]))]
-                fh.write(",".join(row) + "\n")
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+        cols = ["n", "t", "a", *(f"{part}{i}" for part in ("x", "set", "smooth", "noise", "bias")
+                                 for i in range(self.dim)), "projected"]
+        meta = {"seed": self.seed, "fingerprint": self.fingerprint or "-",
+                "name": self.name or "-", **(header or {})}
+        floats = np.column_stack([self.step_sizes_used, self.iterates[:-1], self.set_terms,
+                                  self.smooth_terms, self.noise_terms, self.bias_terms])
+        rows = ([k, self.schedule.time_at(k), *f.tolist(), int(p)]
+                for k, (f, p) in enumerate(zip(floats, self.projection_active)))
+        Artifact(cols, rows, provenance=meta.items()).write(path)
 
 
 def interpolate(traj: Trajectory, t: float, mode: str = "linear", shift: int = 0) -> np.ndarray:

@@ -12,6 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import Artifact
 from .engine import NoProjection, ProjectionRegion
 from .sets import (
     LeastNorm,
@@ -49,17 +50,10 @@ class InclusionPath:
     def to_csv(self, path, header: Optional[dict] = None) -> None:
         d = self.states.shape[1]
         cols = ["n", "t", "a"] + [f"x{i}" for i in range(d)] + [f"set{i}" for i in range(d)]
-        meta = {"dt": self.dt, "horizon": self.horizon}
-        if header:
-            meta.update(header)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-            fh.write(",".join(cols) + "\n")
-            for n in range(self.n_steps):
-                row = [str(n), f"{n * self.dt:.17g}", f"{self.dt:.17g}"]
-                row += [f"{v:.17g}" for v in self.states[n]]
-                row += [f"{v:.17g}" for v in self.selector_values[n]]
-                fh.write(",".join(row) + "\n")
+        meta = {"dt": self.dt, "horizon": self.horizon, **(header or {})}
+        rows = ([k, k * self.dt, self.dt, *x.tolist(), *s.tolist()]
+                for k, (x, s) in enumerate(zip(self.states, self.selector_values)))
+        Artifact(cols, rows, provenance=meta.items()).write(path)
 
 
 def _on_surface(x: np.ndarray, thresholds, tol: float):

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import Artifact, cell
 from .sets import (
     Box,
     ConvexSet,
@@ -373,6 +374,17 @@ class GridRecord:
     passed: bool
 
 
+class _Coords(dict):
+    """``cell`` of grid coordinates, which repeat along each axis, so each is
+    formatted once; zeros are not kept, as 0.0 and -0.0 are one key."""
+
+    def __missing__(self, c):
+        s = cell(c)
+        if c:
+            self[c] = s
+        return s
+
+
 @dataclass
 class StabilityCertificate:
     """Grid evidence for a decay condition ``derivative <= -bound`` away
@@ -406,24 +418,24 @@ class StabilityCertificate:
         return (f"certificate[{self.name}] {status}: {len(self.records)} grid points, "
                 f"min margin {self.min_margin:.6g}, {len(self.failures)} failures")
 
-    def to_text(self) -> str:
-        lines = [
-            f"# stability certificate: {self.name}",
-            f"# grid lo={list(self.grid_lo)} hi={list(self.grid_hi)} "
+    def artifact(self) -> Artifact:
+        comments = [
+            f"stability certificate: {self.name}",
+            f"grid lo={list(self.grid_lo)} hi={list(self.grid_hi)} "
             f"resolution={list(self.resolution)} exclude_radius={self.exclude_radius}",
-            f"# points={len(self.records)} min_margin={self.min_margin:.17g} "
-            f"passed={self.passed}",
-            "x,derivative,bound,pass",
+            f"points={len(self.records)} min_margin={cell(self.min_margin)} passed={self.passed}",
         ]
-        for r in self.records:
-            coord = " ".join(f"{c:.17g}" for c in r.x)
-            deriv = "-inf" if isinstance(r.derivative, NegInfinity) else f"{r.derivative:.17g}"
-            lines.append(f"{coord},{deriv},{r.bound:.17g},{int(r.passed)}")
-        return "\n".join(lines) + "\n"
+        coords = _Coords()
+        rows = ([" ".join([coords[c] for c in r.x]),
+                 "-inf" if isinstance(r.derivative, NegInfinity) else r.derivative,
+                 r.bound, int(r.passed)] for r in self.records)
+        return Artifact(["x", "derivative", "bound", "pass"], rows, comments=comments)
+
+    def to_text(self) -> str:
+        return "".join(self.artifact().lines())
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        self.artifact().write(path)
 
 
 def _grid_points(lo, hi, resolution):

@@ -298,11 +298,6 @@ class Preset:
 # ---------------------------------------------------------------------------
 
 
-def _squared_norm(dim: int) -> PiecewiseSmoothScalar:
-    return smooth_scalar(dim, lambda x: float(x @ x), lambda x: 2.0 * x,
-                         name="squared_norm")
-
-
 def _coordinate_sum(dim: int) -> PiecewiseSmoothScalar:
     ones = np.ones(dim)
     return smooth_scalar(dim, lambda x: float(np.sum(x)), lambda x: np.array(ones),
@@ -407,8 +402,8 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1,
                                common_bound=bound_norm + 1.0, name="lasso_shifted")
         c1 = float(eigs[0])
         stability = StabilityBundle(
-            v=_squared_norm(dim), u_list=[_coordinate_sum(dim)], shifted_map=shifted,
-            bound=_scaled_squared_norm(dim, c1, "decay_bound"),
+            v=_scaled_squared_norm(dim, 1.0, "squared_norm"), u_list=[_coordinate_sum(dim)],
+            shifted_map=shifted, bound=_scaled_squared_norm(dim, c1, "decay_bound"),
             grid_lo=tuple([-span] * dim), grid_hi=tuple([span] * dim),
             resolution=241 if dim == 1 else 41, exclude_radius=0.01)
 
@@ -498,8 +493,8 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
                            float(np.linalg.norm(mu)) + 1.0,
                            name="hinge_mean_shifted")
     stability = StabilityBundle(
-        v=_squared_norm(dim), u_list=[_coordinate_sum(dim)], shifted_map=shifted,
-        bound=_scaled_squared_norm(dim, lam, "decay_bound"),
+        v=_scaled_squared_norm(dim, 1.0, "squared_norm"), u_list=[_coordinate_sum(dim)],
+        shifted_map=shifted, bound=_scaled_squared_norm(dim, lam, "decay_bound"),
         grid_lo=tuple([-2.0] * dim), grid_hi=tuple([2.0] * dim),
         resolution=81, exclude_radius=0.01)
 
@@ -552,7 +547,7 @@ def rootfind_preset(schedule: Optional[StepSchedule] = None) -> Preset:
     u_fn = _corner_hinge_sum()
 
     stability = StabilityBundle(
-        v=_squared_norm(dim), u_list=[u_fn], shifted_map=gmap,
+        v=_scaled_squared_norm(dim, 1.0, "squared_norm"), u_list=[u_fn], shifted_map=gmap,
         bound=_scaled_squared_norm(dim, 1.0, "decay_bound"),
         grid_lo=(-3.0, -3.0), grid_hi=(3.0, 3.0), resolution=121,
         exclude_radius=0.01)

@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import StepSchedule, Trajectory
+from .artifacts import Artifact
+from .engine import StepSchedule, Trajectory, psd_root
 from .sets import (
     Ball,
     LeastNorm,
@@ -107,19 +108,8 @@ class SDIModel:
         d = self.A.shape[0]
         if self.A.shape != (d, d):
             raise ValueError("A must be square")
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim == 0:
-            sigma = float(sigma) * np.eye(d)
-        elif sigma.ndim == 1:
-            sigma = np.diag(sigma)
-        if sigma.shape != (d, d):
-            raise ValueError("sigma must match A")
-        sym = 0.5 * (sigma + sigma.T)
-        w, v = np.linalg.eigh(sym)
-        if np.any(w < -1e-10):
-            raise ValueError("sigma must be positive semidefinite")
-        self.sigma = sym
-        self.sigma_root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+        sigma, self.sigma_root = psd_root(self.sigma, d, "sigma", "sigma must match A")
+        self.sigma = 0.5 * (sigma + sigma.T)
 
     @property
     def dim(self) -> int:
@@ -202,12 +192,14 @@ class TightnessReport:
         rows = ", ".join(f"n={int(n)}: {q:.4g}" for n, q in zip(self.checkpoints, self.quantiles))
         return f"tightness[{self.flag}] kappa={self.kappa}: {rows}"
 
+    def artifact(self, provenance=()) -> Artifact:
+        return Artifact(["checkpoint", "quantile"],
+                        zip(self.checkpoints.tolist(), self.quantiles.tolist()),
+                        comments=[f"tightness diagnostic kappa={self.kappa} flag={self.flag}"],
+                        provenance=provenance)
+
     def to_text(self) -> str:
-        lines = [f"# tightness diagnostic kappa={self.kappa} flag={self.flag}",
-                 "checkpoint,quantile"]
-        for n, q in zip(self.checkpoints, self.quantiles):
-            lines.append(f"{int(n)},{q:.17g}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.artifact().lines())
 
 
 def tightness_indices(start: int, last: int, n_checkpoints: int = 10) -> np.ndarray:

@@ -14,16 +14,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from .artifacts import Artifact
 from .config import ConfigError, ExperimentConfig, validate_config
 from .engine import run, run_ensemble
 from .rates import compare_to_sdi, shifted_index, tightness_diagnostic, tightness_indices
 
 __all__ = ["StartAggregate", "AggregateReport", "run_experiment", "sweep",
            "set_by_path", "write_report_csv"]
-
-
-def _fmt(v) -> str:
-    return str(v) if isinstance(v, (int, np.integer)) else f"{float(v):.17g}"
 
 
 @dataclass
@@ -90,63 +87,46 @@ class AggregateReport:
     def row_dicts(self) -> list:
         rows = []
         for i, agg in enumerate(self.starts):
-            q = agg.err_quantiles()
-            d = agg.mean_final.shape[0]
             row = {"start_index": i, "n_reps": self.n_reps, "n_failed": agg.n_failed}
-            for j in range(d):
-                row[f"start{j}"] = agg.start[j]
-            for j in range(d):
-                row[f"mean_final{j}"] = agg.mean_final[j]
+            row.update((f"start{j}", v) for j, v in enumerate(agg.start))
+            row.update((f"mean_final{j}", v) for j, v in enumerate(agg.mean_final))
             row["err_mean_final"] = agg.err_mean_final()
             row["mean_abs_err"] = agg.mean_abs_err()
-            for j in range(d):
-                row[f"std{j}"] = agg.std_final[j]
-            row["err_q10"], row["err_q50"], row["err_q90"] = q
+            row.update((f"std{j}", v) for j, v in enumerate(agg.std_final))
+            row["err_q10"], row["err_q50"], row["err_q90"] = agg.err_quantiles()
             rows.append(row)
         return rows
 
 
-def _header_line(report_name: str, fingerprint: str, seed: int, extra: str = "") -> str:
-    base = f"# name={report_name} fingerprint={fingerprint} seed={seed} version={__version__}"
-    return base + (f" {extra}" if extra else "")
+def _provenance(source, *extra) -> list:
+    """The header pairs of the runner's artifacts, from a config or a report."""
+    return [("name", source.name), ("fingerprint", source.fingerprint),
+            ("seed", source.seed), ("version", __version__), *extra]
 
 
 def write_report_csv(report: AggregateReport, path) -> None:
     rows = report.row_dicts()
-    cols = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header_line(report.name, report.fingerprint, report.seed) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+    Artifact(list(rows[0]), (row.values() for row in rows),
+             provenance=_provenance(report)).write(path)
 
 
 def _write_checkpoints_csv(report: AggregateReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header_line(report.name, report.fingerprint, report.seed) + "\n")
-        d = report.starts[0].checkpoint_mean.shape[1]
-        cols = ["start_index", "step"] + [f"mean{j}" for j in range(d)] + ["err_mean"]
-        fh.write(",".join(cols) + "\n")
-        for i, agg in enumerate(report.starts):
-            for k, step in enumerate(agg.checkpoint_indices):
-                row = [str(i), str(int(step))]
-                row += [_fmt(v) for v in agg.checkpoint_mean[k]]
-                row += [_fmt(agg.checkpoint_err[k])]
-                fh.write(",".join(row) + "\n")
+    d = report.starts[0].checkpoint_mean.shape[1]
+    cols = ["start_index", "step"] + [f"mean{j}" for j in range(d)] + ["err_mean"]
+    rows = ([i, step, *mean, err]
+            for i, agg in enumerate(report.starts)
+            for step, mean, err in zip(agg.checkpoint_indices, agg.checkpoint_mean,
+                                       agg.checkpoint_err))
+    Artifact(cols, rows, provenance=_provenance(report)).write(path)
 
 
 def _write_finals_csv(report: AggregateReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header_line(report.name, report.fingerprint, report.seed) + "\n")
-        d = report.starts[0].finals.shape[1]
-        cols = ["start_index", "replication"] + [f"x{j}" for j in range(d)] + ["fail_step"]
-        fh.write(",".join(cols) + "\n")
-        for i, agg in enumerate(report.starts):
-            for r in range(agg.finals.shape[0]):
-                row = [str(i), str(r)]
-                row += [_fmt(v) for v in agg.finals[r]]
-                row += [str(int(agg.fail_steps[r]))]
-                fh.write(",".join(row) + "\n")
+    d = report.starts[0].finals.shape[1]
+    cols = ["start_index", "replication"] + [f"x{j}" for j in range(d)] + ["fail_step"]
+    rows = ([i, r, *x.tolist(), fail]
+            for i, agg in enumerate(report.starts)
+            for r, (x, fail) in enumerate(zip(agg.finals, agg.fail_steps.tolist())))
+    Artifact(cols, rows, provenance=_provenance(report)).write(path)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> AggregateReport:
@@ -191,7 +171,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         if "report" in config.outputs:
             write_report_csv(report, out / "report.csv")
         if "checkpoints" in config.outputs:
@@ -200,22 +179,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
             _write_finals_csv(report, out / "finals.csv")
         if "trajectory" in config.outputs:
             for i, spec in enumerate(specs):
-                traj = run(spec, config.seed)
-                traj.to_csv(out / f"trajectory_start{i}.csv",
-                            header={"fingerprint": config.fingerprint})
+                run(spec, config.seed).to_csv(out / f"trajectory_start{i}.csv")
         if "certificate" in config.outputs:
             preset.stability.certify(name=config.name).write(out / "certificate.txt")
-        header = _header_line(config.name, config.fingerprint, config.seed) + "\n"
         if "normalized" in config.outputs:
             u = _normalized(first, ck_idx, specs[0].schedule, x_star, 0, n)
             rep = tightness_diagnostic(ck_idx, u, kappa=0.05)
-            (out / "tightness.txt").write_text(header + rep.to_text(), encoding="utf-8")
+            rep.artifact(_provenance(config)).write(out / "tightness.txt")
         if "sdi_compare" in config.outputs:
             u = _normalized(first, sdi_idx, specs[0].schedule, x_star, sdi_idx[0], n)
             ks = compare_to_sdi(u[:, 0], u[:, 1], config.build_sdi_model(), t_eval=t_eval,
                                 n_sdi_reps=int(sdi.get("n_reps", max(200, u.shape[0]))),
                                 seed=config.seed, dt=float(sdi.get("dt", 1e-3)))
-            (out / "sdi_compare.txt").write_text(header + str(ks) + "\n", encoding="utf-8")
+            Artifact(None, [[str(ks)]], provenance=_provenance(config)).write(
+                out / "sdi_compare.txt")
     return report
 
 
@@ -272,15 +249,8 @@ def sweep(config: ExperimentConfig, param_path: str, values: Sequence[float],
         sub = validate_config(raw)
         reports.append((v, run_experiment(sub, out_dir=None, threads=threads)))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_header_line(config.name, config.fingerprint, config.seed,
-                                  extra=f"param={param_path}") + "\n")
-            first = reports[0][1].row_dicts()[0]
-            cols = ["value"] + list(first.keys())
-            fh.write(",".join(cols) + "\n")
-            for v, rep in reports:
-                for row in rep.row_dicts():
-                    fh.write(",".join([_fmt(v)] + [_fmt(row[c]) for c in cols[1:]]) + "\n")
+        first = reports[0][1].row_dicts()[0]
+        rows = ([v, *row.values()] for v, rep in reports for row in rep.row_dicts())
+        header = _provenance(config, ("param", param_path))
+        Artifact(["value", *first], rows, provenance=header).write(Path(out_dir) / "sweep.csv")
     return reports

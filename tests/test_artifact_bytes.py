@@ -1,0 +1,106 @@
+"""Golden bytes: every artifact the CLI writes, from small runs, against
+sha256 values recorded before the artifact writers were merged into one
+module.  A changed digest means a changed output byte; re-record one only
+for a change to the artifact layout that is meant and documented."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from sadi.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+_LASSO = {
+    "name": "golden_lasso",
+    "preset": "lasso",
+    "preset_params": {"lam": 0.7, "data": {"theta": [1.0], "features": "ones"}},
+    "x0": [[5.0], [-3.0]],
+    "iterations": 60,
+    "replications": 12,
+    "seed": 3,
+    "schedule": {"kind": "power_law", "c": 1.0, "alpha": 0.5},
+    "bias": {"kind": "constant", "vector": [0.0]},
+    "checkpoints": 4,
+    "outputs": ["report", "checkpoints", "finals", "trajectory", "certificate"],
+}
+_NONCONV_DI = {
+    "name": "golden_nonconv",
+    "preset": "nonconv",
+    "x0": [2.0, 2.0],
+    "iterations": 40,
+    "replications": 1,
+    "seed": 3,
+    "outputs": ["report"],
+    "di": {"dt": 0.01, "horizon": 1.5, "x0": [1.5, 1.5]},
+    "chain": {"probes": [[0.5, 0.5], [1.5, -1.5]], "eps": 0.3, "t_min": 0.5, "budget": 6},
+}
+
+
+def _ou_rates():
+    raw = json.loads((CONFIGS / "ou_rates.json").read_text(encoding="utf-8"))
+    raw.update(name="golden_ou", iterations=300, replications=200)
+    raw["sdi"].update(t_eval=0.5, dt=0.01, n_reps=200, start_index=150)
+    return raw
+
+
+# (label, verb, config, extra argv) for every job; each writes into out/<label>
+_JOBS = [
+    ("lasso", "run", _LASSO, []),
+    ("sweep", "sweep", dict(_LASSO, outputs=["report"]),
+     ["--param", "bias.vector.0", "--values", "0.0,0.25"]),
+    ("rates", "run", _ou_rates(), []),
+    ("sdi", "simulate-sdi", _ou_rates(), []),
+    ("di", "simulate-di", _NONCONV_DI, []),
+]
+
+GOLDEN = {
+    "lasso/report.csv":
+        "d73adb64be4bd6f809dcd5a4b302020f1285d34c74c2869367d3c241c679f2fe",
+    "lasso/checkpoints.csv":
+        "037bf4d1b7e47bb8d3702a604cf2a224b7a7c17f56ee923e8b169b5b097b0392",
+    "lasso/finals.csv":
+        "ed9158287936376783d1e5ae9894c9feb7fe9bef6524aed83d074ae4f6ddc992",
+    "lasso/trajectory_start0.csv":
+        "a6f21136f9305b45f62ee271dbf370174ca76718f29dd26ce20f82246a5251db",
+    "lasso/trajectory_start1.csv":
+        "40954da24249b99896009dea669b9ec186ad1474b5fd158d8ac65b1db6a15da5",
+    "lasso/certificate.txt":
+        "39d310613bcc9903f39ac9d4f5f1630de639936251919dd2209bd2573a60c429",
+    "sweep/sweep.csv":
+        "1e8df1251e6e7bd824853f04db90bf943b16f67d61ad4ba755bb78e85f505f45",
+    "rates/report.csv":
+        "280dd59516d39e9ff6a0d65ef4af53dc97a219c03cbeef6c27b52d121ed2bd60",
+    "rates/tightness.txt":
+        "e2e7818c937bd217131948d56516cf6daf7b26192751be7cfc5536611e481109",
+    "rates/sdi_compare.txt":
+        "c80e60b9b96822c0c71fd6965c3c5ba94074ec024ec1d54e64d160ee98ae91ac",
+    "sdi/sdi_finals.csv":
+        "53d374a4a132193bbdfb5a7c0d9c0fc7999280940e7bc363644e0626c55ab400",
+    "di/inclusion_path.csv":
+        "89fb6181fc401e42398bfae35423bb8e8c0a7999e5e1da1f2fcd27386e111fac",
+    "di/chain_report.txt":
+        "de5da64e2b43bd85413b5253582afab4548089c7953d8743fb523fa74c811e16",
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    for label, verb, raw, extra in _JOBS:
+        cfg = root / f"{label}.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([verb, str(cfg), "--out-dir", str(root / "out" / label)] + extra) == 0
+    return root / "out"
+
+
+def test_every_artifact_is_covered(artifacts):
+    written = {p.relative_to(artifacts).as_posix() for p in artifacts.rglob("*") if p.is_file()}
+    assert written == set(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifact_bytes(artifacts, name):
+    assert hashlib.sha256((artifacts / name).read_bytes()).hexdigest() == GOLDEN[name]

@@ -254,6 +254,9 @@ _OUTPUT_ERRORS = [
      "outputs: normalized needs a known x_star"),
     ("certificate_no_preset", (), {"outputs": ["certificate"]},
      "outputs: certificate needs a preset that declares a stability bundle"),
+    ("t_eval_past_the_mesh", (), {"iterations": 200,
+                                  "sdi": dict(_SDI, start_index=100, t_eval=1e12)},
+     "sdi.t_eval: time beyond any representable mesh horizon"),
 ]
 
 
@@ -270,6 +273,32 @@ def test_output_errors_exit_2_before_running(tmp_path, capsys, monkeypatch,
     cfg = _ou_rates_copy(tmp_path, drop, **changes)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid experiment config" in err and needle in err
+    assert not out.exists()
+
+
+_SDI_BLOCK_ERRORS = [
+    ("missing_A", {k: v for k, v in _SDI.items() if k != "A"}, "sdi.A"),
+    ("dt", dict(_SDI, dt=0), "sdi.dt: must be > 0"),
+    ("n_reps", dict(_SDI, n_reps="x"), "sdi.n_reps: must be at least 1"),
+    ("t_eval", dict(_SDI, t_eval="x"), "sdi.t_eval: must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("sdi,needle", [case[1:] for case in _SDI_BLOCK_ERRORS],
+                         ids=[case[0] for case in _SDI_BLOCK_ERRORS])
+def test_simulate_sdi_bad_block_exits_2(tmp_path, capsys, monkeypatch, sdi, needle):
+    import sadi.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the simulator ran")
+
+    monkeypatch.setattr(sadi.cli, "simulate_sdi", never)
+    # the block is checked although no output reads it
+    cfg = _ou_rates_copy(tmp_path, outputs=["report"], sdi=sdi)
+    out = tmp_path / "out"
+    assert main(["simulate-sdi", str(cfg), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid experiment config" in err and needle in err
     assert not out.exists()

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import sadi
 from sadi.config import ConfigError, parse_config, validate_config
 from sadi.runner import run_experiment, set_by_path, sweep
 
@@ -274,7 +275,6 @@ def test_rate_outputs_equal_the_per_series_computation(tmp_path, t_eval):
     from sadi.engine import run_ensemble
     from sadi.rates import (KSReport, NormalizedSeries, TightnessReport, ks_distance,
                             simulate_sdi)
-    from sadi.runner import _header_line
 
     sdi = dict(_planar_rates().sdi_spec, t_eval=t_eval)
     cfg = _planar_rates(sdi=sdi)
@@ -282,7 +282,8 @@ def test_rate_outputs_equal_the_per_series_computation(tmp_path, t_eval):
     _, specs, x_star = cfg.resolve()
     sched = specs[0].schedule
     paths = run_ensemble(specs[0], cfg.seed, cfg.replications, record_paths=True).paths
-    header = _header_line(cfg.name, cfg.fingerprint, cfg.seed) + "\n"
+    header = (f"# name={cfg.name} fingerprint={cfg.fingerprint} seed={cfg.seed} "
+              f"version={sadi.__version__}\n")
 
     # tightness: every replication's series from index 0, one norm per vector
     series = [NormalizedSeries.from_iterates(p, sched, x_star) for p in paths]

@@ -286,6 +286,16 @@ def test_certify_records_failures_not_raises():
     assert cert.failures
 
 
+def test_certificate_coordinates_keep_the_sign_of_zero():
+    from sadi.nonsmooth import GridRecord, StabilityCertificate
+
+    cert = StabilityCertificate((-1.0,), (1.0,), (3,), 0.0)
+    for x in (0.0, -0.0, 0.5, 0.0, -0.0, 0.5):
+        cert.records.append(GridRecord((x, x), -1.0, 0.0, True))
+    rows = cert.to_text().splitlines()[4:]
+    assert [row.split(",")[0] for row in rows] == ["0 0", "-0 -0", "0.5 0.5"] * 2
+
+
 def test_certificate_serialization(tmp_path):
     m = SetValuedMap(1, [Region(lambda x: True, lambda x: Singleton(-x))], common_bound=5.0)
     cert = certify_stability(squared_norm(1), [], m, [-1.0], [1.0], 11, 0.01,
