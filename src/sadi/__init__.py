@@ -17,7 +17,6 @@ from .sets import (  # noqa: F401
     MinkowskiSum,
     PiecewiseField,
     Polytope,
-    Region,
     Scaled,
     SetValuedMap,
     Singleton,
@@ -59,12 +58,9 @@ from .engine import (  # noqa: F401
     Trajectory,
     UniformNoise,
     ZeroBias,
-    interpolate,
-    mesh_index,
     project,
     run,
     run_ensemble,
-    time_mesh,
 )
 from .inclusions import (  # noqa: F401
     InclusionPath,
@@ -77,7 +73,6 @@ from .rates import (  # noqa: F401
     SDIModel,
     compare_to_sdi,
     ks_distance,
-    normalize,
     outer_t_check,
     simulate_sdi,
     tightness_diagnostic,

@@ -80,7 +80,7 @@ def _cmd_simulate_di(args) -> int:
     smooth = preset.drift.mean_field if preset.drift.smooth_mean is not None else None
     path = integrate(preset.drift.set_map, smooth, x0, dt, horizon)
     out = Path(args.out_dir)
-    path.to_csv(out / "inclusion_path.csv", header=dict(_provenance(config)))
+    path.to_csv(out / "inclusion_path.csv", _provenance(config))
     end = ", ".join(f"{v:.6g}" for v in path.states[-1])
     print(f"integrated {path.n_steps} steps; final state ({end})")
     if config.chain_spec:

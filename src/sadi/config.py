@@ -30,7 +30,7 @@ from .engine import (
 )
 from .rates import SDIModel, shifted_index
 from .presets import PRESET_NAMES, Preset, preset_by_name, sign_interval_map, sign_term
-from .sets import Box, LeastNorm, Region, SetValuedMap
+from .sets import Box, LeastNorm, SetValuedMap
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "config_fingerprint"]
 
@@ -175,7 +175,7 @@ class ExperimentConfig:
                 lo = np.asarray(set_spec["lo"], dtype=float)
                 hi = np.asarray(set_spec["hi"], dtype=float)
                 box = Box(lo, hi)
-                set_map = SetValuedMap(dim, [Region(lambda x: True, lambda x: box)],
+                set_map = SetValuedMap(dim, lambda x: box,
                                        common_bound=float(np.max(np.abs(np.stack([lo, hi])))) *
                                        np.sqrt(dim) + 1e-9, name="constant_set")
             else:
@@ -237,6 +237,11 @@ def _check_keys(block: dict, allowed: set, where: str, errors: list) -> None:
             errors.append(f"unknown key {k!r} in {where}")
 
 
+def _number(v, kinds=(int, float)) -> bool:
+    """A JSON number of ``kinds``: JSON's true and false load as bools, which are ints."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 def _expect(cond: bool, msg: str, errors: list) -> bool:
     if not cond:
         errors.append(msg)
@@ -265,14 +270,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(isinstance(name, str), "name: must be a string", errors)
 
     seed = raw.get("seed")
-    _expect(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
+    _expect(_number(seed, int) and seed >= 0,
             "seed: required nonnegative integer (wall-clock seeding is not supported)", errors)
 
     iterations = raw.get("iterations")
-    _expect(isinstance(iterations, int) and iterations >= 1,
+    _expect(_number(iterations, int) and iterations >= 1,
             "iterations: required integer >= 1", errors)
     replications = raw.get("replications")
-    _expect(isinstance(replications, int) and replications >= 1,
+    _expect(_number(replications, int) and replications >= 1,
             "replications: required integer >= 1", errors)
 
     preset_name = raw.get("preset")
@@ -290,7 +295,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     dim = raw.get("dim")
     if dim is not None:
-        _expect(isinstance(dim, int) and dim >= 1, "dim: must be an integer >= 1", errors)
+        _expect(_number(dim, int) and dim >= 1, "dim: must be an integer >= 1", errors)
 
     x0 = raw.get("x0")
     starts: list = []
@@ -298,11 +303,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if preset_name is None:
             errors.append("x0: required without a preset")
     else:
-        if isinstance(x0, (int, float)):
+        if _number(x0):
             starts = [[float(x0)]]
-        elif isinstance(x0, list) and x0 and all(isinstance(v, (int, float)) for v in x0):
+        elif isinstance(x0, list) and x0 and all(_number(v) for v in x0):
             starts = [[float(v) for v in x0]]
-        elif isinstance(x0, list) and x0 and all(isinstance(v, list) for v in x0):
+        elif isinstance(x0, list) and x0 and all(
+                isinstance(v, list) and all(_number(c) for c in v) for v in x0):
             starts = [[float(c) for c in v] for v in x0]
         else:
             errors.append("x0: must be a vector or a list of vectors")
@@ -312,9 +318,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         kind = schedule_spec.get("kind", "power_law")
         _expect(kind in ("harmonic", "power_law"), f"schedule.kind: unknown {kind!r}", errors)
         c = schedule_spec.get("c", 1.0)
-        _expect(isinstance(c, (int, float)) and c > 0, "schedule.c: must be > 0", errors)
+        _expect(_number(c) and c > 0, "schedule.c: must be > 0", errors)
         alpha = schedule_spec.get("alpha", 0.5)
-        _expect(isinstance(alpha, (int, float)) and 0 < alpha <= 1,
+        _expect(_number(alpha) and 0 < alpha <= 1,
                 "schedule.alpha: must lie in (0, 1]", errors)
 
     bias_spec = _object(raw, "bias", _BIAS_KEYS, errors)
@@ -328,8 +334,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if kind == "gaussian_shrinking":
             c = bias_spec.get("c", 1.0)
             gamma = bias_spec.get("gamma", 1.0)
-            _expect(isinstance(c, (int, float)) and c >= 0, "bias.c: must be >= 0", errors)
-            _expect(isinstance(gamma, (int, float)) and gamma >= 0,
+            _expect(_number(c) and c >= 0, "bias.c: must be >= 0", errors)
+            _expect(_number(gamma) and gamma >= 0,
                     "bias.gamma: must be >= 0", errors)
 
     noise_spec = raw.get("noise", {})
@@ -356,7 +362,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             _expect(o in _OUTPUT_NAMES, f"outputs: unknown artifact {o!r}", errors)
 
     checkpoints = raw.get("checkpoints", 10)
-    _expect(isinstance(checkpoints, int) and checkpoints >= 2,
+    _expect(_number(checkpoints, int) and checkpoints >= 2,
             "checkpoints: must be an integer >= 2", errors)
 
     for block_name, keys in (("sdi", _SDI_KEYS), ("di", _DI_KEYS), ("chain", _CHAIN_KEYS)):
@@ -370,7 +376,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     x_star_override = raw.get("x_star")
     if x_star_override is not None and not (
             isinstance(x_star_override, list)
-            and all(isinstance(v, (int, float)) for v in x_star_override)):
+            and all(_number(v) for v in x_star_override)):
         errors.append("x_star: must be a vector")
 
     if errors:
@@ -396,11 +402,12 @@ def _resolution_errors(config: ExperimentConfig) -> list:
     engine objects; dimensions are checked once the preset builds."""
     errors, dim, model = [], config.dim, None
 
-    def attempt(where: str, build):
+    def attempt(where: str, build, kinded: bool = False):
+        # kinded: the block's kind decides which keys it needs
         try:
             return build()
         except KeyError as exc:
-            errors.append(f"{where}.{exc.args[0]}: required by its kind")
+            errors.append(f"{where}.{exc.args[0]}: required" + (" by its kind" if kinded else ""))
         except (ValueError, TypeError) as exc:  # a ConfigError carries its own list
             errors.extend(getattr(exc, "errors", [f"{where}: {exc}"]))
 
@@ -413,7 +420,7 @@ def _resolution_errors(config: ExperimentConfig) -> list:
         has_bundle = preset is None or preset.stability is not None
         schedule = config.build_schedule(preset.schedule) if preset is not None else None
     else:
-        attempt("drift.set_part", config.build_inline_drift)
+        attempt("drift.set_part", config.build_inline_drift, kinded=True)
         schedule = config.build_schedule()
     _expect("certificate" not in config.outputs or has_bundle,
             "outputs: certificate needs a preset that declares a stability bundle", errors)
@@ -430,21 +437,22 @@ def _resolution_errors(config: ExperimentConfig) -> list:
         # simulate-sdi reads the block whatever the outputs, so it is checked when present
         least, start = (200 if compare else 1), sdi.get("start_index", 0)
         n_reps, dt, t_eval = sdi.get("n_reps", least), sdi.get("dt", 1e-3), sdi.get("t_eval", 1.0)
-        _expect(isinstance(n_reps, (int, float)) and n_reps >= least,
+        _expect(_number(n_reps) and n_reps >= least,
                 f"sdi.n_reps: must be at least {least}", errors)
-        _expect(isinstance(dt, (int, float)) and dt > 0, "sdi.dt: must be > 0", errors)
-        timed = _expect(isinstance(t_eval, (int, float)) and math.isfinite(t_eval),
+        _expect(_number(dt) and dt > 0, "sdi.dt: must be > 0", errors)
+        timed = _expect(_number(t_eval) and math.isfinite(t_eval),
                         "sdi.t_eval: must be a finite number", errors)
         model = attempt("sdi", config.build_sdi_model)
-        if compare and _expect(isinstance(start, (int, float)) and 0 <= start <= config.iterations,
+        if compare and _expect(_number(start) and 0 <= start <= config.iterations,
                                f"sdi.start_index: must lie in [0, {config.iterations}]", errors):
             if timed and schedule is not None:
                 attempt("sdi.t_eval", lambda: shifted_index(schedule, int(start), float(t_eval),
                                                             config.iterations))
     # zero and shrinking biases take the state dimension, so only a vector can differ
-    bias = attempt("bias", lambda: config.build_bias(dim or 1))
-    region = attempt("projection", config.build_projection)
-    noises = {key: attempt(f"noise.{key}", lambda key=key: config.build_noise(key, dim))
+    bias = attempt("bias", lambda: config.build_bias(dim or 1), kinded=True)
+    region = attempt("projection", config.build_projection, kinded=True)
+    noises = {key: attempt(f"noise.{key}", lambda key=key: config.build_noise(key, dim),
+                           kinded=True)
               for key in config.noise_spec}
     if dim is None:
         return errors

@@ -10,6 +10,7 @@ fixed by its own index alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -22,8 +23,6 @@ from .sets import (ConvexSet, Box as BoxSet, Ball as BallSet, CellTable, CustomS
 
 __all__ = [
     "StepSchedule",
-    "time_mesh",
-    "mesh_index",
     "NoiseModel",
     "NoNoise",
     "GaussianNoise",
@@ -41,7 +40,6 @@ __all__ = [
     "project",
     "Drift",
     "Trajectory",
-    "interpolate",
     "RunSpec",
     "run",
     "run_ensemble",
@@ -130,6 +128,7 @@ class StepSchedule:
         self._times = np.concatenate([self._times, extra[1:]])
 
     def time_at(self, n: int) -> float:
+        """t_n, the cumulative sum of the first n step sizes (t_0 = 0)."""
         if n < 0:
             raise ValueError("mesh index must be nonnegative")
         self._ensure_times(n)
@@ -147,6 +146,7 @@ class StepSchedule:
         return t > c * (1.0 + integral) * (1.0 + 1e-6)
 
     def mesh_index(self, t: float) -> int:
+        """Largest n with t_n <= t; zero for negative t."""
         if t < 0.0:
             return 0
         if self._beyond_mesh_limit(t):
@@ -158,19 +158,6 @@ class StepSchedule:
             self._ensure_times(self._times.shape[0] - 1 + block)
             block *= 2
         return int(np.searchsorted(self._times, t, side="right")) - 1
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, **self.params}
-
-
-def time_mesh(sched: StepSchedule, n: int) -> float:
-    """t_n, the cumulative sum of the first n step sizes (t_0 = 0)."""
-    return sched.time_at(n)
-
-
-def mesh_index(sched: StepSchedule, t: float) -> int:
-    """Largest n with t_n <= t; zero for negative t."""
-    return sched.mesh_index(t)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +186,6 @@ class _Sampler:
         k = out.shape[0]
         for i, gen in enumerate(gens):
             out[:, i, :] = self.sample_block(gen, k, n0)
-
-    def describe(self) -> dict:
-        raise NotImplementedError
 
 
 # raw normals drawn at a time before they are mapped into a block, in doubles
@@ -236,9 +220,6 @@ class NoNoise(NoiseModel):
 
     def sample_block(self, gen, n, n0=0):
         return np.zeros((n, self.dim))
-
-    def describe(self):
-        return {"kind": "none", "dim": self.dim}
 
 
 def psd_root(m, d: int, what: str, mismatch: str):
@@ -288,9 +269,6 @@ class GaussianNoise(NoiseModel):
         out += self.mean
         return out
 
-    def describe(self):
-        return {"kind": "gaussian", "mean": self.mean.tolist(), "cov": self.cov.tolist()}
-
 
 class UniformNoise(NoiseModel):
     def __init__(self, lo, hi):
@@ -302,9 +280,6 @@ class UniformNoise(NoiseModel):
 
     def sample_block(self, gen, n, n0=0):
         return self.lo + gen.random((n, self.dim)) * (self.hi - self.lo)
-
-    def describe(self):
-        return {"kind": "uniform", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
 class BoundedNoise(NoiseModel):
@@ -324,9 +299,6 @@ class BoundedNoise(NoiseModel):
             out[i] = v
         return out
 
-    def describe(self):
-        return {"kind": "bounded", "bound": self.bound, "dim": self.dim}
-
 
 class BiasModel(_Sampler):
     """The bias term, with a declared asymptotic bound on its norm."""
@@ -343,9 +315,6 @@ class ZeroBias(BiasModel):
 
     def sample_block(self, gen, n, n0=0):
         return np.zeros((n, self.dim))
-
-    def describe(self):
-        return {"kind": "zero", "dim": self.dim}
 
 
 class ShrinkingGaussianBias(BiasModel):
@@ -382,9 +351,6 @@ class ShrinkingGaussianBias(BiasModel):
         for rows, z in _normal_chunks(gens, out.shape):
             np.multiply(z, sd, out=out[:, rows])
 
-    def describe(self):
-        return {"kind": "gaussian_shrinking", "c": self.c, "gamma": self.gamma, "dim": self.dim}
-
 
 class ConstantBias(BiasModel):
     draws = False
@@ -396,9 +362,6 @@ class ConstantBias(BiasModel):
 
     def sample_block(self, gen, n, n0=0):
         return np.tile(self.vector, (n, 1))
-
-    def describe(self):
-        return {"kind": "constant", "vector": self.vector.tolist()}
 
 
 class CustomBias(BiasModel):
@@ -417,9 +380,6 @@ class CustomBias(BiasModel):
             out[i] = np.atleast_1d(np.asarray(self.fn(gen, n0 + i), dtype=float))
         return out
 
-    def describe(self):
-        return {"kind": "custom", "dim": self.dim, "eta": self.declared_eta}
-
 
 # ---------------------------------------------------------------------------
 # projection regions
@@ -433,16 +393,10 @@ class ProjectionRegion:
     def as_convex_set(self) -> ConvexSet:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class NoProjection(ProjectionRegion):
     def project_rows(self, x):
         return x
-
-    def describe(self):
-        return {"kind": "none"}
 
 
 class BoxRegion(ProjectionRegion):
@@ -458,9 +412,6 @@ class BoxRegion(ProjectionRegion):
     def as_convex_set(self):
         return BoxSet(self.lo, self.hi)
 
-    def describe(self):
-        return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
 
 class BallRegion(ProjectionRegion):
     def __init__(self, center, radius):
@@ -472,28 +423,23 @@ class BallRegion(ProjectionRegion):
     def project_rows(self, x):
         y = np.array(x, dtype=float)
         r2 = self.radius * self.radius
-        for _ in range(10):
+        # ten radial steps, then ever larger shrinks against last-ulp rounding;
+        # the loop ends on the test a second call starts with, so a projected
+        # row projects to itself bit for bit
+        for k in itertools.count():
             delta = y - self.center
             n2 = np.einsum("ij,ij->i", delta, delta)
             mask = n2 > r2
             if not mask.any():
                 return y
-            y[mask] = self.center + delta[mask] * (self.radius / np.sqrt(n2[mask]))[:, None]
-        # force the postcondition against last-ulp rounding
-        delta = y - self.center
-        n2 = np.einsum("ij,ij->i", delta, delta)
-        for i in np.nonzero(n2 > r2)[0]:
-            s = 1.0
-            while float((delta[i] * s) @ (delta[i] * s)) > r2:
-                s = np.nextafter(s, 0.0)
-            y[i] = self.center + delta[i] * s
-        return y
+            if k < 10:
+                scale = (self.radius / np.sqrt(n2[mask]))[:, None]
+            else:
+                scale = 1.0 - np.finfo(float).eps * 2.0 ** (k - 10)
+            y[mask] = self.center + delta[mask] * scale
 
     def as_convex_set(self):
         return BallSet(self.center, self.radius)
-
-    def describe(self):
-        return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
 
 
 def project(region: ProjectionRegion, x) -> np.ndarray:
@@ -515,16 +461,16 @@ class Drift:
 
     ``smooth(x_rows, zeta_rows)`` is the noisy continuous term; its mean
     ``smooth_mean`` (when known) feeds root checks and limit dynamics.  The
-    set-valued term is either ``sample_term(x_rows, xi_rows, u_rows)``
-    (vectorized, possibly sample-dependent) or a selector applied to
-    ``set_map`` row by row.  ``m_rule(x, xi) -> radius`` inflates the
-    selection by a random point of the closed ball of that radius.
+    set-valued term is either ``sample_term(x_rows, xi_rows)`` (vectorized,
+    possibly sample-dependent) or a selector applied to ``set_map`` row by
+    row.  ``m_rule(x, xi) -> radius`` inflates the selection by a random
+    point of the closed ball of that radius.
 
     The engine hands each step the rows of that step's draws, read from
     its substreams in time blocks whose buffers hold a fixed number of
     doubles, so they do not grow with the horizon N.  Only a random
-    selection on ``set_map`` reads selector draws; a sample term gets
-    ``u_rows=None``, and a cell-table term without ``m_rule`` also gets
+    selection on ``set_map`` reads selector draws (``u_rows``), so a sample
+    term never sees them; a cell-table term without ``m_rule`` gets
     ``xi_rows=None``.
     """
 
@@ -540,7 +486,7 @@ class Drift:
                       u_rows: Optional[np.ndarray],
                       pert_rows: Optional[np.ndarray]) -> np.ndarray:
         if self.sample_term is not None:
-            b = np.asarray(self.sample_term(x_rows, xi_rows, u_rows), dtype=float)
+            b = np.asarray(self.sample_term(x_rows, xi_rows), dtype=float)
         elif self.set_map is not None:
             b = np.empty_like(x_rows)
             for i in range(x_rows.shape[0]):
@@ -616,48 +562,44 @@ class Trajectory:
         return self.iterates.shape[1]
 
     def interpolate(self, t: float, mode: str = "linear", shift: int = 0) -> np.ndarray:
-        return interpolate(self, t, mode, shift)
+        """Piecewise-constant or piecewise-linear interpolation of the iterate
+        path, optionally shifted by t_n; times at or before the shifted origin
+        return the initial iterate, times beyond the recorded horizon raise.
+        """
+        mode = {"PiecewiseConstant": "constant", "PiecewiseLinear": "linear"}.get(mode, mode)
+        if mode not in ("constant", "linear"):
+            raise ValueError("mode must be 'constant' or 'linear'")
+        sched = self.schedule
+        t_shift = sched.time_at(shift)
+        if t <= -t_shift:
+            return np.array(self.iterates[0])
+        s = t + t_shift
+        n_steps = self.n_steps
+        t_end = sched.time_at(n_steps)
+        if s > t_end:
+            if s <= t_end * (1.0 + 1e-12) + 1e-12:
+                return np.array(self.iterates[n_steps])
+            raise ValueError(f"time {t} is beyond the recorded horizon")
+        n = sched.mesh_index(s)
+        if n >= n_steps:
+            return np.array(self.iterates[n_steps])
+        if mode == "constant":
+            return np.array(self.iterates[n])
+        t_n = sched.time_at(n)
+        a_n = self.step_sizes_used[n] if n < len(self.step_sizes_used) else sched.step_size(n)
+        w = (s - t_n) / a_n
+        return (1.0 - w) * self.iterates[n] + w * self.iterates[n + 1]
 
-    def to_csv(self, path, header: Optional[dict] = None) -> None:
+    def to_csv(self, path) -> None:
         cols = ["n", "t", "a", *(f"{part}{i}" for part in ("x", "set", "smooth", "noise", "bias")
                                  for i in range(self.dim)), "projected"]
         meta = {"seed": self.seed, "fingerprint": self.fingerprint or "-",
-                "name": self.name or "-", **(header or {})}
+                "name": self.name or "-"}
         floats = np.column_stack([self.step_sizes_used, self.iterates[:-1], self.set_terms,
                                   self.smooth_terms, self.noise_terms, self.bias_terms])
         rows = ([k, self.schedule.time_at(k), *f.tolist(), int(p)]
                 for k, (f, p) in enumerate(zip(floats, self.projection_active)))
         Artifact(cols, rows, provenance=meta.items()).write(path)
-
-
-def interpolate(traj: Trajectory, t: float, mode: str = "linear", shift: int = 0) -> np.ndarray:
-    """Piecewise-constant or piecewise-linear interpolation of the iterate
-    path, optionally shifted by t_n; times at or before the shifted origin
-    return the initial iterate, times beyond the recorded horizon raise.
-    """
-    mode = {"PiecewiseConstant": "constant", "PiecewiseLinear": "linear"}.get(mode, mode)
-    if mode not in ("constant", "linear"):
-        raise ValueError("mode must be 'constant' or 'linear'")
-    sched = traj.schedule
-    t_shift = sched.time_at(shift)
-    if t <= -t_shift:
-        return np.array(traj.iterates[0])
-    s = t + t_shift
-    n_steps = traj.n_steps
-    t_end = sched.time_at(n_steps)
-    if s > t_end:
-        if s <= t_end * (1.0 + 1e-12) + 1e-12:
-            return np.array(traj.iterates[n_steps])
-        raise ValueError(f"time {t} is beyond the recorded horizon")
-    n = sched.mesh_index(s)
-    if n >= n_steps:
-        return np.array(traj.iterates[n_steps])
-    if mode == "constant":
-        return np.array(traj.iterates[n])
-    t_n = sched.time_at(n)
-    a_n = traj.step_sizes_used[n] if n < len(traj.step_sizes_used) else sched.step_size(n)
-    w = (s - t_n) / a_n
-    return (1.0 - w) * traj.iterates[n] + w * traj.iterates[n + 1]
 
 
 # ---------------------------------------------------------------------------

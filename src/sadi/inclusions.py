@@ -31,6 +31,11 @@ __all__ = [
     "epsilon_chain_diagnostic",
 ]
 
+# a state this close to a declared threshold, relative to 1 + |t|, is on its surface
+_SURFACE_TOL = 1e-9
+# starts the chain search keeps from one generation to the next
+_BEAM_WIDTH = 6
+
 
 @dataclass
 class InclusionPath:
@@ -47,13 +52,13 @@ class InclusionPath:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.states.shape[0])
 
-    def to_csv(self, path, header: Optional[dict] = None) -> None:
+    def to_csv(self, path, provenance=()) -> None:
         d = self.states.shape[1]
         cols = ["n", "t", "a"] + [f"x{i}" for i in range(d)] + [f"set{i}" for i in range(d)]
-        meta = {"dt": self.dt, "horizon": self.horizon, **(header or {})}
+        meta = [("dt", self.dt), ("horizon", self.horizon), *provenance]
         rows = ([k, k * self.dt, self.dt, *x.tolist(), *s.tolist()]
                 for k, (x, s) in enumerate(zip(self.states, self.selector_values)))
-        Artifact(cols, rows, provenance=meta.items()).write(path)
+        Artifact(cols, rows, provenance=meta).write(path)
 
 
 def _on_surface(x: np.ndarray, thresholds, tol: float):
@@ -80,8 +85,7 @@ def _crossings(x_old: np.ndarray, x_new: np.ndarray, thresholds):
     return out
 
 
-def _velocity(fmap: SetValuedMap, smooth, x: np.ndarray, strategy,
-              sliding: bool, tol: float):
+def _velocity(fmap: SetValuedMap, smooth, x: np.ndarray, strategy, sliding: bool):
     """Selected velocity; on a declared surface the damper takes the
     least-norm element of the combined value so a sliding mode stays put."""
     h = np.zeros_like(x) if smooth is None else np.atleast_1d(np.asarray(smooth(x), dtype=float))
@@ -97,8 +101,7 @@ def _velocity(fmap: SetValuedMap, smooth, x: np.ndarray, strategy,
 
 def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
               x0, dt: float, horizon: float, strategy=None,
-              projection: Optional[ProjectionRegion] = None,
-              surface_tol: float = 1e-9) -> InclusionPath:
+              projection: Optional[ProjectionRegion] = None) -> InclusionPath:
     """Euler path x_{k+1} = x_k + dt*(smooth(x_k) + selection from fmap(x_k)).
 
     When consecutive states cross a threshold declared on ``fmap``, the
@@ -124,8 +127,8 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
         project = projection.project_rows
 
     for k in range(n_steps):
-        sliding = bool(_on_surface(x, thresholds, surface_tol))
-        v, g = _velocity(fmap, smooth, x, strategy, sliding, surface_tol)
+        sliding = bool(_on_surface(x, thresholds, _SURFACE_TOL))
+        v, g = _velocity(fmap, smooth, x, strategy, sliding)
         x_new = x + dt * v
         crossed = _crossings(x, x_new, thresholds)
         for (i, t) in crossed:
@@ -184,8 +187,7 @@ def _jump_candidates(end: np.ndarray, theta: np.ndarray, eps: float) -> list[np.
 
 def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
                              probes: Sequence, eps: float, t_min: float, dt: float,
-                             strategy=None, budget: int = 16,
-                             beam_width: int = 6) -> list[ChainProbeReport]:
+                             budget: int = 16) -> list[ChainProbeReport]:
     """Search for an epsilon-chain of integrated segments that returns to
     within ``eps`` of each probe.
 
@@ -216,7 +218,7 @@ def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Call
                 if segments >= budget:
                     break
                 visited.append(start)
-                path = integrate(fmap, smooth, start, dt, duration, strategy)
+                path = integrate(fmap, smooth, start, dt, duration)
                 segments += 1
                 total_time += path.n_steps * dt
                 dists = np.linalg.norm(path.states[min_index:] - theta, axis=1)
@@ -236,7 +238,7 @@ def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Call
                     continue
                 fresh.append(c)
             fresh.sort(key=lambda c: float(np.linalg.norm(c - theta)))
-            frontier = fresh[:beam_width]
+            frontier = fresh[:_BEAM_WIDTH]
         reports.append(ChainProbeReport(tuple(theta.tolist()), found, segments,
                                         total_time, best))
     return reports

@@ -54,6 +54,8 @@ _CONSTANCY_TOL = 1e-9
 # largest |row value| at a vertex, makes the reduction empty without an LP;
 # it is far above HiGHS's primal feasibility tolerance of 1e-7
 _EMPTY_GUARD = 1e-5
+# a grid point passes when its derivative is at most the threshold plus this
+_PASS_TOL = 1e-9
 
 
 def linprog(*args, **kwargs):
@@ -123,14 +125,12 @@ class PiecewiseSmoothScalar:
     """Locally Lipschitz scalar function, smooth off declared kink surfaces."""
 
     def __init__(self, dim: int, pieces: Sequence[SmoothPiece],
-                 kinks: Sequence[KinkSurface] = (), regular: bool = True,
-                 name: str = "", lipschitz_bound: Optional[float] = None):
+                 kinks: Sequence[KinkSurface] = (), regular: bool = True, name: str = ""):
         self.dim = int(dim)
         self.pieces = list(pieces)
         self.kinks = list(kinks)
         self.regular = bool(regular)
         self.name = name
-        self.lipschitz_bound = lipschitz_bound
 
     def piece_at(self, x: np.ndarray) -> SmoothPiece:
         for piece in self.pieces:
@@ -142,9 +142,6 @@ class PiecewiseSmoothScalar:
         x = _as_vector(x, "point")
         _check_dims(x.shape[0], self.dim, "scalar function")
         return float(self.piece_at(x).value(x))
-
-    def __call__(self, x) -> float:
-        return self.value(x)
 
     def active_kinks(self, x: np.ndarray, tol: float = _CONSTANCY_TOL) -> list[KinkSurface]:
         out = []
@@ -482,7 +479,6 @@ def certify_stability(v: PiecewiseSmoothScalar,
                       grid_lo, grid_hi, resolution,
                       exclude_radius: float,
                       bound: PiecewiseSmoothScalar,
-                      pass_tol: float = 1e-9,
                       name: str = "") -> StabilityCertificate:
     """Evaluate the generalized decay inequality at every grid point outside
     the excluded ball around the origin.  Failures are recorded, not raised.
@@ -512,6 +508,6 @@ def certify_stability(v: PiecewiseSmoothScalar,
         if isinstance(deriv, NegInfinity):
             ok = True
         else:
-            ok = deriv <= threshold + pass_tol
+            ok = deriv <= threshold + _PASS_TOL
         cert.records.append(GridRecord(tuple(coords[i]), deriv, threshold, ok))
     return cert

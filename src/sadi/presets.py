@@ -39,6 +39,7 @@ from .nonsmooth import (
     smooth_scalar,
 )
 from .sets import (
+    MEMBERSHIP_TOL,
     Box,
     Cell,
     CellTable,
@@ -47,7 +48,6 @@ from .sets import (
     LeastNorm,
     PiecewiseField,
     Polytope,
-    Region,
     SetValuedMap,
     Singleton,
     contains,
@@ -67,6 +67,10 @@ __all__ = [
     "nonconvergence_preset",
     "preset_by_name",
 ]
+
+# coordinate descent stops after this many sweeps, or at a sweep moving no coordinate further
+_DESCENT_SWEEPS = 10_000
+_DESCENT_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +205,6 @@ class SignFilterLaw:
             def sample_block(self, gen, n, n0=0):
                 return sampler_block(gen, n)
 
-            def describe(self):
-                return {"kind": "laplace", "scale": b}
-
         return _Laplace()
 
 
@@ -247,7 +248,6 @@ class Preset:
     x_star: Optional[np.ndarray] = None
     roots: Optional[list] = None
     stability: Optional[StabilityBundle] = None
-    notes: str = ""
     default_x0: Optional[np.ndarray] = None
 
     def run_spec(self, x0=None, n_steps: int = 1000, schedule: Optional[StepSchedule] = None,
@@ -284,13 +284,13 @@ class Preset:
             out = minkowski_sum(out, p)
         return out
 
-    def check_root(self, point=None, tol: float = 1e-9) -> bool:
+    def check_root(self, point=None) -> bool:
         pts = [point] if point is not None else (
             [self.x_star] if self.x_star is not None else (self.roots or []))
         if not pts:
             raise ValueError("no declared root to check")
         zero = np.zeros(self.dim)
-        return all(contains(self.limit_value(p), zero, tol) for p in pts)
+        return all(contains(self.limit_value(p), zero, MEMBERSHIP_TOL) for p in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def _sign_interval_bounds(w: np.ndarray, lam: float):
     return lo, hi
 
 
-def sign_interval_map(dim: int, lam: float, name: str = "subgradient_box") -> SetValuedMap:
+def sign_interval_map(dim: int, lam: float) -> SetValuedMap:
     """Product of per-coordinate intervals: {-lam} for positive entries,
     {+lam} for negative ones, [-lam, lam] at zero."""
     if lam <= 0:
@@ -329,35 +329,33 @@ def sign_interval_map(dim: int, lam: float, name: str = "subgradient_box") -> Se
         lo, hi = _sign_interval_bounds(w, lam)
         return Box(lo, hi)
 
-    return SetValuedMap(dim, [Region(lambda w: True, rule)],
-                        common_bound=lam * math.sqrt(dim), name=name,
+    return SetValuedMap(dim, rule, common_bound=lam * math.sqrt(dim), name="subgradient_box",
                         thresholds=[[0.0]] * dim)
 
 
 def sign_term(lam: float) -> Callable:
     """Rowwise -lam*sign(w), the least-norm selection of ``sign_interval_map``."""
 
-    def sample_term(w_rows, xi_rows, u_rows):
+    def sample_term(w_rows, xi_rows):
         return -lam * np.sign(w_rows)
 
     return sample_term
 
 
-def soft_threshold_solution(m: np.ndarray, b: np.ndarray, lam: float,
-                            max_iter: int = 10_000, tol: float = 1e-14) -> np.ndarray:
+def soft_threshold_solution(m: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
     """Minimizer of 0.5 w'Mw - b'w + lam*|w|_1 by cyclic coordinate descent."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     d = b.shape[0]
     w = np.zeros(d)
-    for _ in range(max_iter):
+    for _ in range(_DESCENT_SWEEPS):
         delta = 0.0
         for i in range(d):
             r = b[i] - m[i] @ w + m[i, i] * w[i]
             new = math.copysign(max(abs(r) - lam, 0.0), r) / m[i, i]
             delta = max(delta, abs(new - w[i]))
             w[i] = new
-        if delta < tol:
+        if delta < _DESCENT_TOL:
             break
     return w
 
@@ -398,8 +396,8 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1,
         span = 3.0 if dim == 1 else 2.0
         bound_norm = float(np.linalg.norm(b)) + float(np.linalg.norm(m)) * (
             span * math.sqrt(dim) + float(np.linalg.norm(shift))) + lam * math.sqrt(dim)
-        shifted = SetValuedMap(dim, [Region(lambda w: True, shifted_rule)],
-                               common_bound=bound_norm + 1.0, name="lasso_shifted")
+        shifted = SetValuedMap(dim, shifted_rule, common_bound=bound_norm + 1.0,
+                               name="lasso_shifted")
         c1 = float(eigs[0])
         stability = StabilityBundle(
             v=_scaled_squared_norm(dim, 1.0, "squared_norm"), u_list=[_coordinate_sum(dim)],
@@ -414,8 +412,6 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1,
         bias=ZeroBias(dim), projection=NoProjection(),
         x_star=x_star, stability=stability,
         default_x0=np.full(dim, 5.0),
-        notes=f"penalty={lam}; minimizer from coordinate descent" if pd else
-        f"penalty={lam}; degenerate second moment",
     )
 
 
@@ -441,21 +437,20 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
     cov = np.eye(dim) if feature_cov is None else np.atleast_2d(np.asarray(feature_cov, dtype=float))
     kappa = float(ridge_coeff) * lam
 
+    # the hinge's mean subgradient: none past the margin, mu inside it, the segment on it
+    past, inside = Singleton(np.zeros(dim)), Singleton(mu)
     segment = Polytope(np.stack([np.zeros(dim), mu]))
 
-    def margin(w: np.ndarray) -> float:
-        return float(w @ mu)
+    def hinge_rule(w: np.ndarray) -> ConvexSet:
+        margin = float(w @ mu)
+        if margin > 1.0:
+            return past
+        if margin < 1.0:
+            return inside
+        return segment
 
-    gmap = SetValuedMap(
-        dim,
-        [
-            Region(lambda w: margin(w) > 1.0, lambda w: Singleton(np.zeros(dim))),
-            Region(lambda w: margin(w) < 1.0, lambda w: Singleton(mu)),
-            Region(lambda w: True, lambda w: segment),
-        ],
-        common_bound=float(np.linalg.norm(mu)) + 1e-12,
-        name="hinge_mean",
-    )
+    gmap = SetValuedMap(dim, hinge_rule, common_bound=float(np.linalg.norm(mu)) + 1e-12,
+                        name="hinge_mean")
 
     def smooth(w_rows, z_rows):
         return -kappa * w_rows
@@ -463,7 +458,7 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
     def smooth_mean(w):
         return -kappa * np.asarray(w, dtype=float)
 
-    def sample_term(w_rows, xi_rows, u_rows):
+    def sample_term(w_rows, xi_rows):
         active = np.einsum("ij,ij->i", w_rows, xi_rows) < 1.0
         return xi_rows * active[:, None]
 
@@ -480,14 +475,10 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
 
     shift = np.array(x_star)
 
-    def shifted_rule_factory():
-        def value(w: np.ndarray) -> ConvexSet:
-            return minkowski_sum(Singleton(-kappa * (w + shift)), gmap.value(w + shift))
+    def shifted_rule(w: np.ndarray) -> ConvexSet:
+        return minkowski_sum(Singleton(-kappa * (w + shift)), gmap.value(w + shift))
 
-        return value
-
-    shifted_value = shifted_rule_factory()
-    shifted = SetValuedMap(dim, [Region(lambda w: True, shifted_value)],
+    shifted = SetValuedMap(dim, shifted_rule,
                            common_bound=kappa * (2.0 * math.sqrt(dim) +
                                                  float(np.linalg.norm(shift))) +
                            float(np.linalg.norm(mu)) + 1.0,
@@ -505,7 +496,6 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
         bias=ZeroBias(dim), projection=NoProjection(),
         x_star=x_star, stability=stability,
         default_x0=np.array([3.0, 5.0]) if dim == 2 else np.zeros(dim),
-        notes=f"ridge gradient {ridge_coeff}*lam*w",
     )
 
 
@@ -532,11 +522,10 @@ def rootfind_preset(schedule: Optional[StepSchedule] = None) -> Preset:
         lo1, hi1 = _unit_spike_bounds(w[0])
         return Box(base + np.array([lo2, lo1]), base + np.array([hi2, hi1]))
 
-    gmap = SetValuedMap(dim, [Region(lambda w: True, rule)],
-                        common_bound=10.0, name="rootfind",
+    gmap = SetValuedMap(dim, rule, common_bound=10.0, name="rootfind",
                         thresholds=[[1.0], [1.0]])
 
-    def sample_term(w_rows, xi_rows, u_rows):
+    def sample_term(w_rows, xi_rows):
         return np.stack([-w_rows[:, 0] + w_rows[:, 1],
                          -w_rows[:, 0] - w_rows[:, 1]], axis=1)
 
@@ -559,7 +548,6 @@ def rootfind_preset(schedule: Optional[StepSchedule] = None) -> Preset:
         bias=ShrinkingGaussianBias(dim, c=1.0, gamma=0.0), projection=NoProjection(),
         x_star=np.zeros(dim), stability=stability,
         default_x0=np.array([1.0, 1.0]),
-        notes="unit-variance Gaussian disturbance enters through the bias stream",
     )
 
 
@@ -629,16 +617,13 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None,
             thresholds=[[t_star]],
         )
 
-    def mean_rule(theta: np.ndarray) -> ConvexSet:
-        return krasovskii(field, theta)
-
-    gmap = SetValuedMap(dim, [Region(lambda t: True, mean_rule)],
+    gmap = SetValuedMap(dim, lambda t: krasovskii(field, t),
                         common_bound=math.sqrt(dim) + 1e-9, name="sign_filter_mean",
                         thresholds=[[float(law.theta_true[0])]] if law.scale == 0 else None)
 
     theta_sum = float(np.sum(law.theta_true))
 
-    def sample_term(t_rows, xi_rows, u_rows):
+    def sample_term(t_rows, xi_rows):
         resid = theta_sum + xi_rows[:, 0] - np.sum(t_rows, axis=1)
         return np.repeat(np.sign(resid)[:, None], t_rows.shape[1], axis=1)
 
@@ -652,7 +637,6 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None,
         noise_xi=law.noise_model(), noise_zeta=NoNoise(0), noise_zetatilde=NoNoise(0),
         bias=ZeroBias(dim), projection=NoProjection(),
         x_star=np.array(law.theta_true),
-        notes="root unique in one dimension; higher dimensions share the residual hyperplane",
     )
 
 
@@ -682,8 +666,7 @@ def nonconvergence_preset(schedule: Optional[StepSchedule] = None) -> Preset:
     """The cycling field whose roots repel: corridor branches push the state
     around an annulus, so checkpoints rarely sit near either root."""
     dim = 2
-    gmap = SetValuedMap(dim, [Region(lambda w: True, _NONCONV_CELLS.value)],
-                        common_bound=4.0, name="nonconv",
+    gmap = SetValuedMap(dim, _NONCONV_CELLS.value, common_bound=4.0, name="nonconv",
                         thresholds=_NONCONV_THRESHOLDS)
     drift = Drift(dim=dim, smooth=None, smooth_mean=None, set_map=gmap,
                   selector=LeastNorm(), sample_term=_NONCONV_CELLS)
@@ -695,7 +678,6 @@ def nonconvergence_preset(schedule: Optional[StepSchedule] = None) -> Preset:
         bias=ShrinkingGaussianBias(dim, c=1.0, gamma=0.0), projection=NoProjection(),
         x_star=None, roots=[np.zeros(2), np.array([2.0, 2.0])],
         default_x0=np.array([2.0, 2.0]),
-        notes="both roots fail every stability criterion; the path cycles",
     )
 
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import Artifact
-from .engine import StepSchedule, Trajectory, psd_root
+from .engine import StepSchedule, psd_root
 from .sets import (
     Ball,
     LeastNorm,
@@ -29,7 +29,6 @@ from .sets import (
 __all__ = [
     "NormalizedSeries",
     "shifted_index",
-    "normalize",
     "SDIModel",
     "simulate_sdi",
     "TightnessReport",
@@ -41,6 +40,12 @@ __all__ = [
     "KSReport",
     "compare_to_sdi",
 ]
+
+# the homogeneity check compares t_map(k x) with k t_map(x) at these k, to this distance
+_HOMOGENEITY_SCALES = (0.5, 2.0, 3.0)
+_HOMOGENEITY_TOL = 1e-6
+# directions the outer derivative check compares supports along
+_OUTER_DIRS = 32
 
 
 @dataclass
@@ -68,6 +73,7 @@ class NormalizedSeries:
     @classmethod
     def from_iterates(cls, iterates: np.ndarray, schedule: StepSchedule,
                       x_star, start: int = 0) -> "NormalizedSeries":
+        """(X_n - x*) / sqrt(a_n) for n >= start."""
         iterates = np.asarray(iterates, dtype=float)
         x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
         if start < 0 or start >= iterates.shape[0]:
@@ -83,11 +89,6 @@ def shifted_index(schedule: StepSchedule, start: int, t: float, last: int) -> in
     reads at time t after its start."""
     n = schedule.mesh_index(t + schedule.time_at(start))
     return max(start, min(n, last))
-
-
-def normalize(traj: Trajectory, x_star, start: int = 0) -> NormalizedSeries:
-    """(X_n - x*) / sqrt(a_n) for n >= start."""
-    return NormalizedSeries.from_iterates(traj.iterates, traj.schedule, x_star, start)
 
 
 @dataclass
@@ -120,17 +121,16 @@ class SDIModel:
             return self.A + 0.5 * np.eye(self.dim)
         return self.A
 
-    def check_homogeneity(self, probes: Sequence, scales=(0.5, 2.0, 3.0),
-                          tol: float = 1e-6) -> bool:
+    def check_homogeneity(self, probes: Sequence) -> bool:
         """Spot-check positive homogeneity of the set-valued part."""
         if self.t_map is None:
             return True
         for x in probes:
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            for k in scales:
+            for k in _HOMOGENEITY_SCALES:
                 lhs = self.t_map.value(k * x)
                 rhs = scale(k, self.t_map.value(x))
-                if hausdorff(lhs, rhs) > tol:
+                if hausdorff(lhs, rhs) > _HOMOGENEITY_TOL:
                     return False
         return True
 
@@ -258,8 +258,7 @@ class OuterDerivativeReport:
 
 
 def outer_t_check(gmap: SetValuedMap, x_star, t_map: SetValuedMap, delta: float,
-                  probes: Sequence, n_dirs: int = 32,
-                  tol: float = 1e-9) -> OuterDerivativeReport:
+                  probes: Sequence, tol: float = 1e-9) -> OuterDerivativeReport:
     """Verify the one-sided expansion: each probe value must be contained in
     value(x*) + t_map(probe - x*) + delta*|probe - x*|*ball, via support
     dominance over sampled directions.  Failures are data, not errors.
@@ -268,7 +267,7 @@ def outer_t_check(gmap: SetValuedMap, x_star, t_map: SetValuedMap, delta: float,
         raise ValueError("delta must be positive")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     base = gmap.value(x_star)
-    dirs = _sphere_directions(x_star.shape[0], n_dirs)
+    dirs = _sphere_directions(x_star.shape[0], _OUTER_DIRS)
     failures = []
     worst = 0.0
     for probe in probes:
@@ -311,7 +310,7 @@ class KSReport:
 
 
 def compare_to_sdi(u_start, u_eval, model: SDIModel, t_eval: float, n_sdi_reps: int,
-                   strategy=None, seed: int = 0, dt: float = 1e-3) -> KSReport:
+                   seed: int = 0, dt: float = 1e-3) -> KSReport:
     """Kolmogorov-Smirnov distance per coordinate between the normalized
     ensemble at shifted time t_eval and simulated limit paths started from
     the ensemble's own initial values.
@@ -334,8 +333,8 @@ def compare_to_sdi(u_start, u_eval, model: SDIModel, t_eval: float, n_sdi_reps: 
     gen = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(7,)))
     pick = gen.integers(0, starts.shape[0], size=n_sdi_reps)
     u0 = starts[pick]
-    finals = simulate_sdi(model, u0, dt=dt, horizon=t_eval, strategy=strategy,
-                          seed=seed, n_reps=n_sdi_reps, record_paths=False)
+    finals = simulate_sdi(model, u0, dt=dt, horizon=t_eval, seed=seed, n_reps=n_sdi_reps,
+                          record_paths=False)
     dists = np.array([ks_distance(sa_vals[:, j], finals[:, j])
                       for j in range(sa_vals.shape[1])])
     return KSReport(t_eval=float(t_eval), distances=dists,

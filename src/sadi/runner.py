@@ -22,6 +22,8 @@ from .rates import compare_to_sdi, shifted_index, tightness_diagnostic, tightnes
 __all__ = ["StartAggregate", "AggregateReport", "run_experiment", "sweep",
            "set_by_path", "write_report_csv"]
 
+_ERR_QS = (0.1, 0.5, 0.9)  # the report's err_q10, err_q50 and err_q90
+
 
 @dataclass
 class StartAggregate:
@@ -71,9 +73,9 @@ class StartAggregate:
         errs = self._errs()
         return math.nan if errs is None else float(np.mean(errs))
 
-    def err_quantiles(self, qs=(0.1, 0.5, 0.9)) -> np.ndarray:
+    def err_quantiles(self) -> np.ndarray:
         errs = self._errs()
-        return np.full(len(qs), math.nan) if errs is None else np.quantile(errs, qs)
+        return np.full(len(_ERR_QS), math.nan) if errs is None else np.quantile(errs, _ERR_QS)
 
 
 @dataclass

@@ -33,7 +33,6 @@ __all__ = [
     "least_norm_point",
     "nearest_point",
     "SetValuedMap",
-    "Region",
     "PiecewiseField",
     "krasovskii",
     "LeastNorm",
@@ -52,6 +51,9 @@ MEMBERSHIP_TOL = 1e-9
 _MAX_PROJECTION_VERTICES = 14
 # ball components are polytopized with this many boundary points per 2-D slice
 _BALL_FACETS = 32
+# krasovskii puts a coordinate this close to a declared threshold t, relative
+# to 1 + |t|, on it
+_SNAP_TOL = 1e-9
 
 
 def _as_vector(v, name="vector") -> np.ndarray:
@@ -99,16 +101,6 @@ class ConvexSet:
 
     def midpoint(self) -> np.ndarray:
         raise NotImplementedError
-
-    # convenience wrappers
-    def contains(self, v, tol: float = MEMBERSHIP_TOL) -> bool:
-        return contains(self, v, tol)
-
-    def __add__(self, other: "ConvexSet") -> "ConvexSet":
-        return minkowski_sum(self, other)
-
-    def __rmul__(self, k: float) -> "ConvexSet":
-        return scale(k, self)
 
 
 class Singleton(ConvexSet):
@@ -632,28 +624,19 @@ def _select_from(value: ConvexSet, x: np.ndarray, strategy, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Region:
-    predicate: Callable[[np.ndarray], bool]
-    rule: Callable[[np.ndarray], ConvexSet]
-
-
 class SetValuedMap:
-    """Total, bounded, piecewise map x -> compact convex set.
+    """Total, bounded map x -> compact convex set, given by one rule.
 
-    Regions are tried in order and the first matching predicate wins; the
-    last region is expected to be a catch-all so the map is total.
     ``common_bound`` is the radius of a ball containing every value.
     ``thresholds`` optionally declares per-coordinate discontinuity
-    thresholds (used by sliding-mode integrators).
+    thresholds (used by sliding-mode integrators).  An ordered,
+    first-match piecewise rule is a ``CellTable``, whose ``value`` is a rule.
     """
 
-    def __init__(self, dim: int, regions: Sequence[Region], common_bound: float,
+    def __init__(self, dim: int, rule: Callable[[np.ndarray], ConvexSet], common_bound: float,
                  name: str = "", thresholds: Optional[Sequence[Sequence[float]]] = None):
-        if not regions:
-            raise ValueError("a set-valued map needs at least one region")
         self.dim = int(dim)
-        self.regions = list(regions)
+        self.rule = rule
         self.common_bound = float(common_bound)
         self.name = name
         self.thresholds = [sorted(t) for t in thresholds] if thresholds is not None else None
@@ -661,16 +644,7 @@ class SetValuedMap:
     def value(self, x) -> ConvexSet:
         x = _as_vector(x, "state")
         _check_dims(x.shape[0], self.dim, f"map {self.name or '<anon>'}")
-        for region in self.regions:
-            if region.predicate(x):
-                return region.rule(x)
-        raise ValueError(f"map {self.name or '<anon>'} has no matching region at {x.tolist()}")
-
-    def __call__(self, x) -> ConvexSet:
-        return self.value(x)
-
-    def select(self, x, strategy=None, rng=None) -> np.ndarray:
-        return select(self, x, strategy or LeastNorm(), rng)
+        return self.rule(x)
 
 
 def select(mapping: SetValuedMap, x, strategy=None, rng=None) -> np.ndarray:
@@ -753,7 +727,7 @@ class CellTable:
         rows = np.atleast_2d(np.asarray(points, dtype=float))
         return np.select(self._masks(rows), range(1, len(self.cells)), default=len(self.cells))
 
-    def __call__(self, x_rows, xi_rows=None, u_rows=None) -> np.ndarray:
+    def __call__(self, x_rows, xi_rows=None) -> np.ndarray:
         """Row-vectorized least-norm term, as one ``np.select``."""
         choices = [np.asarray(offset) + slope * x_rows if slope else np.asarray(offset)
                    for offset, slope in self._terms]
@@ -799,9 +773,6 @@ class PiecewiseField:
         _check_dims(x.shape[0], self.dim, "field")
         return _as_vector(self.piece_at(x).formula(x), "field value")
 
-    def __call__(self, x) -> np.ndarray:
-        return self.value(x)
-
 
 def _hull_of_points(points: np.ndarray) -> ConvexSet:
     points = _dedupe_points(points, tol=0.0)
@@ -812,7 +783,7 @@ def _hull_of_points(points: np.ndarray) -> ConvexSet:
     return Polytope(points)
 
 
-def krasovskii(f: PiecewiseField, x, snap_tol: float = 1e-9) -> ConvexSet:
+def krasovskii(f: PiecewiseField, x) -> ConvexSet:
     """Convex hull of the one-sided limit values of ``f`` at ``x``.
 
     Away from the declared thresholds this is the singleton ``{f(x)}``; on a
@@ -827,7 +798,7 @@ def krasovskii(f: PiecewiseField, x, snap_tol: float = 1e-9) -> ConvexSet:
     snapped = np.array(x)
     for i in range(f.dim):
         for t in f.thresholds[i]:
-            if abs(x[i] - t) <= snap_tol * (1.0 + abs(t)):
+            if abs(x[i] - t) <= _SNAP_TOL * (1.0 + abs(t)):
                 on_axes.append(i)
                 snapped[i] = t
                 break

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sadi.nonsmooth import KinkSurface, PiecewiseSmoothScalar, SmoothPiece, smooth_scalar
-from sadi.sets import FieldPiece, PiecewiseField, Region, SetValuedMap, krasovskii
+from sadi.sets import FieldPiece, PiecewiseField, SetValuedMap, krasovskii
 
 
 def neg_sign_field(scale: float = 1.0) -> PiecewiseField:
@@ -22,7 +22,7 @@ def neg_sign_map(scale: float = 1.0) -> SetValuedMap:
     field = neg_sign_field(scale)
     return SetValuedMap(
         1,
-        [Region(lambda x: True, lambda x: krasovskii(field, x))],
+        lambda x: krasovskii(field, x),
         common_bound=scale,
         name="neg_sign",
         thresholds=[[0.0]],

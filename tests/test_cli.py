@@ -279,7 +279,7 @@ def test_output_errors_exit_2_before_running(tmp_path, capsys, monkeypatch,
 
 
 _SDI_BLOCK_ERRORS = [
-    ("missing_A", {k: v for k, v in _SDI.items() if k != "A"}, "sdi.A"),
+    ("missing_A", {k: v for k, v in _SDI.items() if k != "A"}, "sdi.A: required\n"),
     ("dt", dict(_SDI, dt=0), "sdi.dt: must be > 0"),
     ("n_reps", dict(_SDI, n_reps="x"), "sdi.n_reps: must be at least 1"),
     ("t_eval", dict(_SDI, t_eval="x"), "sdi.t_eval: must be a finite number"),
@@ -301,6 +301,49 @@ def test_simulate_sdi_bad_block_exits_2(tmp_path, capsys, monkeypatch, sdi, need
     assert main(["simulate-sdi", str(cfg), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "invalid experiment config" in err and needle in err
+    # the sdi block has no kind to require its keys
+    assert "by its kind" not in err
+    assert not out.exists()
+
+
+# a JSON boolean where a number is required: (config, changes, the key the error names)
+_BOOLEAN_NUMBERS = [
+    ("iterations", "ex1", {"iterations": True}, "iterations"),
+    ("replications", "ex1", {"replications": True}, "replications"),
+    ("seed", "ex1", {"seed": True}, "seed"),
+    ("dim", "ex1", {"dim": True}, "dim"),
+    ("checkpoints", "ex1", {"checkpoints": True}, "checkpoints"),
+    ("x0_entry", "ex1", {"x0": [True]}, "x0"),
+    ("x0_vector_entry", "ex1", {"x0": [[5.0], [True]]}, "x0"),
+    ("x_star_entry", "ex1", {"x_star": [True]}, "x_star"),
+    ("schedule_c", "ex1", {"schedule": {"kind": "power_law", "c": True}}, "schedule.c"),
+    ("schedule_alpha", "ex1", {"schedule": {"kind": "power_law", "alpha": True}},
+     "schedule.alpha"),
+    ("bias_c", "ex1", {"bias": {"kind": "gaussian_shrinking", "c": True}}, "bias.c"),
+    ("bias_gamma", "ex1", {"bias": {"kind": "gaussian_shrinking", "gamma": True}},
+     "bias.gamma"),
+    ("sdi_n_reps", "ou_rates", {"sdi": dict(_SDI, n_reps=True)}, "sdi.n_reps"),
+    ("sdi_dt", "ou_rates", {"sdi": dict(_SDI, dt=True)}, "sdi.dt"),
+    ("sdi_t_eval", "ou_rates", {"sdi": dict(_SDI, t_eval=True)}, "sdi.t_eval"),
+    ("sdi_start_index", "ou_rates", {"sdi": dict(_SDI, start_index=True)}, "sdi.start_index"),
+]
+
+
+@pytest.mark.parametrize("name,changes,key", [case[1:] for case in _BOOLEAN_NUMBERS],
+                         ids=[case[0] for case in _BOOLEAN_NUMBERS])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, name, changes, key):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    raw.update(iterations=5, replications=3, outputs=["report"])
+    if name == "ou_rates":
+        # sdi_compare reads every sdi key, so the block needs its 200 replications
+        raw.update(iterations=2000, replications=200, outputs=["sdi_compare"])
+    raw.update(changes)
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid experiment config" in err and f"  - {key}" in err
     assert not out.exists()
 
 

@@ -26,15 +26,12 @@ from sadi.engine import (
     StepSchedule,
     UniformNoise,
     ZeroBias,
-    interpolate,
-    mesh_index,
     project,
     run,
     run_ensemble,
-    time_mesh,
 )
 from sadi.engine import ROLE_BIAS, ROLE_PERTURB, ROLE_SELECTOR, ROLE_ZETA, _role_generators
-from sadi.sets import (Box, Cell, CellTable, LeastNorm, Region, SetValuedMap, UniformVertex,
+from sadi.sets import (Box, Cell, CellTable, LeastNorm, SetValuedMap, UniformVertex,
                        contains, select)
 from sadi.presets import (lasso_preset, nonconvergence_preset, pegasos_preset, RegressionLaw,
                           SignFilterLaw)
@@ -65,26 +62,26 @@ def test_schedule_validation():
 
 def test_time_mesh_origin():
     sched = StepSchedule.harmonic(1.0)
-    assert time_mesh(sched, 0) == 0.0
-    assert mesh_index(sched, 0.0) == 0
+    assert sched.time_at(0) == 0.0
+    assert sched.mesh_index(0.0) == 0
 
 
 def test_harmonic_partial_sums():
     sched = StepSchedule.harmonic(1.0)
-    assert time_mesh(sched, 3) == pytest.approx(11.0 / 6.0, abs=1e-15)
+    assert sched.time_at(3) == pytest.approx(11.0 / 6.0, abs=1e-15)
     # t_2 = 1.5 <= 1.8 < t_3
-    assert mesh_index(sched, 1.8) == 2
+    assert sched.mesh_index(1.8) == 2
 
 
 def test_mesh_negative_time_is_zero():
     sched = StepSchedule.power_law(1.0, 0.5)
-    assert mesh_index(sched, -5.0) == 0
+    assert sched.mesh_index(-5.0) == 0
 
 
 def test_mesh_roundtrip():
     sched = StepSchedule.power_law(1.0, 0.5)
     for n in (0, 1, 7, 151):
-        assert mesh_index(sched, time_mesh(sched, n)) == n
+        assert sched.mesh_index(sched.time_at(n)) == n
 
 
 _FAMILIES = {"harmonic_1": (1.0, 1.0), "harmonic_0.3": (0.3, 1.0),
@@ -119,24 +116,24 @@ def test_unreachable_time_raises_before_growing_the_mesh(name):
 def test_mesh_index_is_exact_at_reachable_times(name):
     sched = _family(name)
     for n in (1, 2, 63, 64, 65, 1000, 20_000, 300_000):
-        t = time_mesh(sched, n)
-        assert mesh_index(sched, t) == n
-        assert mesh_index(sched, math.nextafter(t, -math.inf)) == n - 1
-        assert mesh_index(sched, math.nextafter(t, math.inf)) == n
-        assert mesh_index(sched, 0.5 * (t + time_mesh(sched, n + 1))) == n
+        t = sched.time_at(n)
+        assert sched.mesh_index(t) == n
+        assert sched.mesh_index(math.nextafter(t, -math.inf)) == n - 1
+        assert sched.mesh_index(math.nextafter(t, math.inf)) == n
+        assert sched.mesh_index(0.5 * (t + sched.time_at(n + 1))) == n
 
 
 @pytest.mark.parametrize("name", sorted(_FAMILIES))
 def test_time_mesh_bits_do_not_depend_on_growth(name):
     fresh = _family(name)
-    whole = [time_mesh(fresh, n) for n in range(0, 300_001, 997)]
+    whole = [fresh.time_at(n) for n in range(0, 300_001, 997)]
     for pattern in ((1, 2, 63, 1000, 20_000), (300_000,), (64, 65, 66, 4096, 4097)):
         sched = _family(name)
         for n in pattern:
-            time_mesh(sched, n)
-        sched.mesh_index(time_mesh(fresh, 150_000))  # grows by doubling blocks
-        assert [time_mesh(sched, n) for n in range(0, 300_001, 997)] == whole
-        assert mesh_index(sched, time_mesh(fresh, 300_000)) == 300_000
+            sched.time_at(n)
+        sched.mesh_index(fresh.time_at(150_000))  # grows by doubling blocks
+        assert [sched.time_at(n) for n in range(0, 300_001, 997)] == whole
+        assert sched.mesh_index(fresh.time_at(300_000)) == 300_000
 
 
 # --- noise and bias families -------------------------------------------------
@@ -237,6 +234,38 @@ def test_projection_optimality(rng):
         assert np.all(d <= np.linalg.norm(samples - x, axis=1) + 1e-9)
 
 
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def _vectors(d, bound):
+    return st.lists(st.floats(-bound, bound, **_finite), min_size=d, max_size=d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_projection_contract_property(data):
+    """Both regions project rows idempotently, bit for bit, onto a point of
+    the region that no region point beats: the support of the region along
+    x - p is attained at p, up to rounding."""
+    d = data.draw(st.integers(1, 3), label="dim")
+    if data.draw(st.booleans(), label="box"):
+        lo = np.array(data.draw(_vectors(d, 3.0), label="lo"))
+        width = data.draw(st.lists(st.floats(1e-3, 4.0, **_finite), min_size=d, max_size=d),
+                          label="width")
+        region = BoxRegion(lo, lo + np.array(width))
+    else:
+        region = BallRegion(data.draw(_vectors(d, 3.0), label="center"),
+                            data.draw(st.floats(1e-3, 4.0, **_finite), label="radius"))
+    rows = np.array(data.draw(st.lists(_vectors(d, 20.0), min_size=1, max_size=6), label="x"))
+    projected = region.project_rows(rows)
+    assert np.array_equal(region.project_rows(projected), projected)
+    shape = region.as_convex_set()
+    for x, p in zip(rows, projected):
+        assert contains(shape, p, 1e-9)
+        gap = shape.support(x - p) - float((x - p) @ p)
+        assert gap <= 1e-9 * (1.0 + float(x @ x))
+
+
 # --- single steps ----------------------------------------------------------------
 
 
@@ -259,7 +288,7 @@ def test_step_identity_with_no_terms():
 
 def test_step_sign_error_filter_arithmetic():
     # residual sign update with unit regressor: 0 + 0.5*1*sign(1 - 0) = 0.5
-    def sample_term(x_rows, xi_rows, u_rows):
+    def sample_term(x_rows, xi_rows):
         resid = 1.0 - x_rows[:, 0]
         return np.sign(resid)[:, None]
 
@@ -276,7 +305,7 @@ def test_step_penalized_regression_arithmetic():
         x, y = z_rows[:, 0], z_rows[:, 1]
         return ((y - w_rows[:, 0] * x) * x)[:, None]
 
-    def sample_term(w_rows, xi_rows, u_rows):
+    def sample_term(w_rows, xi_rows):
         return -lam * np.sign(w_rows)
 
     drift = Drift(dim=1, smooth=smooth, sample_term=sample_term)
@@ -539,7 +568,7 @@ def test_ensemble_records_blowups():
 
 def test_selector_perturbation_stays_in_ball(rng):
     value = Box([-1.0], [1.0])
-    gmap = SetValuedMap(1, [Region(lambda x: True, lambda x: value)], common_bound=1.0)
+    gmap = SetValuedMap(1, lambda x: value, common_bound=1.0)
     radius = 0.25
     drift = Drift(dim=1, set_map=gmap, selector=LeastNorm(),
                   m_rule=lambda x, xi: radius)
@@ -574,57 +603,58 @@ def test_interpolate_at_knots():
     traj = _toy_traj()
     sched = traj.schedule
     for n in (0, 3, 17):
-        t = time_mesh(sched, n)
-        assert np.array_equal(interpolate(traj, t, "constant"), traj.iterates[n])
-        assert np.array_equal(interpolate(traj, t, "linear"), traj.iterates[n])
+        t = sched.time_at(n)
+        assert np.array_equal(traj.interpolate(t, "constant"), traj.iterates[n])
+        assert np.array_equal(traj.interpolate(t, "linear"), traj.iterates[n])
 
 
 def test_interpolate_midpoint_average():
     traj = _toy_traj()
     sched = traj.schedule
     n = 5
-    mid = 0.5 * (time_mesh(sched, n) + time_mesh(sched, n + 1))
-    got = interpolate(traj, mid, "linear")
+    mid = 0.5 * (sched.time_at(n) + sched.time_at(n + 1))
+    got = traj.interpolate(mid, "linear")
     assert np.allclose(got, 0.5 * (traj.iterates[n] + traj.iterates[n + 1]), atol=1e-12)
 
 
 def test_interpolate_shifted_plateau():
     traj = _toy_traj()
     n = 10
-    t_n = time_mesh(traj.schedule, n)
-    assert np.array_equal(interpolate(traj, -t_n - 1.0, "linear", shift=n),
+    t_n = traj.schedule.time_at(n)
+    assert np.array_equal(traj.interpolate(-t_n - 1.0, "linear", shift=n),
                           traj.iterates[0])
 
 
 def test_interpolate_beyond_horizon_raises():
     traj = _toy_traj()
-    horizon = time_mesh(traj.schedule, traj.n_steps)
+    horizon = traj.schedule.time_at(traj.n_steps)
     with pytest.raises(ValueError):
-        interpolate(traj, horizon + 1.0, "linear")
+        traj.interpolate(horizon + 1.0, "linear")
 
 
 def test_interpolate_constant_mode_left_limit():
     traj = _toy_traj()
     sched = traj.schedule
-    t = 0.5 * (time_mesh(sched, 2) + time_mesh(sched, 3))
-    assert np.array_equal(interpolate(traj, t, "constant"), traj.iterates[2])
+    t = 0.5 * (sched.time_at(2) + sched.time_at(3))
+    assert np.array_equal(traj.interpolate(t, "constant"), traj.iterates[2])
 
 
 def test_interpolate_mode_aliases():
     traj = _toy_traj()
     t = 0.3
-    assert np.array_equal(interpolate(traj, t, "PiecewiseConstant"),
-                          interpolate(traj, t, "constant"))
-    assert np.array_equal(interpolate(traj, t, "PiecewiseLinear"),
-                          interpolate(traj, t, "linear"))
+    assert np.array_equal(traj.interpolate(t, "PiecewiseConstant"),
+                          traj.interpolate(t, "constant"))
+    assert np.array_equal(traj.interpolate(t, "PiecewiseLinear"),
+                          traj.interpolate(t, "linear"))
     with pytest.raises(ValueError):
-        interpolate(traj, t, "cubic")
+        traj.interpolate(t, "cubic")
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
     traj = _toy_traj()
     path = tmp_path / "traj.csv"
-    traj.to_csv(path, header={"fingerprint": "abc"})
+    traj.fingerprint = "abc"
+    traj.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#") and "fingerprint=abc" in lines[0]
     assert lines[1].split(",")[:4] == ["n", "t", "a", "x0"]
@@ -687,7 +717,7 @@ def test_block_draws_equal_one_whole_horizon_draw(name, n_reps, start, cuts, chu
 
 def _square_map():
     square = Box([-1.0, -1.0], [1.0, 1.0])
-    return SetValuedMap(2, [Region(lambda x: True, lambda x: square)], common_bound=1.5)
+    return SetValuedMap(2, lambda x: square, common_bound=1.5)
 
 
 def _uniform_vertex_spec(n_steps):

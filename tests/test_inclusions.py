@@ -8,13 +8,13 @@ import pytest
 
 from sadi.engine import BoxRegion, NoProjection
 from sadi.inclusions import epsilon_chain_diagnostic, integrate, integrate_projected
-from sadi.sets import Box, Region, SetValuedMap, Singleton, contains
+from sadi.sets import Box, SetValuedMap, Singleton, contains
 from sadi.presets import pegasos_preset, nonconvergence_preset
 from conftest import neg_sign_map, squared_norm
 
 
 def _constant_map(dim, vector):
-    return SetValuedMap(dim, [Region(lambda x: True, lambda x: Singleton(vector))],
+    return SetValuedMap(dim, lambda x: Singleton(vector),
                         common_bound=float(np.linalg.norm(vector)) + 1e-9)
 
 
@@ -130,8 +130,9 @@ def test_blowup_carries_step_index():
 def test_inclusion_csv(tmp_path):
     path = integrate(None, lambda x: -x, [1.0, 2.0], 1e-2, 0.5)
     out = tmp_path / "path.csv"
-    path.to_csv(out, header={"seed": 0})
+    path.to_csv(out, provenance=[("seed", 0)])
     lines = out.read_text().splitlines()
+    assert lines[0] == "# dt=0.01 horizon=0.5 seed=0"
     assert lines[1] == "n,t,a,x0,x1,set0,set1"
     assert len(lines) == 2 + path.n_steps
 

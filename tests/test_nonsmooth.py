@@ -19,7 +19,6 @@ from sadi.nonsmooth import (
 )
 from sadi.sets import (
     Box,
-    Region,
     SetValuedMap,
     Singleton,
     hausdorff,
@@ -104,7 +103,7 @@ def test_regularity_spot_check(rng):
 def test_svd_singleton_gradient_gives_support_interval():
     v = squared_norm(1)
     box = Box([-2.0], [5.0])
-    m = SetValuedMap(1, [Region(lambda x: True, lambda x: box)], common_bound=5.0)
+    m = SetValuedMap(1, lambda x: box, common_bound=5.0)
     out = set_valued_derivative(v, m, [1.0])
     # vertex enumeration oracle: p = 2, q in [-2, 5] -> [-4, 10]
     assert out == Interval(-4.0, 10.0)
@@ -112,7 +111,7 @@ def test_svd_singleton_gradient_gives_support_interval():
 
 def test_svd_singleton_value():
     v = smooth_scalar(2, lambda x: float(np.sum(x)), lambda x: np.ones(2))
-    m = SetValuedMap(2, [Region(lambda x: True, lambda x: Singleton([2.0, 3.0]))],
+    m = SetValuedMap(2, lambda x: Singleton([2.0, 3.0]),
                      common_bound=4.0)
     out = set_valued_derivative(v, m, [0.0, 0.0])
     assert out == Interval(5.0, 5.0)
@@ -174,7 +173,7 @@ def test_reduced_segment_exact_in_plane():
                     lambda x: np.array([1.0, 1.0])),
         SmoothPiece(lambda x: True, lambda x: x[0], lambda x: np.array([1.0, 0.0])),
     ], kinks=[KinkSurface.coordinate(1, 0.0, 2)], regular=True)
-    m = SetValuedMap(2, [Region(lambda x: True, lambda x: Box([-1, -1], [1, 1]))],
+    m = SetValuedMap(2, lambda x: Box([-1, -1], [1, 1]),
                      common_bound=2.0)
     red = u_reduced(m, [u], [0.3, 0.0])
     for p, want in (([1, 0], 1.0), ([-1, 0], 1.0), ([0, 1], 0.0), ([0, -1], 0.0)):
@@ -245,7 +244,7 @@ def test_nonregular_uses_max_max():
     # fake a two-point gradient hull by wrapping abs
     w = abs_scalar()
     w.regular = False
-    m = SetValuedMap(1, [Region(lambda x: True, lambda x: Box([-3.0], [2.0]))],
+    m = SetValuedMap(1, lambda x: Box([-3.0], [2.0]),
                      common_bound=3.0)
     d = u_generalized_derivative(w, [], m, [0.0])
     # max over p in [-1, 1] of max over q in [-3, 2]: p=-1 gives 3, p=1 gives 2
@@ -268,7 +267,7 @@ def test_sentinel_semantics():
 
 def test_certify_simple_contraction():
     # scalar map -x with decay bound |x|^2: derivative 2x(-x) = -2x^2
-    m = SetValuedMap(1, [Region(lambda x: True, lambda x: Singleton(-x))], common_bound=5.0)
+    m = SetValuedMap(1, lambda x: Singleton(-x), common_bound=5.0)
     cert = certify_stability(squared_norm(1), [], m, [-2.0], [2.0], 81, 0.01,
                              squared_norm(1), name="contraction")
     assert cert.passed
@@ -278,7 +277,7 @@ def test_certify_simple_contraction():
 
 def test_certify_records_failures_not_raises():
     # expanding map +x cannot satisfy the decay bound
-    m = SetValuedMap(1, [Region(lambda x: True, lambda x: Singleton(np.array(x)))],
+    m = SetValuedMap(1, lambda x: Singleton(np.array(x)),
                      common_bound=5.0)
     cert = certify_stability(squared_norm(1), [], m, [-1.0], [1.0], 21, 0.01,
                              squared_norm(1))
@@ -297,7 +296,7 @@ def test_certificate_coordinates_keep_the_sign_of_zero():
 
 
 def test_certificate_serialization(tmp_path):
-    m = SetValuedMap(1, [Region(lambda x: True, lambda x: Singleton(-x))], common_bound=5.0)
+    m = SetValuedMap(1, lambda x: Singleton(-x), common_bound=5.0)
     cert = certify_stability(squared_norm(1), [], m, [-1.0], [1.0], 11, 0.01,
                              squared_norm(1), name="io")
     path = tmp_path / "certificate.txt"

@@ -69,7 +69,7 @@ def test_lasso_degenerate_moment_warns():
 def test_lasso_fast_term_matches_map(rng):
     p = lasso_preset(0.7, RegressionLaw(theta=[1.0], features="ones"))
     states = rng.uniform(-2, 2, size=(200, 1))
-    terms = p.drift.sample_term(states, np.zeros((200, 0)), np.zeros(200))
+    terms = p.drift.sample_term(states, np.zeros((200, 0)))
     for i in range(200):
         assert np.allclose(terms[i], select(p.drift.set_map, states[i], LeastNorm()),
                            atol=1e-12)
@@ -106,7 +106,7 @@ def test_pegasos_sample_term_selects_hinge_branch(rng):
     p = pegasos_preset(1.0)
     w = np.array([[0.0, 0.0], [10.0, 10.0]])
     x = np.array([[1.0, 2.0], [1.0, 2.0]])
-    terms = p.drift.sample_term(w, x, np.zeros(2))
+    terms = p.drift.sample_term(w, x)
     assert np.allclose(terms[0], [1.0, 2.0])   # margin 0 < 1: active
     assert np.allclose(terms[1], [0.0, 0.0])   # margin 30 > 1: inactive
 
@@ -175,7 +175,7 @@ def test_sign_filter_mean_matches_monte_carlo(rng):
     gen = np.random.default_rng(1)
     theta = np.full((200_000, 1), 0.3)
     xi = p.noise_xi.sample_block(gen, 200_000)
-    vals = p.drift.sample_term(theta, xi, np.zeros(200_000))
+    vals = p.drift.sample_term(theta, xi)
     se = vals.std() / math.sqrt(200_000)
     assert abs(vals.mean() - law.mean_sign_drift([0.3])[0]) < 3 * se + 1e-9
 
@@ -186,7 +186,7 @@ def test_sign_filter_step_matches_engine_arithmetic(rng):
 
     # noiseless residual: y = 1, phi = 1
     p = sign_error_filter_preset(law)
-    term = p.drift.sample_term(np.array([[0.0]]), np.zeros((1, 1)), np.zeros(1))
+    term = p.drift.sample_term(np.array([[0.0]]), np.zeros((1, 1)))
     assert term[0, 0] == 1.0
     theta_next = 0.0 + 0.5 * term[0, 0]
     assert theta_next == 0.5
@@ -227,7 +227,7 @@ def test_nonconv_fast_term_matches_map(rng):
     table = p.drift.sample_term
     grid = np.stack(np.meshgrid(np.arange(-3, 3.5, 0.5), np.arange(-3, 3.5, 0.5)), -1)
     states = np.concatenate([rng.uniform(-3, 3, size=(400, 2)), grid.reshape(-1, 2)])
-    terms = table(states, np.zeros((len(states), 0)), np.zeros(len(states)))
+    terms = table(states, np.zeros((len(states), 0)))
     for x, term in zip(states, terms):
         v = select(p.drift.set_map, x, LeastNorm())
         assert np.allclose(term, v, atol=1e-12)

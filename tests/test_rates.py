@@ -12,12 +12,11 @@ from sadi.rates import (
     SDIModel,
     compare_to_sdi,
     ks_distance,
-    normalize,
     outer_t_check,
     simulate_sdi,
     tightness_diagnostic,
 )
-from sadi.sets import Box, ExtremeVertex, Region, SetValuedMap, Singleton
+from sadi.sets import Box, ExtremeVertex, SetValuedMap, Singleton
 from sadi.presets import sign_interval_map
 from conftest import sdi_arrays, tightness_arrays
 
@@ -32,7 +31,7 @@ def _ou_spec(n_steps=800, x0=1.3):
 
 
 def _zero_map(dim):
-    return SetValuedMap(dim, [Region(lambda x: True, lambda x: Singleton(np.zeros(dim)))],
+    return SetValuedMap(dim, lambda x: Singleton(np.zeros(dim)),
                         common_bound=1e-9, name="zero")
 
 
@@ -56,7 +55,7 @@ def test_normalize_hand_value():
 
 def test_normalize_reconstruction_exact(rng):
     traj = run(_ou_spec(200), 3)
-    series = normalize(traj, [0.3], start=0)
+    series = NormalizedSeries.from_iterates(traj.iterates, traj.schedule, [0.3], start=0)
     a = traj.schedule.step_sizes(0, traj.n_steps + 1)
     for n in (0, 17, 100, 200):
         recon = 0.3 + math.sqrt(a[n]) * series.value(n)[0]
@@ -118,7 +117,7 @@ def test_sdi_positive_homogeneity_of_paths():
         r = float(np.linalg.norm(u))
         return Box([-0.5 * r], [0.5 * r])
 
-    t_map = SetValuedMap(1, [Region(lambda u: True, rule)], common_bound=10.0)
+    t_map = SetValuedMap(1, rule, common_bound=10.0)
     model = SDIModel(A=[[-1.0]], sigma=[[0.0]], t_map=t_map)
     strategy = ExtremeVertex([1.0])
     base = simulate_sdi(model, [1.0], dt=1e-3, horizon=2.0, seed=0, strategy=strategy)
@@ -131,12 +130,12 @@ def test_sdi_model_homogeneity_spot_check(rng):
         r = float(np.linalg.norm(u))
         return Box([-r, -r], [r, r])
 
-    t_map = SetValuedMap(2, [Region(lambda u: True, rule)], common_bound=10.0)
+    t_map = SetValuedMap(2, rule, common_bound=10.0)
     model = SDIModel(A=-np.eye(2), sigma=np.zeros((2, 2)), t_map=t_map)
     probes = rng.uniform(-2, 2, size=(5, 2))
     assert model.check_homogeneity(probes)
     # a shifted map is not positively homogeneous
-    bad = SetValuedMap(2, [Region(lambda u: True, lambda u: Box(u - 1.0, u + 1.0))],
+    bad = SetValuedMap(2, lambda u: Box(u - 1.0, u + 1.0),
                        common_bound=10.0)
     model_bad = SDIModel(A=-np.eye(2), sigma=np.zeros((2, 2)), t_map=bad)
     assert not model_bad.check_homogeneity([np.array([0.5, 0.5])])
@@ -152,7 +151,7 @@ def test_sdi_selector_membership(rng):
         r = float(np.linalg.norm(u))
         return Box([-0.5 * r], [0.5 * r])
 
-    t_map = SetValuedMap(1, [Region(lambda u: True, rule)], common_bound=10.0)
+    t_map = SetValuedMap(1, rule, common_bound=10.0)
     model = SDIModel(A=[[-1.0]], sigma=[[0.0]], t_map=t_map)
     paths = simulate_sdi(model, [1.0], dt=1e-2, horizon=1.0, seed=0)
     for k in range(paths.shape[1] - 1):
@@ -230,9 +229,9 @@ def test_outer_check_one_sidedness_at_kink():
     assert rep.passed
     # the reversed comparison fails: the interval cannot fit inside {-lam}+slack
     reversed_map = SetValuedMap(
-        1, [Region(lambda x: True, lambda x: m.value(np.zeros(1)))], common_bound=0.7)
+        1, lambda x: m.value(np.zeros(1)), common_bound=0.7)
     base_map = SetValuedMap(
-        1, [Region(lambda x: True, lambda x: m.value(np.array([0.2])))], common_bound=0.7)
+        1, lambda x: m.value(np.array([0.2])), common_bound=0.7)
     rep2 = outer_t_check(reversed_map, [0.0], _zero_map(1), delta=0.5, probes=probes,
                          tol=1e-9)
     # reversed_map is constant [-0.7,0.7]; envelope around {-0.7} cannot cover it
@@ -240,16 +239,12 @@ def test_outer_check_one_sidedness_at_kink():
                          probes=[[0.05]])
     assert rep3.passed  # constant map against itself still passes
     rep4 = outer_t_check(
-        SetValuedMap(1, [Region(lambda x: True,
-                                lambda x: Box([-0.7], [0.7]))], common_bound=0.7),
+        SetValuedMap(1, lambda x: Box([-0.7], [0.7]), common_bound=0.7),
         [0.0], _zero_map(1), delta=0.5, probes=probes)
     assert rep4.passed
     # genuine failure: values jump OUTWARD away from the base point
     jumping = SetValuedMap(
-        1,
-        [Region(lambda x: x[0] > 0.0, lambda x: Box([-2.0], [2.0])),
-         Region(lambda x: True, lambda x: Singleton([0.0]))],
-        common_bound=2.0)
+        1, lambda x: Box([-2.0], [2.0]) if x[0] > 0.0 else Singleton([0.0]), common_bound=2.0)
     rep5 = outer_t_check(jumping, [0.0], _zero_map(1), delta=0.5, probes=probes)
     assert not rep5.passed
     assert rep5.worst_violation > 1.0

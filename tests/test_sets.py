@@ -5,10 +5,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sadi.sets import (
     Ball,
     Box,
+    Cell,
+    CellTable,
     CustomSelector,
     ExtremeVertex,
     LeastNorm,
@@ -17,7 +21,7 @@ from sadi.sets import (
     PiecewiseField,
     FieldPiece,
     Polytope,
-    Region,
+    Scaled,
     SetValuedMap,
     Singleton,
     UniformVertex,
@@ -31,6 +35,7 @@ from sadi.sets import (
     select,
     support,
 )
+from sadi.sets import _project_simplex_combo, canonical_vertices
 from conftest import neg_sign_field, neg_sign_map
 
 
@@ -316,12 +321,12 @@ def test_krasovskii_unaligned_locus_errors():
 
 def _interval_map(lo=-1.0, hi=1.0):
     box = Box([lo], [hi])
-    return SetValuedMap(1, [Region(lambda x: True, lambda x: box)], common_bound=max(abs(lo), abs(hi)))
+    return SetValuedMap(1, lambda x: box, common_bound=max(abs(lo), abs(hi)))
 
 
 def test_select_singleton_any_strategy(rng):
     target = np.array([1.5, -2.0])
-    m = SetValuedMap(2, [Region(lambda x: True, lambda x: Singleton(target))], common_bound=3.0)
+    m = SetValuedMap(2, lambda x: Singleton(target), common_bound=3.0)
     for strategy in (LeastNorm(), ExtremeVertex([1.0, 0.0]), Midpoint(), UniformVertex()):
         assert np.allclose(select(m, [0.0, 0.0], strategy, rng), target)
 
@@ -344,7 +349,7 @@ def test_select_hinge_sample_below_margin():
             return Singleton(y * x)
         return Polytope(np.stack([np.zeros(2), y * x]))
 
-    m = SetValuedMap(2, [Region(lambda w: True, rule)], common_bound=float(np.linalg.norm(x)))
+    m = SetValuedMap(2, rule, common_bound=float(np.linalg.norm(x)))
     w = np.array([0.1, 0.1])
     assert y * float(w @ x) < 1.0
     assert np.allclose(select(m, w, LeastNorm()), y * x)
@@ -389,15 +394,77 @@ def test_boundedness_audit(rng):
 
 
 def test_first_match_semantics():
-    m = SetValuedMap(
-        1,
-        [
-            Region(lambda x: x[0] >= 0, lambda x: Singleton([1.0])),
-            Region(lambda x: x[0] >= -1, lambda x: Singleton([2.0])),
-            Region(lambda x: True, lambda x: Singleton([3.0])),
-        ],
-        common_bound=3.0,
-    )
+    m = CellTable(1, [
+        Cell(lambda x: x[0] >= 0, (1.0,), (1.0,)),
+        Cell(lambda x: x[0] >= -1, (2.0,), (2.0,)),
+        Cell(None, (3.0,), (3.0,)),
+    ])
     assert m.value([0.5]).point[0] == 1.0
     assert m.value([-0.5]).point[0] == 2.0
     assert m.value([-2.0]).point[0] == 3.0
+
+
+# --- contract properties ------------------------------------------------------------
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def _vectors(d, bound=3.0):
+    return st.lists(st.floats(-bound, bound, **_finite), min_size=d, max_size=d)
+
+
+@st.composite
+def _composites(draw, d, budget=8, depth=2, balls=False):
+    """A set of dimension d built from points, boxes, polytopes (and balls)
+    by Minkowski sums and scalings, with at most ``budget`` canonical
+    vertices, since exact projection enumerates their subsets."""
+    kinds = ["point", "polytope"] + (["box"] if 2 ** d <= budget else [])
+    kinds += (["ball"] if balls else []) + (["sum", "scaled"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "point":
+        return Singleton(draw(_vectors(d))), 1
+    if kind == "ball":
+        return Ball(draw(_vectors(d)), draw(st.floats(0.0, 2.0, **_finite))), 1
+    if kind == "box":
+        a, b = np.array(draw(_vectors(d))), np.array(draw(_vectors(d)))
+        return Box(np.minimum(a, b), np.maximum(a, b)), 2 ** d
+    if kind == "polytope":
+        k = draw(st.integers(1, min(4, budget)))
+        return Polytope(draw(st.lists(_vectors(d), min_size=k, max_size=k))), k
+    if kind == "scaled":
+        inner, n = draw(_composites(d, budget, depth - 1, balls))
+        return Scaled(draw(st.floats(0.0, 2.0, **_finite)), inner), n
+    left, n = draw(_composites(d, max(1, budget // 2), depth - 1, balls))
+    right, m = draw(_composites(d, budget // n, depth - 1, balls))
+    return MinkowskiSum(left, right), n * m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_nearest_point_matches_the_subset_oracle(data):
+    d = data.draw(st.integers(1, 3), label="dim")
+    s, _ = data.draw(_composites(d), label="set")
+    vertices = canonical_vertices(s)
+    assert vertices.shape[0] <= 8
+    y = np.array(data.draw(_vectors(d, 10.0), label="y"))
+    got = nearest_point(s, y)
+    oracle = _project_simplex_combo(vertices, y)
+    assert contains(s, got, 1e-9)
+    assert np.linalg.norm(got - y) <= np.linalg.norm(oracle - y) + 1e-9
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_selection_lies_in_the_value_for_every_strategy(data):
+    d = data.draw(st.integers(1, 3), label="dim")
+    s, _ = data.draw(_composites(d, balls=True), label="set")
+    # the value moves with the state, so the selection is taken at x
+    m = SetValuedMap(d, lambda x: minkowski_sum(s, Singleton(0.5 * x)), common_bound=100.0)
+    x = np.array(data.draw(_vectors(d), label="x"))
+    strategy = data.draw(st.sampled_from([
+        LeastNorm(), Midpoint(), UniformVertex(),
+        ExtremeVertex(data.draw(_vectors(d), label="direction")),
+        CustomSelector(lambda value, x, rng: value.support_point(np.ones(x.shape[0]))),
+    ]), label="strategy")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    assert contains(m.value(x), select(m, x, strategy, rng), 1e-9)
