@@ -57,7 +57,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     config = _load(args)
-    preset = config.build_preset()
+    preset = config.preset
     if preset is None or preset.stability is None:
         print("config has no preset stability bundle to certify", file=sys.stderr)
         return 2
@@ -69,25 +69,20 @@ def _cmd_certify(args) -> int:
 
 def _cmd_simulate_di(args) -> int:
     config = _load(args)
-    preset = config.build_preset()
+    preset, di, chain = config.preset, config.di, config.chain
     if preset is None:
         print("simulate-di requires a preset config", file=sys.stderr)
         return 2
-    di = config.di_spec or {}
-    dt = float(di.get("dt", 1e-3))
-    horizon = float(di.get("horizon", 10.0))
-    x0 = np.asarray(di.get("x0", preset.default_x0), dtype=float)
     smooth = preset.drift.mean_field if preset.drift.smooth_mean is not None else None
-    path = integrate(preset.drift.set_map, smooth, x0, dt, horizon)
+    path = integrate(preset.drift.set_map, smooth, di["x0"], di["dt"], di["horizon"])
     out = Path(args.out_dir)
     path.to_csv(out / "inclusion_path.csv", _provenance(config))
     end = ", ".join(f"{v:.6g}" for v in path.states[-1])
     print(f"integrated {path.n_steps} steps; final state ({end})")
-    if config.chain_spec:
-        ch = config.chain_spec
+    if chain is not None:
         reports = epsilon_chain_diagnostic(
-            preset.drift.set_map, smooth, ch["probes"], eps=float(ch.get("eps", 0.5)),
-            t_min=float(ch.get("t_min", 1.0)), dt=dt, budget=int(ch.get("budget", 16)))
+            preset.drift.set_map, smooth, chain["probes"], eps=chain["eps"],
+            t_min=chain["t_min"], dt=di["dt"], budget=chain["budget"])
         lines = [str(r) for r in reports]
         Artifact(None, ([line] for line in lines),
                  provenance=_provenance(config)).write(out / "chain_report.txt")
@@ -98,15 +93,13 @@ def _cmd_simulate_di(args) -> int:
 
 def _cmd_simulate_sdi(args) -> int:
     config = _load(args)
-    sdi = config.sdi_spec
+    sdi = config.sdi
     if sdi is None:
         print("simulate-sdi requires an sdi block in the config", file=sys.stderr)
         return 2
-    model = config.build_sdi_model()
-    n_reps = int(sdi.get("n_reps", 100))
-    horizon = float(sdi.get("t_eval", 1.0))
-    dt = float(sdi.get("dt", 1e-3))
-    finals = simulate_sdi(model, np.zeros(model.dim), dt=dt, horizon=horizon,
+    model, horizon = sdi["model"], sdi["t_eval"]
+    n_reps = 100 if sdi["n_reps"] is None else sdi["n_reps"]
+    finals = simulate_sdi(model, np.zeros(model.dim), dt=sdi["dt"], horizon=horizon,
                           seed=config.seed, n_reps=n_reps, record_paths=False)
     Artifact([f"u{j}" for j in range(model.dim)], np.atleast_2d(finals).tolist(),
              provenance=_provenance(config)).write(Path(args.out_dir) / "sdi_finals.csv")

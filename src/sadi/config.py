@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -57,173 +57,41 @@ _SMOOTH_KEYS = {"kind", "matrix", "offset", "noise"}
 _SET_PART_KEYS = {"kind", "lam", "lo", "hi"}
 _SDI_KEYS = {"A", "sigma", "half_identity", "t_eval", "dt", "n_reps", "start_index"}
 _DI_KEYS = {"dt", "horizon", "x0"}
-_CHAIN_KEYS = {"probes", "eps", "t_min", "dt", "budget"}
+_CHAIN_KEYS = {"probes", "eps", "t_min", "budget"}
 _OUTPUT_NAMES = {"report", "finals", "trajectory", "checkpoints", "normalized",
-                 "certificate", "sdi_compare", "chain"}
+                 "certificate", "sdi_compare"}
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated description of one replicated experiment family."""
+    """Validated description of one replicated experiment family, with every
+    block built once by ``validate_config``.  ``sdi``, ``di`` and ``chain``
+    are their blocks with the defaults applied (``sdi`` and ``chain`` are
+    None when absent).  ``sdi["n_reps"]`` stays None when absent, so that
+    each verb picks its count; ``sdi["eval_index"]``, the mesh index a series
+    from ``start_index`` reads at ``t_eval``, is set only for sdi_compare."""
 
     raw: dict
     name: str
     seed: int
     iterations: int
     replications: int
-    starts: list            # list of start vectors
-    preset_name: Optional[str]
-    preset_params: dict
-    drift_spec: Optional[dict]
-    dim: Optional[int]
-    schedule_spec: Optional[dict]
-    bias_spec: Optional[dict]
-    noise_spec: dict
-    projection_spec: Optional[dict]
-    x_star_override: Optional[list]
     outputs: list
     checkpoints: int
-    sdi_spec: Optional[dict]
-    di_spec: Optional[dict]
-    chain_spec: Optional[dict]
-    preset: Optional[Preset] = field(default=None, init=False, repr=False)  # built once
+    preset: Optional[Preset]   # None for an inline drift
+    specs: list                # one RunSpec per start
+    x_star: Optional[np.ndarray]
+    sdi: Optional[dict]        # model dt t_eval n_reps start_index eval_index
+    di: dict                   # dt horizon x0
+    chain: Optional[dict]      # probes eps t_min budget
 
     @property
     def fingerprint(self) -> str:
         return config_fingerprint(self.raw)
 
-    # -- resolution into engine objects -------------------------------------
-
-    def build_preset(self) -> Optional[Preset]:
-        if self.preset is None and self.preset_name is not None:
-            self.preset = preset_by_name(self.preset_name, self.preset_params)
-        return self.preset
-
-    def build_schedule(self, default: Optional[StepSchedule] = None) -> StepSchedule:
-        spec = self.schedule_spec
-        if spec is None:
-            return default or StepSchedule.power_law(1.0, 0.5)
-        kind = spec.get("kind", "power_law")
-        if kind == "harmonic":
-            return StepSchedule.harmonic(spec.get("c", 1.0))
-        return StepSchedule.power_law(spec.get("c", 1.0), spec.get("alpha", 0.5))
-
-    def build_bias(self, dim: int):
-        spec = self.bias_spec
-        if spec is None:
-            return None
-        kind = spec["kind"]
-        if kind == "zero":
-            return ZeroBias(dim)
-        if kind == "gaussian_shrinking":
-            return ShrinkingGaussianBias(dim, c=spec.get("c", 1.0), gamma=spec.get("gamma", 1.0))
-        if kind == "constant":
-            return ConstantBias(spec["vector"])
-        raise ConfigError([f"unknown bias kind {kind!r}"])
-
-    def build_projection(self):
-        spec = self.projection_spec
-        if spec is None or spec.get("kind", "none") == "none":
-            return NoProjection()
-        if spec["kind"] == "box":
-            return BoxRegion(spec["lo"], spec["hi"])
-        return BallRegion(spec["center"], spec["radius"])
-
-    def build_noise(self, key: str, dim: int):
-        spec = self.noise_spec.get(key)
-        if spec is None:
-            return None
-        kind = spec.get("kind", "none")
-        if kind == "none":
-            return NoNoise(int(spec.get("dim", 0)))
-        if kind == "gaussian":
-            return GaussianNoise(spec["mean"], spec["cov"])
-        if kind == "uniform":
-            return UniformNoise(spec["lo"], spec["hi"])
-        raise ConfigError([f"unknown noise kind {kind!r} for {key}"])
-
-    def build_inline_drift(self) -> Drift:
-        spec = self.drift_spec or {}
-        dim = int(self.dim)
-        smooth_spec = spec.get("smooth")
-        smooth = None
-        smooth_mean = None
-        if smooth_spec is not None:
-            a = np.atleast_2d(np.asarray(smooth_spec.get("matrix", (-np.eye(dim)).tolist()), dtype=float))
-            b = np.atleast_1d(np.asarray(smooth_spec.get("offset", [0.0] * dim), dtype=float))
-            add_noise = smooth_spec.get("noise", "add") == "add"
-
-            def smooth(x_rows, z_rows, _a=a, _b=b, _noise=add_noise):
-                out = x_rows @ _a.T + _b
-                if _noise and z_rows.shape[1]:
-                    out = out + z_rows
-                return out
-
-            def smooth_mean(x, _a=a, _b=b):
-                return _a @ np.asarray(x, dtype=float) + _b
-
-        set_spec = spec.get("set_part")
-        set_map = None
-        sample_term = None
-        if set_spec is not None and set_spec.get("kind", "none") != "none":
-            kind = set_spec["kind"]
-            if kind == "sign_box":
-                lam = float(set_spec["lam"])
-                set_map = sign_interval_map(dim, lam)
-                sample_term = sign_term(lam)
-            elif kind == "constant_set":
-                lo = np.asarray(set_spec["lo"], dtype=float)
-                hi = np.asarray(set_spec["hi"], dtype=float)
-                box = Box(lo, hi)
-                set_map = SetValuedMap(dim, lambda x: box,
-                                       common_bound=float(np.max(np.abs(np.stack([lo, hi])))) *
-                                       np.sqrt(dim) + 1e-9, name="constant_set")
-            else:
-                raise ConfigError([f"unknown set_part kind {kind!r}"])
-        return Drift(dim=dim, smooth=smooth, smooth_mean=smooth_mean,
-                     set_map=set_map, selector=LeastNorm(), sample_term=sample_term)
-
-    def build_sdi_model(self) -> SDIModel:
-        sdi = self.sdi_spec
-        return SDIModel(A=sdi["A"], sigma=sdi["sigma"],
-                        half_identity=bool(sdi.get("half_identity", False)))
-
     def resolve(self):
         """Returns (preset or None, list of RunSpec (one per start), x_star)."""
-        preset = self.build_preset()
-        if preset is not None:
-            dim = preset.dim
-            schedule = self.build_schedule(preset.schedule)
-            bias = self.build_bias(dim)
-            projection = self.build_projection() if self.projection_spec else preset.projection
-            specs = []
-            for i, x0 in enumerate(self.starts or [preset.default_x0]):
-                specs.append(preset.run_spec(
-                    x0=x0, n_steps=self.iterations, schedule=schedule,
-                    bias=bias, projection=projection,
-                    name=f"{self.name}[start{i}]", fingerprint=self.fingerprint))
-            x_star = (np.asarray(self.x_star_override, dtype=float)
-                      if self.x_star_override is not None else preset.x_star)
-            return preset, specs, x_star
-
-        dim = int(self.dim)
-        drift = self.build_inline_drift()
-        schedule = self.build_schedule()
-        bias = self.build_bias(dim)
-        projection = self.build_projection()
-        zeta = self.build_noise("zeta", dim) or NoNoise(0)
-        xi = self.build_noise("xi", dim) or NoNoise(0)
-        zt = self.build_noise("zetatilde", dim) or NoNoise(0)
-        specs = []
-        for i, x0 in enumerate(self.starts):
-            specs.append(RunSpec(
-                drift=drift, schedule=schedule, x0=np.asarray(x0, dtype=float),
-                n_steps=self.iterations, noise_xi=xi, noise_zeta=zeta,
-                noise_zetatilde=zt, bias=bias, projection=projection,
-                name=f"{self.name}[start{i}]", fingerprint=self.fingerprint))
-        x_star = (np.asarray(self.x_star_override, dtype=float)
-                  if self.x_star_override is not None else None)
-        return None, specs, x_star
+        return self.preset, self.specs, self.x_star
 
 
 def config_fingerprint(raw: dict) -> str:
@@ -260,6 +128,96 @@ def _object(parent: dict, key: str, keys: set, errors: list, prefix: str = "") -
     return block
 
 
+def _vector(v) -> bool:
+    return isinstance(v, list) and all(_number(c) for c in v)
+
+
+def _positive(v) -> bool:
+    return v > 0
+
+
+def _float(block: dict, key: str, default, ok, msg: str, errors: list) -> Optional[float]:
+    """block[key], or ``default``, as a float; None, with ``msg`` reported,
+    unless it is a number that ``ok`` accepts."""
+    v = block.get(key, default)
+    return float(v) if _expect(_number(v) and ok(v), msg, errors) else None
+
+
+def _schedule(spec: dict) -> StepSchedule:
+    if spec.get("kind", "power_law") == "harmonic":
+        return StepSchedule.harmonic(spec.get("c", 1.0))
+    return StepSchedule.power_law(spec.get("c", 1.0), spec.get("alpha", 0.5))
+
+
+def _bias(spec: dict, dim: int):
+    kind = spec["kind"]
+    if kind == "zero":
+        return ZeroBias(dim)
+    if kind == "gaussian_shrinking":
+        return ShrinkingGaussianBias(dim, c=spec.get("c", 1.0), gamma=spec.get("gamma", 1.0))
+    return ConstantBias(spec["vector"])
+
+
+def _projection(spec: dict):
+    kind = spec.get("kind", "none")
+    if kind == "none":
+        return NoProjection()
+    if kind == "box":
+        return BoxRegion(spec["lo"], spec["hi"])
+    return BallRegion(spec["center"], spec["radius"])
+
+
+def _noise(spec: dict, key: str):
+    kind = spec.get("kind", "none")
+    if kind == "none":
+        return NoNoise(int(spec.get("dim", 0)))
+    if kind == "gaussian":
+        return GaussianNoise(spec["mean"], spec["cov"])
+    if kind == "uniform":
+        return UniformNoise(spec["lo"], spec["hi"])
+    raise ConfigError([f"unknown noise kind {kind!r} for {key}"])
+
+
+def _inline_drift(spec: dict, dim: int) -> Drift:
+    smooth_spec = spec.get("smooth")
+    smooth = None
+    smooth_mean = None
+    if smooth_spec is not None:
+        a = np.atleast_2d(np.asarray(smooth_spec.get("matrix", (-np.eye(dim)).tolist()), dtype=float))
+        b = np.atleast_1d(np.asarray(smooth_spec.get("offset", [0.0] * dim), dtype=float))
+        add_noise = smooth_spec.get("noise", "add") == "add"
+
+        def smooth(x_rows, z_rows, _a=a, _b=b, _noise=add_noise):
+            out = x_rows @ _a.T + _b
+            if _noise and z_rows.shape[1]:
+                out = out + z_rows
+            return out
+
+        def smooth_mean(x, _a=a, _b=b):
+            return _a @ np.asarray(x, dtype=float) + _b
+
+    set_spec = spec.get("set_part")
+    set_map = None
+    sample_term = None
+    if set_spec is not None and set_spec.get("kind", "none") != "none":
+        kind = set_spec["kind"]
+        if kind == "sign_box":
+            lam = float(set_spec["lam"])
+            set_map = sign_interval_map(dim, lam)
+            sample_term = sign_term(lam)
+        elif kind == "constant_set":
+            lo = np.asarray(set_spec["lo"], dtype=float)
+            hi = np.asarray(set_spec["hi"], dtype=float)
+            box = Box(lo, hi)
+            set_map = SetValuedMap(dim, lambda x: box,
+                                   common_bound=float(np.max(np.abs(np.stack([lo, hi])))) *
+                                   np.sqrt(dim) + 1e-9, name="constant_set")
+        else:
+            raise ConfigError([f"unknown set_part kind {kind!r}"])
+    return Drift(dim=dim, smooth=smooth, smooth_mean=smooth_mean,
+                 set_map=set_map, selector=LeastNorm(), sample_term=sample_term)
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     errors: list[str] = []
     if not isinstance(raw, dict):
@@ -281,12 +239,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
             "replications: required integer >= 1", errors)
 
     preset_name = raw.get("preset")
-    drift_spec = raw.get("drift")
-    if preset_name is None and drift_spec is None:
+    if preset_name is None and raw.get("drift") is None:
         errors.append("either preset or drift must be given")
     if preset_name is not None:
         _expect(preset_name in PRESET_NAMES, f"preset: unknown name {preset_name!r}", errors)
-    if drift_spec is not None:
+    if raw.get("drift") is not None:
         drift = _object(raw, "drift", _DRIFT_KEYS, errors) or {}
         _object(drift, "smooth", _SMOOTH_KEYS, errors, "drift.")
         _object(drift, "set_part", _SET_PART_KEYS, errors, "drift.")
@@ -305,10 +262,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     else:
         if _number(x0):
             starts = [[float(x0)]]
-        elif isinstance(x0, list) and x0 and all(_number(v) for v in x0):
+        elif isinstance(x0, list) and x0 and _vector(x0):
             starts = [[float(v) for v in x0]]
-        elif isinstance(x0, list) and x0 and all(
-                isinstance(v, list) and all(_number(c) for c in v) for v in x0):
+        elif isinstance(x0, list) and x0 and all(_vector(v) for v in x0):
             starts = [[float(c) for c in v] for v in x0]
         else:
             errors.append("x0: must be a vector or a list of vectors")
@@ -368,39 +324,24 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for block_name, keys in (("sdi", _SDI_KEYS), ("di", _DI_KEYS), ("chain", _CHAIN_KEYS)):
         _object(raw, block_name, keys, errors)
 
-    preset_params = raw.get("preset_params", {})
-    if not isinstance(preset_params, dict):
-        errors.append("preset_params: must be an object")
-        preset_params = {}
-
-    x_star_override = raw.get("x_star")
-    if x_star_override is not None and not (
-            isinstance(x_star_override, list)
-            and all(_number(v) for v in x_star_override)):
-        errors.append("x_star: must be a vector")
+    _expect(isinstance(raw.get("preset_params", {}), dict),
+            "preset_params: must be an object", errors)
+    x_star = raw.get("x_star")
+    _expect(x_star is None or _vector(x_star), "x_star: must be a vector", errors)
 
     if errors:
         raise ConfigError(errors)
-
-    config = ExperimentConfig(
+    return ExperimentConfig(
         raw=raw, name=name, seed=seed, iterations=iterations, replications=replications,
-        starts=starts, preset_name=preset_name, preset_params=preset_params,
-        drift_spec=drift_spec, dim=dim, schedule_spec=schedule_spec,
-        bias_spec=bias_spec, noise_spec=noise_spec or {},
-        projection_spec=projection_spec, x_star_override=x_star_override,
-        outputs=outputs, checkpoints=checkpoints,
-        sdi_spec=raw.get("sdi"), di_spec=raw.get("di"), chain_spec=raw.get("chain"),
-    )
-    errors = _resolution_errors(config)
-    if errors:
-        raise ConfigError(errors)
-    return config
+        outputs=outputs, checkpoints=checkpoints, **_resolve(raw, name, starts, outputs))
 
 
-def _resolution_errors(config: ExperimentConfig) -> list:
-    """Problems that show only when a well-formed config is turned into
-    engine objects; dimensions are checked once the preset builds."""
-    errors, dim, model = [], config.dim, None
+def _resolve(raw: dict, name: str, starts: list, outputs: list) -> dict:
+    """Build every block of a well-formed config once, into the resolved
+    fields of its ExperimentConfig.  Raises ConfigError listing the problems
+    that show only now; dimensions are checked once the preset builds."""
+    errors, n = [], raw["iterations"]
+    sizes = [(f"x0[{i}]", len(x0)) for i, x0 in enumerate(starts)]  # (where, dimension)
 
     def attempt(where: str, build, kinded: bool = False):
         # kinded: the block's kind decides which keys it needs
@@ -411,64 +352,115 @@ def _resolution_errors(config: ExperimentConfig) -> list:
         except (ValueError, TypeError) as exc:  # a ConfigError carries its own list
             errors.extend(getattr(exc, "errors", [f"{where}: {exc}"]))
 
-    x_star_known, has_bundle = config.x_star_override is not None, False
-    if config.preset_name is not None:
-        preset = attempt("preset_params", config.build_preset)
-        dim = preset.dim if preset is not None else None
-        # a preset that does not build has its own error, so nothing is said about it here
-        x_star_known = x_star_known or preset is None or preset.x_star is not None
-        has_bundle = preset is None or preset.stability is not None
-        schedule = config.build_schedule(preset.schedule) if preset is not None else None
+    preset, drift, dim, named = None, None, raw.get("dim"), raw.get("preset") is not None
+    if named:
+        preset = attempt("preset_params", lambda: preset_by_name(raw["preset"],
+                                                                 raw.get("preset_params", {})))
+        dim = getattr(preset, "dim", None)
     else:
-        attempt("drift.set_part", config.build_inline_drift, kinded=True)
-        schedule = config.build_schedule()
-    _expect("certificate" not in config.outputs or has_bundle,
+        drift = attempt("drift.set_part", lambda: _inline_drift(raw["drift"], dim), kinded=True)
+    # a preset that does not build has its own error, so nothing is said about it here
+    failed = named and preset is None
+    spec = raw.get("schedule")
+    schedule = (attempt("schedule", lambda: _schedule(spec)) if spec is not None
+                else preset.schedule if preset is not None
+                else StepSchedule.power_law(1.0, 0.5) if drift is not None else None)
+    spec = raw.get("bias")
+    # zero and shrinking biases take the state dimension, so only a vector can differ
+    bias = None if spec is None else attempt("bias", lambda: _bias(spec, dim or 1), kinded=True)
+    if bias is not None:
+        sizes.append(("bias.vector", bias.dim))
+    spec = raw.get("projection")
+    region = preset.projection if preset is not None else NoProjection()
+    if spec:
+        region = attempt("projection", lambda: _projection(spec), kinded=True)
+        if region is not None and not isinstance(region, NoProjection):
+            sizes.append(("projection", region.as_convex_set().dim))
+    noise = raw.get("noise") or {}
+    noises = {key: attempt(f"noise.{key}", lambda key=key: _noise(noise[key], key), kinded=True)
+              for key in noise if noise[key] is not None}
+    if noises.get("zetatilde") is not None and noises["zetatilde"].dim:
+        sizes.append(("noise.zetatilde", noises["zetatilde"].dim))
+
+    x_star = raw.get("x_star")
+    if x_star is not None:
+        sizes.append(("x_star", len(x_star)))
+    x_star = getattr(preset, "x_star", None) if x_star is None else x_star
+    bundle = failed or getattr(preset, "stability", None) is not None
+    _expect("certificate" not in outputs or bundle,
             "outputs: certificate needs a preset that declares a stability bundle", errors)
     # the rate outputs are checked here so that none fails after the run
-    for name, least in (("normalized", 100), ("sdi_compare", 200)):
-        if name in config.outputs:
-            _expect(x_star_known, f"outputs: {name} needs a known x_star", errors)
-            _expect(config.replications >= least,
-                    f"replications: {name} needs at least {least}", errors)
-    sdi, compare = config.sdi_spec, "sdi_compare" in config.outputs
+    for output, least in (("normalized", 100), ("sdi_compare", 200)):
+        if output in outputs:
+            _expect(x_star is not None or failed, f"outputs: {output} needs a known x_star",
+                    errors)
+            _expect(raw["replications"] >= least,
+                    f"replications: {output} needs at least {least}", errors)
+
+    sdi, compare = raw.get("sdi"), "sdi_compare" in outputs
     if compare and sdi is None:
         errors.append("sdi: sdi_compare needs an sdi block")
     elif sdi is not None:
         # simulate-sdi reads the block whatever the outputs, so it is checked when present
         least, start = (200 if compare else 1), sdi.get("start_index", 0)
-        n_reps, dt, t_eval = sdi.get("n_reps", least), sdi.get("dt", 1e-3), sdi.get("t_eval", 1.0)
-        _expect(_number(n_reps) and n_reps >= least,
+        n_reps = sdi.get("n_reps")  # None: each verb chooses its own count
+        _expect(n_reps is None or _number(n_reps, int) and n_reps >= least,
                 f"sdi.n_reps: must be at least {least}", errors)
-        _expect(_number(dt) and dt > 0, "sdi.dt: must be > 0", errors)
-        timed = _expect(_number(t_eval) and math.isfinite(t_eval),
-                        "sdi.t_eval: must be a finite number", errors)
-        model = attempt("sdi", config.build_sdi_model)
-        if compare and _expect(_number(start) and 0 <= start <= config.iterations,
-                               f"sdi.start_index: must lie in [0, {config.iterations}]", errors):
-            if timed and schedule is not None:
-                attempt("sdi.t_eval", lambda: shifted_index(schedule, int(start), float(t_eval),
-                                                            config.iterations))
-    # zero and shrinking biases take the state dimension, so only a vector can differ
-    bias = attempt("bias", lambda: config.build_bias(dim or 1), kinded=True)
-    region = attempt("projection", config.build_projection, kinded=True)
-    noises = {key: attempt(f"noise.{key}", lambda key=key: config.build_noise(key, dim),
-                           kinded=True)
-              for key in config.noise_spec}
-    if dim is None:
-        return errors
-    sizes = [(f"x0[{i}]", len(x0)) for i, x0 in enumerate(config.starts)]
-    if config.x_star_override is not None:
-        sizes.append(("x_star", len(config.x_star_override)))
-    if bias is not None:
-        sizes.append(("bias.vector", bias.dim))
-    if region is not None and not isinstance(region, NoProjection):
-        sizes.append(("projection", region.as_convex_set().dim))
-    if noises.get("zetatilde") is not None and noises["zetatilde"].dim:
-        sizes.append(("noise.zetatilde", noises["zetatilde"].dim))
-    if model is not None:
-        sizes.append(("sdi.A", model.dim))
-    return errors + [f"{where}: has dimension {got}, the state has {dim}"
-                     for where, got in sizes if got != dim]
+        t_eval = _float(sdi, "t_eval", 1.0, math.isfinite, "sdi.t_eval: must be a finite number",
+                        errors)
+        model = attempt("sdi", lambda: SDIModel(
+            A=sdi["A"], sigma=sdi["sigma"], half_identity=bool(sdi.get("half_identity", False))))
+        if model is not None:
+            sizes.append(("sdi.A", model.dim))
+        sdi = {"model": model, "t_eval": t_eval, "n_reps": n_reps, "start_index": start,
+               "dt": _float(sdi, "dt", 1e-3, _positive, "sdi.dt: must be > 0", errors),
+               "eval_index": None}
+        if compare and _expect(_number(start, int) and 0 <= start <= n,
+                               f"sdi.start_index: must lie in [0, {n}]", errors):
+            if t_eval is not None and schedule is not None:
+                sdi["eval_index"] = attempt("sdi.t_eval",
+                                            lambda: shifted_index(schedule, start, t_eval, n))
+
+    di = raw.get("di") or {}
+    if "x0" in di and _expect(_vector(di["x0"]), "di.x0: must be a vector", errors):
+        sizes.append(("di.x0", len(di["x0"])))
+    di = {"dt": _float(di, "dt", 1e-3, _positive, "di.dt: must be > 0", errors),
+          "horizon": _float(di, "horizon", 10.0, lambda v: v >= 0,
+                            "di.horizon: must be >= 0", errors),
+          "x0": di.get("x0", getattr(preset, "default_x0", None))}
+
+    chain = raw.get("chain")
+    if chain is not None:
+        probes, budget = chain.get("probes"), chain.get("budget", 16)
+        if _expect(isinstance(probes, list) and len(probes) > 0 and all(map(_vector, probes)),
+                   "chain.probes: required, a non-empty list of vectors", errors):
+            sizes.extend((f"chain.probes[{i}]", len(p)) for i, p in enumerate(probes))
+        _expect(_number(budget, int) and budget >= 1,
+                "chain.budget: must be an integer >= 1", errors)
+        chain = {"probes": probes, "budget": budget,
+                 "eps": _float(chain, "eps", 0.5, _positive, "chain.eps: must be > 0", errors),
+                 "t_min": _float(chain, "t_min", 1.0, _positive, "chain.t_min: must be > 0",
+                                 errors)}
+
+    if dim is not None:
+        errors += [f"{where}: has dimension {got}, the state has {dim}"
+                   for where, got in sizes if got != dim]
+    if errors:
+        raise ConfigError(errors)
+    fingerprint = config_fingerprint(raw)
+    if preset is not None:
+        specs = [preset.run_spec(x0=x0, n_steps=n, schedule=schedule, bias=bias, projection=region,
+                                 name=f"{name}[start{i}]", fingerprint=fingerprint)
+                 for i, x0 in enumerate(starts or [preset.default_x0])]
+    else:
+        xi, zeta, zt = (noises.get(key) or NoNoise(0) for key in ("xi", "zeta", "zetatilde"))
+        specs = [RunSpec(drift=drift, schedule=schedule, x0=np.asarray(x0, dtype=float),
+                         n_steps=n, noise_xi=xi, noise_zeta=zeta, noise_zetatilde=zt, bias=bias,
+                         projection=region, name=f"{name}[start{i}]", fingerprint=fingerprint)
+                 for i, x0 in enumerate(starts)]
+    di["x0"] = np.zeros(dim) if di["x0"] is None else np.asarray(di["x0"], dtype=float)
+    return {"preset": preset, "specs": specs, "di": di, "chain": chain, "sdi": sdi,
+            "x_star": None if x_star is None else np.asarray(x_star, dtype=float)}
 
 
 def parse_config(path, seed: Optional[int] = None) -> ExperimentConfig:

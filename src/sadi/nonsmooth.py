@@ -20,19 +20,16 @@ import numpy as np
 
 from .artifacts import Artifact, cell
 from .sets import (
-    Box,
     ConvexSet,
-    Polytope,
     SetValuedMap,
     Singleton,
     _as_vector,
     _check_dims,
-    _dedupe_points,
     canonical_vertices,
     least_norm_point,
     support,
 )
-from .sets import _canonical, _sphere_directions
+from .sets import _canonical, _hull_of_points, _sphere_directions
 
 __all__ = [
     "SmoothPiece",
@@ -188,12 +185,7 @@ def clarke_gradient(u: PiecewiseSmoothScalar, x, tol: float = _CONSTANCY_TOL) ->
         except ValueError as exc:
             raise ValueError("point sits on an undeclared kink") from exc
         grads.append(_as_vector(piece.gradient(x), "gradient"))
-    pts = _dedupe_points(np.asarray(grads))
-    if pts.shape[0] == 1:
-        return Singleton(pts[0])
-    if u.dim == 1:
-        return Box([float(pts.min())], [float(pts.max())])
-    return Polytope(pts)
+    return _hull_of_points(np.asarray(grads))
 
 
 @dataclass(frozen=True)
@@ -317,12 +309,7 @@ def _reduced_polytope(value: ConvexSet, rows: np.ndarray,
             points.append(verts.T @ res.x)
     if not points:
         return None
-    pts = _dedupe_points(np.asarray(points), tol=1e-10 * scale)
-    if pts.shape[0] == 1:
-        return Singleton(pts[0])
-    if d == 1:
-        return Box([float(pts.min())], [float(pts.max())])
-    return Polytope(pts)
+    return _hull_of_points(np.asarray(points), tol=1e-10 * scale)
 
 
 def _ball_facets_for(d: int) -> int:

@@ -17,7 +17,7 @@ from . import __version__
 from .artifacts import Artifact
 from .config import ConfigError, ExperimentConfig, validate_config
 from .engine import run, run_ensemble
-from .rates import compare_to_sdi, shifted_index, tightness_diagnostic, tightness_indices
+from .rates import compare_to_sdi, tightness_diagnostic, tightness_indices
 
 __all__ = ["StartAggregate", "AggregateReport", "run_experiment", "sweep",
            "set_by_path", "write_report_csv"]
@@ -142,11 +142,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
     n = config.iterations
     # the tightness diagnostic reads the report's own checkpoints
     ck_idx = tightness_indices(0, n, config.checkpoints)
-    sdi, sdi_idx = config.sdi_spec or {}, []
+    sdi, sdi_idx = config.sdi, []
     if "sdi_compare" in config.outputs:
         # its start index, and the index a series from there reads at t_eval
-        start, t_eval = int(sdi.get("start_index", 0)), float(sdi.get("t_eval", 1.0))
-        sdi_idx = [start, shifted_index(specs[0].schedule, start, t_eval, n)]
+        sdi_idx = [sdi["start_index"], sdi["eval_index"]]
     run_idx = np.union1d(ck_idx, np.asarray(sdi_idx, dtype=int))
     cols = np.searchsorted(run_idx, ck_idx)
     aggregates = []
@@ -158,14 +157,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
         clean = result.checkpoint_states[np.ix_(result.fail_steps < 0, cols)]
         ck_mean = clean.mean(axis=0) if clean.shape[0] else np.full(clean.shape[1:], math.nan)
         if x_star is not None:
-            ck_err = np.linalg.norm(ck_mean - np.asarray(x_star), axis=1)
+            ck_err = np.linalg.norm(ck_mean - x_star, axis=1)
         else:
             ck_err = np.full(ck_mean.shape[0], math.nan)
         aggregates.append(StartAggregate(
             start=spec.x0, finals=result.finals, fail_steps=result.fail_steps,
-            checkpoint_indices=ck_idx, checkpoint_mean=ck_mean,
-            checkpoint_err=ck_err,
-            x_star=np.asarray(x_star, dtype=float) if x_star is not None else None))
+            checkpoint_indices=ck_idx, checkpoint_mean=ck_mean, checkpoint_err=ck_err,
+            x_star=x_star))
 
     report = AggregateReport(name=config.name, fingerprint=config.fingerprint,
                              seed=config.seed, n_reps=config.replications,
@@ -190,9 +188,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
             rep.artifact(_provenance(config)).write(out / "tightness.txt")
         if "sdi_compare" in config.outputs:
             u = _normalized(first, sdi_idx, specs[0].schedule, x_star, sdi_idx[0], n)
-            ks = compare_to_sdi(u[:, 0], u[:, 1], config.build_sdi_model(), t_eval=t_eval,
-                                n_sdi_reps=int(sdi.get("n_reps", max(200, u.shape[0]))),
-                                seed=config.seed, dt=float(sdi.get("dt", 1e-3)))
+            n_sdi = config.replications if sdi["n_reps"] is None else sdi["n_reps"]
+            ks = compare_to_sdi(u[:, 0], u[:, 1], sdi["model"], t_eval=sdi["t_eval"],
+                                n_sdi_reps=n_sdi, seed=config.seed, dt=sdi["dt"])
             Artifact(None, [[str(ks)]], provenance=_provenance(config)).write(
                 out / "sdi_compare.txt")
     return report
@@ -203,7 +201,7 @@ def _normalized(result, indices, schedule, x_star, start: int, n: int) -> np.nda
     taken from the step sizes start..n as a series from ``start`` takes them."""
     a = schedule.step_sizes(start, n + 1)[np.asarray(indices) - start]
     states = result.checkpoint_states[:, np.searchsorted(result.checkpoint_indices, indices)]
-    return (states - np.atleast_1d(np.asarray(x_star, dtype=float))) / np.sqrt(a)[:, None]
+    return (states - np.atleast_1d(x_star)) / np.sqrt(a)[:, None]
 
 
 # ---------------------------------------------------------------------------

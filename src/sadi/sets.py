@@ -774,8 +774,8 @@ class PiecewiseField:
         return _as_vector(self.piece_at(x).formula(x), "field value")
 
 
-def _hull_of_points(points: np.ndarray) -> ConvexSet:
-    points = _dedupe_points(points, tol=0.0)
+def _hull_of_points(points: np.ndarray, tol: float = 0.0) -> ConvexSet:
+    points = _dedupe_points(points, tol)
     if points.shape[0] == 1:
         return Singleton(points[0])
     if points.shape[1] == 1:

@@ -179,15 +179,16 @@ def test_c08_rate_diagnostics():
     spec = specs[0]
     res = run_ensemble(spec, cfg.seed, cfg.replications, record_paths=True)
     sched = spec.schedule
-    start = int(cfg.sdi_spec["start_index"])
+    sdi = cfg.raw["sdi"]
+    start = int(sdi["start_index"])
     series = [NormalizedSeries.from_iterates(res.paths[r], sched, x_star, start=start)
               for r in range(cfg.replications)]
-    model = SDIModel(A=np.asarray(cfg.sdi_spec["A"]), sigma=np.asarray(cfg.sdi_spec["sigma"]),
-                     half_identity=cfg.sdi_spec["half_identity"])
-    ks = compare_to_sdi(*sdi_arrays(series, cfg.sdi_spec["t_eval"]), model,
-                        t_eval=cfg.sdi_spec["t_eval"],
-                        n_sdi_reps=cfg.sdi_spec["n_reps"], seed=cfg.seed,
-                        dt=cfg.sdi_spec["dt"])
+    model = SDIModel(A=np.asarray(sdi["A"]), sigma=np.asarray(sdi["sigma"]),
+                     half_identity=sdi["half_identity"])
+    ks = compare_to_sdi(*sdi_arrays(series, sdi["t_eval"]), model,
+                        t_eval=sdi["t_eval"],
+                        n_sdi_reps=sdi["n_reps"], seed=cfg.seed,
+                        dt=sdi["dt"])
     ok_ks = float(ks.distances[0]) <= 0.15
 
     ex1 = parse_config(CONFIGS / "ex1.json")

@@ -114,6 +114,17 @@ def test_simulate_di_with_chain(tmp_path, capsys):
     assert "chain found" in report
 
 
+def test_simulate_di_starts_at_the_origin_without_a_preset_start(tmp_path, capsys):
+    # sign_filter declares no start, so di.x0 defaults to the origin, as a run's x0 does
+    cfg = tmp_path / "sign_filter.json"
+    cfg.write_text(json.dumps({"preset": "sign_filter", "iterations": 10, "replications": 2,
+                               "seed": 1, "di": {"horizon": 0.1}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate-di", str(cfg), "--out-dir", str(out)]) == 0
+    lines = (out / "inclusion_path.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1].split(",")[3] == "x0" and lines[2].split(",")[3] == "0"
+
+
 def test_simulate_sdi_verb(tmp_path, capsys):
     cfg = _small_config(tmp_path, sdi={"A": [[-1.0]], "sigma": [[1.0]],
                                        "t_eval": 1.0, "dt": 0.01, "n_reps": 50})
@@ -257,6 +268,8 @@ _OUTPUT_ERRORS = [
     ("t_eval_past_the_mesh", (), {"iterations": 200,
                                   "sdi": dict(_SDI, start_index=100, t_eval=1e12)},
      "sdi.t_eval: time beyond any representable mesh horizon"),
+    ("start_index_fraction", (), {"sdi": dict(_SDI, start_index=1782.9)}, "sdi.start_index"),
+    ("chain_output", (), {"outputs": ["report", "chain"]}, "outputs: unknown artifact 'chain'"),
 ]
 
 
@@ -283,6 +296,7 @@ _SDI_BLOCK_ERRORS = [
     ("dt", dict(_SDI, dt=0), "sdi.dt: must be > 0"),
     ("n_reps", dict(_SDI, n_reps="x"), "sdi.n_reps: must be at least 1"),
     ("t_eval", dict(_SDI, t_eval="x"), "sdi.t_eval: must be a finite number"),
+    ("n_reps_fraction", dict(_SDI, n_reps=250.7), "sdi.n_reps: must be at least 1"),
 ]
 
 
@@ -304,6 +318,64 @@ def test_simulate_sdi_bad_block_exits_2(tmp_path, capsys, monkeypatch, sdi, need
     # the sdi block has no kind to require its keys
     assert "by its kind" not in err
     assert not out.exists()
+
+
+_CHAIN = {"probes": [[1.0, 1.0]], "eps": 0.5, "t_min": 1.0, "budget": 4}
+_DI_BLOCK_ERRORS = [
+    ("di_dt", {"di": {"dt": 0}}, "di.dt: must be > 0"),
+    ("di_horizon", {"di": {"horizon": -1}}, "di.horizon: must be >= 0"),
+    ("di_x0_dim", {"di": {"x0": [1.0]}}, "di.x0: has dimension 1, the state has 2"),
+    ("chain_no_probes", {"chain": {"eps": 0.5}}, "chain.probes: required"),
+    ("chain_dt", {"chain": dict(_CHAIN, dt=0.5)}, "unknown key 'dt' in chain"),
+    ("chain_budget", {"chain": dict(_CHAIN, budget=0)}, "chain.budget: must be an integer >= 1"),
+    ("chain_probe_dim", {"chain": dict(_CHAIN, probes=[[1.0, 1.0], [1.0]])},
+     "chain.probes[1]: has dimension 1, the state has 2"),
+]
+
+
+@pytest.mark.parametrize("changes,needle", [case[1:] for case in _DI_BLOCK_ERRORS],
+                         ids=[case[0] for case in _DI_BLOCK_ERRORS])
+def test_simulate_di_bad_block_exits_2(tmp_path, capsys, monkeypatch, changes, needle):
+    import sadi.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the integrator ran")
+
+    monkeypatch.setattr(sadi.cli, "integrate", never)
+    raw = json.loads((CONFIGS / "rootfind_two_starts.json").read_text(encoding="utf-8"))
+    raw.update(changes)
+    cfg = tmp_path / "rootfind_copy.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate-di", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid experiment config" in err and needle in err
+    assert not out.exists()
+
+
+def test_run_builds_each_block_once(tmp_path, monkeypatch):
+    from sadi.engine import StepSchedule
+    from sadi.rates import SDIModel
+
+    counts = {"sdi_model": 0, "schedule": 0}
+    post_init, power_law = SDIModel.__post_init__, StepSchedule.power_law
+
+    def counting_post_init(self):
+        counts["sdi_model"] += 1
+        post_init(self)
+
+    def counting_power_law(cls, *args, **kwargs):
+        counts["schedule"] += 1
+        return power_law(*args, **kwargs)
+
+    monkeypatch.setattr(SDIModel, "__post_init__", counting_post_init)
+    monkeypatch.setattr(StepSchedule, "power_law", classmethod(counting_power_law))
+    cfg = _ou_rates_copy(tmp_path, iterations=300, replications=200, outputs=["sdi_compare"],
+                         sdi=dict(_SDI, start_index=100, n_reps=200))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
+    assert (out / "sdi_compare.txt").exists()
+    assert counts == {"sdi_model": 1, "schedule": 1}
 
 
 # a JSON boolean where a number is required: (config, changes, the key the error names)

@@ -113,7 +113,7 @@ def test_seed_required():
 def test_multiple_starts_accepted():
     cfg = validate_config(_minimal(preset="rootfind", preset_params={},
                                    x0=[[1.0, 1.0], [10.0, -20.0]]))
-    assert len(cfg.starts) == 2
+    assert len(cfg.specs) == 2
 
 
 # --- experiments ---------------------------------------------------------------
@@ -276,7 +276,7 @@ def test_rate_outputs_equal_the_per_series_computation(tmp_path, t_eval):
     from sadi.rates import (KSReport, NormalizedSeries, TightnessReport, ks_distance,
                             simulate_sdi)
 
-    sdi = dict(_planar_rates().sdi_spec, t_eval=t_eval)
+    sdi = dict(_planar_rates().raw["sdi"], t_eval=t_eval)
     cfg = _planar_rates(sdi=sdi)
     run_experiment(cfg, out_dir=tmp_path)
     _, specs, x_star = cfg.resolve()
@@ -305,7 +305,7 @@ def test_rate_outputs_equal_the_per_series_computation(tmp_path, t_eval):
     at_t = np.stack([s.value(n_eval) for s in series])
     gen = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(7,)))
     u0 = starts[gen.integers(0, starts.shape[0], size=sdi["n_reps"])]
-    finals = simulate_sdi(cfg.build_sdi_model(), u0, dt=sdi["dt"], horizon=sdi["t_eval"],
+    finals = simulate_sdi(cfg.sdi["model"], u0, dt=sdi["dt"], horizon=sdi["t_eval"],
                           seed=cfg.seed, n_reps=sdi["n_reps"], record_paths=False)
     dists = np.array([ks_distance(at_t[:, j], finals[:, j]) for j in range(2)])
     expected = header + str(KSReport(sdi["t_eval"], dists, len(series), sdi["n_reps"])) + "\n"
