@@ -66,7 +66,6 @@ from .inclusions import (  # noqa: F401
     InclusionPath,
     epsilon_chain_diagnostic,
     integrate,
-    integrate_projected,
 )
 from .rates import (  # noqa: F401
     NormalizedSeries,

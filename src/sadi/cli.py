@@ -73,15 +73,16 @@ def _cmd_simulate_di(args) -> int:
     if preset is None:
         print("simulate-di requires a preset config", file=sys.stderr)
         return 2
-    smooth = preset.drift.mean_field if preset.drift.smooth_mean is not None else None
-    path = integrate(preset.drift.set_map, smooth, di["x0"], di["dt"], di["horizon"])
+    drift = preset.spec.drift
+    smooth = drift.mean_field if drift.smooth_mean is not None else None
+    path = integrate(drift.set_map, smooth, di["x0"], di["dt"], di["horizon"])
     out = Path(args.out_dir)
     path.to_csv(out / "inclusion_path.csv", _provenance(config))
     end = ", ".join(f"{v:.6g}" for v in path.states[-1])
     print(f"integrated {path.n_steps} steps; final state ({end})")
     if chain is not None:
         reports = epsilon_chain_diagnostic(
-            preset.drift.set_map, smooth, chain["probes"], eps=chain["eps"],
+            drift.set_map, smooth, chain["probes"], eps=chain["eps"],
             t_min=chain["t_min"], dt=di["dt"], budget=chain["budget"])
         lines = [str(r) for r in reports]
         Artifact(None, ([line] for line in lines),

@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +29,8 @@ from .engine import (
     ZeroBias,
 )
 from .rates import SDIModel, shifted_index
-from .presets import PRESET_NAMES, Preset, preset_by_name, sign_interval_map, sign_term
+from .presets import (PRESET_NAMES, Preset, default_schedule, preset_by_name, sign_interval_map,
+                      sign_term)
 from .sets import Box, LeastNorm, SetValuedMap
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "config_fingerprint"]
@@ -301,6 +302,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for key in noise_spec or {}:
         if key not in ("xi", "zeta", "zetatilde"):
             errors.append(f"noise: unknown role {key!r}")
+        elif key != "zetatilde" and preset_name is not None and noise_spec[key] is not None:
+            # the preset's drift decodes these samples in its data law's layout
+            errors.append(f"noise.{key}: set by the preset's data law")
         else:
             _object(noise_spec, key, _NOISE_KEYS, errors, "noise.")
 
@@ -352,35 +356,38 @@ def _resolve(raw: dict, name: str, starts: list, outputs: list) -> dict:
         except (ValueError, TypeError) as exc:  # a ConfigError carries its own list
             errors.extend(getattr(exc, "errors", [f"{where}: {exc}"]))
 
-    preset, drift, dim, named = None, None, raw.get("dim"), raw.get("preset") is not None
+    preset = drift = template = None
+    dim, named = raw.get("dim"), raw.get("preset") is not None
     if named:
         preset = attempt("preset_params", lambda: preset_by_name(raw["preset"],
                                                                  raw.get("preset_params", {})))
-        dim = getattr(preset, "dim", None)
+        template = getattr(preset, "spec", None)
+        dim = None if template is None else template.drift.dim
     else:
         drift = attempt("drift.set_part", lambda: _inline_drift(raw["drift"], dim), kinded=True)
     # a preset that does not build has its own error, so nothing is said about it here
     failed = named and preset is None
-    spec = raw.get("schedule")
-    schedule = (attempt("schedule", lambda: _schedule(spec)) if spec is not None
-                else preset.schedule if preset is not None
-                else StepSchedule.power_law(1.0, 0.5) if drift is not None else None)
-    spec = raw.get("bias")
-    # zero and shrinking biases take the state dimension, so only a vector can differ
-    bias = None if spec is None else attempt("bias", lambda: _bias(spec, dim or 1), kinded=True)
+    # the blocks the config gives, in place of the template's pieces
+    noise = raw.get("noise") or {}
+    blocks = [("schedule", raw.get("schedule"), _schedule),
+              # zero and shrinking biases take the state dimension, so only a vector can differ
+              ("bias", raw.get("bias"), lambda spec: _bias(spec, dim or 1)),
+              ("projection", raw.get("projection"), _projection)]
+    blocks += [(f"noise.{key}", noise[key], lambda spec, key=key: _noise(spec, key))
+               for key in noise]
+    overrides = {where.replace(".", "_"): attempt(where, lambda: build(spec), kinded=True)
+                 for where, spec, build in blocks if spec is not None}
+    if drift is not None:  # starts are required without a preset, so x0 is a placeholder
+        template = RunSpec(drift=drift, schedule=overrides.get("schedule") or default_schedule(),
+                           x0=np.zeros(dim), n_steps=n)
+    schedule = overrides.get("schedule", getattr(template, "schedule", None))
+    bias, region, additive = map(overrides.get, ("bias", "projection", "noise_zetatilde"))
     if bias is not None:
         sizes.append(("bias.vector", bias.dim))
-    spec = raw.get("projection")
-    region = preset.projection if preset is not None else NoProjection()
-    if spec:
-        region = attempt("projection", lambda: _projection(spec), kinded=True)
-        if region is not None and not isinstance(region, NoProjection):
-            sizes.append(("projection", region.as_convex_set().dim))
-    noise = raw.get("noise") or {}
-    noises = {key: attempt(f"noise.{key}", lambda key=key: _noise(noise[key], key), kinded=True)
-              for key in noise if noise[key] is not None}
-    if noises.get("zetatilde") is not None and noises["zetatilde"].dim:
-        sizes.append(("noise.zetatilde", noises["zetatilde"].dim))
+    if region is not None and not isinstance(region, NoProjection):
+        sizes.append(("projection", region.as_convex_set().dim))
+    if getattr(additive, "dim", 0):
+        sizes.append(("noise.zetatilde", additive.dim))
 
     x_star = raw.get("x_star")
     if x_star is not None:
@@ -427,7 +434,7 @@ def _resolve(raw: dict, name: str, starts: list, outputs: list) -> dict:
     di = {"dt": _float(di, "dt", 1e-3, _positive, "di.dt: must be > 0", errors),
           "horizon": _float(di, "horizon", 10.0, lambda v: v >= 0,
                             "di.horizon: must be >= 0", errors),
-          "x0": di.get("x0", getattr(preset, "default_x0", None))}
+          "x0": di.get("x0")}
 
     chain = raw.get("chain")
     if chain is not None:
@@ -448,17 +455,10 @@ def _resolve(raw: dict, name: str, starts: list, outputs: list) -> dict:
     if errors:
         raise ConfigError(errors)
     fingerprint = config_fingerprint(raw)
-    if preset is not None:
-        specs = [preset.run_spec(x0=x0, n_steps=n, schedule=schedule, bias=bias, projection=region,
-                                 name=f"{name}[start{i}]", fingerprint=fingerprint)
-                 for i, x0 in enumerate(starts or [preset.default_x0])]
-    else:
-        xi, zeta, zt = (noises.get(key) or NoNoise(0) for key in ("xi", "zeta", "zetatilde"))
-        specs = [RunSpec(drift=drift, schedule=schedule, x0=np.asarray(x0, dtype=float),
-                         n_steps=n, noise_xi=xi, noise_zeta=zeta, noise_zetatilde=zt, bias=bias,
-                         projection=region, name=f"{name}[start{i}]", fingerprint=fingerprint)
-                 for i, x0 in enumerate(starts)]
-    di["x0"] = np.zeros(dim) if di["x0"] is None else np.asarray(di["x0"], dtype=float)
+    specs = [replace(template, x0=np.asarray(x0, dtype=float), n_steps=n, name=f"{name}[start{i}]",
+                     fingerprint=fingerprint, **overrides)
+             for i, x0 in enumerate(starts or [template.x0])]
+    di["x0"] = template.x0 if di["x0"] is None else np.asarray(di["x0"], dtype=float)
     return {"preset": preset, "specs": specs, "di": di, "chain": chain, "sdi": sdi,
             "x_star": None if x_star is None else np.asarray(x_star, dtype=float)}
 

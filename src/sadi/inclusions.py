@@ -26,7 +26,6 @@ from .sets import (
 __all__ = [
     "InclusionPath",
     "integrate",
-    "integrate_projected",
     "ChainProbeReport",
     "epsilon_chain_diagnostic",
 ]
@@ -145,15 +144,6 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
         states[k + 1] = x
     return InclusionPath(dt=dt, horizon=horizon, states=states, selector_values=sel,
                          events=events)
-
-
-def integrate_projected(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
-                        projection: ProjectionRegion, x0, dt: float, horizon: float,
-                        strategy=None) -> InclusionPath:
-    """As ``integrate`` with every state projected back onto the region."""
-    if projection is None or isinstance(projection, NoProjection):
-        raise ValueError("integrate_projected requires a concrete region")
-    return integrate(fmap, smooth, x0, dt, horizon, strategy, projection=projection)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Ready-made experiment presets with analytic ground truths.
 
-Each preset bundles the recursion pieces (drift, noise, bias, schedule),
-the analysis map used by the calculus and integrators, the known
-equilibrium when one exists, and a Lyapunov bundle for grid certification.
+Each preset is one ``RunSpec`` of the recursion (drift with its analysis
+map, default start, schedule, noises, bias, projection) plus its limit
+analysis: the known equilibrium or roots when they exist, and a Lyapunov
+bundle for grid certification.
 Fast vectorized sample terms mirror the declarative maps exactly on
 generic states; the agreement is covered by tests.
 """
@@ -21,14 +22,10 @@ import numpy as np
 from .engine import (
     Drift,
     GaussianNoise,
-    NoNoise,
     NoiseModel,
-    ProjectionRegion,
-    NoProjection,
     RunSpec,
     ShrinkingGaussianBias,
     StepSchedule,
-    ZeroBias,
 )
 from .nonsmooth import (
     KinkSurface,
@@ -234,49 +231,37 @@ class StabilityBundle:
                                  self.exclude_radius, self.bound, name=name)
 
 
+def default_schedule() -> StepSchedule:
+    """a_n = (n + 1)^(-1/2): every preset's step size, and an inline drift's
+    when its config has no schedule block."""
+    return StepSchedule.power_law(1.0, 0.5)
+
+
+def _recursion(name: str, drift: Drift, x0, **pieces) -> RunSpec:
+    """A preset's recursion: its default start, the default schedule and
+    1000 steps, with ``pieces`` (noises, bias) in place of the defaults."""
+    return RunSpec(drift=drift, schedule=default_schedule(), x0=x0, n_steps=1000, name=name,
+                   **pieces)
+
+
 @dataclass
 class Preset:
-    name: str
-    dim: int
-    drift: Drift
-    schedule: StepSchedule
-    noise_xi: NoiseModel
-    noise_zeta: NoiseModel
-    noise_zetatilde: NoiseModel
-    bias: object
-    projection: ProjectionRegion
+    """One application: ``spec`` is its recursion (``spec.name`` names the
+    preset), the rest its limit analysis."""
+
+    spec: RunSpec
     x_star: Optional[np.ndarray] = None
     roots: Optional[list] = None
     stability: Optional[StabilityBundle] = None
-    default_x0: Optional[np.ndarray] = None
-
-    def run_spec(self, x0=None, n_steps: int = 1000, schedule: Optional[StepSchedule] = None,
-                 bias=None, projection: Optional[ProjectionRegion] = None,
-                 name: Optional[str] = None, fingerprint: str = "") -> RunSpec:
-        if x0 is None:
-            x0 = self.default_x0 if self.default_x0 is not None else np.zeros(self.dim)
-        return RunSpec(
-            drift=self.drift,
-            schedule=schedule or self.schedule,
-            x0=np.asarray(x0, dtype=float),
-            n_steps=int(n_steps),
-            noise_xi=self.noise_xi,
-            noise_zeta=self.noise_zeta,
-            noise_zetatilde=self.noise_zetatilde,
-            bias=bias if bias is not None else self.bias,
-            projection=projection or self.projection,
-            name=name or self.name,
-            fingerprint=fingerprint,
-        )
 
     def limit_value(self, x) -> ConvexSet:
         """Mean limit dynamics at x: smooth mean plus the analysis map."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        parts = []
-        if self.drift.smooth_mean is not None:
-            parts.append(Singleton(self.drift.mean_field(x)))
-        if self.drift.set_map is not None:
-            parts.append(self.drift.set_map.value(x))
+        drift, parts = self.spec.drift, []
+        if drift.smooth_mean is not None:
+            parts.append(Singleton(drift.mean_field(x)))
+        if drift.set_map is not None:
+            parts.append(drift.set_map.value(x))
         if not parts:
             raise ValueError("preset has no limit dynamics")
         out = parts[0]
@@ -289,7 +274,7 @@ class Preset:
             [self.x_star] if self.x_star is not None else (self.roots or []))
         if not pts:
             raise ValueError("no declared root to check")
-        zero = np.zeros(self.dim)
+        zero = np.zeros(self.spec.drift.dim)
         return all(contains(self.limit_value(p), zero, MEMBERSHIP_TOL) for p in pts)
 
 
@@ -360,8 +345,7 @@ def soft_threshold_solution(m: np.ndarray, b: np.ndarray, lam: float) -> np.ndar
     return w
 
 
-def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1,
-                 schedule: Optional[StepSchedule] = None) -> Preset:
+def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1) -> Preset:
     """Online L1-penalized regression: smooth residual term plus the
     per-coordinate sign interval map scaled by the penalty."""
     if data is None:
@@ -405,14 +389,8 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1,
             grid_lo=tuple([-span] * dim), grid_hi=tuple([span] * dim),
             resolution=241 if dim == 1 else 41, exclude_radius=0.01)
 
-    return Preset(
-        name="lasso", dim=dim, drift=drift,
-        schedule=schedule or StepSchedule.power_law(1.0, 0.5),
-        noise_xi=NoNoise(0), noise_zeta=data.noise_model(), noise_zetatilde=NoNoise(0),
-        bias=ZeroBias(dim), projection=NoProjection(),
-        x_star=x_star, stability=stability,
-        default_x0=np.full(dim, 5.0),
-    )
+    return Preset(_recursion("lasso", drift, np.full(dim, 5.0), noise_zeta=data.noise_model()),
+                  x_star=x_star, stability=stability)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +399,7 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1,
 
 
 def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
-                   ridge_coeff: float = 2.0,
-                   schedule: Optional[StepSchedule] = None) -> Preset:
+                   ridge_coeff: float = 2.0) -> Preset:
     """Ridge term plus per-sample hinge subgradient.
 
     The smooth part is -ridge_coeff*lam*w; ridge_coeff=2 matches the
@@ -489,14 +466,9 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
         grid_lo=tuple([-2.0] * dim), grid_hi=tuple([2.0] * dim),
         resolution=81, exclude_radius=0.01)
 
-    return Preset(
-        name="pegasos", dim=dim, drift=drift,
-        schedule=schedule or StepSchedule.power_law(1.0, 0.5),
-        noise_xi=GaussianNoise(mu, cov), noise_zeta=NoNoise(0), noise_zetatilde=NoNoise(0),
-        bias=ZeroBias(dim), projection=NoProjection(),
-        x_star=x_star, stability=stability,
-        default_x0=np.array([3.0, 5.0]) if dim == 2 else np.zeros(dim),
-    )
+    x0 = np.array([3.0, 5.0]) if dim == 2 else np.zeros(dim)
+    return Preset(_recursion("pegasos", drift, x0, noise_xi=GaussianNoise(mu, cov)),
+                  x_star=x_star, stability=stability)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +483,7 @@ def _unit_spike_bounds(v: float):
     return 0.0, 0.0
 
 
-def rootfind_preset(schedule: Optional[StepSchedule] = None) -> Preset:
+def rootfind_preset() -> Preset:
     """Zero finding for the planar map whose components swap coordinates
     with a sign flip and carry a unit interval spike on the lines w_i = 1."""
     dim = 2
@@ -541,14 +513,9 @@ def rootfind_preset(schedule: Optional[StepSchedule] = None) -> Preset:
         grid_lo=(-3.0, -3.0), grid_hi=(3.0, 3.0), resolution=121,
         exclude_radius=0.01)
 
-    return Preset(
-        name="rootfind", dim=dim, drift=drift,
-        schedule=schedule or StepSchedule.power_law(1.0, 0.5),
-        noise_xi=NoNoise(0), noise_zeta=NoNoise(0), noise_zetatilde=NoNoise(0),
-        bias=ShrinkingGaussianBias(dim, c=1.0, gamma=0.0), projection=NoProjection(),
-        x_star=np.zeros(dim), stability=stability,
-        default_x0=np.array([1.0, 1.0]),
-    )
+    return Preset(_recursion("rootfind", drift, np.array([1.0, 1.0]),
+                             bias=ShrinkingGaussianBias(dim, c=1.0, gamma=0.0)),
+                  x_star=np.zeros(dim), stability=stability)
 
 
 def _corner_hinge_sum() -> PiecewiseSmoothScalar:
@@ -591,8 +558,7 @@ def _corner_hinge_sum() -> PiecewiseSmoothScalar:
 # ---------------------------------------------------------------------------
 
 
-def sign_error_filter_preset(law: Optional[SignFilterLaw] = None,
-                             schedule: Optional[StepSchedule] = None) -> Preset:
+def sign_error_filter_preset(law: Optional[SignFilterLaw] = None) -> Preset:
     """Median-seeking filter: each step moves along phi times the sign of
     the prediction residual."""
     if law is None:
@@ -631,13 +597,8 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None,
     drift = Drift(dim=dim, smooth=None, smooth_mean=None,
                   set_map=gmap, selector=LeastNorm(), sample_term=sample_term)
 
-    return Preset(
-        name="sign_filter", dim=dim, drift=drift,
-        schedule=schedule or StepSchedule.power_law(1.0, 0.5),
-        noise_xi=law.noise_model(), noise_zeta=NoNoise(0), noise_zetatilde=NoNoise(0),
-        bias=ZeroBias(dim), projection=NoProjection(),
-        x_star=np.array(law.theta_true),
-    )
+    return Preset(_recursion("sign_filter", drift, np.zeros(dim), noise_xi=law.noise_model()),
+                  x_star=np.array(law.theta_true))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +623,7 @@ _NONCONV_CELLS = CellTable(2, [
 ])
 
 
-def nonconvergence_preset(schedule: Optional[StepSchedule] = None) -> Preset:
+def nonconvergence_preset() -> Preset:
     """The cycling field whose roots repel: corridor branches push the state
     around an annulus, so checkpoints rarely sit near either root."""
     dim = 2
@@ -671,14 +632,9 @@ def nonconvergence_preset(schedule: Optional[StepSchedule] = None) -> Preset:
     drift = Drift(dim=dim, smooth=None, smooth_mean=None, set_map=gmap,
                   selector=LeastNorm(), sample_term=_NONCONV_CELLS)
 
-    return Preset(
-        name="nonconv", dim=dim, drift=drift,
-        schedule=schedule or StepSchedule.power_law(1.0, 0.5),
-        noise_xi=NoNoise(0), noise_zeta=NoNoise(0), noise_zetatilde=NoNoise(0),
-        bias=ShrinkingGaussianBias(dim, c=1.0, gamma=0.0), projection=NoProjection(),
-        x_star=None, roots=[np.zeros(2), np.array([2.0, 2.0])],
-        default_x0=np.array([2.0, 2.0]),
-    )
+    return Preset(_recursion("nonconv", drift, np.array([2.0, 2.0]),
+                             bias=ShrinkingGaussianBias(dim, c=1.0, gamma=0.0)),
+                  roots=[np.zeros(2), np.array([2.0, 2.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -692,12 +648,12 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_by_name(name: str, params: Optional[dict] = None) -> Preset:
-    """A preset from its function's keyword names (``schedule`` excepted),
-    ``data``/``law`` given as ``RegressionLaw``/``SignFilterLaw`` fields."""
+    """A preset from its function's keyword names, ``data``/``law`` given as
+    ``RegressionLaw``/``SignFilterLaw`` fields."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     params = dict(params or {})
-    unknown = sorted(set(params) - (set(inspect.signature(_PRESETS[name]).parameters) - {"schedule"}))
+    unknown = sorted(set(params) - set(inspect.signature(_PRESETS[name]).parameters))
     if unknown:
         raise ValueError(f"preset {name!r} has no parameter " + ", ".join(map(repr, unknown)))
     for key, law in (("data", RegressionLaw), ("law", SignFilterLaw)):

@@ -472,9 +472,7 @@ def _nearest(s: ConvexSet, y: np.ndarray) -> np.ndarray:
     if isinstance(s, Polytope):
         return _project_simplex_combo(np.asarray(s.vertices), y)
     if isinstance(s, Scaled):
-        if s.k == 0.0:
-            return np.zeros_like(y)
-        return s.k * _nearest(s.inner, y / s.k)
+        return _nearest(_scaled_data(s.k, s.inner), y)
     if isinstance(s, MinkowskiSum):
         left, right = s.left, s.right
         if isinstance(right, Singleton):
@@ -500,6 +498,24 @@ def _nearest(s: ConvexSet, y: np.ndarray) -> np.ndarray:
                 return np.array(y)
             return base + gap * (r / math.sqrt(n2))
         return base
+    raise TypeError(f"unsupported set type {type(s)!r}")
+
+
+def _scaled_data(k: float, s: ConvexSet) -> ConvexSet:
+    """k*s with k multiplied into the data of every leaf, so that a tiny k
+    never divides the query point."""
+    if isinstance(s, Singleton):
+        return Singleton(k * s.point)
+    if isinstance(s, Box):
+        return Box(k * s.lo, k * s.hi)
+    if isinstance(s, Ball):
+        return Ball(k * s.center, k * s.radius)
+    if isinstance(s, Polytope):
+        return Polytope(k * s.vertices)
+    if isinstance(s, Scaled):
+        return _scaled_data(k, _scaled_data(s.k, s.inner))
+    if isinstance(s, MinkowskiSum):
+        return MinkowskiSum(_scaled_data(k, s.left), _scaled_data(k, s.right))
     raise TypeError(f"unsupported set type {type(s)!r}")
 
 

@@ -7,6 +7,7 @@ says so.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +86,14 @@ def test_c03_root_finding_both_starts():
 
 def test_c04_nonconvergent_cycling():
     preset = nonconvergence_preset()
-    spec = preset.run_spec(x0=[2.0, 2.0], n_steps=1_000_000)
+    spec = replace(preset.spec, x0=[2.0, 2.0], n_steps=1_000_000)
     nc = run_ensemble(spec, 3, 1, checkpoints=range(100_000, 1_000_001, 100_000),
                       record_paths=True)
     ck = nc.checkpoint_states[0]
     near = np.minimum(np.linalg.norm(ck, axis=1),
                       np.linalg.norm(ck - 2.0, axis=1)) <= 0.1
     frac = float(np.mean(near))
-    visited = set(preset.drift.sample_term.region_ids(nc.paths[0][:-1]).tolist())
+    visited = set(preset.spec.drift.sample_term.region_ids(nc.paths[0][:-1]).tolist())
     corridors = visited & {2, 3, 4, 5}
     ok = frac <= 0.3 and len(corridors) >= 3
     assert _report("4 non-convergence", ok,

@@ -443,3 +443,25 @@ def test_preset_x_star_serves_the_rate_outputs(tmp_path, capsys):
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert "outputs: normalized needs a known x_star" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["xi", "zeta", "zetatilde"])
+def test_preset_noise_block(tmp_path, capsys, role):
+    # xi and zeta carry the preset's data law, in the layout its drift
+    # decodes; the additive zetatilde is the config's to set
+    loud = {"kind": "gaussian", "mean": [100.0], "cov": [[1e6]]}
+    quiet, noisy = tmp_path / "quiet", tmp_path / "noisy"
+    assert main(["run", str(_ex1_copy(tmp_path, iterations=50, replications=20)),
+                 "--out-dir", str(quiet)]) == 0
+    cfg = _ex1_copy(tmp_path, iterations=50, replications=20, noise={role: loud})
+    code = main(["run", str(cfg), "--out-dir", str(noisy)])
+    if role != "zetatilde":
+        assert code == 2
+        assert f"noise.{role}: set by the preset's data law" in capsys.readouterr().err
+        assert not noisy.exists()
+        return
+    assert code == 0
+    # the first line is the provenance header, which differs by fingerprint alone
+    body = [(out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+            for out in (quiet, noisy)]
+    assert body[0] != body[1]

@@ -116,6 +116,21 @@ def test_multiple_starts_accepted():
     assert len(cfg.specs) == 2
 
 
+
+@pytest.mark.parametrize("name, x0", [
+    ("lasso", [5.0]), ("pegasos", [3.0, 5.0]), ("rootfind", [1.0, 1.0]),
+    ("sign_filter", [0.0]), ("nonconv", [2.0, 2.0]),
+])
+def test_preset_default_start(name, x0):
+    # without x0 a preset config runs, and integrates, from the preset's own start
+    raw = _minimal(preset=name, preset_params={})
+    del raw["x0"]
+    cfg = validate_config(raw)
+    assert len(cfg.specs) == 1
+    assert np.array_equal(cfg.specs[0].x0, x0)
+    assert np.array_equal(cfg.di["x0"], x0)
+
+
 # --- experiments ---------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ runs, the plain-float loop of table-backed drifts, interpolations, and the
 determinism guarantees."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,10 +337,10 @@ def _assert_same_bits(a, b):
 
 def test_float_loop_matches_row_loop_bitwise():
     p = nonconvergence_preset()
-    table = p.drift.sample_term
+    table = p.spec.drift.sample_term
     # seed 3 enters all four corridors by step 713; 5,000 steps span two of
     # the float loop's 4,096-step blocks
-    spec = p.run_spec(x0=[2.0, 2.0], n_steps=5_000)
+    spec = replace(p.spec, x0=[2.0, 2.0], n_steps=5_000)
     ck = [0, 4_096, 4_500, 5_000]
     one = run_ensemble(spec, 3, 1, checkpoints=ck, record_paths=True)
     two = run_ensemble(spec, 3, 2, checkpoints=ck, record_paths=True)
@@ -356,7 +357,7 @@ def test_float_loop_matches_row_loop_bitwise():
 def test_float_loop_is_taken_for_one_replication(monkeypatch):
     # the float loop never calls the row term; more replications do
     p = nonconvergence_preset()
-    spec = p.run_spec(x0=[1.5, 0.0], n_steps=200)
+    spec = replace(p.spec, x0=[1.5, 0.0], n_steps=200)
 
     def refuse(*args, **kwargs):
         raise AssertionError("row term called")
@@ -369,7 +370,7 @@ def test_float_loop_is_taken_for_one_replication(monkeypatch):
 
 def test_float_loop_additive_noise_and_constant_bias():
     p = nonconvergence_preset()
-    spec = p.run_spec(x0=[0.0, 0.0], n_steps=2_000, bias=ConstantBias([0.01, -0.02]))
+    spec = replace(p.spec, x0=[0.0, 0.0], n_steps=2_000, bias=ConstantBias([0.01, -0.02]))
     spec.noise_zetatilde = GaussianNoise([0.0, 0.0], [[0.5, 0.1], [0.1, 0.3]])
     one = run_ensemble(spec, 8, 1, checkpoints=[0, 1_000, 2_000], record_paths=True)
     two = run_ensemble(spec, 8, 2, checkpoints=[0, 1_000, 2_000], record_paths=True)
@@ -392,7 +393,7 @@ def _diverging_table_spec(n_steps=40):
 
 @pytest.mark.parametrize("n_reps", [1, 2])
 def test_checkpoints_outside_the_horizon_rejected(n_reps):
-    spec = nonconvergence_preset().run_spec(x0=[1.5, 0.0], n_steps=10)
+    spec = replace(nonconvergence_preset().spec, x0=[1.5, 0.0], n_steps=10)
     with pytest.raises(ValueError):
         run_ensemble(spec, 0, n_reps, checkpoints=[0, 11])
 
@@ -441,8 +442,7 @@ def test_run_replay_determinism():
 
 def test_run_decomposition_audit_exact():
     preset = lasso_preset(0.7, RegressionLaw(theta=[1.0], features="ones"))
-    spec = preset.run_spec(x0=[5.0], n_steps=300,
-                           bias=ShrinkingGaussianBias(1, 1.0, 1.0))
+    spec = replace(preset.spec, x0=[5.0], n_steps=300, bias=ShrinkingGaussianBias(1, 1.0, 1.0))
     traj = run(spec, 11)
     for n in range(traj.n_steps):
         recon = traj.iterates[n] + traj.step_sizes_used[n] * (
@@ -498,13 +498,13 @@ def test_ensemble_finals_follow_seed_sequence_streams():
 
 def _pegasos_spec(n_steps):
     # ZeroBias (draw-free) with Gaussian noise on xi
-    return pegasos_preset(1.0).run_spec(x0=[3.0, 5.0], n_steps=n_steps)
+    return replace(pegasos_preset(1.0).spec, x0=[3.0, 5.0], n_steps=n_steps)
 
 
 def _shrinking_bias_spec(n_steps, bias=None):
     preset = lasso_preset(0.7, RegressionLaw(theta=[1.0], features="ones"))
-    return preset.run_spec(x0=[5.0], n_steps=n_steps,
-                           bias=bias or ShrinkingGaussianBias(1, c=1.0, gamma=1.0))
+    return replace(preset.spec, x0=[5.0], n_steps=n_steps,
+                   bias=bias or ShrinkingGaussianBias(1, c=1.0, gamma=1.0))
 
 
 @pytest.mark.parametrize("make_spec", [_pegasos_spec, _shrinking_bias_spec])
@@ -585,10 +585,10 @@ def test_drift_mean_matches_monte_carlo(rng):
     preset = lasso_preset(0.7, RegressionLaw(theta=[1.0], features="ones"))
     gen = np.random.default_rng(0)
     for w in np.linspace(-2, 2, 10):
-        z = preset.noise_zeta.sample_block(gen, 100_000)
-        vals = preset.drift.smooth(np.full((100_000, 1), w), z)
+        z = preset.spec.noise_zeta.sample_block(gen, 100_000)
+        vals = preset.spec.drift.smooth(np.full((100_000, 1), w), z)
         se = vals.std() / math.sqrt(100_000)
-        assert abs(vals.mean() - preset.drift.mean_field([w])[0]) < 3 * se + 1e-9
+        assert abs(vals.mean() - preset.spec.drift.mean_field([w])[0]) < 3 * se + 1e-9
 
 
 # --- interpolation ------------------------------------------------------------------

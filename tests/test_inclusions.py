@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sadi.engine import BoxRegion, NoProjection
-from sadi.inclusions import epsilon_chain_diagnostic, integrate, integrate_projected
+from sadi.engine import BoxRegion
+from sadi.inclusions import epsilon_chain_diagnostic, integrate
 from sadi.sets import Box, SetValuedMap, Singleton, contains
 from sadi.presets import pegasos_preset, nonconvergence_preset
 from conftest import neg_sign_map, squared_norm
@@ -35,7 +35,7 @@ def test_sliding_mode_reached_and_held():
 
 def test_hinge_mean_field_equilibrium():
     p = pegasos_preset(1.0)
-    path = integrate(p.drift.set_map, p.drift.mean_field, [3.0, 5.0], 1e-3, 20.0)
+    path = integrate(p.spec.drift.set_map, p.spec.drift.mean_field, [3.0, 5.0], 1e-3, 20.0)
     assert np.linalg.norm(path.states[-1] - [0.2, 0.4]) <= 0.01
 
 
@@ -51,9 +51,9 @@ def test_increment_bound_along_path():
     # consecutive states move at most dt * (set bound + smooth bound)
     p = pegasos_preset(1.0)
     dt = 1e-3
-    path = integrate(p.drift.set_map, p.drift.mean_field, [1.5, -1.0], dt, 5.0)
+    path = integrate(p.spec.drift.set_map, p.spec.drift.mean_field, [1.5, -1.0], dt, 5.0)
     smooth_bound = 2.0 * float(np.abs(path.states).max()) + 1.0
-    limit = dt * (p.drift.set_map.common_bound + smooth_bound)
+    limit = dt * (p.spec.drift.set_map.common_bound + smooth_bound)
     diffs = np.linalg.norm(np.diff(path.states, axis=0), axis=1)
     assert np.all(diffs <= limit + 1e-12)
     # and the step count covers the horizon within one step
@@ -81,7 +81,7 @@ def test_consistency_constant_fitted():
 def test_projected_path_stays_inside():
     region = BoxRegion([-1.0], [1.0])
     m = _constant_map(1, [2.0])
-    path = integrate_projected(m, None, region, [0.0], 1e-3, 3.0)
+    path = integrate(m, None, [0.0], 1e-3, 3.0, projection=region)
     box = Box([-1.0], [1.0])
     for x in path.states:
         assert contains(box, x, 1e-12)
@@ -93,23 +93,18 @@ def test_projected_matches_unprojected_in_interior():
     region = BoxRegion([-10.0], [10.0])
     m = neg_sign_map()
     a = integrate(m, None, [0.5], 1e-3, 1.0)
-    b = integrate_projected(m, None, region, [0.5], 1e-3, 1.0)
+    b = integrate(m, None, [0.5], 1e-3, 1.0, projection=region)
     assert np.array_equal(a.states, b.states)
-
-
-def test_projected_requires_region():
-    with pytest.raises(ValueError):
-        integrate_projected(_constant_map(1, [1.0]), None, NoProjection(), [0.0], 1e-3, 1.0)
 
 
 def test_lyapunov_monotone_along_certified_field():
     p = pegasos_preset(1.0)
-    path = integrate(p.drift.set_map, p.drift.mean_field, [1.5, -1.0], 1e-3, 8.0)
+    path = integrate(p.spec.drift.set_map, p.spec.drift.mean_field, [1.5, -1.0], 1e-3, 8.0)
     v = squared_norm(2)
     shift = p.x_star
     vals = np.array([v.value(x - shift) for x in path.states])
     # decay up to per-step slack dt*L with L a crude Lipschitz bound
-    slack = 1e-3 * 12.0 * (p.drift.set_map.common_bound + 2.0 * np.abs(path.states).max())
+    slack = 1e-3 * 12.0 * (p.spec.drift.set_map.common_bound + 2.0 * np.abs(path.states).max())
     outside = np.linalg.norm(path.states - shift, axis=1) > 0.05
     diffs = np.diff(vals)
     mask = outside[:-1] & outside[1:]
@@ -149,7 +144,7 @@ def test_inclusion_validation():
 
 def test_chain_found_at_stable_equilibrium():
     p = pegasos_preset(1.0)
-    rep = epsilon_chain_diagnostic(p.drift.set_map, p.drift.mean_field,
+    rep = epsilon_chain_diagnostic(p.spec.drift.set_map, p.spec.drift.mean_field,
                                    [[0.2, 0.4]], eps=0.1, t_min=1.0, dt=1e-2,
                                    budget=10)[0]
     assert rep.found
@@ -158,7 +153,7 @@ def test_chain_found_at_stable_equilibrium():
 
 def test_chain_found_on_cycling_field():
     nc = nonconvergence_preset()
-    rep = epsilon_chain_diagnostic(nc.drift.set_map, None, [[1.5, -1.5]],
+    rep = epsilon_chain_diagnostic(nc.spec.drift.set_map, None, [[1.5, -1.5]],
                                    eps=0.6, t_min=1.5, dt=5e-3, budget=60)[0]
     assert rep.found
     assert rep.return_distance <= 0.6

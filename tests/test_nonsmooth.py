@@ -151,13 +151,13 @@ def test_reduced_identity_for_singleton_gradients():
 def test_reduced_empty_at_spiked_corner():
     preset = rootfind_preset()
     u = preset.stability.u_list[0]
-    m = preset.drift.set_map
+    m = preset.spec.drift.set_map
     assert u_reduced(m, [u], [1.0, 1.0]) is None
     assert u_reduced(m, [u], [1.0, 0.5]) is None
 
 
 def test_reduced_empty_collection_is_identity(rng):
-    m = rootfind_preset().drift.set_map
+    m = rootfind_preset().spec.drift.set_map
     for _ in range(25):
         x = rng.uniform(-2, 2, size=2)
         out = u_reduced(m, [], x)
@@ -215,7 +215,7 @@ def test_generalized_derivative_reference_closed_form(rng):
 def test_generalized_derivative_empty_is_sentinel():
     preset = rootfind_preset()
     d = u_generalized_derivative(preset.stability.v, preset.stability.u_list,
-                                 preset.drift.set_map, [1.0, 0.5])
+                                 preset.spec.drift.set_map, [1.0, 0.5])
     assert d is NEG_INFINITY
 
 
@@ -223,7 +223,7 @@ def test_generalized_derivative_smooth_region():
     preset = rootfind_preset()
     for w in ([0.5, -0.3], [2.5, 2.5], [-0.2, 0.8]):
         d = u_generalized_derivative(preset.stability.v, preset.stability.u_list,
-                                     preset.drift.set_map, w)
+                                     preset.spec.drift.set_map, w)
         w = np.asarray(w)
         assert d == pytest.approx(-2.0 * float(w @ w), abs=1e-9)
 

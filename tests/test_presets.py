@@ -2,6 +2,7 @@
 agreement, and the certified decay bundles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,9 +70,9 @@ def test_lasso_degenerate_moment_warns():
 def test_lasso_fast_term_matches_map(rng):
     p = lasso_preset(0.7, RegressionLaw(theta=[1.0], features="ones"))
     states = rng.uniform(-2, 2, size=(200, 1))
-    terms = p.drift.sample_term(states, np.zeros((200, 0)))
+    terms = p.spec.drift.sample_term(states, np.zeros((200, 0)))
     for i in range(200):
-        assert np.allclose(terms[i], select(p.drift.set_map, states[i], LeastNorm()),
+        assert np.allclose(terms[i], select(p.spec.drift.set_map, states[i], LeastNorm()),
                            atol=1e-12)
 
 
@@ -106,7 +107,7 @@ def test_pegasos_sample_term_selects_hinge_branch(rng):
     p = pegasos_preset(1.0)
     w = np.array([[0.0, 0.0], [10.0, 10.0]])
     x = np.array([[1.0, 2.0], [1.0, 2.0]])
-    terms = p.drift.sample_term(w, x)
+    terms = p.spec.drift.sample_term(w, x)
     assert np.allclose(terms[0], [1.0, 2.0])   # margin 0 < 1: active
     assert np.allclose(terms[1], [0.0, 0.0])   # margin 30 > 1: inactive
 
@@ -114,7 +115,7 @@ def test_pegasos_sample_term_selects_hinge_branch(rng):
 def test_pegasos_mean_map_segment_at_margin():
     p = pegasos_preset(1.0)
     w = np.array([0.2, 0.4])  # margin exactly one
-    value = p.drift.set_map.value(w)
+    value = p.spec.drift.set_map.value(w)
     assert contains(value, [0.0, 0.0], 1e-12)
     assert contains(value, [1.0, 2.0], 1e-12)
     assert contains(value, [0.5, 1.0], 1e-9)
@@ -125,13 +126,13 @@ def test_pegasos_mean_map_segment_at_margin():
 
 def test_rootfind_origin_is_root():
     p = rootfind_preset()
-    assert contains(p.drift.set_map.value([0.0, 0.0]), [0.0, 0.0], 0.0)
+    assert contains(p.spec.drift.set_map.value([0.0, 0.0]), [0.0, 0.0], 0.0)
     assert p.check_root()
 
 
 def test_rootfind_spiked_value_at_ones():
     p = rootfind_preset()
-    value = p.drift.set_map.value([1.0, 1.0])
+    value = p.spec.drift.set_map.value([1.0, 1.0])
     # box oracle: (0,-2) + [-1,1]^2
     for p_dir, expected in ((np.array([1.0, 0.0]), 1.0),
                             (np.array([-1.0, 0.0]), 1.0),
@@ -142,7 +143,7 @@ def test_rootfind_spiked_value_at_ones():
 
 def test_rootfind_run_reaches_origin():
     p = rootfind_preset()
-    spec = p.run_spec(x0=[10.0, -20.0], n_steps=1000)
+    spec = replace(p.spec, x0=[10.0, -20.0], n_steps=1000)
     res = run_ensemble(spec, 5, 300)
     mean = res.finals.mean(axis=0)
     assert np.all(np.abs(mean) < 0.05)
@@ -174,8 +175,8 @@ def test_sign_filter_mean_matches_monte_carlo(rng):
     p = sign_error_filter_preset(law)
     gen = np.random.default_rng(1)
     theta = np.full((200_000, 1), 0.3)
-    xi = p.noise_xi.sample_block(gen, 200_000)
-    vals = p.drift.sample_term(theta, xi)
+    xi = p.spec.noise_xi.sample_block(gen, 200_000)
+    vals = p.spec.drift.sample_term(theta, xi)
     se = vals.std() / math.sqrt(200_000)
     assert abs(vals.mean() - law.mean_sign_drift([0.3])[0]) < 3 * se + 1e-9
 
@@ -186,7 +187,7 @@ def test_sign_filter_step_matches_engine_arithmetic(rng):
 
     # noiseless residual: y = 1, phi = 1
     p = sign_error_filter_preset(law)
-    term = p.drift.sample_term(np.array([[0.0]]), np.zeros((1, 1)))
+    term = p.spec.drift.sample_term(np.array([[0.0]]), np.zeros((1, 1)))
     assert term[0, 0] == 1.0
     theta_next = 0.0 + 0.5 * term[0, 0]
     assert theta_next == 0.5
@@ -195,7 +196,7 @@ def test_sign_filter_step_matches_engine_arithmetic(rng):
 def test_sign_filter_noiseless_hull_at_truth():
     law = SignFilterLaw(theta_true=[1.0], noise="laplace", scale=0.0)
     p = sign_error_filter_preset(law)
-    value = p.drift.set_map.value([1.0])
+    value = p.spec.drift.set_map.value([1.0])
     assert contains(value, [1.0], 1e-12) and contains(value, [-1.0], 1e-12)
 
 
@@ -204,8 +205,8 @@ def test_sign_filter_noiseless_hull_at_truth():
 
 def test_nonconv_roots_contain_zero():
     p = nonconvergence_preset()
-    assert contains(p.drift.set_map.value([0.0, 0.0]), [0.0, 0.0], 0.0)
-    assert contains(p.drift.set_map.value([2.0, 2.0]), [0.0, 0.0], 0.0)
+    assert contains(p.spec.drift.set_map.value([0.0, 0.0]), [0.0, 0.0], 0.0)
+    assert contains(p.spec.drift.set_map.value([2.0, 2.0]), [0.0, 0.0], 0.0)
     assert p.check_root()
 
 
@@ -218,18 +219,18 @@ def test_nonconv_region_classification():
         [-1.5, 1.5],   # top row pushing right
         [0.0, 0.0],    # interior creep
     ])
-    table = nonconvergence_preset().drift.sample_term
+    table = nonconvergence_preset().spec.drift.sample_term
     assert table.region_ids(pts).tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_nonconv_fast_term_matches_map(rng):
     p = nonconvergence_preset()
-    table = p.drift.sample_term
+    table = p.spec.drift.sample_term
     grid = np.stack(np.meshgrid(np.arange(-3, 3.5, 0.5), np.arange(-3, 3.5, 0.5)), -1)
     states = np.concatenate([rng.uniform(-3, 3, size=(400, 2)), grid.reshape(-1, 2)])
     terms = table(states, np.zeros((len(states), 0)))
     for x, term in zip(states, terms):
-        v = select(p.drift.set_map, x, LeastNorm())
+        v = select(p.spec.drift.set_map, x, LeastNorm())
         assert np.allclose(term, v, atol=1e-12)
         offset, slope = table.term_at(x.tolist())
         assert np.array_equal(np.asarray(offset) + slope * x, term)
@@ -238,7 +239,7 @@ def test_nonconv_fast_term_matches_map(rng):
 def test_nonconv_fast_loop_matches_engine():
     # one replication takes the plain-float loop, two the row loop
     p = nonconvergence_preset()
-    spec = p.run_spec(x0=[2.0, 2.0], n_steps=5000)
+    spec = replace(p.spec, x0=[2.0, 2.0], n_steps=5000)
     fast = run_ensemble(spec, 31, 1, record_paths=True)
     rows = run_ensemble(spec, 31, 2, record_paths=True)
     assert fast.paths[0].tobytes() == rows.paths[0].tobytes()
@@ -246,10 +247,10 @@ def test_nonconv_fast_loop_matches_engine():
 
 def test_nonconv_long_run_cycles_without_converging():
     p = nonconvergence_preset()
-    spec = p.run_spec(x0=[2.0, 2.0], n_steps=200_000)
+    spec = replace(p.spec, x0=[2.0, 2.0], n_steps=200_000)
     nc = run_ensemble(spec, 2, 1, checkpoints=range(20_000, 200_001, 20_000),
                       record_paths=True)
-    visited = set(p.drift.sample_term.region_ids(nc.paths[0][:-1]).tolist())
+    visited = set(p.spec.drift.sample_term.region_ids(nc.paths[0][:-1]).tolist())
     assert len(visited & {2, 3, 4, 5}) >= 3
     ck = nc.checkpoint_states[0]
     d0 = np.linalg.norm(ck, axis=1)
@@ -269,9 +270,9 @@ def test_nonconv_long_run_cycles_without_converging():
 ])
 def test_preset_selector_respects_common_bound(maker, rng):
     p = maker()
-    m = p.drift.set_map
+    m = p.spec.drift.set_map
     for _ in range(2000):  # five presets make the full ten-thousand-state audit
-        x = rng.uniform(-3, 3, size=p.dim)
+        x = rng.uniform(-3, 3, size=p.spec.drift.dim)
         v = select(m, x, LeastNorm())
         assert np.linalg.norm(v) <= m.common_bound + 1e-9
 
@@ -285,8 +286,8 @@ def test_preset_selector_respects_common_bound(maker, rng):
 ])
 def test_preset_registry(name, params):
     p = preset_by_name(name, params)
-    assert p.name == name
-    assert p.dim >= 1
+    assert p.spec.name == name
+    assert p.spec.drift.dim >= 1
 
 
 def test_preset_registry_unknown():

@@ -236,6 +236,24 @@ def test_nearest_point_polytope_matches_edge_oracle(rng):
     assert np.allclose(got, [1.0, 0.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1e-300, 1e-310])
+@pytest.mark.parametrize("inner, exact", [
+    (Singleton([1.0, 2.0]), [1.0, 2.0]),
+    (Box([-1.0, -1.0], [1.0, 1.0]), [1.0, 1.0]),
+    (Ball([0.0, 0.0], 1.0), [0.5 ** 0.5, 0.5 ** 0.5]),
+    (Polytope([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]), [1.0, 1.0]),
+], ids=["singleton", "box", "ball", "polytope"])
+def test_nearest_point_of_a_tiny_scaled_set_is_finite_and_in_the_set(k, inner, exact):
+    # k * nearest(inner, y / k) overflows y / k; the scaled set's own point
+    # k * exact is no closer to y than the answer, to float precision
+    y = np.array([1.0, 1.0])
+    s = Scaled(k, inner)
+    got = nearest_point(s, y)
+    assert np.isfinite(got).all()
+    assert contains(s, got, 0.0)
+    assert np.linalg.norm(got - y) <= np.linalg.norm(k * np.array(exact) - y)
+
+
 def test_least_norm_shifted_box():
     s = minkowski_sum(Singleton([2.0]), Box([-1], [1]))
     assert np.allclose(least_norm_point(s), [1.0])
