@@ -47,7 +47,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ConfigError([f"--values: not a list of numbers: {args.values!r}"]) from None
     reports = sweep(config, args.param, values, out_dir=args.out_dir, threads=args.threads)
     for v, rep in reports:
         agg = rep.starts[0]

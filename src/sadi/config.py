@@ -1,6 +1,6 @@
-"""Declarative experiment configuration: strict JSON parsing, validation
-that reports every problem at once, deterministic fingerprints, and the
-resolution of a config into runnable engine objects.
+"""Declarative experiment configuration: strict JSON parsing, one schema
+table that validation walks to report every problem at once, deterministic
+fingerprints, and the resolution of a config into runnable engine objects.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .engine import (
     ZeroBias,
 )
 from .rates import SDIModel, shifted_index
-from .presets import (PRESET_NAMES, Preset, default_schedule, preset_by_name, sign_interval_map,
-                      sign_term)
+from .presets import Preset, default_schedule, preset_by_name, sign_interval_map, sign_term
 from .sets import Box, LeastNorm, SetValuedMap
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "config_fingerprint"]
@@ -44,23 +43,202 @@ class ConfigError(ValueError):
         super().__init__("invalid experiment config:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
-_TOP_KEYS = {
-    "name", "preset", "preset_params", "drift", "dim", "x0", "iterations",
-    "replications", "seed", "schedule", "bias", "noise", "projection",
-    "x_star", "outputs", "checkpoints", "sdi", "di", "chain",
+# ---------------------------------------------------------------------------
+# the schema: value types, keys and blocks
+# ---------------------------------------------------------------------------
+
+
+def _number(v, kinds=(int, float)) -> bool:
+    """A JSON number of ``kinds``: JSON's true and false load as bools, which are ints."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
+def _vector(v, of=_number) -> bool:
+    """A non-empty list of ``of``: of numbers, or with ``of=_vector`` of vectors."""
+    return isinstance(v, list) and len(v) > 0 and all(map(of, v))
+
+
+def _is(noun: str, test: Callable) -> Callable:
+    """A value type: what is wrong with a value, or None when ``test`` accepts it."""
+    return lambda v: None if test(v) else f"must be {noun}"
+
+
+def _one_of(*names) -> Callable:
+    return _is("one of " + ", ".join(map(repr, names)), lambda v: v in names)
+
+
+NUMBER = _is("a number", _number)
+INT = _is("an integer", lambda v: _number(v, int))
+BOOL = _is("true or false", lambda v: isinstance(v, bool))
+STRING = _is("a string", lambda v: isinstance(v, str))
+VECTOR = _is("a vector", _vector)
+VECTORS = _is("a non-empty list of vectors", lambda v: _vector(v, _vector))
+POINTS = _is("a vector or a list of vectors",
+             lambda v: _number(v) or _vector(v) or _vector(v, _vector))
+# a number (times the identity), a vector (the diagonal) or equal-length rows
+MATRIX = _is("a number, a vector or a list of equal-length vectors",
+             lambda v: POINTS(v) is None and (_number(v) or len(set(map(np.size, v))) == 1))
+OUTPUT_NAMES = ("report", "finals", "trajectory", "checkpoints", "normalized", "certificate",
+                "sdi_compare")
+
+
+def OUTPUTS(v):  # a value type that names the unknown artifact
+    if not isinstance(v, list):
+        return "must be a list of artifact names"
+    return next((f"unknown artifact {o!r}" for o in v if o not in OUTPUT_NAMES), None)
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """One key of a block.  ``type`` is a value type, a Block, or a dict of
+    Blocks by kind.  ``default`` is what an absent key takes: REQUIRED, None
+    (it stays absent) or a value ({} walks an empty block).  ``bound`` is a
+    test the value must pass as well, ``must`` what an error says the value
+    must be, and ``kinds`` the kinds of the block that read the key (every
+    kind when empty)."""
+
+    type: object
+    default: object = None
+    bound: Optional[Callable] = None
+    must: str = ""
+    kinds: tuple = ()
+
+
+@dataclass(frozen=True)
+class Block:
+    """A JSON object: its keys, and the key (if any) whose value, the kind,
+    decides which of the others are read."""
+
+    keys: dict
+    kind: Optional[str] = None
+
+
+_AT_LEAST_1 = dict(bound=lambda v: v >= 1, must="an integer >= 1")
+_POSITIVE = dict(bound=lambda v: v > 0, must="> 0")
+_NONNEGATIVE = dict(bound=lambda v: v >= 0, must=">= 0")
+
+_SCHEDULE = Block({
+    "kind": Leaf(_one_of("harmonic", "power_law"), "power_law"),
+    "c": Leaf(NUMBER, 1.0, **_POSITIVE),
+    "alpha": Leaf(NUMBER, 0.5, lambda v: 0 < v <= 1, "in (0, 1]", ("power_law",))}, "kind")
+_BIAS = Block({
+    "kind": Leaf(_one_of("zero", "gaussian_shrinking", "constant"), REQUIRED),
+    "c": Leaf(NUMBER, 1.0, **_NONNEGATIVE, kinds=("gaussian_shrinking",)),
+    "gamma": Leaf(NUMBER, 1.0, **_NONNEGATIVE, kinds=("gaussian_shrinking",)),
+    "vector": Leaf(VECTOR, REQUIRED, kinds=("constant",))}, "kind")
+_PROJECTION = Block({
+    "kind": Leaf(_one_of("none", "box", "ball"), "none"),
+    "lo": Leaf(VECTOR, REQUIRED, kinds=("box",)), "hi": Leaf(VECTOR, REQUIRED, kinds=("box",)),
+    "center": Leaf(VECTOR, REQUIRED, kinds=("ball",)),
+    "radius": Leaf(NUMBER, REQUIRED, **_POSITIVE, kinds=("ball",))}, "kind")
+_NOISE = Block({
+    "kind": Leaf(_one_of("none", "gaussian", "uniform"), "none"),
+    "dim": Leaf(INT, 0, lambda v: v >= 0, "an integer >= 0", ("none",)),
+    "mean": Leaf(VECTOR, REQUIRED, kinds=("gaussian",)),
+    "cov": Leaf(MATRIX, REQUIRED, kinds=("gaussian",)),
+    "lo": Leaf(VECTOR, REQUIRED, kinds=("uniform",)),
+    "hi": Leaf(VECTOR, REQUIRED, kinds=("uniform",))}, "kind")
+_DRIFT = Block({
+    # the matrix is -I and the offset 0 when absent; "none" adds no noise sample
+    "smooth": Leaf(Block({"kind": Leaf(_one_of("linear"), "linear"), "matrix": Leaf(MATRIX),
+                          "offset": Leaf(VECTOR), "noise": Leaf(_one_of("add", "none"), "add")},
+                         "kind")),
+    "set_part": Leaf(Block({
+        "kind": Leaf(_one_of("none", "sign_box", "constant_set"), "none"),
+        "lam": Leaf(NUMBER, REQUIRED, **_POSITIVE, kinds=("sign_box",)),
+        "lo": Leaf(VECTOR, REQUIRED, kinds=("constant_set",)),
+        "hi": Leaf(VECTOR, REQUIRED, kinds=("constant_set",))}, "kind")),
+})
+# preset_params by preset: the preset function's keyword arguments, with
+# lasso's data a RegressionLaw and sign_filter's law a SignFilterLaw
+_PRESET_PARAMS = {
+    "lasso": Block({
+        "lam": Leaf(NUMBER, 0.7),
+        # features "gaussian" draws x ~ N(feature_mean, feature_cov), 0 and I when absent
+        "data": Leaf(Block({
+            "theta": Leaf(VECTOR, REQUIRED),
+            "features": Leaf(_one_of("ones", "gaussian"), "ones"),
+            "noise_std": Leaf(NUMBER, 1.0, **_NONNEGATIVE),
+            "feature_mean": Leaf(VECTOR, kinds=("gaussian",)),
+            "feature_cov": Leaf(MATRIX, kinds=("gaussian",))}, "features")),
+        "dim": Leaf(INT, 1, **_AT_LEAST_1),  # of the all-ones law, when there is no data
+    }),
+    "pegasos": Block({"lam": Leaf(NUMBER, 1.0), "feature_mean": Leaf(VECTOR, (1.0, 2.0)),
+                      "feature_cov": Leaf(MATRIX), "ridge_coeff": Leaf(NUMBER, 2.0)}),
+    "rootfind": Block({}),
+    "sign_filter": Block({"law": Leaf(Block({
+        "theta_true": Leaf(VECTOR, REQUIRED),
+        "noise": Leaf(_one_of("laplace", "gaussian"), "laplace"),
+        "scale": Leaf(NUMBER, 1.0, **_NONNEGATIVE)}))}),
+    "nonconv": Block({}),
 }
-_SCHEDULE_KEYS = {"kind", "c", "alpha"}
-_BIAS_KEYS = {"kind", "c", "gamma", "vector"}
-_NOISE_KEYS = {"kind", "mean", "cov", "lo", "hi", "dim"}
-_PROJECTION_KEYS = {"kind", "lo", "hi", "center", "radius"}
-_DRIFT_KEYS = {"smooth", "set_part"}
-_SMOOTH_KEYS = {"kind", "matrix", "offset", "noise"}
-_SET_PART_KEYS = {"kind", "lam", "lo", "hi"}
-_SDI_KEYS = {"A", "sigma", "half_identity", "t_eval", "dt", "n_reps", "start_index"}
-_DI_KEYS = {"dt", "horizon", "x0"}
-_CHAIN_KEYS = {"probes", "eps", "t_min", "budget"}
-_OUTPUT_NAMES = {"report", "finals", "trajectory", "checkpoints", "normalized",
-                 "certificate", "sdi_compare"}
+_SDI = Block({
+    "A": Leaf(MATRIX, REQUIRED), "sigma": Leaf(MATRIX, REQUIRED),
+    "half_identity": Leaf(BOOL, False),
+    "t_eval": Leaf(NUMBER, 1.0, math.isfinite, "a finite number"),
+    "dt": Leaf(NUMBER, 1e-3, **_POSITIVE),
+    "n_reps": Leaf(INT, None, lambda v: v >= 1, "at least 1"),  # absent: each verb picks
+    "start_index": Leaf(INT, 0, lambda v: v >= 0, "an integer >= 0"),
+})
+_DI = Block({"dt": Leaf(NUMBER, 1e-3, **_POSITIVE), "horizon": Leaf(NUMBER, 10.0, **_NONNEGATIVE),
+             "x0": Leaf(VECTOR)})  # x0 absent: the preset's start, or the origin
+_CHAIN = Block({"probes": Leaf(VECTORS, REQUIRED), "eps": Leaf(NUMBER, 0.5, **_POSITIVE),
+                "t_min": Leaf(NUMBER, 1.0, **_POSITIVE), "budget": Leaf(INT, 16, **_AT_LEAST_1)})
+# the preset is the config's kind; without one the drift is inline
+_CONFIG = Block({
+    "name": Leaf(STRING, "experiment"), "preset": Leaf(_one_of(*_PRESET_PARAMS)),
+    "preset_params": Leaf(_PRESET_PARAMS, {}, kinds=tuple(_PRESET_PARAMS)),
+    "drift": Leaf(_DRIFT, kinds=(None,)), "dim": Leaf(INT, None, **_AT_LEAST_1),
+    "x0": Leaf(POINTS), "iterations": Leaf(INT, REQUIRED, **_AT_LEAST_1),
+    "replications": Leaf(INT, REQUIRED, **_AT_LEAST_1),
+    "seed": Leaf(INT, REQUIRED, lambda v: v >= 0, "a nonnegative integer"),
+    "schedule": Leaf(_SCHEDULE), "bias": Leaf(_BIAS), "projection": Leaf(_PROJECTION),
+    "noise": Leaf(Block({role: Leaf(_NOISE) for role in ("xi", "zeta", "zetatilde")}), {}),
+    "x_star": Leaf(VECTOR), "outputs": Leaf(OUTPUTS, ("report",)),
+    "checkpoints": Leaf(INT, 10, lambda v: v >= 2, "an integer >= 2"),
+    "sdi": Leaf(_SDI), "di": Leaf(_DI, {}), "chain": Leaf(_CHAIN)}, "preset")
+
+
+def _walk(spec: dict, block: Block, where: str, errors: list) -> dict:
+    """``spec`` checked against ``block``, every problem reported: the keys
+    its kind reads, as given or defaulted (a number as a float), with None
+    at a key in error.  A JSON null is an absent key."""
+    errors.extend(f"unknown key {k!r} in {where or 'config'}" for k in spec if k not in block.keys)
+    out: dict = {}
+    for key in sorted(block.keys, key=lambda k: k != block.kind):  # the kind first
+        leaf, value, path = block.keys[key], spec.get(key), f"{where}.{key}".lstrip(".")
+        if leaf.kinds and block.kind in out and out[block.kind] is None:
+            continue  # the kind is in error, so what it reads is unknown
+        kind = out.get(block.kind)
+        if leaf.kinds and kind not in leaf.kinds:
+            if value is not None:
+                errors.append(f"{path}: not read by {block.kind} {kind!r}")
+            continue
+        if value is None and isinstance(leaf.default, dict):
+            value = {}  # walked, so that its keys take their defaults
+        elif value is None:
+            if leaf.default is REQUIRED:
+                by = f" by {block.kind} {kind!r}" if leaf.kinds else ""
+                errors.append(f"{path}: required{by}")
+                out[key] = None
+            elif leaf.default is not None:
+                out[key] = leaf.default
+            continue
+        n, sub = len(errors), leaf.type.get(kind) if isinstance(leaf.type, dict) else leaf.type
+        if isinstance(sub, Block) and isinstance(value, dict):
+            value = _walk(value, sub, path, errors)
+        elif isinstance(sub, Block):
+            errors.append(f"{path}: must be an object")
+        elif sub(value) is not None or leaf.bound is not None and not leaf.bound(value):
+            # a bound comes with the words for it
+            errors.append(f"{path}: " + (f"must be {leaf.must}" if leaf.must else sub(value)))
+        elif sub is NUMBER:
+            value = float(value)
+        out[key] = None if len(errors) > n else value
+    return out
 
 
 @dataclass
@@ -68,21 +246,22 @@ class ExperimentConfig:
     """Validated description of one replicated experiment family, with every
     block built once by ``validate_config``.  ``sdi``, ``di`` and ``chain``
     are their blocks with the defaults applied (``sdi`` and ``chain`` are
-    None when absent).  ``sdi["n_reps"]`` stays None when absent, so that
-    each verb picks its count; ``sdi["eval_index"]``, the mesh index a series
-    from ``start_index`` reads at ``t_eval``, is set only for sdi_compare."""
+    None when absent); ``sdi["model"]`` is the built SDIModel.
+    ``sdi["n_reps"]`` stays None when absent, so that each verb picks its
+    count; ``sdi["eval_index"]``, the mesh index a series from
+    ``start_index`` reads at ``t_eval``, is set only for sdi_compare."""
 
     raw: dict
     name: str
     seed: int
     iterations: int
     replications: int
-    outputs: list
+    outputs: Sequence[str]
     checkpoints: int
     preset: Optional[Preset]   # None for an inline drift
     specs: list                # one RunSpec per start
     x_star: Optional[np.ndarray]
-    sdi: Optional[dict]        # model dt t_eval n_reps start_index eval_index
+    sdi: Optional[dict]        # the block's keys, model and eval_index
     di: dict                   # dt horizon x0
     chain: Optional[dict]      # probes eps t_min budget
 
@@ -100,283 +279,123 @@ def config_fingerprint(raw: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _check_keys(block: dict, allowed: set, where: str, errors: list) -> None:
-    for k in block:
-        if k not in allowed:
-            errors.append(f"unknown key {k!r} in {where}")
-
-
-def _number(v, kinds=(int, float)) -> bool:
-    """A JSON number of ``kinds``: JSON's true and false load as bools, which are ints."""
-    return isinstance(v, kinds) and not isinstance(v, bool)
-
-
-def _expect(cond: bool, msg: str, errors: list) -> bool:
-    if not cond:
-        errors.append(msg)
-    return cond
-
-
-def _object(parent: dict, key: str, keys: set, errors: list, prefix: str = "") -> Optional[dict]:
-    """parent[key] with its unknown keys reported, or None when it is absent
-    or, reported as such, not an object."""
-    block = parent.get(key)
-    if block is not None and not isinstance(block, dict):
-        errors.append(f"{prefix}{key}: must be an object")
-        return None
-    if block is not None:
-        _check_keys(block, keys, prefix + key, errors)
-    return block
-
-
-def _vector(v) -> bool:
-    return isinstance(v, list) and all(_number(c) for c in v)
-
-
-def _positive(v) -> bool:
-    return v > 0
-
-
-def _float(block: dict, key: str, default, ok, msg: str, errors: list) -> Optional[float]:
-    """block[key], or ``default``, as a float; None, with ``msg`` reported,
-    unless it is a number that ``ok`` accepts."""
-    v = block.get(key, default)
-    return float(v) if _expect(_number(v) and ok(v), msg, errors) else None
-
-
 def _schedule(spec: dict) -> StepSchedule:
-    if spec.get("kind", "power_law") == "harmonic":
-        return StepSchedule.harmonic(spec.get("c", 1.0))
-    return StepSchedule.power_law(spec.get("c", 1.0), spec.get("alpha", 0.5))
+    if spec["kind"] == "harmonic":
+        return StepSchedule.harmonic(spec["c"])
+    return StepSchedule.power_law(spec["c"], spec["alpha"])
 
 
 def _bias(spec: dict, dim: int):
-    kind = spec["kind"]
-    if kind == "zero":
+    if spec["kind"] == "zero":
         return ZeroBias(dim)
-    if kind == "gaussian_shrinking":
-        return ShrinkingGaussianBias(dim, c=spec.get("c", 1.0), gamma=spec.get("gamma", 1.0))
+    if spec["kind"] == "gaussian_shrinking":
+        return ShrinkingGaussianBias(dim, c=spec["c"], gamma=spec["gamma"])
     return ConstantBias(spec["vector"])
 
 
 def _projection(spec: dict):
-    kind = spec.get("kind", "none")
-    if kind == "none":
-        return NoProjection()
-    if kind == "box":
+    if spec["kind"] == "box":
         return BoxRegion(spec["lo"], spec["hi"])
-    return BallRegion(spec["center"], spec["radius"])
+    if spec["kind"] == "ball":
+        return BallRegion(spec["center"], spec["radius"])
+    return NoProjection()
 
 
-def _noise(spec: dict, key: str):
-    kind = spec.get("kind", "none")
-    if kind == "none":
-        return NoNoise(int(spec.get("dim", 0)))
-    if kind == "gaussian":
+def _noise(spec: dict):
+    if spec["kind"] == "gaussian":
         return GaussianNoise(spec["mean"], spec["cov"])
-    if kind == "uniform":
+    if spec["kind"] == "uniform":
         return UniformNoise(spec["lo"], spec["hi"])
-    raise ConfigError([f"unknown noise kind {kind!r} for {key}"])
+    return NoNoise(spec["dim"])
 
 
 def _inline_drift(spec: dict, dim: int) -> Drift:
-    smooth_spec = spec.get("smooth")
-    smooth = None
-    smooth_mean = None
-    if smooth_spec is not None:
-        a = np.atleast_2d(np.asarray(smooth_spec.get("matrix", (-np.eye(dim)).tolist()), dtype=float))
-        b = np.atleast_1d(np.asarray(smooth_spec.get("offset", [0.0] * dim), dtype=float))
-        add_noise = smooth_spec.get("noise", "add") == "add"
+    smooth = smooth_mean = set_map = sample_term = None
+    part = spec.get("smooth")
+    if part is not None:
+        a = np.atleast_2d(np.asarray(part["matrix"] if "matrix" in part else -np.eye(dim),
+                                     dtype=float))
+        b = np.atleast_1d(np.asarray(part.get("offset", np.zeros(dim)), dtype=float))
+        add_noise = part["noise"] == "add"
 
-        def smooth(x_rows, z_rows, _a=a, _b=b, _noise=add_noise):
-            out = x_rows @ _a.T + _b
-            if _noise and z_rows.shape[1]:
+        def smooth(x_rows, z_rows):
+            out = x_rows @ a.T + b
+            if add_noise and z_rows.shape[1]:
                 out = out + z_rows
             return out
 
-        def smooth_mean(x, _a=a, _b=b):
-            return _a @ np.asarray(x, dtype=float) + _b
+        def smooth_mean(x):
+            return a @ np.asarray(x, dtype=float) + b
 
-    set_spec = spec.get("set_part")
-    set_map = None
-    sample_term = None
-    if set_spec is not None and set_spec.get("kind", "none") != "none":
-        kind = set_spec["kind"]
-        if kind == "sign_box":
-            lam = float(set_spec["lam"])
-            set_map = sign_interval_map(dim, lam)
-            sample_term = sign_term(lam)
-        elif kind == "constant_set":
-            lo = np.asarray(set_spec["lo"], dtype=float)
-            hi = np.asarray(set_spec["hi"], dtype=float)
-            box = Box(lo, hi)
-            set_map = SetValuedMap(dim, lambda x: box,
-                                   common_bound=float(np.max(np.abs(np.stack([lo, hi])))) *
-                                   np.sqrt(dim) + 1e-9, name="constant_set")
-        else:
-            raise ConfigError([f"unknown set_part kind {kind!r}"])
+    part = spec.get("set_part")
+    if part is not None and part["kind"] == "sign_box":
+        set_map, sample_term = sign_interval_map(dim, part["lam"]), sign_term(part["lam"])
+    elif part is not None and part["kind"] == "constant_set":
+        box = Box(part["lo"], part["hi"])
+        set_map = SetValuedMap(dim, lambda x: box,
+                               common_bound=float(np.max(np.abs(np.stack([box.lo, box.hi])))) *
+                               np.sqrt(dim) + 1e-9, name="constant_set")
     return Drift(dim=dim, smooth=smooth, smooth_mean=smooth_mean,
                  set_map=set_map, selector=LeastNorm(), sample_term=sample_term)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
-    _check_keys(raw, _TOP_KEYS, "config", errors)
-
-    name = raw.get("name", "experiment")
-    _expect(isinstance(name, str), "name: must be a string", errors)
-
-    seed = raw.get("seed")
-    _expect(_number(seed, int) and seed >= 0,
-            "seed: required nonnegative integer (wall-clock seeding is not supported)", errors)
-
-    iterations = raw.get("iterations")
-    _expect(_number(iterations, int) and iterations >= 1,
-            "iterations: required integer >= 1", errors)
-    replications = raw.get("replications")
-    _expect(_number(replications, int) and replications >= 1,
-            "replications: required integer >= 1", errors)
-
-    preset_name = raw.get("preset")
-    if preset_name is None and raw.get("drift") is None:
-        errors.append("either preset or drift must be given")
-    if preset_name is not None:
-        _expect(preset_name in PRESET_NAMES, f"preset: unknown name {preset_name!r}", errors)
-    if raw.get("drift") is not None:
-        drift = _object(raw, "drift", _DRIFT_KEYS, errors) or {}
-        _object(drift, "smooth", _SMOOTH_KEYS, errors, "drift.")
-        _object(drift, "set_part", _SET_PART_KEYS, errors, "drift.")
-        if raw.get("dim") is None:
-            errors.append("dim: required with an inline drift")
-
-    dim = raw.get("dim")
-    if dim is not None:
-        _expect(_number(dim, int) and dim >= 1, "dim: must be an integer >= 1", errors)
-
-    x0 = raw.get("x0")
-    starts: list = []
-    if x0 is None:
-        if preset_name is None:
-            errors.append("x0: required without a preset")
-    else:
-        if _number(x0):
-            starts = [[float(x0)]]
-        elif isinstance(x0, list) and x0 and _vector(x0):
-            starts = [[float(v) for v in x0]]
-        elif isinstance(x0, list) and x0 and all(_vector(v) for v in x0):
-            starts = [[float(c) for c in v] for v in x0]
-        else:
-            errors.append("x0: must be a vector or a list of vectors")
-
-    schedule_spec = _object(raw, "schedule", _SCHEDULE_KEYS, errors)
-    if schedule_spec is not None:
-        kind = schedule_spec.get("kind", "power_law")
-        _expect(kind in ("harmonic", "power_law"), f"schedule.kind: unknown {kind!r}", errors)
-        c = schedule_spec.get("c", 1.0)
-        _expect(_number(c) and c > 0, "schedule.c: must be > 0", errors)
-        alpha = schedule_spec.get("alpha", 0.5)
-        _expect(_number(alpha) and 0 < alpha <= 1,
-                "schedule.alpha: must lie in (0, 1]", errors)
-
-    bias_spec = _object(raw, "bias", _BIAS_KEYS, errors)
-    if bias_spec is not None:
-        kind = bias_spec.get("kind")
-        _expect(kind in ("zero", "gaussian_shrinking", "constant"),
-                f"bias.kind: unknown {kind!r}", errors)
-        if kind == "constant":
-            _expect(isinstance(bias_spec.get("vector"), list),
-                    "bias.vector: required vector for constant bias", errors)
-        if kind == "gaussian_shrinking":
-            c = bias_spec.get("c", 1.0)
-            gamma = bias_spec.get("gamma", 1.0)
-            _expect(_number(c) and c >= 0, "bias.c: must be >= 0", errors)
-            _expect(_number(gamma) and gamma >= 0,
-                    "bias.gamma: must be >= 0", errors)
-
-    noise_spec = raw.get("noise", {})
-    if noise_spec is not None and not isinstance(noise_spec, dict):
-        errors.append("noise: must be an object keyed by role")
-        noise_spec = {}
-    for key in noise_spec or {}:
-        if key not in ("xi", "zeta", "zetatilde"):
-            errors.append(f"noise: unknown role {key!r}")
-        elif key != "zetatilde" and preset_name is not None and noise_spec[key] is not None:
-            # the preset's drift decodes these samples in its data law's layout
-            errors.append(f"noise.{key}: set by the preset's data law")
-        else:
-            _object(noise_spec, key, _NOISE_KEYS, errors, "noise.")
-
-    projection_spec = _object(raw, "projection", _PROJECTION_KEYS, errors)
-    if projection_spec is not None:
-        kind = projection_spec.get("kind", "none")
-        _expect(kind in ("none", "box", "ball"), f"projection.kind: unknown {kind!r}", errors)
-
-    outputs = raw.get("outputs", ["report"])
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        errors.append("outputs: must be a list of names")
-        outputs = ["report"]
-    else:
-        for o in outputs:
-            _expect(o in _OUTPUT_NAMES, f"outputs: unknown artifact {o!r}", errors)
-
-    checkpoints = raw.get("checkpoints", 10)
-    _expect(_number(checkpoints, int) and checkpoints >= 2,
-            "checkpoints: must be an integer >= 2", errors)
-
-    for block_name, keys in (("sdi", _SDI_KEYS), ("di", _DI_KEYS), ("chain", _CHAIN_KEYS)):
-        _object(raw, block_name, keys, errors)
-
-    _expect(isinstance(raw.get("preset_params", {}), dict),
-            "preset_params: must be an object", errors)
-    x_star = raw.get("x_star")
-    _expect(x_star is None or _vector(x_star), "x_star: must be a vector", errors)
-
-    if errors:
+    errors: list[str] = []
+    cfg = _walk(raw, _CONFIG, "", errors)
+    needs = [] if "preset" in cfg else [k for k in ("drift", "dim", "x0") if k not in cfg]
+    errors += [f"{key}: required without a preset" for key in needs]
+    if "preset" in cfg:
+        # the preset's drift decodes these samples in its data law's layout
+        errors += [f"noise.{key}: set by the preset's data law"
+                   for key in ("xi", "zeta") if key in (cfg["noise"] or {})]
+    # a block in error is left out of the resolution; any other error stops it
+    if needs or any(value is None and not isinstance(_CONFIG.keys[key].type, (Block, dict))
+                    for key, value in cfg.items()):
         raise ConfigError(errors)
-    return ExperimentConfig(
-        raw=raw, name=name, seed=seed, iterations=iterations, replications=replications,
-        outputs=outputs, checkpoints=checkpoints, **_resolve(raw, name, starts, outputs))
+    fields = ("name", "seed", "iterations", "replications", "outputs", "checkpoints")
+    return ExperimentConfig(raw=raw, **{k: cfg[k] for k in fields}, **_resolve(raw, cfg, errors))
 
 
-def _resolve(raw: dict, name: str, starts: list, outputs: list) -> dict:
-    """Build every block of a well-formed config once, into the resolved
-    fields of its ExperimentConfig.  Raises ConfigError listing the problems
-    that show only now; dimensions are checked once the preset builds."""
-    errors, n = [], raw["iterations"]
-    sizes = [(f"x0[{i}]", len(x0)) for i, x0 in enumerate(starts)]  # (where, dimension)
+def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
+    """Build every block of the walked config ``cfg`` once, into the resolved
+    fields of its ExperimentConfig; a block in error (None) is skipped.
+    Raises ConfigError listing the problems, with those that show only now;
+    dimensions are checked once the preset builds."""
+    n, outputs, x0 = cfg["iterations"], cfg["outputs"], cfg.get("x0")
+    starts = [] if x0 is None else [[x0]] if _number(x0) else [x0] if _vector(x0) else x0
+    sizes = [(f"x0[{i}]", len(start)) for i, start in enumerate(starts)]  # (where, dimension)
 
-    def attempt(where: str, build, kinded: bool = False):
-        # kinded: the block's kind decides which keys it needs
+    def attempt(where: str, build):
         try:
             return build()
-        except KeyError as exc:
-            errors.append(f"{where}.{exc.args[0]}: required" + (" by its kind" if kinded else ""))
         except (ValueError, TypeError) as exc:  # a ConfigError carries its own list
             errors.extend(getattr(exc, "errors", [f"{where}: {exc}"]))
 
     preset = drift = template = None
-    dim, named = raw.get("dim"), raw.get("preset") is not None
+    dim, named = cfg.get("dim"), "preset" in cfg
     if named:
-        preset = attempt("preset_params", lambda: preset_by_name(raw["preset"],
-                                                                 raw.get("preset_params", {})))
+        if cfg["preset_params"] is not None:
+            preset = attempt("preset_params",
+                             lambda: preset_by_name(cfg["preset"], cfg["preset_params"]))
         template = getattr(preset, "spec", None)
+        if template is not None and dim is not None:
+            sizes.append(("dim", dim))
         dim = None if template is None else template.drift.dim
-    else:
-        drift = attempt("drift.set_part", lambda: _inline_drift(raw["drift"], dim), kinded=True)
+    elif cfg["drift"] is not None:
+        drift = attempt("drift", lambda: _inline_drift(cfg["drift"], dim))
     # a preset that does not build has its own error, so nothing is said about it here
     failed = named and preset is None
     # the blocks the config gives, in place of the template's pieces
-    noise = raw.get("noise") or {}
-    blocks = [("schedule", raw.get("schedule"), _schedule),
-              # zero and shrinking biases take the state dimension, so only a vector can differ
-              ("bias", raw.get("bias"), lambda spec: _bias(spec, dim or 1)),
-              ("projection", raw.get("projection"), _projection)]
-    blocks += [(f"noise.{key}", noise[key], lambda spec, key=key: _noise(spec, key))
-               for key in noise]
-    overrides = {where.replace(".", "_"): attempt(where, lambda: build(spec), kinded=True)
-                 for where, spec, build in blocks if spec is not None}
+    noise = cfg["noise"] or {}
+    given = [("schedule", cfg.get("schedule"), _schedule),
+             # zero and shrinking biases take the state dimension, so only a vector can differ
+             ("bias", cfg.get("bias"), lambda spec: _bias(spec, dim or 1)),
+             ("projection", cfg.get("projection"), _projection)]
+    given += [(f"noise.{key}", noise[key], _noise) for key in noise]
+    overrides = {where.replace(".", "_"): attempt(where, lambda: build(spec))
+                 for where, spec, build in given if spec is not None}
     if drift is not None:  # starts are required without a preset, so x0 is a placeholder
         template = RunSpec(drift=drift, schedule=overrides.get("schedule") or default_schedule(),
                            x0=np.zeros(dim), n_steps=n)
@@ -389,65 +408,42 @@ def _resolve(raw: dict, name: str, starts: list, outputs: list) -> dict:
     if getattr(additive, "dim", 0):
         sizes.append(("noise.zetatilde", additive.dim))
 
-    x_star = raw.get("x_star")
+    x_star = cfg.get("x_star")
     if x_star is not None:
         sizes.append(("x_star", len(x_star)))
     x_star = getattr(preset, "x_star", None) if x_star is None else x_star
-    bundle = failed or getattr(preset, "stability", None) is not None
-    _expect("certificate" not in outputs or bundle,
-            "outputs: certificate needs a preset that declares a stability bundle", errors)
+    if "certificate" in outputs and not failed and getattr(preset, "stability", None) is None:
+        errors.append("outputs: certificate needs a preset that declares a stability bundle")
     # the rate outputs are checked here so that none fails after the run
     for output, least in (("normalized", 100), ("sdi_compare", 200)):
-        if output in outputs:
-            _expect(x_star is not None or failed, f"outputs: {output} needs a known x_star",
-                    errors)
-            _expect(raw["replications"] >= least,
-                    f"replications: {output} needs at least {least}", errors)
+        if output in outputs and x_star is None and not failed:
+            errors.append(f"outputs: {output} needs a known x_star")
+        if output in outputs and cfg["replications"] < least:
+            errors.append(f"replications: {output} needs at least {least}")
 
-    sdi, compare = raw.get("sdi"), "sdi_compare" in outputs
-    if compare and sdi is None:
+    sdi, compare = cfg.get("sdi"), "sdi_compare" in outputs
+    if compare and "sdi" not in cfg:
         errors.append("sdi: sdi_compare needs an sdi block")
     elif sdi is not None:
         # simulate-sdi reads the block whatever the outputs, so it is checked when present
-        least, start = (200 if compare else 1), sdi.get("start_index", 0)
-        n_reps = sdi.get("n_reps")  # None: each verb chooses its own count
-        _expect(n_reps is None or _number(n_reps, int) and n_reps >= least,
-                f"sdi.n_reps: must be at least {least}", errors)
-        t_eval = _float(sdi, "t_eval", 1.0, math.isfinite, "sdi.t_eval: must be a finite number",
-                        errors)
-        model = attempt("sdi", lambda: SDIModel(
-            A=sdi["A"], sigma=sdi["sigma"], half_identity=bool(sdi.get("half_identity", False))))
+        if compare and sdi.get("n_reps", 200) < 200:
+            errors.append("sdi.n_reps: must be at least 200")
+        model = attempt("sdi", lambda: SDIModel(A=sdi["A"], sigma=sdi["sigma"],
+                                                half_identity=sdi["half_identity"]))
         if model is not None:
             sizes.append(("sdi.A", model.dim))
-        sdi = {"model": model, "t_eval": t_eval, "n_reps": n_reps, "start_index": start,
-               "dt": _float(sdi, "dt", 1e-3, _positive, "sdi.dt: must be > 0", errors),
-               "eval_index": None}
-        if compare and _expect(_number(start, int) and 0 <= start <= n,
-                               f"sdi.start_index: must lie in [0, {n}]", errors):
-            if t_eval is not None and schedule is not None:
-                sdi["eval_index"] = attempt("sdi.t_eval",
-                                            lambda: shifted_index(schedule, start, t_eval, n))
+        sdi = dict(sdi, model=model, n_reps=sdi.get("n_reps"), eval_index=None)
+        if compare and sdi["start_index"] > n:
+            errors.append(f"sdi.start_index: must lie in [0, {n}]")
+        elif compare and schedule is not None:
+            sdi["eval_index"] = attempt("sdi.t_eval", lambda: shifted_index(
+                schedule, sdi["start_index"], sdi["t_eval"], n))
 
-    di = raw.get("di") or {}
-    if "x0" in di and _expect(_vector(di["x0"]), "di.x0: must be a vector", errors):
+    di, chain = cfg["di"], cfg.get("chain")
+    if di is not None and "x0" in di:
         sizes.append(("di.x0", len(di["x0"])))
-    di = {"dt": _float(di, "dt", 1e-3, _positive, "di.dt: must be > 0", errors),
-          "horizon": _float(di, "horizon", 10.0, lambda v: v >= 0,
-                            "di.horizon: must be >= 0", errors),
-          "x0": di.get("x0")}
-
-    chain = raw.get("chain")
     if chain is not None:
-        probes, budget = chain.get("probes"), chain.get("budget", 16)
-        if _expect(isinstance(probes, list) and len(probes) > 0 and all(map(_vector, probes)),
-                   "chain.probes: required, a non-empty list of vectors", errors):
-            sizes.extend((f"chain.probes[{i}]", len(p)) for i, p in enumerate(probes))
-        _expect(_number(budget, int) and budget >= 1,
-                "chain.budget: must be an integer >= 1", errors)
-        chain = {"probes": probes, "budget": budget,
-                 "eps": _float(chain, "eps", 0.5, _positive, "chain.eps: must be > 0", errors),
-                 "t_min": _float(chain, "t_min", 1.0, _positive, "chain.t_min: must be > 0",
-                                 errors)}
+        sizes.extend((f"chain.probes[{i}]", len(p)) for i, p in enumerate(chain["probes"]))
 
     if dim is not None:
         errors += [f"{where}: has dimension {got}, the state has {dim}"
@@ -455,10 +451,10 @@ def _resolve(raw: dict, name: str, starts: list, outputs: list) -> dict:
     if errors:
         raise ConfigError(errors)
     fingerprint = config_fingerprint(raw)
-    specs = [replace(template, x0=np.asarray(x0, dtype=float), n_steps=n, name=f"{name}[start{i}]",
-                     fingerprint=fingerprint, **overrides)
+    specs = [replace(template, x0=np.asarray(x0, dtype=float), n_steps=n,
+                     name=f"{cfg['name']}[start{i}]", fingerprint=fingerprint, **overrides)
              for i, x0 in enumerate(starts or [template.x0])]
-    di["x0"] = template.x0 if di["x0"] is None else np.asarray(di["x0"], dtype=float)
+    di["x0"] = np.asarray(di["x0"], dtype=float) if "x0" in di else template.x0
     return {"preset": preset, "specs": specs, "di": di, "chain": chain, "sdi": sdi,
             "x_star": None if x_star is None else np.asarray(x_star, dtype=float)}
 

@@ -10,7 +10,6 @@ generic states; the agreement is covered by tests.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 import warnings
@@ -648,17 +647,13 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_by_name(name: str, params: Optional[dict] = None) -> Preset:
-    """A preset from its function's keyword names, ``data``/``law`` given as
-    ``RegressionLaw``/``SignFilterLaw`` fields."""
+    """A preset from its function's keyword arguments, ``data``/``law`` given
+    as ``RegressionLaw``/``SignFilterLaw`` fields.  ``sadi.config`` checks a
+    config's ``preset_params`` and fills in their defaults."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     params = dict(params or {})
-    unknown = sorted(set(params) - set(inspect.signature(_PRESETS[name]).parameters))
-    if unknown:
-        raise ValueError(f"preset {name!r} has no parameter " + ", ".join(map(repr, unknown)))
     for key, law in (("data", RegressionLaw), ("law", SignFilterLaw)):
         if key in params:
-            params[key] = law(**params[key]) if params[key] else None
-    if name in ("lasso", "pegasos"):
-        params.setdefault("lam", 0.7 if name == "lasso" else 1.0)
+            params[key] = law(**params[key])
     return _PRESETS[name](**params)

@@ -210,33 +210,25 @@ def _normalized(result, indices, schedule, x_star, start: int, n: int) -> np.nda
 
 
 def set_by_path(raw: dict, path: str, value):
-    """Set a scalar config field addressed by a dotted path (list indices
-    are numeric segments); raises on non-scalar targets."""
-    parts = path.split(".")
+    """Set a numeric config field addressed by a dotted path (list indices
+    are numeric segments); raises ConfigError on a path to anything else."""
+    *parents, leaf = path.split(".")
+
+    def entry(node, segment):
+        # a key of an object, or an index in range of a list
+        if isinstance(node, dict) and segment in node:
+            return segment
+        if isinstance(node, list) and segment.isdecimal() and int(segment) < len(node):
+            return int(segment)
+        raise ConfigError([f"sweep path {path!r}: no entry {segment!r}"])
+
     node = raw
-    for p in parts[:-1]:
-        if isinstance(node, list):
-            node = node[int(p)]
-        elif isinstance(node, dict):
-            if p not in node:
-                raise ConfigError([f"sweep path segment {p!r} not found"])
-            node = node[p]
-        else:
-            raise ConfigError([f"sweep path {path!r} descends into a scalar"])
-    leaf = parts[-1]
-    if isinstance(node, list):
-        idx = int(leaf)
-        if not isinstance(node[idx], (int, float)):
-            raise ConfigError([f"sweep path {path!r} does not address a scalar"])
-        node[idx] = value
-    elif isinstance(node, dict):
-        if leaf not in node:
-            raise ConfigError([f"sweep path leaf {leaf!r} not found"])
-        if not isinstance(node[leaf], (int, float)):
-            raise ConfigError([f"sweep path {path!r} does not address a scalar"])
-        node[leaf] = value
-    else:
-        raise ConfigError([f"sweep path {path!r} descends into a scalar"])
+    for segment in parents:
+        node = node[entry(node, segment)]
+    key = entry(node, leaf)
+    if not isinstance(node[key], (int, float)) or isinstance(node[key], bool):
+        raise ConfigError([f"sweep path {path!r} does not address a number"])
+    node[key] = value
 
 
 def sweep(config: ExperimentConfig, param_path: str, values: Sequence[float],

@@ -1,16 +1,20 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps public names of
 ``sadi`` from outside the package.  Deleting or renaming one of them would
-otherwise show only in the benchmark's own, minute-long tests."""
+otherwise show only in the benchmark's own, minute-long tests.  Likewise a
+stricter config schema that rejected one of the benchmark's scaled configs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look up the module's names
     spec.loader.exec_module(module)
     return module
 
@@ -18,7 +22,7 @@ def _load_spans():
 def test_tracer_finds_every_name_it_wraps():
     import sadi.sets
 
-    spans = _load_spans()
+    spans = _load("spans")
     original = sadi.sets.SetValuedMap.__dict__["value"]
     tracer = spans.Tracer()
     try:
@@ -28,3 +32,14 @@ def test_tracer_finds_every_name_it_wraps():
     finally:
         tracer.uninstall()
     assert sadi.sets.SetValuedMap.__dict__["value"] is original
+
+
+def test_every_benchmark_config_parses(tmp_path):
+    from sadi.cli import parse_config
+
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS.values():
+        dest = tmp_path / workload.name
+        workloads.write_configs(workload, ROOT / "configs", dest)
+        for job in workload.jobs:
+            parse_config(dest / f"{job.label}.json", seed=workloads.DEFAULT_SEED)

@@ -378,7 +378,8 @@ def test_run_builds_each_block_once(tmp_path, monkeypatch):
     assert counts == {"sdi_model": 1, "schedule": 1}
 
 
-# a JSON boolean where a number is required: (config, changes, the key the error names)
+# an input validation must reject: (config, changes, the key the error names); first a
+# JSON boolean where a number is required
 _BOOLEAN_NUMBERS = [
     ("iterations", "ex1", {"iterations": True}, "iterations"),
     ("replications", "ex1", {"replications": True}, "replications"),
@@ -399,6 +400,113 @@ _BOOLEAN_NUMBERS = [
     ("sdi_t_eval", "ou_rates", {"sdi": dict(_SDI, t_eval=True)}, "sdi.t_eval"),
     ("sdi_start_index", "ou_rates", {"sdi": dict(_SDI, start_index=True)}, "sdi.start_index"),
 ]
+
+# inputs that validation once accepted and the run then misread; the key
+# named can carry the rest of the message
+_SMOOTH = {"kind": "linear", "matrix": [[-1.0]], "offset": [0.3], "noise": "add"}
+_SDI_EX1 = {"A": [[-1.0]], "sigma": [[1.0]]}
+_BOOLEAN_NUMBERS += [
+    ("bias_vector_entry", "ex1", {"bias": {"kind": "constant", "vector": [True]}}, "bias.vector"),
+    ("projection_lo_entry", "ex1", {"projection": {"kind": "box", "lo": [True], "hi": [10.0]}},
+     "projection.lo"),
+    ("projection_radius", "ex1", {"projection": {"kind": "ball", "center": [0.0], "radius": True}},
+     "projection.radius"),
+    ("zetatilde_mean_entry", "ex1",
+     {"noise": {"zetatilde": {"kind": "gaussian", "mean": [True], "cov": [[1.0]]}}},
+     "noise.zetatilde.mean"),
+    ("zetatilde_dim", "ex1", {"noise": {"zetatilde": {"kind": "none", "dim": True}}},
+     "noise.zetatilde.dim"),
+    ("lasso_lam", "ex1", {"preset_params": {"lam": True, "data": {"theta": [1.0]}}},
+     "preset_params.lam"),
+    ("lasso_lam_string", "ex1", {"preset_params": {"lam": "0.7", "data": {"theta": [1.0]}}},
+     "preset_params.lam: must be a number"),
+    ("pegasos_lam", "svm_plane", {"preset_params": {"lam": True}}, "preset_params.lam"),
+    ("data_theta_entry", "ex1", {"preset_params": {"data": {"theta": [True]}}},
+     "preset_params.data.theta"),
+    ("data_noise_std", "ex1", {"preset_params": {"data": {"theta": [1.0], "noise_std": True}}},
+     "preset_params.data.noise_std"),
+    ("pegasos_feature_mean_entry", "svm_plane", {"preset_params": {"feature_mean": [True, 2.0]}},
+     "preset_params.feature_mean"),
+    ("pegasos_ridge_coeff", "svm_plane", {"preset_params": {"ridge_coeff": True}},
+     "preset_params.ridge_coeff"),
+    ("sdi_A_entry", "ex1", {"sdi": dict(_SDI_EX1, A=[[True]])}, "sdi.A"),
+    ("sdi_start_index_unread", "ex1", {"sdi": dict(_SDI_EX1, start_index=True)},
+     "sdi.start_index"),
+    ("sdi_half_identity", "ex1", {"sdi": dict(_SDI_EX1, half_identity="no")},
+     "sdi.half_identity"),
+    ("smooth_matrix_entry", "ou_rates", {"drift": {"smooth": dict(_SMOOTH, matrix=[[True]])}},
+     "drift.smooth.matrix"),
+    ("smooth_offset_entry", "ou_rates", {"drift": {"smooth": dict(_SMOOTH, offset=[True])}},
+     "drift.smooth.offset"),
+    ("smooth_noise", "ou_rates", {"drift": {"smooth": dict(_SMOOTH, noise="maybe")}},
+     "drift.smooth.noise"),
+    ("smooth_kind", "ou_rates", {"drift": {"smooth": dict(_SMOOTH, kind="bogus")}},
+     "drift.smooth.kind"),
+    ("constant_set_lo_entry", "ou_rates",
+     {"drift": {"smooth": _SMOOTH,
+                "set_part": {"kind": "constant_set", "lo": [True], "hi": [1.0]}}},
+     "drift.set_part.lo"),
+    ("sign_box_lam_string", "ou_rates",
+     {"drift": {"smooth": _SMOOTH, "set_part": {"kind": "sign_box", "lam": "0.5"}}},
+     "drift.set_part.lam"),
+    # keys that the block's kind does not read
+    ("projection_none_lo", "ex1", {"projection": {"kind": "none", "lo": [1.0]}},
+     "projection.lo: not read by kind 'none'"),
+    ("bias_zero_vector", "ex1", {"bias": {"kind": "zero", "vector": [1.0]}},
+     "bias.vector: not read by kind 'zero'"),
+]
+
+
+def _schema_cases() -> list:
+    """One case per key of the config schema: a boolean, a string and, for a
+    bounded key, a value out of its bound, each in a block that reads the key."""
+    from sadi import config as c
+
+    samples = {c.NUMBER: 1.0, c.VECTOR: [1.0], c.MATRIX: [[1.0]], c.VECTORS: [[1.0]]}
+
+    def within(block, key, value):
+        # the block at the first kind that reads key, with what that kind requires
+        leaf = block.keys[key]
+        kind = leaf.kinds[0] if leaf.kinds else None
+        out = {} if kind is None else {block.kind: kind}
+        out.update((k, samples[other.type]) for k, other in block.keys.items()
+                   if other.default is c.REQUIRED and k not in (key, block.kind)
+                   and (not other.kinds or kind in other.kinds))
+        out[key] = value
+        return out
+
+    def cases(path, leaf, name, wrap, tag):
+        bad = {"bool": True, "string": "not a value"}
+        for label, valid in (("bool", c.BOOL), ("string", c.STRING)):
+            if leaf.type is valid:
+                del bad[label]
+        if leaf.bound is not None:
+            bad["bound"] = next(v for v in (-1, 0, math.inf) if not leaf.bound(v))
+        return [(f"{tag}{path}-{label}", name, wrap(v), path) for label, v in bad.items()]
+
+    def walk(block, where, name, wrap, tag=""):
+        out = []
+        for key, leaf in block.keys.items():
+            inner = (lambda v, key=key: wrap(within(block, key, v)))
+            out += cases(where + key, leaf, name, inner, tag)
+            if isinstance(leaf.type, c.Block):
+                out += walk(leaf.type, f"{where}{key}.", name, inner, tag)
+        return out
+
+    out = []
+    for key, leaf in c._CONFIG.keys.items():
+        name = "ou_rates" if key == "drift" else "ex1"
+        out += cases(key, leaf, name, lambda v, key=key: {key: v}, "")
+        if isinstance(leaf.type, c.Block):
+            out += walk(leaf.type, key + ".", name, lambda v, key=key: {key: v})
+    for preset, block in c._PRESET_PARAMS.items():
+        name = "svm_plane" if preset == "pegasos" else "ex1"
+        out += walk(block, "preset_params.", name,
+                    lambda v, preset=preset: {"preset": preset, "preset_params": v}, f"{preset}:")
+    return out
+
+
+_BOOLEAN_NUMBERS += _schema_cases()
 
 
 @pytest.mark.parametrize("name,changes,key", [case[1:] for case in _BOOLEAN_NUMBERS],

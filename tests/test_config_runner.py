@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sadi
+from sadi.cli import main
 from sadi.config import ConfigError, parse_config, validate_config
 from sadi.runner import run_experiment, set_by_path, sweep
 
@@ -101,6 +102,19 @@ def test_inline_drift_parts_must_be_objects():
         validate_config(raw)
     assert {"drift.smooth: must be an object", "drift.set_part: must be an object"} <= set(
         err.value.errors)
+
+
+def test_preset_params_table_matches_the_preset_functions():
+    # preset_by_name passes the checked parameters on as keyword arguments
+    import inspect
+
+    import sadi.config
+    import sadi.presets
+
+    assert set(sadi.config._PRESET_PARAMS) == set(sadi.presets.PRESET_NAMES)
+    for name, block in sadi.config._PRESET_PARAMS.items():
+        params = inspect.signature(sadi.presets._PRESETS[name]).parameters
+        assert set(block.keys) == set(params), name
 
 
 def test_seed_required():
@@ -215,12 +229,23 @@ def test_sweep_single_value_equals_run(tmp_path):
     assert "param=bias.gamma" in header
 
 
-def test_sweep_rejects_non_scalar_paths():
+def test_sweep_rejects_non_scalar_paths(tmp_path, capsys):
     cfg = validate_config(_minimal(bias={"kind": "gaussian_shrinking"}))
     with pytest.raises(ConfigError):
         sweep(cfg, "bias", [1.0])
     with pytest.raises(ConfigError):
         sweep(cfg, "bias.unknown", [1.0])
+    cfg = validate_config(_minimal(bias={"kind": "constant", "vector": [0.0]},
+                                   sdi={"A": [[-1.0]], "sigma": [[1.0]], "half_identity": False}))
+    # past the end, not an index, a negative index, a boolean
+    for path in ("bias.vector.5", "x0.a", "x0.-1", "sdi.half_identity"):
+        with pytest.raises(ConfigError):
+            sweep(cfg, path, [1.0])
+    path = _write(tmp_path, cfg.raw)
+    assert main(["sweep", str(path), "--param", "x0.0", "--values", "0.1,x",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "--values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_set_by_path_list_indices():
