@@ -45,20 +45,16 @@ from .nonsmooth import (  # noqa: F401
     u_reduced,
 )
 from .engine import (  # noqa: F401
-    BallRegion,
-    BoxRegion,
     ConstantBias,
     Drift,
     GaussianNoise,
     NoNoise,
-    NoProjection,
     RunSpec,
     ShrinkingGaussianBias,
     StepSchedule,
     Trajectory,
     UniformNoise,
     ZeroBias,
-    project,
     run,
     run_ensemble,
 )

@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -15,22 +16,20 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import (
-    BallRegion,
-    BoxRegion,
     ConstantBias,
     Drift,
     GaussianNoise,
     NoNoise,
-    NoProjection,
     RunSpec,
     ShrinkingGaussianBias,
     StepSchedule,
     UniformNoise,
     ZeroBias,
+    as_matrix,
 )
 from .rates import SDIModel, shifted_index
 from .presets import Preset, default_schedule, preset_by_name, sign_interval_map, sign_term
-from .sets import Box, LeastNorm, SetValuedMap
+from .sets import Ball, Box, LeastNorm, SetValuedMap
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "config_fingerprint"]
 
@@ -67,7 +66,8 @@ def _one_of(*names) -> Callable:
     return _is("one of " + ", ".join(map(repr, names)), lambda v: v in names)
 
 
-NUMBER = _is("a number", _number)
+# one a float holds: JSON reads 1e400 as inf, and float() of a longer integer overflows
+NUMBER = _is("a number", lambda v: _number(v) and abs(v) <= sys.float_info.max)
 INT = _is("an integer", lambda v: _number(v, int))
 BOOL = _is("true or false", lambda v: isinstance(v, bool))
 STRING = _is("a string", lambda v: isinstance(v, str))
@@ -164,7 +164,7 @@ _PRESET_PARAMS = {
             "noise_std": Leaf(NUMBER, 1.0, **_NONNEGATIVE),
             "feature_mean": Leaf(VECTOR, kinds=("gaussian",)),
             "feature_cov": Leaf(MATRIX, kinds=("gaussian",))}, "features")),
-        "dim": Leaf(INT, 1, **_AT_LEAST_1),  # of the all-ones law, when there is no data
+        "dim": Leaf(INT, None, **_AT_LEAST_1),  # of the all-ones law, so not with data
     }),
     "pegasos": Block({"lam": Leaf(NUMBER, 1.0), "feature_mean": Leaf(VECTOR, (1.0, 2.0)),
                       "feature_cov": Leaf(MATRIX), "ridge_coeff": Leaf(NUMBER, 2.0)}),
@@ -295,10 +295,12 @@ def _bias(spec: dict, dim: int):
 
 def _projection(spec: dict):
     if spec["kind"] == "box":
-        return BoxRegion(spec["lo"], spec["hi"])
+        if any(lo >= hi for lo, hi in zip(spec["lo"], spec["hi"])):
+            raise ValueError("box region requires lo < hi componentwise")
+        return Box(spec["lo"], spec["hi"])
     if spec["kind"] == "ball":
-        return BallRegion(spec["center"], spec["radius"])
-    return NoProjection()
+        return Ball(spec["center"], spec["radius"])
+    return None
 
 
 def _noise(spec: dict):
@@ -313,9 +315,8 @@ def _inline_drift(spec: dict, dim: int) -> Drift:
     smooth = smooth_mean = set_map = sample_term = None
     part = spec.get("smooth")
     if part is not None:
-        a = np.atleast_2d(np.asarray(part["matrix"] if "matrix" in part else -np.eye(dim),
-                                     dtype=float))
-        b = np.atleast_1d(np.asarray(part.get("offset", np.zeros(dim)), dtype=float))
+        a = as_matrix(part.get("matrix", -1.0), dim)
+        b = np.asarray(part.get("offset", np.zeros(dim)), dtype=float)
         add_noise = part["noise"] == "add"
 
         def smooth(x_rows, z_rows):
@@ -350,6 +351,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         # the preset's drift decodes these samples in its data law's layout
         errors += [f"noise.{key}: set by the preset's data law"
                    for key in ("xi", "zeta") if key in (cfg["noise"] or {})]
+        # lasso's dim sizes the all-ones law, and data brings its own
+        if {"dim", "data"} <= set(cfg.get("preset_params") or {}):
+            errors.append("preset_params.dim: not read with data, whose theta sets the dimension")
     # a block in error is left out of the resolution; any other error stops it
     if needs or any(value is None and not isinstance(_CONFIG.keys[key].type, (Block, dict))
                     for key, value in cfg.items()):
@@ -373,6 +377,14 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
         except (ValueError, TypeError) as exc:  # a ConfigError carries its own list
             errors.extend(getattr(exc, "errors", [f"{where}: {exc}"]))
 
+    def fit(where: str, block: dict, keys) -> bool:
+        """Each axis of the vectors and matrices at ``keys`` of ``block`` into
+        the sizes (a number fits any); True when all are the state's."""
+        found = [(f"{where}.{key}", got) for key in keys if key in block
+                 for got in dict.fromkeys(np.shape(block[key]))]
+        sizes.extend(found)
+        return all(got == dim for _, got in found)
+
     preset = drift = template = None
     dim, named = cfg.get("dim"), "preset" in cfg
     if named:
@@ -384,7 +396,11 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
             sizes.append(("dim", dim))
         dim = None if template is None else template.drift.dim
     elif cfg["drift"] is not None:
-        drift = attempt("drift", lambda: _inline_drift(cfg["drift"], dim))
+        smooth, part = (cfg["drift"].get(key) or {} for key in ("smooth", "set_part"))
+        # a drift is built only on arrays of the state's dimension
+        if all([fit("drift.smooth", smooth, ("matrix", "offset")),
+                fit("drift.set_part", part, ("lo", "hi"))]):
+            drift = attempt("drift", lambda: _inline_drift(cfg["drift"], dim))
     # a preset that does not build has its own error, so nothing is said about it here
     failed = named and preset is None
     # the blocks the config gives, in place of the template's pieces
@@ -403,8 +419,8 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
     bias, region, additive = map(overrides.get, ("bias", "projection", "noise_zetatilde"))
     if bias is not None:
         sizes.append(("bias.vector", bias.dim))
-    if region is not None and not isinstance(region, NoProjection):
-        sizes.append(("projection", region.as_convex_set().dim))
+    if region is not None:
+        sizes.append(("projection", region.dim))
     if getattr(additive, "dim", 0):
         sizes.append(("noise.zetatilde", additive.dim))
 
@@ -428,10 +444,10 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
         # simulate-sdi reads the block whatever the outputs, so it is checked when present
         if compare and sdi.get("n_reps", 200) < 200:
             errors.append("sdi.n_reps: must be at least 200")
-        model = attempt("sdi", lambda: SDIModel(A=sdi["A"], sigma=sdi["sigma"],
-                                                half_identity=sdi["half_identity"]))
-        if model is not None:
-            sizes.append(("sdi.A", model.dim))
+        model = None
+        if fit("sdi", sdi, ("A", "sigma")):
+            model = attempt("sdi", lambda: SDIModel(
+                A=as_matrix(sdi["A"], dim), sigma=sdi["sigma"], half_identity=sdi["half_identity"]))
         sdi = dict(sdi, model=model, n_reps=sdi.get("n_reps"), eval_index=None)
         if compare and sdi["start_index"] > n:
             errors.append(f"sdi.start_index: must lie in [0, {n}]")

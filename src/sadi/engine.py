@@ -2,7 +2,7 @@
 
 One recursion step adds, scaled by the step size, a set-valued selection, a
 smooth noisy term, a pure-noise term, and a bias term, then optionally
-projects onto a compact region.  Randomness is split into per-role
+projects onto a box or a ball.  Randomness is split into per-role
 substreams keyed by (seed, replication, role), so adding or editing one
 role never perturbs another role's draws, and every replication's draws are
 fixed by its own index alone.
@@ -10,7 +10,6 @@ fixed by its own index alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -18,8 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .artifacts import Artifact
-from .sets import (ConvexSet, Box as BoxSet, Ball as BallSet, CellTable, CustomSelector,
-                   LeastNorm, SetValuedMap, UniformVertex, select)
+from .sets import (ConvexSet, CellTable, CustomSelector, LeastNorm, SetValuedMap,
+                   UniformVertex, select)
 
 __all__ = [
     "StepSchedule",
@@ -33,11 +32,6 @@ __all__ = [
     "ShrinkingGaussianBias",
     "ConstantBias",
     "CustomBias",
-    "ProjectionRegion",
-    "NoProjection",
-    "BoxRegion",
-    "BallRegion",
-    "project",
     "Drift",
     "Trajectory",
     "RunSpec",
@@ -222,16 +216,25 @@ class NoNoise(NoiseModel):
         return np.zeros((n, self.dim))
 
 
-def psd_root(m, d: int, what: str, mismatch: str):
-    """``m`` as a (d, d) matrix (a scalar is m*I, a vector a diagonal), and the
-    root of its PSD symmetric part; ``what`` names ``m`` in the PSD error."""
+def as_matrix(m, d: Optional[int] = None, mismatch: str = "must be a square matrix"):
+    """``m`` as a (d, d) matrix: a number is m*I, a vector the diagonal, rows
+    stay rows.  ``d`` None is the size ``m`` gives (1 for a number); any
+    other shape raises ValueError(mismatch)."""
     m = np.asarray(m, dtype=float)
+    d = (m.shape or (1,))[0] if d is None else d
     if m.ndim == 0:
         m = np.eye(d) * float(m)
     elif m.ndim == 1:
         m = np.diag(m)
     if m.shape != (d, d):
         raise ValueError(mismatch)
+    return m
+
+
+def psd_root(m, d: int, what: str, mismatch: str):
+    """``as_matrix(m, d, mismatch)`` and the root of its PSD symmetric part;
+    ``what`` names ``m`` in the PSD error."""
+    m = as_matrix(m, d, mismatch)
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     if np.any(w < -1e-10):
         raise ValueError(f"{what} must be positive semidefinite")
@@ -379,75 +382,6 @@ class CustomBias(BiasModel):
         for i in range(n):
             out[i] = np.atleast_1d(np.asarray(self.fn(gen, n0 + i), dtype=float))
         return out
-
-
-# ---------------------------------------------------------------------------
-# projection regions
-# ---------------------------------------------------------------------------
-
-
-class ProjectionRegion:
-    def project_rows(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def as_convex_set(self) -> ConvexSet:
-        raise NotImplementedError
-
-
-class NoProjection(ProjectionRegion):
-    def project_rows(self, x):
-        return x
-
-
-class BoxRegion(ProjectionRegion):
-    def __init__(self, lo, hi):
-        self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if np.any(self.lo >= self.hi):
-            raise ValueError("box region requires lo < hi componentwise")
-
-    def project_rows(self, x):
-        return np.clip(x, self.lo, self.hi)
-
-    def as_convex_set(self):
-        return BoxSet(self.lo, self.hi)
-
-
-class BallRegion(ProjectionRegion):
-    def __init__(self, center, radius):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("ball region requires radius > 0")
-
-    def project_rows(self, x):
-        y = np.array(x, dtype=float)
-        r2 = self.radius * self.radius
-        # ten radial steps, then ever larger shrinks against last-ulp rounding;
-        # the loop ends on the test a second call starts with, so a projected
-        # row projects to itself bit for bit
-        for k in itertools.count():
-            delta = y - self.center
-            n2 = np.einsum("ij,ij->i", delta, delta)
-            mask = n2 > r2
-            if not mask.any():
-                return y
-            if k < 10:
-                scale = (self.radius / np.sqrt(n2[mask]))[:, None]
-            else:
-                scale = 1.0 - np.finfo(float).eps * 2.0 ** (k - 10)
-            y[mask] = self.center + delta[mask] * scale
-
-    def as_convex_set(self):
-        return BallSet(self.center, self.radius)
-
-
-def project(region: ProjectionRegion, x) -> np.ndarray:
-    """Orthogonal projection onto the region (identity inside, idempotent)."""
-    if isinstance(region, NoProjection) or region is None:
-        raise ValueError("project requires a concrete region")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return region.project_rows(x[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +551,7 @@ class RunSpec:
     noise_zeta: NoiseModel = field(default_factory=NoNoise)
     noise_zetatilde: NoiseModel = field(default_factory=NoNoise)
     bias: Optional[BiasModel] = None
-    projection: ProjectionRegion = field(default_factory=NoProjection)
+    projection: Optional[ConvexSet] = None  # a sets.Box or sets.Ball; None projects nothing
     name: str = "run"
     fingerprint: str = ""
 
@@ -853,7 +787,7 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         raise ValueError("checkpoints must lie in [0, n_steps]")
     draws = _Draws(spec, seed, n_reps)
     if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
-            and drift.m_rule is None and isinstance(spec.projection, NoProjection)):
+            and drift.m_rule is None and spec.projection is None):
         return _simulate_float(spec, draws, ck, record_paths, record_logs)
 
     x = np.tile(spec.x0, (n_reps, 1))
@@ -870,7 +804,6 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
     if 0 in ck_pos:
         ck_states[:, ck_pos[0], :] = x
 
-    has_proj = not isinstance(spec.projection, NoProjection)
     zeros = np.zeros((n_reps, d))
     block = max(1, min(n_steps, _DRAW_BUDGET // (n_reps * max(1, draws.width))))
     for n0 in range(0, n_steps, block):
@@ -887,7 +820,7 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
             bb = beta[j]
             total = b + h + h0 + bb
             x_new = x + a[j] * total
-            if has_proj:
+            if spec.projection is not None:
                 proj_new = spec.projection.project_rows(x_new)
                 if record_logs:
                     logs["projected"][n] = np.any(proj_new[0] != x_new[0])

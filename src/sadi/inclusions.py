@@ -13,8 +13,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .artifacts import Artifact
-from .engine import NoProjection, ProjectionRegion
+from .engine import SimulationBlowup
 from .sets import (
+    ConvexSet,
     LeastNorm,
     SetValuedMap,
     Singleton,
@@ -100,13 +101,14 @@ def _velocity(fmap: SetValuedMap, smooth, x: np.ndarray, strategy, sliding: bool
 
 def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
               x0, dt: float, horizon: float, strategy=None,
-              projection: Optional[ProjectionRegion] = None) -> InclusionPath:
+              projection: Optional[ConvexSet] = None) -> InclusionPath:
     """Euler path x_{k+1} = x_k + dt*(smooth(x_k) + selection from fmap(x_k)).
 
     When consecutive states cross a threshold declared on ``fmap``, the
     state is first snapped onto the surface; while the state sits on a
     surface, the selection is the least-norm element of the combined
     velocity hull, which reproduces sliding modes instead of chattering.
+    ``projection``, a Box or a Ball, takes each new state to its nearest point.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -121,9 +123,6 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
     states[0] = x
     events = []
     thresholds = fmap.thresholds if fmap is not None else None
-    project = None
-    if projection is not None and not isinstance(projection, NoProjection):
-        project = projection.project_rows
 
     for k in range(n_steps):
         sliding = bool(_on_surface(x, thresholds, _SURFACE_TOL))
@@ -133,11 +132,9 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
         for (i, t) in crossed:
             x_new[i] = t
             events.append((k, i, t))
-        if project is not None:
-            x_new = project(x_new[None, :])[0]
+        if projection is not None:
+            x_new = projection.project_rows(x_new[None, :])[0]
         if not np.all(np.isfinite(x_new)):
-            from .engine import SimulationBlowup
-
             raise SimulationBlowup(k)
         sel[k] = g
         x = x_new

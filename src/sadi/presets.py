@@ -25,6 +25,7 @@ from .engine import (
     RunSpec,
     ShrinkingGaussianBias,
     StepSchedule,
+    as_matrix,
 )
 from .nonsmooth import (
     KinkSurface,
@@ -96,9 +97,8 @@ class RegressionLaw:
             if self.feature_mean is None:
                 self.feature_mean = np.zeros(self.dim)
             self.feature_mean = np.atleast_1d(np.asarray(self.feature_mean, dtype=float))
-            if self.feature_cov is None:
-                self.feature_cov = np.eye(self.dim)
-            self.feature_cov = np.atleast_2d(np.asarray(self.feature_cov, dtype=float))
+            self.feature_cov = as_matrix(1.0 if self.feature_cov is None else self.feature_cov,
+                                         self.dim, "feature_cov must match theta")
 
     @property
     def dim(self) -> int:
@@ -410,7 +410,8 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
         raise ValueError("lam must be positive")
     mu = np.atleast_1d(np.asarray(feature_mean, dtype=float))
     dim = mu.shape[0]
-    cov = np.eye(dim) if feature_cov is None else np.atleast_2d(np.asarray(feature_cov, dtype=float))
+    cov = as_matrix(1.0 if feature_cov is None else feature_cov, dim,
+                    "feature_cov must match feature_mean")
     kappa = float(ridge_coeff) * lam
 
     # the hinge's mean subgradient: none past the margin, mu inside it, the segment on it

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import Artifact
-from .engine import StepSchedule, psd_root
+from .engine import SimulationBlowup, StepSchedule, as_matrix, psd_root
 from .sets import (
     Ball,
     LeastNorm,
@@ -105,11 +105,8 @@ class SDIModel:
     half_identity: bool = False
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        d = self.A.shape[0]
-        if self.A.shape != (d, d):
-            raise ValueError("A must be square")
-        sigma, self.sigma_root = psd_root(self.sigma, d, "sigma", "sigma must match A")
+        self.A = as_matrix(self.A, mismatch="A must be square")
+        sigma, self.sigma_root = psd_root(self.sigma, self.dim, "sigma", "sigma must match A")
         self.sigma = 0.5 * (sigma + sigma.T)
 
     @property
@@ -173,8 +170,6 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
         noise = gen.standard_normal((n_reps, d)) @ model.sigma_root.T
         u = u + dt * linear + sqdt * noise
         if not np.all(np.isfinite(u)):
-            from .engine import SimulationBlowup
-
             raise SimulationBlowup(k)
         if record_paths:
             paths[:, k + 1, :] = u

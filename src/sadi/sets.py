@@ -150,6 +150,10 @@ class Box(ConvexSet):
     def midpoint(self):
         return 0.5 * (self.lo + self.hi)
 
+    def project_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The nearest point of the box to each row."""
+        return np.clip(rows, self.lo, self.hi)
+
     def corners(self) -> np.ndarray:
         d = self.dim
         if d > 16:
@@ -219,6 +223,25 @@ class Ball(ConvexSet):
 
     def midpoint(self):
         return np.array(self.center)
+
+    def project_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The nearest point of the ball to each row."""
+        y = np.array(rows, dtype=float)
+        r2 = self.radius * self.radius
+        # ten radial steps, then ever larger shrinks against last-ulp rounding;
+        # the loop ends on the test a second call starts with, so a projected
+        # row projects to itself bit for bit
+        for k in itertools.count():
+            delta = y - self.center
+            n2 = np.einsum("ij,ij->i", delta, delta)
+            mask = n2 > r2
+            if not mask.any():
+                return y
+            if k < 10:
+                scale = (self.radius / np.sqrt(n2[mask]))[:, None]
+            else:
+                scale = 1.0 - np.finfo(float).eps * 2.0 ** (k - 10)
+            y[mask] = self.center + delta[mask] * scale
 
     def __repr__(self):
         return f"Ball({self.center.tolist()}, {self.radius})"
@@ -464,40 +487,27 @@ def _nearest(s: ConvexSet, y: np.ndarray) -> np.ndarray:
     if isinstance(s, Box):
         return np.clip(y, s.lo, s.hi)
     if isinstance(s, Ball):
-        delta = y - s.center
-        n2 = float(delta @ delta)
-        if n2 <= s.radius * s.radius:
-            return np.array(y)
-        return s.center + delta * (s.radius / math.sqrt(n2))
+        return s.project_rows(y[None, :])[0]
     if isinstance(s, Polytope):
         return _project_simplex_combo(np.asarray(s.vertices), y)
     if isinstance(s, Scaled):
         return _nearest(_scaled_data(s.k, s.inner), y)
     if isinstance(s, MinkowskiSum):
         left, right = s.left, s.right
+        # a ball part first: its base then does not move with y, even beside a singleton
+        if isinstance(right, Ball):
+            left, right = right, left
+        if isinstance(left, Ball):
+            base = _nearest(right, y - left.center) + left.center
+            return Ball(base, left.radius).project_rows(y[None, :])[0]
         if isinstance(right, Singleton):
             left, right = right, left
         if isinstance(left, Singleton):
             return left.point + _nearest(right, y - left.point)
-        if isinstance(right, Ball):
-            left, right = right, left
-        if isinstance(left, Ball) and left.radius >= 0.0:
-            base = _nearest(right, y - left.center) + left.center
-            gap = y - base
-            n2 = float(gap @ gap)
-            if n2 <= left.radius * left.radius:
-                return np.array(y)
-            return base + gap * (left.radius / math.sqrt(n2))
         # general polytopal fallback via the canonical form
         v, r = _canonical(s)
         base = _project_simplex_combo(v, y)
-        if r > 0.0:
-            gap = y - base
-            n2 = float(gap @ gap)
-            if n2 <= r * r:
-                return np.array(y)
-            return base + gap * (r / math.sqrt(n2))
-        return base
+        return Ball(base, r).project_rows(y[None, :])[0] if r > 0.0 else base
     raise TypeError(f"unsupported set type {type(s)!r}")
 
 

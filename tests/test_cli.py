@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sadi
@@ -132,6 +133,37 @@ def test_simulate_sdi_verb(tmp_path, capsys):
     assert code == 0
     lines = (tmp_path / "out" / "sdi_finals.csv").read_text().splitlines()
     assert len(lines) == 2 + 50
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize("name", ["ex1", "svm_plane"])
+def test_projected_run_end_to_end(tmp_path, capsys, name, kind):
+    # each region leaves out the preset's equilibrium, so the pull binds to the end
+    raw = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    d = len(raw["x0"])
+    region = ({"kind": "box", "lo": [-0.5] * d, "hi": [0.25] * d} if kind == "box"
+              else {"kind": "ball", "center": [0.1] * d, "radius": 0.15})
+    raw.update(iterations=200, replications=40, outputs=["finals"], projection=region)
+    cfg = tmp_path / "projected.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    finals = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["run", str(cfg), "--out-dir", str(out), "--threads", threads]) == 0
+        finals.append((out / "finals.csv").read_bytes())
+    assert finals[0] == finals[1]
+    rows = np.array([[float(v) for v in line.split(",")[2:2 + d]]
+                     for line in finals[0].decode().splitlines()[2:]])
+    assert rows.shape == (40, d)
+    if kind == "box":
+        assert np.all((region["lo"] <= rows) & (rows <= np.array(region["hi"])))
+        assert np.any(rows == region["hi"])
+    else:
+        # the test that ends the engine's radial pull
+        delta = rows - region["center"]
+        n2 = np.einsum("ij,ij->i", delta, delta)
+        assert np.all(n2 <= region["radius"] * region["radius"])
+        assert np.any(n2 > (0.99 * region["radius"]) ** 2)
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -458,8 +490,9 @@ _BOOLEAN_NUMBERS += [
 
 
 def _schema_cases() -> list:
-    """One case per key of the config schema: a boolean, a string and, for a
-    bounded key, a value out of its bound, each in a block that reads the key."""
+    """One case per key of the config schema: a boolean, a string, for a
+    bounded key a value out of its bound, and for a number key 1e400 and
+    10**400, each in a block that reads the key."""
     from sadi import config as c
 
     samples = {c.NUMBER: 1.0, c.VECTOR: [1.0], c.MATRIX: [[1.0]], c.VECTORS: [[1.0]]}
@@ -482,6 +515,10 @@ def _schema_cases() -> list:
                 del bad[label]
         if leaf.bound is not None:
             bad["bound"] = next(v for v in (-1, 0, math.inf) if not leaf.bound(v))
+        if leaf.type is c.NUMBER:
+            # numbers no float holds: JSON reads 1e400 as inf, which json.dumps
+            # writes as Infinity, and float() of a 401-digit integer overflows
+            bad.update({"1e400": float("1e400"), "10**400": 10 ** 400})
         return [(f"{tag}{path}-{label}", name, wrap(v), path) for label, v in bad.items()]
 
     def walk(block, where, name, wrap, tag=""):

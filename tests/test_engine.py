@@ -12,28 +12,24 @@ from hypothesis import strategies as st
 
 import sadi.engine as engine
 from sadi.engine import (
-    BallRegion,
     BoundedNoise,
-    BoxRegion,
     ConstantBias,
     CustomBias,
     Drift,
     GaussianNoise,
     NoNoise,
-    NoProjection,
     RunSpec,
     ShrinkingGaussianBias,
     SimulationBlowup,
     StepSchedule,
     UniformNoise,
     ZeroBias,
-    project,
     run,
     run_ensemble,
 )
 from sadi.engine import ROLE_BIAS, ROLE_PERTURB, ROLE_SELECTOR, ROLE_ZETA, _role_generators
-from sadi.sets import (Box, Cell, CellTable, LeastNorm, SetValuedMap, UniformVertex,
-                       contains, select)
+from sadi.sets import (Ball, Box, Cell, CellTable, LeastNorm, SetValuedMap, UniformVertex,
+                       contains, nearest_point, select)
 from sadi.presets import (lasso_preset, nonconvergence_preset, pegasos_preset, RegressionLaw,
                           SignFilterLaw)
 
@@ -185,33 +181,28 @@ def test_shrinking_bias_variance_schedule(rng):
 
 
 def test_project_box_clamp():
-    region = BoxRegion([-1, -1], [1, 1])
-    assert np.allclose(project(region, [2.0, 0.5]), [1.0, 0.5])
+    region = Box([-1, -1], [1, 1])
+    assert np.allclose(nearest_point(region, [2.0, 0.5]), [1.0, 0.5])
 
 
 def test_project_ball_scaling():
-    region = BallRegion([0, 0], 1.0)
-    assert np.allclose(project(region, [3.0, 4.0]), [0.6, 0.8])
+    region = Ball([0, 0], 1.0)
+    assert np.allclose(nearest_point(region, [3.0, 4.0]), [0.6, 0.8])
 
 
 def test_project_inside_is_identity():
-    region = BallRegion([0, 0], 2.0)
+    region = Ball([0, 0], 2.0)
     x = np.array([0.3, -0.4])
-    assert np.array_equal(project(region, x), x)
-
-
-def test_project_requires_region():
-    with pytest.raises(ValueError):
-        project(NoProjection(), [0.0])
+    assert np.array_equal(nearest_point(region, x), x)
 
 
 def test_projection_idempotent_bitwise(rng):
-    regions = [BoxRegion([-1, -1], [1, 1]), BallRegion([0.25, -0.5], 1.3)]
+    regions = [Box([-1, -1], [1, 1]), Ball([0.25, -0.5], 1.3)]
     for _ in range(500):
         region = regions[int(rng.integers(2))]
         x = rng.uniform(-4, 4, size=2)
-        p1 = project(region, x)
-        p2 = project(region, p1)
+        p1 = nearest_point(region, x)
+        p2 = nearest_point(region, p1)
         assert np.array_equal(p1, p2)
 
 
@@ -220,17 +211,17 @@ def test_projection_optimality(rng):
         if rng.random() < 0.5:
             lo = rng.uniform(-3, 0, size=2)
             hi = lo + rng.uniform(0.5, 3, size=2)
-            region = BoxRegion(lo, hi)
+            region = Box(lo, hi)
             samples = lo + rng.random((100, 2)) * (hi - lo)
         else:
             c = rng.uniform(-2, 2, size=2)
             r = rng.uniform(0.5, 2.0)
-            region = BallRegion(c, r)
+            region = Ball(c, r)
             g = rng.standard_normal((100, 2))
             g = g / np.linalg.norm(g, axis=1, keepdims=True)
             samples = c + g * (r * rng.random((100, 1)))
         x = rng.uniform(-5, 5, size=2)
-        px = project(region, x)
+        px = nearest_point(region, x)
         d = np.linalg.norm(x - px)
         assert np.all(d <= np.linalg.norm(samples - x, axis=1) + 1e-9)
 
@@ -253,17 +244,16 @@ def test_projection_contract_property(data):
         lo = np.array(data.draw(_vectors(d, 3.0), label="lo"))
         width = data.draw(st.lists(st.floats(1e-3, 4.0, **_finite), min_size=d, max_size=d),
                           label="width")
-        region = BoxRegion(lo, lo + np.array(width))
+        region = Box(lo, lo + np.array(width))
     else:
-        region = BallRegion(data.draw(_vectors(d, 3.0), label="center"),
-                            data.draw(st.floats(1e-3, 4.0, **_finite), label="radius"))
+        region = Ball(data.draw(_vectors(d, 3.0), label="center"),
+                      data.draw(st.floats(1e-3, 4.0, **_finite), label="radius"))
     rows = np.array(data.draw(st.lists(_vectors(d, 20.0), min_size=1, max_size=6), label="x"))
     projected = region.project_rows(rows)
     assert np.array_equal(region.project_rows(projected), projected)
-    shape = region.as_convex_set()
     for x, p in zip(rows, projected):
-        assert contains(shape, p, 1e-9)
-        gap = shape.support(x - p) - float((x - p) @ p)
+        assert contains(region, p, 1e-9)
+        gap = region.support(x - p) - float((x - p) @ p)
         assert gap <= 1e-9 * (1.0 + float(x @ x))
 
 
@@ -544,7 +534,7 @@ def test_role_streams_isolated():
 
 def test_projected_run_stays_inside():
     spec = _ou_spec(n_steps=500, x0=0.9)
-    spec.projection = BoxRegion([-1.0], [1.0])
+    spec.projection = Box([-1.0], [1.0])
     traj = run(spec, 3)
     region_set = Box([-1.0], [1.0])
     for x in traj.iterates:

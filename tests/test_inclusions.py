@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from sadi.engine import BoxRegion
 from sadi.inclusions import epsilon_chain_diagnostic, integrate
 from sadi.sets import Box, SetValuedMap, Singleton, contains
 from sadi.presets import pegasos_preset, nonconvergence_preset
@@ -79,7 +78,7 @@ def test_consistency_constant_fitted():
 
 
 def test_projected_path_stays_inside():
-    region = BoxRegion([-1.0], [1.0])
+    region = Box([-1.0], [1.0])
     m = _constant_map(1, [2.0])
     path = integrate(m, None, [0.0], 1e-3, 3.0, projection=region)
     box = Box([-1.0], [1.0])
@@ -90,7 +89,7 @@ def test_projected_path_stays_inside():
 
 
 def test_projected_matches_unprojected_in_interior():
-    region = BoxRegion([-10.0], [10.0])
+    region = Box([-10.0], [10.0])
     m = neg_sign_map()
     a = integrate(m, None, [0.5], 1e-3, 1.0)
     b = integrate(m, None, [0.5], 1e-3, 1.0, projection=region)

@@ -473,6 +473,33 @@ def test_nearest_point_matches_the_subset_oracle(data):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
+def test_nearest_point_with_a_ball_part_is_idempotent_bitwise(data):
+    """A radial pull onto a ball ends where a second pull starts: the nearest
+    point is its own nearest point, bit for bit, and a ball's nearest point
+    passes the test that ends the pull, |p - c|^2 <= r^2."""
+    d = data.draw(st.integers(1, 3), label="dim")
+    ball = Ball(data.draw(_vectors(d), label="center"),
+                data.draw(st.floats(1e-3, 4.0, **_finite), label="radius"))
+    shape = data.draw(st.sampled_from(["ball", "scaled", "ball+box", "singleton+ball"]),
+                      label="shape")
+    s = ball
+    if shape == "scaled":
+        s = Scaled(data.draw(st.floats(1e-3, 4.0, **_finite), label="k"), ball)
+    elif shape == "ball+box":
+        a, b = (np.array(data.draw(_vectors(d), label=k)) for k in "ab")
+        s = MinkowskiSum(ball, Box(np.minimum(a, b), np.maximum(a, b)))
+    elif shape == "singleton+ball":
+        s = MinkowskiSum(Singleton(data.draw(_vectors(d), label="point")), ball)
+    y = np.array(data.draw(_vectors(d, 20.0), label="y"))
+    p = nearest_point(s, y)
+    assert np.array_equal(nearest_point(s, p), p)
+    if s is ball:
+        delta = (p - ball.center)[None, :]
+        assert np.einsum("ij,ij->i", delta, delta)[0] <= ball.radius * ball.radius
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
 def test_selection_lies_in_the_value_for_every_strategy(data):
     d = data.draw(st.integers(1, 3), label="dim")
     s, _ = data.draw(_composites(d, balls=True), label="set")
