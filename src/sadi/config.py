@@ -52,8 +52,14 @@ def _number(v, kinds=(int, float)) -> bool:
     return isinstance(v, kinds) and not isinstance(v, bool)
 
 
-def _vector(v, of=_number) -> bool:
-    """A non-empty list of ``of``: of numbers, or with ``of=_vector`` of vectors."""
+def _entry(v) -> bool:
+    """A number a float holds: float() of a longer integer overflows.  A
+    non-finite float stays, so that a NaN start can blow up as documented."""
+    return _number(v) and (isinstance(v, float) or abs(v) <= sys.float_info.max)
+
+
+def _vector(v, of=_entry) -> bool:
+    """A non-empty list of ``of``: of entries, or with ``of=_vector`` of vectors."""
     return isinstance(v, list) and len(v) > 0 and all(map(of, v))
 
 
@@ -74,10 +80,10 @@ STRING = _is("a string", lambda v: isinstance(v, str))
 VECTOR = _is("a vector", _vector)
 VECTORS = _is("a non-empty list of vectors", lambda v: _vector(v, _vector))
 POINTS = _is("a vector or a list of vectors",
-             lambda v: _number(v) or _vector(v) or _vector(v, _vector))
+             lambda v: _entry(v) or _vector(v) or _vector(v, _vector))
 # a number (times the identity), a vector (the diagonal) or equal-length rows
 MATRIX = _is("a number, a vector or a list of equal-length vectors",
-             lambda v: POINTS(v) is None and (_number(v) or len(set(map(np.size, v))) == 1))
+             lambda v: POINTS(v) is None and (_entry(v) or len(set(map(np.size, v))) == 1))
 OUTPUT_NAMES = ("report", "finals", "trajectory", "checkpoints", "normalized", "certificate",
                 "sdi_compare")
 

@@ -97,6 +97,8 @@ class RegressionLaw:
             if self.feature_mean is None:
                 self.feature_mean = np.zeros(self.dim)
             self.feature_mean = np.atleast_1d(np.asarray(self.feature_mean, dtype=float))
+            if self.feature_mean.shape != (self.dim,):
+                raise ValueError("feature_mean must match theta")
             self.feature_cov = as_matrix(1.0 if self.feature_cov is None else self.feature_cov,
                                          self.dim, "feature_cov must match theta")
 

@@ -2,8 +2,8 @@
 
 Sets are immutable expression trees over four primitive shapes (points,
 boxes, polytopes, balls) closed under Minkowski sums and nonnegative
-scaling.  Every query reduces to support-function evaluations, which are
-exact for each representable set.  Piecewise vector fields with
+scaling.  Every query reduces to support functions or nearest points, which
+are exact for each representable set.  Piecewise vector fields with
 per-coordinate hyperplane discontinuities get a convex regularization
 operator (``krasovskii``) returning the hull of one-sided limits.
 """
@@ -47,8 +47,12 @@ __all__ = [
 
 MEMBERSHIP_TOL = 1e-9
 
-# canonical cores with more vertices than this refuse exact projection
-_MAX_PROJECTION_VERTICES = 14
+# Wolfe's projection: its tolerance relative to the vertex set's extent, the
+# number of extents beyond which a query is pulled toward the set, and its
+# major cycles per vertex and dimension
+_HULL_TOL = 1e-12
+_HULL_REACH = 1e150
+_HULL_CYCLES = 10
 # ball components are polytopized with this many boundary points per 2-D slice
 _BALL_FACETS = 32
 # krasovskii puts a coordinate this close to a declared threshold t, relative
@@ -366,112 +370,69 @@ def canonical_vertices(s: ConvexSet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# membership
-# ---------------------------------------------------------------------------
-
-
-def _direction_family(s: ConvexSet) -> np.ndarray:
-    """Axis directions plus polytope vertex-difference directions (and their
-    in-plane normals in 2-D), unit-normalized."""
-    d = s.dim
-    dirs = [np.eye(d), -np.eye(d)]
-
-    def walk(node: ConvexSet):
-        if isinstance(node, Polytope):
-            v = node.vertices
-            if v.shape[0] > 1:
-                diffs = (v[:, None, :] - v[None, :, :]).reshape(-1, d)
-                norms = np.linalg.norm(diffs, axis=1)
-                good = diffs[norms > 0] / norms[norms > 0][:, None]
-                if good.size:
-                    dirs.append(good)
-                    dirs.append(-good)
-                    if d == 2:
-                        perp = np.stack([-good[:, 1], good[:, 0]], axis=1)
-                        dirs.append(perp)
-                        dirs.append(-perp)
-        elif isinstance(node, MinkowskiSum):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Scaled):
-            walk(node.inner)
-
-    walk(s)
-    return np.concatenate(dirs, axis=0)
-
-
-def contains(s: ConvexSet, v, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Support-function membership test over a fixed finite direction family.
-
-    Exact for boxes and singletons; an outer (never false-negative)
-    approximation for curved or obliquely-faceted sets.
-    """
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    v = _as_vector(v, "point")
-    _check_dims(v.shape[0], s.dim, "contains")
-    for p in _direction_family(s):
-        if float(p @ v) > s._support(p) + tol:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # projections / least-norm selections
 # ---------------------------------------------------------------------------
 
 
-def _project_simplex_combo(vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection of y onto hull(vertices).
+def _project_hull(vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean projection of y onto hull(vertices) by Wolfe's nearest-point
+    algorithm (P. Wolfe, Math. Programming 11 (1976) 128-149).
 
-    Enumerates KKT systems over vertex subsets; each candidate solves the
-    equality-constrained least squares on the affine hull of the subset and
-    is kept when its weights are feasible.  Intended for small vertex sets.
+    It runs in a frame that puts the first vertex at the origin and divides by
+    the largest absolute coordinate of the vertex offsets, so every tolerance
+    is relative to the set's own size.  A query the hull holds to that
+    tolerance is returned as it is, so a projected point projects to itself.
     """
-    m = vertices.shape[0]
-    if m == 1:
-        return np.array(vertices[0])
-    if m > _MAX_PROJECTION_VERTICES:
-        raise ValueError(
-            f"exact projection limited to {_MAX_PROJECTION_VERTICES} vertices, got {m}"
-        )
-    best = None
-    best_dist = math.inf
-    # single vertices first: cheap and always feasible
-    for i in range(m):
-        dist = float(np.dot(vertices[i] - y, vertices[i] - y))
-        if dist < best_dist - 1e-18:
-            best_dist = dist
-            best = vertices[i]
-    for size in range(2, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            vs = vertices[list(subset)]
-            # minimize |vs^T lam - y|^2 s.t. sum lam = 1 via KKT
-            g = vs @ vs.T
-            k = len(subset)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = 2.0 * g
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.concatenate([2.0 * (vs @ y), [1.0]])
-            try:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                continue
-            lam = sol[:k]
-            if np.any(lam < -1e-12):
-                continue
-            lam = np.clip(lam, 0.0, None)
-            tot = lam.sum()
-            if tot <= 0.0:
-                continue
-            lam = lam / tot
-            pt = vs.T @ lam
-            dist = float(np.dot(pt - y, pt - y))
-            if dist < best_dist - 1e-18:
-                best_dist = dist
-                best = pt
-    return np.array(best)
+    origin = vertices[0]
+    p = vertices - origin
+    extent = float(np.max(np.abs(p)))
+    if extent == 0.0:
+        return np.array(origin)
+    p = p / extent
+    r = y - origin
+    far = float(np.max(np.abs(r)))
+    if far > _HULL_REACH * extent:
+        # pulled toward the set: where on a face the answer lies is then
+        # below float precision, and squared distances stay finite
+        r = r * (_HULL_REACH * extent / far)
+    q = r / extent
+    s = np.argmin(np.einsum("ij,ij->i", p - q, p - q), keepdims=True)
+    lam = np.ones(1)
+    z = p[s[0]]
+    dist = float(np.linalg.norm(z - q))
+    for _ in range(_HULL_CYCLES * (len(p) + p.shape[1])):
+        gaps = (z - p) @ (z - q)
+        j = np.argmax(gaps)
+        if dist <= _HULL_TOL or not gaps[j] > _HULL_TOL * dist:
+            break
+        s_new, lam_new = np.append(s, j), np.append(lam, 0.0)
+        while True:  # minor cycles: each drops a vertex until the affine minimizer is interior
+            mu = np.ones(1)
+            if len(s_new) > 1:
+                base = p[s_new[0]]
+                c = np.linalg.lstsq((p[s_new[1:]] - base).T, q - base, rcond=None)[0]
+                mu = np.concatenate([[1.0 - c.sum()], c])
+            if (mu > 0.0).all():
+                lam_new = mu
+                break
+            out = np.flatnonzero(mu <= 0.0)
+            ratios = lam_new[out] / np.maximum(lam_new[out] - mu[out], np.finfo(float).tiny)
+            k = int(np.argmin(ratios))
+            lam_new = lam_new + ratios[k] * (mu - lam_new)
+            lam_new[out[k]] = 0.0
+            keep = lam_new > 0.0
+            s_new, lam_new = s_new[keep], lam_new[keep] / lam_new[keep].sum()
+        z_new = lam_new @ p[s_new]
+        # a major cycle that gains nothing ends the search; the gain
+        # |z - q|^2 - |z_new - q|^2 is formed from differences, so it
+        # resolves far from the set
+        if not (z - z_new) @ (z + z_new - 2.0 * q) > 0.0:
+            break
+        s, lam, z = s_new, lam_new, z_new
+        dist = float(np.linalg.norm(z - q))
+    if dist <= _HULL_TOL:
+        return np.array(y)
+    return lam @ vertices[s]
 
 
 def nearest_point(s: ConvexSet, y) -> np.ndarray:
@@ -489,7 +450,7 @@ def _nearest(s: ConvexSet, y: np.ndarray) -> np.ndarray:
     if isinstance(s, Ball):
         return s.project_rows(y[None, :])[0]
     if isinstance(s, Polytope):
-        return _project_simplex_combo(np.asarray(s.vertices), y)
+        return _project_hull(np.asarray(s.vertices), y)
     if isinstance(s, Scaled):
         return _nearest(_scaled_data(s.k, s.inner), y)
     if isinstance(s, MinkowskiSum):
@@ -506,7 +467,7 @@ def _nearest(s: ConvexSet, y: np.ndarray) -> np.ndarray:
             return left.point + _nearest(right, y - left.point)
         # general polytopal fallback via the canonical form
         v, r = _canonical(s)
-        base = _project_simplex_combo(v, y)
+        base = _project_hull(v, y)
         return Ball(base, r).project_rows(y[None, :])[0] if r > 0.0 else base
     raise TypeError(f"unsupported set type {type(s)!r}")
 
@@ -532,6 +493,16 @@ def _scaled_data(k: float, s: ConvexSet) -> ConvexSet:
 def least_norm_point(s: ConvexSet) -> np.ndarray:
     """The unique minimum-Euclidean-norm element."""
     return _nearest(s, np.zeros(s.dim))
+
+
+def contains(s: ConvexSet, v, tol: float = MEMBERSHIP_TOL) -> bool:
+    """Whether ``v`` lies within Euclidean distance ``tol`` of the set: the
+    distance to its nearest point, exact for every set type."""
+    if tol < 0.0:
+        raise ValueError("tol must be nonnegative")
+    v = _as_vector(v, "point")
+    _check_dims(v.shape[0], s.dim, "contains")
+    return math.hypot(*(_nearest(s, v) - v)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,9 @@ _SEMANTIC_ERRORS = [
     ("box_missing_lo", {"projection": {"kind": "box", "hi": [10.0]}}, "projection.lo"),
     ("bias_dim", {"bias": {"kind": "constant", "vector": [0.1, 0.2]}}, "bias.vector"),
     ("x0_dim", {"x0": [5.0, 1.0]}, "x0"),
+    ("feature_mean_dim", {"x0": [5.0, 1.0], "preset_params": {"lam": 0.7, "data": {
+        "theta": [1.0, 2.0], "features": "gaussian", "feature_mean": [0.0, 0.0, 0.0]}}},
+     "preset_params: feature_mean must match theta"),
 ]
 
 
@@ -212,7 +215,7 @@ def test_semantic_config_errors_exit_2(tmp_path, capsys, changes, needle):
 def test_semantic_config_errors_reported_together(tmp_path, capsys):
     # dimensions are checked against a preset that builds, so the preset
     # parameter cases are left out here
-    cases = _SEMANTIC_ERRORS[2:]
+    cases = [case for case in _SEMANTIC_ERRORS if "preset_params" not in case[1]]
     changes = {}
     for _, change, _ in cases:
         changes.update(change)
@@ -491,8 +494,9 @@ _BOOLEAN_NUMBERS += [
 
 def _schema_cases() -> list:
     """One case per key of the config schema: a boolean, a string, for a
-    bounded key a value out of its bound, and for a number key 1e400 and
-    10**400, each in a block that reads the key."""
+    bounded key a value out of its bound, for a number key 1e400 and 10**400,
+    and for a vector or matrix key an entry 10**400, each in a block that
+    reads the key."""
     from sadi import config as c
 
     samples = {c.NUMBER: 1.0, c.VECTOR: [1.0], c.MATRIX: [[1.0]], c.VECTORS: [[1.0]]}
@@ -519,6 +523,9 @@ def _schema_cases() -> list:
             # numbers no float holds: JSON reads 1e400 as inf, which json.dumps
             # writes as Infinity, and float() of a 401-digit integer overflows
             bad.update({"1e400": float("1e400"), "10**400": 10 ** 400})
+        if leaf.type in (c.VECTOR, c.POINTS, c.MATRIX, c.VECTORS):
+            # an entry no float holds; a non-finite float entry stays accepted
+            bad["10**400-entry"] = [[10 ** 400]] if leaf.type is c.VECTORS else [10 ** 400]
         return [(f"{tag}{path}-{label}", name, wrap(v), path) for label, v in bad.items()]
 
     def walk(block, where, name, wrap, tag=""):

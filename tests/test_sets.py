@@ -2,6 +2,7 @@
 hull regularization, and selectors, checked against brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sadi.sets import (
     Box,
     Cell,
     CellTable,
+    ConvexSet,
     CustomSelector,
     ExtremeVertex,
     LeastNorm,
@@ -35,7 +37,7 @@ from sadi.sets import (
     select,
     support,
 )
-from sadi.sets import _project_simplex_combo, canonical_vertices
+from sadi.sets import canonical_vertices
 from conftest import neg_sign_field, neg_sign_map
 
 
@@ -58,6 +60,53 @@ def barycentric_inside(vertices, v):
     m = np.column_stack([b - a, c - a])
     lam = np.linalg.solve(m, np.asarray(v, dtype=float) - a)
     return lam[0] >= -1e-12 and lam[1] >= -1e-12 and lam.sum() <= 1 + 1e-12
+
+
+def project_by_subsets(vertices: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Projection of y onto hull(vertices), enumerating the KKT systems of
+    every vertex subset: each candidate solves the equality-constrained least
+    squares on the affine hull of the subset and is kept when its weights are
+    feasible.  Exponential in the vertex count."""
+    m = vertices.shape[0]
+    if m == 1:
+        return np.array(vertices[0])
+    best = None
+    best_dist = math.inf
+    # single vertices first: cheap and always feasible
+    for i in range(m):
+        dist = float(np.dot(vertices[i] - y, vertices[i] - y))
+        if dist < best_dist - 1e-18:
+            best_dist = dist
+            best = vertices[i]
+    for size in range(2, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            vs = vertices[list(subset)]
+            # minimize |vs^T lam - y|^2 s.t. sum lam = 1 via KKT
+            g = vs @ vs.T
+            k = len(subset)
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = 2.0 * g
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            rhs = np.concatenate([2.0 * (vs @ y), [1.0]])
+            try:
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                continue
+            lam = sol[:k]
+            if np.any(lam < -1e-12):
+                continue
+            lam = np.clip(lam, 0.0, None)
+            tot = lam.sum()
+            if tot <= 0.0:
+                continue
+            lam = lam / tot
+            pt = vs.T @ lam
+            dist = float(np.dot(pt - y, pt - y))
+            if dist < best_dist - 1e-18:
+                best_dist = dist
+                best = pt
+    return np.array(best)
 
 
 # --- support ---------------------------------------------------------------
@@ -125,6 +174,19 @@ def test_contains_triangle_matches_barycentric_oracle():
 def test_contains_rejects_negative_tol():
     with pytest.raises(ValueError):
         contains(Box([-1], [1]), [0.0], -1.0)
+
+
+@pytest.mark.parametrize("s, v", [
+    (Ball([0.0, 0.0], 1.0), [0.8, 0.8]),
+    (Polytope([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), [0.6, 0.4, 0.0]),
+    (Polytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     [0.4, 0.4, 0.4]),
+], ids=["ball", "segment", "tetrahedron"])
+def test_contains_rejects_a_point_outside_every_axis_face(s, v):
+    # each point passes the support test along the axes and the vertex
+    # differences, but lies more than 0.1 from the set
+    assert np.linalg.norm(nearest_point(s, v) - v) > 0.1
+    assert not contains(s, v, 1e-9)
 
 
 # --- minkowski sum and scaling ---------------------------------------------
@@ -257,6 +319,57 @@ def test_nearest_point_of_a_tiny_scaled_set_is_finite_and_in_the_set(k, inner, e
 def test_least_norm_shifted_box():
     s = minkowski_sum(Singleton([2.0]), Box([-1], [1]))
     assert np.allclose(least_norm_point(s), [1.0])
+
+
+def test_nearest_point_on_a_15_gon_is_an_edge_midpoint():
+    ang = 2.0 * np.pi * np.arange(15) / 15
+    poly = Polytope(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    # the query lies on the normal through the midpoint of the first edge
+    y = 3.0 * np.array([np.cos(np.pi / 15), np.sin(np.pi / 15)])
+    want = 0.5 * np.array([1.0 + np.cos(ang[1]), np.sin(ang[1])])
+    assert np.allclose(nearest_point(poly, y), want, rtol=0.0, atol=1e-14)
+
+
+def test_nearest_point_of_a_40_vertex_polytope_lies_on_a_cube_face(rng):
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+    inner = rng.uniform(0.05, 0.95, size=(32, 3))
+    poly = Polytope(np.concatenate([inner[:16], corners, inner[16:]]))
+    assert poly.vertices.shape[0] == 40
+    assert np.allclose(nearest_point(poly, [3.0, 0.3, 0.6]), [1.0, 0.3, 0.6],
+                       rtol=0.0, atol=1e-14)
+    assert np.array_equal(least_norm_point(poly), np.zeros(3))
+
+
+def test_least_norm_of_a_box_plus_hull_is_the_origin():
+    # 24 canonical vertices; the origin is -(1/3)(1, 1, 1) + (1/3)(1, 1, 1)
+    s = minkowski_sum(Box(-np.ones(3), np.ones(3)), Polytope(np.eye(3)))
+    assert canonical_vertices(s).shape[0] == 24
+    assert np.array_equal(least_norm_point(s), np.zeros(3))
+    assert select(SetValuedMap(3, lambda x: s, common_bound=3.0), np.zeros(3)).tolist() == [0.0] * 3
+
+
+def test_nearest_point_of_box_plus_ball_plus_polytope():
+    # the core's right face is x = 1.3, y in [-1.9, 2.1]; the ball adds 0.5
+    poly = Polytope([[0.3, 0.1], [-0.2, 0.4], [0.1, -0.35], [-0.25, -0.2]])
+    s = minkowski_sum(minkowski_sum(Box([-1.0, -2.0], [1.0, 2.0]), Ball([0.0, 0.0], 0.5)), poly)
+    assert canonical_vertices(s).shape[0] == 16
+    assert np.allclose(nearest_point(s, [5.0, 0.5]), [1.8, 0.5], rtol=0.0, atol=1e-14)
+    assert contains(s, [1.8, 2.1], 1e-12) and not contains(s, [1.8, 2.2], 1e-9)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e-9])
+def test_nearest_point_of_a_flat_set_with_duplicates_matches_the_subset_oracle(rng, k):
+    # nine vertices, three of them repeated, on the plane z = x + 2y - 1; the
+    # oracle's tolerances are absolute, so it runs on the unscaled set
+    xy = np.concatenate([rng.uniform(-1.0, 1.0, size=(5, 2)), [[0.5, 0.5]]])
+    xy = np.concatenate([xy, xy[:3]])
+    vertices = np.column_stack([xy, xy[:, 0] + 2.0 * xy[:, 1] - 1.0])
+    for y in ([2.0, -1.0, 3.0], [0.1, 0.2, -0.5], vertices[2] + [0.0, 0.0, 1e-3]):
+        y = np.asarray(y)
+        got = nearest_point(Polytope(k * vertices), k * y) / k
+        oracle = project_by_subsets(vertices, y)
+        assert np.linalg.norm(got - y) <= np.linalg.norm(oracle - y) * (1.0 + 1e-12)
+        assert np.allclose(got, oracle, rtol=0.0, atol=1e-9)
 
 
 # --- the hull regularization operator --------------------------------------
@@ -435,7 +548,7 @@ def _vectors(d, bound=3.0):
 def _composites(draw, d, budget=8, depth=2, balls=False):
     """A set of dimension d built from points, boxes, polytopes (and balls)
     by Minkowski sums and scalings, with at most ``budget`` canonical
-    vertices, since exact projection enumerates their subsets."""
+    vertices, since the subset oracle enumerates their subsets."""
     kinds = ["point", "polytope"] + (["box"] if 2 ** d <= budget else [])
     kinds += (["ball"] if balls else []) + (["sum", "scaled"] if depth else [])
     kind = draw(st.sampled_from(kinds))
@@ -466,7 +579,7 @@ def test_nearest_point_matches_the_subset_oracle(data):
     assert vertices.shape[0] <= 8
     y = np.array(data.draw(_vectors(d, 10.0), label="y"))
     got = nearest_point(s, y)
-    oracle = _project_simplex_combo(vertices, y)
+    oracle = project_by_subsets(vertices, y)
     assert contains(s, got, 1e-9)
     assert np.linalg.norm(got - y) <= np.linalg.norm(oracle - y) + 1e-9
 
@@ -513,3 +626,73 @@ def test_selection_lies_in_the_value_for_every_strategy(data):
     ]), label="strategy")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     assert contains(m.value(x), select(m, x, strategy, rng), 1e-9)
+
+
+def _affine(s, k, c):
+    """k*s + c, with k and c written into the data of the leaves."""
+    if isinstance(s, Singleton):
+        return Singleton(k * s.point + c)
+    if isinstance(s, Box):
+        return Box(k * s.lo + c, k * s.hi + c)
+    if isinstance(s, Polytope):
+        return Polytope(k * s.vertices + c)
+    if isinstance(s, Ball):
+        return Ball(k * s.center + c, k * s.radius)
+    if isinstance(s, MinkowskiSum):
+        return MinkowskiSum(_affine(s.left, k, c), _affine(s.right, k, 0.0 * c))
+    return MinkowskiSum(Scaled(s.k, _affine(s.inner, k, 0.0 * c)), Singleton(c))
+
+
+def _has_ball(s):
+    if isinstance(s, MinkowskiSum):
+        return _has_ball(s.left) or _has_ball(s.right)
+    return _has_ball(s.inner) if isinstance(s, Scaled) else isinstance(s, Ball)
+
+
+_SCALES = [1e-300, 1e-200, 1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_nearest_point_is_equivariant_under_scaling_and_translation(data):
+    """nearest(k*S + c, k*y + c) = k*nearest(S, y) + c, to a tolerance
+    relative to k: the projection has no absolute scale.  A ball squares its
+    radius, so a set with a ball part is scaled by at most 1e-150."""
+    d = data.draw(st.integers(1, 3), label="dim")
+    s, _ = data.draw(_composites(d, balls=True), label="set")
+    scales = [k for k in _SCALES if k >= 1e-150 or not _has_ball(s)]
+    k = data.draw(st.sampled_from(scales), label="k")
+    c = k * np.array(data.draw(_vectors(d), label="c"))
+    y = np.array(data.draw(_vectors(d, 10.0), label="y"))
+    got = nearest_point(_affine(s, k, c), k * y + c)
+    want = k * nearest_point(s, y) + c
+    assert np.isfinite(got).all()
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * k * (1.0 + np.abs(y).max()))
+
+
+def _set_types(cls=ConvexSet):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _set_types(sub)
+
+
+def test_every_set_type_answers_every_query():
+    """One instance of each ConvexSet subclass: a new type without a branch
+    in the nearest-point dispatch fails here, as membership goes through it."""
+    tri = Polytope([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    examples = {
+        Singleton: Singleton([1.0, 2.0]),
+        Box: Box([-1.0, 1.0], [1.0, 3.0]),
+        Polytope: tri,
+        Ball: Ball([0.0, 3.0], 1.0),
+        MinkowskiSum: MinkowskiSum(tri, Box([1.0, 1.0], [2.0, 2.0])),
+        Scaled: Scaled(0.5, tri),
+    }
+    for cls in _set_types():
+        assert cls in examples, f"no example of {cls.__name__}"
+        s = examples[cls]
+        p = least_norm_point(s)
+        assert support(s, p) >= float(p @ p) - 1e-12
+        q = nearest_point(s, [10.0, -10.0])
+        assert contains(s, q, 1e-12) and contains(s, p, 1e-12)
+        assert not contains(s, [10.0, -10.0], 1e-9)
