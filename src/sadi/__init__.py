@@ -33,7 +33,6 @@ from .sets import (  # noqa: F401
 from .nonsmooth import (  # noqa: F401
     NEG_INFINITY,
     Interval,
-    KinkSurface,
     PiecewiseSmoothScalar,
     SmoothPiece,
     StabilityCertificate,

@@ -21,6 +21,7 @@ from .sets import (
     Singleton,
     least_norm_point,
     minkowski_sum,
+    on_thresholds,
     select,
 )
 
@@ -31,8 +32,6 @@ __all__ = [
     "epsilon_chain_diagnostic",
 ]
 
-# a state this close to a declared threshold, relative to 1 + |t|, is on its surface
-_SURFACE_TOL = 1e-9
 # starts the chain search keeps from one generation to the next
 _BEAM_WIDTH = 6
 
@@ -61,22 +60,8 @@ class InclusionPath:
         Artifact(cols, rows, provenance=meta).write(path)
 
 
-def _on_surface(x: np.ndarray, thresholds, tol: float):
-    out = []
-    if thresholds is None:
-        return out
-    for i, ts in enumerate(thresholds):
-        for t in ts:
-            if abs(x[i] - t) <= tol * (1.0 + abs(t)):
-                out.append((i, t))
-                break
-    return out
-
-
 def _crossings(x_old: np.ndarray, x_new: np.ndarray, thresholds):
     out = []
-    if thresholds is None:
-        return out
     for i, ts in enumerate(thresholds):
         for t in ts:
             if (x_old[i] - t) * (x_new[i] - t) < 0.0:
@@ -122,10 +107,10 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
     sel = np.empty((n_steps, d))
     states[0] = x
     events = []
-    thresholds = fmap.thresholds if fmap is not None else None
+    thresholds = fmap.thresholds if fmap is not None else ()
 
     for k in range(n_steps):
-        sliding = bool(_on_surface(x, thresholds, _SURFACE_TOL))
+        sliding = bool(on_thresholds(x, thresholds))
         v, g = _velocity(fmap, smooth, x, strategy, sliding)
         x_new = x + dt * v
         crossed = _crossings(x, x_new, thresholds)

@@ -2,16 +2,16 @@
 inclusions, generalized decay derivatives, and a grid-based stability
 certifier.
 
-Scalar functions are piecewise smooth with declared affine kink surfaces.
-Gradient hulls come from evaluating adjacent piece gradients at the kink;
-the reduction/derivative machinery works on vertex descriptions and small
+Scalar functions are piecewise smooth with kinks on declared per-coordinate
+thresholds ``x_i == t``.  A Clarke gradient, the hull of the limits of
+nearby gradients, is the Krasovskii hull of the gradient field; the
+reduction/derivative machinery works on vertex descriptions and small
 linear programs, which is exact for the polytopal values this package
 produces (null spaces of dimension <= 1 in particular).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -20,20 +20,24 @@ import numpy as np
 
 from .artifacts import Artifact, cell
 from .sets import (
+    THRESHOLD_TOL,
     ConvexSet,
+    FieldPiece,
+    PiecewiseField,
     SetValuedMap,
     Singleton,
     _as_vector,
     _check_dims,
     canonical_vertices,
+    krasovskii,
     least_norm_point,
+    on_thresholds,
     support,
 )
 from .sets import _canonical, _hull_of_points, _sphere_directions
 
 __all__ = [
     "SmoothPiece",
-    "KinkSurface",
     "PiecewiseSmoothScalar",
     "clarke_gradient",
     "Interval",
@@ -104,28 +108,19 @@ class SmoothPiece:
     gradient: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class KinkSurface:
-    """Affine surface {x : <normal, x> = offset} where the gradient may jump."""
-
-    normal: tuple
-    offset: float
-
-    @staticmethod
-    def coordinate(i: int, threshold: float, dim: int) -> "KinkSurface":
-        normal = [0.0] * dim
-        normal[i] = 1.0
-        return KinkSurface(tuple(normal), float(threshold))
-
-
 class PiecewiseSmoothScalar:
-    """Locally Lipschitz scalar function, smooth off declared kink surfaces."""
+    """Locally Lipschitz scalar function, smooth off the declared
+    per-coordinate ``thresholds``; its gradient is the piecewise field
+    ``gradient_field`` with the same thresholds."""
 
     def __init__(self, dim: int, pieces: Sequence[SmoothPiece],
-                 kinks: Sequence[KinkSurface] = (), regular: bool = True, name: str = ""):
+                 thresholds: Optional[Sequence[Sequence[float]]] = None,
+                 regular: bool = True, name: str = ""):
         self.dim = int(dim)
         self.pieces = list(pieces)
-        self.kinks = list(kinks)
+        self.gradient_field = PiecewiseField(
+            self.dim, [FieldPiece(p.predicate, p.gradient) for p in self.pieces], thresholds)
+        self.thresholds = self.gradient_field.thresholds
         self.regular = bool(regular)
         self.name = name
 
@@ -140,18 +135,10 @@ class PiecewiseSmoothScalar:
         _check_dims(x.shape[0], self.dim, "scalar function")
         return float(self.piece_at(x).value(x))
 
-    def active_kinks(self, x: np.ndarray, tol: float = _CONSTANCY_TOL) -> list[KinkSurface]:
-        out = []
-        for k in self.kinks:
-            n = np.asarray(k.normal, dtype=float)
-            if abs(float(n @ x) - k.offset) <= tol * (1.0 + abs(k.offset)):
-                out.append(k)
-        return out
-
     def gradient(self, x) -> np.ndarray:
         """Classical gradient; raises on a kink surface."""
         x = _as_vector(x, "point")
-        if self.active_kinks(x):
+        if on_thresholds(x, self.thresholds):
             raise ValueError("gradient undefined on a kink surface; use clarke_gradient")
         return _as_vector(self.piece_at(x).gradient(x), "gradient")
 
@@ -160,32 +147,15 @@ def smooth_scalar(dim: int, value, gradient, name: str = "",
                   regular: bool = True) -> PiecewiseSmoothScalar:
     """Single-piece everywhere-smooth function."""
     return PiecewiseSmoothScalar(
-        dim, [SmoothPiece(lambda x: True, value, gradient)], kinks=(),
-        regular=regular, name=name)
+        dim, [SmoothPiece(lambda x: True, value, gradient)], regular=regular, name=name)
 
 
-def clarke_gradient(u: PiecewiseSmoothScalar, x, tol: float = _CONSTANCY_TOL) -> ConvexSet:
-    """Hull of the gradient limits of the pieces whose closure contains x."""
+def clarke_gradient(u: PiecewiseSmoothScalar, x) -> ConvexSet:
+    """Hull of the gradient limits at x: the Krasovskii hull of the gradient
+    field."""
     x = _as_vector(x, "point")
     _check_dims(x.shape[0], u.dim, "clarke_gradient")
-    active = u.active_kinks(x, tol)
-    if not active:
-        return Singleton(u.piece_at(x).gradient(x))
-
-    normals = np.asarray([k.normal for k in active], dtype=float)
-    unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    grads = []
-    for signs in itertools.product((-1.0, 1.0), repeat=len(active)):
-        probe = x + h * (np.asarray(signs) @ unit)
-        if u.active_kinks(probe, tol):
-            raise ValueError("kink surfaces too close or not transversal at this point")
-        try:
-            piece = u.piece_at(probe)
-        except ValueError as exc:
-            raise ValueError("point sits on an undeclared kink") from exc
-        grads.append(_as_vector(piece.gradient(x), "gradient"))
-    return _hull_of_points(np.asarray(grads))
+    return krasovskii(u.gradient_field, x)
 
 
 @dataclass(frozen=True)
@@ -433,21 +403,19 @@ def _grid_points(lo, hi, resolution):
     return pts, tuple(int(r) for r in resolution)
 
 
-def _near_kinks(pts: np.ndarray, scalars: Sequence[PiecewiseSmoothScalar],
-                tol: float = _CONSTANCY_TOL) -> np.ndarray:
-    """Mask of the rows of ``pts`` within rounding of a declared kink surface
-    of any of ``scalars``: twice ``active_kinks``'s tolerance plus a bound on
-    the rounding of the dot product.  Off the mask no kink is active, so
-    every Clarke gradient is a singleton."""
-    kinks = [k for s in scalars for k in s.kinks]
-    if not kinks:
-        return np.zeros(pts.shape[0], dtype=bool)
-    normals = np.asarray([k.normal for k in kinks], dtype=float)
-    offsets = np.asarray([k.offset for k in kinks], dtype=float)
-    gap = np.abs(pts @ normals.T - offsets)
-    size = np.abs(offsets)
-    slack = 2.0 * tol * (1.0 + size) + 1e-12 * (np.abs(pts) @ np.abs(normals).T + size)
-    return np.any(gap <= slack, axis=1)
+def _near_kinks(pts: np.ndarray, scalars: Sequence[PiecewiseSmoothScalar]) -> np.ndarray:
+    """Mask of the rows of ``pts`` within rounding of a declared threshold
+    of any of ``scalars``: twice ``on_thresholds``'s tolerance plus a bound
+    on rounding.  Off the mask no threshold is active, so every Clarke
+    gradient is a singleton."""
+    near = np.zeros(pts.shape[0], dtype=bool)
+    for s in scalars:
+        for i, ts in enumerate(s.thresholds):
+            for t in ts:
+                slack = (2.0 * THRESHOLD_TOL * (1.0 + abs(t))
+                         + 1e-12 * (np.abs(pts[:, i]) + abs(t)))
+                near |= np.abs(pts[:, i] - t) <= slack
+    return near
 
 
 def _outside_ball(pts: np.ndarray, radius: float) -> np.ndarray:

@@ -28,7 +28,6 @@ from .engine import (
     as_matrix,
 )
 from .nonsmooth import (
-    KinkSurface,
     PiecewiseSmoothScalar,
     SmoothPiece,
     StabilityCertificate,
@@ -550,8 +549,7 @@ def _corner_hinge_sum() -> PiecewiseSmoothScalar:
             lambda w: hinge(w[0]) + hinge(w[1]),
             lambda w, g=grad: np.array(g),
         ))
-    kinks = [KinkSurface.coordinate(i, t, 2) for i in (0, 1) for t in (1.0, -1.0)]
-    return PiecewiseSmoothScalar(2, pieces, kinks=kinks, regular=True,
+    return PiecewiseSmoothScalar(2, pieces, thresholds=[[-1.0, 1.0]] * 2, regular=True,
                                  name="corner_hinge_sum")
 
 
@@ -587,7 +585,7 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None) -> Preset:
 
     gmap = SetValuedMap(dim, lambda t: krasovskii(field, t),
                         common_bound=math.sqrt(dim) + 1e-9, name="sign_filter_mean",
-                        thresholds=[[float(law.theta_true[0])]] if law.scale == 0 else None)
+                        thresholds=field.thresholds)
 
     theta_sum = float(np.sum(law.theta_true))
 

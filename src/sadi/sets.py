@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -34,6 +35,7 @@ __all__ = [
     "nearest_point",
     "SetValuedMap",
     "PiecewiseField",
+    "on_thresholds",
     "krasovskii",
     "LeastNorm",
     "ExtremeVertex",
@@ -46,6 +48,9 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
+# a coordinate within this of a declared threshold t, relative to 1 + |t|, is
+# on it: the one rule of on_thresholds
+THRESHOLD_TOL = 1e-9
 
 # Wolfe's projection: its tolerance relative to the vertex set's extent, the
 # number of extents beyond which a query is pulled toward the set, and its
@@ -53,11 +58,11 @@ MEMBERSHIP_TOL = 1e-9
 _HULL_TOL = 1e-12
 _HULL_REACH = 1e150
 _HULL_CYCLES = 10
+# a ball rescales a row whose larger square, |y - c|^2 or r^2, is below this
+# or not finite: the squares of tiny and of far rows leave the normal range
+_SQUARE_MIN = 2.0 ** -960
 # ball components are polytopized with this many boundary points per 2-D slice
 _BALL_FACETS = 32
-# krasovskii puts a coordinate this close to a declared threshold t, relative
-# to 1 + |t|, on it
-_SNAP_TOL = 1e-9
 
 
 def _as_vector(v, name="vector") -> np.ndarray:
@@ -228,21 +233,35 @@ class Ball(ConvexSet):
     def midpoint(self):
         return np.array(self.center)
 
+    def _squares(self, delta: np.ndarray):
+        """|delta|^2 of each row and the radius, where the larger square of a
+        row would leave the normal range both divided by one power of two, so
+        that |delta|^2 > r^2 and r/|delta| come out as at ordinary scales."""
+        n2 = np.einsum("ij,ij->i", delta, delta)
+        big = np.maximum(n2, self.radius * self.radius)
+        odd = ~((big >= _SQUARE_MIN) & (big < math.inf))
+        r = np.full(n2.shape, self.radius)
+        if odd.any():
+            _, e = np.frexp(np.maximum(np.abs(delta[odd]).max(axis=1), self.radius))
+            scaled = np.ldexp(delta[odd], -e[:, None])
+            n2[odd] = np.einsum("ij,ij->i", scaled, scaled)
+            r[odd] = np.ldexp(self.radius, -e)
+        return n2, r
+
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
         """The nearest point of the ball to each row."""
         y = np.array(rows, dtype=float)
-        r2 = self.radius * self.radius
         # ten radial steps, then ever larger shrinks against last-ulp rounding;
         # the loop ends on the test a second call starts with, so a projected
         # row projects to itself bit for bit
         for k in itertools.count():
             delta = y - self.center
-            n2 = np.einsum("ij,ij->i", delta, delta)
-            mask = n2 > r2
+            n2, r = self._squares(delta)
+            mask = n2 > r * r
             if not mask.any():
                 return y
             if k < 10:
-                scale = (self.radius / np.sqrt(n2[mask]))[:, None]
+                scale = (r[mask] / np.sqrt(n2[mask]))[:, None]
             else:
                 scale = 1.0 - np.finfo(float).eps * 2.0 ** (k - 10)
             y[mask] = self.center + delta[mask] * scale
@@ -621,6 +640,33 @@ def _select_from(value: ConvexSet, x: np.ndarray, strategy, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _thresholds(dim: int, thresholds) -> list:
+    """Declared discontinuities ``x_i == t`` as one sorted list of finite
+    floats per coordinate; None declares none."""
+    rows = [[]] * dim if thresholds is None else [
+        list(ts) if np.iterable(ts) else [None] for ts in thresholds]
+    if len(rows) != dim or not all(
+            isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
+            for ts in rows for t in ts):
+        raise ValueError(f"thresholds must be {dim} sequences of finite numbers, "
+                         "one per coordinate")
+    return [sorted(float(t) for t in ts) for ts in rows]
+
+
+def on_thresholds(x, thresholds) -> list:
+    """The declared thresholds ``(i, t)`` that ``x`` lies on, at most the first
+    of each coordinate: those with |x_i - t| <= THRESHOLD_TOL*(1 + |t|).  The
+    one test of sitting on a discontinuity, for the Krasovskii hull, the
+    sliding integrator and the classical gradient alike."""
+    out = []
+    for i, ts in enumerate(thresholds):
+        for t in ts:
+            if abs(x[i] - t) <= THRESHOLD_TOL * (1.0 + abs(t)):
+                out.append((i, t))
+                break
+    return out
+
+
 class SetValuedMap:
     """Total, bounded map x -> compact convex set, given by one rule.
 
@@ -636,7 +682,7 @@ class SetValuedMap:
         self.rule = rule
         self.common_bound = float(common_bound)
         self.name = name
-        self.thresholds = [sorted(t) for t in thresholds] if thresholds is not None else None
+        self.thresholds = _thresholds(self.dim, thresholds)
 
     def value(self, x) -> ConvexSet:
         x = _as_vector(x, "state")
@@ -752,12 +798,10 @@ class PiecewiseField:
     """
 
     def __init__(self, dim: int, pieces: Sequence[FieldPiece],
-                 thresholds: Sequence[Sequence[float]]):
+                 thresholds: Optional[Sequence[Sequence[float]]]):
         self.dim = int(dim)
         self.pieces = list(pieces)
-        if len(thresholds) != self.dim:
-            raise ValueError("thresholds must list one (possibly empty) sequence per coordinate")
-        self.thresholds = [sorted(float(t) for t in ts) for ts in thresholds]
+        self.thresholds = _thresholds(self.dim, thresholds)
 
     def piece_at(self, x: np.ndarray) -> FieldPiece:
         for piece in self.pieces:
@@ -791,31 +835,24 @@ def krasovskii(f: PiecewiseField, x) -> ConvexSet:
     x = _as_vector(x, "state")
     _check_dims(x.shape[0], f.dim, "krasovskii")
 
-    on_axes = []
-    snapped = np.array(x)
-    for i in range(f.dim):
-        for t in f.thresholds[i]:
-            if abs(x[i] - t) <= _SNAP_TOL * (1.0 + abs(t)):
-                on_axes.append(i)
-                snapped[i] = t
-                break
-    if not on_axes:
+    on = on_thresholds(x, f.thresholds)
+    if not on:
         return Singleton(f.value(x))
 
+    snapped = np.array(x)
     probes_h = []
-    for i in on_axes:
-        ts = f.thresholds[i]
-        t = snapped[i]
-        gaps = [abs(t - u) for u in ts if u != t]
+    for i, t in on:
+        snapped[i] = t
+        gaps = [abs(t - u) for u in f.thresholds[i] if u != t]
         h = 1e-6 * (1.0 + abs(t))
         if gaps:
             h = min(h, min(gaps) / 2.0)
         probes_h.append(h)
 
     values = []
-    for signs in itertools.product((-1.0, 1.0), repeat=len(on_axes)):
+    for signs in itertools.product((-1.0, 1.0), repeat=len(on)):
         probe = np.array(snapped)
-        for (i, h, s) in zip(on_axes, probes_h, signs):
+        for ((i, _), h, s) in zip(on, probes_h, signs):
             probe[i] = snapped[i] + s * h
         try:
             piece = f.piece_at(probe)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sadi.nonsmooth import KinkSurface, PiecewiseSmoothScalar, SmoothPiece, smooth_scalar
+from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece, smooth_scalar
 from sadi.sets import FieldPiece, PiecewiseField, SetValuedMap, krasovskii
 
 
@@ -37,7 +37,7 @@ def relu_scalar() -> PiecewiseSmoothScalar:
             SmoothPiece(lambda x: x[0] > 0, lambda x: float(x[0]), lambda x: np.array([1.0])),
             SmoothPiece(lambda x: True, lambda x: 0.0, lambda x: np.array([0.0])),
         ],
-        kinks=[KinkSurface.coordinate(0, 0.0, 1)],
+        thresholds=[[0.0]],
         regular=True,
         name="relu",
     )
@@ -52,7 +52,7 @@ def abs_scalar() -> PiecewiseSmoothScalar:
             SmoothPiece(lambda x: True, lambda x: abs(float(x[0])),
                         lambda x: np.array([0.0])),
         ],
-        kinks=[KinkSurface.coordinate(0, 0.0, 1)],
+        thresholds=[[0.0]],
         regular=True,
         name="abs",
     )

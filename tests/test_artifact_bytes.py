@@ -1,6 +1,7 @@
 """Golden bytes: every artifact the CLI writes, from small runs, against
 sha256 values recorded before the artifact writers were merged into one
-module.  A changed digest means a changed output byte; re-record one only
+module; the rootfind and sign-filter digests before a Clarke gradient became
+the Krasovskii hull of the gradient field.  A changed digest means a changed output byte; re-record one only
 for a change to the artifact layout that is meant and documented."""
 
 import hashlib
@@ -38,6 +39,30 @@ _NONCONV_DI = {
     "chain": {"probes": [[0.5, 0.5], [1.5, -1.5]], "eps": 0.3, "t_min": 0.5, "budget": 6},
 }
 
+# the kink paths: rootfind's certificate sends 480 grid points through the
+# Clarke gradient, and the noiseless sign filter crosses t* = 0.5 near t = 1.5
+# and then slides on it
+_ROOTFIND = {
+    "name": "golden_rootfind",
+    "preset": "rootfind",
+    "x0": [1.0, 1.0],
+    "iterations": 10,
+    "replications": 1,
+    "seed": 3,
+    "outputs": ["report"],
+}
+_SIGN_FILTER_DI = {
+    "name": "golden_sign_filter",
+    "preset": "sign_filter",
+    "preset_params": {"law": {"theta_true": [0.5], "scale": 0.0}},
+    "x0": [0.0],
+    "iterations": 10,
+    "replications": 1,
+    "seed": 3,
+    "outputs": ["report"],
+    "di": {"dt": 0.01, "horizon": 3.0, "x0": [2.0]},
+}
+
 
 def _ou_rates():
     raw = json.loads((CONFIGS / "ou_rates.json").read_text(encoding="utf-8"))
@@ -54,6 +79,8 @@ _JOBS = [
     ("rates", "run", _ou_rates(), []),
     ("sdi", "simulate-sdi", _ou_rates(), []),
     ("di", "simulate-di", _NONCONV_DI, []),
+    ("rootfind", "certify", _ROOTFIND, []),
+    ("sign_filter", "simulate-di", _SIGN_FILTER_DI, []),
 ]
 
 GOLDEN = {
@@ -83,6 +110,10 @@ GOLDEN = {
         "89fb6181fc401e42398bfae35423bb8e8c0a7999e5e1da1f2fcd27386e111fac",
     "di/chain_report.txt":
         "de5da64e2b43bd85413b5253582afab4548089c7953d8743fb523fa74c811e16",
+    "rootfind/certificate.txt":
+        "d3c0e5625bc7cae41609279f64fce352b52094325d9c1cb6d2e785e6aeb939c7",
+    "sign_filter/inclusion_path.csv":
+        "a935709ef55e197f868d90f122bc258605558dbe4e8103a8b3db594b2c7f4e00",
 }
 
 

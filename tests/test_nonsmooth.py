@@ -62,6 +62,46 @@ def test_gradient_raises_on_kink():
         relu_scalar().gradient([0.0])
 
 
+@pytest.mark.parametrize("t", [0.5, -2.0])
+@pytest.mark.parametrize("f", [0.0, 0.5, 0.9, 1.1, 2.0])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_threshold_uses_agree_at_the_tolerance_edge(t, f, side):
+    """A point f tolerances from a threshold is on it exactly when f <= 1, for
+    the Krasovskii hull, the classical gradient, the sliding integrator and
+    the certifier's near mask alike."""
+    from sadi.inclusions import integrate
+    from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece, _near_kinks
+    from sadi.sets import ExtremeVertex, FieldPiece, PiecewiseField, krasovskii
+
+    x = t + side * f * 1e-9 * (1.0 + abs(t))
+    on = f <= 1.0
+    field = PiecewiseField(1, [
+        FieldPiece(lambda y: y[0] > t, lambda y: np.array([-1.0])),
+        FieldPiece(lambda y: y[0] < t, lambda y: np.array([1.0])),
+        FieldPiece(lambda y: True, lambda y: np.array([0.0])),
+    ], [[t]])
+    assert (not isinstance(krasovskii(field, [x]), Singleton)) == on
+
+    u = PiecewiseSmoothScalar(1, [
+        SmoothPiece(lambda y: y[0] > t, lambda y: y[0] - t, lambda y: np.array([1.0])),
+        SmoothPiece(lambda y: True, lambda y: t - y[0], lambda y: np.array([-1.0])),
+    ], thresholds=[[t]])
+    try:
+        u.gradient([x])
+        raised = False
+    except ValueError:
+        raised = True
+    assert raised == on
+
+    # off the threshold the extreme vertex along +1 is +1; sliding takes 0
+    fmap = SetValuedMap(1, lambda y: krasovskii(field, y), common_bound=1.0, thresholds=[[t]])
+    path = integrate(fmap, None, [x], 1e-3, 1e-3, strategy=ExtremeVertex([1.0]))
+    assert (path.selector_values[0, 0] == 0.0) == on
+
+    if on:
+        assert _near_kinks(np.array([[x]]), [u])[0]
+
+
 def test_declared_gradients_match_finite_differences(rng):
     fns = [squared_norm(2), _corner_hinge_sum()]
     h = 1e-6
@@ -69,7 +109,8 @@ def test_declared_gradients_match_finite_differences(rng):
         checked = 0
         while checked < 100:
             x = rng.uniform(-2.5, 2.5, size=2)
-            if fn.active_kinks(x, tol=1e-3):
+            if any(abs(x[i] - t) <= 1e-3 * (1.0 + abs(t))
+                   for i, ts in enumerate(fn.thresholds) for t in ts):
                 continue
             grad = fn.piece_at(x).gradient(x)
             for i in range(2):
@@ -166,13 +207,13 @@ def test_reduced_empty_collection_is_identity(rng):
 
 def test_reduced_segment_exact_in_plane():
     # one effective constraint in the plane: the box collapses to a segment
-    from sadi.nonsmooth import KinkSurface, PiecewiseSmoothScalar, SmoothPiece
+    from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece
 
     u = PiecewiseSmoothScalar(2, [
         SmoothPiece(lambda x: x[1] > 0, lambda x: x[0] + x[1],
                     lambda x: np.array([1.0, 1.0])),
         SmoothPiece(lambda x: True, lambda x: x[0], lambda x: np.array([1.0, 0.0])),
-    ], kinks=[KinkSurface.coordinate(1, 0.0, 2)], regular=True)
+    ], thresholds=[[], [0.0]], regular=True)
     m = SetValuedMap(2, lambda x: Box([-1, -1], [1, 1]),
                      common_bound=2.0)
     red = u_reduced(m, [u], [0.3, 0.0])

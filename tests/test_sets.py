@@ -38,6 +38,7 @@ from sadi.sets import (
     support,
 )
 from sadi.sets import canonical_vertices
+from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece
 from conftest import neg_sign_field, neg_sign_map
 
 
@@ -316,6 +317,19 @@ def test_nearest_point_of_a_tiny_scaled_set_is_finite_and_in_the_set(k, inner, e
     assert np.linalg.norm(got - y) <= np.linalg.norm(k * np.array(exact) - y)
 
 
+def test_nearest_point_of_a_tiny_ball_and_of_a_far_query():
+    # the squares of these offsets and radii leave the normal range
+    tiny = Ball([0.0, 0.0], 1e-300)
+    assert np.allclose(nearest_point(tiny, [2e-300, 0.0]), [1e-300, 0.0], rtol=1e-15, atol=0.0)
+    assert not contains(tiny, [2e-300, 0.0], 0.0)
+    assert np.allclose(nearest_point(Ball([0.0, 0.0], 1e-160), [2e-160, 0.0]), [1e-160, 0.0],
+                       rtol=1e-15, atol=0.0)
+    assert np.allclose(nearest_point(Ball([0.0, 0.0], 1.0), [1e200, 0.0]), [1.0, 0.0],
+                       rtol=1e-15, atol=0.0)
+    assert np.allclose(nearest_point(Ball([0.0, 0.0], 1e300), [1e308, 1e308]),
+                       [1e300 * 0.5 ** 0.5] * 2, rtol=1e-15, atol=0.0)
+
+
 def test_least_norm_shifted_box():
     s = minkowski_sum(Singleton([2.0]), Box([-1], [1]))
     assert np.allclose(least_norm_point(s), [1.0])
@@ -434,6 +448,32 @@ def test_krasovskii_multiple_thresholds_per_coordinate():
     assert (k1.lo[0], k1.hi[0]) == (3.0, 5.0)
     mid = krasovskii(field, [0.5])
     assert isinstance(mid, Singleton) and mid.point[0] == 3.0
+
+
+def test_thresholds_are_sorted_floats_one_list_per_coordinate():
+    m = SetValuedMap(2, lambda x: Singleton(x), common_bound=1.0, thresholds=[[1, 0.5], ()])
+    assert m.thresholds == [[0.5, 1.0], []]
+    assert all(type(t) is float for t in m.thresholds[0])
+    assert SetValuedMap(2, lambda x: Singleton(x), common_bound=1.0).thresholds == [[], []]
+
+
+@pytest.mark.parametrize("build", [
+    lambda dim, ts: SetValuedMap(dim, lambda x: Singleton(x), common_bound=1.0, thresholds=ts),
+    lambda dim, ts: PiecewiseField(dim, [FieldPiece(lambda x: True, lambda x: x)], ts),
+    lambda dim, ts: PiecewiseSmoothScalar(
+        dim, [SmoothPiece(lambda x: True, lambda x: 0.0, lambda x: x)], thresholds=ts),
+], ids=["map", "field", "scalar"])
+@pytest.mark.parametrize("dim, thresholds", [
+    (2, [[0.0]]),
+    (2, [[0.0], [0.0], [0.0]]),
+    (1, [["a"]]),
+    (1, [[math.inf]]),
+    (1, [[True]]),
+    (1, [0.0]),
+], ids=["short", "long", "string", "infinite", "bool", "flat"])
+def test_malformed_thresholds_are_rejected_at_construction(build, dim, thresholds):
+    with pytest.raises(ValueError, match="thresholds"):
+        build(dim, thresholds)
 
 
 def test_krasovskii_unaligned_locus_errors():
@@ -643,25 +683,17 @@ def _affine(s, k, c):
     return MinkowskiSum(Scaled(s.k, _affine(s.inner, k, 0.0 * c)), Singleton(c))
 
 
-def _has_ball(s):
-    if isinstance(s, MinkowskiSum):
-        return _has_ball(s.left) or _has_ball(s.right)
-    return _has_ball(s.inner) if isinstance(s, Scaled) else isinstance(s, Ball)
-
-
-_SCALES = [1e-300, 1e-200, 1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150]
+_SCALES = [1e-300, 1e-200, 1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e150, 1e200, 1e300]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_nearest_point_is_equivariant_under_scaling_and_translation(data):
     """nearest(k*S + c, k*y + c) = k*nearest(S, y) + c, to a tolerance
-    relative to k: the projection has no absolute scale.  A ball squares its
-    radius, so a set with a ball part is scaled by at most 1e-150."""
+    relative to k: the projection has no absolute scale."""
     d = data.draw(st.integers(1, 3), label="dim")
     s, _ = data.draw(_composites(d, balls=True), label="set")
-    scales = [k for k in _SCALES if k >= 1e-150 or not _has_ball(s)]
-    k = data.draw(st.sampled_from(scales), label="k")
+    k = data.draw(st.sampled_from(_SCALES), label="k")
     c = k * np.array(data.draw(_vectors(d), label="c"))
     y = np.array(data.draw(_vectors(d, 10.0), label="y"))
     got = nearest_point(_affine(s, k, c), k * y + c)
