@@ -34,6 +34,8 @@ __all__ = [
 
 # starts the chain search keeps from one generation to the next
 _BEAM_WIDTH = 6
+# steps the integrator keeps as Python lists before copying them into its arrays
+_BLOCK = 1024
 
 
 @dataclass
@@ -60,28 +62,39 @@ class InclusionPath:
         Artifact(cols, rows, provenance=meta).write(path)
 
 
-def _crossings(x_old: np.ndarray, x_new: np.ndarray, thresholds):
+def _crossings(x_old: list, x_new: list, thresholds):
     out = []
     for i, ts in enumerate(thresholds):
+        a, b = x_old[i], x_new[i]
         for t in ts:
-            if (x_old[i] - t) * (x_new[i] - t) < 0.0:
+            if (a - t) * (b - t) < 0.0:
                 out.append((i, t))
                 break
     return out
 
 
-def _velocity(fmap: SetValuedMap, smooth, x: np.ndarray, strategy, sliding: bool):
-    """Selected velocity; on a declared surface the damper takes the
-    least-norm element of the combined value so a sliding mode stays put."""
-    h = np.zeros_like(x) if smooth is None else np.atleast_1d(np.asarray(smooth(x), dtype=float))
-    if fmap is None:
-        return h, np.zeros_like(x)
+def _velocity(fmap: SetValuedMap, h: np.ndarray, x: np.ndarray, strategy, sliding: bool):
+    """Selected velocity and selection from the map's value; on a declared
+    surface the damper takes the least-norm element of the combined value so
+    a sliding mode stays put."""
     if sliding:
         total = minkowski_sum(Singleton(h), fmap.value(x))
         v = least_norm_point(total)
         return v, v - h
     g = select(fmap, x, strategy)
     return h + g, g
+
+
+def _box_velocity(lo, hi, h: list, sliding: bool):
+    """``_velocity`` for the box value [lo, hi], in closed form on plain
+    floats.  Each coordinate clips as ``np.clip`` does, signed zeros
+    included: the least-norm point is min(hi, max(lo, 0)), and a sliding
+    velocity is h plus the point of the box nearest to 0 - h."""
+    if sliding:
+        v = [a + min(u, max(l, 0.0 - a)) for a, l, u in zip(h, lo, hi)]
+        return v, [b - a for a, b in zip(h, v)]
+    g = [min(u, max(l, 0.0)) for l, u in zip(lo, hi)]
+    return [a + b for a, b in zip(h, g)], g
 
 
 def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
@@ -94,36 +107,55 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
     surface, the selection is the least-norm element of the combined
     velocity hull, which reproduces sliding modes instead of chattering.
     ``projection``, a Box or a Ball, takes each new state to its nearest point.
+
+    The loop runs on plain floats: the surface test, the crossing snap and
+    the Euler update.  A map that declares box bounds gets its least-norm
+    and sliding velocities in closed form from them; any other map, or a
+    box map under another selector off the surfaces, is evaluated through
+    ``fmap.value`` at each step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
     strategy = strategy or LeastNorm()
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = x.shape[0]
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
+    d = len(x)
     n_steps = int(math.ceil(horizon / dt - 1e-12)) if horizon > 0 else 0
-    states = np.empty((n_steps + 1, d))
-    sel = np.empty((n_steps, d))
+    states, sel = np.empty((n_steps + 1, d)), np.empty((n_steps, d))
     states[0] = x
     events = []
     thresholds = fmap.thresholds if fmap is not None else ()
+    bounds = fmap.bounds if fmap is not None else None
+    least_norm = isinstance(strategy, LeastNorm)
+    zeros = [0.0] * d
 
-    for k in range(n_steps):
-        sliding = bool(on_thresholds(x, thresholds))
-        v, g = _velocity(fmap, smooth, x, strategy, sliding)
-        x_new = x + dt * v
-        crossed = _crossings(x, x_new, thresholds)
-        for (i, t) in crossed:
-            x_new[i] = t
-            events.append((k, i, t))
-        if projection is not None:
-            x_new = projection.project_rows(x_new[None, :])[0]
-        if not np.all(np.isfinite(x_new)):
-            raise SimulationBlowup(k)
-        sel[k] = g
-        x = x_new
-        states[k + 1] = x
+    for k0 in range(0, n_steps, _BLOCK):
+        xs, gs = [], []
+        for k in range(k0, min(k0 + _BLOCK, n_steps)):
+            sliding = bool(on_thresholds(x, thresholds))
+            h = zeros if smooth is None else np.atleast_1d(
+                np.asarray(smooth(np.array(x)), dtype=float)).tolist()
+            if fmap is None:
+                v, g = h, zeros
+            elif bounds is not None and (sliding or least_norm):
+                v, g = _box_velocity(*bounds(x), h, sliding)
+            else:
+                v, g = (a.tolist() for a in _velocity(fmap, np.array(h), np.array(x),
+                                                      strategy, sliding))
+            x_new = [a + dt * b for a, b in zip(x, v)]
+            for (i, t) in _crossings(x, x_new, thresholds):
+                x_new[i] = t
+                events.append((k, i, t))
+            if projection is not None:
+                x_new = projection.project_rows(np.array([x_new]))[0].tolist()
+            if not all(map(math.isfinite, x_new)):
+                raise SimulationBlowup(k)
+            gs.append(g)
+            x = x_new
+            xs.append(x)
+        states[k0 + 1:k0 + 1 + len(xs)] = xs
+        sel[k0:k0 + len(gs)] = gs
     return InclusionPath(dt=dt, horizon=horizon, states=states, selector_values=sel,
                          events=events)
 

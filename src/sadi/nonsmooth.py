@@ -115,7 +115,7 @@ class PiecewiseSmoothScalar:
 
     def __init__(self, dim: int, pieces: Sequence[SmoothPiece],
                  thresholds: Optional[Sequence[Sequence[float]]] = None,
-                 regular: bool = True, name: str = ""):
+                 regular: bool = True, name: str = "", rows: Optional[tuple] = None):
         self.dim = int(dim)
         self.pieces = list(pieces)
         self.gradient_field = PiecewiseField(
@@ -123,6 +123,8 @@ class PiecewiseSmoothScalar:
         self.thresholds = self.gradient_field.thresholds
         self.regular = bool(regular)
         self.name = name
+        # (value_rows, gradient_rows) of a function written on rows, else None
+        self.rows = rows
 
     def piece_at(self, x: np.ndarray) -> SmoothPiece:
         for piece in self.pieces:
@@ -145,9 +147,14 @@ class PiecewiseSmoothScalar:
 
 def smooth_scalar(dim: int, value, gradient, name: str = "",
                   regular: bool = True) -> PiecewiseSmoothScalar:
-    """Single-piece everywhere-smooth function."""
+    """Single-piece everywhere-smooth function, written once on rows:
+    ``value`` and ``gradient`` take an (n, d) array and return the n values
+    and the (n, d) gradients.  A point is a one-row array, and the certifier
+    evaluates a grid in one call."""
     return PiecewiseSmoothScalar(
-        dim, [SmoothPiece(lambda x: True, value, gradient)], regular=regular, name=name)
+        dim, [SmoothPiece(lambda x: True, lambda x: float(value(x[None])[0]),
+                          lambda x: gradient(x[None])[0])],
+        regular=regular, name=name, rows=(value, gradient))
 
 
 def clarke_gradient(u: PiecewiseSmoothScalar, x) -> ConvexSet:
@@ -428,6 +435,13 @@ def _outside_ball(pts: np.ndarray, radius: float) -> np.ndarray:
     return keep
 
 
+def _box_supports(fmap: SetValuedMap, p: np.ndarray, rows: np.ndarray) -> list:
+    """The support of the box F(x) along p at each row, sum_i max(p_i lo_i,
+    p_i hi_i), summed as ``Box._support`` sums it."""
+    lo, hi = fmap.bound_rows(rows)
+    return np.where(p >= 0.0, p * hi, p * lo).sum(axis=1).tolist()
+
+
 def certify_stability(v: PiecewiseSmoothScalar,
                       u_list: Sequence[PiecewiseSmoothScalar],
                       fmap: SetValuedMap,
@@ -441,7 +455,11 @@ def certify_stability(v: PiecewiseSmoothScalar,
     Points off every kink of ``v`` and of the ``u_list`` have singleton
     Clarke gradients and no constancy rows, so their derivative is the
     support of F(x) along grad v(x), evaluated directly; only points near a
-    kink go through ``u_generalized_derivative``.
+    kink go through ``u_generalized_derivative``.  A ``v`` written on rows
+    gives every gradient, and a ``bound`` written on rows every decay
+    threshold, in one call.  When ``fmap`` also declares box bounds, the
+    off-kink derivatives are one array pass (``_box_supports``); any other
+    map is evaluated point by point.
     """
     pts, res = _grid_points(grid_lo, grid_hi, resolution)
     pts.setflags(write=False)
@@ -451,18 +469,27 @@ def certify_stability(v: PiecewiseSmoothScalar,
         grid_lo=tuple(lo.tolist()), grid_hi=tuple(hi.tolist()),
         resolution=res, exclude_radius=float(exclude_radius), name=name)
     near = _near_kinks(pts, [v, *u_list])
-    coords = pts.tolist()
-    for i in np.flatnonzero(_outside_ball(pts, exclude_radius)).tolist():
-        x = pts[i]
-        if near[i]:
-            deriv = u_generalized_derivative(v, u_list, fmap, x)
+    kept = np.flatnonzero(_outside_ball(pts, exclude_radius))
+    rows, near = pts[kept], near[kept]
+    if bound.rows is not None:
+        thresholds = (-bound.rows[0](rows)).tolist()
+    else:
+        thresholds = [-bound.value(x) for x in rows]
+    grads = v.rows[1](rows) if v.rows is not None else None
+    derivs = [None] * len(rows)
+    if fmap.bounds is not None and grads is not None:
+        off = np.flatnonzero(~near)
+        for j, deriv in zip(off.tolist(), _box_supports(fmap, grads[off], rows[off])):
+            derivs[j] = deriv
+    for j in [j for j, deriv in enumerate(derivs) if deriv is None]:
+        x = rows[j]
+        if near[j]:
+            derivs[j] = u_generalized_derivative(v, u_list, fmap, x)
         else:
-            value = fmap.value(x)
-            deriv = value._support(_as_vector(v.piece_at(x).gradient(x), "point"))
-        threshold = -bound.value(x)
-        if isinstance(deriv, NegInfinity):
-            ok = True
-        else:
-            ok = deriv <= threshold + _PASS_TOL
-        cert.records.append(GridRecord(tuple(coords[i]), deriv, threshold, ok))
+            grad = grads[j] if grads is not None else _as_vector(
+                v.piece_at(x).gradient(x), "point")
+            derivs[j] = fmap.value(x)._support(grad)
+    passed = [isinstance(deriv, NegInfinity) or deriv <= threshold + _PASS_TOL
+              for deriv, threshold in zip(derivs, thresholds)]
+    cert.records = list(map(GridRecord, zip(*rows.T.tolist()), derivs, thresholds, passed))
     return cert

@@ -36,7 +36,6 @@ from .nonsmooth import (
 )
 from .sets import (
     MEMBERSHIP_TOL,
-    Box,
     Cell,
     CellTable,
     ConvexSet,
@@ -284,13 +283,15 @@ class Preset:
 
 
 def _coordinate_sum(dim: int) -> PiecewiseSmoothScalar:
-    ones = np.ones(dim)
-    return smooth_scalar(dim, lambda x: float(np.sum(x)), lambda x: np.array(ones),
+    return smooth_scalar(dim, lambda rows: rows.sum(axis=1), np.ones_like,
                          name="coordinate_sum")
 
 
 def _scaled_squared_norm(dim: int, c: float, name: str) -> PiecewiseSmoothScalar:
-    return smooth_scalar(dim, lambda x: c * float(x @ x), lambda x: 2.0 * c * x, name=name)
+    # one dot product per row rounds as the per-point x @ x does; einsum and
+    # (X*X).sum(1) do not
+    return smooth_scalar(dim, lambda rows: c * (rows[:, None, :] @ rows[:, :, None])[:, 0, 0],
+                         lambda rows: 2.0 * c * rows, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +299,11 @@ def _scaled_squared_norm(dim: int, c: float, name: str) -> PiecewiseSmoothScalar
 # ---------------------------------------------------------------------------
 
 
-def _sign_interval_bounds(w: np.ndarray, lam: float):
-    lo = np.where(w > 0.0, -lam, np.where(w < 0.0, lam, -lam))
-    hi = np.where(w > 0.0, -lam, np.where(w < 0.0, lam, lam))
-    return lo, hi
+def _sign_interval_bounds(w, lam: float):
+    """Per coordinate {-lam} where w_i > 0, {lam} where w_i < 0, [-lam, lam]
+    at 0 (and at NaN), on plain floats or on columns alike."""
+    return ([lam * (2 * (v < 0.0) - 1) for v in w],
+            [lam * (1 - 2 * (v > 0.0)) for v in w])
 
 
 def sign_interval_map(dim: int, lam: float) -> SetValuedMap:
@@ -309,12 +311,8 @@ def sign_interval_map(dim: int, lam: float) -> SetValuedMap:
     {+lam} for negative ones, [-lam, lam] at zero."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-
-    def rule(w: np.ndarray) -> ConvexSet:
-        lo, hi = _sign_interval_bounds(w, lam)
-        return Box(lo, hi)
-
-    return SetValuedMap(dim, rule, common_bound=lam * math.sqrt(dim), name="subgradient_box",
+    return SetValuedMap(dim, bounds=lambda w: _sign_interval_bounds(w, lam),
+                        common_bound=lam * math.sqrt(dim), name="subgradient_box",
                         thresholds=[[0.0]] * dim)
 
 
@@ -372,15 +370,22 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1)
     stability = None
     if pd and x_star is not None:
         shift = np.array(x_star)
+        shift_l = shift.tolist()
 
-        def shifted_rule(w: np.ndarray) -> ConvexSet:
-            lo, hi = _sign_interval_bounds(w + shift, lam)
-            return Box(lo + (b - m @ (w + shift)), hi + (b - m @ (w + shift)))
+        def shifted_bounds(w):
+            v = [wi + si for wi, si in zip(w, shift_l)]
+            # b - m @ v by one matrix-vector product per point, a point being
+            # (d,) and a row array (n, d): each rounds as the matvec m @ v of
+            # a single point does
+            mv = np.matmul(m, np.stack(v, axis=-1)[..., None])[..., 0]
+            lo, hi = _sign_interval_bounds(v, lam)
+            return ([a + (b[i] - mv[..., i]) for i, a in enumerate(lo)],
+                    [a + (b[i] - mv[..., i]) for i, a in enumerate(hi)])
 
         span = 3.0 if dim == 1 else 2.0
         bound_norm = float(np.linalg.norm(b)) + float(np.linalg.norm(m)) * (
             span * math.sqrt(dim) + float(np.linalg.norm(shift))) + lam * math.sqrt(dim)
-        shifted = SetValuedMap(dim, shifted_rule, common_bound=bound_norm + 1.0,
+        shifted = SetValuedMap(dim, bounds=shifted_bounds, common_bound=bound_norm + 1.0,
                                name="lasso_shifted")
         c1 = float(eigs[0])
         stability = StabilityBundle(
@@ -477,25 +482,21 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
 # ---------------------------------------------------------------------------
 
 
-def _unit_spike_bounds(v: float):
-    # the auxiliary interval: [-1, 1] exactly at v == 1, {0} elsewhere
-    if v == 1.0:
-        return -1.0, 1.0
-    return 0.0, 0.0
+def _rootfind_bounds(w):
+    """The coordinate swap with a sign flip, (-w_0 + w_1, -w_0 - w_1), with
+    the unit interval [-1, 1] added to component 0 where w_1 == 1 and to
+    component 1 where w_0 == 1; on plain floats or on columns alike."""
+    on0, on1 = w[0] == 1.0, w[1] == 1.0
+    base0, base1 = -w[0] + w[1], -w[0] - w[1]
+    return ((base0 + (0.0 - on1), base1 + (0.0 - on0)),
+            (base0 + (0.0 + on1), base1 + (0.0 + on0)))
 
 
 def rootfind_preset() -> Preset:
     """Zero finding for the planar map whose components swap coordinates
     with a sign flip and carry a unit interval spike on the lines w_i = 1."""
     dim = 2
-
-    def rule(w: np.ndarray) -> ConvexSet:
-        base = np.array([-w[0] + w[1], -w[0] - w[1]])
-        lo2, hi2 = _unit_spike_bounds(w[1])
-        lo1, hi1 = _unit_spike_bounds(w[0])
-        return Box(base + np.array([lo2, lo1]), base + np.array([hi2, hi1]))
-
-    gmap = SetValuedMap(dim, rule, common_bound=10.0, name="rootfind",
+    gmap = SetValuedMap(dim, bounds=_rootfind_bounds, common_bound=10.0, name="rootfind",
                         thresholds=[[1.0], [1.0]])
 
     def sample_term(w_rows, xi_rows):
@@ -627,7 +628,7 @@ def nonconvergence_preset() -> Preset:
     """The cycling field whose roots repel: corridor branches push the state
     around an annulus, so checkpoints rarely sit near either root."""
     dim = 2
-    gmap = SetValuedMap(dim, _NONCONV_CELLS.value, common_bound=4.0, name="nonconv",
+    gmap = SetValuedMap(dim, bounds=_NONCONV_CELLS.bounds, common_bound=4.0, name="nonconv",
                         thresholds=_NONCONV_THRESHOLDS)
     drift = Drift(dim=dim, smooth=None, smooth_mean=None, set_map=gmap,
                   selector=LeastNorm(), sample_term=_NONCONV_CELLS)

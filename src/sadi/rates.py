@@ -225,8 +225,9 @@ def tightness_diagnostic(indices, values, kappa: float) -> TightnessReport:
         raise ValueError("tightness diagnostic needs at least 100 replications")
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
-    # one norm per vector: an axis-wise norm sums in another order and rounds differently
-    mags = np.array([[np.linalg.norm(v) for v in row] for row in values])
+    # one dot product per vector rounds as np.linalg.norm of each vector
+    # does; an axis-wise norm sums in another order and rounds differently
+    mags = np.sqrt((values[..., None, :] @ values[..., :, None])[..., 0, 0])
     quant = np.quantile(mags, 1.0 - kappa, axis=0)
     late = quant[indices.shape[0] // 2:]
     base = quant[0]

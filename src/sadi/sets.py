@@ -249,8 +249,14 @@ class Ball(ConvexSet):
         return n2, r
 
     def project_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The nearest point of the ball to each row."""
+        """The nearest point of the ball to each row.  A row with an infinite
+        coordinate, and no NaN, goes to the limit of the projection along its
+        ray: the boundary point in the direction of its infinite coordinates."""
         y = np.array(rows, dtype=float)
+        far = np.isinf(y).any(axis=1) & ~np.isnan(y).any(axis=1)
+        if far.any() and math.isfinite(self.radius):
+            u = np.where(np.isinf(y[far]), np.sign(y[far]), 0.0)
+            y[far] = self.center + u * (self.radius / np.sqrt(np.abs(u).sum(axis=1)))[:, None]
         # ten radial steps, then ever larger shrinks against last-ulp rounding;
         # the loop ends on the test a second call starts with, so a projected
         # row projects to itself bit for bit
@@ -660,26 +666,37 @@ def on_thresholds(x, thresholds) -> list:
     sliding integrator and the classical gradient alike."""
     out = []
     for i, ts in enumerate(thresholds):
+        xi = x[i]
         for t in ts:
-            if abs(x[i] - t) <= THRESHOLD_TOL * (1.0 + abs(t)):
+            if abs(xi - t) <= THRESHOLD_TOL * (1.0 + abs(t)):
                 out.append((i, t))
                 break
     return out
 
 
 class SetValuedMap:
-    """Total, bounded map x -> compact convex set, given by one rule.
+    """Total, bounded map x -> compact convex set, given by one rule or, when
+    every value is a box, by its bounds.
 
     ``common_bound`` is the radius of a ball containing every value.
     ``thresholds`` optionally declares per-coordinate discontinuity
-    thresholds (used by sliding-mode integrators).  An ordered,
-    first-match piecewise rule is a ``CellTable``, whose ``value`` is a rule.
+    thresholds (used by sliding-mode integrators).  ``bounds(coords) ->
+    (lo, hi)`` gives the d lower and d upper bounds at a list of plain
+    floats and, with the same arithmetic and comparisons (as ``CellTable``
+    predicates), at the columns ``rows.T`` of a row array, each bound then a
+    float or a column.  An ordered, first-match piecewise box map is a
+    ``CellTable``, whose ``bounds`` are a map's bounds.
     """
 
-    def __init__(self, dim: int, rule: Callable[[np.ndarray], ConvexSet], common_bound: float,
-                 name: str = "", thresholds: Optional[Sequence[Sequence[float]]] = None):
+    def __init__(self, dim: int, rule: Optional[Callable[[np.ndarray], ConvexSet]] = None, *,
+                 common_bound: float, name: str = "",
+                 thresholds: Optional[Sequence[Sequence[float]]] = None,
+                 bounds: Optional[Callable] = None):
+        if (rule is None) == (bounds is None):
+            raise ValueError("a set-valued map takes one rule or box bounds")
         self.dim = int(dim)
         self.rule = rule
+        self.bounds = bounds
         self.common_bound = float(common_bound)
         self.name = name
         self.thresholds = _thresholds(self.dim, thresholds)
@@ -687,7 +704,17 @@ class SetValuedMap:
     def value(self, x) -> ConvexSet:
         x = _as_vector(x, "state")
         _check_dims(x.shape[0], self.dim, f"map {self.name or '<anon>'}")
+        if self.bounds is not None:
+            return Box(*self.bounds(x.tolist()))
         return self.rule(x)
+
+    def bound_rows(self, rows: np.ndarray):
+        """The bounds of a box-valued map at each row of ``rows``, as two
+        (n, d) arrays."""
+        n = rows.shape[0]
+        return tuple(np.stack([np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in side],
+                              axis=1)
+                     for side in self.bounds(rows.T))
 
 
 def select(mapping: SetValuedMap, x, strategy=None, rng=None) -> np.ndarray:
@@ -717,10 +744,10 @@ class CellTable:
 
     A predicate joins comparisons of the coordinates ``x[i]`` with ``&``, so
     it answers for plain floats and for the columns ``rows.T`` of a row array
-    alike.  A sloped cell must be a point.  The table yields the analysis
-    value (``value``), region ids (1-based cell positions) and the least-norm
-    selection, row-vectorized (``__call__``, a ``Drift.sample_term``) and on
-    plain floats (``term_at``).
+    alike.  A sloped cell must be a point.  The table yields the bounds of
+    the analysis map (``bounds``), region ids (1-based cell positions) and
+    the least-norm selection, row-vectorized (``__call__``, a
+    ``Drift.sample_term``) and on plain floats (``term_at``).
     """
 
     def __init__(self, dim: int, cells: Sequence[Cell]):
@@ -729,7 +756,7 @@ class CellTable:
         self._preds = [c.predicate for c in self.cells[:-1]]
         if self.cells[-1].predicate is not None or None in self._preds:
             raise ValueError("the last cell, and only it, must be the catch-all")
-        self._values = []  # the value of a constant cell, None for a sloped one
+        self._bounds = []  # (lo, hi) of a constant cell, None for a sloped one
         self._terms = []   # (offset, slope): the least-norm point is offset + slope*x
         for c in self.cells:
             lo, hi = _as_vector(c.lo, "lo"), _as_vector(c.hi, "hi")
@@ -737,10 +764,10 @@ class CellTable:
             point = np.array_equal(lo, hi)
             if c.slope == 0.0:
                 value = Singleton(lo) if point else Box(lo, hi)
-                self._values.append(value)
+                self._bounds.append((tuple(lo.tolist()), tuple(hi.tolist())))
                 self._terms.append((tuple(least_norm_point(value).tolist()), 0.0))
             elif point:
-                self._values.append(None)
+                self._bounds.append(None)
                 # -0.0 is the exact additive identity: a zero offset keeps slope*x bit for bit
                 self._terms.append((tuple(v or -0.0 for v in lo.tolist()), float(c.slope)))
             else:
@@ -754,13 +781,27 @@ class CellTable:
                 return term
         return self._terms[-1]
 
-    def value(self, x) -> ConvexSet:
-        x = [float(v) for v in x]
-        k = next((k for k, pred in enumerate(self._preds) if pred(x)), -1)
-        if self._values[k] is not None:
-            return self._values[k]
+    def _cell_bounds(self, k: int, coords):
+        if self._bounds[k] is not None:
+            return self._bounds[k]
         offset, slope = self._terms[k]
-        return Singleton(np.asarray(offset) + slope * np.asarray(x))
+        point = [o + slope * v for o, v in zip(offset, coords)]
+        return point, point
+
+    def bounds(self, coords):
+        """``(lo, hi)`` at ``coords``, a list of plain floats or the columns
+        ``rows.T`` of a row array; on columns each bound is one ``np.select``
+        per coordinate."""
+        if not isinstance(coords, np.ndarray):
+            for k, pred in enumerate(self._preds):
+                if pred(coords):
+                    return self._cell_bounds(k, coords)
+            return self._cell_bounds(-1, coords)
+        masks = self._masks(coords.T)
+        per_cell = [self._cell_bounds(k, coords) for k in range(len(self.cells))]
+        return tuple([np.select(masks, [b[side][i] for b in per_cell[:-1]],
+                                default=per_cell[-1][side][i]) for i in range(self.dim)]
+                     for side in (0, 1))
 
     def _masks(self, rows: np.ndarray) -> list:
         return [np.broadcast_to(np.asarray(pred(rows.T), dtype=bool), rows.shape[:1])

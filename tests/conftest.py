@@ -59,7 +59,8 @@ def abs_scalar() -> PiecewiseSmoothScalar:
 
 
 def squared_norm(dim: int) -> PiecewiseSmoothScalar:
-    return smooth_scalar(dim, lambda x: float(x @ x), lambda x: 2.0 * x, name="sqnorm")
+    return smooth_scalar(dim, lambda rows: (rows[:, None, :] @ rows[:, :, None])[:, 0, 0],
+                         lambda rows: 2.0 * rows, name="sqnorm")
 
 
 @pytest.fixture

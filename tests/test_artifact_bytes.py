@@ -1,8 +1,10 @@
 """Golden bytes: every artifact the CLI writes, from small runs, against
 sha256 values recorded before the artifact writers were merged into one
 module; the rootfind and sign-filter digests before a Clarke gradient became
-the Krasovskii hull of the gradient field.  A changed digest means a changed output byte; re-record one only
-for a change to the artifact layout that is meant and documented."""
+the Krasovskii hull of the gradient field; the rootfind path and the
+two-dimensional lasso certificate before box-valued maps declared their
+bounds.  A changed digest means a changed output byte; re-record one only for
+a change to the artifact layout that is meant and documented."""
 
 import hashlib
 import json
@@ -62,6 +64,22 @@ _SIGN_FILTER_DI = {
     "outputs": ["report"],
     "di": {"dt": 0.01, "horizon": 3.0, "x0": [2.0]},
 }
+# rootfind's box-valued map from (10, -20): the path crosses w_0 = 1 at step 39
+_ROOTFIND_DI = dict(_ROOTFIND, name="golden_rootfind_di",
+                    di={"dt": 0.01, "horizon": 3.0, "x0": [10.0, -20.0]})
+# a two-dimensional lasso: its shifted bounds take a 2x2 matrix-vector product
+_LASSO_2D = {
+    "name": "golden_lasso_2d",
+    "preset": "lasso",
+    "preset_params": {"lam": 0.3, "data": {"theta": [1.0, -0.5], "features": "gaussian",
+                                           "feature_mean": [0.3, -0.2],
+                                           "feature_cov": [[1.0, 0.4], [0.4, 2.0]]}},
+    "x0": [1.0, 1.0],
+    "iterations": 10,
+    "replications": 1,
+    "seed": 3,
+    "outputs": ["report"],
+}
 
 
 def _ou_rates():
@@ -81,6 +99,8 @@ _JOBS = [
     ("di", "simulate-di", _NONCONV_DI, []),
     ("rootfind", "certify", _ROOTFIND, []),
     ("sign_filter", "simulate-di", _SIGN_FILTER_DI, []),
+    ("rootfind_di", "simulate-di", _ROOTFIND_DI, []),
+    ("lasso_2d", "certify", _LASSO_2D, []),
 ]
 
 GOLDEN = {
@@ -114,6 +134,10 @@ GOLDEN = {
         "d3c0e5625bc7cae41609279f64fce352b52094325d9c1cb6d2e785e6aeb939c7",
     "sign_filter/inclusion_path.csv":
         "a935709ef55e197f868d90f122bc258605558dbe4e8103a8b3db594b2c7f4e00",
+    "rootfind_di/inclusion_path.csv":
+        "c62e18dd89a495a9cf88cf9912da69898a378e1bdd5bb9270b06071c9d837965",
+    "lasso_2d/certificate.txt":
+        "b236e42f6038bf23a69574b8fa75dc64763409a11388d847b609dfa5f6df1ae0",
 }
 
 

@@ -39,7 +39,7 @@ def test_clarke_abs_at_kink():
 
 
 def test_clarke_linear_sum_is_singleton():
-    f = smooth_scalar(3, lambda x: float(np.sum(x)), lambda x: np.ones(3))
+    f = smooth_scalar(3, lambda rows: rows.sum(axis=1), np.ones_like)
     for x in ([0, 0, 0], [1.5, -2, 0.25]):
         g = clarke_gradient(f, x)
         assert isinstance(g, Singleton)
@@ -151,7 +151,7 @@ def test_svd_singleton_gradient_gives_support_interval():
 
 
 def test_svd_singleton_value():
-    v = smooth_scalar(2, lambda x: float(np.sum(x)), lambda x: np.ones(2))
+    v = smooth_scalar(2, lambda rows: rows.sum(axis=1), np.ones_like)
     m = SetValuedMap(2, lambda x: Singleton([2.0, 3.0]),
                      common_bound=4.0)
     out = set_valued_derivative(v, m, [0.0, 0.0])
@@ -182,7 +182,7 @@ def test_reduced_interval_with_hinge_collapses_to_zero():
 
 
 def test_reduced_identity_for_singleton_gradients():
-    u = smooth_scalar(1, lambda x: float(np.sum(x)), lambda x: np.ones(1))
+    u = smooth_scalar(1, lambda rows: rows.sum(axis=1), np.ones_like)
     m = neg_sign_map()
     for x in ([0.0], [0.5], [-2.0]):
         out = u_reduced(m, [u], x)
@@ -224,7 +224,7 @@ def test_reduced_segment_exact_in_plane():
 def test_reduction_monotone(rng):
     """Adding a function to the collection can only shrink the reduction."""
     m = neg_sign_map()
-    u1 = smooth_scalar(1, lambda x: float(np.sum(x)), lambda x: np.ones(1))
+    u1 = smooth_scalar(1, lambda rows: rows.sum(axis=1), np.ones_like)
     u2 = relu_scalar()
     dirs = [np.array([1.0]), np.array([-1.0])]
     for _ in range(40):
@@ -281,7 +281,7 @@ def test_derivative_dominance_support_value(rng):
 
 def test_nonregular_uses_max_max():
     v = squared_norm(1)
-    v_nr = smooth_scalar(1, v.pieces[0].value, v.pieces[0].gradient, regular=False)
+    v_nr = smooth_scalar(1, *v.rows, regular=False)
     # fake a two-point gradient hull by wrapping abs
     w = abs_scalar()
     w.regular = False

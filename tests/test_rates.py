@@ -204,6 +204,15 @@ def test_tightness_constant_offset_flags_divergence():
     assert rep.flag == "diverging"
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_tightness_norms_round_as_the_per_vector_norm(d):
+    rng = np.random.default_rng(d)
+    values = rng.standard_normal((300, 6, d)) * 10.0 ** rng.uniform(-100, 100, (300, 6, 1))
+    rep = tightness_diagnostic(np.arange(6), values, kappa=0.1)
+    mags = np.array([[np.linalg.norm(v) for v in row] for row in values])
+    assert rep.quantiles.tobytes() == np.quantile(mags, 0.9, axis=0).tobytes()
+
+
 # --- outer set-derivative check -------------------------------------------------
 
 

@@ -330,6 +330,23 @@ def test_nearest_point_of_a_tiny_ball_and_of_a_far_query():
                        [1e300 * 0.5 ** 0.5] * 2, rtol=1e-15, atol=0.0)
 
 
+def test_ball_projects_an_infinite_row_to_the_limit_along_its_ray():
+    ball = Ball([1.0, -2.0], 0.5)
+    rows = np.array([[np.inf, 3.0], [-np.inf, np.inf], [5.0, -np.inf],
+                     [np.nan, np.inf], [np.nan, 0.0]])
+    got = ball.project_rows(rows)
+    assert got[0].tolist() == [1.5, -2.0]
+    assert np.allclose(got[1], [1.0 - 0.5 ** 1.5, -2.0 + 0.5 ** 1.5], rtol=1e-15, atol=0.0)
+    assert got[2].tolist() == [1.0, -2.5]
+    # a row with a NaN stays as it is
+    assert np.array_equal(got[3:], rows[3:], equal_nan=True)
+    # the limit is a point of the ball, which projects to itself
+    assert ball.project_rows(got[:3]).tobytes() == got[:3].tobytes()
+    assert nearest_point(Ball([0.0], 2.0), [-np.inf]).tolist() == [-2.0]
+    assert nearest_point(minkowski_sum(Ball([0.0, 0.0], 1.0), Box([0.0, 0.0], [1.0, 1.0])),
+                         [np.inf, 0.5]).tolist() == [2.0, 0.5]
+
+
 def test_least_norm_shifted_box():
     s = minkowski_sum(Singleton([2.0]), Box([-1], [1]))
     assert np.allclose(least_norm_point(s), [1.0])
@@ -570,9 +587,10 @@ def test_first_match_semantics():
         Cell(lambda x: x[0] >= -1, (2.0,), (2.0,)),
         Cell(None, (3.0,), (3.0,)),
     ])
-    assert m.value([0.5]).point[0] == 1.0
-    assert m.value([-0.5]).point[0] == 2.0
-    assert m.value([-2.0]).point[0] == 3.0
+    fmap = SetValuedMap(1, bounds=m.bounds, common_bound=3.0)
+    assert [fmap.value([x]).lo[0] for x in (0.5, -0.5, -2.0)] == [1.0, 2.0, 3.0]
+    lo, hi = fmap.bound_rows(np.array([[0.5], [-0.5], [-2.0]]))
+    assert lo[:, 0].tolist() == hi[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
 # --- contract properties ------------------------------------------------------------
