@@ -31,7 +31,6 @@ from .sets import (  # noqa: F401
     support,
 )
 from .nonsmooth import (  # noqa: F401
-    NEG_INFINITY,
     Interval,
     PiecewiseSmoothScalar,
     SmoothPiece,

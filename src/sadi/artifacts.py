@@ -23,6 +23,7 @@ class Artifact:
     rows: Iterable                    # of cell sequences, read once
     comments: Sequence[str] = ()
     provenance: Iterable = ()         # (key, value) pairs, values printed by str
+    template: Optional[str] = None    # printf form of one row; rows then come in blocks
 
     def lines(self):
         if self.provenance:
@@ -31,6 +32,11 @@ class Artifact:
             yield f"# {c}\n"
         if self.columns is not None:
             yield ",".join(self.columns) + "\n"
+        if self.template is not None:
+            # each block of row tuples is one string; "%.17g" prints as ``cell``
+            for block in self.rows:
+                yield "".join([self.template % row for row in block])
+            return
         for row in self.rows:
             # floats and strings, the common cells, are formatted without a call
             yield ",".join([f"{v:.17g}" if isinstance(v, float) else v if isinstance(v, str)

@@ -13,7 +13,7 @@ produces (null spaces of dimension <= 1 in particular).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,8 +44,6 @@ __all__ = [
     "set_valued_derivative",
     "u_reduced",
     "u_generalized_derivative",
-    "NEG_INFINITY",
-    "NegInfinity",
     "StabilityCertificate",
     "certify_stability",
 ]
@@ -65,40 +63,6 @@ def linprog(*args, **kwargs):
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
-
-
-class NegInfinity:
-    """Distinguished minus-infinity sentinel.
-
-    Supports ordering against floats but no arithmetic, so it can never
-    leak into numeric accumulations.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return not isinstance(other, NegInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, NegInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, NegInfinity)
-
-    def __hash__(self):
-        return hash("NegInfinity")
-
-    def __repr__(self):
-        return "NEG_INFINITY"
-
-
-NEG_INFINITY = NegInfinity()
 
 
 @dataclass(frozen=True)
@@ -310,13 +274,13 @@ def u_generalized_derivative(v: PiecewiseSmoothScalar,
                              u_list: Sequence[PiecewiseSmoothScalar],
                              fmap: SetValuedMap, x):
     """min (regular v) or max (non-regular v) over Clarke-gradient vertices
-    of the support of the reduced set; the sentinel when the reduction is
-    empty.
+    of the support of the reduced set; -inf when the reduction is empty
+    (the support of a nonempty compact set is finite).
     """
     x = _as_vector(x, "point")
     reduced = u_reduced(fmap, u_list, x)
     if reduced is None:
-        return NEG_INFINITY
+        return -math.inf
     p_verts = _gradient_vertices(v, x)
     vals = [support(reduced, p) for p in p_verts]
     return min(vals) if v.regular else max(vals)
@@ -330,7 +294,7 @@ def u_generalized_derivative(v: PiecewiseSmoothScalar,
 @dataclass(frozen=True)
 class GridRecord:
     x: tuple
-    derivative: object  # float or NEG_INFINITY
+    derivative: float   # -inf where the reduction is empty
     bound: float        # the decay threshold, i.e. -bound_fn(x)
     passed: bool
 
@@ -346,51 +310,82 @@ class _Coords(dict):
         return s
 
 
+# one certificate row, cells printed as ``cell`` prints them; the file is
+# written this many rows at a time
+_ROW_TEMPLATE = "%s,%.17g,%.17g,%d\n"
+_BLOCK_ROWS = 1024
+
+
 @dataclass
 class StabilityCertificate:
     """Grid evidence for a decay condition ``derivative <= -bound`` away
     from the equilibrium.  Evidence only: grid parameters are part of the
     statement, nothing is claimed between grid points.
+
+    The evidence is kept as columns, one row per grid point outside the
+    excluded ball: ``points`` (n, d), and the n ``derivatives`` (-inf where
+    the reduction is empty), decay thresholds ``bounds`` and ``passes``
+    flags.  ``records`` builds one ``GridRecord`` per point when read.
     """
 
     grid_lo: tuple
     grid_hi: tuple
     resolution: tuple
     exclude_radius: float
-    records: list = field(default_factory=list)
+    points: np.ndarray
+    derivatives: np.ndarray
+    bounds: np.ndarray
+    passes: np.ndarray
     name: str = ""
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return bool(self.passes.all())
 
     @property
     def min_margin(self) -> float:
-        margins = [r.bound - r.derivative for r in self.records
-                   if not isinstance(r.derivative, NegInfinity)]
-        return min(margins) if margins else math.inf
+        """The least bound - derivative over the points whose reduction is
+        not empty (the first in grid order among equals); NaN when any of
+        those margins is NaN, inf when there are none."""
+        margins = (self.bounds - self.derivatives)[self.derivatives != -math.inf]
+        return float(margins[margins.argmin()]) if margins.size else math.inf
+
+    @property
+    def records(self) -> list:
+        return self._records(slice(None))
 
     @property
     def failures(self) -> list:
-        return [r for r in self.records if not r.passed]
+        return self._records(~self.passes)
+
+    def _records(self, which) -> list:
+        return list(map(GridRecord, map(tuple, self.points[which].tolist()),
+                        self.derivatives[which].tolist(), self.bounds[which].tolist(),
+                        self.passes[which].tolist()))
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (f"certificate[{self.name}] {status}: {len(self.records)} grid points, "
-                f"min margin {self.min_margin:.6g}, {len(self.failures)} failures")
+        return (f"certificate[{self.name}] {status}: {self.passes.size} grid points, "
+                f"min margin {self.min_margin:.6g}, "
+                f"{self.passes.size - np.count_nonzero(self.passes)} failures")
+
+    def _row_blocks(self):
+        coord = _Coords().__getitem__
+        for i in range(0, self.passes.size, _BLOCK_ROWS):
+            block = slice(i, i + _BLOCK_ROWS)
+            yield zip([" ".join(map(coord, x)) for x in self.points[block].tolist()],
+                      self.derivatives[block].tolist(), self.bounds[block].tolist(),
+                      self.passes[block].tolist())
 
     def artifact(self) -> Artifact:
         comments = [
             f"stability certificate: {self.name}",
             f"grid lo={list(self.grid_lo)} hi={list(self.grid_hi)} "
             f"resolution={list(self.resolution)} exclude_radius={self.exclude_radius}",
-            f"points={len(self.records)} min_margin={cell(self.min_margin)} passed={self.passed}",
+            f"points={self.passes.size} min_margin={cell(self.min_margin)} passed={self.passed}",
         ]
-        coords = _Coords()
-        rows = ([" ".join([coords[c] for c in r.x]),
-                 "-inf" if isinstance(r.derivative, NegInfinity) else r.derivative,
-                 r.bound, int(r.passed)] for r in self.records)
-        return Artifact(["x", "derivative", "bound", "pass"], rows, comments=comments)
+        return Artifact(["x", "derivative", "bound", "pass"], self._row_blocks(),
+                        comments=comments, template=_ROW_TEMPLATE)
 
     def to_text(self) -> str:
         return "".join(self.artifact().lines())
@@ -435,13 +430,6 @@ def _outside_ball(pts: np.ndarray, radius: float) -> np.ndarray:
     return keep
 
 
-def _box_supports(fmap: SetValuedMap, p: np.ndarray, rows: np.ndarray) -> list:
-    """The support of the box F(x) along p at each row, sum_i max(p_i lo_i,
-    p_i hi_i), summed as ``Box._support`` sums it."""
-    lo, hi = fmap.bound_rows(rows)
-    return np.where(p >= 0.0, p * hi, p * lo).sum(axis=1).tolist()
-
-
 def certify_stability(v: PiecewiseSmoothScalar,
                       u_list: Sequence[PiecewiseSmoothScalar],
                       fmap: SetValuedMap,
@@ -454,42 +442,33 @@ def certify_stability(v: PiecewiseSmoothScalar,
 
     Points off every kink of ``v`` and of the ``u_list`` have singleton
     Clarke gradients and no constancy rows, so their derivative is the
-    support of F(x) along grad v(x), evaluated directly; only points near a
-    kink go through ``u_generalized_derivative``.  A ``v`` written on rows
+    support of F(x) along grad v(x): one ``fmap.support_rows`` call takes
+    all of them.  Only points near a kink go through
+    ``u_generalized_derivative``, one at a time.  A ``v`` written on rows
     gives every gradient, and a ``bound`` written on rows every decay
-    threshold, in one call.  When ``fmap`` also declares box bounds, the
-    off-kink derivatives are one array pass (``_box_supports``); any other
-    map is evaluated point by point.
+    threshold, in one call.  The certificate keeps the results as columns.
     """
     pts, res = _grid_points(grid_lo, grid_hi, resolution)
     pts.setflags(write=False)
-    lo = np.atleast_1d(np.asarray(grid_lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(grid_hi, dtype=float))
-    cert = StabilityCertificate(
-        grid_lo=tuple(lo.tolist()), grid_hi=tuple(hi.tolist()),
-        resolution=res, exclude_radius=float(exclude_radius), name=name)
     near = _near_kinks(pts, [v, *u_list])
     kept = np.flatnonzero(_outside_ball(pts, exclude_radius))
     rows, near = pts[kept], near[kept]
     if bound.rows is not None:
-        thresholds = (-bound.rows[0](rows)).tolist()
+        thresholds = -bound.rows[0](rows)
     else:
-        thresholds = [-bound.value(x) for x in rows]
-    grads = v.rows[1](rows) if v.rows is not None else None
-    derivs = [None] * len(rows)
-    if fmap.bounds is not None and grads is not None:
-        off = np.flatnonzero(~near)
-        for j, deriv in zip(off.tolist(), _box_supports(fmap, grads[off], rows[off])):
-            derivs[j] = deriv
-    for j in [j for j, deriv in enumerate(derivs) if deriv is None]:
-        x = rows[j]
-        if near[j]:
-            derivs[j] = u_generalized_derivative(v, u_list, fmap, x)
-        else:
-            grad = grads[j] if grads is not None else _as_vector(
-                v.piece_at(x).gradient(x), "point")
-            derivs[j] = fmap.value(x)._support(grad)
-    passed = [isinstance(deriv, NegInfinity) or deriv <= threshold + _PASS_TOL
-              for deriv, threshold in zip(derivs, thresholds)]
-    cert.records = list(map(GridRecord, zip(*rows.T.tolist()), derivs, thresholds, passed))
-    return cert
+        thresholds = np.array([-bound.value(x) for x in rows], dtype=float)
+    off = rows[~near]
+    if v.rows is not None:
+        grads = v.rows[1](off)
+    else:
+        grads = np.array([v.gradient(x) for x in off], dtype=float).reshape(off.shape)
+    derivs = np.empty(rows.shape[0])
+    derivs[~near] = fmap.support_rows(grads, off)
+    for j in np.flatnonzero(near).tolist():
+        derivs[j] = u_generalized_derivative(v, u_list, fmap, rows[j])
+    passes = (derivs == -math.inf) | (derivs <= thresholds + _PASS_TOL)
+    return StabilityCertificate(
+        grid_lo=tuple(np.atleast_1d(np.asarray(grid_lo, dtype=float)).tolist()),
+        grid_hi=tuple(np.atleast_1d(np.asarray(grid_hi, dtype=float)).tolist()),
+        resolution=res, exclude_radius=float(exclude_radius), points=rows,
+        derivatives=derivs, bounds=thresholds, passes=passes, name=name)

@@ -432,8 +432,16 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
             return inside
         return segment
 
+    def hinge_support_rows(p, w_rows):
+        # the margin and each singleton's support are one dot product per row
+        # and the segment's one matrix-vector product, as hinge_rule's values
+        margin = (w_rows[:, None, :] @ mu)[:, 0]
+        ends = (segment.vertices @ p[:, :, None])[:, :, 0].max(axis=1)
+        return np.where(margin > 1.0, (p[:, None, :] @ past.point)[:, 0],
+                        np.where(margin < 1.0, (p[:, None, :] @ mu)[:, 0], ends))
+
     gmap = SetValuedMap(dim, hinge_rule, common_bound=float(np.linalg.norm(mu)) + 1e-12,
-                        name="hinge_mean")
+                        name="hinge_mean", support_rows=hinge_support_rows)
 
     def smooth(w_rows, z_rows):
         return -kappa * w_rows
@@ -461,11 +469,16 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
     def shifted_rule(w: np.ndarray) -> ConvexSet:
         return minkowski_sum(Singleton(-kappa * (w + shift)), gmap.value(w + shift))
 
+    def shifted_support_rows(p, rows):
+        w_rows = rows + shift
+        return ((p[:, None, :] @ (-kappa * w_rows)[:, :, None])[:, 0, 0]
+                + hinge_support_rows(p, w_rows))
+
     shifted = SetValuedMap(dim, shifted_rule,
                            common_bound=kappa * (2.0 * math.sqrt(dim) +
                                                  float(np.linalg.norm(shift))) +
                            float(np.linalg.norm(mu)) + 1.0,
-                           name="hinge_mean_shifted")
+                           name="hinge_mean_shifted", support_rows=shifted_support_rows)
     stability = StabilityBundle(
         v=_scaled_squared_norm(dim, 1.0, "squared_norm"), u_list=[_coordinate_sum(dim)],
         shifted_map=shifted, bound=_scaled_squared_norm(dim, lam, "decay_bound"),

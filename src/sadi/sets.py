@@ -685,18 +685,21 @@ class SetValuedMap:
     floats and, with the same arithmetic and comparisons (as ``CellTable``
     predicates), at the columns ``rows.T`` of a row array, each bound then a
     float or a column.  An ordered, first-match piecewise box map is a
-    ``CellTable``, whose ``bounds`` are a map's bounds.
+    ``CellTable``, whose ``bounds`` are a map's bounds.  A rule map may
+    declare ``support_rows(p, rows)``, the row form of its support, which
+    must round as the support of its values does.
     """
 
     def __init__(self, dim: int, rule: Optional[Callable[[np.ndarray], ConvexSet]] = None, *,
                  common_bound: float, name: str = "",
                  thresholds: Optional[Sequence[Sequence[float]]] = None,
-                 bounds: Optional[Callable] = None):
+                 bounds: Optional[Callable] = None, support_rows: Optional[Callable] = None):
         if (rule is None) == (bounds is None):
             raise ValueError("a set-valued map takes one rule or box bounds")
         self.dim = int(dim)
         self.rule = rule
         self.bounds = bounds
+        self._support_rows = support_rows
         self.common_bound = float(common_bound)
         self.name = name
         self.thresholds = _thresholds(self.dim, thresholds)
@@ -715,6 +718,18 @@ class SetValuedMap:
         return tuple(np.stack([np.broadcast_to(np.asarray(c, dtype=float), (n,)) for c in side],
                               axis=1)
                      for side in self.bounds(rows.T))
+
+    def support_rows(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The support of F(x) along each row of ``p`` at the matching row x
+        of ``rows``, bit for bit as ``value(x)._support``: for a box,
+        sum_i max(p_i lo_i, p_i hi_i), summed as ``Box._support`` sums it;
+        else the declared row form, or one point at a time."""
+        if self.bounds is not None:
+            lo, hi = self.bound_rows(rows)
+            return np.where(p >= 0.0, p * hi, p * lo).sum(axis=1)
+        if self._support_rows is not None:
+            return self._support_rows(p, rows)
+        return np.array([self.value(x)._support(q) for q, x in zip(p, rows)], dtype=float)
 
 
 def select(mapping: SetValuedMap, x, strategy=None, rng=None) -> np.ndarray:

@@ -3,7 +3,8 @@ sha256 values recorded before the artifact writers were merged into one
 module; the rootfind and sign-filter digests before a Clarke gradient became
 the Krasovskii hull of the gradient field; the rootfind path and the
 two-dimensional lasso certificate before box-valued maps declared their
-bounds.  A changed digest means a changed output byte; re-record one only for
+bounds; the pegasos certificate before every certified map answered its
+support on rows.  A changed digest means a changed output byte; re-record one only for
 a change to the artifact layout that is meant and documented."""
 
 import hashlib
@@ -81,6 +82,19 @@ _LASSO_2D = {
     "outputs": ["report"],
 }
 
+# pegasos: the one certified map that is not a box; its hinge support takes
+# the margin w.mu on every off-kink grid point
+_SVM_PLANE = {
+    "name": "golden_svm_plane",
+    "preset": "pegasos",
+    "preset_params": {"lam": 1.0, "feature_mean": [1.0, 2.0]},
+    "x0": [3.0, 5.0],
+    "iterations": 10,
+    "replications": 1,
+    "seed": 3,
+    "outputs": ["report"],
+}
+
 
 def _ou_rates():
     raw = json.loads((CONFIGS / "ou_rates.json").read_text(encoding="utf-8"))
@@ -101,6 +115,7 @@ _JOBS = [
     ("sign_filter", "simulate-di", _SIGN_FILTER_DI, []),
     ("rootfind_di", "simulate-di", _ROOTFIND_DI, []),
     ("lasso_2d", "certify", _LASSO_2D, []),
+    ("svm_plane", "certify", _SVM_PLANE, []),
 ]
 
 GOLDEN = {
@@ -138,6 +153,8 @@ GOLDEN = {
         "c62e18dd89a495a9cf88cf9912da69898a378e1bdd5bb9270b06071c9d837965",
     "lasso_2d/certificate.txt":
         "b236e42f6038bf23a69574b8fa75dc64763409a11388d847b609dfa5f6df1ae0",
+    "svm_plane/certificate.txt":
+        "d543b8fd7927afe3b9e25f3aa51c81964f21accb3e7e946329b5a4ecb81055d3",
 }
 
 

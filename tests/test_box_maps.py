@@ -1,9 +1,11 @@
-"""Box-valued maps declared by their bounds.
+"""Box-valued maps declared by their bounds, and every map's support on rows.
 
 The float form, the column form and the per-point ``Box`` rules the bounds
-replaced agree bit for bit; the certifier's array pass equals the per-point
-support path; the plain-float integrator equals the per-point loop it
-replaced, which is kept here as the reference."""
+replaced agree bit for bit; ``support_rows`` of every box map and of the
+pegasos maps equals the support of the per-point values; the certifier's
+array pass equals the per-point support path; the plain-float integrator
+equals the per-point loop it replaced, which is kept here as the
+reference."""
 
 import itertools
 import math
@@ -14,7 +16,6 @@ import pytest
 from sadi.engine import SimulationBlowup
 from sadi.inclusions import epsilon_chain_diagnostic, integrate
 from sadi.nonsmooth import (
-    GridRecord,
     PiecewiseSmoothScalar,
     SmoothPiece,
     StabilityCertificate,
@@ -179,6 +180,119 @@ def test_a_map_takes_one_rule_or_bounds():
                      bounds=lambda x: ([0.0], [0.0]))
 
 
+# --- support on rows -----------------------------------------------------------
+
+
+def _per_point_supports(fmap, p, rows):
+    """The oracle: the support of each per-point value."""
+    return np.array([fmap.value(x)._support(q) for q, x in zip(p, rows)], dtype=float)
+
+
+def _directions(rng, n, dim):
+    """Random directions over many scales, a quarter of their entries
+    replaced by signed zeros."""
+    p = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    zeros = rng.random((n, dim)) < 0.25
+    return np.where(zeros, np.where(rng.random((n, dim)) < 0.5, 0.0, -0.0), p)
+
+
+def _assert_support_rows(fmap, p, rows):
+    got = fmap.support_rows(p, rows)
+    assert got.shape == (rows.shape[0],)
+    assert _bits(got) == _bits(_per_point_supports(fmap, p, rows))
+
+
+@pytest.mark.parametrize("name", sorted(_maps()))
+def test_box_support_rows_equal_per_point_supports(name, rng):
+    fmap, _, thresholds = _maps()[name]
+    pts = _points(rng, fmap.dim, thresholds)
+    _assert_support_rows(fmap, _directions(rng, len(pts), fmap.dim), pts)
+
+
+_PEGASOS = {
+    "1d": dict(lam=1.0, feature_mean=[1.5]),
+    "2d": dict(lam=1.0, feature_mean=[1.0, 2.0]),
+    "2d_small_lam": dict(lam=0.1, feature_mean=[1.0, 2.0]),
+    # entries whose products round, so a matrix-vector product and one dot
+    # product per row differ in the last bit on about a third of the rows
+    "2d_rounding": dict(lam=0.7, feature_mean=[0.7, 1.3]),
+    "3d": dict(lam=0.5, feature_mean=[0.3, -1.1, 0.9]),
+    "3d_zero_mean_entry": dict(lam=0.3, feature_mean=[1.0, 0.0, 2.0]),
+}
+
+
+def _on_the_margin(rng, mu, n):
+    """Points w whose margin, one dot product w @ mu, is exactly 1 (dyadic
+    and random entries, the first nonzero one solved for), and their
+    neighbours one ulp either side in each entry."""
+    d = mu.shape[0]
+    k = int(np.flatnonzero(mu)[0])
+    w = np.concatenate([rng.integers(-64, 65, size=(n, d)) / 16.0,
+                        rng.uniform(-3.0, 3.0, size=(4 * n, d))])
+    w[:, k] = 0.0
+    w[:, k] = (1.0 - w @ mu) / mu[k]
+    w = w[[float(x @ mu) == 1.0 for x in w]]
+    near = [w]
+    for direction in (np.inf, -np.inf):
+        for i in range(d):
+            moved = w.copy()
+            moved[:, i] = np.nextafter(w[:, i], direction)
+            near.append(moved)
+    return w, np.concatenate(near)
+
+
+@pytest.mark.parametrize("name", sorted(_PEGASOS))
+def test_pegasos_support_rows_equal_per_point_supports(name, rng):
+    preset = pegasos_preset(**_PEGASOS[name])
+    mu = np.asarray(_PEGASOS[name]["feature_mean"], dtype=float)
+    hinge, shifted = preset.spec.drift.set_map, preset.stability.shifted_map
+    d, shift = mu.shape[0], preset.x_star
+    grid = rng.uniform(-3.0, 3.0, size=(500, d))
+    exact, near = _on_the_margin(rng, mu, 400)
+    assert len(exact) > 100
+    # the shifted map's margin is (x + shift) @ mu: keep the rows that hit 1
+    shifted_exact = exact - shift
+    shifted_exact = shifted_exact[[float((x + shift) @ mu) == 1.0 for x in shifted_exact]]
+    assert len(shifted_exact) > 10
+    signed = np.array(list(itertools.product((0.0, -0.0, 1.0, -0.5), repeat=d)))
+    for fmap, rows in ((hinge, np.concatenate([grid, near, signed])),
+                       (shifted, np.concatenate([grid, near - shift, shifted_exact, signed]))):
+        _assert_support_rows(fmap, _directions(rng, len(rows), d), rows)
+        # along grad |x|^2, as the certifier asks, and along directions whose
+        # product with mu is a signed zero, tying the segment's two ends
+        _assert_support_rows(fmap, 2.0 * rows, rows)
+        for ties in (np.zeros_like(rows) * np.where(rng.random(rows.shape) < 0.5, 1.0, -1.0),
+                     _orthogonal(rng, mu, len(rows))):
+            _assert_support_rows(fmap, ties, rows)
+    # on the margin the value is the segment [0, mu]: its support is mu.mu
+    # along mu (the past-margin value gives 0) and 0 along -mu (the inside
+    # value gives -mu.mu)
+    along = np.broadcast_to(mu, exact.shape)
+    assert (hinge.support_rows(along, exact) == np.max(np.stack([0.0 * mu, mu]) @ mu)).all()
+    assert (hinge.support_rows(-along, exact) == 0.0).all()
+
+
+def _orthogonal(rng, mu, n):
+    """Directions with p.mu a signed zero: dyadic multiples of
+    mu_j e_i - mu_i e_j, or of e_i where mu_i = 0, and of -0.0."""
+    d = mu.shape[0]
+    basis = [np.where(np.arange(d) == i, mu[j], 0.0) - np.where(np.arange(d) == j, mu[i], 0.0)
+             for i in range(d) for j in range(i + 1, d)]
+    basis += [np.eye(d)[i] for i in range(d) if mu[i] == 0.0] + [np.full(d, -0.0)]
+    pick = rng.integers(0, len(basis), size=n)
+    return np.array(basis)[pick] * (rng.integers(-8, 9, size=(n, 1)) / 4.0)
+
+
+def test_a_rule_map_answers_support_rows_point_by_point(rng):
+    from sadi.sets import Polytope
+
+    fmap = SetValuedMap(2, lambda x: minkowski_sum(Ball(x, 0.5), Polytope([[0.0, 1.0], x])),
+                        common_bound=10.0)
+    rows = rng.uniform(-2.0, 2.0, size=(50, 2))
+    _assert_support_rows(fmap, _directions(rng, 50, 2), rows)
+    assert fmap.support_rows(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+
+
 # --- the certifier's array pass -------------------------------------------------
 
 
@@ -204,19 +318,22 @@ def _per_point_certificate(v, u_list, fmap, grid_lo, grid_hi, resolution, radius
     along grad v(x) elsewhere."""
     pts, res = _grid_points(grid_lo, grid_hi, resolution)
     near = _near_kinks(pts, [v, *u_list])
-    cert = StabilityCertificate(grid_lo=tuple(np.atleast_1d(grid_lo).tolist()),
-                                grid_hi=tuple(np.atleast_1d(grid_hi).tolist()),
-                                resolution=res, exclude_radius=float(radius))
-    for i in np.flatnonzero(_outside_ball(pts, radius)):
+    kept = np.flatnonzero(_outside_ball(pts, radius))
+    derivs, thresholds = [], []
+    for i in kept:
         x = pts[i]
         if near[i]:
-            deriv = u_generalized_derivative(v, u_list, fmap, x)
+            derivs.append(u_generalized_derivative(v, u_list, fmap, x))
         else:
-            deriv = fmap.value(x)._support(v.gradient(x))
-        threshold = -bound.value(x)
-        ok = True if not isinstance(deriv, float) else deriv <= threshold + 1e-9
-        cert.records.append(GridRecord(tuple(x.tolist()), deriv, threshold, ok))
-    return cert
+            derivs.append(fmap.value(x)._support(v.gradient(x)))
+        thresholds.append(-bound.value(x))
+    passes = [d == -math.inf or d <= t + 1e-9 for d, t in zip(derivs, thresholds)]
+    return StabilityCertificate(grid_lo=tuple(np.atleast_1d(grid_lo).tolist()),
+                                grid_hi=tuple(np.atleast_1d(grid_hi).tolist()),
+                                resolution=res, exclude_radius=float(radius),
+                                points=pts[kept], derivatives=np.array(derivs, dtype=float),
+                                bounds=np.array(thresholds, dtype=float),
+                                passes=np.array(passes, dtype=bool))
 
 
 def _point_squared_norm():

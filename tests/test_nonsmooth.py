@@ -1,15 +1,16 @@
 """Clarke gradients, set-valued derivatives, reductions, generalized decay
 derivatives, and the grid certifier."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sadi.nonsmooth import (
-    NEG_INFINITY,
     Interval,
-    NegInfinity,
+    StabilityCertificate,
     certify_stability,
     clarke_gradient,
     set_valued_derivative,
@@ -257,7 +258,7 @@ def test_generalized_derivative_empty_is_sentinel():
     preset = rootfind_preset()
     d = u_generalized_derivative(preset.stability.v, preset.stability.u_list,
                                  preset.spec.drift.set_map, [1.0, 0.5])
-    assert d is NEG_INFINITY
+    assert d == -math.inf
 
 
 def test_generalized_derivative_smooth_region():
@@ -294,13 +295,45 @@ def test_nonregular_uses_max_max():
     assert d_smooth == pytest.approx(support(m.value([1.0]), [2.0]))
 
 
+def _certificate(derivatives, bounds, points=None):
+    """A certificate built from its columns, with the certifier's pass rule."""
+    derivatives = np.asarray(derivatives, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
+    if points is None:
+        points = np.arange(1.0, derivatives.size + 1.0)[:, None]
+    return StabilityCertificate((-1.0,), (1.0,), (derivatives.size,), 0.0,
+                                points=np.asarray(points, dtype=float), derivatives=derivatives,
+                                bounds=bounds,
+                                passes=(derivatives == -math.inf) | (derivatives <= bounds + 1e-9))
+
+
 def test_sentinel_semantics():
-    assert NEG_INFINITY <= 0.0
-    assert NEG_INFINITY < -1e300
-    assert not (NEG_INFINITY > -1e300)
-    assert NEG_INFINITY == NegInfinity()
-    with pytest.raises(TypeError):
-        NEG_INFINITY + 1.0  # noqa: B018  -- arithmetic must not propagate
+    """An empty reduction is -inf: the point passes whatever its bound, is
+    left out of the margin, and prints as -inf."""
+    cert = _certificate([-math.inf, -2.0, -math.inf], [-1e300, -1.0, 5.0])
+    assert cert.passed and cert.passes.tolist() == [True, True, True]
+    assert cert.min_margin == 1.0
+    assert [r.derivative for r in cert.records] == [-math.inf, -2.0, -math.inf]
+    assert [row.split(",")[1] for row in cert.to_text().splitlines()[4:]] == ["-inf", "-2",
+                                                                              "-inf"]
+    assert _certificate([-math.inf], [0.0]).min_margin == math.inf
+
+
+def test_min_margin_with_a_nan_derivative_does_not_depend_on_grid_order():
+    for derivatives in ([1.0, math.nan], [math.nan, 1.0], [math.nan, -math.inf, 1.0]):
+        cert = _certificate(derivatives, [2.0] * len(derivatives))
+        assert not cert.passed
+        assert math.isnan(cert.min_margin)
+        header = cert.to_text().splitlines()[2]
+        assert "min_margin=nan passed=False" in header
+        assert "min margin nan" in cert.summary() and cert.summary().endswith("1 failures")
+
+
+def test_min_margin_is_the_first_least_margin_in_grid_order():
+    # 0.0 and -0.0 tie: the first in grid order is kept, as a scan keeps it
+    assert math.copysign(1.0, _certificate([1.0, 0.0], [1.0, -0.0]).min_margin) == 1.0
+    assert math.copysign(1.0, _certificate([0.0, 1.0], [-0.0, 1.0]).min_margin) == -1.0
+    assert _certificate([], []).min_margin == math.inf
 
 
 # --- grid certification --------------------------------------------------------
@@ -327,13 +360,24 @@ def test_certify_records_failures_not_raises():
 
 
 def test_certificate_coordinates_keep_the_sign_of_zero():
-    from sadi.nonsmooth import GridRecord, StabilityCertificate
-
-    cert = StabilityCertificate((-1.0,), (1.0,), (3,), 0.0)
-    for x in (0.0, -0.0, 0.5, 0.0, -0.0, 0.5):
-        cert.records.append(GridRecord((x, x), -1.0, 0.0, True))
+    xs = [0.0, -0.0, 0.5, 0.0, -0.0, 0.5]
+    cert = _certificate([-1.0] * 6, [0.0] * 6, points=[(x, x) for x in xs])
     rows = cert.to_text().splitlines()[4:]
     assert [row.split(",")[0] for row in rows] == ["0 0", "-0 -0", "0.5 0.5"] * 2
+
+
+def test_row_template_prints_as_artifact_cells():
+    from sadi.artifacts import Artifact, cell
+    from sadi.nonsmooth import _ROW_TEMPLATE
+
+    values = [-math.inf, math.inf, math.nan, -0.0, 0.0, 1e-300, 5e-324, -2.5, 1.0 / 3.0]
+    rows = [("0.5 -0", d, b, flag) for d in values for b in values for flag in (True, False)]
+    columns = ["x", "derivative", "bound", "pass"]
+    by_cells = Artifact(columns, [[x, d, b, int(ok)] for x, d, b, ok in rows]).lines()
+    by_template = Artifact(columns, [rows[:7], rows[7:], []], template=_ROW_TEMPLATE).lines()
+    assert "".join(by_template) == "".join(by_cells)
+    assert _ROW_TEMPLATE % ("x", -math.inf, 5e-324, True) == (
+        f"x,{cell(-math.inf)},{cell(5e-324)},{cell(1)}\n")
 
 
 def test_certificate_serialization(tmp_path):
@@ -356,21 +400,25 @@ def _reference_certificate(v, u_list, fmap, grid_lo, grid_hi, resolution,
                            exclude_radius, bound):
     """Every grid point through u_generalized_derivative, as the certifier
     did before off-kink points took the direct path."""
-    from sadi.nonsmooth import GridRecord, StabilityCertificate, _grid_points
+    from sadi.nonsmooth import _grid_points
 
     pts, res = _grid_points(grid_lo, grid_hi, resolution)
-    cert = StabilityCertificate(
-        grid_lo=tuple(np.atleast_1d(np.asarray(grid_lo, dtype=float)).tolist()),
-        grid_hi=tuple(np.atleast_1d(np.asarray(grid_hi, dtype=float)).tolist()),
-        resolution=res, exclude_radius=float(exclude_radius))
+    points, derivs, thresholds, passes = [], [], [], []
     for x in pts:
         if float(np.linalg.norm(x)) <= exclude_radius:
             continue
         deriv = u_generalized_derivative(v, u_list, fmap, x)
         threshold = -bound.value(x)
-        ok = True if isinstance(deriv, NegInfinity) else deriv <= threshold + 1e-9
-        cert.records.append(GridRecord(tuple(x.tolist()), deriv, threshold, ok))
-    return cert
+        points.append(x)
+        derivs.append(deriv)
+        thresholds.append(threshold)
+        passes.append(deriv == -math.inf or deriv <= threshold + 1e-9)
+    return StabilityCertificate(
+        grid_lo=tuple(np.atleast_1d(np.asarray(grid_lo, dtype=float)).tolist()),
+        grid_hi=tuple(np.atleast_1d(np.asarray(grid_hi, dtype=float)).tolist()),
+        resolution=res, exclude_radius=float(exclude_radius),
+        points=np.array(points).reshape(-1, pts.shape[1]), derivatives=np.array(derivs),
+        bounds=np.array(thresholds), passes=np.array(passes, dtype=bool))
 
 
 def _bundles():
@@ -469,7 +517,7 @@ def test_on_kink_reductions_solve_no_lp(monkeypatch):
 
     monkeypatch.setattr(sadi.nonsmooth, "linprog", no_lp)
     cert = rootfind_preset().stability.certify()
-    assert sum(isinstance(r.derivative, NegInfinity) for r in cert.records) == 480
+    assert sum(r.derivative == -math.inf for r in cert.records) == 480
 
 
 def _slab_lp_infeasible(dv, bound):
