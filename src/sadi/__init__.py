@@ -20,6 +20,7 @@ from .sets import (  # noqa: F401
     Scaled,
     SetValuedMap,
     Singleton,
+    ThresholdCells,
     UniformVertex,
     contains,
     hausdorff,

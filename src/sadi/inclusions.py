@@ -63,10 +63,12 @@ class InclusionPath:
 
 
 def _crossings(x_old: list, x_new: list, thresholds):
+    """Per coordinate, the threshold strictly between the old and the new
+    value that lies nearest the old one: the first the step meets."""
     out = []
     for i, ts in enumerate(thresholds):
         a, b = x_old[i], x_new[i]
-        for t in ts:
+        for t in (ts if a < b else reversed(ts)):
             if (a - t) * (b - t) < 0.0:
                 out.append((i, t))
                 break
@@ -125,7 +127,7 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
     states, sel = np.empty((n_steps + 1, d)), np.empty((n_steps, d))
     states[0] = x
     events = []
-    thresholds = fmap.thresholds if fmap is not None else ()
+    thresholds, bands = (fmap.thresholds, fmap.bands) if fmap is not None else ((), ())
     bounds = fmap.bounds if fmap is not None else None
     least_norm = isinstance(strategy, LeastNorm)
     zeros = [0.0] * d
@@ -133,7 +135,7 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
     for k0 in range(0, n_steps, _BLOCK):
         xs, gs = [], []
         for k in range(k0, min(k0 + _BLOCK, n_steps)):
-            sliding = bool(on_thresholds(x, thresholds))
+            sliding = bool(on_thresholds(x, bands))
             h = zeros if smooth is None else np.atleast_1d(
                 np.asarray(smooth(np.array(x)), dtype=float)).tolist()
             if fmap is None:

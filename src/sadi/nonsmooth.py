@@ -2,12 +2,13 @@
 inclusions, generalized decay derivatives, and a grid-based stability
 certifier.
 
-Scalar functions are piecewise smooth with kinks on declared per-coordinate
-thresholds ``x_i == t``.  A Clarke gradient, the hull of the limits of
-nearby gradients, is the Krasovskii hull of the gradient field; the
-reduction/derivative machinery works on vertex descriptions and small
-linear programs, which is exact for the polytopal values this package
-produces (null spaces of dimension <= 1 in particular).
+Scalar functions are piecewise smooth on regions declared as per-coordinate
+intervals, with kinks on the interval ends, the thresholds ``x_i == t``.  A
+Clarke gradient, the hull of the limits of nearby gradients, is the
+Krasovskii hull of the gradient field; the reduction/derivative machinery
+works on vertex descriptions and small linear programs, which is exact for
+the polytopal values this package produces (null spaces of dimension <= 1
+in particular).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .artifacts import Artifact, cell
 from .sets import (
-    THRESHOLD_TOL,
     ConvexSet,
     FieldPiece,
     PiecewiseField,
@@ -67,34 +67,32 @@ def linprog(*args, **kwargs):
 
 @dataclass(frozen=True)
 class SmoothPiece:
-    predicate: Callable[[np.ndarray], bool]
+    region: Optional[Sequence]  # intervals per coordinate; None for everywhere
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
 
 
 class PiecewiseSmoothScalar:
-    """Locally Lipschitz scalar function, smooth off the declared
-    per-coordinate ``thresholds``; its gradient is the piecewise field
-    ``gradient_field`` with the same thresholds."""
+    """Locally Lipschitz scalar function, smooth inside each piece's region,
+    the first match winning; its gradient is the piecewise field
+    ``gradient_field``, and both read one ``ThresholdCells``, ``lookup``,
+    whose thresholds are the kinks."""
 
-    def __init__(self, dim: int, pieces: Sequence[SmoothPiece],
-                 thresholds: Optional[Sequence[Sequence[float]]] = None,
-                 regular: bool = True, name: str = "", rows: Optional[tuple] = None):
+    def __init__(self, dim: int, pieces: Sequence[SmoothPiece], regular: bool = True,
+                 name: str = "", rows: Optional[tuple] = None):
         self.dim = int(dim)
         self.pieces = list(pieces)
         self.gradient_field = PiecewiseField(
-            self.dim, [FieldPiece(p.predicate, p.gradient) for p in self.pieces], thresholds)
-        self.thresholds = self.gradient_field.thresholds
+            self.dim, [FieldPiece(p.region, p.gradient) for p in self.pieces])
+        self.lookup = self.gradient_field.lookup
+        self.thresholds = self.lookup.thresholds
         self.regular = bool(regular)
         self.name = name
         # (value_rows, gradient_rows) of a function written on rows, else None
         self.rows = rows
 
-    def piece_at(self, x: np.ndarray) -> SmoothPiece:
-        for piece in self.pieces:
-            if piece.predicate(x):
-                return piece
-        raise ValueError(f"no smooth piece matches {x.tolist()} in {self.name or '<anon>'}")
+    def piece_at(self, x) -> SmoothPiece:
+        return self.pieces[self.lookup.index(x)]
 
     def value(self, x) -> float:
         x = _as_vector(x, "point")
@@ -104,7 +102,7 @@ class PiecewiseSmoothScalar:
     def gradient(self, x) -> np.ndarray:
         """Classical gradient; raises on a kink surface."""
         x = _as_vector(x, "point")
-        if on_thresholds(x, self.thresholds):
+        if on_thresholds(x, self.lookup.bands):
             raise ValueError("gradient undefined on a kink surface; use clarke_gradient")
         return _as_vector(self.piece_at(x).gradient(x), "gradient")
 
@@ -116,16 +114,14 @@ def smooth_scalar(dim: int, value, gradient, name: str = "",
     and the (n, d) gradients.  A point is a one-row array, and the certifier
     evaluates a grid in one call."""
     return PiecewiseSmoothScalar(
-        dim, [SmoothPiece(lambda x: True, lambda x: float(value(x[None])[0]),
+        dim, [SmoothPiece(None, lambda x: float(value(x[None])[0]),
                           lambda x: gradient(x[None])[0])],
         regular=regular, name=name, rows=(value, gradient))
 
 
 def clarke_gradient(u: PiecewiseSmoothScalar, x) -> ConvexSet:
     """Hull of the gradient limits at x: the Krasovskii hull of the gradient
-    field."""
-    x = _as_vector(x, "point")
-    _check_dims(x.shape[0], u.dim, "clarke_gradient")
+    field, which checks x."""
     return krasovskii(u.gradient_field, x)
 
 
@@ -412,10 +408,9 @@ def _near_kinks(pts: np.ndarray, scalars: Sequence[PiecewiseSmoothScalar]) -> np
     gradient is a singleton."""
     near = np.zeros(pts.shape[0], dtype=bool)
     for s in scalars:
-        for i, ts in enumerate(s.thresholds):
-            for t in ts:
-                slack = (2.0 * THRESHOLD_TOL * (1.0 + abs(t))
-                         + 1e-12 * (np.abs(pts[:, i]) + abs(t)))
+        for i, band in enumerate(s.lookup.bands):
+            for t, tol in band:
+                slack = 2.0 * tol + 1e-12 * (np.abs(pts[:, i]) + abs(t))
                 near |= np.abs(pts[:, i] - t) <= slack
     return near
 

@@ -537,39 +537,37 @@ def _corner_hinge_sum() -> PiecewiseSmoothScalar:
     """max(v-1,0) - min(v+1,0) summed over both coordinates; slopes are 0 in
     the middle band and +-1 outside, with kinks on |v_i| = 1."""
 
-    def slope(v: float) -> float:
-        if v > 1.0:
-            return 1.0
-        if v < -1.0:
-            return -1.0
-        return 0.0
-
     def hinge(v: float) -> float:
         return max(v - 1.0, 0.0) - min(v + 1.0, 0.0)
 
-    def region_pred(sig1: int, sig2: int):
-        def pred(w: np.ndarray) -> bool:
-            ok1 = (w[0] >= 1.0 if sig1 > 0 else (w[0] <= -1.0 if sig1 < 0 else -1.0 <= w[0] <= 1.0))
-            ok2 = (w[1] >= 1.0 if sig2 > 0 else (w[1] <= -1.0 if sig2 < 0 else -1.0 <= w[1] <= 1.0))
-            return ok1 and ok2
-
-        return pred
-
+    intervals = {1: (1.0, math.inf), 0: (-1.0, 1.0), -1: (-math.inf, -1.0)}
     pieces = []
     for sig1, sig2 in itertools.product((1, 0, -1), repeat=2):
         grad = np.array([float(sig1), float(sig2)])
         pieces.append(SmoothPiece(
-            region_pred(sig1, sig2),
+            (intervals[sig1], intervals[sig2]),
             lambda w: hinge(w[0]) + hinge(w[1]),
             lambda w, g=grad: np.array(g),
         ))
-    return PiecewiseSmoothScalar(2, pieces, thresholds=[[-1.0, 1.0]] * 2, regular=True,
-                                 name="corner_hinge_sum")
+    return PiecewiseSmoothScalar(2, pieces, regular=True, name="corner_hinge_sum")
 
 
 # ---------------------------------------------------------------------------
 # sign-error adaptive filter preset
 # ---------------------------------------------------------------------------
+
+
+def _sign_field(law: SignFilterLaw) -> PiecewiseField:
+    """The filter's mean field: smooth under noise, and without noise the
+    step -sign(theta - theta*), 0 at the median."""
+    if law.scale > 0:
+        return PiecewiseField(law.dim, [FieldPiece(None, law.mean_sign_drift)])
+    t_star = float(law.theta_true[0])
+    return PiecewiseField(1, [
+        FieldPiece(((t_star, math.inf, "()"),), lambda t: np.array([-1.0])),
+        FieldPiece(((-math.inf, t_star, "()"),), lambda t: np.array([1.0])),
+        FieldPiece(None, lambda t: np.array([0.0])),
+    ])
 
 
 def sign_error_filter_preset(law: Optional[SignFilterLaw] = None) -> Preset:
@@ -578,25 +576,7 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None) -> Preset:
     if law is None:
         law = SignFilterLaw(theta_true=np.zeros(1))
     dim = law.dim
-
-    if law.scale > 0:
-        field = PiecewiseField(
-            dim,
-            [FieldPiece(lambda t: True, law.mean_sign_drift)],
-            thresholds=[[]] * dim,
-        )
-    else:
-        t_star = float(law.theta_true[0])
-        field = PiecewiseField(
-            1,
-            [
-                FieldPiece(lambda t: t[0] > t_star, lambda t: np.array([-1.0])),
-                FieldPiece(lambda t: t[0] < t_star, lambda t: np.array([1.0])),
-                FieldPiece(lambda t: True, lambda t: np.array([0.0])),
-            ],
-            thresholds=[[t_star]],
-        )
-
+    field = _sign_field(law)
     gmap = SetValuedMap(dim, lambda t: krasovskii(field, t),
                         common_bound=math.sqrt(dim) + 1e-9, name="sign_filter_mean",
                         thresholds=field.thresholds)
@@ -619,20 +599,14 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None) -> Preset:
 # non-convergence showcase preset
 # ---------------------------------------------------------------------------
 
-_NONCONV_THRESHOLDS = [[-2.0, -1.0, 1.0, 2.0], [-2.0, -1.0, 1.0, 2.0]]
-
 # region ids 1..6: the double-root cell, the four annular corridors, and the
 # inward creep everywhere else
 _NONCONV_CELLS = CellTable(2, [
-    Cell(lambda x: (x[0] == 2.0) & (x[1] == 2.0), (0.0, -2.0), (1.0, 1.0)),
-    Cell(lambda x: (1.0 <= x[0]) & (x[0] <= 2.0) & (-1.0 < x[1]) & (x[1] <= 2.0),
-         (0.0, -2.0), (0.0, -1.0)),
-    Cell(lambda x: (-1.0 < x[0]) & (x[0] <= 2.0) & (-2.0 < x[1]) & (x[1] <= -1.0),
-         (-2.0, 0.0), (-1.0, 0.0)),
-    Cell(lambda x: (-2.0 < x[0]) & (x[0] <= -1.0) & (-2.0 <= x[1]) & (x[1] < -1.0),
-         (0.0, 1.0), (0.0, 2.0)),
-    Cell(lambda x: (-2.0 <= x[0]) & (x[0] < 1.0) & (1.0 <= x[1]) & (x[1] <= 2.0),
-         (1.0, 0.0), (2.0, 0.0)),
+    Cell(((2.0, 2.0), (2.0, 2.0)), (0.0, -2.0), (1.0, 1.0)),
+    Cell(((1.0, 2.0), (-1.0, 2.0, "(]")), (0.0, -2.0), (0.0, -1.0)),
+    Cell(((-1.0, 2.0, "(]"), (-2.0, -1.0, "(]")), (-2.0, 0.0), (-1.0, 0.0)),
+    Cell(((-2.0, -1.0, "(]"), (-2.0, -1.0, "[)")), (0.0, 1.0), (0.0, 2.0)),
+    Cell(((-2.0, 1.0, "[)"), (1.0, 2.0)), (1.0, 0.0), (2.0, 0.0)),
     Cell(None, (0.0, 0.0), (0.0, 0.0), slope=-0.005),
 ])
 
@@ -642,7 +616,7 @@ def nonconvergence_preset() -> Preset:
     around an annulus, so checkpoints rarely sit near either root."""
     dim = 2
     gmap = SetValuedMap(dim, bounds=_NONCONV_CELLS.bounds, common_bound=4.0, name="nonconv",
-                        thresholds=_NONCONV_THRESHOLDS)
+                        thresholds=_NONCONV_CELLS.thresholds)
     drift = Drift(dim=dim, smooth=None, smooth_mean=None, set_map=gmap,
                   selector=LeastNorm(), sample_term=_NONCONV_CELLS)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +46,7 @@ __all__ = [
     "select",
     "Cell",
     "CellTable",
+    "ThresholdCells",
 ]
 
 MEMBERSHIP_TOL = 1e-9
@@ -646,9 +648,11 @@ def _select_from(value: ConvexSet, x: np.ndarray, strategy, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _thresholds(dim: int, thresholds) -> list:
+def _thresholds(dim: int, thresholds) -> tuple:
     """Declared discontinuities ``x_i == t`` as one sorted list of finite
-    floats per coordinate; None declares none."""
+    floats per coordinate (None declares none), and their tolerance bands:
+    per coordinate the pairs ``(t, THRESHOLD_TOL*(1 + |t|))`` that
+    ``on_thresholds`` reads."""
     rows = [[]] * dim if thresholds is None else [
         list(ts) if np.iterable(ts) else [None] for ts in thresholds]
     if len(rows) != dim or not all(
@@ -656,19 +660,21 @@ def _thresholds(dim: int, thresholds) -> list:
             for ts in rows for t in ts):
         raise ValueError(f"thresholds must be {dim} sequences of finite numbers, "
                          "one per coordinate")
-    return [sorted(float(t) for t in ts) for ts in rows]
+    levels = [sorted(float(t) for t in ts) for ts in rows]
+    return levels, [[(t, THRESHOLD_TOL * (1.0 + abs(t))) for t in ts] for ts in levels]
 
 
-def on_thresholds(x, thresholds) -> list:
+def on_thresholds(x, bands) -> list:
     """The declared thresholds ``(i, t)`` that ``x`` lies on, at most the first
-    of each coordinate: those with |x_i - t| <= THRESHOLD_TOL*(1 + |t|).  The
-    one test of sitting on a discontinuity, for the Krasovskii hull, the
-    sliding integrator and the classical gradient alike."""
+    of each coordinate: those with |x_i - t| <= THRESHOLD_TOL*(1 + |t|), read
+    from the ``bands`` of a map or a threshold-cell lookup.  The one test of
+    sitting on a discontinuity, for the Krasovskii hull, the sliding
+    integrator and the classical gradient alike."""
     out = []
-    for i, ts in enumerate(thresholds):
+    for i, band in enumerate(bands):
         xi = x[i]
-        for t in ts:
-            if abs(xi - t) <= THRESHOLD_TOL * (1.0 + abs(t)):
+        for t, tol in band:
+            if abs(xi - t) <= tol:
                 out.append((i, t))
                 break
     return out
@@ -680,14 +686,14 @@ class SetValuedMap:
 
     ``common_bound`` is the radius of a ball containing every value.
     ``thresholds`` optionally declares per-coordinate discontinuity
-    thresholds (used by sliding-mode integrators).  ``bounds(coords) ->
-    (lo, hi)`` gives the d lower and d upper bounds at a list of plain
-    floats and, with the same arithmetic and comparisons (as ``CellTable``
-    predicates), at the columns ``rows.T`` of a row array, each bound then a
-    float or a column.  An ordered, first-match piecewise box map is a
-    ``CellTable``, whose ``bounds`` are a map's bounds.  A rule map may
-    declare ``support_rows(p, rows)``, the row form of its support, which
-    must round as the support of its values does.
+    thresholds (used by sliding-mode integrators); a map built on a table
+    passes the table's derived ``thresholds``.  ``bounds(coords) -> (lo,
+    hi)`` gives the d lower and d upper bounds at a list of plain floats
+    and, with the same arithmetic and comparisons, at the columns ``rows.T``
+    of a row array, each bound then a float or a column.  An ordered,
+    first-match piecewise box map is a ``CellTable``, whose ``bounds`` are a
+    map's bounds.  A rule map may declare ``support_rows(p, rows)``, the row
+    form of its support, which must round as the support of its values does.
     """
 
     def __init__(self, dim: int, rule: Optional[Callable[[np.ndarray], ConvexSet]] = None, *,
@@ -702,7 +708,7 @@ class SetValuedMap:
         self._support_rows = support_rows
         self.common_bound = float(common_bound)
         self.name = name
-        self.thresholds = _thresholds(self.dim, thresholds)
+        self.thresholds, self.bands = _thresholds(self.dim, thresholds)
 
     def value(self, x) -> ConvexSet:
         x = _as_vector(x, "state")
@@ -741,13 +747,130 @@ def select(mapping: SetValuedMap, x, strategy=None, rng=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# threshold cells: every piecewise object declared once, as intervals
+# ---------------------------------------------------------------------------
+
+_CLOSURES = ("[]", "[)", "(]", "()")
+
+
+def _interval(spec) -> Optional[tuple]:
+    """None, or an interval ``(lo, hi)`` or ``(lo, hi, closure)`` as (lo, hi,
+    lo_in, hi_in); an infinite end holds ±inf, as x > t and x < t do."""
+    if spec is None:
+        return None
+    ends = list(spec) if isinstance(spec, (tuple, list)) else []
+    closure = ends.pop() if len(ends) == 3 else "[]"
+    if len(ends) != 2 or closure not in _CLOSURES or not all(
+            isinstance(e, numbers.Real) and not isinstance(e, bool) and not math.isnan(e)
+            for e in ends):
+        raise ValueError(f"an interval is (lo, hi) or (lo, hi, closure), lo and hi numbers "
+                         f"and closure one of {_CLOSURES}: got {spec!r}")
+    lo, hi = float(ends[0]), float(ends[1])
+    if not (lo < hi or (lo == hi and closure == "[]" and math.isfinite(lo))):
+        raise ValueError(f"the interval {spec!r} is empty")
+    return lo, hi, closure[0] == "[" or lo == -math.inf, closure[1] == "]" or hi == math.inf
+
+
+def _holds(interval, v: float) -> bool:
+    if interval is None:
+        return True
+    lo, hi, lo_in, hi_in = interval
+    return (lo < v or (lo_in and lo == v)) and (v < hi or (hi_in and v == hi))
+
+
+def _piece_points(ts: list) -> list:
+    """One point of each elementary piece of a coordinate with thresholds
+    ``ts``, in index order: -inf, t_0, a midpoint, t_1, ..., +inf, NaN."""
+    mids = [a / 2 + b / 2 for a, b in zip(ts, ts[1:])]
+    return [-math.inf, *itertools.chain(*zip(ts, mids + [math.inf])), math.nan]
+
+
+class ThresholdCells:
+    """Ordered regions, the first match winning: the one lookup of every
+    piecewise object.  A region is None (everywhere) or one entry per
+    coordinate, None or an interval ``(lo, hi)`` or ``(lo, hi, closure)``,
+    closure "[]" (the default), "[)", "(]" or "()".
+
+    The finite interval ends are the ``thresholds``.  A coordinate that a
+    region constrains has elementary pieces, indexed in order: the gap below
+    the first threshold, the threshold, the next gap, ..., the gap above the
+    last, and NaN, which no interval holds.  The first match is resolved
+    once, at one point of each product of pieces.  A point with no NaN that
+    no region holds is refused when the table is built, a NaN point when it
+    is looked up.
+    """
+
+    def __init__(self, dim: int, regions: Sequence):
+        self.dim = int(dim)
+        if not all(r is None or (isinstance(r, (tuple, list)) and len(r) == self.dim)
+                   for r in regions):
+            raise ValueError(f"a region is None or one interval (or None) per coordinate, "
+                             f"{self.dim} in all: got {list(regions)!r}")
+        regions = [[None] * self.dim if r is None else list(map(_interval, r)) for r in regions]
+        self.thresholds, self.bands = _thresholds(self.dim, [
+            {e for r in regions if r[i] for e in r[i][:2] if math.isfinite(e)}
+            for i in range(self.dim)])
+        axes = [i for i in range(self.dim) if any(r[i] for r in regions)]
+        reps = [_piece_points(self.thresholds[i]) for i in axes]
+        strides = [math.prod(map(len, reps[j + 1:])) for j in range(len(axes))]
+        # each indexed coordinate as (coordinate, edges, stride, offset of NaN);
+        # a value's piece is the number of edges at or below it, the edges
+        # being each threshold t and the next float above it
+        self._axes = [(i, [e for t in self.thresholds[i] for e in (t, math.nextafter(t, math.inf))],
+                       s, s * (len(r) - 1)) for i, s, r in zip(axes, strides, reps)]
+        points = list(itertools.product(*reps))
+        self._regions = [next((k for k, r in enumerate(regions)
+                               if all(_holds(r[i], v) for i, v in zip(axes, p))), -1)
+                         for p in points]
+        if any(k < 0 and not any(map(math.isnan, p)) for k, p in zip(self._regions, points)):
+            raise ValueError("the regions leave a cell uncovered: every point with no NaN "
+                             "coordinate must lie in some region")
+        # the same table as an array, for lookups on rows; floats read the list
+        self._table = np.array(self._regions)
+
+    def _flat(self, x) -> int:
+        k = 0
+        for i, edges, stride, nan in self._axes:
+            v = x[i]
+            k += stride * bisect_right(edges, v) if v == v else nan
+        return k
+
+    def _at(self, k: int, x) -> int:
+        if self._regions[k] < 0:
+            raise ValueError(f"no region matches {np.asarray(x, dtype=float).tolist()}")
+        return self._regions[k]
+
+    def index(self, x) -> int:
+        """The position of the region holding ``x``, plain floats or a vector."""
+        return self._at(self._flat(x), x)
+
+    def index_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``index`` of each row of an (n, d) array, by ``np.searchsorted``;
+        -1 where no region holds the row."""
+        k = np.zeros(rows.shape[0], dtype=int)
+        for i, edges, stride, nan in self._axes:
+            col = rows[:, i]
+            k += np.where(np.isnan(col), nan, stride * np.searchsorted(edges, col, "right"))
+        return np.take(self._table, k)
+
+    def around(self, x, axes: Sequence[int]) -> list:
+        """The regions of the elementary cells next to ``x``, which sits
+        exactly on a threshold of each coordinate in ``axes``: one per
+        choice of the gap below (first) or above on each, the first
+        coordinate varying slowest."""
+        k, stride = self._flat(x), {i: s for i, _, s, _ in self._axes}
+        return [self._at(k + sum(stride[i] * d for i, d in zip(axes, signs)), x)
+                for signs in itertools.product((-1, 1), repeat=len(axes))]
+
+
+# ---------------------------------------------------------------------------
 # cell tables: a piecewise set-valued field written once
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Cell:
-    predicate: Optional[Callable]  # None for the catch-all
+    region: Optional[Sequence]  # intervals per coordinate; None for the catch-all
     lo: tuple
     hi: tuple
     slope: float = 0.0
@@ -755,83 +878,78 @@ class Cell:
 
 class CellTable:
     """Ordered cells, the first match winning and the last the catch-all;
-    where a cell's predicate holds, the value is Box(lo + slope*x, hi + slope*x).
+    in a cell's region the value is Box(lo + slope*x, hi + slope*x).
 
-    A predicate joins comparisons of the coordinates ``x[i]`` with ``&``, so
-    it answers for plain floats and for the columns ``rows.T`` of a row array
-    alike.  A sloped cell must be a point.  The table yields the bounds of
-    the analysis map (``bounds``), region ids (1-based cell positions) and
-    the least-norm selection, row-vectorized (``__call__``, a
-    ``Drift.sample_term``) and on plain floats (``term_at``).
+    A region is one interval per coordinate, as ``ThresholdCells`` reads
+    it, and the table's ``thresholds`` are their ends.  A sloped cell must
+    be a point.  The table yields the bounds of the analysis map
+    (``bounds``), region ids (1-based cell positions) and the least-norm
+    selection, row-vectorized (``__call__``, a ``Drift.sample_term``) and on
+    plain floats (``term_at``).
     """
 
     def __init__(self, dim: int, cells: Sequence[Cell]):
         self.dim = int(dim)
         self.cells = list(cells)
-        self._preds = [c.predicate for c in self.cells[:-1]]
-        if self.cells[-1].predicate is not None or None in self._preds:
-            raise ValueError("the last cell, and only it, must be the catch-all")
-        self._bounds = []  # (lo, hi) of a constant cell, None for a sloped one
-        self._terms = []   # (offset, slope): the least-norm point is offset + slope*x
+        if self.cells[-1].region is not None:
+            raise ValueError("the last cell must be the catch-all, with region None")
+        self.lookup = ThresholdCells(self.dim, [c.region for c in self.cells])
+        self.thresholds = self.lookup.thresholds
+        # per cell its (offset, slope), the least-norm point being offset +
+        # slope*x, and its bounds; a sloped cell's bounds are its offset
+        self._terms, lows, highs = [], [], []
         for c in self.cells:
             lo, hi = _as_vector(c.lo, "lo"), _as_vector(c.hi, "hi")
             _check_dims(lo.shape[0], self.dim, "cell bounds")
             point = np.array_equal(lo, hi)
             if c.slope == 0.0:
                 value = Singleton(lo) if point else Box(lo, hi)
-                self._bounds.append((tuple(lo.tolist()), tuple(hi.tolist())))
                 self._terms.append((tuple(least_norm_point(value).tolist()), 0.0))
             elif point:
-                self._bounds.append(None)
                 # -0.0 is the exact additive identity: a zero offset keeps slope*x bit for bit
-                self._terms.append((tuple(v or -0.0 for v in lo.tolist()), float(c.slope)))
+                lo = hi = np.array([v or -0.0 for v in lo.tolist()])
+                self._terms.append((tuple(lo.tolist()), float(c.slope)))
             else:
                 raise ValueError("a cell with a nonzero slope must be a point (lo == hi)")
+            lows.append(lo)
+            highs.append(hi)
+        self._lo, self._hi = np.array(lows), np.array(highs)
+        self._offsets = np.array([offset for offset, _ in self._terms])
+        self._bounds = [(tuple(a), tuple(b)) for a, b in zip(self._lo.tolist(), self._hi.tolist())]
 
     def term_at(self, coords) -> tuple:
         """``(offset, slope)`` of the cell at ``coords`` (a list of plain
         floats): the least-norm point there is offset + slope*coords."""
-        for pred, term in zip(self._preds, self._terms):
-            if pred(coords):
-                return term
-        return self._terms[-1]
-
-    def _cell_bounds(self, k: int, coords):
-        if self._bounds[k] is not None:
-            return self._bounds[k]
-        offset, slope = self._terms[k]
-        point = [o + slope * v for o, v in zip(offset, coords)]
-        return point, point
+        return self._terms[self.lookup.index(coords)]
 
     def bounds(self, coords):
         """``(lo, hi)`` at ``coords``, a list of plain floats or the columns
-        ``rows.T`` of a row array; on columns each bound is one ``np.select``
-        per coordinate."""
-        if not isinstance(coords, np.ndarray):
-            for k, pred in enumerate(self._preds):
-                if pred(coords):
-                    return self._cell_bounds(k, coords)
-            return self._cell_bounds(-1, coords)
-        masks = self._masks(coords.T)
-        per_cell = [self._cell_bounds(k, coords) for k in range(len(self.cells))]
-        return tuple([np.select(masks, [b[side][i] for b in per_cell[:-1]],
-                                default=per_cell[-1][side][i]) for i in range(self.dim)]
-                     for side in (0, 1))
+        ``rows.T`` of a row array, then each bound a column."""
+        if isinstance(coords, np.ndarray):
+            ids = self.lookup.index_rows(coords.T)
+            return tuple(list(self._per_row(table, ids, coords.T).T)
+                         for table in (self._lo, self._hi))
+        k = self.lookup.index(coords)
+        offset, slope = self._terms[k]
+        if not slope:
+            return self._bounds[k]
+        point = [o + slope * v for o, v in zip(offset, coords)]
+        return point, point
 
-    def _masks(self, rows: np.ndarray) -> list:
-        return [np.broadcast_to(np.asarray(pred(rows.T), dtype=bool), rows.shape[:1])
-                for pred in self._preds]
+    def _per_row(self, table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``table[ids]``, the rows of a sloped cell taking offset + slope*x."""
+        out = np.take(table, ids, axis=0)
+        for k, (offset, slope) in enumerate(self._terms):
+            if slope:
+                out = np.where((ids == k)[:, None], np.asarray(offset) + slope * rows, out)
+        return out
 
     def region_ids(self, points) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.select(self._masks(rows), range(1, len(self.cells)), default=len(self.cells))
+        return self.lookup.index_rows(np.atleast_2d(np.asarray(points, dtype=float))) + 1
 
     def __call__(self, x_rows, xi_rows=None) -> np.ndarray:
-        """Row-vectorized least-norm term, as one ``np.select``."""
-        choices = [np.asarray(offset) + slope * x_rows if slope else np.asarray(offset)
-                   for offset, slope in self._terms]
-        masks = [m[:, None] for m in self._masks(x_rows)]
-        return np.select(masks, choices[:-1], default=choices[-1])
+        """Row-vectorized least-norm term: each row takes its cell's."""
+        return self._per_row(self._offsets, self.lookup.index_rows(x_rows), x_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -841,29 +959,27 @@ class CellTable:
 
 @dataclass(frozen=True)
 class FieldPiece:
-    predicate: Callable[[np.ndarray], bool]
+    region: Optional[Sequence]  # intervals per coordinate; None for everywhere
     formula: Callable[[np.ndarray], np.ndarray]
 
 
 class PiecewiseField:
-    """Vector field defined piecewise, with discontinuities restricted to
-    finitely many per-coordinate hyperplanes ``x_i == t``.
+    """Vector field defined piecewise on ordered regions, the first match
+    winning; its discontinuities lie on the thresholds of ``lookup``, the
+    ``ThresholdCells`` of the pieces' regions.
 
     Each piece formula must be continuous on the closure of its region, so
     one-sided limits at a threshold equal the formula evaluated there.
     """
 
-    def __init__(self, dim: int, pieces: Sequence[FieldPiece],
-                 thresholds: Optional[Sequence[Sequence[float]]]):
+    def __init__(self, dim: int, pieces: Sequence[FieldPiece]):
         self.dim = int(dim)
         self.pieces = list(pieces)
-        self.thresholds = _thresholds(self.dim, thresholds)
+        self.lookup = ThresholdCells(self.dim, [p.region for p in self.pieces])
+        self.thresholds = self.lookup.thresholds
 
-    def piece_at(self, x: np.ndarray) -> FieldPiece:
-        for piece in self.pieces:
-            if piece.predicate(x):
-                return piece
-        raise ValueError(f"no field piece matches {x.tolist()}")
+    def piece_at(self, x) -> FieldPiece:
+        return self.pieces[self.lookup.index(x)]
 
     def value(self, x) -> np.ndarray:
         x = _as_vector(x, "state")
@@ -883,38 +999,21 @@ def _hull_of_points(points: np.ndarray, tol: float = 0.0) -> ConvexSet:
 def krasovskii(f: PiecewiseField, x) -> ConvexSet:
     """Convex hull of the one-sided limit values of ``f`` at ``x``.
 
-    Away from the declared thresholds this is the singleton ``{f(x)}``; on a
-    threshold it is the hull of the adjacent piece formulas evaluated at
-    ``x``.  Points that sit on an undeclared discontinuity (no piece matches
-    a probe) raise, since the geometry is outside the supported class.
+    Away from the thresholds this is the singleton ``{f(x)}``; on
+    thresholds it is the hull of the formulas of the elementary cells next
+    to ``x`` (the gap on either side of each threshold it sits on),
+    evaluated at ``x`` snapped onto those thresholds.
     """
     x = _as_vector(x, "state")
     _check_dims(x.shape[0], f.dim, "krasovskii")
 
-    on = on_thresholds(x, f.thresholds)
+    on = on_thresholds(x, f.lookup.bands)
     if not on:
         return Singleton(f.value(x))
 
     snapped = np.array(x)
-    probes_h = []
     for i, t in on:
         snapped[i] = t
-        gaps = [abs(t - u) for u in f.thresholds[i] if u != t]
-        h = 1e-6 * (1.0 + abs(t))
-        if gaps:
-            h = min(h, min(gaps) / 2.0)
-        probes_h.append(h)
-
-    values = []
-    for signs in itertools.product((-1.0, 1.0), repeat=len(on)):
-        probe = np.array(snapped)
-        for ((i, _), h, s) in zip(on, probes_h, signs):
-            probe[i] = snapped[i] + s * h
-        try:
-            piece = f.piece_at(probe)
-        except ValueError as exc:
-            raise ValueError(
-                "discontinuity locus not aligned with declared thresholds"
-            ) from exc
-        values.append(_as_vector(piece.formula(snapped), "field value"))
-    return _hull_of_points(np.asarray(values))
+    return _hull_of_points(np.asarray([
+        _as_vector(f.pieces[k].formula(snapped), "field value")
+        for k in f.lookup.around(snapped, [i for i, _ in on])]))

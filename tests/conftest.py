@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,17 @@ from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece, smooth_scalar
 from sadi.sets import FieldPiece, PiecewiseField, SetValuedMap, krasovskii
 
 
+POSITIVE = (0.0, math.inf, "()")
+NEGATIVE = (-math.inf, 0.0, "()")
+
+
 def neg_sign_field(scale: float = 1.0) -> PiecewiseField:
     """One-dimensional field -scale*sign(y)."""
-    return PiecewiseField(
-        1,
-        [
-            FieldPiece(lambda y: y[0] > 0, lambda y: np.array([-scale])),
-            FieldPiece(lambda y: y[0] < 0, lambda y: np.array([scale])),
-            FieldPiece(lambda y: True, lambda y: np.array([0.0])),
-        ],
-        thresholds=[[0.0]],
-    )
+    return PiecewiseField(1, [
+        FieldPiece((POSITIVE,), lambda y: np.array([-scale])),
+        FieldPiece((NEGATIVE,), lambda y: np.array([scale])),
+        FieldPiece(None, lambda y: np.array([0.0])),
+    ])
 
 
 def neg_sign_map(scale: float = 1.0) -> SetValuedMap:
@@ -25,37 +27,24 @@ def neg_sign_map(scale: float = 1.0) -> SetValuedMap:
         lambda x: krasovskii(field, x),
         common_bound=scale,
         name="neg_sign",
-        thresholds=[[0.0]],
+        thresholds=field.thresholds,
     )
 
 
 def relu_scalar() -> PiecewiseSmoothScalar:
-    """max(x, 0) with its kink declared at the origin."""
-    return PiecewiseSmoothScalar(
-        1,
-        [
-            SmoothPiece(lambda x: x[0] > 0, lambda x: float(x[0]), lambda x: np.array([1.0])),
-            SmoothPiece(lambda x: True, lambda x: 0.0, lambda x: np.array([0.0])),
-        ],
-        thresholds=[[0.0]],
-        regular=True,
-        name="relu",
-    )
+    """max(x, 0) with its kink at the origin."""
+    return PiecewiseSmoothScalar(1, [
+        SmoothPiece((POSITIVE,), lambda x: float(x[0]), lambda x: np.array([1.0])),
+        SmoothPiece(None, lambda x: 0.0, lambda x: np.array([0.0])),
+    ], regular=True, name="relu")
 
 
 def abs_scalar() -> PiecewiseSmoothScalar:
-    return PiecewiseSmoothScalar(
-        1,
-        [
-            SmoothPiece(lambda x: x[0] > 0, lambda x: float(x[0]), lambda x: np.array([1.0])),
-            SmoothPiece(lambda x: x[0] < 0, lambda x: float(-x[0]), lambda x: np.array([-1.0])),
-            SmoothPiece(lambda x: True, lambda x: abs(float(x[0])),
-                        lambda x: np.array([0.0])),
-        ],
-        thresholds=[[0.0]],
-        regular=True,
-        name="abs",
-    )
+    return PiecewiseSmoothScalar(1, [
+        SmoothPiece((POSITIVE,), lambda x: float(x[0]), lambda x: np.array([1.0])),
+        SmoothPiece((NEGATIVE,), lambda x: float(-x[0]), lambda x: np.array([-1.0])),
+        SmoothPiece(None, lambda x: abs(float(x[0])), lambda x: np.array([0.0])),
+    ], regular=True, name="abs")
 
 
 def squared_norm(dim: int) -> PiecewiseSmoothScalar:

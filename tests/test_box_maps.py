@@ -45,6 +45,7 @@ from sadi.sets import (
     on_thresholds,
     select,
 )
+from predicate_tables import nonconv_region
 
 
 def _bits(a) -> bytes:
@@ -85,11 +86,12 @@ def _old_lasso_shifted(lam, law, shift):
 
 
 def _old_cell_value(cells):
-    """``CellTable.value`` before the table declared bounds."""
+    """``CellTable.value`` of the nonconv ``cells`` before the table declared
+    bounds, each cell found by the old predicates."""
 
     def rule(x):
         x = [float(v) for v in x]
-        c = next((c for c in cells[:-1] if c.predicate(x)), cells[-1])
+        c = cells[nonconv_region(x) - 1]
         lo, hi = np.asarray(c.lo, dtype=float), np.asarray(c.hi, dtype=float)
         if c.slope:
             offset = np.asarray([v or -0.0 for v in c.lo], dtype=float)
@@ -337,7 +339,7 @@ def _per_point_certificate(v, u_list, fmap, grid_lo, grid_hi, resolution, radius
 
 
 def _point_squared_norm():
-    return PiecewiseSmoothScalar(2, [SmoothPiece(lambda x: True, lambda x: float(x @ x),
+    return PiecewiseSmoothScalar(2, [SmoothPiece(None, lambda x: float(x @ x),
                                                  lambda x: 2.0 * x)])
 
 
@@ -383,9 +385,9 @@ def _per_point_integrate(fmap, smooth, x0, dt, horizon, strategy=None, projectio
     states, sel = np.empty((n_steps + 1, d)), np.empty((n_steps, d))
     states[0] = x
     events = []
-    thresholds = fmap.thresholds if fmap is not None else ()
+    thresholds, bands = (fmap.thresholds, fmap.bands) if fmap is not None else ((), ())
     for k in range(n_steps):
-        sliding = bool(on_thresholds(x, thresholds))
+        sliding = bool(on_thresholds(x, bands))
         h = np.zeros_like(x) if smooth is None else np.atleast_1d(
             np.asarray(smooth(x), dtype=float))
         if fmap is None:
@@ -399,7 +401,8 @@ def _per_point_integrate(fmap, smooth, x0, dt, horizon, strategy=None, projectio
         x_new = x + dt * v
         crossed = []
         for i, ts in enumerate(thresholds):
-            for t in ts:
+            # the crossed threshold nearest the old state
+            for t in (ts if x[i] < x_new[i] else ts[::-1]):
                 if (x[i] - t) * (x_new[i] - t) < 0.0:
                     crossed.append((i, t))
                     break

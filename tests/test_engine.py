@@ -374,7 +374,7 @@ def test_float_loop_additive_noise_and_constant_bias():
 def _diverging_table_spec(n_steps=40):
     # x grows by a factor of about 1 + 1e100*a_n per step until it overflows
     table = CellTable(1, [
-        Cell(lambda x: x[0] < -1.0, (1.0,), (1.0,)),
+        Cell(((-math.inf, -1.0, "()"),), (1.0,), (1.0,)),
         Cell(None, (0.0,), (0.0,), slope=1e100),
     ])
     return RunSpec(drift=Drift(dim=1, sample_term=table),

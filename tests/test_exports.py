@@ -22,3 +22,13 @@ def test_star_import_binds_every_exported_name(name):
     exec(f"from sadi.{name} import *", namespace)
     if exported is not None:
         assert set(namespace) - {"__builtins__"} == set(exported)
+
+
+@pytest.mark.parametrize("name, module", [
+    ("ThresholdCells", "sets"),
+    ("PiecewiseField", "sets"),
+    ("PiecewiseSmoothScalar", "nonsmooth"),
+    ("SmoothPiece", "nonsmooth"),
+])
+def test_the_package_exports_the_piecewise_declarations(name, module):
+    assert getattr(sadi, name) is getattr(importlib.import_module(f"sadi.{module}"), name)

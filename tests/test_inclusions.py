@@ -32,6 +32,17 @@ def test_sliding_mode_reached_and_held():
     assert hit == pytest.approx(1.0, abs=5e-3)
 
 
+@pytest.mark.parametrize("x0, speed, snap", [(2.5, -2.0, 2.0), (0.5, 2.0, 1.0)],
+                         ids=["down", "up"])
+def test_a_step_crossing_two_thresholds_snaps_to_the_first_it_meets(x0, speed, snap):
+    # one unit step from 2.5 to 0.5 (or back) crosses both 1 and 2
+    fmap = SetValuedMap(1, bounds=lambda x: ([speed], [speed]), common_bound=2.0,
+                        thresholds=[[1.0, 2.0]])
+    path = integrate(fmap, None, [x0], 1.0, 1.0)
+    assert path.states[1, 0] == snap
+    assert path.events == [(0, 0, snap)]
+
+
 def test_hinge_mean_field_equilibrium():
     p = pegasos_preset(1.0)
     path = integrate(p.spec.drift.set_map, p.spec.drift.mean_field, [3.0, 5.0], 1e-3, 20.0)

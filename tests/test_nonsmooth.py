@@ -76,17 +76,18 @@ def test_threshold_uses_agree_at_the_tolerance_edge(t, f, side):
 
     x = t + side * f * 1e-9 * (1.0 + abs(t))
     on = f <= 1.0
+    above, below = (t, math.inf, "()"), (-math.inf, t, "()")
     field = PiecewiseField(1, [
-        FieldPiece(lambda y: y[0] > t, lambda y: np.array([-1.0])),
-        FieldPiece(lambda y: y[0] < t, lambda y: np.array([1.0])),
-        FieldPiece(lambda y: True, lambda y: np.array([0.0])),
-    ], [[t]])
+        FieldPiece((above,), lambda y: np.array([-1.0])),
+        FieldPiece((below,), lambda y: np.array([1.0])),
+        FieldPiece(None, lambda y: np.array([0.0])),
+    ])
     assert (not isinstance(krasovskii(field, [x]), Singleton)) == on
 
     u = PiecewiseSmoothScalar(1, [
-        SmoothPiece(lambda y: y[0] > t, lambda y: y[0] - t, lambda y: np.array([1.0])),
-        SmoothPiece(lambda y: True, lambda y: t - y[0], lambda y: np.array([-1.0])),
-    ], thresholds=[[t]])
+        SmoothPiece((above,), lambda y: y[0] - t, lambda y: np.array([1.0])),
+        SmoothPiece(None, lambda y: t - y[0], lambda y: np.array([-1.0])),
+    ])
     try:
         u.gradient([x])
         raised = False
@@ -211,10 +212,11 @@ def test_reduced_segment_exact_in_plane():
     from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece
 
     u = PiecewiseSmoothScalar(2, [
-        SmoothPiece(lambda x: x[1] > 0, lambda x: x[0] + x[1],
+        SmoothPiece((None, (0.0, math.inf, "()")), lambda x: x[0] + x[1],
                     lambda x: np.array([1.0, 1.0])),
-        SmoothPiece(lambda x: True, lambda x: x[0], lambda x: np.array([1.0, 0.0])),
-    ], thresholds=[[], [0.0]], regular=True)
+        SmoothPiece(None, lambda x: x[0], lambda x: np.array([1.0, 0.0])),
+    ], regular=True)
+    assert u.thresholds == [[], [0.0]]
     m = SetValuedMap(2, lambda x: Box([-1, -1], [1, 1]),
                      common_bound=2.0)
     red = u_reduced(m, [u], [0.3, 0.0])

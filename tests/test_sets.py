@@ -39,7 +39,7 @@ from sadi.sets import (
 )
 from sadi.sets import canonical_vertices
 from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece
-from conftest import neg_sign_field, neg_sign_map
+from conftest import NEGATIVE, POSITIVE, neg_sign_field, neg_sign_map
 
 
 # --- oracles ---------------------------------------------------------------
@@ -413,8 +413,8 @@ def test_krasovskii_neg_sign_at_origin():
 
 
 def test_krasovskii_continuous_field_is_singleton():
-    field = PiecewiseField(
-        2, [FieldPiece(lambda x: True, lambda x: 2.0 * x)], thresholds=[[], []])
+    field = PiecewiseField(2, [FieldPiece(None, lambda x: 2.0 * x)])
+    assert field.thresholds == [[], []]
     for x in ([0.0, 0.0], [1.5, -0.3]):
         k = krasovskii(field, x)
         assert isinstance(k, Singleton)
@@ -437,14 +437,17 @@ def test_krasovskii_interior_law(rng):
 
 def test_krasovskii_hull_law_two_dims():
     # componentwise -sign in the plane: one-sided limits land in the hull
+    half = {1: POSITIVE, -1: NEGATIVE}
+
     def corner(sx, sy):
         return FieldPiece(
-            lambda x, sx=sx, sy=sy: sx * x[0] > 0 and sy * x[1] > 0,
+            (half[sx], half[sy]),
             lambda x, sx=sx, sy=sy: np.array([-float(sx), -float(sy)]))
 
     pieces = [corner(sx, sy) for sx in (1, -1) for sy in (1, -1)]
-    pieces.append(FieldPiece(lambda x: True, lambda x: np.zeros(2)))
-    field = PiecewiseField(2, pieces, thresholds=[[0.0], [0.0]])
+    pieces.append(FieldPiece(None, lambda x: np.zeros(2)))
+    field = PiecewiseField(2, pieces)
+    assert field.thresholds == [[0.0], [0.0]]
     k = krasovskii(field, [0.0, 0.0])
     for value in ([-1, -1], [-1, 1], [1, -1], [1, 1]):
         assert contains(k, value, 1e-12)
@@ -455,10 +458,11 @@ def test_krasovskii_hull_law_two_dims():
 
 def test_krasovskii_multiple_thresholds_per_coordinate():
     field = PiecewiseField(1, [
-        FieldPiece(lambda x: x[0] > 1, lambda x: np.array([5.0])),
-        FieldPiece(lambda x: x[0] > 0, lambda x: np.array([3.0])),
-        FieldPiece(lambda x: True, lambda x: np.array([1.0])),
-    ], thresholds=[[0.0, 1.0]])
+        FieldPiece(((1.0, math.inf, "()"),), lambda x: np.array([5.0])),
+        FieldPiece((POSITIVE,), lambda x: np.array([3.0])),
+        FieldPiece(None, lambda x: np.array([1.0])),
+    ])
+    assert field.thresholds == [[0.0, 1.0]]
     k0 = krasovskii(field, [0.0])
     k1 = krasovskii(field, [1.0])
     assert (k0.lo[0], k0.hi[0]) == (1.0, 3.0)
@@ -474,11 +478,21 @@ def test_thresholds_are_sorted_floats_one_list_per_coordinate():
     assert SetValuedMap(2, lambda x: Singleton(x), common_bound=1.0).thresholds == [[], []]
 
 
-@pytest.mark.parametrize("build", [
-    lambda dim, ts: SetValuedMap(dim, lambda x: Singleton(x), common_bound=1.0, thresholds=ts),
-    lambda dim, ts: PiecewiseField(dim, [FieldPiece(lambda x: True, lambda x: x)], ts),
-    lambda dim, ts: PiecewiseSmoothScalar(
-        dim, [SmoothPiece(lambda x: True, lambda x: 0.0, lambda x: x)], thresholds=ts),
+def _threshold_region(thresholds):
+    """Each coordinate's threshold list [t] as the interval [t, inf)."""
+    return tuple((*ts, math.inf) if isinstance(ts, list) else ts for ts in thresholds)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda dim, ts: SetValuedMap(dim, lambda x: Singleton(x), common_bound=1.0, thresholds=ts),
+     "thresholds"),
+    (lambda dim, ts: PiecewiseField(dim, [FieldPiece(_threshold_region(ts), lambda x: x),
+                                          FieldPiece(None, lambda x: x)]),
+     "interval"),
+    (lambda dim, ts: PiecewiseSmoothScalar(
+        dim, [SmoothPiece(_threshold_region(ts), lambda x: 0.0, lambda x: x),
+              SmoothPiece(None, lambda x: 0.0, lambda x: x)]),
+     "interval"),
 ], ids=["map", "field", "scalar"])
 @pytest.mark.parametrize("dim, thresholds", [
     (2, [[0.0]]),
@@ -488,20 +502,41 @@ def test_thresholds_are_sorted_floats_one_list_per_coordinate():
     (1, [[True]]),
     (1, [0.0]),
 ], ids=["short", "long", "string", "infinite", "bool", "flat"])
-def test_malformed_thresholds_are_rejected_at_construction(build, dim, thresholds):
-    with pytest.raises(ValueError, match="thresholds"):
+def test_malformed_thresholds_are_rejected_at_construction(build, match, dim, thresholds):
+    """A map's threshold lists, and a field's or a scalar's interval ends
+    (each list [t] read as the interval [t, inf)), are checked when built."""
+    with pytest.raises(ValueError, match=match):
         build(dim, thresholds)
 
 
+@pytest.mark.parametrize("build", [
+    lambda dim, region: PiecewiseField(dim, [FieldPiece(region, lambda x: x),
+                                             FieldPiece(None, lambda x: x)]),
+    lambda dim, region: PiecewiseSmoothScalar(
+        dim, [SmoothPiece(region, lambda x: 0.0, lambda x: x),
+              SmoothPiece(None, lambda x: 0.0, lambda x: x)]),
+], ids=["field", "scalar"])
+@pytest.mark.parametrize("interval, match", [
+    ((0.0, 1.0, "[", "]"), "interval"),
+    ((math.nan, 1.0), "interval"),
+    ((0.0, 1.0, "(["), "interval"),
+    ((1.0, 0.0), "empty"),
+    ((1.0, 1.0, "()"), "empty"),
+    ((1.0, 1.0, "[)"), "empty"),
+    ((math.inf, math.inf), "empty"),
+], ids=["four_ends", "nan", "closure", "reversed", "empty_open", "empty_half_open",
+        "infinite_point"])
+def test_malformed_intervals_are_rejected_at_construction(build, interval, match):
+    """The interval cases beyond the threshold lists above."""
+    with pytest.raises(ValueError, match=match):
+        build(1, (interval,))
+
+
 def test_krasovskii_unaligned_locus_errors():
-    # diagonal discontinuity with no declared threshold on the probe path
-    field = PiecewiseField(
-        1,
-        [FieldPiece(lambda x: x[0] > 1.0, lambda x: np.array([1.0]))],
-        thresholds=[[0.0]],
-    )
-    with pytest.raises(ValueError):
-        krasovskii(field, [0.0])
+    # a field defined only right of 1 leaves (-inf, 1] uncovered: the table
+    # is refused when it is built, not when a hull is asked for
+    with pytest.raises(ValueError, match="uncovered"):
+        PiecewiseField(1, [FieldPiece(((1.0, math.inf, "()"),), lambda x: np.array([1.0]))])
 
 
 # --- selectors -------------------------------------------------------------
@@ -583,8 +618,8 @@ def test_boundedness_audit(rng):
 
 def test_first_match_semantics():
     m = CellTable(1, [
-        Cell(lambda x: x[0] >= 0, (1.0,), (1.0,)),
-        Cell(lambda x: x[0] >= -1, (2.0,), (2.0,)),
+        Cell(((0.0, math.inf),), (1.0,), (1.0,)),
+        Cell(((-1.0, math.inf),), (2.0,), (2.0,)),
         Cell(None, (3.0,), (3.0,)),
     ])
     fmap = SetValuedMap(1, bounds=m.bounds, common_bound=3.0)
