@@ -17,6 +17,21 @@ def cell(v) -> str:
     return str(v) if isinstance(v, (int, str, np.integer)) else f"{float(v):.17g}"
 
 
+# rows a templated artifact formats as one string
+BLOCK_ROWS = 1024
+
+
+def column_blocks(*columns):
+    """The rows of equal-length columns (arrays, lists or ranges) in blocks of
+    ``BLOCK_ROWS`` row tuples: the ``rows`` of an Artifact with a template.
+    An array column is read as Python numbers, so "%d" of an int and "%.17g"
+    of a float print as ``cell`` does (a bool would not)."""
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        yield zip(*[c[block].tolist() if isinstance(c, np.ndarray) else c[block]
+                    for c in columns])
+
+
 @dataclass
 class Artifact:
     columns: Optional[Sequence[str]]  # None: no column line

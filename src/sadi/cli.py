@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import Artifact
+from .artifacts import Artifact, column_blocks
 from .config import ConfigError, parse_config
 from .inclusions import epsilon_chain_diagnostic, integrate
 from .rates import simulate_sdi
@@ -105,8 +105,10 @@ def _cmd_simulate_sdi(args) -> int:
     n_reps = 100 if sdi["n_reps"] is None else sdi["n_reps"]
     finals = simulate_sdi(model, np.zeros(model.dim), dt=sdi["dt"], horizon=horizon,
                           seed=config.seed, n_reps=n_reps, record_paths=False)
-    Artifact([f"u{j}" for j in range(model.dim)], np.atleast_2d(finals).tolist(),
-             provenance=_provenance(config)).write(Path(args.out_dir) / "sdi_finals.csv")
+    Artifact([f"u{j}" for j in range(model.dim)], column_blocks(*finals.T),
+             provenance=_provenance(config),
+             template=",".join(["%.17g"] * model.dim) + "\n").write(
+                 Path(args.out_dir) / "sdi_finals.csv")
     print(f"simulated {n_reps} paths to t={horizon}; "
           f"mean |u| = {float(np.mean(np.linalg.norm(finals, axis=1))):.6g}")
     return 0

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .artifacts import Artifact
+from .artifacts import Artifact, column_blocks
 from .sets import (ConvexSet, CellTable, CustomSelector, LeastNorm, SetValuedMap,
                    UniformVertex, select)
 
@@ -54,6 +54,18 @@ class SimulationBlowup(RuntimeError):
     def __init__(self, step_index: int):
         super().__init__(f"non-finite iterate at step {step_index}")
         self.step_index = step_index
+
+
+def step_count(span: float, dt: float) -> int:
+    """Steps of length ``dt`` that cover ``span``: span/dt rounded up, except
+    that a ratio within a few ulps of an integer is that integer.  A span
+    meant as n*dt rounds to a float whose ratio lands on either side of n, and
+    past n of about 8,192 an absolute slack is smaller than one ulp."""
+    if not span > 0:
+        return 0
+    ratio = span / dt
+    n = round(ratio)
+    return n if abs(ratio - n) <= 4 * math.ulp(n) else math.ceil(ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +201,10 @@ _NORMALS_CHUNK = 1 << 16
 def _normal_chunks(gens: Sequence, shape: tuple):
     """Each generator's next standard normals for a step-major block of
     ``shape`` (K, R, dim), a few replications at a time: yields (slice of
-    replications, their (K, C, dim) normals).  Generator i fills row i of a
-    small replication-major buffer, reused for every chunk, so the raw
-    normals never take a second block's worth of memory."""
+    replications, their (C, K, dim) normals).  Generator i fills row i of the
+    chunk, a contiguous replication-major buffer reused for every chunk, so
+    the raw normals never take a second block's worth of memory and a map
+    applied to them reads memory in order."""
     k, n_reps, dim = shape
     step = max(1, _NORMALS_CHUNK // max(1, k * dim))
     buf = np.empty((min(step, n_reps), k, dim))
@@ -199,7 +212,7 @@ def _normal_chunks(gens: Sequence, shape: tuple):
         z = buf[:min(step, n_reps - r0)]
         for gen, row in zip(gens[r0:r0 + step], z):
             gen.standard_normal(out=row)
-        yield slice(r0, r0 + z.shape[0]), z.transpose(1, 0, 2)
+        yield slice(r0, r0 + z.shape[0]), z
 
 
 class NoiseModel(_Sampler):
@@ -249,27 +262,47 @@ class GaussianNoise(NoiseModel):
         self.dim = self.mean.shape[0]
         self.cov, self._root = psd_root(cov, self.dim, "covariance",
                                         "covariance shape does not match the mean")
+        # per output column, the (index, root entry) pairs that ``_affine`` sums
+        self._terms = [[(j, r) for j, r in enumerate(row.tolist())
+                        if r != 0.0 or (m == 0.0 and math.copysign(1.0, m) < 0)]
+                       for row, m in zip(self._root, self.mean.tolist())]
 
     def sample_block(self, gen, n, n0=0):
         return self._affine(gen.standard_normal((n, self.dim)), np.empty((n, self.dim)))
 
     def fill_block(self, gens, n0, out):
-        # the affine map runs over the stacked normals of many replications
+        # the affine map runs over the contiguous normals of many replications,
+        # and one transposing copy puts the chunk into the step-major block;
+        # the copy moves each row of dim doubles as one opaque item
+        row = np.dtype((np.void, out.itemsize * self.dim))
+        block = out.view(row)[..., 0]
+        mapped = None
         for rows, z in _normal_chunks(gens, out.shape):
-            self._affine(z, out[:, rows])
+            if mapped is None:
+                mapped = np.empty_like(z)
+            chunk = self._affine(z, mapped[:z.shape[0]])
+            block[:, rows] = chunk.view(row)[..., 0].T
 
     def _affine(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``mean + z @ root.T`` over the last axis, into ``out``, summed column
         by column in a fixed order.  BLAS rounds a one-row product (gemv)
         differently from a many-row one (gemm) when the root has off-diagonal
-        entries, so a matrix product would tie each draw to the block length."""
-        root = self._root
-        for k in range(self.dim):
-            col = out[..., k]
-            np.multiply(z[..., 0], root[k, 0], out=col)
-            for j in range(1, self.dim):
-                col += z[..., j] * root[k, j]
-        out += self.mean
+        entries, so a matrix product would tie each draw to the block length.
+        A root entry that is exactly 0 adds a signed zero, which can change
+        only the sign of a zero sum, and adding the mean settles that sign
+        unless the mean entry is -0.0: only such a column keeps its zero
+        terms."""
+        for col, terms, m in zip(np.moveaxis(out, -1, 0), self._terms, self.mean.tolist()):
+            if terms:
+                (j, r), *rest = terms
+                np.multiply(z[..., j], r, out=col)
+                for j, r in rest:
+                    col += z[..., j] * r
+            else:
+                col.fill(0.0)
+            # the mean is added per column: a broadcast over a short last
+            # axis runs one tiny inner loop per row
+            col += m
         return out
 
 
@@ -352,7 +385,7 @@ class ShrinkingGaussianBias(BiasModel):
     def fill_block(self, gens, n0, out):
         sd = self._sd(n0, out.shape[0])[:, None, None]
         for rows, z in _normal_chunks(gens, out.shape):
-            np.multiply(z, sd, out=out[:, rows])
+            np.multiply(z.transpose(1, 0, 2), sd, out=out[:, rows])
 
 
 class ConstantBias(BiasModel):
@@ -529,11 +562,14 @@ class Trajectory:
                                  for i in range(self.dim)), "projected"]
         meta = {"seed": self.seed, "fingerprint": self.fingerprint or "-",
                 "name": self.name or "-"}
-        floats = np.column_stack([self.step_sizes_used, self.iterates[:-1], self.set_terms,
-                                  self.smooth_terms, self.noise_terms, self.bias_terms])
-        rows = ([k, self.schedule.time_at(k), *f.tolist(), int(p)]
-                for k, (f, p) in enumerate(zip(floats, self.projection_active)))
-        Artifact(cols, rows, provenance=meta.items()).write(path)
+        n = self.n_steps
+        self.schedule._ensure_times(n)
+        floats = np.column_stack([self.schedule._times[:n], self.step_sizes_used,
+                                  self.iterates[:-1], self.set_terms, self.smooth_terms,
+                                  self.noise_terms, self.bias_terms])
+        rows = column_blocks(range(n), *floats.T, self.projection_active.astype(int))
+        Artifact(cols, rows, provenance=meta.items(),
+                 template=",".join(["%d", *["%.17g"] * floats.shape[1], "%d"]) + "\n").write(path)
 
 
 # ---------------------------------------------------------------------------

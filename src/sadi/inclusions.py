@@ -12,8 +12,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .artifacts import Artifact
-from .engine import SimulationBlowup
+from .artifacts import Artifact, column_blocks
+from .engine import SimulationBlowup, step_count
 from .sets import (
     ConvexSet,
     LeastNorm,
@@ -57,9 +57,11 @@ class InclusionPath:
         d = self.states.shape[1]
         cols = ["n", "t", "a"] + [f"x{i}" for i in range(d)] + [f"set{i}" for i in range(d)]
         meta = [("dt", self.dt), ("horizon", self.horizon), *provenance]
-        rows = ([k, k * self.dt, self.dt, *x.tolist(), *s.tolist()]
-                for k, (x, s) in enumerate(zip(self.states, self.selector_values)))
-        Artifact(cols, rows, provenance=meta).write(path)
+        n = self.selector_values.shape[0]
+        rows = column_blocks(range(n), np.arange(n) * self.dt, np.full(n, self.dt),
+                             *self.states[:n].T, *self.selector_values.T)
+        Artifact(cols, rows, provenance=meta,
+                 template=",".join(["%d", *["%.17g"] * (2 + 2 * d)]) + "\n").write(path)
 
 
 def _crossings(x_old: list, x_new: list, thresholds):
@@ -123,7 +125,7 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
     strategy = strategy or LeastNorm()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
     d = len(x)
-    n_steps = int(math.ceil(horizon / dt - 1e-12)) if horizon > 0 else 0
+    n_steps = step_count(horizon, dt)
     states, sel = np.empty((n_steps + 1, d)), np.empty((n_steps, d))
     states[0] = x
     events = []
@@ -208,7 +210,7 @@ def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Call
     if budget < 1:
         raise ValueError("budget must be at least 1")
     reports = []
-    min_index = int(math.ceil(t_min / dt - 1e-12))
+    min_index = step_count(t_min, dt)
     duration = 2.0 * t_min
     for probe in probes:
         theta = np.atleast_1d(np.asarray(probe, dtype=float))

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import Artifact
-from .engine import SimulationBlowup, StepSchedule, as_matrix, psd_root
+from .engine import SimulationBlowup, StepSchedule, as_matrix, psd_root, step_count
 from .sets import (
     Ball,
     LeastNorm,
@@ -46,6 +46,10 @@ _HOMOGENEITY_SCALES = (0.5, 2.0, 3.0)
 _HOMOGENEITY_TOL = 1e-6
 # directions the outer derivative check compares supports along
 _OUTER_DIRS = 32
+# standard normals the SDI simulator draws at a time, in doubles
+_SDI_BLOCK = 1 << 20
+# spawn key of the SDI selections' generator; compare_to_sdi's picks use (7,)
+_SELECTION_KEY = (8,)
 
 
 @dataclass
@@ -141,6 +145,14 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     ``u0`` may be a single vector (shared start) or an (n_reps, d) array of
     per-replication starts.  Returns (n_reps, K+1, d) paths, or (n_reps, d)
     finals when ``record_paths`` is false.
+
+    The Brownian increments of many steps are drawn in one call, as a
+    (k, n_reps, d) block of standard normals; numpy fills it in C order, so
+    the numbers are those of k per-step draws.  Each step's (n_reps, d)
+    slice is mapped by ``sigma_root`` with the product a single step would
+    use, and the block is scaled by sqrt(dt) once.  A selection strategy
+    that draws reads its own generator, spawned from the seed, so the
+    normals never depend on the selections.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -153,26 +165,33 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
         if u0.shape != (n_reps, d):
             raise ValueError("u0 must be a vector or an (n_reps, dim) array")
         u = np.array(u0)
-    n_steps = int(math.ceil(horizon / dt - 1e-12)) if horizon > 0 else 0
+    n_steps = step_count(horizon, dt)
     gen = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
+    picks = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
+                                                         spawn_key=_SELECTION_KEY))
     sqdt = math.sqrt(dt)
-    drift_matrix = model.drift_matrix()
+    drift_t = model.drift_matrix().T
+    root_t = model.sigma_root.T
     paths = np.empty((n_reps, n_steps + 1, d)) if record_paths else None
     if record_paths:
         paths[:, 0, :] = u
-    for k in range(n_steps):
-        linear = u @ drift_matrix.T
-        if model.t_map is not None:
-            sel = np.empty_like(u)
-            for i in range(n_reps):
-                sel[i] = select(model.t_map, u[i], strategy, gen)
-            linear = linear + sel
-        noise = gen.standard_normal((n_reps, d)) @ model.sigma_root.T
-        u = u + dt * linear + sqdt * noise
-        if not np.all(np.isfinite(u)):
-            raise SimulationBlowup(k)
-        if record_paths:
-            paths[:, k + 1, :] = u
+    block = max(1, _SDI_BLOCK // (n_reps * d))
+    for k0 in range(0, n_steps, block):
+        # one (n_reps, d) product per step, stacked
+        noise = gen.standard_normal((min(block, n_steps - k0), n_reps, d)) @ root_t
+        noise *= sqdt
+        for k, dw in enumerate(noise, k0):
+            linear = u @ drift_t
+            if model.t_map is not None:
+                sel = np.empty_like(u)
+                for i in range(n_reps):
+                    sel[i] = select(model.t_map, u[i], strategy, picks)
+                linear = linear + sel
+            u = u + dt * linear + dw
+            if not np.isfinite(u).all():
+                raise SimulationBlowup(k)
+            if record_paths:
+                paths[:, k + 1, :] = u
     return paths if record_paths else u
 
 

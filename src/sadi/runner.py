@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .artifacts import Artifact
+from .artifacts import Artifact, column_blocks
 from .config import ConfigError, ExperimentConfig, validate_config
 from .engine import run, run_ensemble
 from .rates import compare_to_sdi, tightness_diagnostic, tightness_indices
@@ -125,10 +125,11 @@ def _write_checkpoints_csv(report: AggregateReport, path) -> None:
 def _write_finals_csv(report: AggregateReport, path) -> None:
     d = report.starts[0].finals.shape[1]
     cols = ["start_index", "replication"] + [f"x{j}" for j in range(d)] + ["fail_step"]
-    rows = ([i, r, *x.tolist(), fail]
-            for i, agg in enumerate(report.starts)
-            for r, (x, fail) in enumerate(zip(agg.finals, agg.fail_steps.tolist())))
-    Artifact(cols, rows, provenance=_provenance(report)).write(path)
+    blocks = (block for i, agg in enumerate(report.starts)
+              for block in column_blocks([i] * len(agg.fail_steps), range(len(agg.fail_steps)),
+                                         *agg.finals.T, agg.fail_steps))
+    Artifact(cols, blocks, provenance=_provenance(report),
+             template=",".join(["%d", "%d", *["%.17g"] * d, "%d"]) + "\n").write(path)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> AggregateReport:

@@ -4,6 +4,7 @@ determinism guarantees."""
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sadi.engine import (
     ZeroBias,
     run,
     run_ensemble,
+    step_count,
 )
 from sadi.engine import ROLE_BIAS, ROLE_PERTURB, ROLE_SELECTOR, ROLE_ZETA, _role_generators
 from sadi.sets import (Ball, Box, Cell, CellTable, LeastNorm, SetValuedMap, UniformVertex,
@@ -55,6 +57,36 @@ def test_schedule_validation():
         StepSchedule.harmonic(0.0)
     with pytest.raises(ValueError):
         StepSchedule.custom(lambda n: -1.0)
+
+
+_DTS = ("0.0001", "0.001", "0.002", "0.0025", "0.005", "0.01", "0.02", "0.025", "0.05",
+        "0.1")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(0, 10**7), dt=st.sampled_from(_DTS))
+@example(n=244_276, dt="0.005")  # horizon 1221.38
+@example(n=32_005, dt="0.001")
+def test_step_count_of_a_horizon_written_as_n_steps(n, dt):
+    # the horizon as a decimal would be typed: n*dt rounded once to a float
+    horizon = float(Decimal(n) * Decimal(dt))
+    assert step_count(horizon, float(dt)) == n
+    assert step_count(math.nextafter(horizon, math.inf) + float(dt) / 3, float(dt)) == n + 1
+
+
+@pytest.mark.parametrize("dt", [1e-3, 5e-3, 1e-2, 5e-2, 0.1])
+def test_integer_horizons_keep_their_step_counts(dt):
+    # the rule the counts followed before: a fixed slack of 1e-12 steps
+    for horizon in range(0, 2001):
+        old = int(math.ceil(horizon / dt - 1e-12)) if horizon > 0 else 0
+        assert step_count(float(horizon), dt) == old
+
+
+def test_step_count_edges():
+    assert step_count(0.0, 0.1) == 0
+    assert step_count(-1.0, 0.1) == 0
+    assert step_count(1e-20, 1.0) == 1
+    assert step_count(0.35, 0.1) == 4
 
 
 def test_time_mesh_origin():
@@ -665,6 +697,12 @@ def _gaussian(dim):
 _MODELS = {
     **{f"gaussian_{d}": (lambda d=d: _gaussian(d)) for d in (1, 2, 3, 4)},
     "gaussian_singular": lambda: GaussianNoise([0.5, 0.0], [[1.0, 1.0], [1.0, 1.0]]),
+    # a root with zero entries, and a zero row under a mean of -0.0: the
+    # sum of signed zeros decides that column's sign
+    "gaussian_3_negative_zero": lambda: GaussianNoise(
+        [0.4, -0.0, -0.0], [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+    "gaussian_3_zero_row": lambda: GaussianNoise(
+        [0.0, 1.5, 0.0], [[0.0, 0.0, 0.0], [0.0, 2.0, 0.7], [0.0, 0.7, 1.0]]),
     "uniform": lambda: UniformNoise([-1.0, 0.0], [1.0, 2.0]),
     "bounded": lambda: BoundedNoise(lambda g: g.uniform(-0.5, 0.5, size=2), bound=1.0, dim=2),
     "laplace": lambda: SignFilterLaw([1.0], noise="laplace").noise_model(),
@@ -680,29 +718,55 @@ def _streams(n_reps, seed=5):
     return [_reference_generator(seed, rep, 1) for rep in range(n_reps)]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(name=st.sampled_from(sorted(_MODELS)), n_reps=st.integers(1, 5),
+def _gaussian_reference(model, gen, n):
+    """``mean + z @ root.T`` with every root entry, zeros included, summed
+    column by column and then offset by the mean: the map's original order."""
+    z = gen.standard_normal((n, model.dim))
+    root = model._root
+    out = np.empty_like(z)
+    for k in range(model.dim):
+        np.multiply(z[:, 0], root[k, 0], out=out[:, k])
+        for j in range(1, model.dim):
+            out[:, k] += z[:, j] * root[k, j]
+    out += model.mean
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_MODELS)), n_reps=st.integers(1, 7),
        start=st.integers(0, 10_000),
        cuts=st.lists(st.integers(1, 39), max_size=6, unique=True),
-       chunk=st.sampled_from([1, 50, 200, engine._NORMALS_CHUNK]))
-def test_block_draws_equal_one_whole_horizon_draw(name, n_reps, start, cuts, chunk):
+       per_chunk=st.sampled_from([1, 2, 3, 10**6]))
+@example(name="gaussian_3_negative_zero", n_reps=5, start=0, cuts=[7, 20], per_chunk=2)
+@example(name="gaussian_3_negative_zero", n_reps=7, start=3, cuts=[], per_chunk=3)
+@example(name="gaussian_3_zero_row", n_reps=5, start=0, cuts=[13], per_chunk=1)
+@example(name="gaussian_3_zero_row", n_reps=4, start=9, cuts=[1], per_chunk=10**6)
+@example(name="shrinking_bias", n_reps=5, start=2, cuts=[5], per_chunk=3)
+def test_block_draws_equal_one_whole_horizon_draw(name, n_reps, start, cuts, per_chunk):
     n = 40
     model = _MODELS[name]()
     whole = np.stack([model.sample_block(gen, n, start) for gen in _streams(n_reps)], axis=1)
+    if isinstance(model, GaussianNoise):
+        reference = np.stack([_gaussian_reference(model, gen, n) for gen in _streams(n_reps)],
+                             axis=1)
+        assert whole.tobytes() == reference.tobytes()
     bounds = [0] + sorted(cuts) + [n]
     filled, single = np.empty((n, n_reps, model.dim)), np.empty((n, n_reps, model.dim))
     gens, gen_rows = _streams(n_reps), _streams(n_reps)
     saved = engine._NORMALS_CHUNK
-    engine._NORMALS_CHUNK = chunk  # normals drawn for one or a few replications at a time
     try:
         for lo, hi in zip(bounds, bounds[1:]):
+            # the normals of per_chunk replications at a time: 1, a count
+            # that need not divide n_reps, or all of them at once
+            engine._NORMALS_CHUNK = per_chunk * (hi - lo) * model.dim
             model.fill_block(gens, start + lo, filled[lo:hi])
             for i, gen in enumerate(gen_rows):
                 single[lo:hi, i] = model.sample_block(gen, hi - lo, start + lo)
     finally:
         engine._NORMALS_CHUNK = saved
-    assert np.array_equal(filled, whole)
-    assert np.array_equal(single, whole)
+    # bytes, so that the sign of a zero counts
+    assert filled.tobytes() == whole.tobytes()
+    assert single.tobytes() == whole.tobytes()
 
 
 def _square_map():

@@ -132,6 +132,12 @@ def test_blowup_carries_step_index():
         integrate(None, explode, [10.0], 1.0, 40.0)
 
 
+def test_a_decimal_horizon_of_n_steps_takes_n_steps():
+    # 128.08 / 0.005 is 25616.000000000004 in floats
+    path = integrate(None, lambda x: -x, [1.0], dt=0.005, horizon=128.08)
+    assert path.n_steps == 25_616
+
+
 def test_inclusion_csv(tmp_path):
     path = integrate(None, lambda x: -x, [1.0, 2.0], 1e-2, 0.5)
     out = tmp_path / "path.csv"

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from sadi.engine import Drift, GaussianNoise, RunSpec, StepSchedule, run, run_ensemble
+import sadi.rates as rates
+from sadi.engine import (Drift, GaussianNoise, RunSpec, SimulationBlowup, StepSchedule, run,
+                         run_ensemble)
 from sadi.rates import (
     NormalizedSeries,
     SDIModel,
@@ -16,9 +18,10 @@ from sadi.rates import (
     simulate_sdi,
     tightness_diagnostic,
 )
-from sadi.sets import Box, ExtremeVertex, SetValuedMap, Singleton
+from sadi.sets import Box, ExtremeVertex, SetValuedMap, Singleton, UniformVertex
 from sadi.presets import sign_interval_map
 from conftest import sdi_arrays, tightness_arrays
+import sdi_reference
 
 
 def _ou_spec(n_steps=800, x0=1.3):
@@ -161,6 +164,68 @@ def test_sdi_selector_membership(rng):
         from sadi.sets import contains
 
         assert contains(t_map.value(u), sel, 1e-9)
+
+
+_BLOCK_MODELS = {
+    1: SDIModel(A=[[-0.7]], sigma=[[1.3]]),
+    # a non-diagonal sigma: its root mixes the coordinates of each draw
+    2: SDIModel(A=[[-1.0, 0.4], [0.2, -0.8]], sigma=[[1.0, 0.6], [0.6, 2.0]],
+                half_identity=True),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_reps", [1, 20])
+@pytest.mark.parametrize("block", [1, 7, 50, 10**6])  # steps per draw; 50 steps in all
+def test_sdi_block_draws_equal_the_per_step_loop(monkeypatch, dim, n_reps, block):
+    model = _BLOCK_MODELS[dim]
+    monkeypatch.setattr(rates, "_SDI_BLOCK", block * n_reps * dim)
+    u0 = np.linspace(-1.0, 1.0, n_reps * dim).reshape(n_reps, dim)
+    for record in (True, False):
+        got = simulate_sdi(model, u0, dt=0.01, horizon=0.5, seed=11, n_reps=n_reps,
+                           record_paths=record)
+        want = sdi_reference.simulate_sdi(model, u0, dt=0.01, horizon=0.5, seed=11,
+                                          n_reps=n_reps, record_paths=record)
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("strategy", [None, UniformVertex()])
+def test_sdi_selections_read_their_own_generator(monkeypatch, strategy):
+    # a least-norm selection draws nothing; a random vertex draws from the
+    # generator spawned for selections, never from the normals' one
+    model = SDIModel(A=[[-1.0]], sigma=[[0.5]], t_map=sign_interval_map(1, 0.3))
+    monkeypatch.setattr(rates, "_SDI_BLOCK", 7 * 3)
+    picks = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(8,)))
+    got = simulate_sdi(model, [0.2], dt=0.01, horizon=0.5, strategy=strategy, seed=4,
+                       n_reps=3)
+    want = sdi_reference.simulate_sdi(model, [0.2], dt=0.01, horizon=0.5, strategy=strategy,
+                                      seed=4, n_reps=3, picks=picks)
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_sdi_blowup_step_matches_the_per_step_loop(monkeypatch, block):
+    model = SDIModel(A=[[900.0, 0.0], [0.0, 2.0]], sigma=[[1.0, 0.3], [0.3, 1.0]])
+    monkeypatch.setattr(rates, "_SDI_BLOCK", block * 4 * 2)
+    steps = []
+    for simulate in (simulate_sdi, sdi_reference.simulate_sdi):
+        with pytest.raises(SimulationBlowup) as err, np.errstate(over="ignore",
+                                                                 invalid="ignore"):
+            simulate(model, [1.0, 1.0], dt=0.1, horizon=100.0, seed=2, n_reps=4)
+        steps.append(err.value.step_index)
+    assert steps[0] == steps[1]
+    assert steps[0] % 7  # inside a block of 7 steps
+
+
+def test_sdi_step_count_of_a_decimal_horizon():
+    # 128.08 / 0.005 is 25616.000000000004 in floats: 25,616 steps, not one more
+    model = SDIModel(A=[[-1.0]], sigma=[[0.0]])
+    paths = simulate_sdi(model, [1.0], dt=0.005, horizon=128.08)
+    assert paths.shape == (1, 25_617, 1)
 
 
 # --- tightness ----------------------------------------------------------------
