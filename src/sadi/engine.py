@@ -178,8 +178,8 @@ class _Sampler:
     depend on it."""
 
     dim: int = 0
-    # False for a model that consumes no randomness: the engine then gives
-    # it no substream and repeats its single-step value at every step
+    # False for a model that consumes no randomness: the engine gives it no
+    # substream and reads its single-step value, built once as dense rows
     draws: bool = True
 
     def sample_block(self, gen: np.random.Generator, n: int, n0: int = 0) -> np.ndarray:
@@ -433,12 +433,12 @@ class Drift:
     row.  ``m_rule(x, xi) -> radius`` inflates the selection by a random
     point of the closed ball of that radius.
 
-    The engine hands each step the rows of that step's draws, read from
-    its substreams in time blocks whose buffers hold a fixed number of
-    doubles, so they do not grow with the horizon N.  Only a random
-    selection on ``set_map`` reads selector draws (``u_rows``), so a sample
-    term never sees them; a cell-table term without ``m_rule`` gets
-    ``xi_rows=None``.
+    The engine hands each step that step's draws as dense (R, dim) rows,
+    read in time blocks of a fixed number of doubles, so they do not grow
+    with the horizon N, and it never writes into an array a term returns.
+    Only a random selection on ``set_map`` reads selector draws
+    (``u_rows``), so a sample term never sees them; a cell-table term
+    without ``m_rule`` gets ``xi_rows=None``.
     """
 
     dim: int
@@ -603,6 +603,8 @@ class RunSpec:
             raise ValueError("additive noise term must match the state dimension")
         if self.bias.dim != self.drift.dim:
             raise ValueError("bias dimension does not match the state")
+        if self.projection is not None and self.projection.dim != self.drift.dim:
+            raise ValueError("projection dimension does not match the state")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
@@ -753,8 +755,8 @@ class _Draws:
     run.  A stream read K steps at a time yields the same numbers as one
     whole-horizon draw, so the block length never changes a result.  A block
     is step-major, (K, R, dim): the rows of one step are one contiguous
-    slice.  A role no step reads gives None, and a draw-free model takes no
-    substream and repeats its single-step value.
+    slice.  A role no step reads gives None; a draw-free model takes no
+    substream, and its block repeats one step's dense rows along K only.
     """
 
     def __init__(self, spec: RunSpec, seed: int, n_reps: int):
@@ -802,8 +804,10 @@ class _Draws:
                 continue
             model, gens = entry
             shape = (k, self.n_reps, model.dim)
-            if gens is None:
-                out.append(np.broadcast_to(model.sample_block(None, 1), shape))
+            if gens is None:  # one step's dense rows: a stride-0 row broadcasts every add
+                if self._bufs[i] is None:
+                    self._bufs[i] = np.repeat(model.sample_block(None, 1), self.n_reps, axis=0)
+                out.append(np.broadcast_to(self._bufs[i], shape))
                 continue
             if self._bufs[i] is None or self._bufs[i].shape[0] < k:
                 self._bufs[i] = np.empty(shape)
@@ -841,6 +845,8 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         ck_states[:, ck_pos[0], :] = x
 
     zeros = np.zeros((n_reps, d))
+    # the step is summed into the loop's own buffers: never a term's output, x0 or a projection
+    total, own, finite = np.empty_like(x), (x, np.empty_like(x)), np.isfinite(x)
     block = max(1, min(n_steps, _DRAW_BUDGET // (n_reps * max(1, draws.width))))
     for n0 in range(0, n_steps, block):
         k = min(block, n_steps - n0)
@@ -852,16 +858,17 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                                     None if usel is None else usel[j, :, 0],
                                     None if pert is None else pert[j])
             h = drift.smooth(x, zeta[j]) if drift.smooth is not None else zeros
-            h0 = zt[j]
-            bb = beta[j]
-            total = b + h + h0 + bb
-            x_new = x + a[j] * total
+            np.add(b, h, out=total)  # zero roles too: (b + h) + 0.0 turns -0.0 into +0.0
+            total += zt[j]
+            total += beta[j]
+            total *= a[j]
+            x_new = np.add(x, total, out=own[x is own[0]])  # the buffer x is not
             if spec.projection is not None:
                 proj_new = spec.projection.project_rows(x_new)
                 if record_logs:
                     logs["projected"][n] = np.any(proj_new[0] != x_new[0])
                 x_new = proj_new
-            finite = np.isfinite(x_new)
+            np.isfinite(x_new, out=finite)
             if not finite.all():
                 newly = ~finite.all(axis=1) & (fail < 0)
                 fail[newly] = n
@@ -873,8 +880,8 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
             if record_logs:
                 logs["set"][n] = b[0]
                 logs["smooth"][n] = h[0]
-                logs["noise"][n] = h0[0]
-                logs["bias"][n] = bb[0]
+                logs["noise"][n] = zt[j, 0]
+                logs["bias"][n] = beta[j, 0]
 
     result = EnsembleResult(
         finals=x,

@@ -68,6 +68,14 @@ _DESCENT_SWEEPS = 10_000
 _DESCENT_TOL = 1e-14
 
 
+def _by_column(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``v[:, None] * rows`` by column: a broadcast runs one tiny inner loop per row."""
+    out = np.empty(rows.shape)
+    for col, r in zip(out.T, rows.T):
+        np.multiply(v, r, out=col)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # data laws
 # ---------------------------------------------------------------------------
@@ -135,7 +143,7 @@ class RegressionLaw:
 
             def term(w_rows, z_rows):
                 resid = theta_sum + z_rows[:, 0] - np.sum(w_rows, axis=1)
-                return np.repeat(resid[:, None], w_rows.shape[1], axis=1)
+                return _by_column(resid, np.broadcast_to(1.0, w_rows.shape))  # x is all ones
 
             return term
 
@@ -451,7 +459,7 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
 
     def sample_term(w_rows, xi_rows):
         active = np.einsum("ij,ij->i", w_rows, xi_rows) < 1.0
-        return xi_rows * active[:, None]
+        return _by_column(active, xi_rows)  # masked by column, not by an (R, 1) broadcast
 
     drift = Drift(dim=dim, smooth=smooth, smooth_mean=smooth_mean,
                   set_map=gmap, selector=LeastNorm(), sample_term=sample_term)

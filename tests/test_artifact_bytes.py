@@ -4,8 +4,10 @@ module; the rootfind and sign-filter digests before a Clarke gradient became
 the Krasovskii hull of the gradient field; the rootfind path and the
 two-dimensional lasso certificate before box-valued maps declared their
 bounds; the pegasos certificate before every certified map answered its
-support on rows.  A changed digest means a changed output byte; re-record one only for
-a change to the artifact layout that is meant and documented."""
+support on rows; the pegasos ensemble's finals before draw-free roles read
+as dense rows and the step was summed in place.  A changed digest means a
+changed output byte; re-record one only for a change to the artifact layout
+that is meant and documented."""
 
 import hashlib
 import json
@@ -95,6 +97,11 @@ _SVM_PLANE = {
     "outputs": ["report"],
 }
 
+# pegasos over twelve replications: the finals of a two-dimensional ensemble,
+# where the draw-free roles' rows meet the noise rows of many replications
+_SVM_ENSEMBLE = dict(_SVM_PLANE, name="golden_svm_ensemble", replications=12,
+                     outputs=["finals"])
+
 
 def _ou_rates():
     raw = json.loads((CONFIGS / "ou_rates.json").read_text(encoding="utf-8"))
@@ -116,6 +123,7 @@ _JOBS = [
     ("rootfind_di", "simulate-di", _ROOTFIND_DI, []),
     ("lasso_2d", "certify", _LASSO_2D, []),
     ("svm_plane", "certify", _SVM_PLANE, []),
+    ("svm_ensemble", "run", _SVM_ENSEMBLE, []),
 ]
 
 GOLDEN = {
@@ -155,6 +163,8 @@ GOLDEN = {
         "b236e42f6038bf23a69574b8fa75dc64763409a11388d847b609dfa5f6df1ae0",
     "svm_plane/certificate.txt":
         "d543b8fd7927afe3b9e25f3aa51c81964f21accb3e7e946329b5a4ecb81055d3",
+    "svm_ensemble/finals.csv":
+        "7d8679f790e0d8cdd5bbd2bd6ceed6c3fdeba411252b841e6c24b47a075dd14c",
 }
 
 

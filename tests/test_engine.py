@@ -33,7 +33,8 @@ from sadi.engine import ROLE_BIAS, ROLE_PERTURB, ROLE_SELECTOR, ROLE_ZETA, _role
 from sadi.sets import (Ball, Box, Cell, CellTable, LeastNorm, SetValuedMap, UniformVertex,
                        contains, nearest_point, select)
 from sadi.presets import (lasso_preset, nonconvergence_preset, pegasos_preset, RegressionLaw,
-                          SignFilterLaw)
+                          SignFilterLaw, sign_error_filter_preset)
+import engine_reference
 
 
 # --- schedules and the time mesh -------------------------------------------
@@ -57,6 +58,15 @@ def test_schedule_validation():
         StepSchedule.harmonic(0.0)
     with pytest.raises(ValueError):
         StepSchedule.custom(lambda n: -1.0)
+
+
+@pytest.mark.parametrize("region", [Box([-1.0], [1.0]), Box([-1.0] * 3, [1.0] * 3),
+                                    Ball([0.0], 1.0)])
+def test_run_spec_rejects_a_projection_of_another_dimension(region):
+    spec = pegasos_preset(1.0).spec
+    with pytest.raises(ValueError, match="projection dimension"):
+        replace(spec, projection=region)
+    replace(spec, projection=Box([-1.0, -1.0], [1.0, 1.0]))
 
 
 _DTS = ("0.0001", "0.001", "0.002", "0.0025", "0.005", "0.01", "0.02", "0.025", "0.05",
@@ -882,3 +892,151 @@ def test_perturbation_reads_normals_then_uniforms(monkeypatch, budget):
             point = (u[n] ** 0.5) * g[n] / float(np.linalg.norm(g[n]))
             x = x + a[n] * (0.0 + 0.5 * point)
             assert np.array_equal(ens.paths[rep, n + 1], x)
+
+
+# --- the row loop against its allocating reference ---------------------------------
+
+
+def _same_result(got, want):
+    # bytes, so that the sign of a zero and a NaN's bits count
+    for field_name in ("finals", "fail_steps", "checkpoint_indices", "checkpoint_states",
+                       "paths"):
+        a, b = getattr(got, field_name), getattr(want, field_name)
+        assert (a is None) == (b is None), field_name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field_name
+
+
+def _rows_of(value):
+    return lambda x, z: np.full_like(x, value)
+
+
+class _NegativeZeros(BoundedNoise):
+    """A drawing role whose every draw is -0.0."""
+
+    def __init__(self, dim):
+        super().__init__(lambda gen: np.full(dim, -0.0), bound=1.0, dim=dim)
+
+
+def _signed_zero_spec(n_steps, smooth, noise_zetatilde, bias):
+    # -0.0 set-term rows from an x0 with -0.0 entries: every zero role's add
+    # turns a -0.0 sum into +0.0, so each add shows in the iterate's bits
+    drift = Drift(dim=3, sample_term=_rows_of(-0.0), smooth=smooth)
+    return RunSpec(drift=drift, schedule=StepSchedule.power_law(1.0, 0.5),
+                   x0=[-0.0, 5.0, -0.0], n_steps=n_steps, noise_zetatilde=noise_zetatilde,
+                   bias=bias)
+
+
+def _blowup_spec(n_steps):
+    def smooth(x_rows, z_rows):
+        return 50.0 * x_rows * x_rows * (1.0 + z_rows * z_rows)
+
+    return RunSpec(drift=Drift(dim=1, smooth=smooth), schedule=StepSchedule.power_law(1.0, 0.5),
+                   x0=[1.0], n_steps=n_steps, noise_zeta=GaussianNoise([0.0], [[1.0]]))
+
+
+def _projected_spec(n_steps, projection):
+    spec = _uniform_vertex_spec(n_steps)
+    return replace(spec, x0=[0.9, -0.95], projection=projection)
+
+
+_REFERENCE_SPECS = {
+    **{f"chunk_{name}": make for name, make in _CHUNK_SPECS.items()},
+    # the smooth term is the only +0.0 role, then the additive term, then the bias
+    "signed_zero_smooth": lambda n: _signed_zero_spec(n, None, _NegativeZeros(3),
+                                                      ConstantBias([-0.0] * 3)),
+    "signed_zero_additive": lambda n: _signed_zero_spec(n, _rows_of(-0.0), NoNoise(),
+                                                        ConstantBias([-0.0] * 3)),
+    "signed_zero_bias": lambda n: _signed_zero_spec(n, _rows_of(-0.0), _NegativeZeros(3),
+                                                    ZeroBias(3)),
+    "constant_bias_3d": lambda n: _signed_zero_spec(n, _rows_of(-0.0), _NegativeZeros(3),
+                                                    ConstantBias([0.25, -1.0, -0.0])),
+    "box": lambda n: _projected_spec(n, Box([-1.0, -1.0], [1.0, 1.0])),
+    "ball": lambda n: _projected_spec(n, Ball([0.0, 0.0], 1.0)),
+    "lasso_gaussian": lambda n: replace(lasso_preset(0.3, RegressionLaw(
+        theta=[1.0, -0.5], features="gaussian", feature_mean=[0.3, -0.2],
+        feature_cov=[[1.0, 0.4], [0.4, 2.0]])).spec, x0=[1.0, 1.0], n_steps=n),
+    "sign_filter": lambda n: replace(sign_error_filter_preset(
+        SignFilterLaw(theta_true=[0.5, -0.25])).spec, x0=[0.0, 0.0], n_steps=n),
+}
+
+
+@pytest.mark.parametrize("n_reps", [1, 3, 7])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SPECS))
+def test_row_loop_matches_the_allocating_reference(monkeypatch, name, n_reps):
+    spec = _REFERENCE_SPECS[name](45)
+    # blocks of 7 steps, so that a block boundary falls inside the run
+    monkeypatch.setattr(engine, "_DRAW_BUDGET", 7 * n_reps * max(1, engine._Draws(
+        spec, 11, n_reps).width))
+    want = engine_reference.run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True)
+    _same_result(run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True), want)
+
+
+def test_signed_zeros_survive_only_where_every_role_is_negative_zero():
+    # a -0.0 sum leaves a -0.0 coordinate alone; one +0.0 role makes it +0.0
+    got = run_ensemble(_REFERENCE_SPECS["constant_bias_3d"](5), 3, 2).finals
+    assert got[0, 2] == 0.0 and [math.copysign(1.0, v) for v in got[0]] == [1.0, 1.0, -1.0]
+    for name in ("signed_zero_smooth", "signed_zero_additive", "signed_zero_bias"):
+        got = run_ensemble(_REFERENCE_SPECS[name](5), 3, 2).finals
+        assert math.copysign(1.0, got[0, 0]) == 1.0 and math.copysign(1.0, got[0, 2]) == 1.0
+
+
+@pytest.mark.parametrize("block", [5, 10**6])
+def test_blowup_inside_a_block_matches_the_reference(monkeypatch, block):
+    spec = _blowup_spec(20)
+    monkeypatch.setattr(engine, "_DRAW_BUDGET", block * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = engine_reference.run_ensemble(spec, 2, 4, [0, 10, 20], record_paths=True)
+        got = run_ensemble(spec, 2, 4, [0, 10, 20], record_paths=True)
+    assert (want.fail_steps >= 0).all() and (want.fail_steps % 5 != 0).any()
+    _same_result(got, want)
+
+
+def test_the_step_writes_into_no_term_output_and_no_input():
+    shared = np.full((4, 2), 0.25)
+    drift = Drift(dim=2, sample_term=lambda x, xi: shared, smooth=lambda x, z: x)
+    spec = RunSpec(drift=drift, schedule=StepSchedule.power_law(0.5, 0.5), x0=[0.3, -0.2],
+                   n_steps=30, projection=Box([-1.0, -1.0], [1.0, 1.0]))
+    first = run_ensemble(spec, 1, 4, record_paths=True)
+    kept = first.finals.copy()
+    second = run_ensemble(spec, 1, 4, record_paths=True)
+    assert np.array_equal(shared, np.full((4, 2), 0.25))
+    assert np.array_equal(spec.x0, [0.3, -0.2])
+    assert np.array_equal(first.finals, kept)
+    _same_result(second, engine_reference.run_ensemble(spec, 1, 4, record_paths=True))
+    # with no projection the iterate alternates between the loop's own buffers
+    free = replace(spec, projection=None)
+    first = run_ensemble(free, 1, 4)
+    kept = first.finals.copy()
+    run_ensemble(free, 1, 4)
+    assert np.array_equal(shared, np.full((4, 2), 0.25))
+    assert np.array_equal(first.finals, kept)
+    _same_result(first, engine_reference.run_ensemble(free, 1, 4))
+    # a term that returns its own input is logged as the state it was given
+    echo = replace(free, drift=Drift(dim=2, sample_term=lambda x, xi: x, smooth=lambda x, z: x))
+    traj = run(echo, 1)
+    assert np.array_equal(traj.set_terms, traj.iterates[:-1])
+    assert np.array_equal(traj.smooth_terms, traj.iterates[:-1])
+
+
+@pytest.mark.parametrize("bias", [ShrinkingGaussianBias(2, 1.0, 0.5), ZeroBias(2),
+                                  ConstantBias([0.5, -0.0])])
+@pytest.mark.parametrize("zetatilde", [_gaussian(2), NoNoise()])
+def test_every_step_of_a_draw_block_is_a_dense_row_array(bias, zetatilde):
+    spec = replace(_pegasos_spec(30), noise_zetatilde=zetatilde, bias=bias)
+    n_reps, k = 5, 9
+    draws = engine._Draws(spec, 3, n_reps)
+    blocks = draws.block(0, k)
+    for (model, gens), blk in zip((e for e in draws._roles if e is not None),
+                                  (b for b in blocks if b is not None)):
+        assert blk.shape == (k, n_reps, model.dim)
+        for j in range(k):
+            assert blk[j].flags.c_contiguous
+        if gens is None:
+            # one step's rows, read at every step
+            owner = blk
+            while owner.base is not None:
+                owner = owner.base
+            assert blk.strides[0] == 0 and owner.nbytes == n_reps * model.dim * blk.itemsize
+            assert blk[k - 1].tobytes() == np.repeat(model.sample_block(None, 1), n_reps,
+                                                     axis=0).tobytes()

@@ -258,6 +258,40 @@ def test_nonconv_long_run_cycles_without_converging():
     assert np.mean(np.minimum(d0, d2) <= 0.1) <= 0.3
 
 
+# --- row terms, column by column ------------------------------------------------
+
+
+def _awkward_rows(seed, n, d):
+    # signed zeros, infinities and NaNs among normal rows
+    rows = np.random.default_rng(seed).standard_normal((n, d))
+    rows.flat[::7] = 0.0
+    rows.flat[3::11] = -0.0
+    rows.flat[5::17] = np.inf
+    rows.flat[6::19] = -np.inf
+    rows.flat[2::23] = np.nan
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_terms_keep_the_bits_of_their_broadcast_forms(dim):
+    # the column-by-column terms: the lasso residual with all-ones features
+    # and the pegasos hinge mask
+    w, z = _awkward_rows(1, 60, dim), _awkward_rows(2, 60, dim + 1)
+    theta = np.linspace(-1.0, 1.5, dim)
+    ones = RegressionLaw(theta=theta, features="ones")
+    hinge = pegasos_preset(1.0, feature_mean=np.ones(dim)).spec.drift.sample_term
+    theta_sum = float(np.sum(theta))
+    with np.errstate(all="ignore"):
+        ones_resid = theta_sum + z[:, 0] - np.sum(w, axis=1)
+        pairs = [
+            (ones.smooth_term()(w, z), np.repeat(ones_resid[:, None], dim, axis=1)),
+            (hinge(w, z[:, :dim]), z[:, :dim] * (np.einsum("ij,ij->i", w, z[:, :dim])
+                                                 < 1.0)[:, None]),
+        ]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # --- cross-cutting preset properties ---------------------------------------------
 
 
