@@ -690,6 +690,9 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+_REPS_ERROR = "replication indices must lie in [0, 2**32)"
+
+
 def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
     """One generator per replication for ``role``: the generator
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(rep, role)))``,
@@ -697,7 +700,7 @@ def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
     ints for a single one)."""
     reps = np.asarray(reps, dtype=np.int64)
     if reps.size and (reps.min() < 0 or reps.max() > _MASK32):
-        raise ValueError("replication indices must lie in [0, 2**32)")
+        raise ValueError(_REPS_ERROR)
     key = int(reps[0]) if reps.size == 1 else reps.astype(np.uint64)
     state = np.array(_seed_state(seed, key, role), dtype=np.uint64).reshape(4, -1)
     Generator, PCG64 = np.random.Generator, np.random.PCG64
@@ -719,7 +722,21 @@ class EnsembleResult:
 
 # doubles that one time block of draws holds, summed over the roles that
 # draw; a block is at least one step
-_DRAW_BUDGET = 1 << 22
+_DRAW_BUDGET = 1 << 21
+
+# replications that run together, as one tile: a tile builds its own
+# generators and reuses the draw and step buffers of the one before it
+_TILE_REPS = 4096
+
+
+def _tiles(n_reps: int):
+    """``(r0, r1)`` of each tile: the fewest tiles of at most ``_TILE_REPS``
+    replications, balanced, so the first is the largest."""
+    count = -(-n_reps // _TILE_REPS)
+    size, extra = divmod(n_reps, count)
+    for i in range(count):
+        r0 = i * size + min(i, extra)
+        yield r0, r0 + size + (i < extra)
 
 
 class _BallDraws(_Sampler):
@@ -741,25 +758,33 @@ class _BallDraws(_Sampler):
 
 
 def _past_normals(gens: list, count: int) -> list:
-    """The generators, each advanced past its next ``count`` standard normals."""
+    """The generators, each advanced past its next ``count`` standard
+    normals, drawn into one reused buffer of at most ``_NORMALS_CHUNK``
+    doubles."""
+    buf = np.empty(max(1, min(count, _NORMALS_CHUNK)))
     for gen in gens:
-        for m in range(0, count, _DRAW_BUDGET):
-            gen.standard_normal(min(_DRAW_BUDGET, count - m))
+        for m in range(0, count, buf.size):
+            gen.standard_normal(out=buf[:count - m])
     return gens
 
 
 class _Draws:
-    """Every role's draws for all replications, one time block at a time.
+    """Every role's draws for one tile of replications, one time block at a
+    time.
 
-    Each (replication, role) generator is built once and kept for the whole
-    run.  A stream read K steps at a time yields the same numbers as one
-    whole-horizon draw, so the block length never changes a result.  A block
-    is step-major, (K, R, dim): the rows of one step are one contiguous
-    slice.  A role no step reads gives None; a draw-free model takes no
-    substream, and its block repeats one step's dense rows along K only.
+    ``tile(r0, r1)`` drops the previous tile's generators and builds those
+    of replications r0 .. r1-1, each keyed by its absolute index, so a
+    replication's draws never depend on the tile it runs in.  A stream read
+    K steps at a time yields the same numbers as one whole-horizon draw, so
+    the block length never changes a result either.  A block is step-major,
+    (K, R, dim) for the R replications of the tile: the rows of one step are
+    one contiguous slice.  The buffers hold up to ``max_reps`` replications
+    and are reused by every block of every tile.  A role no step reads gives
+    None; a draw-free model takes no substream, and its block repeats one
+    step's dense rows along K only.
     """
 
-    def __init__(self, spec: RunSpec, seed: int, n_reps: int):
+    def __init__(self, spec: RunSpec, seed: int, max_reps: int):
         drift, d = spec.drift, spec.drift.dim
         term = drift.sample_term
         reads_xi = drift.m_rule is not None or (term is not None
@@ -779,112 +804,141 @@ class _Draws:
             (ROLE_SELECTOR, UniformNoise([0.0], [1.0]), reads_u),
             (ROLE_PERTURB, _BallDraws(d), drift.m_rule is not None),
         )
-        reps = range(n_reps)
-        self.n_reps = n_reps
+        self._seed, self._perturb_normals = seed, spec.n_steps * d
+        self.max_reps, self.n_reps = max_reps, 0
         self.width = 0  # doubles drawn per replication and step
+        # indexed by role number: (model, generators of the tile) where a step
+        # reads the role, the generators None for a model that draws nothing
         self._roles = []
-        for role, model, read in roles:
-            gens = None
-            if read and model.draws and model.dim:
-                gens = _role_generators(seed, reps, role)
-                if role == ROLE_PERTURB:
-                    gens = list(zip(gens, _past_normals(_role_generators(seed, reps, role),
-                                                        spec.n_steps * d)))
+        for _, model, read in roles:
+            draws = read and model.draws and model.dim
+            if draws:
                 self.width += model.dim
-            self._roles.append((model, gens) if read else None)
+            self._roles.append((model, [] if draws else None) if read else None)
         self._bufs = [None] * len(roles)
 
+    def tile(self, r0: int, r1: int) -> None:
+        """Build the generators of replications r0 .. r1-1 in place of the
+        previous tile's, which are dropped first."""
+        drawing = [role for role, entry in enumerate(self._roles)
+                   if entry is not None and entry[1] is not None]
+        for role in drawing:
+            self._roles[role] = (self._roles[role][0], [])
+        reps = range(r0, r1)
+        for role in drawing:
+            gens = _role_generators(self._seed, reps, role)
+            if role == ROLE_PERTURB:
+                gens = list(zip(gens, _past_normals(_role_generators(self._seed, reps, role),
+                                                    self._perturb_normals)))
+            self._roles[role] = (self._roles[role][0], gens)
+        self.n_reps = r1 - r0
+
     def block(self, n0: int, k: int) -> list:
-        """Steps n0 .. n0+k-1 of every role, in role order; a buffer is
-        reused by the next block."""
+        """Steps n0 .. n0+k-1 of every role for the tile, in role order; a
+        buffer is reused by the next block."""
         out = []
+        m = self.n_reps
         for i, entry in enumerate(self._roles):
             if entry is None:
                 out.append(None)
                 continue
             model, gens = entry
-            shape = (k, self.n_reps, model.dim)
             if gens is None:  # one step's dense rows: a stride-0 row broadcasts every add
                 if self._bufs[i] is None:
-                    self._bufs[i] = np.repeat(model.sample_block(None, 1), self.n_reps, axis=0)
-                out.append(np.broadcast_to(self._bufs[i], shape))
+                    self._bufs[i] = np.repeat(model.sample_block(None, 1), self.max_reps, axis=0)
+                out.append(np.broadcast_to(self._bufs[i][:m], (k, m, model.dim)))
                 continue
-            if self._bufs[i] is None or self._bufs[i].shape[0] < k:
-                self._bufs[i] = np.empty(shape)
-            model.fill_block(gens, n0, self._bufs[i][:k])
-            out.append(self._bufs[i][:k])
+            if self._bufs[i] is None or self._bufs[i].size < k * self.max_reps * model.dim:
+                self._bufs[i] = np.empty(k * self.max_reps * model.dim)
+            # the leading doubles, so that a smaller tile's block is contiguous too
+            blk = self._bufs[i][:k * m * model.dim].reshape(k, m, model.dim)
+            model.fill_block(gens, n0, blk)
+            out.append(blk)
         return out
 
 
 def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                    checkpoints: Optional[Sequence[int]], record_paths: bool,
                    record_logs: bool):
+    """The replications, tile by tile.  ``record_logs`` logs replication 0,
+    for one-replication runs."""
     drift = spec.drift
     d = drift.dim
     n_steps = spec.n_steps
     ck = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
     if ck and not 0 <= ck[0] <= ck[-1] <= n_steps:
         raise ValueError("checkpoints must lie in [0, n_steps]")
-    draws = _Draws(spec, seed, n_reps)
     if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
             and drift.m_rule is None and spec.projection is None):
+        draws = _Draws(spec, seed, 1)
+        draws.tile(0, 1)
         return _simulate_float(spec, draws, ck, record_paths, record_logs)
 
-    x = np.tile(spec.x0, (n_reps, 1))
+    tile_reps = next(_tiles(n_reps))[1]
+    draws = _Draws(spec, seed, tile_reps)
+    finals = np.empty((n_reps, d))
     fail = np.full(n_reps, -1, dtype=int)
     ck_states = np.empty((n_reps, len(ck), d)) if ck else None
     ck_pos = {c: i for i, c in enumerate(ck)}
     paths = np.empty((n_reps, n_steps + 1, d)) if record_paths else None
-    if record_paths:
-        paths[:, 0, :] = x
     logs = None
     if record_logs:
         logs = {k: np.zeros((n_steps, d)) for k in ("set", "smooth", "noise", "bias")}
         logs["projected"] = np.zeros(n_steps, dtype=bool)
-    if 0 in ck_pos:
-        ck_states[:, ck_pos[0], :] = x
 
-    zeros = np.zeros((n_reps, d))
-    # the step is summed into the loop's own buffers: never a term's output, x0 or a projection
-    total, own, finite = np.empty_like(x), (x, np.empty_like(x)), np.isfinite(x)
-    block = max(1, min(n_steps, _DRAW_BUDGET // (n_reps * max(1, draws.width))))
-    for n0 in range(0, n_steps, block):
-        k = min(block, n_steps - n0)
-        a = spec.schedule.step_sizes(n0, n0 + k)
-        xi, zeta, zt, beta, usel, pert = draws.block(n0, k)
-        for j in range(k):
-            n = n0 + j
-            b = drift.set_term_rows(x, None if xi is None else xi[j],
-                                    None if usel is None else usel[j, :, 0],
-                                    None if pert is None else pert[j])
-            h = drift.smooth(x, zeta[j]) if drift.smooth is not None else zeros
-            np.add(b, h, out=total)  # zero roles too: (b + h) + 0.0 turns -0.0 into +0.0
-            total += zt[j]
-            total += beta[j]
-            total *= a[j]
-            x_new = np.add(x, total, out=own[x is own[0]])  # the buffer x is not
-            if spec.projection is not None:
-                proj_new = spec.projection.project_rows(x_new)
+    # the step is summed into the loop's own buffers: never a term's output,
+    # x0 or a projection; every tile uses their leading rows
+    rows = np.empty((3, tile_reps, d))
+    zeros, finite_rows = np.zeros((tile_reps, d)), np.empty((tile_reps, d), dtype=bool)
+    block = max(1, min(n_steps, _DRAW_BUDGET // (tile_reps * max(1, draws.width))))
+    for r0, r1 in _tiles(n_reps):
+        m = r1 - r0
+        draws.tile(r0, r1)
+        total, own, finite = rows[2, :m], (rows[0, :m], rows[1, :m]), finite_rows[:m]
+        x, fail_tile = own[0], fail[r0:r1]
+        x[:] = spec.x0
+        if record_paths:
+            paths[r0:r1, 0, :] = x
+        if 0 in ck_pos:
+            ck_states[r0:r1, ck_pos[0], :] = x
+        for n0 in range(0, n_steps, block):
+            k = min(block, n_steps - n0)
+            a = spec.schedule.step_sizes(n0, n0 + k)
+            xi, zeta, zt, beta, usel, pert = draws.block(n0, k)
+            for j in range(k):
+                n = n0 + j
+                b = drift.set_term_rows(x, None if xi is None else xi[j],
+                                        None if usel is None else usel[j, :, 0],
+                                        None if pert is None else pert[j])
+                h = drift.smooth(x, zeta[j]) if drift.smooth is not None else zeros[:m]
+                np.add(b, h, out=total)  # zero roles too: (b + h) + 0.0 turns -0.0 into +0.0
+                total += zt[j]
+                total += beta[j]
+                total *= a[j]
+                x_new = np.add(x, total, out=own[x is own[0]])  # the buffer x is not
+                if spec.projection is not None:
+                    proj_new = spec.projection.project_rows(x_new)
+                    if record_logs:
+                        logs["projected"][n] = np.any(proj_new[0] != x_new[0])
+                    x_new = proj_new
+                np.isfinite(x_new, out=finite)
+                if not finite.all():
+                    newly = ~finite.all(axis=1) & (fail_tile < 0)
+                    fail_tile[newly] = n
+                x = x_new
+                if record_paths:
+                    paths[r0:r1, n + 1, :] = x
+                if (n + 1) in ck_pos:
+                    ck_states[r0:r1, ck_pos[n + 1], :] = x
                 if record_logs:
-                    logs["projected"][n] = np.any(proj_new[0] != x_new[0])
-                x_new = proj_new
-            np.isfinite(x_new, out=finite)
-            if not finite.all():
-                newly = ~finite.all(axis=1) & (fail < 0)
-                fail[newly] = n
-            x = x_new
-            if record_paths:
-                paths[:, n + 1, :] = x
-            if (n + 1) in ck_pos:
-                ck_states[:, ck_pos[n + 1], :] = x
-            if record_logs:
-                logs["set"][n] = b[0]
-                logs["smooth"][n] = h[0]
-                logs["noise"][n] = zt[j, 0]
-                logs["bias"][n] = beta[j, 0]
+                    logs["set"][n] = b[0]
+                    logs["smooth"][n] = h[0]
+                    logs["noise"][n] = zt[j, 0]
+                    logs["bias"][n] = beta[j, 0]
+        finals[r0:r1] = x
 
     result = EnsembleResult(
-        finals=x,
+        finals=finals,
         fail_steps=fail,
         checkpoint_indices=np.asarray(ck, dtype=int),
         checkpoint_states=ck_states,
@@ -963,10 +1017,16 @@ def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
                  record_paths: bool = False, threads: int = 1) -> EnsembleResult:
     """Independent replications with per-replication substreams.
 
+    The replications run in tiles of at most ``_TILE_REPS``, each tile
+    through all N steps before the next starts, so the generators and draw
+    buffers held at once do not grow with ``n_reps``; the outputs are
+    written by absolute replication index and do not depend on the tiles.
     ``threads`` is accepted and has no effect: every replication's draws
     are keyed by its absolute index, so results never depended on it.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
+    if n_reps > _MASK32 + 1:
+        raise ValueError(_REPS_ERROR)
     result, _ = _simulate_reps(spec, seed, n_reps, checkpoints, record_paths, False)
     return result

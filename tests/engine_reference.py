@@ -6,7 +6,7 @@ A draw-free role (``NoNoise``, ``ZeroBias``, ``ConstantBias``) reads as a
 stride-0 view of its single-step value, every step allocates
 ``b + h + h0 + bb`` and ``x + a*total``, and a box clips with its (d,)
 bounds in one call.  It runs the row loop for every replication count,
-with no plain-float path.
+with no plain-float path, and runs every replication as one tile.
 """
 
 import numpy as np
@@ -37,6 +37,7 @@ def run_ensemble(spec, seed, n_reps, checkpoints=None, record_paths=False):
     n_steps = spec.n_steps
     ck = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
     draws = engine._Draws(spec, seed, n_reps)
+    draws.tile(0, n_reps)
 
     x = np.tile(spec.x0, (n_reps, 1))
     fail = np.full(n_reps, -1, dtype=int)

@@ -793,6 +793,14 @@ def _uniform_vertex_spec(n_steps):
                    noise_zetatilde=_gaussian(2), bias=ShrinkingGaussianBias(2, 1.0, 0.5))
 
 
+def _late_blowup_spec(n_steps):
+    # at seed 11 only replication 1 draws a zeta above 2.7 (2.779, at step 27),
+    # and the iterate is infinite from then on
+    drift = Drift(dim=1, smooth=lambda x, z: np.where(z > 2.7, np.inf, z))
+    return RunSpec(drift=drift, schedule=StepSchedule.power_law(1.0, 0.5), x0=[0.0],
+                   n_steps=n_steps, noise_zeta=GaussianNoise([0.0], [[1.0]]))
+
+
 _CHUNK_SPECS = {
     "lasso_shrinking_bias": lambda n: _shrinking_bias_spec(n),
     "pegasos": _pegasos_spec,
@@ -800,30 +808,49 @@ _CHUNK_SPECS = {
     "uniform_vertex_perturbed": _uniform_vertex_spec,
     "custom_bias": lambda n: _shrinking_bias_spec(
         n, CustomBias(lambda g, k: g.standard_normal(1) / (k + 1.0), dim=1)),
+    "late_blowup": _late_blowup_spec,
 }
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(name=st.sampled_from(sorted(_CHUNK_SPECS)), n_reps=st.integers(1, 3),
-       block=st.integers(1, 50))
-@example(name="uniform_vertex_perturbed", n_reps=3, block=1)
-@example(name="pegasos", n_reps=1, block=1)
-@example(name="lasso_shrinking_bias", n_reps=2, block=7)
-def test_ensemble_bytes_do_not_depend_on_block_length(name, n_reps, block):
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_CHUNK_SPECS)), n_reps=st.integers(1, 7),
+       block=st.integers(1, 50), tile=st.integers(1, 8))
+@example(name="uniform_vertex_perturbed", n_reps=3, block=1, tile=1)
+@example(name="uniform_vertex_perturbed", n_reps=7, block=4, tile=3)
+@example(name="uniform_vertex_perturbed", n_reps=2, block=45, tile=4096)
+@example(name="pegasos", n_reps=1, block=1, tile=1)
+@example(name="pegasos", n_reps=7, block=13, tile=3)
+@example(name="lasso_shrinking_bias", n_reps=2, block=7, tile=2)
+@example(name="lasso_shrinking_bias", n_reps=5, block=9, tile=2)
+@example(name="ou", n_reps=4, block=6, tile=1)
+@example(name="ou", n_reps=7, block=50, tile=4)
+@example(name="custom_bias", n_reps=5, block=3, tile=3)
+@example(name="custom_bias", n_reps=3, block=45, tile=8)
+@example(name="late_blowup", n_reps=3, block=5, tile=1)
+@example(name="late_blowup", n_reps=7, block=45, tile=4)
+def test_ensemble_bytes_do_not_depend_on_block_length(name, n_reps, block, tile):
     n_steps = 45
     spec = _CHUNK_SPECS[name](n_steps)
     reference = run_ensemble(spec, 11, n_reps, checkpoints=[0, 13, 45], record_paths=True)
     width = engine._Draws(spec, 11, n_reps).width
-    saved = engine._DRAW_BUDGET
-    engine._DRAW_BUDGET = block * n_reps * max(width, 1)
+    saved = engine._DRAW_BUDGET, engine._TILE_REPS
+    # tiles of at most `tile` replications, each read `block` steps at a time
+    engine._TILE_REPS = tile
+    engine._DRAW_BUDGET = block * next(engine._tiles(n_reps))[1] * max(width, 1)
     try:
         blocked = run_ensemble(spec, 11, n_reps, checkpoints=[0, 13, 45], record_paths=True)
     finally:
-        engine._DRAW_BUDGET = saved
-    assert np.array_equal(blocked.finals, reference.finals)
-    assert np.array_equal(blocked.checkpoint_states, reference.checkpoint_states)
-    assert np.array_equal(blocked.paths, reference.paths)
-    assert np.array_equal(blocked.fail_steps, reference.fail_steps)
+        engine._DRAW_BUDGET, engine._TILE_REPS = saved
+    _same_result(blocked, reference)
+
+
+def test_a_blowup_in_a_later_tile_is_written_at_its_replication(monkeypatch):
+    spec = _late_blowup_spec(45)
+    want = engine_reference.run_ensemble(spec, 11, 3, [0, 13, 45], record_paths=True)
+    monkeypatch.setattr(engine, "_TILE_REPS", 1)
+    got = run_ensemble(spec, 11, 3, [0, 13, 45], record_paths=True)
+    assert got.fail_steps.tolist() == [-1, 27, -1]
+    _same_result(got, want)
 
 
 def test_draw_memory_does_not_grow_with_the_horizon(monkeypatch):
@@ -843,6 +870,45 @@ def test_draw_memory_does_not_grow_with_the_horizon(monkeypatch):
             tracemalloc.stop()
     # one step-size block of the longer run is the only allowed difference
     assert peaks[1] <= peaks[0] + 8 * (1 << 14)
+
+
+def test_replications_and_checkpoints_are_checked_before_any_tile(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a tile started")
+
+    # a missing check reaches the stub instead of allocating for 2**32 replications
+    monkeypatch.setattr(engine, "_Draws", no_draws)
+    spec = _ou_spec(n_steps=10)
+    with pytest.raises(ValueError, match=r"replication indices must lie in \[0, 2\*\*32\)"):
+        run_ensemble(spec, 1, 2**32 + 1)
+    for ck in ([-1], [11], [0, 5, 11]):
+        with pytest.raises(ValueError, match="checkpoints"):
+            run_ensemble(spec, 1, 4, ck)
+
+
+@pytest.mark.parametrize("make_spec", [_shrinking_bias_spec, _uniform_vertex_spec])
+def test_draw_memory_does_not_grow_with_the_replications(monkeypatch, make_spec):
+    import tracemalloc
+
+    tile, ck = 32, [0, 5, 10]
+    monkeypatch.setattr(engine, "_TILE_REPS", tile)
+    spec = make_spec(10)
+    d = spec.drift.dim
+    peaks = []
+    for n_reps in (4 * tile, 16 * tile):
+        run_ensemble(spec, 3, n_reps, ck)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            run_ensemble(spec, 3, n_reps, ck)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the (R, d) finals, the (R,) fail steps and the (R, k, d) checkpoint
+    # states, and 8 KiB for the small view headers numpy's allocator holds
+    # on to while a run goes on (a few dozen bytes per tile); one tile's
+    # generators alone take over 26 KiB
+    more = 12 * tile
+    assert peaks[1] <= peaks[0] + 8 * more * (d + 1 + len(ck) * d) + 8192
 
 
 def test_sample_terms_build_no_selector_streams(monkeypatch):
@@ -875,23 +941,27 @@ def test_uniform_vertex_selects_with_selector_stream():
             assert np.array_equal(ens.paths[rep, n + 1], x)
 
 
-@pytest.mark.parametrize("budget", [engine._DRAW_BUDGET, 5])
+@pytest.mark.parametrize("budget", [1 << 22, 5])
 def test_perturbation_reads_normals_then_uniforms(monkeypatch, budget):
-    # the least-norm point of the square is 0, so each step moves by the ball point alone
+    # the least-norm point of the square is 0, so each step moves by the ball
+    # point alone; a budget that holds the whole run and one of 5 doubles,
+    # and a chunk of 7 doubles skips the N*d = 80 normals in pieces
     monkeypatch.setattr(engine, "_DRAW_BUDGET", budget)
     spec = RunSpec(drift=Drift(dim=2, set_map=_square_map(), m_rule=lambda x, xi: 0.5),
                    schedule=StepSchedule.power_law(1.0, 0.5), x0=[0.2, -0.1], n_steps=40)
     seed = 4
-    ens = run_ensemble(spec, seed, 2, record_paths=True)
     a = spec.schedule.step_sizes(0, spec.n_steps)
-    for rep in range(2):
-        gen = _reference_generator(seed, rep, ROLE_PERTURB)
-        g, u = gen.standard_normal((spec.n_steps, 2)), gen.random(spec.n_steps)
-        x = spec.x0.copy()
-        for n in range(spec.n_steps):
-            point = (u[n] ** 0.5) * g[n] / float(np.linalg.norm(g[n]))
-            x = x + a[n] * (0.0 + 0.5 * point)
-            assert np.array_equal(ens.paths[rep, n + 1], x)
+    for chunk in (engine._NORMALS_CHUNK, 7):
+        monkeypatch.setattr(engine, "_NORMALS_CHUNK", chunk)
+        ens = run_ensemble(spec, seed, 2, record_paths=True)
+        for rep in range(2):
+            gen = _reference_generator(seed, rep, ROLE_PERTURB)
+            g, u = gen.standard_normal((spec.n_steps, 2)), gen.random(spec.n_steps)
+            x = spec.x0.copy()
+            for n in range(spec.n_steps):
+                point = (u[n] ** 0.5) * g[n] / float(np.linalg.norm(g[n]))
+                x = x + a[n] * (0.0 + 0.5 * point)
+                assert np.array_equal(ens.paths[rep, n + 1], x)
 
 
 # --- the row loop against its allocating reference ---------------------------------
@@ -965,11 +1035,14 @@ _REFERENCE_SPECS = {
 @pytest.mark.parametrize("name", sorted(_REFERENCE_SPECS))
 def test_row_loop_matches_the_allocating_reference(monkeypatch, name, n_reps):
     spec = _REFERENCE_SPECS[name](45)
-    # blocks of 7 steps, so that a block boundary falls inside the run
-    monkeypatch.setattr(engine, "_DRAW_BUDGET", 7 * n_reps * max(1, engine._Draws(
-        spec, 11, n_reps).width))
-    want = engine_reference.run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True)
-    _same_result(run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True), want)
+    width = max(1, engine._Draws(spec, 11, n_reps).width)
+    # the reference runs every replication as one tile
+    for tile in (engine._TILE_REPS, 2):
+        monkeypatch.setattr(engine, "_TILE_REPS", tile)
+        # blocks of 7 steps, so that a block boundary falls inside the run
+        monkeypatch.setattr(engine, "_DRAW_BUDGET", 7 * min(tile, n_reps) * width)
+        want = engine_reference.run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True)
+        _same_result(run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True), want)
 
 
 def test_signed_zeros_survive_only_where_every_role_is_negative_zero():
@@ -1026,6 +1099,7 @@ def test_every_step_of_a_draw_block_is_a_dense_row_array(bias, zetatilde):
     spec = replace(_pegasos_spec(30), noise_zetatilde=zetatilde, bias=bias)
     n_reps, k = 5, 9
     draws = engine._Draws(spec, 3, n_reps)
+    draws.tile(0, n_reps)
     blocks = draws.block(0, k)
     for (model, gens), blk in zip((e for e in draws._roles if e is not None),
                                   (b for b in blocks if b is not None)):
