@@ -1,6 +1,5 @@
 """Nonsmooth analysis: Clarke gradients, set-valued derivatives, reduced
-inclusions, generalized decay derivatives, and a grid-based stability
-certifier.
+inclusions, generalized decay derivatives and a grid stability certifier.
 
 Scalar functions are piecewise smooth on regions declared as per-coordinate
 intervals, with kinks on the interval ends, the thresholds ``x_i == t``.  A
@@ -8,7 +7,9 @@ Clarke gradient, the hull of the limits of nearby gradients, is the
 Krasovskii hull of the gradient field; the reduction/derivative machinery
 works on vertex descriptions and small linear programs, which is exact for
 the polytopal values this package produces (null spaces of dimension <= 1
-in particular).
+in particular).  The certifier decides on rows the grid points off the
+kinks, and the near-kink points whose reduction a slab test per group of
+points sharing their adjacent cells finds empty; the others go one by one.
 """
 
 from __future__ import annotations
@@ -180,16 +181,49 @@ def _constancy_rows(u_list: Sequence[PiecewiseSmoothScalar], x: np.ndarray) -> n
     return np.asarray(rows)
 
 
-def _outside_slab(dv: np.ndarray, bound: float) -> bool:
-    """True when some row of ``dv`` (a constancy row's values at the
-    vertices) misses the slab [-bound, bound] by more than the guard.  Over
-    the vertex hull that row takes exactly the values between its smallest
-    and largest entry, so no point of the hull satisfies it."""
-    if dv.size == 0:
-        return False
-    guard = _EMPTY_GUARD * (1.0 + float(np.max(np.abs(dv))))
-    return bool(np.any(dv.min(axis=1) > bound + guard)
-                or np.any(dv.max(axis=1) < -bound - guard))
+def _outside_slab(dv: np.ndarray, bound):
+    """True where some row of ``dv`` (a constancy row's values at the
+    vertices; leading axes, matched by ``bound``, hold one test each) misses
+    the slab [-bound, bound] by more than the guard: over the vertex hull
+    that row takes exactly the values between its least and largest entry."""
+    bound = (bound + _EMPTY_GUARD * (1.0 + np.abs(dv).max(axis=(-2, -1), initial=0.0)))[..., None]
+    return np.any((dv.min(axis=-1) > bound) | (dv.max(axis=-1) < -bound), axis=-1)
+
+
+def _empty_on_rows(u_list, fmap: SetValuedMap, pts: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``pts`` whose u-reduction is surely empty, by one
+    slab test per group of rows in the same pieces of every u, its bound
+    raised by a slack far above the rounding of supports to vertex values."""
+    (n, d), fields = pts.shape, []
+    for field in (u.gradient_field for u in u_list):
+        # a piece is even in a gap and odd on a threshold, the first one within
+        # tolerance as on_thresholds finds it, which the row is snapped onto
+        snapped, piece = pts.copy(), np.zeros(pts.shape, dtype=int)
+        for i, band in enumerate(field.lookup.bands):
+            for j, (t, tol) in reversed(list(enumerate(band))):
+                piece[:, i] += 2 * (pts[:, i] > t)
+                hit = np.abs(pts[:, i] - t) <= tol
+                snapped[hit, i], piece[hit, i] = t, 2 * j + 1
+        fields.append((field, snapped, piece))
+    keys = np.hstack([np.zeros((n, 1), dtype=int)] + [piece for _, _, piece in fields])
+    group, empty = np.unique(keys, axis=0, return_inverse=True)[1].ravel(), np.zeros(n, bool)
+    for idx in (np.flatnonzero(group == c) for c in range(group.max(initial=-1) + 1)):
+        q = [np.broadcast_to(np.eye(d), (idx.size, d, d))]
+        for field, snapped, piece in fields:  # off u's kinks, one cell and no row
+            cells = field.lookup.around(snapped[idx[0]], np.flatnonzero(piece[idx[0]] % 2))
+            g = np.array([[_as_vector(field.pieces[k].formula(x), "field value") for k in cells]
+                          for x in snapped[idx]])
+            q.append(g[:, 1:] - g[:, :1])
+        q = np.concatenate(q, axis=1)
+        r = q[:, d:]  # the constancy rows, after the e_i
+        r[~(np.abs(r).max(axis=2) > _CONSTANCY_TOL)] = 0.0
+        # h(-q) and h(q), h F(x)'s support: the e_i give max|vertex|, a row its range
+        ends = fmap.support_rows(np.stack([-q, q], axis=2).reshape(-1, d),
+                                 pts[idx].repeat(2 * q.shape[1], 0)).reshape(idx.size, -1, 2)
+        scale = 1.0 + np.abs(ends[:, :d]).max(axis=(1, 2))
+        slack = 1e-9 * (1.0 + np.abs(r).sum(axis=2).max(axis=1, initial=0.0)) * scale
+        empty[idx] = _outside_slab(ends[:, d:] * [-1.0, 1.0], _CONSTANCY_TOL * scale + slack)
+    return empty
 
 
 def _reduced_polytope(value: ConvexSet, rows: np.ndarray,
@@ -390,15 +424,19 @@ class StabilityCertificate:
         self.artifact().write(path)
 
 
-def _grid_points(lo, hi, resolution):
+def _grid_points(lo, hi, resolution, dim=None):
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if np.isscalar(resolution) or isinstance(resolution, int):
-        resolution = [int(resolution)] * lo.shape[0]
-    axes = [np.linspace(lo[i], hi[i], int(resolution[i])) for i in range(lo.shape[0])]
+    res = [resolution] * lo.shape[0] if np.ndim(resolution) == 0 else list(resolution)
+    for arg, shape in (("grid_lo", lo.shape), ("grid_hi", hi.shape), ("resolution", (len(res),))):
+        if shape != (dim or lo.shape[0],):
+            raise ValueError(f"{arg} must give one value per coordinate: got shape {shape}")
+    if not all(isinstance(r, (int, np.integer)) and r >= 0 for r in res):
+        raise ValueError(f"resolution must be whole numbers >= 0: got {resolution!r}")
+    axes = [np.linspace(a, b, r) for a, b, r in zip(lo, hi, res)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return pts, tuple(int(r) for r in resolution)
+    return pts, tuple(int(r) for r in res)
 
 
 def _near_kinks(pts: np.ndarray, scalars: Sequence[PiecewiseSmoothScalar]) -> np.ndarray:
@@ -433,20 +471,25 @@ def certify_stability(v: PiecewiseSmoothScalar,
                       bound: PiecewiseSmoothScalar,
                       name: str = "") -> StabilityCertificate:
     """Evaluate the generalized decay inequality at every grid point outside
-    the excluded ball around the origin.  Failures are recorded, not raised.
+    the excluded ball around the origin.  Failures are recorded, not raised;
+    a malformed grid, or one with no such point, raises ValueError.
 
     Points off every kink of ``v`` and of the ``u_list`` have singleton
     Clarke gradients and no constancy rows, so their derivative is the
     support of F(x) along grad v(x): one ``fmap.support_rows`` call takes
-    all of them.  Only points near a kink go through
-    ``u_generalized_derivative``, one at a time.  A ``v`` written on rows
-    gives every gradient, and a ``bound`` written on rows every decay
-    threshold, in one call.  The certificate keeps the results as columns.
+    all of them.  Near a kink, points ``_empty_on_rows`` finds empty get -inf
+    and the rest go through ``u_generalized_derivative`` one at a time.  A
+    ``v`` and a ``bound`` written on rows give every gradient and every decay
+    threshold in one call.  The certificate keeps the results as columns.
     """
-    pts, res = _grid_points(grid_lo, grid_hi, resolution)
+    if not float(exclude_radius) >= 0.0:
+        raise ValueError(f"exclude_radius must be a number >= 0: got {exclude_radius!r}")
+    pts, res = _grid_points(grid_lo, grid_hi, resolution, v.dim)
     pts.setflags(write=False)
     near = _near_kinks(pts, [v, *u_list])
     kept = np.flatnonzero(_outside_ball(pts, exclude_radius))
+    if not kept.size:
+        raise ValueError(f"no grid point lies outside exclude_radius {exclude_radius!r}")
     rows, near = pts[kept], near[kept]
     if bound.rows is not None:
         thresholds = -bound.rows[0](rows)
@@ -459,7 +502,9 @@ def certify_stability(v: PiecewiseSmoothScalar,
         grads = np.array([v.gradient(x) for x in off], dtype=float).reshape(off.shape)
     derivs = np.empty(rows.shape[0])
     derivs[~near] = fmap.support_rows(grads, off)
-    for j in np.flatnonzero(near).tolist():
+    near = np.flatnonzero(near)
+    derivs[near] = -math.inf
+    for j in near[~_empty_on_rows(u_list, fmap, rows[near])].tolist():
         derivs[j] = u_generalized_derivative(v, u_list, fmap, rows[j])
     passes = (derivs == -math.inf) | (derivs <= thresholds + _PASS_TOL)
     return StabilityCertificate(

@@ -44,9 +44,9 @@ _NONCONV_DI = {
     "chain": {"probes": [[0.5, 0.5], [1.5, -1.5]], "eps": 0.3, "t_min": 0.5, "budget": 6},
 }
 
-# the kink paths: rootfind's certificate sends 480 grid points through the
-# Clarke gradient, and the noiseless sign filter crosses t* = 0.5 near t = 1.5
-# and then slides on it
+# the kink paths: rootfind's certificate decides its 480 near-kink grid points
+# by the slab test on rows, and the noiseless sign filter crosses t* = 0.5 near
+# t = 1.5 and then slides on it
 _ROOTFIND = {
     "name": "golden_rootfind",
     "preset": "rootfind",

@@ -3,7 +3,8 @@
 The float form, the column form and the per-point ``Box`` rules the bounds
 replaced agree bit for bit; ``support_rows`` of every box map and of the
 pegasos maps equals the support of the per-point values; the certifier's
-array pass equals the per-point support path; the plain-float integrator
+array pass equals the per-point support path, and its near-kink row path
+the per-point reduced derivative; the plain-float integrator
 equals the per-point loop it replaced, which is kept here as the
 reference."""
 
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import sadi.nonsmooth
 from sadi.engine import SimulationBlowup
 from sadi.inclusions import epsilon_chain_diagnostic, integrate
 from sadi.nonsmooth import (
@@ -45,6 +47,7 @@ from sadi.sets import (
     on_thresholds,
     select,
 )
+from conftest import neg_sign_map, relu_scalar, squared_norm
 from predicate_tables import nonconv_region
 
 
@@ -370,6 +373,74 @@ def test_certifier_array_pass_equals_per_point_path(name, seed):
     args = (b.v, b.u_list, b.shifted_map, lo, hi, res, float(rng.choice([0.0, 0.01, 0.5])),
             b.bound)
     assert certify_stability(*args).to_text() == _per_point_certificate(*args).to_text()
+
+
+# --- near-kink points decided on rows -------------------------------------------
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
+def _near_kink_paths(v, u_list, fmap, lo, hi, res, radius, bound):
+    """Check the certifier at its near-kink points against the per-point
+    oracle: each derivative equals ``u_generalized_derivative``'s bit for
+    bit, and each point the row path found empty is one the per-point
+    pre-check finds empty with no LP.  Returns how many points the row path
+    decided and how many it left to the per-point path."""
+    cert = certify_stability(v, u_list, fmap, lo, hi, res, radius, bound)
+    near = _near_kinks(cert.points, [v, *u_list])
+    pts, derivs = cert.points[near], cert.derivatives[near]
+    for x, d in zip(pts, derivs.tolist()):
+        assert _bits(d) == _bits(u_generalized_derivative(v, u_list, fmap, x)), x.tolist()
+    on_rows = sadi.nonsmooth._empty_on_rows(u_list, fmap, pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sadi.nonsmooth, "linprog", _no_lp)
+        for x in pts[on_rows]:
+            assert u_generalized_derivative(v, u_list, fmap, x) == -math.inf, x.tolist()
+    return int(on_rows.sum()), int((~on_rows).sum())
+
+
+@pytest.mark.parametrize("name", sorted(_bundles()))
+def test_near_kink_rows_equal_the_per_point_derivative(name):
+    b = _bundles()[name]
+    decided, left = _near_kink_paths(b.v, b.u_list, b.shifted_map, b.grid_lo, b.grid_hi,
+                                     b.resolution, b.exclude_radius, b.bound)
+    # only rootfind's reduction function has kinks; its 480 near-kink points,
+    # the four corners (+-1, +-1) included, are all decided on rows
+    assert (decided, left) == ((480, 0) if name.startswith("rootfind") else (0, 0))
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(100 + seed)
+        d = len(b.grid_lo)
+        lo, hi = -rng.integers(1, 7, size=d) / 2.0, rng.integers(1, 7, size=d) / 2.0
+        res = [int(r) for r in 2 * rng.integers(2, {1: 200, 2: 30, 3: 8}[d], size=d) + 1]
+        _near_kink_paths(b.v, b.u_list, b.shifted_map, lo, hi, res, 0.01, b.bound)
+
+
+def test_a_reduction_that_is_not_empty_goes_to_the_per_point_path():
+    # at |x| <= 1e-9 relu's Clarke gradient is [0, 1] and the reduction of
+    # [-1, 1] is {0}; the points between 1e-9 and 2e-9 are near but on no kink
+    decided, left = _near_kink_paths(squared_norm(1), [relu_scalar()], neg_sign_map(),
+                                     [-2e-9], [2e-9], 9, 0.0, squared_norm(1))
+    assert (decided, left) == (0, 8)
+
+
+def test_the_slab_edge_is_left_to_the_per_point_path():
+    # F(x) = {(a, 0)} + [0, w] x {0}, a moving along x_1 across the edge of
+    # the guard band of the constancy row (s, 0): there the row's supports
+    # s*a + s*w and the vertex values s*(a + w) round apart, so ulp steps at
+    # the edge go to the per-point path, and steps across the slack split
+    s, w, a = 5.481887415507686, 2.811710028984528, -2.811739971268807
+    u = PiecewiseSmoothScalar(2, [
+        SmoothPiece(((1.0, math.inf, "()"), None), lambda x: 0.0, lambda x: np.array([s, 0.0])),
+        SmoothPiece(None, lambda x: 0.0, lambda x: np.array([0.0, 0.0]))])
+    paths = []
+    for step in (4e-16, 1e-9):
+        fmap = SetValuedMap(2, lambda x, step=step: minkowski_sum(
+            Singleton([a + step * x[1], 0.0]), Box([0.0, 0.0], [w, 0.0])), common_bound=9.0)
+        paths.append(_near_kink_paths(_point_squared_norm(), [u], fmap, [1.0, -60.0],
+                                      [1.0, 60.0], [1, 121], 0.0, _point_squared_norm()))
+    assert paths[0] == (0, 121) and all(paths[1])
 
 
 # --- the plain-float integrator ------------------------------------------------

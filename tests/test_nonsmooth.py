@@ -522,6 +522,55 @@ def test_on_kink_reductions_solve_no_lp(monkeypatch):
     assert sum(r.derivative == -math.inf for r in cert.records) == 480
 
 
+def test_rootfind_near_kink_points_are_decided_on_rows(monkeypatch):
+    import sadi.nonsmooth
+
+    calls = []
+    per_point = sadi.nonsmooth.u_generalized_derivative
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return per_point(*args, **kwargs)
+
+    monkeypatch.setattr(sadi.nonsmooth, "u_generalized_derivative", counted)
+    cert = rootfind_preset().stability.certify()
+    # the 480 near-kink points went one at a time through the per-point
+    # derivative; the slab test on rows decides all of them, the four
+    # corners (+-1, +-1) included
+    assert calls == []
+    assert np.count_nonzero(cert.derivatives == -math.inf) == 480
+
+
+_GRID = dict(grid_lo=[-1.0, -1.0], grid_hi=[1.0, 1.0], resolution=5, exclude_radius=0.01)
+
+
+_BAD_GRIDS = {
+    # name: (the change to a good grid, the argument the error names)
+    "resolution_0": (dict(resolution=0), "exclude_radius"),
+    "radius_covers_the_grid": (dict(exclude_radius=1.5), "exclude_radius"),
+    "radius_inf": (dict(exclude_radius=math.inf), "exclude_radius"),
+    "resolution_2.7": (dict(resolution=2.7), "resolution"),
+    "resolution_negative": (dict(resolution=-1), "resolution"),
+    "resolution_3_entries": (dict(resolution=[5, 5, 5]), "resolution"),
+    "grid_lo_1_entry": (dict(grid_lo=[-1.0]), "grid_lo"),
+    "grid_lo_scalar": (dict(grid_lo=-1.0), "grid_lo"),
+    "grid_hi_3_entries": (dict(grid_hi=[1.0, 1.0, 1.0]), "grid_hi"),
+    "radius_nan": (dict(exclude_radius=math.nan), "exclude_radius"),
+    "radius_negative": (dict(exclude_radius=-0.5), "exclude_radius"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_GRIDS))
+def test_certify_refuses_a_malformed_or_empty_grid(name):
+    change, arg = _BAD_GRIDS[name]
+    b = rootfind_preset().stability
+    grid = {**_GRID, **change}
+    with pytest.raises(ValueError, match=arg):
+        certify_stability(b.v, b.u_list, b.shifted_map, grid["grid_lo"], grid["grid_hi"],
+                          grid["resolution"], grid["exclude_radius"], b.bound)
+    certify_stability(b.v, b.u_list, b.shifted_map, *_GRID.values(), b.bound)
+
+
 def _slab_lp_infeasible(dv, bound):
     """The feasibility LP of _reduced_polytope on the same rows."""
     from sadi.nonsmooth import linprog
