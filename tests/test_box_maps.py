@@ -417,12 +417,21 @@ def test_near_kink_rows_equal_the_per_point_derivative(name):
         _near_kink_paths(b.v, b.u_list, b.shifted_map, lo, hi, res, 0.01, b.bound)
 
 
-def test_a_reduction_that_is_not_empty_goes_to_the_per_point_path():
-    # at |x| <= 1e-9 relu's Clarke gradient is [0, 1] and the reduction of
-    # [-1, 1] is {0}; the points between 1e-9 and 2e-9 are near but on no kink
-    decided, left = _near_kink_paths(squared_norm(1), [relu_scalar()], neg_sign_map(),
-                                     [-2e-9], [2e-9], 9, 0.0, squared_norm(1))
-    assert (decided, left) == (0, 8)
+@pytest.mark.parametrize("value, want", [
+    # the reduction of [-1, 1] is {0}: not empty, so every point is left
+    ("neg_sign", (0, 8)),
+    # [0.5, 1] misses the slab of the row 1 - 0, so the points on the kink
+    # are decided in one dimension too: -1e-9 and +-5e-10 (linspace puts
+    # the grid point near +1e-9 just past the tolerance)
+    ("box", (3, 5)),
+])
+def test_a_reduction_that_is_not_empty_goes_to_the_per_point_path(value, want):
+    # at |x| <= 1e-9 relu's Clarke gradient is [0, 1]; the points between
+    # 1e-9 and 2e-9 are near but on no kink, so they have no constancy row
+    fmap = neg_sign_map() if value == "neg_sign" else SetValuedMap(
+        1, lambda x: Box([0.5], [1.0]), common_bound=1.0)
+    assert _near_kink_paths(squared_norm(1), [relu_scalar()], fmap, [-2e-9], [2e-9], 9, 0.0,
+                            squared_norm(1)) == want
 
 
 def test_the_slab_edge_is_left_to_the_per_point_path():
