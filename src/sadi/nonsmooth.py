@@ -5,9 +5,9 @@ Scalar functions are piecewise smooth on regions declared as per-coordinate
 intervals, with kinks on the interval ends, the thresholds ``x_i == t``.  A
 Clarke gradient, the hull of the limits of nearby gradients, is the
 Krasovskii hull of the gradient field; the reduction/derivative machinery
-works on vertex descriptions and small linear programs, which is exact for
-the polytopal values this package produces (null spaces of dimension <= 1
-in particular).  The certifier decides on rows the grid points off the
+works on vertex descriptions, and reduces a polytopal value exactly at any
+null-space dimension by solving for the vertices of its feasible weights
+with numpy.  The certifier decides on rows the grid points off the
 kinks, and the near-kink points whose reduction a slab test per group of
 points sharing their adjacent cells finds empty; the others go one by one.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,11 +32,11 @@ from .sets import (
     _check_dims,
     canonical_vertices,
     krasovskii,
-    least_norm_point,
+    least_norm_point,  # unused here; perfbench/spans.py traces it in this module
     on_thresholds,
     support,
 )
-from .sets import _canonical, _hull_of_points, _sphere_directions
+from .sets import _canonical, _hull_of_points
 
 __all__ = [
     "SmoothPiece",
@@ -51,19 +52,22 @@ __all__ = [
 
 _CONSTANCY_TOL = 1e-9
 # a constancy row that misses its slab by more than this, times one plus the
-# largest |row value| at a vertex, makes the reduction empty without an LP;
-# it is far above HiGHS's primal feasibility tolerance of 1e-7
+# largest |row value| at a vertex, makes the reduction empty without solving
+# for its vertices; it is far above the rounding of those row values and of
+# the vertex systems' feasibility allowance, so the pre-check never empties a
+# reduction that has a feasible point
 _EMPTY_GUARD = 1e-5
+# the most vertex systems one u-reduction solves before it refuses
+_MAX_SYSTEMS = 100_000
 # a grid point passes when its derivative is at most the threshold plus this
 _PASS_TOL = 1e-9
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call so that
-    importing sadi does not load scipy."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
+    """Retired: no path solves a linear program, as the u-reduction is exact.
+    The name stays while perfbench/spans.py traces it, because a traced pass
+    fails every job on a name it cannot find."""
+    raise NotImplementedError("sadi solves no linear program")
 
 
 @dataclass(frozen=True)
@@ -141,29 +145,22 @@ def _gradient_vertices(u: PiecewiseSmoothScalar, x: np.ndarray) -> np.ndarray:
 
 def set_valued_derivative(v: PiecewiseSmoothScalar, fmap: SetValuedMap, x) -> Optional[Interval]:
     """Values a such that some q in F(x) has <p, q> = a for every Clarke
-    gradient element p of v; returned as an interval hull, or None if no
-    candidate q qualifies.
+    gradient element p of v: an interval, the range of <p, q> over the
+    reduction of F(x) by v's gradient differences, or None if it is empty.
+    Where that gradient has more than one element, a value with a ball part
+    raises ValueError.
     """
     if not v.regular:
         raise ValueError("set-valued derivative requires a regular function")
     x = _as_vector(x, "point")
     value = fmap.value(x)
     p_verts = _gradient_vertices(v, x)
-    if p_verts.shape[0] == 1:
-        p = p_verts[0]
-        return Interval(-support(value, -p), support(value, p))
     base = p_verts[0]
-    diffs = p_verts[1:] - base
-    scale = 1.0 + float(np.max(np.abs(p_verts)))
-    candidates = [row for row in canonical_vertices(value)]
-    candidates.append(least_norm_point(value))
-    found = []
-    for q in candidates:
-        if float(np.max(np.abs(diffs @ q))) <= _CONSTANCY_TOL * scale * (1.0 + float(np.max(np.abs(q)))):
-            found.append(float(base @ q))
-    if not found:
-        return None
-    return Interval(min(found), max(found))
+    if p_verts.shape[0] > 1:
+        value = _reduced_polytope(value, p_verts[1:] - base)
+        if value is None:
+            return None
+    return Interval(-support(value, -base), support(value, base))
 
 
 def _constancy_rows(u_list: Sequence[PiecewiseSmoothScalar], x: np.ndarray) -> np.ndarray:
@@ -226,71 +223,68 @@ def _empty_on_rows(u_list, fmap: SetValuedMap, pts: np.ndarray) -> np.ndarray:
     return empty
 
 
-def _reduced_polytope(value: ConvexSet, rows: np.ndarray,
-                      tol: float = _CONSTANCY_TOL) -> Optional[ConvexSet]:
-    """Intersect ``value`` with the null space of ``rows`` (constancy
-    constraints), via LPs over the vertex hull.  Exact when the null space
-    has dimension <= 1; otherwise the hull of LP-optimal points is an inner
-    approximation whose support matches along the probed directions.
+def _slab_vertices(verts: np.ndarray, dv: np.ndarray, bound: float, rank: int) -> np.ndarray:
+    """The points ``lam @ verts`` at the vertices lam of the weights {lam >= 0,
+    sum lam = 1, |dv lam| <= bound}, ``dv`` the rows' values at ``verts``.
+
+    For bound > 0 no slab has both sides active, so a vertex has at most
+    rank + 1 nonzero weights, and its other active constraints are slab
+    sides: each support of s vertices, s - 1 rows and signs is one s x s
+    system.  A solution is kept when it is feasible to an absolute
+    allowance, far below the slab (the rounding of a solve).
     """
-    d = rows.shape[1]
+    (k, m), allow = dv.shape, 1e-12 * (1.0 + float(np.abs(dv).max()))
+    sizes = range(1, min(rank + 1, m) + 1)
+    if sum(math.comb(m, s) * math.comb(k, s - 1) * 2 ** (s - 1) for s in sizes) > _MAX_SYSTEMS:
+        raise ValueError(f"u-reduction of {m} vertices under {k} rows needs more than "
+                         f"{_MAX_SYSTEMS} vertex systems")
+    points = []
+    for s in sizes:
+        # one right-hand side per sign choice: sum lam = 1, each row at +-bound
+        rhs = np.array([(1.0, *signs) for signs in product((-bound, bound), repeat=s - 1)]).T
+        for cols in map(list, combinations(range(m), s)):
+            for act in map(list, combinations(range(k), s - 1)):
+                try:
+                    lam = np.linalg.solve(np.vstack([np.ones(s), dv[act][:, cols]]), rhs)
+                except np.linalg.LinAlgError:
+                    continue
+                ok = ((lam.min(axis=0) >= -allow)
+                      & (np.abs(dv[:, cols] @ lam).max(axis=0) <= bound + allow))
+                points.extend(lam[:, ok].T @ verts[cols])
+    return np.asarray(points).reshape(-1, verts.shape[1])
+
+
+def _reduced_polytope(value: ConvexSet, rows: np.ndarray) -> Optional[ConvexSet]:
+    """Intersect ``value`` with the slab |rows q| <= tolerance around the null
+    space of ``rows`` (constancy constraints): the hull of the images of the
+    vertices of the feasible weights over the vertex hull, which is exact at
+    any null-space dimension; a null space of {0} gives the singleton 0.
+    None when the reduction is empty.  A value with a ball part raises
+    ValueError.
+    """
     verts, radius = _canonical(value)
-    if radius > tol:
-        # polytopize the ball part with boundary points (inner approximation)
-        dirs = _sphere_directions(d, _ball_facets_for(d))
-        verts = (verts[:, None, :] + radius * dirs[None, :, :]).reshape(-1, d)
-    m = verts.shape[0]
+    if radius > 0.0:
+        raise ValueError("u-reduction of a value with a ball part is not supported")
     scale = 1.0 + float(np.max(np.abs(verts)))
     dv = rows @ verts.T  # (k, m)
-    if _outside_slab(dv, tol * scale):
+    if _outside_slab(dv, _CONSTANCY_TOL * scale):
         return None
-    a_eq = np.ones((1, m))
-    b_eq = np.array([1.0])
-    a_ub = np.vstack([dv, -dv])
-    b_ub = np.full(2 * rows.shape[0], tol * scale)
-    bounds = [(0.0, None)] * m
-
-    feas = linprog(np.zeros(m), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                   bounds=bounds, method="highs")
-    if not feas.success:
+    sv = np.linalg.svd(rows, compute_uv=False)
+    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
+    points = _slab_vertices(verts, dv, _CONSTANCY_TOL * scale, rank)
+    if not points.size:
         return None
-
-    # basis of the constraint null space
-    _, sv, vt = np.linalg.svd(rows)
-    rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)))
-    null = vt[rank:].T  # (d, k')
-    if null.shape[1] == 0:
-        return Singleton(np.zeros(d))
-
-    dirs = []
-    for j in range(null.shape[1]):
-        dirs.append(null[:, j])
-        dirs.append(-null[:, j])
-    if null.shape[1] >= 2:
-        mix = _sphere_directions(null.shape[1], 16)
-        for w in mix:
-            dirs.append(null @ w)
-
-    points = []
-    for direction in dirs:
-        c = -(verts @ direction)
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-        if res.success:
-            points.append(verts.T @ res.x)
-    if not points:
-        return None
-    return _hull_of_points(np.asarray(points), tol=1e-10 * scale)
-
-
-def _ball_facets_for(d: int) -> int:
-    return 32 if d <= 2 else 64
+    if rank == rows.shape[1]:
+        return Singleton(np.zeros(rows.shape[1]))
+    return _hull_of_points(points, tol=1e-10 * scale)
 
 
 def u_reduced(fmap: SetValuedMap, u_list: Sequence[PiecewiseSmoothScalar], x) -> Optional[ConvexSet]:
     """Subset of F(x) whose inner product is constant over each Clarke
     gradient in the collection; None when the reduction is empty.  An empty
-    collection leaves F(x) unchanged.
+    collection leaves F(x) unchanged.  A value with a ball part raises
+    ValueError where some Clarke gradient in the collection has more than
+    one element.
     """
     x = _as_vector(x, "point")
     value = fmap.value(x)

@@ -7,7 +7,7 @@ distribution comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,15 +15,15 @@ import numpy as np
 from .artifacts import Artifact
 from .engine import SimulationBlowup, StepSchedule, as_matrix, psd_root, step_count
 from .sets import (
-    Ball,
     LeastNorm,
+    Polytope,
     SetValuedMap,
-    _sphere_directions,
+    _canonical,
+    _nearest,
     hausdorff,
     minkowski_sum,
     scale,
     select,
-    support,
 )
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
 # the homogeneity check compares t_map(k x) with k t_map(x) at these k, to this distance
 _HOMOGENEITY_SCALES = (0.5, 2.0, 3.0)
 _HOMOGENEITY_TOL = 1e-6
-# directions the outer derivative check compares supports along
-_OUTER_DIRS = 32
 # standard normals the SDI simulator draws at a time, in doubles
 _SDI_BLOCK = 1 << 20
 # spawn key of the SDI selections' generator; compare_to_sdi's picks use (7,)
@@ -259,46 +257,52 @@ class OuterDerivativeReport:
     x_star: tuple
     delta: float
     n_probes: int
-    failures: list  # (probe, direction, violation)
+    failures: list  # (probe, its value's vertex farthest out, the distance beyond the envelope)
     worst_violation: float
+    undecided: list = field(default_factory=list)  # probes whose value has the larger ball part
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.undecided
 
     def __str__(self):
-        tag = "holds" if self.passed else f"fails at {len(self.failures)} probes"
-        return (f"outer derivative check at {list(self.x_star)} (delta={self.delta}): {tag}; "
-                f"worst violation {self.worst_violation:.3g}")
+        tag = ", ".join(f"{word} at {len(probes)} probes" for word, probes in
+                        (("fails", self.failures), ("undecided", self.undecided)) if probes)
+        return (f"outer derivative check at {list(self.x_star)} (delta={self.delta}): "
+                f"{tag or 'holds'}; worst violation {self.worst_violation:.3g}")
 
 
 def outer_t_check(gmap: SetValuedMap, x_star, t_map: SetValuedMap, delta: float,
                   probes: Sequence, tol: float = 1e-9) -> OuterDerivativeReport:
-    """Verify the one-sided expansion: each probe value must be contained in
-    value(x*) + t_map(probe - x*) + delta*|probe - x*|*ball, via support
-    dominance over sampled directions.  Failures are data, not errors.
+    """Verify the one-sided expansion: each probe value P + rho*ball must be
+    contained in the envelope value(x*) + t_map(probe - x*) +
+    delta*|probe - x*|*ball, in canonical form E + r*ball.  For rho <= r that
+    holds exactly when every vertex of P is within r - rho of E, a distance
+    to the nearest point of E; a value with rho > r is undecided, never
+    passed.  Failures are data, not errors.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     base = gmap.value(x_star)
-    dirs = _sphere_directions(x_star.shape[0], _OUTER_DIRS)
-    failures = []
-    worst = 0.0
-    for probe in probes:
-        x = np.atleast_1d(np.asarray(probe, dtype=float))
+    probes = [np.atleast_1d(np.asarray(probe, dtype=float)) for probe in probes]
+    failures, undecided, worst = [], [], 0.0
+    for x in probes:
         offset = x - x_star
-        radius = delta * float(np.linalg.norm(offset))
-        envelope = minkowski_sum(minkowski_sum(base, t_map.value(offset)),
-                                 Ball(np.zeros_like(x), radius))
-        val = gmap.value(x)
-        for p in dirs:
-            gap = support(val, p) - support(envelope, p)
-            if gap > tol:
-                failures.append((tuple(x.tolist()), tuple(p.tolist()), float(gap)))
-                worst = max(worst, float(gap))
-    return OuterDerivativeReport(tuple(x_star.tolist()), float(delta), len(list(probes)),
-                                 failures, worst)
+        hull, r = _canonical(minkowski_sum(base, t_map.value(offset)))
+        r += delta * float(np.linalg.norm(offset))
+        verts, rho = _canonical(gmap.value(x))
+        if rho > r:
+            undecided.append(tuple(x.tolist()))
+            continue
+        envelope = Polytope(hull)
+        excess = [float(np.linalg.norm(_nearest(envelope, v) - v)) - (r - rho) for v in verts]
+        j = int(np.argmax(excess))
+        if excess[j] > tol:
+            failures.append((tuple(x.tolist()), tuple(verts[j].tolist()), excess[j]))
+            worst = max(worst, excess[j])
+    return OuterDerivativeReport(tuple(x_star.tolist()), float(delta), len(probes),
+                                 failures, worst, undecided)
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -378,16 +378,16 @@ def test_certifier_array_pass_equals_per_point_path(name, seed):
 # --- near-kink points decided on rows -------------------------------------------
 
 
-def _no_lp(*args, **kwargs):
-    raise AssertionError("an LP was solved")
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a reduction's vertex systems were solved")
 
 
 def _near_kink_paths(v, u_list, fmap, lo, hi, res, radius, bound):
     """Check the certifier at its near-kink points against the per-point
     oracle: each derivative equals ``u_generalized_derivative``'s bit for
     bit, and each point the row path found empty is one the per-point
-    pre-check finds empty with no LP.  Returns how many points the row path
-    decided and how many it left to the per-point path."""
+    pre-check finds empty with no vertex system solved.  Returns how many
+    points the row path decided and how many it left to the per-point path."""
     cert = certify_stability(v, u_list, fmap, lo, hi, res, radius, bound)
     near = _near_kinks(cert.points, [v, *u_list])
     pts, derivs = cert.points[near], cert.derivatives[near]
@@ -395,7 +395,7 @@ def _near_kink_paths(v, u_list, fmap, lo, hi, res, radius, bound):
         assert _bits(d) == _bits(u_generalized_derivative(v, u_list, fmap, x)), x.tolist()
     on_rows = sadi.nonsmooth._empty_on_rows(u_list, fmap, pts)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sadi.nonsmooth, "linprog", _no_lp)
+        mp.setattr(sadi.nonsmooth, "_slab_vertices", _no_solve)
         for x in pts[on_rows]:
             assert u_generalized_derivative(v, u_list, fmap, x) == -math.inf, x.tolist()
     return int(on_rows.sum()), int((~on_rows).sum())

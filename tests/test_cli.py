@@ -34,14 +34,35 @@ def _small_config(tmp_path, **overrides):
     return path
 
 
+_NO_SCIPY = """
+import math, sys
+import numpy as np
+import sadi.cli, sadi.nonsmooth
+from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece, u_reduced
+from sadi.presets import rootfind_preset
+from sadi.sets import Box, SetValuedMap
+
+u = PiecewiseSmoothScalar(2, [
+    SmoothPiece((None, (0.0, math.inf, "()")), lambda x: x[0] + x[1],
+                lambda x: np.array([1.0, 1.0])),
+    SmoothPiece(None, lambda x: x[0], lambda x: np.array([1.0, 0.0])),
+])
+assert u_reduced(SetValuedMap(2, lambda x: Box([-1, -1], [1, 1]), common_bound=2.0),
+                 [u], [0.3, 0.0]) is not None
+# every near-kink point of rootfind through the u-reduction's vertex systems
+sadi.nonsmooth._outside_slab = lambda dv, bound: False
+cert = rootfind_preset().stability.certify()
+assert np.count_nonzero(cert.derivatives == -math.inf) == 480
+assert 'scipy' not in sys.modules
+"""
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is imported on the first LP solve, so a run pays nothing for it
+    # sadi never imports scipy: not on import, nor in a u-reduction
     src = str(Path(sadi.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    subprocess.run([sys.executable, "-c",
-                    "import sadi.cli, sys; assert 'scipy' not in sys.modules"],
-                   env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env, check=True, timeout=60)
 
 
 def test_run_verb(tmp_path, capsys):

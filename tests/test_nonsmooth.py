@@ -166,6 +166,25 @@ def test_svd_zero_gradient_collapses():
     assert out == Interval(0.0, 0.0)
 
 
+def test_svd_off_the_value_vertices():
+    # v = x1 + max(x0, 0): its Clarke gradient at (0, 0.5) is the hull of
+    # (0, 1) and (1, 1), so q0 = 0, which meets the box on a segment whose
+    # ends are no vertex of F(x), and <(0, 1), q> = q1 ranges over [1, 3]
+    from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece
+
+    v = PiecewiseSmoothScalar(2, [
+        SmoothPiece(((0.0, math.inf, "()"), None), lambda x: x[0] + x[1],
+                    lambda x: np.array([1.0, 1.0])),
+        SmoothPiece(None, lambda x: x[1], lambda x: np.array([0.0, 1.0])),
+    ], regular=True)
+    m = SetValuedMap(2, lambda x: Box([-1.0, 1.0], [1.0, 3.0]), common_bound=4.0)
+    out = set_valued_derivative(v, m, [0.0, 0.5])
+    assert out.lo == pytest.approx(1.0, abs=1e-9) and out.hi == pytest.approx(3.0, abs=1e-9)
+    # a box that misses q0 = 0 leaves no value
+    far = SetValuedMap(2, lambda x: Box([0.5, 1.0], [1.0, 3.0]), common_bound=4.0)
+    assert set_valued_derivative(v, far, [0.0, 0.5]) is None
+
+
 def test_svd_requires_regular():
     v = squared_norm(1)
     v.regular = False
@@ -222,6 +241,64 @@ def test_reduced_segment_exact_in_plane():
     red = u_reduced(m, [u], [0.3, 0.0])
     for p, want in (([1, 0], 1.0), ([-1, 0], 1.0), ([0, 1], 0.0), ([0, -1], 0.0)):
         assert support(red, p) == pytest.approx(want, abs=1e-7)
+
+
+def _lp_hull(value, rows):
+    """The reduction as a hull of HiGHS optima over the vertex weights, along
+    the null-space axes of ``rows`` and 16 directions mixing them: an inner
+    approximation where the null space has dimension 2 or more, and an
+    oracle outside sadi, skipped where scipy is missing."""
+    from sadi.nonsmooth import _CONSTANCY_TOL
+    from sadi.sets import _canonical, _hull_of_points, _sphere_directions
+
+    linprog = pytest.importorskip("scipy.optimize", exc_type=ImportError).linprog
+    verts = _canonical(value)[0]
+    m, scale = verts.shape[0], 1.0 + float(np.max(np.abs(verts)))
+    dv = rows @ verts.T
+    lp = dict(A_ub=np.vstack([dv, -dv]), b_ub=np.full(2 * rows.shape[0], _CONSTANCY_TOL * scale),
+              A_eq=np.ones((1, m)), b_eq=[1.0], bounds=[(0.0, None)] * m, method="highs")
+    null = np.linalg.svd(rows)[2][np.linalg.matrix_rank(rows):].T
+    dirs = [sign * axis for axis in null.T for sign in (1.0, -1.0)]
+    dirs += [null @ w for w in _sphere_directions(null.shape[1], 16)]
+    points = [verts.T @ res.x for res in (linprog(-(verts @ p), **lp) for p in dirs)]
+    return _hull_of_points(np.array(points), tol=1e-10 * scale)
+
+
+def test_reduction_in_3d_holds_the_points_the_lp_hull_missed():
+    """One row in 3-D leaves a null space of dimension 2: the reduction is the
+    polygon where the value meets the plane q2 = 0.  Its vertices lie in the
+    value and in the slab, and its support is never below the LP hull's and
+    in some direction above it by more than 0.1."""
+    from sadi.nonsmooth import _reduced_polytope
+    from sadi.sets import Polytope, _sphere_directions, contains
+
+    value = Polytope([[-1.75, -2.0, 1.25], [0.25, -1.0, 1.0], [-1.0, -0.25, -0.25],
+                      [1.75, 1.5, -1.0], [-1.0, -0.25, -2.0], [-0.75, 1.75, 1.25]])
+    rows = np.array([[0.0, 0.0, 1.0]])
+    exact, lp = _reduced_polytope(value, rows), _lp_hull(value, rows)
+    for q in exact.vertices:
+        assert contains(value, q)
+        # the slab is 1e-9 times one plus the largest |vertex coordinate|,
+        # to the solves' allowance
+        assert abs(q[2]) <= 1e-9 * 3.0 + 1e-12 * 3.0
+    gaps = np.array([support(exact, p) - support(lp, p) for p in _sphere_directions(3, 4000)])
+    assert gaps.min() >= -1e-12
+    assert gaps.max() > 0.1
+
+
+def test_reduction_refuses_a_ball_part_and_too_many_systems():
+    import itertools
+
+    from sadi.nonsmooth import _reduced_polytope
+    from sadi.sets import Ball, Polytope, minkowski_sum
+
+    with pytest.raises(ValueError, match="ball part"):
+        _reduced_polytope(minkowski_sum(Box([-1, -1], [1, 1]), Ball([0, 0], 0.5)),
+                          np.array([[0.0, 1.0]]))
+    # 27 vertices under 3 independent rows: C(27, 4) supports of 4, 8 signs each
+    lattice = Polytope(list(itertools.product([-1.0, 0.0, 1.0], repeat=3)))
+    with pytest.raises(ValueError, match="vertex systems"):
+        _reduced_polytope(lattice, np.eye(3))
 
 
 def test_reduction_monotone(rng):
@@ -498,26 +575,26 @@ def test_certifier_bytes_do_not_depend_on_the_precheck(monkeypatch):
                                  bundle.exclude_radius, bundle.bound, name="r").to_text()
 
     with_check = certificate()
-    lps = []
-    solve = sadi.nonsmooth.linprog
+    solves = []
+    solve = sadi.nonsmooth._slab_vertices
 
     def counted(*args, **kwargs):
-        lps.append(1)
+        solves.append(1)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(sadi.nonsmooth, "_outside_slab", lambda dv, bound: False)
-    monkeypatch.setattr(sadi.nonsmooth, "linprog", counted)
+    monkeypatch.setattr(sadi.nonsmooth, "_slab_vertices", counted)
     assert certificate() == with_check
-    assert lps  # the on-kink points went through HiGHS
+    assert solves  # the on-kink points went through the vertex systems
 
 
 def test_on_kink_reductions_solve_no_lp(monkeypatch):
     import sadi.nonsmooth
 
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a reduction's vertex systems were solved")
 
-    monkeypatch.setattr(sadi.nonsmooth, "linprog", no_lp)
+    monkeypatch.setattr(sadi.nonsmooth, "_slab_vertices", no_solve)
     cert = rootfind_preset().stability.certify()
     assert sum(r.derivative == -math.inf for r in cert.records) == 480
 
@@ -572,9 +649,9 @@ def test_certify_refuses_a_malformed_or_empty_grid(name):
 
 
 def _slab_lp_infeasible(dv, bound):
-    """The feasibility LP of _reduced_polytope on the same rows."""
-    from sadi.nonsmooth import linprog
-
+    """The feasibility LP of the slab weights on the same rows, by scipy's
+    HiGHS: an oracle outside sadi, skipped where scipy is missing."""
+    linprog = pytest.importorskip("scipy.optimize", exc_type=ImportError).linprog
     k, m = dv.shape
     res = linprog(np.zeros(m), A_ub=np.vstack([dv, -dv]), b_ub=np.full(2 * k, bound),
                   A_eq=np.ones((1, m)), b_eq=np.array([1.0]),
@@ -588,7 +665,7 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_emptiness_precheck_implies_an_infeasible_lp(data):
-    from sadi.nonsmooth import _EMPTY_GUARD, _outside_slab
+    from sadi.nonsmooth import _EMPTY_GUARD, _outside_slab, _slab_vertices
 
     k = data.draw(st.integers(1, 3), label="rows")
     m = data.draw(st.integers(1, 6), label="vertices")
@@ -610,10 +687,11 @@ def test_emptiness_precheck_implies_an_infeasible_lp(data):
 
     empty = _outside_slab(dv, bound)
     if empty:
+        assert not _slab_vertices(np.eye(m), dv, bound, k).size
         assert _slab_lp_infeasible(dv, bound)
     assert empty == (miss > guard)
     if miss <= guard:
-        # inside the guard band (or on the slab) the LP decides
+        # inside the guard band (or on the slab) the vertex systems decide
         assert not empty
 
 
@@ -622,8 +700,8 @@ def test_emptiness_precheck_implies_an_infeasible_lp(data):
                       min_size=1, max_size=6),
        row=st.lists(st.floats(-2.0, 2.0, **_finite), min_size=2, max_size=2))
 def test_reduction_precheck_matches_the_lp(verts, row):
-    """_reduced_polytope returns None by the pre-check only where the LP
-    path alone also returns None."""
+    """_reduced_polytope returns None by the pre-check only where the vertex
+    systems alone also return None, and otherwise the same set."""
     import sadi.nonsmooth
     from sadi.nonsmooth import _reduced_polytope
     from sadi.sets import Polytope
@@ -634,9 +712,9 @@ def test_reduction_precheck_matches_the_lp(verts, row):
     original = sadi.nonsmooth._outside_slab
     sadi.nonsmooth._outside_slab = lambda dv, bound: False
     try:
-        lp_only = _reduced_polytope(value, rows)
+        solved = _reduced_polytope(value, rows)
     finally:
         sadi.nonsmooth._outside_slab = original
-    assert (reduced is None) == (lp_only is None)
+    assert (reduced is None) == (solved is None)
     if reduced is not None:
-        assert repr(reduced) == repr(lp_only)
+        assert repr(reduced) == repr(solved)

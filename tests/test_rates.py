@@ -18,7 +18,8 @@ from sadi.rates import (
     simulate_sdi,
     tightness_diagnostic,
 )
-from sadi.sets import Box, ExtremeVertex, SetValuedMap, Singleton, UniformVertex
+from sadi.sets import (Ball, Box, ExtremeVertex, Polytope, SetValuedMap, Singleton,
+                       UniformVertex)
 from sadi.presets import sign_interval_map
 from conftest import sdi_arrays, tightness_arrays
 import sdi_reference
@@ -322,6 +323,48 @@ def test_outer_check_one_sidedness_at_kink():
     rep5 = outer_t_check(jumping, [0.0], _zero_map(1), delta=0.5, probes=probes)
     assert not rep5.passed
     assert rep5.worst_violation > 1.0
+
+
+def test_outer_check_2d_singleton_just_outside_the_envelope():
+    # the value sits 0.5015 from x* = 0 at angle pi/32, between two of 32
+    # evenly spread directions, where the support along each is below 0.5
+    angle = math.pi / 32.0
+    point = 0.5015 * np.array([math.cos(angle), math.sin(angle)])
+    m = SetValuedMap(2, lambda x: Singleton(point if x[0] > 0.5 else np.zeros(2)),
+                     common_bound=1.0)
+    rep = outer_t_check(m, [0.0, 0.0], _zero_map(2), delta=0.5, probes=[[1.0, 0.0]])
+    assert not rep.passed
+    assert rep.worst_violation == pytest.approx(0.0015, abs=1e-12)
+    assert rep.failures[0][:2] == ((1.0, 0.0), tuple(point.tolist()))
+    assert "fails at 1 probes" in str(rep)
+
+
+def test_outer_check_2d_violation_is_the_sup_of_dense_support_gaps(rng):
+    """Over a unit direction p the support gap h(val, p) - h(envelope, p) is
+    at most the worst vertex distance beyond the envelope, and the gap in
+    the direction of that distance reaches it: dense directions agree."""
+    dirs = np.stack([np.cos(t := np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)),
+                     np.sin(t)], axis=1)
+    for _ in range(20):
+        val = Polytope(rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), 2)))
+        base = Polytope(rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), 2)))
+        m = SetValuedMap(2, lambda x: val if x[0] > 0.0 else base, common_bound=2.0)
+        delta = float(rng.uniform(0.05, 0.5))
+        rep = outer_t_check(m, [0.0, 0.0], _zero_map(2), delta=delta, probes=[[1.0, 0.0]])
+        # supports along every direction at once: the envelope is base + delta*ball
+        gaps = (dirs @ val.vertices.T).max(axis=1) - (dirs @ base.vertices.T).max(axis=1) - delta
+        gap = max(0.0, float(gaps.max()))
+        # the sampled sup falls short by at most the spacing times the size
+        assert rep.worst_violation - 1e-3 <= gap <= rep.worst_violation + 1e-9
+        assert rep.passed == (rep.worst_violation == 0.0)
+
+
+def test_outer_check_value_with_the_larger_ball_is_undecided():
+    m = SetValuedMap(1, lambda x: Ball([0.0], 0.8 if x[0] > 0.0 else 0.0), common_bound=1.0)
+    rep = outer_t_check(m, [0.0], _zero_map(1), delta=0.5, probes=[[0.4], [1.0]])
+    assert not rep.passed and not rep.failures
+    assert rep.undecided == [(0.4,), (1.0,)]
+    assert "undecided at 2 probes" in str(rep)
 
 
 # --- distribution comparison ------------------------------------------------------
