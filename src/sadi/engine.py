@@ -119,11 +119,6 @@ class StepSchedule:
     def step_sizes(self, n0: int, n1: int) -> np.ndarray:
         return np.asarray(self._fn(np.arange(n0, n1, dtype=float)), dtype=float)
 
-    def step_size(self, n: int) -> float:
-        if n < 0:
-            raise ValueError("step index must be nonnegative")
-        return float(self.step_sizes(n, n + 1)[0])
-
     def _ensure_times(self, n: int) -> None:
         have = self._times.shape[0] - 1
         if n <= have:
@@ -430,8 +425,10 @@ class Drift:
     ``smooth_mean`` (when known) feeds root checks and limit dynamics.  The
     set-valued term is either ``sample_term(x_rows, xi_rows)`` (vectorized,
     possibly sample-dependent) or a selector applied to ``set_map`` row by
-    row.  ``m_rule(x, xi) -> radius`` inflates the selection by a random
-    point of the closed ball of that radius.
+    row.  ``m_rule(x_rows, xi_rows)`` returns one radius per row (a scalar
+    is every row's) and inflates each row's selection by a random point of
+    the closed ball of that radius, made from the row's d + 2 perturbation
+    normals (``pert_rows``).
 
     The engine hands each step that step's draws as dense (R, dim) rows,
     read in time blocks of a fixed number of doubles, so they do not grow
@@ -464,10 +461,12 @@ class Drift:
         if self.m_rule is not None:
             if pert_rows is None:
                 raise ValueError("perturbation draws missing for m_rule")
-            for i in range(x_rows.shape[0]):
-                radius = float(self.m_rule(x_rows[i], xi_rows[i]))
-                if radius != 0.0:
-                    b[i] = b[i] + radius * _ball_point(pert_rows[i], self.dim)
+            # the first d of d + 2 standard normals over the norm of all d + 2
+            # are uniform in the unit ball (Voelker, Gosmann and Stewart 2017)
+            radii = np.broadcast_to(np.asarray(self.m_rule(x_rows, xi_rows), dtype=float),
+                                    x_rows.shape[:1])
+            norms = np.linalg.norm(pert_rows, axis=1)
+            b = b + radii[:, None] * pert_rows[:, :self.dim] / norms[:, None]
         return b
 
     def mean_field(self, x: np.ndarray) -> np.ndarray:
@@ -487,15 +486,6 @@ class _PrimedGenerator:
 
     def random(self):
         return self.u
-
-
-def _ball_point(pert_row: np.ndarray, dim: int) -> np.ndarray:
-    g = pert_row[:dim]
-    u = pert_row[dim]
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
-        return np.zeros(dim)
-    return (u ** (1.0 / dim)) * g / norm
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +543,7 @@ class Trajectory:
         if mode == "constant":
             return np.array(self.iterates[n])
         t_n = sched.time_at(n)
-        a_n = self.step_sizes_used[n] if n < len(self.step_sizes_used) else sched.step_size(n)
-        w = (s - t_n) / a_n
+        w = (s - t_n) / self.step_sizes_used[n]
         return (1.0 - w) * self.iterates[n] + w * self.iterates[n + 1]
 
     def to_csv(self, path) -> None:
@@ -739,35 +728,6 @@ def _tiles(n_reps: int):
         yield r0, r0 + size + (i < extra)
 
 
-class _BallDraws(_Sampler):
-    """Perturbation draws, a point of the closed ball per step: dim-1
-    normals and one uniform.  A replication's stream holds all N*(dim-1)
-    normals before its N uniforms, so it is read through a pair of
-    generators on the same seed words, the second advanced past the
-    normals (``_past_normals``)."""
-
-    def __init__(self, ball_dim: int):
-        self.dim = ball_dim + 1
-
-    def sample_block(self, pair, n, n0=0):
-        normals, uniforms = pair
-        out = np.empty((n, self.dim))
-        out[:, :-1] = normals.standard_normal((n, self.dim - 1))
-        out[:, -1] = uniforms.random(n)
-        return out
-
-
-def _past_normals(gens: list, count: int) -> list:
-    """The generators, each advanced past its next ``count`` standard
-    normals, drawn into one reused buffer of at most ``_NORMALS_CHUNK``
-    doubles."""
-    buf = np.empty(max(1, min(count, _NORMALS_CHUNK)))
-    for gen in gens:
-        for m in range(0, count, buf.size):
-            gen.standard_normal(out=buf[:count - m])
-    return gens
-
-
 class _Draws:
     """Every role's draws for one tile of replications, one time block at a
     time.
@@ -779,9 +739,10 @@ class _Draws:
     the block length never changes a result either.  A block is step-major,
     (K, R, dim) for the R replications of the tile: the rows of one step are
     one contiguous slice.  The buffers hold up to ``max_reps`` replications
-    and are reused by every block of every tile.  A role no step reads gives
-    None; a draw-free model takes no substream, and its block repeats one
-    step's dense rows along K only.
+    and are reused by every block of every tile.  Every role is one
+    ``_Sampler`` read through one generator per replication.  A role no step
+    reads gives None; a draw-free model takes no substream, and its block
+    repeats one step's dense rows along K only.
     """
 
     def __init__(self, spec: RunSpec, seed: int, max_reps: int):
@@ -802,9 +763,10 @@ class _Draws:
             (ROLE_BIAS, spec.bias, True),
             # one uniform per step: 0 + u*(1 - 0) is u itself
             (ROLE_SELECTOR, UniformNoise([0.0], [1.0]), reads_u),
-            (ROLE_PERTURB, _BallDraws(d), drift.m_rule is not None),
+            # a ball point per step from d + 2 normals, see ``Drift``
+            (ROLE_PERTURB, GaussianNoise(np.zeros(d + 2), 1.0), drift.m_rule is not None),
         )
-        self._seed, self._perturb_normals = seed, spec.n_steps * d
+        self._seed = seed
         self.max_reps, self.n_reps = max_reps, 0
         self.width = 0  # doubles drawn per replication and step
         # indexed by role number: (model, generators of the tile) where a step
@@ -824,13 +786,9 @@ class _Draws:
                    if entry is not None and entry[1] is not None]
         for role in drawing:
             self._roles[role] = (self._roles[role][0], [])
-        reps = range(r0, r1)
         for role in drawing:
-            gens = _role_generators(self._seed, reps, role)
-            if role == ROLE_PERTURB:
-                gens = list(zip(gens, _past_normals(_role_generators(self._seed, reps, role),
-                                                    self._perturb_normals)))
-            self._roles[role] = (self._roles[role][0], gens)
+            self._roles[role] = (self._roles[role][0],
+                                 _role_generators(self._seed, range(r0, r1), role))
         self.n_reps = r1 - r0
 
     def block(self, n0: int, k: int) -> list:

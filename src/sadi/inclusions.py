@@ -207,6 +207,8 @@ def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Call
     """
     if eps <= 0 or t_min <= 0:
         raise ValueError("eps and t_min must be positive")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     reports = []

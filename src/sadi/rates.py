@@ -154,6 +154,8 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if n_reps < 1:
+        raise ValueError("n_reps must be at least 1")
     strategy = strategy or LeastNorm()
     d = model.dim
     u0 = np.asarray(u0, dtype=float)

@@ -383,6 +383,9 @@ def _canonical(s: ConvexSet) -> tuple[np.ndarray, float]:
 def _dedupe_points(pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
     if pts.shape[0] <= 1:
         return pts
+    if tol == 0.0 and np.isfinite(pts).all():
+        # each first equal row, in order (stable sort); the scan never merges inf or nan rows
+        return pts[np.sort(np.unique(pts, axis=0, return_index=True)[1])]
     kept: list[np.ndarray] = []
     for row in pts:
         if not any(np.max(np.abs(row - k)) <= tol for k in kept):

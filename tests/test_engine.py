@@ -787,7 +787,7 @@ def _square_map():
 def _uniform_vertex_spec(n_steps):
     # a square's four vertices, picked by the selector draw, and a ball perturbation
     drift = Drift(dim=2, set_map=_square_map(), selector=UniformVertex(),
-                  m_rule=lambda x, xi: 0.1 * abs(xi[0]))
+                  m_rule=lambda x, xi: 0.1 * np.abs(xi[:, 0]))
     return RunSpec(drift=drift, schedule=StepSchedule.power_law(1.0, 0.5), x0=[0.2, -0.1],
                    n_steps=n_steps, noise_xi=_gaussian(2),
                    noise_zetatilde=_gaussian(2), bias=ShrinkingGaussianBias(2, 1.0, 0.5))
@@ -942,10 +942,11 @@ def test_uniform_vertex_selects_with_selector_stream():
 
 
 @pytest.mark.parametrize("budget", [1 << 22, 5])
-def test_perturbation_reads_normals_then_uniforms(monkeypatch, budget):
+def test_perturbation_reads_d_plus_2_normals(monkeypatch, budget):
     # the least-norm point of the square is 0, so each step moves by the ball
-    # point alone; a budget that holds the whole run and one of 5 doubles,
-    # and a chunk of 7 doubles skips the N*d = 80 normals in pieces
+    # point alone: the first d of the step's d + 2 normals over the norm of
+    # all d + 2; a budget that holds the whole run and one of 5 doubles, and
+    # chunks of 7 doubles, which split a step's 4 normals
     monkeypatch.setattr(engine, "_DRAW_BUDGET", budget)
     spec = RunSpec(drift=Drift(dim=2, set_map=_square_map(), m_rule=lambda x, xi: 0.5),
                    schedule=StepSchedule.power_law(1.0, 0.5), x0=[0.2, -0.1], n_steps=40)
@@ -955,13 +956,45 @@ def test_perturbation_reads_normals_then_uniforms(monkeypatch, budget):
         monkeypatch.setattr(engine, "_NORMALS_CHUNK", chunk)
         ens = run_ensemble(spec, seed, 2, record_paths=True)
         for rep in range(2):
-            gen = _reference_generator(seed, rep, ROLE_PERTURB)
-            g, u = gen.standard_normal((spec.n_steps, 2)), gen.random(spec.n_steps)
+            g = _reference_generator(seed, rep, ROLE_PERTURB).standard_normal((spec.n_steps, 4))
+            points = 0.5 * g[:, :2] / np.linalg.norm(g, axis=1)[:, None]
             x = spec.x0.copy()
             for n in range(spec.n_steps):
-                point = (u[n] ** 0.5) * g[n] / float(np.linalg.norm(g[n]))
-                x = x + a[n] * (0.0 + 0.5 * point)
+                x = x + a[n] * (0.0 + points[n])
                 assert np.array_equal(ens.paths[rep, n + 1], x)
+
+
+def test_perturbation_radii_are_read_per_row():
+    # the radius grows with the first coordinate, so rows of one step differ
+    value = Box([-1.0, -1.0], [1.0, 1.0])
+    gmap = SetValuedMap(2, lambda x: value, common_bound=1.5)
+
+    def radii(x_rows, xi_rows):
+        assert x_rows.ndim == 2 and xi_rows.shape[0] == x_rows.shape[0]
+        return 0.1 + np.abs(x_rows[:, 0])
+
+    drift = Drift(dim=2, set_map=gmap, m_rule=radii)
+    spec = RunSpec(drift=drift, schedule=StepSchedule.custom(lambda n: 0.05),
+                   x0=[0.5, -0.2], n_steps=60, noise_zetatilde=_gaussian(2))
+    traj = run(spec, 5)
+    # the least-norm selection of the square is 0, so each set term lies
+    # within its row's radius of the origin
+    r = 0.1 + np.abs(traj.iterates[:-1, 0])
+    dist = np.linalg.norm(traj.set_terms, axis=1)
+    assert np.all(dist <= r * (1.0 + 1e-12)) and np.ptp(r) > 0.1
+    # rows of one ensemble step get their own radii: each replication's path
+    # is the one-replication run of its seed's stream
+    ens = run_ensemble(spec, 5, 3, record_paths=True)
+    assert np.array_equal(ens.paths[0], traj.iterates)
+    x_rows = np.array([[0.0, 0.0], [2.0, 0.0]])
+    pert = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    b = drift.set_term_rows(x_rows, np.zeros((2, 0)), None, pert)
+    assert b.tolist() == [[0.1, 0.0], [0.0, 2.1]]
+    wrong = Drift(dim=2, set_map=gmap, m_rule=lambda x, xi: np.full(x.shape[0] + 1, 0.5))
+    with pytest.raises(ValueError):
+        wrong.set_term_rows(x_rows, np.zeros((2, 0)), None, pert)
+    with pytest.raises(ValueError, match="perturbation draws missing"):
+        drift.set_term_rows(x_rows, np.zeros((2, 0)), None, None)
 
 
 # --- the row loop against its allocating reference ---------------------------------

@@ -189,3 +189,9 @@ def test_chain_validation():
     with pytest.raises(ValueError):
         epsilon_chain_diagnostic(None, lambda x: -x, [[1.0]], eps=0.1,
                                  t_min=1.0, dt=1e-2, budget=0)
+
+
+def test_chain_rejects_a_zero_dt_before_any_arithmetic():
+    # the step count of t_min divides by dt before any segment is integrated
+    with pytest.raises(ValueError, match="dt must be positive"):
+        epsilon_chain_diagnostic(None, lambda x: -x, [[1.0]], eps=0.1, t_min=1.0, dt=0.0)

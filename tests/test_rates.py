@@ -145,6 +145,14 @@ def test_sdi_model_homogeneity_spot_check(rng):
     assert not model_bad.check_homogeneity([np.array([0.5, 0.5])])
 
 
+@pytest.mark.parametrize("n_reps", [0, -1])
+def test_sdi_rejects_fewer_than_one_replication(n_reps):
+    model = SDIModel(A=[[-1.0]], sigma=[[1.0]])
+    for u0 in ([1.0], np.ones((max(n_reps, 0), 1))):
+        with pytest.raises(ValueError, match="n_reps must be at least 1"):
+            simulate_sdi(model, u0, 0.1, 1.0, n_reps=n_reps)
+
+
 def test_sdi_rejects_indefinite_sigma():
     with pytest.raises(ValueError):
         SDIModel(A=[[-1.0]], sigma=[[-1.0]])

@@ -38,6 +38,7 @@ from sadi.sets import (
     support,
 )
 from sadi.sets import canonical_vertices
+import sadi.sets as sets_module
 from sadi.nonsmooth import PiecewiseSmoothScalar, SmoothPiece
 from conftest import NEGATIVE, POSITIVE, neg_sign_field, neg_sign_map
 
@@ -377,6 +378,42 @@ def test_least_norm_of_a_box_plus_hull_is_the_origin():
     assert canonical_vertices(s).shape[0] == 24
     assert np.array_equal(least_norm_point(s), np.zeros(3))
     assert select(SetValuedMap(3, lambda x: s, common_bound=3.0), np.zeros(3)).tolist() == [0.0] * 3
+
+
+def _dedupe_loop(pts, tol=0.0):
+    # the pairwise scan that _dedupe_points keeps for tol > 0, as the oracle
+    # of its one-sort exact pass
+    if pts.shape[0] <= 1:
+        return pts
+    kept = []
+    for row in pts:
+        if not any(np.max(np.abs(row - k)) <= tol for k in kept):
+            kept.append(row)
+    return np.asarray(kept)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_dedupe_matches_the_pairwise_scan(data):
+    # rows drawn from a few values, ±0.0 among them, so that rows repeat and
+    # differ only in the sign of a zero; the bytes show which copy is kept
+    d = data.draw(st.integers(1, 4), label="d")
+    n = data.draw(st.integers(0, 40), label="n")
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300])
+    pts = np.array(data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                      min_size=n, max_size=n), label="pts"),
+                   dtype=float).reshape(n, d)
+    want = _dedupe_loop(pts)
+    got = sets_module._dedupe_points(pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_minkowski_sum_of_two_7_cubes_is_refused_by_its_vertex_count():
+    # 128 * 128 sums dedupe to the 3**7 = 2187 points of {-2, 0, 2}**7
+    cube = Box(-np.ones(7), np.ones(7))
+    with pytest.raises(ValueError, match="too many vertices"):
+        contains(MinkowskiSum(cube, cube), np.zeros(7))
+    assert canonical_vertices(MinkowskiSum(cube, Singleton(np.zeros(7)))).shape[0] == 128
 
 
 def test_nearest_point_of_box_plus_ball_plus_polytope():
