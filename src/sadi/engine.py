@@ -11,6 +11,7 @@ fixed by its own index alone.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -728,6 +729,13 @@ def _tiles(n_reps: int):
         yield r0, r0 + size + (i < extra)
 
 
+def _mapped(n: int) -> np.ndarray:
+    """n doubles in an anonymous mapping of their own, unmapped when the
+    array is dropped, so the memory a later block reuses never depends on
+    where malloc put it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=float)
+
+
 class _Draws:
     """Every role's draws for one tile of replications, one time block at a
     time.
@@ -807,7 +815,7 @@ class _Draws:
                 out.append(np.broadcast_to(self._bufs[i][:m], (k, m, model.dim)))
                 continue
             if self._bufs[i] is None or self._bufs[i].size < k * self.max_reps * model.dim:
-                self._bufs[i] = np.empty(k * self.max_reps * model.dim)
+                self._bufs[i] = _mapped(k * self.max_reps * model.dim)
             # the leading doubles, so that a smaller tile's block is contiguous too
             blk = self._bufs[i][:k * m * model.dim].reshape(k, m, model.dim)
             model.fill_block(gens, n0, blk)

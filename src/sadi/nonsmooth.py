@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .artifacts import Artifact, cell
+from .artifacts import Artifact, cell, column_blocks
 from .sets import (
     ConvexSet,
     FieldPiece,
@@ -323,21 +323,13 @@ class GridRecord:
     passed: bool
 
 
-class _Coords(dict):
-    """``cell`` of grid coordinates, which repeat along each axis, so each is
-    formatted once; zeros are not kept, as 0.0 and -0.0 are one key."""
-
-    def __missing__(self, c):
-        s = cell(c)
-        if c:
-            self[c] = s
-        return s
-
-
-# one certificate row, cells printed as ``cell`` prints them; the file is
-# written this many rows at a time
-_ROW_TEMPLATE = "%s,%.17g,%.17g,%d\n"
-_BLOCK_ROWS = 1024
+def _cells(column: np.ndarray) -> np.ndarray:
+    """``cell`` of each row of a float column, as an object array holding
+    one string per distinct value, each printed once.  Values are keyed by
+    their bits, so 0.0 and -0.0 keep their own strings."""
+    keys, index = np.unique(np.asarray(column, dtype=float).view(np.uint64),
+                            return_inverse=True)
+    return np.array([f"{v:.17g}" for v in keys.view(float).tolist()], dtype=object)[index]
 
 
 @dataclass
@@ -393,14 +385,6 @@ class StabilityCertificate:
                 f"min margin {self.min_margin:.6g}, "
                 f"{self.passes.size - np.count_nonzero(self.passes)} failures")
 
-    def _row_blocks(self):
-        coord = _Coords().__getitem__
-        for i in range(0, self.passes.size, _BLOCK_ROWS):
-            block = slice(i, i + _BLOCK_ROWS)
-            yield zip([" ".join(map(coord, x)) for x in self.points[block].tolist()],
-                      self.derivatives[block].tolist(), self.bounds[block].tolist(),
-                      self.passes[block].tolist())
-
     def artifact(self) -> Artifact:
         comments = [
             f"stability certificate: {self.name}",
@@ -408,8 +392,11 @@ class StabilityCertificate:
             f"resolution={list(self.resolution)} exclude_radius={self.exclude_radius}",
             f"points={self.passes.size} min_margin={cell(self.min_margin)} passed={self.passed}",
         ]
-        return Artifact(["x", "derivative", "bound", "pass"], self._row_blocks(),
-                        comments=comments, template=_ROW_TEMPLATE)
+        # the x cell is the coordinates joined by a space; "%d" prints a flag as 1 or 0
+        template = " ".join(["%s"] * self.points.shape[1]) + ",%s,%s,%d\n"
+        cells = [_cells(c) for c in (*self.points.T, self.derivatives, self.bounds)]
+        return Artifact(["x", "derivative", "bound", "pass"], column_blocks(*cells, self.passes),
+                        comments=comments, template=template)
 
     def to_text(self) -> str:
         return "".join(self.artifact().lines())

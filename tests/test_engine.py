@@ -853,21 +853,32 @@ def test_a_blowup_in_a_later_tile_is_written_at_its_replication(monkeypatch):
     _same_result(got, want)
 
 
-def test_draw_memory_does_not_grow_with_the_horizon(monkeypatch):
+def _peak_bytes(monkeypatch, fn) -> int:
+    """The traced peak of ``fn()`` plus the bytes of the draw buffers it
+    maps, which tracemalloc does not see; a run keeps each buffer it maps
+    to its end."""
     import tracemalloc
 
+    mapped, real = [], engine._mapped
+    monkeypatch.setattr(engine, "_mapped", lambda n: mapped.append(8 * n) or real(n))
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.setattr(engine, "_mapped", real)
+    return peak + sum(mapped)
+
+
+def test_draw_memory_does_not_grow_with_the_horizon(monkeypatch):
     # a budget below R*N*width for both horizons, so both run in blocks
     monkeypatch.setattr(engine, "_DRAW_BUDGET", 1 << 14)
     peaks = []
     for n_steps in (2_000, 20_000):
         spec = _shrinking_bias_spec(n_steps)
         run_ensemble(spec, 3, 20)  # first-call caches stay out of the peak
-        tracemalloc.start()
-        try:
-            run_ensemble(spec, 3, 20)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_peak_bytes(monkeypatch, lambda: run_ensemble(spec, 3, 20)))
     # one step-size block of the longer run is the only allowed difference
     assert peaks[1] <= peaks[0] + 8 * (1 << 14)
 
@@ -888,8 +899,6 @@ def test_replications_and_checkpoints_are_checked_before_any_tile(monkeypatch):
 
 @pytest.mark.parametrize("make_spec", [_shrinking_bias_spec, _uniform_vertex_spec])
 def test_draw_memory_does_not_grow_with_the_replications(monkeypatch, make_spec):
-    import tracemalloc
-
     tile, ck = 32, [0, 5, 10]
     monkeypatch.setattr(engine, "_TILE_REPS", tile)
     spec = make_spec(10)
@@ -897,12 +906,7 @@ def test_draw_memory_does_not_grow_with_the_replications(monkeypatch, make_spec)
     peaks = []
     for n_reps in (4 * tile, 16 * tile):
         run_ensemble(spec, 3, n_reps, ck)  # first-call caches stay out of the peak
-        tracemalloc.start()
-        try:
-            run_ensemble(spec, 3, n_reps, ck)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_peak_bytes(monkeypatch, lambda: run_ensemble(spec, 3, n_reps, ck)))
     # the (R, d) finals, the (R,) fail steps and the (R, k, d) checkpoint
     # states, and 8 KiB for the small view headers numpy's allocator holds
     # on to while a run goes on (a few dozen bytes per tile); one tile's

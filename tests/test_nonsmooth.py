@@ -445,18 +445,28 @@ def test_certificate_coordinates_keep_the_sign_of_zero():
     assert [row.split(",")[0] for row in rows] == ["0 0", "-0 -0", "0.5 0.5"] * 2
 
 
-def test_row_template_prints_as_artifact_cells():
+@pytest.mark.parametrize("dim", [1, 3])
+def test_certificate_rows_print_as_artifact_cells(dim):
+    # 2,500 rows, three blocks, every value repeated across them: each
+    # distinct value is printed once, and must print as ``cell`` prints it
     from sadi.artifacts import Artifact, cell
-    from sadi.nonsmooth import _ROW_TEMPLATE
 
-    values = [-math.inf, math.inf, math.nan, -0.0, 0.0, 1e-300, 5e-324, -2.5, 1.0 / 3.0]
-    rows = [("0.5 -0", d, b, flag) for d in values for b in values for flag in (True, False)]
-    columns = ["x", "derivative", "bound", "pass"]
-    by_cells = Artifact(columns, [[x, d, b, int(ok)] for x, d, b, ok in rows]).lines()
-    by_template = Artifact(columns, [rows[:7], rows[7:], []], template=_ROW_TEMPLATE).lines()
-    assert "".join(by_template) == "".join(by_cells)
-    assert _ROW_TEMPLATE % ("x", -math.inf, 5e-324, True) == (
-        f"x,{cell(-math.inf)},{cell(5e-324)},{cell(1)}\n")
+    values = [-math.inf, math.inf, math.nan, -math.nan, -0.0, 0.0, 1e-300, 5e-324,
+              -2.5, 1.0 / 3.0, 0.1 + 0.2]
+    n = 2_500
+    pick = np.array(values)
+    derivatives = pick[np.arange(n) % len(values)]
+    bounds = pick[(np.arange(n) * 7 // 3) % len(values)]
+    points = np.stack([pick[(np.arange(n) // (j + 2) + j) % len(values)]
+                       for j in range(dim)], axis=1)
+    cert = _certificate(derivatives, bounds, points=points)
+    with np.errstate(invalid="ignore"):  # the header's margin of inf - inf
+        art, text = cert.artifact(), cert.to_text()
+    rows = [[" ".join(map(cell, x)), d, b, int(ok)] for x, d, b, ok in
+            zip(points.tolist(), derivatives.tolist(), bounds.tolist(), cert.passes.tolist())]
+    by_cells = Artifact(art.columns, rows, comments=art.comments).lines()
+    assert text == "".join(by_cells)
+    assert cert.passes.any() and not cert.passes.all()
 
 
 def test_certificate_serialization(tmp_path):

@@ -258,6 +258,35 @@ def test_hausdorff_disjoint_intervals():
     assert hausdorff(Box([0], [1]), Box([2], [3])) == pytest.approx(4.0, abs=1e-12)
 
 
+def _polygon_distance(p, verts):
+    """Distance from p to the convex polygon of counterclockwise ``verts``:
+    0 inside, else the least distance to an edge segment."""
+    edges = list(zip(verts, np.roll(verts, -1, axis=0)))
+    if all((b - a)[0] * (p - a)[1] >= (b - a)[1] * (p - a)[0] for a, b in edges):
+        return 0.0
+    return min(np.linalg.norm(p - (a + np.clip((p - a) @ (b - a) / ((b - a) @ (b - a)), 0, 1)
+                                   * (b - a))) for a, b in edges)
+
+
+def test_hausdorff_of_polytopes_is_exact_between_sampled_directions():
+    # B's far vertex is 0.5 from A's corner (1, 0), in a direction half way
+    # between two of 64 sampled directions: the support functions there
+    # differ by 0.5*cos(2.8125 deg) at most, so a sampled bound falls short
+    theta = math.radians(5.625 / 2)
+    a_verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    b_verts = np.array([[0.3, 0.1], [1.0 + 0.5 * math.cos(theta), 0.5 * math.sin(theta)],
+                        [0.2, 0.2]])
+    a, b = Polytope(a_verts), Polytope(b_verts)
+    b_to_a = max(_polygon_distance(v, a_verts) for v in b_verts)
+    brute = max(_polygon_distance(v, b_verts) for v in a_verts) + b_to_a
+    dirs = sets_module._sphere_directions(2, 64)
+    sampled = max(support(b, u) - support(a, u) for u in dirs)
+    assert b_to_a == pytest.approx(0.5, abs=1e-12) and sampled < b_to_a - 5e-4
+    got = [hausdorff(a, b, n_dirs=n) for n in (4, 8, 64, 4096)]
+    assert got[0] == pytest.approx(brute, abs=1e-12)
+    assert got == [got[0]] * 4
+
+
 def test_hausdorff_requires_enough_directions():
     with pytest.raises(ValueError):
         hausdorff(Box([0], [1]), Box([0], [1]), n_dirs=1)
