@@ -12,9 +12,13 @@ import numpy as np
 
 from .artifacts import Artifact, column_blocks
 from .config import ConfigError, parse_config
+from .engine import SimulationBlowup
 from .inclusions import epsilon_chain_diagnostic, integrate
 from .rates import simulate_sdi
 from .runner import run_experiment, sweep
+
+# the exit code of a simulator whose path blew up; a config error exits 2
+EXIT_BLOWUP = 3
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
@@ -149,6 +153,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except SimulationBlowup as exc:
+        print(f"sadi {args.command}: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import (
+    MAX_REPLICATIONS,
     ConstantBias,
     Drift,
     GaussianNoise,
@@ -125,6 +126,8 @@ class Block:
 _AT_LEAST_1 = dict(bound=lambda v: v >= 1, must="an integer >= 1")
 _POSITIVE = dict(bound=lambda v: v > 0, must="> 0")
 _NONNEGATIVE = dict(bound=lambda v: v >= 0, must=">= 0")
+# step indices up to here are exact in the float arange of the step sizes
+_MAX_ITERATIONS = 1 << 53
 
 _SCHEDULE = Block({
     "kind": Leaf(_one_of("harmonic", "power_law"), "power_law"),
@@ -198,8 +201,11 @@ _CONFIG = Block({
     "name": Leaf(STRING, "experiment"), "preset": Leaf(_one_of(*_PRESET_PARAMS)),
     "preset_params": Leaf(_PRESET_PARAMS, {}, kinds=tuple(_PRESET_PARAMS)),
     "drift": Leaf(_DRIFT, kinds=(None,)), "dim": Leaf(INT, None, **_AT_LEAST_1),
-    "x0": Leaf(POINTS), "iterations": Leaf(INT, REQUIRED, **_AT_LEAST_1),
-    "replications": Leaf(INT, REQUIRED, **_AT_LEAST_1),
+    "x0": Leaf(POINTS),
+    "iterations": Leaf(INT, REQUIRED, lambda v: 1 <= v <= _MAX_ITERATIONS,
+                       "an integer in [1, 2**53]"),
+    "replications": Leaf(INT, REQUIRED, lambda v: 1 <= v <= MAX_REPLICATIONS,
+                         f"an integer in [1, {MAX_REPLICATIONS}]"),
     "seed": Leaf(INT, REQUIRED, lambda v: v >= 0, "a nonnegative integer"),
     "schedule": Leaf(_SCHEDULE), "bias": Leaf(_BIAS), "projection": Leaf(_PROJECTION),
     "noise": Leaf(Block({role: Leaf(_NOISE) for role in ("xi", "zeta", "zetatilde")}), {}),
@@ -353,6 +359,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     cfg = _walk(raw, _CONFIG, "", errors)
     needs = [] if "preset" in cfg else [k for k in ("drift", "dim", "x0") if k not in cfg]
     errors += [f"{key}: required without a preset" for key in needs]
+    # a given count of checkpoints; the default reads every index of a shorter run
+    n, ck = cfg["iterations"], cfg["checkpoints"]
+    if raw.get("checkpoints") is not None and None not in (n, ck) and ck > n + 1:
+        errors.append(f"checkpoints: must be at most iterations + 1 = {n + 1}")
     if "preset" in cfg:
         # the preset's drift decodes these samples in its data law's layout
         errors += [f"noise.{key}: set by the preset's data law"

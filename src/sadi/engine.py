@@ -52,9 +52,14 @@ ROLE_PERTURB = 5
 
 
 class SimulationBlowup(RuntimeError):
-    def __init__(self, step_index: int):
-        super().__init__(f"non-finite iterate at step {step_index}")
+    """A non-finite iterate at step ``step_index``; ``state`` is that
+    iterate, when the simulator that raised it knows it."""
+
+    def __init__(self, step_index: int, state=None):
         self.step_index = step_index
+        self.state = None if state is None else np.asarray(state, dtype=float).tolist()
+        at = "" if self.state is None else f": state {self.state}"
+        super().__init__(f"non-finite iterate at step {step_index}{at}")
 
 
 def step_count(span: float, dt: float) -> int:
@@ -680,6 +685,8 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+# a replication index is one 32-bit word of its substream key
+MAX_REPLICATIONS = 1 << 32
 _REPS_ERROR = "replication indices must lie in [0, 2**32)"
 
 
@@ -689,7 +696,7 @@ def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
     with the SeedSequence hash run once for all replications (on plain
     ints for a single one)."""
     reps = np.asarray(reps, dtype=np.int64)
-    if reps.size and (reps.min() < 0 or reps.max() > _MASK32):
+    if reps.size and (reps.min() < 0 or reps.max() >= MAX_REPLICATIONS):
         raise ValueError(_REPS_ERROR)
     key = int(reps[0]) if reps.size == 1 else reps.astype(np.uint64)
     state = np.array(_seed_state(seed, key, role), dtype=np.uint64).reshape(4, -1)
@@ -710,9 +717,19 @@ class EnsembleResult:
         return int(np.sum(self.fail_steps >= 0))
 
 
-# doubles that one time block of draws holds, summed over the roles that
-# draw; a block is at least one step
+# a time block of draws holds at most _BLOCK_STEPS steps and at most
+# _DRAW_BUDGET doubles, summed over the buffers it fills; past a few hundred
+# steps a longer block draws no faster, it only holds more memory
+_BLOCK_STEPS = 512
 _DRAW_BUDGET = 1 << 21
+
+
+def block_steps(n_steps: int, per_step: int) -> int:
+    """Steps in each time block of draws over a run of ``n_steps`` steps,
+    when one step fills ``per_step`` doubles: the block rule above, and at
+    least one step."""
+    return max(1, min(n_steps, _BLOCK_STEPS, _DRAW_BUDGET // max(1, per_step)))
+
 
 # replications that run together, as one tile: a tile builds its own
 # generators and reuses the draw and step buffers of the one before it
@@ -730,10 +747,10 @@ def _tiles(n_reps: int):
 
 
 def _mapped(n: int) -> np.ndarray:
-    """n doubles in an anonymous mapping of their own, unmapped when the
-    array is dropped, so the memory a later block reuses never depends on
-    where malloc put it."""
-    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=float)
+    """n doubles in a private anonymous mapping of their own, unmapped when
+    the array is dropped, so the memory a later block reuses never depends
+    on where malloc put it, and a forked child's writes never reach it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE), dtype=float)
 
 
 class _Draws:
@@ -856,7 +873,7 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
     # x0 or a projection; every tile uses their leading rows
     rows = np.empty((3, tile_reps, d))
     zeros, finite_rows = np.zeros((tile_reps, d)), np.empty((tile_reps, d), dtype=bool)
-    block = max(1, min(n_steps, _DRAW_BUDGET // (tile_reps * max(1, draws.width))))
+    block = block_steps(n_steps, tile_reps * max(1, draws.width))
     for r0, r1 in _tiles(n_reps):
         m = r1 - r0
         draws.tile(r0, r1)
@@ -913,10 +930,6 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
     return result, logs
 
 
-# steps the plain-float loop turns into Python floats at a time, bounding its list memory
-_FLOAT_BLOCK = 4096
-
-
 def _simulate_float(spec: RunSpec, draws: _Draws, ck: list,
                     record_paths: bool, record_logs: bool):
     """One replication of a ``CellTable``-only drift on plain floats.  It reads
@@ -930,8 +943,10 @@ def _simulate_float(spec: RunSpec, draws: _Draws, ck: list,
     logs = None
     if record_logs:
         logs = {k: np.zeros((n_steps, d)) for k in ("smooth", "noise", "bias")}
-    for n0 in range(0, n_steps, _FLOAT_BLOCK):
-        n1 = min(n0 + _FLOAT_BLOCK, n_steps)
+    # a block of draws is also the steps turned into Python floats at a time
+    block = block_steps(n_steps, draws.width)
+    for n0 in range(0, n_steps, block):
+        n1 = min(n0 + block, n_steps)
         _, _, h0, beta, _, _ = draws.block(n0, n1 - n0)
         h0, beta = h0[:, 0], beta[:, 0]
         if record_logs:
@@ -962,7 +977,8 @@ def run(spec: RunSpec, seed: int) -> Trajectory:
     """One fully-logged replication; raises on the first non-finite iterate."""
     result, logs = _simulate_reps(spec, seed, 1, None, record_paths=True, record_logs=True)
     if result.fail_steps[0] >= 0:
-        raise SimulationBlowup(int(result.fail_steps[0]))
+        step = int(result.fail_steps[0])
+        raise SimulationBlowup(step, result.paths[0, step + 1])
     return Trajectory(
         schedule=spec.schedule,
         iterates=result.paths[0],
@@ -992,7 +1008,7 @@ def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
-    if n_reps > _MASK32 + 1:
+    if n_reps > MAX_REPLICATIONS:
         raise ValueError(_REPS_ERROR)
     result, _ = _simulate_reps(spec, seed, n_reps, checkpoints, record_paths, False)
     return result

@@ -154,7 +154,7 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
             if projection is not None:
                 x_new = projection.project_rows(np.array([x_new]))[0].tolist()
             if not all(map(math.isfinite, x_new)):
-                raise SimulationBlowup(k)
+                raise SimulationBlowup(k, x_new)
             gs.append(g)
             x = x_new
             xs.append(x)

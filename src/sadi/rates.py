@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import Artifact
-from .engine import SimulationBlowup, StepSchedule, as_matrix, psd_root, step_count
+from .engine import (SimulationBlowup, StepSchedule, as_matrix, block_steps, psd_root,
+                     step_count)
 from .sets import (
     LeastNorm,
     Polytope,
@@ -44,8 +45,6 @@ __all__ = [
 # the homogeneity check compares t_map(k x) with k t_map(x) at these k, to this distance
 _HOMOGENEITY_SCALES = (0.5, 2.0, 3.0)
 _HOMOGENEITY_TOL = 1e-6
-# standard normals the SDI simulator draws at a time, in doubles
-_SDI_BLOCK = 1 << 20
 # spawn key of the SDI selections' generator; compare_to_sdi's picks use (7,)
 _SELECTION_KEY = (8,)
 
@@ -144,11 +143,14 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     per-replication starts.  Returns (n_reps, K+1, d) paths, or (n_reps, d)
     finals when ``record_paths`` is false.
 
-    The Brownian increments of many steps are drawn in one call, as a
-    (k, n_reps, d) block of standard normals; numpy fills it in C order, so
+    The Brownian increments of k steps are drawn in one call, into a
+    (k, n_reps, d) buffer of standard normals; numpy fills it in C order, so
     the numbers are those of k per-step draws.  Each step's (n_reps, d)
     slice is mapped by ``sigma_root`` with the product a single step would
-    use, and the block is scaled by sqrt(dt) once.  A selection strategy
+    use, into a second (k, n_reps, d) buffer that is then scaled by
+    sqrt(dt).  The two buffers are allocated once per call and reused by
+    every block, k set by the engine's block rule (``block_steps``), so
+    their memory does not grow with the horizon.  A selection strategy
     that draws reads its own generator, spawned from the seed, so the
     normals never depend on the selections.
     """
@@ -175,10 +177,13 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     paths = np.empty((n_reps, n_steps + 1, d)) if record_paths else None
     if record_paths:
         paths[:, 0, :] = u
-    block = max(1, _SDI_BLOCK // (n_reps * d))
+    block = block_steps(n_steps, 2 * n_reps * d)
+    normals, increments = np.empty((block, n_reps, d)), np.empty((block, n_reps, d))
     for k0 in range(0, n_steps, block):
+        m = min(block, n_steps - k0)
+        gen.standard_normal(out=normals[:m])
         # one (n_reps, d) product per step, stacked
-        noise = gen.standard_normal((min(block, n_steps - k0), n_reps, d)) @ root_t
+        noise = np.matmul(normals[:m], root_t, out=increments[:m])
         noise *= sqdt
         for k, dw in enumerate(noise, k0):
             linear = u @ drift_t
@@ -188,8 +193,8 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
                     sel[i] = select(model.t_map, u[i], strategy, picks)
                 linear = linear + sel
             u = u + dt * linear + dw
-            if not np.isfinite(u).all():
-                raise SimulationBlowup(k)
+            if not np.isfinite(u).all():  # the first replication that blew up
+                raise SimulationBlowup(k, u[np.argmin(np.isfinite(u).all(axis=1))])
             if record_paths:
                 paths[:, k + 1, :] = u
     return paths if record_paths else u

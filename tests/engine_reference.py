@@ -50,7 +50,7 @@ def run_ensemble(spec, seed, n_reps, checkpoints=None, record_paths=False):
         ck_states[:, ck_pos[0], :] = x
 
     zeros = np.zeros((n_reps, d))
-    block = max(1, min(n_steps, engine._DRAW_BUDGET // (n_reps * max(1, draws.width))))
+    block = engine.block_steps(n_steps, n_reps * max(1, draws.width))
     for n0 in range(0, n_steps, block):
         k = min(block, n_steps - n0)
         a = spec.schedule.step_sizes(n0, n0 + k)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sadi
-from sadi.cli import main
+from sadi.cli import EXIT_BLOWUP, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,12 +57,17 @@ assert 'scipy' not in sys.modules
 """
 
 
-def test_cli_import_loads_no_scipy():
-    # sadi never imports scipy: not on import, nor in a u-reduction
+def _python(*argv, **kwargs):
+    """A fresh interpreter that imports this checkout's sadi."""
     src = str(Path(sadi.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env, check=True, timeout=60)
+    return subprocess.run([sys.executable, *argv], env=env, timeout=60, **kwargs)
+
+
+def test_cli_import_loads_no_scipy():
+    # sadi never imports scipy: not on import, nor in a u-reduction
+    _python("-c", _NO_SCIPY, check=True)
 
 
 def test_run_verb(tmp_path, capsys):
@@ -156,6 +161,23 @@ def test_simulate_sdi_verb(tmp_path, capsys):
     assert len(lines) == 2 + 50
 
 
+@pytest.mark.parametrize("verb,changes", [
+    ("simulate-di", {"di": {"dt": 0.01, "horizon": 1.0, "x0": [math.nan]}}),
+    # a NaN drift matrix: the first step's linear term is NaN
+    ("simulate-sdi", {"sdi": {"A": [[math.nan]], "sigma": [[1.0]], "t_eval": 1.0,
+                              "dt": 0.01, "n_reps": 3}}),
+    # the ensemble records the blow-up; the logged trajectory cannot
+    ("run", {"x0": [math.nan], "outputs": ["report", "trajectory"]}),
+])
+def test_a_simulator_blowup_exits_3_with_its_step_and_state(tmp_path, verb, changes):
+    cfg = _small_config(tmp_path, **changes)
+    proc = _python("-m", "sadi", verb, str(cfg), "--out-dir", str(tmp_path / "out"),
+                   capture_output=True, text=True)
+    assert proc.returncode == EXIT_BLOWUP == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"sadi {verb}: non-finite iterate at step 0: state [nan]\n"
+
+
 @pytest.mark.parametrize("kind", ["box", "ball"])
 @pytest.mark.parametrize("name", ["ex1", "svm_plane"])
 def test_projected_run_end_to_end(tmp_path, capsys, name, kind):
@@ -203,6 +225,25 @@ def _ex1_copy(tmp_path, **changes):
     path = tmp_path / "ex1_copy.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
+
+
+# each with a bad seed too, so that a bound that is not checked stops before
+# the run: the values would not fit in memory
+_BOUND_ERRORS = [
+    ("replications", {"replications": 2**32 + 1},
+     "replications: must be an integer in [1, 4294967296]"),
+    ("checkpoints", {"checkpoints": 10**400}, "checkpoints: must be at most iterations + 1 = 6"),
+    ("iterations", {"iterations": 2**53 + 1}, "iterations: must be an integer in [1, 2**53]"),
+]
+
+
+@pytest.mark.parametrize("changes,needle", [case[1:] for case in _BOUND_ERRORS],
+                         ids=[case[0] for case in _BOUND_ERRORS])
+def test_size_bounds_exit_2_with_every_other_error(tmp_path, capsys, changes, needle):
+    cfg = _ex1_copy(tmp_path, seed=-1, **changes)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "seed: must be a nonnegative integer" in err
 
 
 def test_tolerances_key_rejected(tmp_path, capsys):

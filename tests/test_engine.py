@@ -3,6 +3,7 @@ runs, the plain-float loop of table-backed drifts, interpolations, and the
 determinism guarantees."""
 
 import math
+import os
 from dataclasses import replace
 from decimal import Decimal
 
@@ -370,8 +371,8 @@ def _assert_same_bits(a, b):
 def test_float_loop_matches_row_loop_bitwise():
     p = nonconvergence_preset()
     table = p.spec.drift.sample_term
-    # seed 3 enters all four corridors by step 713; 5,000 steps span two of
-    # the float loop's 4,096-step blocks
+    # seed 3 enters all four corridors by step 713; 5,000 steps span ten of
+    # the float loop's 512-step blocks
     spec = replace(p.spec, x0=[2.0, 2.0], n_steps=5_000)
     ck = [0, 4_096, 4_500, 5_000]
     one = run_ensemble(spec, 3, 1, checkpoints=ck, record_paths=True)
@@ -869,6 +870,33 @@ def _peak_bytes(monkeypatch, fn) -> int:
         tracemalloc.stop()
         monkeypatch.setattr(engine, "_mapped", real)
     return peak + sum(mapped)
+
+
+def test_draw_blocks_hold_at_most_512_steps_and_the_draw_budget(monkeypatch):
+    ks, real = [], engine._Draws.block
+    monkeypatch.setattr(engine._Draws, "block",
+                        lambda self, n0, k: ks.append(k) or real(self, n0, k))
+    run_ensemble(_ou_spec(n_steps=1_100), 3, 8)
+    # the plain-float loop of one replication
+    run(replace(nonconvergence_preset().spec, x0=[1.5, 0.0], n_steps=1_100), 3)
+    assert ks == [512, 512, 76] * 2
+    # a step of 10,000 doubles: the budget's 209 steps
+    assert engine.block_steps(1_100, 10_000) == engine._DRAW_BUDGET // 10_000 == 209
+
+
+def test_a_forked_child_never_writes_into_the_parents_draw_block():
+    block = engine._mapped(4)
+    block[:] = 1.0
+    pid = os.fork()
+    if pid == 0:  # the child writes, then leaves without running the parent's cleanup
+        try:
+            block[:] = 2.0
+            os._exit(0)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert block.tolist() == [1.0] * 4
 
 
 def test_draw_memory_does_not_grow_with_the_horizon(monkeypatch):

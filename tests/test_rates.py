@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import sadi.rates as rates
+import sadi.engine as engine
 from sadi.engine import (Drift, GaussianNoise, RunSpec, SimulationBlowup, StepSchedule, run,
                          run_ensemble)
 from sadi.rates import (
@@ -187,19 +187,46 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _force_sdi_block(monkeypatch, steps, n_reps, dim):
+    """Blocks of ``steps`` steps through the draw budget, which counts the
+    normals and their product, two doubles per replication, coordinate and
+    step; a block above the step cap raises the cap as well."""
+    monkeypatch.setattr(engine, "_DRAW_BUDGET", steps * 2 * n_reps * dim)
+    monkeypatch.setattr(engine, "_BLOCK_STEPS", max(steps, engine._BLOCK_STEPS))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("n_reps", [1, 20])
-@pytest.mark.parametrize("block", [1, 7, 50, 10**6])  # steps per draw; 50 steps in all
+@pytest.mark.parametrize("block", [1, 3, 7, 50, 512, 10**6])  # steps per draw; 600 in all
 def test_sdi_block_draws_equal_the_per_step_loop(monkeypatch, dim, n_reps, block):
     model = _BLOCK_MODELS[dim]
-    monkeypatch.setattr(rates, "_SDI_BLOCK", block * n_reps * dim)
+    _force_sdi_block(monkeypatch, block, n_reps, dim)
     u0 = np.linspace(-1.0, 1.0, n_reps * dim).reshape(n_reps, dim)
     for record in (True, False):
-        got = simulate_sdi(model, u0, dt=0.01, horizon=0.5, seed=11, n_reps=n_reps,
+        got = simulate_sdi(model, u0, dt=0.01, horizon=6.0, seed=11, n_reps=n_reps,
                            record_paths=record)
-        want = sdi_reference.simulate_sdi(model, u0, dt=0.01, horizon=0.5, seed=11,
+        want = sdi_reference.simulate_sdi(model, u0, dt=0.01, horizon=6.0, seed=11,
                                           n_reps=n_reps, record_paths=record)
         assert _same_bits(got, want)
+
+
+def test_sdi_memory_does_not_grow_with_the_horizon():
+    import tracemalloc
+
+    model = _BLOCK_MODELS[1]
+    peaks = []
+    for horizon in (2.0, 8.0):  # 2,000 and 8,000 steps
+        simulate_sdi(model, [0.5], dt=1e-3, horizon=horizon, n_reps=200,
+                     record_paths=False)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            simulate_sdi(model, [0.5], dt=1e-3, horizon=horizon, n_reps=200,
+                         record_paths=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # both horizons fill the same two (512, 200, 1) buffers, 800 KiB each
+    assert peaks[1] <= peaks[0] + 8192
 
 
 @pytest.mark.parametrize("strategy", [None, UniformVertex()])
@@ -207,7 +234,7 @@ def test_sdi_selections_read_their_own_generator(monkeypatch, strategy):
     # a least-norm selection draws nothing; a random vertex draws from the
     # generator spawned for selections, never from the normals' one
     model = SDIModel(A=[[-1.0]], sigma=[[0.5]], t_map=sign_interval_map(1, 0.3))
-    monkeypatch.setattr(rates, "_SDI_BLOCK", 7 * 3)
+    _force_sdi_block(monkeypatch, 7, 3, 1)
     picks = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(8,)))
     got = simulate_sdi(model, [0.2], dt=0.01, horizon=0.5, strategy=strategy, seed=4,
                        n_reps=3)
@@ -219,7 +246,7 @@ def test_sdi_selections_read_their_own_generator(monkeypatch, strategy):
 @pytest.mark.parametrize("block", [1, 7, 10**6])
 def test_sdi_blowup_step_matches_the_per_step_loop(monkeypatch, block):
     model = SDIModel(A=[[900.0, 0.0], [0.0, 2.0]], sigma=[[1.0, 0.3], [0.3, 1.0]])
-    monkeypatch.setattr(rates, "_SDI_BLOCK", block * 4 * 2)
+    _force_sdi_block(monkeypatch, block, 4, 2)
     steps = []
     for simulate in (simulate_sdi, sdi_reference.simulate_sdi):
         with pytest.raises(SimulationBlowup) as err, np.errstate(over="ignore",
