@@ -17,6 +17,7 @@ import numpy as np
 
 from .engine import (
     MAX_REPLICATIONS,
+    MAX_STEPS,
     ConstantBias,
     Drift,
     GaussianNoise,
@@ -27,10 +28,11 @@ from .engine import (
     UniformNoise,
     ZeroBias,
     as_matrix,
+    step_count,
 )
 from .rates import SDIModel, shifted_index
 from .presets import Preset, default_schedule, preset_by_name, sign_interval_map, sign_term
-from .sets import Ball, Box, LeastNorm, SetValuedMap
+from .sets import Ball, Box, SetValuedMap
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "config_fingerprint"]
 
@@ -126,8 +128,6 @@ class Block:
 _AT_LEAST_1 = dict(bound=lambda v: v >= 1, must="an integer >= 1")
 _POSITIVE = dict(bound=lambda v: v > 0, must="> 0")
 _NONNEGATIVE = dict(bound=lambda v: v >= 0, must=">= 0")
-# step indices up to here are exact in the float arange of the step sizes
-_MAX_ITERATIONS = 1 << 53
 
 _SCHEDULE = Block({
     "kind": Leaf(_one_of("harmonic", "power_law"), "power_law"),
@@ -170,7 +170,8 @@ _PRESET_PARAMS = {
         "data": Leaf(Block({
             "theta": Leaf(VECTOR, REQUIRED),
             "features": Leaf(_one_of("ones", "gaussian"), "ones"),
-            "noise_std": Leaf(NUMBER, 1.0, **_NONNEGATIVE),
+            "noise_std": Leaf(NUMBER, 1.0, lambda v: 0 <= v and v * v < math.inf,
+                              ">= 0 with a finite square (the response variance)"),
             "feature_mean": Leaf(VECTOR, kinds=("gaussian",)),
             "feature_cov": Leaf(MATRIX, kinds=("gaussian",))}, "features")),
         "dim": Leaf(INT, None, **_AT_LEAST_1),  # of the all-ones law, so not with data
@@ -202,14 +203,15 @@ _CONFIG = Block({
     "preset_params": Leaf(_PRESET_PARAMS, {}, kinds=tuple(_PRESET_PARAMS)),
     "drift": Leaf(_DRIFT, kinds=(None,)), "dim": Leaf(INT, None, **_AT_LEAST_1),
     "x0": Leaf(POINTS),
-    "iterations": Leaf(INT, REQUIRED, lambda v: 1 <= v <= _MAX_ITERATIONS,
+    "iterations": Leaf(INT, REQUIRED, lambda v: 1 <= v <= MAX_STEPS,
                        "an integer in [1, 2**53]"),
     "replications": Leaf(INT, REQUIRED, lambda v: 1 <= v <= MAX_REPLICATIONS,
                          f"an integer in [1, {MAX_REPLICATIONS}]"),
     "seed": Leaf(INT, REQUIRED, lambda v: v >= 0, "a nonnegative integer"),
     "schedule": Leaf(_SCHEDULE), "bias": Leaf(_BIAS), "projection": Leaf(_PROJECTION),
     "noise": Leaf(Block({role: Leaf(_NOISE) for role in ("xi", "zeta", "zetatilde")}), {}),
-    "x_star": Leaf(VECTOR), "outputs": Leaf(OUTPUTS, ("report",)),
+    "x_star": Leaf(VECTOR, None, lambda v: np.isfinite(v).all(), "a vector of finite numbers"),
+    "outputs": Leaf(OUTPUTS, ("report",)),
     "checkpoints": Leaf(INT, 10, lambda v: v >= 2, "an integer >= 2"),
     "sdi": Leaf(_SDI), "di": Leaf(_DI, {}), "chain": Leaf(_CHAIN)}, "preset")
 
@@ -349,7 +351,7 @@ def _inline_drift(spec: dict, dim: int) -> Drift:
                                common_bound=float(np.max(np.abs(np.stack([box.lo, box.hi])))) *
                                np.sqrt(dim) + 1e-9, name="constant_set")
     return Drift(dim=dim, smooth=smooth, smooth_mean=smooth_mean,
-                 set_map=set_map, selector=LeastNorm(), sample_term=sample_term)
+                 set_map=set_map, sample_term=sample_term)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -476,6 +478,14 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
         sizes.append(("di.x0", len(di["x0"])))
     if chain is not None:
         sizes.extend((f"chain.probes[{i}]", len(p)) for i, p in enumerate(chain["probes"]))
+    # every span a verb integrates, in steps of its dt; a chain's segments last 2*t_min
+    spans = [] if sdi is None else [("sdi.t_eval", sdi["t_eval"], sdi["dt"])]
+    if di is not None:
+        spans.append(("di.horizon", di["horizon"], di["dt"]))
+        if chain is not None:
+            spans.append(("chain.t_min (segments of 2*t_min)", 2 * chain["t_min"], di["dt"]))
+    for where, span, dt in spans:
+        attempt(where, lambda: step_count(span, dt))
 
     if dim is not None:
         errors += [f"{where}: has dimension {got}, the state has {dim}"

@@ -66,10 +66,13 @@ def step_count(span: float, dt: float) -> int:
     """Steps of length ``dt`` that cover ``span``: span/dt rounded up, except
     that a ratio within a few ulps of an integer is that integer.  A span
     meant as n*dt rounds to a float whose ratio lands on either side of n, and
-    past n of about 8,192 an absolute slack is smaller than one ulp."""
+    past n of about 8,192 an absolute slack is smaller than one ulp.  More
+    than MAX_STEPS steps are refused."""
     if not span > 0:
         return 0
     ratio = span / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"{span:g} in steps of {dt:g} is more than 2**53 steps")
     n = round(ratio)
     return n if abs(ratio - n) <= 4 * math.ulp(n) else math.ceil(ratio)
 
@@ -369,16 +372,13 @@ class ShrinkingGaussianBias(BiasModel):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         self.declared_eta = 0.0 if self.gamma > 0 or self.c == 0 else math.inf
-        self._sd_block = (None, np.zeros(0))  # ((n0, n), per-step sd) of the last block
 
     def variance_at(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=float)
         return self.c * (n + 1.0) ** (-self.gamma)
 
     def _sd(self, n0: int, n: int) -> np.ndarray:
-        if self._sd_block[0] != (n0, n):
-            self._sd_block = ((n0, n), np.sqrt(self.variance_at(np.arange(n0, n0 + n))))
-        return self._sd_block[1]
+        return np.sqrt(self.variance_at(np.arange(n0, n0 + n)))
 
     def sample_block(self, gen, n, n0=0):
         return gen.standard_normal((n, self.dim)) * self._sd(n0, n)[:, None]
@@ -430,18 +430,18 @@ class Drift:
     ``smooth(x_rows, zeta_rows)`` is the noisy continuous term; its mean
     ``smooth_mean`` (when known) feeds root checks and limit dynamics.  The
     set-valued term is either ``sample_term(x_rows, xi_rows)`` (vectorized,
-    possibly sample-dependent) or a selector applied to ``set_map`` row by
-    row.  ``m_rule(x_rows, xi_rows)`` returns one radius per row (a scalar
-    is every row's) and inflates each row's selection by a random point of
-    the closed ball of that radius, made from the row's d + 2 perturbation
-    normals (``pert_rows``).
+    possibly sample-dependent) or one ``select`` of ``selector`` on
+    ``set_map`` at all rows.  ``m_rule(x_rows, xi_rows)`` returns one radius
+    per row (a scalar is every row's) and inflates each row's selection by a
+    random point of the closed ball of that radius, made from the row's d + 2
+    perturbation normals (``pert_rows``).
 
     The engine hands each step that step's draws as dense (R, dim) rows,
     read in time blocks of a fixed number of doubles, so they do not grow
     with the horizon N, and it never writes into an array a term returns.
-    Only a random selection on ``set_map`` reads selector draws
-    (``u_rows``), so a sample term never sees them; a cell-table term
-    without ``m_rule`` gets ``xi_rows=None``.
+    Only a random selection on ``set_map`` reads selector draws (``u_rows``,
+    one uniform per row, each row's stream in ``select``), so a sample term
+    never sees them; a cell-table term without ``m_rule`` gets ``xi_rows=None``.
     """
 
     dim: int
@@ -458,10 +458,7 @@ class Drift:
         if self.sample_term is not None:
             b = np.asarray(self.sample_term(x_rows, xi_rows), dtype=float)
         elif self.set_map is not None:
-            b = np.empty_like(x_rows)
-            for i in range(x_rows.shape[0]):
-                rng = None if u_rows is None else _PrimedGenerator(u_rows[i])
-                b[i] = select(self.set_map, x_rows[i], self.selector, rng)
+            b = select(self.set_map, x_rows, self.selector, u_rows)
         else:
             return np.zeros_like(x_rows)
         if self.m_rule is not None:
@@ -479,19 +476,6 @@ class Drift:
         if self.smooth_mean is None:
             raise ValueError("drift has no declared smooth mean")
         return np.atleast_1d(np.asarray(self.smooth_mean(np.asarray(x, dtype=float)), dtype=float))
-
-
-class _PrimedGenerator:
-    """Feeds one pre-drawn uniform, then defers to nothing; enough for the
-    single-draw contract of UniformVertex inside the engine loop."""
-
-    __slots__ = ("u",)
-
-    def __init__(self, u: float):
-        self.u = float(u)
-
-    def random(self):
-        return self.u
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +671,8 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
 # a replication index is one 32-bit word of its substream key
 MAX_REPLICATIONS = 1 << 32
+# step indices up to here are exact in the float arange of the step sizes
+MAX_STEPS = 1 << 53
 _REPS_ERROR = "replication indices must lie in [0, 2**32)"
 
 

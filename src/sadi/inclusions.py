@@ -122,7 +122,6 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
         raise ValueError("dt must be positive")
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
-    strategy = strategy or LeastNorm()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).tolist()
     d = len(x)
     n_steps = step_count(horizon, dt)
@@ -131,7 +130,7 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
     events = []
     thresholds, bands = (fmap.thresholds, fmap.bands) if fmap is not None else ((), ())
     bounds = fmap.bounds if fmap is not None else None
-    least_norm = isinstance(strategy, LeastNorm)
+    least_norm = strategy is None or isinstance(strategy, LeastNorm)  # select's default
     zeros = [0.0] * d
 
     for k0 in range(0, n_steps, _BLOCK):

@@ -40,7 +40,6 @@ from .sets import (
     CellTable,
     ConvexSet,
     FieldPiece,
-    LeastNorm,
     PiecewiseField,
     Polytope,
     SetValuedMap,
@@ -371,7 +370,7 @@ def lasso_preset(lam: float, data: Optional[RegressionLaw] = None, dim: int = 1)
         return b - m @ w
 
     drift = Drift(dim=dim, smooth=data.smooth_term(), smooth_mean=smooth_mean,
-                  set_map=gmap, selector=LeastNorm(), sample_term=sign_term(lam))
+                  set_map=gmap, sample_term=sign_term(lam))
 
     x_star = soft_threshold_solution(m, b, lam) if pd else None
 
@@ -462,7 +461,7 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
         return _by_column(active, xi_rows)  # masked by column, not by an (R, 1) broadcast
 
     drift = Drift(dim=dim, smooth=smooth, smooth_mean=smooth_mean,
-                  set_map=gmap, selector=LeastNorm(), sample_term=sample_term)
+                  set_map=gmap, sample_term=sample_term)
 
     mu2 = float(mu @ mu)
     if mu2 == 0.0:
@@ -524,8 +523,7 @@ def rootfind_preset() -> Preset:
         return np.stack([-w_rows[:, 0] + w_rows[:, 1],
                          -w_rows[:, 0] - w_rows[:, 1]], axis=1)
 
-    drift = Drift(dim=dim, smooth=None, smooth_mean=None, set_map=gmap,
-                  selector=LeastNorm(), sample_term=sample_term)
+    drift = Drift(dim=dim, set_map=gmap, sample_term=sample_term)
 
     # the reduction collection: per-coordinate hinge sums with kinks at +-1
     u_fn = _corner_hinge_sum()
@@ -596,8 +594,7 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None) -> Preset:
         return np.repeat(np.sign(resid)[:, None], t_rows.shape[1], axis=1)
 
     # the mean dynamics live entirely in the analysis map, so no smooth mean
-    drift = Drift(dim=dim, smooth=None, smooth_mean=None,
-                  set_map=gmap, selector=LeastNorm(), sample_term=sample_term)
+    drift = Drift(dim=dim, set_map=gmap, sample_term=sample_term)
 
     return Preset(_recursion("sign_filter", drift, np.zeros(dim), noise_xi=law.noise_model()),
                   x_star=np.array(law.theta_true))
@@ -625,8 +622,7 @@ def nonconvergence_preset() -> Preset:
     dim = 2
     gmap = SetValuedMap(dim, bounds=_NONCONV_CELLS.bounds, common_bound=4.0, name="nonconv",
                         thresholds=_NONCONV_CELLS.thresholds)
-    drift = Drift(dim=dim, smooth=None, smooth_mean=None, set_map=gmap,
-                  selector=LeastNorm(), sample_term=_NONCONV_CELLS)
+    drift = Drift(dim=dim, set_map=gmap, sample_term=_NONCONV_CELLS)
 
     return Preset(_recursion("nonconv", drift, np.array([2.0, 2.0]),
                              bias=ShrinkingGaussianBias(dim, c=1.0, gamma=0.0)),

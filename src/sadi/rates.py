@@ -16,7 +16,6 @@ from .artifacts import Artifact
 from .engine import (SimulationBlowup, StepSchedule, as_matrix, block_steps, psd_root,
                      step_count)
 from .sets import (
-    LeastNorm,
     Polytope,
     SetValuedMap,
     _canonical,
@@ -29,6 +28,7 @@ from .sets import (
 
 __all__ = [
     "NormalizedSeries",
+    "normalize",
     "shifted_index",
     "SDIModel",
     "simulate_sdi",
@@ -79,10 +79,17 @@ class NormalizedSeries:
         x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
         if start < 0 or start >= iterates.shape[0]:
             raise ValueError("start index outside the recorded range")
-        idx = np.arange(start, iterates.shape[0])
-        a = schedule.step_sizes(start, iterates.shape[0])
-        vals = (iterates[idx] - x_star) / np.sqrt(a)[:, None]
+        last = iterates.shape[0] - 1
+        vals = normalize(iterates[start:], np.arange(start, last + 1), schedule, x_star, start, last)
         return cls(schedule=schedule, values=vals, start=start, x_star=x_star)
+
+
+def normalize(states, indices, schedule: StepSchedule, x_star, start: int,
+              last: int) -> np.ndarray:
+    """(X_k - x*)/sqrt(a_k) of the states at the mesh indices k along their
+    second-to-last axis, a_k read from the step sizes start..last."""
+    a = schedule.step_sizes(start, last + 1)[np.asarray(indices) - start]
+    return (states - np.atleast_1d(x_star)) / np.sqrt(a)[:, None]
 
 
 def shifted_index(schedule: StepSchedule, start: int, t: float, last: int) -> int:
@@ -158,7 +165,6 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
         raise ValueError("dt must be positive")
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
-    strategy = strategy or LeastNorm()
     d = model.dim
     u0 = np.asarray(u0, dtype=float)
     if u0.ndim <= 1:
@@ -188,10 +194,7 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
         for k, dw in enumerate(noise, k0):
             linear = u @ drift_t
             if model.t_map is not None:
-                sel = np.empty_like(u)
-                for i in range(n_reps):
-                    sel[i] = select(model.t_map, u[i], strategy, picks)
-                linear = linear + sel
+                linear = linear + select(model.t_map, u, strategy, picks)
             u = u + dt * linear + dw
             if not np.isfinite(u).all():  # the first replication that blew up
                 raise SimulationBlowup(k, u[np.argmin(np.isfinite(u).all(axis=1))])

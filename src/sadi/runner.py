@@ -17,7 +17,7 @@ from . import __version__
 from .artifacts import Artifact, column_blocks
 from .config import ConfigError, ExperimentConfig, validate_config
 from .engine import run, run_ensemble
-from .rates import compare_to_sdi, tightness_diagnostic, tightness_indices
+from .rates import compare_to_sdi, normalize, tightness_diagnostic, tightness_indices
 
 __all__ = ["StartAggregate", "AggregateReport", "run_experiment", "sweep",
            "set_by_path", "write_report_csv"]
@@ -184,25 +184,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
         if "certificate" in config.outputs:
             preset.stability.certify(name=config.name).write(out / "certificate.txt")
         if "normalized" in config.outputs:
-            u = _normalized(first, ck_idx, specs[0].schedule, x_star, 0, n)
+            u = normalize(first.checkpoint_states[:, cols], ck_idx, specs[0].schedule, x_star, 0, n)
             rep = tightness_diagnostic(ck_idx, u, kappa=0.05)
             rep.artifact(_provenance(config)).write(out / "tightness.txt")
         if "sdi_compare" in config.outputs:
-            u = _normalized(first, sdi_idx, specs[0].schedule, x_star, sdi_idx[0], n)
+            u = normalize(first.checkpoint_states[:, np.searchsorted(run_idx, sdi_idx)], sdi_idx,
+                          specs[0].schedule, x_star, sdi_idx[0], n)
             n_sdi = config.replications if sdi["n_reps"] is None else sdi["n_reps"]
             ks = compare_to_sdi(u[:, 0], u[:, 1], sdi["model"], t_eval=sdi["t_eval"],
                                 n_sdi_reps=n_sdi, seed=config.seed, dt=sdi["dt"])
             Artifact(None, [[str(ks)]], provenance=_provenance(config)).write(
                 out / "sdi_compare.txt")
     return report
-
-
-def _normalized(result, indices, schedule, x_star, start: int, n: int) -> np.ndarray:
-    """(X_k - x*)/sqrt(a_k) of every replication at checkpoint indices, a_k
-    taken from the step sizes start..n as a series from ``start`` takes them."""
-    a = schedule.step_sizes(start, n + 1)[np.asarray(indices) - start]
-    states = result.checkpoint_states[:, np.searchsorted(result.checkpoint_indices, indices)]
-    return (states - np.atleast_1d(x_star)) / np.sqrt(a)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -610,6 +610,13 @@ class UniformVertex:
         return "UniformVertex()"
 
 
+class _OneDraw(float):
+    """One pre-drawn uniform as a stream: enough for UniformVertex's one draw."""
+
+    def random(self):
+        return float(self)
+
+
 class Midpoint:
     """Vertex average of the core, ball parts contributing their centers."""
 
@@ -622,28 +629,6 @@ class CustomSelector:
     """Caller-supplied rule ``fn(value_set, x, rng) -> vector``; membership is checked."""
 
     fn: Callable
-
-
-def _select_from(value: ConvexSet, x: np.ndarray, strategy, rng) -> np.ndarray:
-    if isinstance(strategy, LeastNorm):
-        return least_norm_point(value)
-    if isinstance(strategy, ExtremeVertex):
-        return value.support_point(np.asarray(strategy.direction, dtype=float))
-    if isinstance(strategy, Midpoint):
-        return value.midpoint()
-    if isinstance(strategy, UniformVertex):
-        if rng is None:
-            raise ValueError("UniformVertex requires a random stream")
-        verts, _ = _canonical(value)
-        u = float(rng.random())
-        idx = min(int(u * verts.shape[0]), verts.shape[0] - 1)
-        return np.array(verts[idx])
-    if isinstance(strategy, CustomSelector):
-        out = _as_vector(strategy.fn(value, x, rng), "selector output")
-        if not contains(value, out, MEMBERSHIP_TOL):
-            raise ValueError("custom selector returned a point outside the set value")
-        return out
-    raise TypeError(f"unknown selector strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +727,35 @@ class SetValuedMap:
 
 
 def select(mapping: SetValuedMap, x, strategy=None, rng=None) -> np.ndarray:
-    """Pick one element of ``mapping(x)`` according to the strategy."""
+    """Pick one element of ``mapping(x)`` by the strategy; at an (n, d) array
+    ``x``, row i as ``select(mapping, x[i], strategy, r_i)``, ``r_i`` being ``rng``
+    (a generator, drawn in row order, or None) or a stream of uniform ``rng[i]``."""
     strategy = strategy or LeastNorm()
+    if np.ndim(x) == 2:
+        streams = map(_OneDraw, rng) if isinstance(rng, np.ndarray) else itertools.repeat(rng)
+        picks = [select(mapping, row, strategy, r) for row, r in zip(x, streams)]
+        return np.array(picks, dtype=float).reshape(np.shape(x))
     x = _as_vector(x, "state")
     value = mapping.value(x)
-    return _select_from(value, x, strategy, rng)
+    if isinstance(strategy, LeastNorm):
+        return least_norm_point(value)
+    if isinstance(strategy, ExtremeVertex):
+        return value.support_point(np.asarray(strategy.direction, dtype=float))
+    if isinstance(strategy, Midpoint):
+        return value.midpoint()
+    if isinstance(strategy, UniformVertex):
+        if rng is None:
+            raise ValueError("UniformVertex requires a random stream")
+        verts, _ = _canonical(value)
+        u = float(rng.random())
+        idx = min(int(u * verts.shape[0]), verts.shape[0] - 1)
+        return np.array(verts[idx])
+    if isinstance(strategy, CustomSelector):
+        out = _as_vector(strategy.fn(value, x, rng), "selector output")
+        if not contains(value, out, MEMBERSHIP_TOL):
+            raise ValueError("custom selector returned a point outside the set value")
+        return out
+    raise TypeError(f"unknown selector strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 experiment orchestration, provenance headers, aggregation, and sweeps."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +376,52 @@ def test_rate_indices_stay_out_of_the_other_artifacts(tmp_path, monkeypatch):
         # the header line carries the fingerprint, which covers the outputs list
         body = [(d / name).read_bytes().split(b"\n", 1)[1] for d in (plain, rates)]
         assert body[0] == body[1]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# each span a verb integrates, in steps of its dt, beyond 2**53 steps; each is
+# reported with the error of an x_star of the wrong dimension, before anything runs
+_CHAIN = {"probes": [[1.0, 1.0]], "t_min": 1.0}
+_SPAN_ERRORS = [
+    ("di_horizon", "rootfind_two_starts", {"di": {"horizon": 1e308}}, "di.horizon: "),
+    ("di_dt", "rootfind_two_starts", {"di": {"dt": 1e-300}}, "di.horizon: "),
+    ("chain_t_min", "rootfind_two_starts", {"chain": dict(_CHAIN, t_min=1e308)},
+     "chain.t_min (segments of 2*t_min): "),
+    # t_min is 6e15 steps of the default dt, and a segment twice that
+    ("chain_segment", "rootfind_two_starts", {"chain": dict(_CHAIN, t_min=6e12)},
+     "chain.t_min (segments of 2*t_min): "),
+    ("sdi_t_eval", "ou_rates", {"outputs": ["report"], "sdi.t_eval": 1e308}, "sdi.t_eval: "),
+    ("sdi_dt", "ou_rates", {"outputs": ["report"], "sdi.dt": 1e-300}, "sdi.t_eval: "),
+]
+
+
+@pytest.mark.parametrize("name,changes,where", [case[1:] for case in _SPAN_ERRORS],
+                         ids=[case[0] for case in _SPAN_ERRORS])
+def test_spans_past_2_53_steps_are_config_errors(name, changes, where):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        block, _, entry = key.partition(".")
+        if entry:
+            raw[block][entry] = value
+        else:
+            raw[key] = value
+    raw["x_star"] = [0.0, 0.0, 0.0]
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    errors = err.value.errors
+    assert [e for e in errors if e.startswith(where) and "more than 2**53 steps" in e]
+    assert [e for e in errors if e.startswith("x_star: has dimension 3")]
+
+
+@pytest.mark.parametrize("changes,needle", [
+    # the report's error quantiles would subtract inf from inf
+    ({"x_star": [math.inf]}, "x_star: must be a vector of finite numbers"),
+    ({"x_star": [math.nan]}, "x_star: must be a vector of finite numbers"),
+    # its square, the response variance, overflowed with a traceback
+    ({"preset_params": {"lam": 0.7, "data": {"theta": [1.0], "noise_std": 1e308}}},
+     "preset_params.data.noise_std: must be >= 0 with a finite square"),
+], ids=["x_star_inf", "x_star_nan", "noise_std"])
+def test_non_finite_targets_and_variances_are_config_errors(changes, needle):
+    with pytest.raises(ConfigError) as err:
+        validate_config(_minimal(**changes))
+    assert [e for e in err.value.errors if e.startswith(needle)]

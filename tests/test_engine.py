@@ -98,6 +98,11 @@ def test_step_count_edges():
     assert step_count(-1.0, 0.1) == 0
     assert step_count(1e-20, 1.0) == 1
     assert step_count(0.35, 0.1) == 4
+    # at most 2**53 steps, refused before an infinite ratio is rounded
+    assert step_count(2.0**53, 1.0) == 2**53
+    for span, dt in ((2.0**53 + 2.0, 1.0), (1e308, 1e-3), (1.0, 1e-300), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match=r"more than 2\*\*53 steps"):
+            step_count(span, dt)
 
 
 def test_time_mesh_origin():

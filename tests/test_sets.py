@@ -674,6 +674,53 @@ def test_custom_selector_validated():
     assert select(m, [0.0], good)[0] == 0.25
 
 
+# the bounds of the boxes on rows: every signed zero and infinity, less the
+# whole line (whose midpoint is NaN) and the boxes at infinity (no point of
+# which the custom selector's membership check can place)
+_ENDS = (-math.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 3.0, math.inf)
+_INTERVALS = [(lo, hi) for lo, hi in itertools.product(_ENDS, repeat=2)
+              if lo <= hi and not (math.isinf(lo) and math.isinf(hi))]
+
+
+def _row_maps(n: int, seed: int):
+    """n random boxes, and rows x = (k, y) whose value is the k-th box, under a
+    box-valued map and a rule map."""
+    gen = np.random.default_rng(seed)
+    boxes = [tuple(map(list, zip(*(_INTERVALS[i] for i in gen.integers(len(_INTERVALS), size=2)))))
+             for _ in range(n)]
+    rows = np.column_stack([np.arange(n, dtype=float), gen.normal(size=n)])
+    maps = (SetValuedMap(2, bounds=lambda c: boxes[int(c[0])], common_bound=1.0),
+            SetValuedMap(2, lambda x: Box(*boxes[int(x[0])]), common_bound=1.0))
+    return rows, maps
+
+
+_ROW_STRATEGIES = [
+    LeastNorm(), Midpoint(), ExtremeVertex([1.0, 0.0]), ExtremeVertex([-1.0, -0.0]),
+    UniformVertex(),
+    # a caller's rule that reads the state and, when given one, the stream
+    CustomSelector(lambda value, x, rng: nearest_point(
+        value, x if rng is None else x * rng.random())),
+]
+
+
+@pytest.mark.parametrize("strategy", _ROW_STRATEGIES, ids=repr)
+def test_select_on_rows_is_a_loop_of_select_bit_for_bit(strategy):
+    rows, maps = _row_maps(300, seed=5)
+    draws = not isinstance(strategy, (LeastNorm, Midpoint, ExtremeVertex))
+    # per-row uniforms are the numbers one generator gives row by row
+    u = np.random.default_rng(9).random(rows.shape[0])
+    gen = np.random.default_rng(9)
+    assert u.tolist() == [gen.random() for _ in range(rows.shape[0])]
+    for m in maps:
+        loop_gen = np.random.default_rng(9) if draws else None
+        expected = np.array([select(m, x, strategy, loop_gen) for x in rows])
+        # a generator drawn in row order, or each row's uniform
+        for rng in ([np.random.default_rng(9), u] if draws else [None]):
+            got = select(m, rows, strategy, rng)
+            assert got.shape == rows.shape and got.tobytes() == expected.tobytes()
+    assert select(maps[0], rows[:0], strategy, u[:0]).shape == (0, 2)
+
+
 def test_boundedness_audit(rng):
     m = neg_sign_map(scale=0.7)
     for _ in range(1000):
