@@ -18,6 +18,7 @@ import numpy as np
 from .engine import (
     MAX_REPLICATIONS,
     MAX_STEPS,
+    _DRAW_BUDGET,
     ConstantBias,
     Drift,
     GaussianNoise,
@@ -64,6 +65,11 @@ def _entry(v) -> bool:
 def _vector(v, of=_entry) -> bool:
     """A non-empty list of ``of``: of entries, or with ``of=_vector`` of vectors."""
     return isinstance(v, list) and len(v) > 0 and all(map(of, v))
+
+
+def _entries(v) -> list:
+    """The numbers of a number, a vector or a list of vectors."""
+    return [v] if _number(v) else [e for item in v for e in _entries(item)]
 
 
 def _is(noun: str, test: Callable) -> Callable:
@@ -129,6 +135,19 @@ _AT_LEAST_1 = dict(bound=lambda v: v >= 1, must="an integer >= 1")
 _POSITIVE = dict(bound=lambda v: v > 0, must="> 0")
 _NONNEGATIVE = dict(bound=lambda v: v >= 0, must=">= 0")
 
+
+def _finite(noun: str) -> dict:
+    return dict(bound=lambda v: all(map(math.isfinite, _entries(v))),
+                must=f"{noun} of finite numbers")
+
+
+def _start(noun: str) -> dict:
+    """An infinite start only overflows; a NaN start stays, as the documented
+    way to make every replication blow up."""
+    return dict(bound=lambda v: not any(map(math.isinf, _entries(v))),
+                must=f"{noun} without an infinite entry")
+
+
 _SCHEDULE = Block({
     "kind": Leaf(_one_of("harmonic", "power_law"), "power_law"),
     "c": Leaf(NUMBER, 1.0, **_POSITIVE),
@@ -146,10 +165,11 @@ _PROJECTION = Block({
 _NOISE = Block({
     "kind": Leaf(_one_of("none", "gaussian", "uniform"), "none"),
     "dim": Leaf(INT, 0, lambda v: v >= 0, "an integer >= 0", ("none",)),
-    "mean": Leaf(VECTOR, REQUIRED, kinds=("gaussian",)),
-    "cov": Leaf(MATRIX, REQUIRED, kinds=("gaussian",)),
-    "lo": Leaf(VECTOR, REQUIRED, kinds=("uniform",)),
-    "hi": Leaf(VECTOR, REQUIRED, kinds=("uniform",))}, "kind")
+    "mean": Leaf(VECTOR, REQUIRED, **_finite("a vector"), kinds=("gaussian",)),
+    "cov": Leaf(MATRIX, REQUIRED, **_finite("a number, a vector or equal-length vectors"),
+                kinds=("gaussian",)),
+    "lo": Leaf(VECTOR, REQUIRED, **_finite("a vector"), kinds=("uniform",)),
+    "hi": Leaf(VECTOR, REQUIRED, **_finite("a vector"), kinds=("uniform",))}, "kind")
 _DRIFT = Block({
     # the matrix is -I and the offset 0 when absent; "none" adds no noise sample
     "smooth": Leaf(Block({"kind": Leaf(_one_of("linear"), "linear"), "matrix": Leaf(MATRIX),
@@ -194,7 +214,8 @@ _SDI = Block({
     "start_index": Leaf(INT, 0, lambda v: v >= 0, "an integer >= 0"),
 })
 _DI = Block({"dt": Leaf(NUMBER, 1e-3, **_POSITIVE), "horizon": Leaf(NUMBER, 10.0, **_NONNEGATIVE),
-             "x0": Leaf(VECTOR)})  # x0 absent: the preset's start, or the origin
+             # x0 absent: the preset's start, or the origin
+             "x0": Leaf(VECTOR, None, **_start("a vector"))})
 _CHAIN = Block({"probes": Leaf(VECTORS, REQUIRED), "eps": Leaf(NUMBER, 0.5, **_POSITIVE),
                 "t_min": Leaf(NUMBER, 1.0, **_POSITIVE), "budget": Leaf(INT, 16, **_AT_LEAST_1)})
 # the preset is the config's kind; without one the drift is inline
@@ -202,7 +223,7 @@ _CONFIG = Block({
     "name": Leaf(STRING, "experiment"), "preset": Leaf(_one_of(*_PRESET_PARAMS)),
     "preset_params": Leaf(_PRESET_PARAMS, {}, kinds=tuple(_PRESET_PARAMS)),
     "drift": Leaf(_DRIFT, kinds=(None,)), "dim": Leaf(INT, None, **_AT_LEAST_1),
-    "x0": Leaf(POINTS),
+    "x0": Leaf(POINTS, None, **_start("a vector or a list of vectors")),
     "iterations": Leaf(INT, REQUIRED, lambda v: 1 <= v <= MAX_STEPS,
                        "an integer in [1, 2**53]"),
     "replications": Leaf(INT, REQUIRED, lambda v: 1 <= v <= MAX_REPLICATIONS,
@@ -210,7 +231,7 @@ _CONFIG = Block({
     "seed": Leaf(INT, REQUIRED, lambda v: v >= 0, "a nonnegative integer"),
     "schedule": Leaf(_SCHEDULE), "bias": Leaf(_BIAS), "projection": Leaf(_PROJECTION),
     "noise": Leaf(Block({role: Leaf(_NOISE) for role in ("xi", "zeta", "zetatilde")}), {}),
-    "x_star": Leaf(VECTOR, None, lambda v: np.isfinite(v).all(), "a vector of finite numbers"),
+    "x_star": Leaf(VECTOR, None, **_finite("a vector")),
     "outputs": Leaf(OUTPUTS, ("report",)),
     "checkpoints": Leaf(INT, 10, lambda v: v >= 2, "an integer >= 2"),
     "sdi": Leaf(_SDI), "di": Leaf(_DI, {}), "chain": Leaf(_CHAIN)}, "preset")
@@ -467,6 +488,13 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
             model = attempt("sdi", lambda: SDIModel(
                 A=as_matrix(sdi["A"], dim), sigma=sdi["sigma"], half_identity=sdi["half_identity"]))
         sdi = dict(sdi, model=model, n_reps=sdi.get("n_reps"), eval_index=None)
+        # a step of the paths a verb simulates fills 2*n_reps*dim doubles of draws:
+        # absent, simulate-sdi's 100 paths or sdi_compare's one per replication
+        paths = sdi["n_reps"] or max(100, cfg["replications"] if compare else 0)
+        if model is not None and 2 * paths * model.dim > _DRAW_BUDGET:
+            given = "" if sdi["n_reps"] else f" (absent, so {paths} paths)"
+            errors.append(f"sdi.n_reps{given}: n_reps * dim must be at most "
+                          f"{_DRAW_BUDGET // 2}, the draw budget of one step")
         if compare and sdi["start_index"] > n:
             errors.append(f"sdi.start_index: must lie in [0, {n}]")
         elif compare and schedule is not None:

@@ -656,11 +656,17 @@ def _seed_state(seed: int, rep, role: int) -> list:
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
     """Hands PCG64 the state words that ``_seed_state`` computed, so PCG64
-    runs its own seeding exactly as it does from a SeedSequence."""
+    runs its own seeding exactly as it does from a SeedSequence.
+
+    PCG64 reads the words once, while it is built, and keeps the object as
+    its ``seed_seq``.  ``_role_generators`` seeds all the generators of one
+    call through one such object and sets ``words`` to None afterwards, so
+    an engine generator's ``seed_seq`` holds no words, costs no memory per
+    generator and cannot spawn."""
 
     __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
+    def __init__(self, words: Optional[np.ndarray] = None):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
@@ -680,14 +686,20 @@ def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
     """One generator per replication for ``role``: the generator
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(rep, role)))``,
     with the SeedSequence hash run once for all replications (on plain
-    ints for a single one)."""
+    ints for a single one), and every PCG64 seeded through one shared
+    ``_SeedWords``."""
     reps = np.asarray(reps, dtype=np.int64)
     if reps.size and (reps.min() < 0 or reps.max() >= MAX_REPLICATIONS):
         raise ValueError(_REPS_ERROR)
     key = int(reps[0]) if reps.size == 1 else reps.astype(np.uint64)
     state = np.array(_seed_state(seed, key, role), dtype=np.uint64).reshape(4, -1)
     Generator, PCG64 = np.random.Generator, np.random.PCG64
-    return [Generator(PCG64(_SeedWords(row))) for row in np.ascontiguousarray(state.T)]
+    seeds, gens = _SeedWords(), []
+    for row in np.ascontiguousarray(state.T):
+        seeds.words = row
+        gens.append(Generator(PCG64(seeds)))
+    seeds.words = None
+    return gens
 
 
 @dataclass
@@ -712,9 +724,15 @@ _DRAW_BUDGET = 1 << 21
 
 def block_steps(n_steps: int, per_step: int) -> int:
     """Steps in each time block of draws over a run of ``n_steps`` steps,
-    when one step fills ``per_step`` doubles: the block rule above, and at
-    least one step."""
-    return max(1, min(n_steps, _BLOCK_STEPS, _DRAW_BUDGET // max(1, per_step)))
+    when one step fills ``per_step`` doubles.  The block rule above bounds
+    K, and the bound sets the number of blocks; K is the shortest length
+    that covers the run in that many blocks, so the blocks are balanced
+    (N = 1,000 under a bound of 314 runs as 4 blocks of 250 steps, not
+    314, 314, 314 and 58) and the buffers hold no steps the run never
+    draws.  At least one step."""
+    bound = max(1, min(n_steps, _BLOCK_STEPS, _DRAW_BUDGET // max(1, per_step)))
+    count = -(-n_steps // bound)
+    return -(-n_steps // count) if count else 1
 
 
 # replications that run together, as one tile: a tile builds its own
@@ -826,6 +844,9 @@ class _Draws:
         return out
 
 
+# a blow-up overflows and makes NaNs on its way; the loop records it as a
+# failed replication, so numpy's warnings about it are not errors
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                    checkpoints: Optional[Sequence[int]], record_paths: bool,
                    record_logs: bool):

@@ -140,6 +140,8 @@ class SDIModel:
         return True
 
 
+# a blow-up overflows on its way to the non-finite state that raises it
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
                  strategy=None, seed: int = 0, n_reps: int = 1,
                  record_paths: bool = True):

@@ -417,6 +417,108 @@ def test_simulate_sdi_bad_block_exits_2(tmp_path, capsys, monkeypatch, sdi, need
     assert not out.exists()
 
 
+_SDI_PATHS = "sdi.n_reps: n_reps * dim must be at most 1048576, the draw budget of one step"
+
+
+@pytest.mark.parametrize("verb,changes,needle", [
+    ("simulate-sdi", {"sdi": dict(_SDI, n_reps=2**40)}, _SDI_PATHS),
+    ("run", {"sdi": dict(_SDI, n_reps=2**40)}, _SDI_PATHS),
+    # absent, sdi_compare simulates one path per replication
+    ("run", {"sdi": {k: v for k, v in _SDI.items() if k != "n_reps"},
+             "replications": 2**20 + 1},
+     "sdi.n_reps (absent, so 1048577 paths): n_reps * dim must be at most 1048576"),
+], ids=["simulate_sdi", "run", "run_absent"])
+def test_sdi_paths_past_the_draw_budget_exit_2_before_anything_runs(tmp_path, capsys,
+                                                                    monkeypatch, verb,
+                                                                    changes, needle):
+    import tracemalloc
+
+    import sadi.cli
+    import sadi.runner
+
+    def never(*args, **kwargs):
+        raise AssertionError("a simulator ran")
+
+    for module, name in ((sadi.cli, "simulate_sdi"), (sadi.runner, "run_ensemble"),
+                         (sadi.runner, "compare_to_sdi")):
+        monkeypatch.setattr(module, name, never)
+    # one step of 2**40 paths would draw 16 TiB
+    cfg = _ou_rates_copy(tmp_path, **changes)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main([verb, str(cfg), "--out-dir", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert "invalid experiment config" in err and needle in err
+    assert not out.exists()
+
+
+def test_the_shipped_sdi_paths_fit_the_draw_budget(tmp_path, capsys):
+    from sadi.config import parse_config
+
+    # ou_rates' 500 one-dimensional paths, and the largest count that fits
+    out = tmp_path / "out"
+    assert main(["simulate-sdi", str(CONFIGS / "ou_rates.json"), "--out-dir", str(out)]) == 0
+    assert "simulated 500 paths" in capsys.readouterr().out
+    assert len((out / "sdi_finals.csv").read_text(encoding="utf-8").splitlines()) == 2 + 500
+    widest = parse_config(_ou_rates_copy(tmp_path, sdi=dict(_SDI, n_reps=2**20)))
+    assert widest.sdi["n_reps"] == 2**20
+
+
+_NON_FINITE = "a vector of finite numbers"
+_INFINITE_START = "without an infinite entry"
+
+
+@pytest.mark.parametrize("changes,needle", [
+    ({"x0": [math.inf]}, f"x0: must be a vector or a list of vectors {_INFINITE_START}"),
+    ({"x0": [[1.0], [-math.inf]]}, f"x0: must be a vector or a list of vectors {_INFINITE_START}"),
+    ({"di": {"x0": [-math.inf]}}, f"di.x0: must be a vector {_INFINITE_START}"),
+    ({"noise": {"zetatilde": {"kind": "gaussian", "mean": [math.inf], "cov": 1.0}}},
+     f"noise.zetatilde.mean: must be {_NON_FINITE}"),
+    ({"noise": {"zetatilde": {"kind": "gaussian", "mean": [0.0], "cov": [[math.nan]]}}},
+     "noise.zetatilde.cov: must be a number, a vector or equal-length vectors of finite numbers"),
+    ({"noise": {"zetatilde": {"kind": "gaussian", "mean": [0.0], "cov": math.inf}}},
+     "noise.zetatilde.cov: must be a number, a vector or equal-length vectors of finite numbers"),
+    ({"noise": {"zetatilde": {"kind": "uniform", "lo": [-math.inf], "hi": [1.0]}}},
+     f"noise.zetatilde.lo: must be {_NON_FINITE}"),
+], ids=["x0", "x0_second_start", "di_x0", "mean", "cov_nan", "cov_inf", "uniform_lo"])
+def test_infinite_starts_and_non_finite_noise_exit_2(tmp_path, capsys, changes, needle):
+    # a NaN start stays accepted: it is how a run makes every replication blow up
+    for verb in ("run", "simulate-di"):
+        cfg = _ex1_copy(tmp_path, **changes)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([verb, str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid experiment config" in err and f"  - {needle}\n" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,extra", [
+    ("run", []), ("sweep", ["--param", "schedule.alpha", "--values", "0.5,1"])])
+def test_an_overflowing_blowup_is_recorded_under_warnings_as_errors(tmp_path, capsys,
+                                                                      verb, extra):
+    # a_0 = 1e308 overflows the first step of every replication
+    raw = json.loads((CONFIGS / "svm_plane.json").read_text(encoding="utf-8"))
+    raw.update(iterations=50, replications=20,
+               schedule={"kind": "power_law", "c": 1e308, "alpha": 0.5})
+    cfg = tmp_path / "svm_c.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([verb, str(cfg), "--out-dir", str(out)] + extra) == 0
+    if verb == "run":
+        assert "failed=20/20" in capsys.readouterr().out
+        lines = (out / "report.csv").read_text(encoding="utf-8").splitlines()
+        assert dict(zip(lines[1].split(","), lines[2].split(",")))["n_failed"] == "20"
+
+
 _CHAIN = {"probes": [[1.0, 1.0]], "eps": 0.5, "t_min": 1.0, "budget": 4}
 _DI_BLOCK_ERRORS = [
     ("di_dt", {"di": {"dt": 0}}, "di.dt: must be > 0"),

@@ -520,6 +520,20 @@ def test_batched_substreams_match_seed_sequence():
             assert [g.bit_generator.state for g in single] == expected
 
 
+@pytest.mark.parametrize("reps", [range(5, 12), [2**32 - 1]])
+def test_one_call_seeds_its_generators_through_one_emptied_seed_object(reps):
+    seed = 2**40 + 3
+    gens = _role_generators(seed, reps, ROLE_BIAS)
+    seed_seqs = {id(gen.bit_generator.seed_seq) for gen in gens}
+    assert len(seed_seqs) == 1 and gens[0].bit_generator.seed_seq.words is None
+    for rep, gen in zip(reps, gens):
+        want = _reference_generator(seed, rep, ROLE_BIAS)
+        assert np.array_equal(gen.standard_normal(50), want.standard_normal(50))
+        assert np.array_equal(gen.random(7), want.random(7))
+    with pytest.raises(TypeError):
+        gens[0].spawn(1)
+
+
 def test_ensemble_finals_follow_seed_sequence_streams():
     spec = _ou_spec(n_steps=120)
     seed = 2**40 + 3
@@ -884,9 +898,50 @@ def test_draw_blocks_hold_at_most_512_steps_and_the_draw_budget(monkeypatch):
     run_ensemble(_ou_spec(n_steps=1_100), 3, 8)
     # the plain-float loop of one replication
     run(replace(nonconvergence_preset().spec, x0=[1.5, 0.0], n_steps=1_100), 3)
-    assert ks == [512, 512, 76] * 2
-    # a step of 10,000 doubles: the budget's 209 steps
-    assert engine.block_steps(1_100, 10_000) == engine._DRAW_BUDGET // 10_000 == 209
+    # the 512-step bound takes 3 blocks, balanced
+    assert ks == [367, 367, 366] * 2
+    # a step of 10,000 doubles: the budget's 209 steps take 6 blocks, of 184
+    assert engine._DRAW_BUDGET // 10_000 == 209
+    assert engine.block_steps(1_100, 10_000) == 184
+
+
+def test_balanced_blocks_keep_the_block_count_of_the_bound():
+    per_steps = (1, 2, 3, 7, 4_096, 6_668, 10_000, 2**20, 2**21, 2**21 + 1, 2**40)
+    for n in [*range(1_100), 4_095, 4_096, 10**6, 10**6 + 1, 2**53]:
+        for per_step in per_steps:
+            bound = max(1, min(n, engine._BLOCK_STEPS, engine._DRAW_BUDGET // per_step))
+            k = engine.block_steps(n, per_step)
+            count = -(-n // k)
+            assert 1 <= k <= bound
+            assert count == -(-n // bound)
+            # the shortest length that covers the run in that many blocks
+            assert k * count >= n > (k - 1) * count or n == 0
+    assert [engine.block_steps(0, p) for p in per_steps] == [1] * len(per_steps)
+
+
+def test_a_wide_ensemble_maps_balanced_blocks_and_draws_as_often(monkeypatch):
+    # ex1's shape: two one-dimensional drawing roles, R = 10,000 in tiles of
+    # 3,334, 3,333 and 3,333, N = 1,000 under a budget of 2**21 // 6,668 = 314
+    # steps, so 4 blocks of 250 steps per tile
+    spec = _shrinking_bias_spec(1_000)
+    models = [entry[0] for entry in engine._Draws(spec, 3, 1)._roles
+              if entry is not None and entry[1] is not None]
+    assert [m.dim for m in models] == [1, 1]
+    shapes, mapped, real = [], [], engine._mapped
+    for cls in {type(m) for m in models}:
+        fill = cls.fill_block
+        monkeypatch.setattr(cls, "fill_block", lambda self, gens, n0, out, fill=fill:
+                            shapes.append(out.shape[:2]) or fill(self, gens, n0, out))
+    monkeypatch.setattr(engine, "_mapped", lambda n: mapped.append(8 * n) or real(n))
+    run_ensemble(replace(spec, n_steps=10), 3, 100)  # first-call caches stay out of the peak
+    shapes.clear(), mapped.clear()
+    peak = _peak_bytes(monkeypatch, lambda: run_ensemble(spec, 3, 10_000))
+    assert mapped == [8 * 250 * 3_334] * 2
+    # 3 tiles of 4 blocks for each role: the 24 calls of blocks of 314, 314, 314 and 58
+    assert sorted(set(shapes)) == [(250, 3_333), (250, 3_334)] and len(shapes) == 24
+    # the generators of a tile share one seed object; a seed object of
+    # their own would add 176 B for each of a tile's 6,668 generators
+    assert peak - sum(mapped) < 5_500_000
 
 
 def test_a_forked_child_never_writes_into_the_parents_draw_block():

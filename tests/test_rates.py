@@ -257,6 +257,18 @@ def test_sdi_blowup_step_matches_the_per_step_loop(monkeypatch, block):
     assert steps[0] % 7  # inside a block of 7 steps
 
 
+def test_an_overflowing_sdi_raises_its_blowup_under_warnings_as_errors():
+    import warnings
+
+    # the drift overflows to inf on the way to the blow-up
+    model = SDIModel(A=[[1e308]], sigma=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SimulationBlowup) as err:
+            simulate_sdi(model, [1.0], dt=0.5, horizon=10.0, seed=2, n_reps=3)
+    assert err.value.step_index == 1 and math.isinf(err.value.state[0])
+
+
 def test_sdi_step_count_of_a_decimal_horizon():
     # 128.08 / 0.005 is 25616.000000000004 in floats: 25,616 steps, not one more
     model = SDIModel(A=[[-1.0]], sigma=[[0.0]])
