@@ -196,7 +196,8 @@ _PRESET_PARAMS = {
             "feature_cov": Leaf(MATRIX, kinds=("gaussian",))}, "features")),
         "dim": Leaf(INT, None, **_AT_LEAST_1),  # of the all-ones law, so not with data
     }),
-    "pegasos": Block({"lam": Leaf(NUMBER, 1.0), "feature_mean": Leaf(VECTOR, (1.0, 2.0)),
+    "pegasos": Block({"lam": Leaf(NUMBER, 1.0),
+                      "feature_mean": Leaf(VECTOR, (1.0, 2.0), **_finite("a vector")),
                       "feature_cov": Leaf(MATRIX), "ridge_coeff": Leaf(NUMBER, 2.0)}),
     "rootfind": Block({}),
     "sign_filter": Block({"law": Leaf(Block({

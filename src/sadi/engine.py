@@ -250,9 +250,13 @@ def as_matrix(m, d: Optional[int] = None, mismatch: str = "must be a square matr
 
 def psd_root(m, d: int, what: str, mismatch: str):
     """``as_matrix(m, d, mismatch)`` and the root of its PSD symmetric part;
-    ``what`` names ``m`` in the PSD error."""
+    ``what`` names ``m`` in the errors."""
     m = as_matrix(m, d, mismatch)
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 0.5 * (m + m.T)
+    if not np.isfinite(sym).all():
+        raise ValueError(f"{what} + its transpose must be finite")
+    w, v = np.linalg.eigh(sym)
     if np.any(w < -1e-10):
         raise ValueError(f"{what} must be positive semidefinite")
     return m, v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
@@ -654,9 +658,12 @@ def _seed_state(seed: int, rep, role: int) -> list:
     return [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)]
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
+class _SeedWords:
     """Hands PCG64 the state words that ``_seed_state`` computed, so PCG64
     runs its own seeding exactly as it does from a SeedSequence.
+    ``_role_generators`` registers the class as numpy's ISeedSequence, so
+    that importing the engine does not load ``numpy.random``; a verb that
+    never draws never loads it.
 
     PCG64 reads the words once, while it is built, and keeps the object as
     its ``seed_seq``.  ``_role_generators`` seeds all the generators of one
@@ -693,7 +700,10 @@ def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
         raise ValueError(_REPS_ERROR)
     key = int(reps[0]) if reps.size == 1 else reps.astype(np.uint64)
     state = np.array(_seed_state(seed, key, role), dtype=np.uint64).reshape(4, -1)
-    Generator, PCG64 = np.random.Generator, np.random.PCG64
+    from numpy.random import Generator, PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
     seeds, gens = _SeedWords(), []
     for row in np.ascontiguousarray(state.T):
         seeds.words = row
@@ -716,9 +726,11 @@ class EnsembleResult:
 
 
 # a time block of draws holds at most _BLOCK_STEPS steps and at most
-# _DRAW_BUDGET doubles, summed over the buffers it fills; past a few hundred
-# steps a longer block draws no faster, it only holds more memory
-_BLOCK_STEPS = 512
+# _DRAW_BUDGET doubles, summed over the buffers it fills.  One generator
+# call of k normals costs, per normal, about 14.6 ns at k = 500, 15.8 at
+# 250, 18.7 at 128 and 24.1 at 64 (a 2-vCPU x86_64 host): past 256 steps a
+# longer block draws little faster, it only holds more memory
+_BLOCK_STEPS = 256
 _DRAW_BUDGET = 1 << 21
 
 
@@ -727,8 +739,8 @@ def block_steps(n_steps: int, per_step: int) -> int:
     when one step fills ``per_step`` doubles.  The block rule above bounds
     K, and the bound sets the number of blocks; K is the shortest length
     that covers the run in that many blocks, so the blocks are balanced
-    (N = 1,000 under a bound of 314 runs as 4 blocks of 250 steps, not
-    314, 314, 314 and 58) and the buffers hold no steps the run never
+    (N = 1,000 under the 256-step cap runs as 4 blocks of 250 steps, not
+    256, 256, 256 and 232) and the buffers hold no steps the run never
     draws.  At least one step."""
     bound = max(1, min(n_steps, _BLOCK_STEPS, _DRAW_BUDGET // max(1, per_step)))
     count = -(-n_steps // bound)

@@ -426,6 +426,8 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
     cov = as_matrix(1.0 if feature_cov is None else feature_cov, dim,
                     "feature_cov must match feature_mean")
     kappa = float(ridge_coeff) * lam
+    if not math.isfinite(kappa):
+        raise ValueError("ridge_coeff * lam must lie below the float range")
 
     # the hinge's mean subgradient: none past the margin, mu inside it, the segment on it
     past, inside = Singleton(np.zeros(dim)), Singleton(mu)

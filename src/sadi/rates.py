@@ -159,9 +159,12 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     use, into a second (k, n_reps, d) buffer that is then scaled by
     sqrt(dt).  The two buffers are allocated once per call and reused by
     every block, k set by the engine's block rule (``block_steps``), so
-    their memory does not grow with the horizon.  A selection strategy
-    that draws reads its own generator, spawned from the seed, so the
-    normals never depend on the selections.
+    their memory does not grow with the horizon.  A step updates the state
+    in place, through one reused (n_reps, d) buffer for the drift, and
+    adds dt times the drift and then the increment, the order of
+    ``u + dt * drift + dw``, so the sums round as that expression does.  A
+    selection strategy that draws reads its own generator, spawned from
+    the seed, so the normals never depend on the selections.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -187,6 +190,7 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
         paths[:, 0, :] = u
     block = block_steps(n_steps, 2 * n_reps * d)
     normals, increments = np.empty((block, n_reps, d)), np.empty((block, n_reps, d))
+    linear, finite = np.empty((n_reps, d)), np.empty((n_reps, d), dtype=bool)
     for k0 in range(0, n_steps, block):
         m = min(block, n_steps - k0)
         gen.standard_normal(out=normals[:m])
@@ -194,12 +198,14 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
         noise = np.matmul(normals[:m], root_t, out=increments[:m])
         noise *= sqdt
         for k, dw in enumerate(noise, k0):
-            linear = u @ drift_t
+            np.matmul(u, drift_t, out=linear)
             if model.t_map is not None:
-                linear = linear + select(model.t_map, u, strategy, picks)
-            u = u + dt * linear + dw
-            if not np.isfinite(u).all():  # the first replication that blew up
-                raise SimulationBlowup(k, u[np.argmin(np.isfinite(u).all(axis=1))])
+                linear += select(model.t_map, u, strategy, picks)
+            linear *= dt
+            u += linear
+            u += dw
+            if not np.isfinite(u, out=finite).all():  # the first replication that blew up
+                raise SimulationBlowup(k, u[np.argmin(finite.all(axis=1))])
             if record_paths:
                 paths[:, k + 1, :] = u
     return paths if record_paths else u

@@ -70,6 +70,23 @@ def test_cli_import_loads_no_scipy():
     _python("-c", _NO_SCIPY, check=True)
 
 
+_NO_RANDOM = """
+import sys
+import sadi.cli
+assert 'numpy.random' not in sys.modules
+assert sadi.cli.main(sys.argv[1:]) == 0
+assert 'numpy.random' not in sys.modules
+"""
+
+
+def test_verbs_that_never_draw_leave_numpy_random_unloaded(tmp_path):
+    # numpy.random loads at the first draw, so certify and simulate-di,
+    # which draw nothing, never pay for its import
+    for verb, name in (("certify", "rootfind_two_starts"), ("simulate-di", "ex1")):
+        _python("-c", _NO_RANDOM, verb, str(CONFIGS / f"{name}.json"), "--out-dir",
+                str(tmp_path / verb), check=True, stdout=subprocess.DEVNULL)
+
+
 def test_run_verb(tmp_path, capsys):
     cfg = _small_config(tmp_path)
     code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
@@ -497,6 +514,32 @@ def test_infinite_starts_and_non_finite_noise_exit_2(tmp_path, capsys, changes, 
         err = capsys.readouterr().err
         assert "invalid experiment config" in err and f"  - {needle}\n" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,name,changes,needle", [
+    ("run", "ou_rates", {"noise": {"zeta": {"kind": "gaussian", "mean": [0.0],
+                                            "cov": [[1e308]]}}},
+     "noise.zeta: covariance + its transpose must be finite"),
+    ("certify", "svm_plane", {"preset_params": {"lam": 1e308, "feature_mean": [1.0, 2.0]}},
+     "preset_params: ridge_coeff * lam must lie below the float range"),
+    ("run", "svm_plane", {"preset_params": {"lam": 1.0, "feature_mean": [math.inf, 0.0]}},
+     "preset_params.feature_mean: must be a vector of finite numbers"),
+], ids=["noise_cov", "pegasos_lam", "pegasos_feature_mean"])
+def test_inputs_that_overflow_at_resolution_exit_2(tmp_path, capsys, verb, name, changes,
+                                                   needle):
+    # each overflowed, or divided inf by inf, while the config resolved, and
+    # so raised a RuntimeWarning under warnings as errors
+    raw = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    raw.update(changes)
+    cfg = tmp_path / f"{name}_copy.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([verb, str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid experiment config" in err and f"  - {needle}\n" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,extra", [

@@ -891,15 +891,15 @@ def _peak_bytes(monkeypatch, fn) -> int:
     return peak + sum(mapped)
 
 
-def test_draw_blocks_hold_at_most_512_steps_and_the_draw_budget(monkeypatch):
+def test_draw_blocks_hold_at_most_256_steps_and_the_draw_budget(monkeypatch):
     ks, real = [], engine._Draws.block
     monkeypatch.setattr(engine._Draws, "block",
                         lambda self, n0, k: ks.append(k) or real(self, n0, k))
     run_ensemble(_ou_spec(n_steps=1_100), 3, 8)
     # the plain-float loop of one replication
     run(replace(nonconvergence_preset().spec, x0=[1.5, 0.0], n_steps=1_100), 3)
-    # the 512-step bound takes 3 blocks, balanced
-    assert ks == [367, 367, 366] * 2
+    # the 256-step bound takes 5 blocks, balanced
+    assert ks == [220] * 10
     # a step of 10,000 doubles: the budget's 209 steps take 6 blocks, of 184
     assert engine._DRAW_BUDGET // 10_000 == 209
     assert engine.block_steps(1_100, 10_000) == 184
@@ -921,8 +921,8 @@ def test_balanced_blocks_keep_the_block_count_of_the_bound():
 
 def test_a_wide_ensemble_maps_balanced_blocks_and_draws_as_often(monkeypatch):
     # ex1's shape: two one-dimensional drawing roles, R = 10,000 in tiles of
-    # 3,334, 3,333 and 3,333, N = 1,000 under a budget of 2**21 // 6,668 = 314
-    # steps, so 4 blocks of 250 steps per tile
+    # 3,334, 3,333 and 3,333, N = 1,000 under the 256-step cap (the budget's
+    # 2**21 // 6,668 = 314 steps is looser), so 4 blocks of 250 steps per tile
     spec = _shrinking_bias_spec(1_000)
     models = [entry[0] for entry in engine._Draws(spec, 3, 1)._roles
               if entry is not None and entry[1] is not None]
@@ -937,11 +937,21 @@ def test_a_wide_ensemble_maps_balanced_blocks_and_draws_as_often(monkeypatch):
     shapes.clear(), mapped.clear()
     peak = _peak_bytes(monkeypatch, lambda: run_ensemble(spec, 3, 10_000))
     assert mapped == [8 * 250 * 3_334] * 2
-    # 3 tiles of 4 blocks for each role: the 24 calls of blocks of 314, 314, 314 and 58
+    # 3 tiles of 4 blocks for each role: 24 calls, as many as unbalanced blocks take
     assert sorted(set(shapes)) == [(250, 3_333), (250, 3_334)] and len(shapes) == 24
     # the generators of a tile share one seed object; a seed object of
     # their own would add 176 B for each of a tile's 6,668 generators
     assert peak - sum(mapped) < 5_500_000
+
+
+def test_an_ou_rates_ensemble_maps_draw_blocks_of_250_steps(monkeypatch):
+    # ou_rates' shape: one one-dimensional drawing role, R = 2,000 in one
+    # tile, N = 2,000; the 256-step cap takes 8 blocks of 250 steps, so the
+    # draw buffer holds 250 x 2,000 doubles, where a 512-step cap held 500
+    mapped, real = [], engine._mapped
+    monkeypatch.setattr(engine, "_mapped", lambda n: mapped.append(8 * n) or real(n))
+    run_ensemble(_ou_spec(n_steps=2_000), 11, 2_000)
+    assert mapped == [8 * 250 * 2_000]
 
 
 def test_a_forked_child_never_writes_into_the_parents_draw_block():

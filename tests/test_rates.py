@@ -225,8 +225,28 @@ def test_sdi_memory_does_not_grow_with_the_horizon():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # both horizons fill the same two (512, 200, 1) buffers, 800 KiB each
+    # both horizons fill the same two (250, 200, 1) buffers, 400 KB each
     assert peaks[1] <= peaks[0] + 8192
+
+
+def test_an_sdi_of_ou_rates_shape_draws_blocks_of_250_steps():
+    import tracemalloc
+
+    # 2,000 one-dimensional paths over the 5,000 steps of ou_rates' SDI: the
+    # 256-step cap takes 20 blocks of 250, so the normals and their product
+    # fill two (250, 2,000, 1) buffers of 4 MB, and a step adds only a few
+    # (2,000, 1) arrays
+    model = _BLOCK_MODELS[1]
+    simulate_sdi(model, [0.5], dt=1e-3, horizon=0.01, n_reps=2_000,
+                 record_paths=False)  # first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        simulate_sdi(model, [0.5], dt=1e-3, horizon=5.0, n_reps=2_000, record_paths=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = 2 * 8 * 250 * 2_000
+    assert buffers <= peak < buffers + 100_000
 
 
 @pytest.mark.parametrize("strategy", [None, UniformVertex()])
