@@ -17,7 +17,8 @@ from .inclusions import epsilon_chain_diagnostic, integrate
 from .rates import simulate_sdi
 from .runner import run_experiment, sweep
 
-# the exit code of a simulator whose path blew up; a config error exits 2
+# the exit code of a simulator whose path blew up, and of any other value
+# that overflows the float range; a config error exits 2
 EXIT_BLOWUP = 3
 
 
@@ -149,12 +150,19 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # the simulators and the certifier turn overflow warnings off where
+        # they handle non-finite values themselves; anywhere else, in a
+        # statistic of huge but finite states say, an overflow stops the verb
+        with np.errstate(over="raise"):
+            return args.fn(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except SimulationBlowup as exc:
         print(f"sadi {args.command}: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except FloatingPointError as exc:
+        print(f"sadi {args.command}: a value overflows the float range: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 
 

@@ -10,6 +10,7 @@ fixed by its own index alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -219,6 +220,14 @@ def _normal_chunks(gens: Sequence, shape: tuple):
         yield slice(r0, r0 + z.shape[0]), z
 
 
+def _row_items(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` of shape (..., dim) without its last axis, each item
+    a row of dim doubles (a double itself at dim = 1), so a transposing copy
+    moves each row as one opaque item."""
+    dim = a.shape[-1]
+    return a.view(np.dtype((np.void, a.itemsize * dim)) if dim > 1 else a.dtype)[..., 0]
+
+
 class NoiseModel(_Sampler):
     """Noise of one role, i.i.d. across steps."""
 
@@ -276,42 +285,59 @@ class GaussianNoise(NoiseModel):
                        for row, m in zip(self._root, self.mean.tolist())]
 
     def sample_block(self, gen, n, n0=0):
-        return self._affine(gen.standard_normal((n, self.dim)), np.empty((n, self.dim)))
+        z, out = gen.standard_normal((n, self.dim)), np.empty((n, self.dim))
+        self._affine(self._columns(z, out))
+        return out
 
     def fill_block(self, gens, n0, out):
         # the affine map runs over the contiguous normals of many replications,
-        # and one transposing copy puts the chunk into the step-major block;
-        # the copy moves each row of dim doubles as one opaque item
-        row = np.dtype((np.void, out.itemsize * self.dim))
-        block = out.view(row)[..., 0]
-        mapped = None
+        # and one transposing copy of row items puts the chunk into the
+        # step-major block.  Every chunk but a shorter last one maps through
+        # the same views, built once
+        block = _row_items(out)
+        mapped = views = None
         for rows, z in _normal_chunks(gens, out.shape):
-            if mapped is None:
-                mapped = np.empty_like(z)
-            chunk = self._affine(z, mapped[:z.shape[0]])
-            block[:, rows] = chunk.view(row)[..., 0].T
+            if views is None or views[0] != z.shape[0]:
+                mapped = np.empty_like(z) if mapped is None else mapped[:z.shape[0]]
+                views = z.shape[0], _row_items(mapped).T, self._columns(z, mapped)
+            self._affine(views[2])
+            block[:, rows] = views[1]
 
-    def _affine(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``mean + z @ root.T`` over the last axis, into ``out``, summed column
-        by column in a fixed order.  BLAS rounds a one-row product (gemv)
-        differently from a many-row one (gemm) when the root has off-diagonal
-        entries, so a matrix product would tie each draw to the block length.
-        A root entry that is exactly 0 adds a signed zero, which can change
-        only the sign of a zero sum, and adding the mean settles that sign
-        unless the mean entry is -0.0: only such a column keeps its zero
-        terms."""
-        for col, terms, m in zip(np.moveaxis(out, -1, 0), self._terms, self.mean.tolist()):
+    def _columns(self, z: np.ndarray, out: np.ndarray) -> list:
+        """The column views ``_affine`` reads and writes, for normals ``z``
+        mapped into ``out``: per output column, that column and the normal
+        columns of its terms."""
+        return [(out[..., c], [(z[..., j], r) for j, r in terms], m)
+                for c, (terms, m) in enumerate(zip(self._terms, self.mean.tolist()))]
+
+    def _affine(self, columns: list) -> None:
+        """``mean + z @ root.T`` over the last axis, summed column by column in
+        a fixed order, through the views of ``_columns``.  BLAS rounds a
+        one-row product (gemv) differently from a many-row one (gemm) when
+        the root has off-diagonal entries, so a matrix product would tie each
+        draw to the block length.  A root entry that is exactly 0 adds a
+        signed zero, which can change only the sign of a zero sum, and adding
+        the mean settles that sign unless the mean entry is -0.0: only such a
+        column keeps its zero terms.  A root entry that is exactly 1 is a
+        copy or an add, as z * 1.0 is z, and a column whose one term it is
+        adds the mean to z in one pass."""
+        for col, terms, m in columns:
             if terms:
-                (j, r), *rest = terms
-                np.multiply(z[..., j], r, out=col)
-                for j, r in rest:
-                    col += z[..., j] * r
+                (zj, r), *rest = terms
+                if r == 1.0 and not rest:
+                    np.add(zj, m, out=col)
+                    continue
+                if r == 1.0:
+                    np.copyto(col, zj)
+                else:
+                    np.multiply(zj, r, out=col)
+                for zj, r in rest:
+                    col += zj if r == 1.0 else zj * r
             else:
                 col.fill(0.0)
             # the mean is added per column: a broadcast over a short last
             # axis runs one tiny inner loop per row
             col += m
-        return out
 
 
 class UniformNoise(NoiseModel):
@@ -388,9 +414,15 @@ class ShrinkingGaussianBias(BiasModel):
         return gen.standard_normal((n, self.dim)) * self._sd(n0, n)[:, None]
 
     def fill_block(self, gens, n0, out):
-        sd = self._sd(n0, out.shape[0])[:, None, None]
+        # each step's sd scales the contiguous normals in place, one inner
+        # loop of K*dim per replication, before a transposing copy: a
+        # product written through the transpose costs about twice as much
+        k, _, dim = out.shape
+        sd = np.repeat(self._sd(n0, k), dim)
         for rows, z in _normal_chunks(gens, out.shape):
-            np.multiply(z.transpose(1, 0, 2), sd, out=out[:, rows])
+            flat = z.reshape(z.shape[0], k * dim)
+            np.multiply(flat, sd, out=flat)
+            out[:, rows] = z.transpose(1, 0, 2)
 
 
 class ConstantBias(BiasModel):
@@ -658,28 +690,35 @@ def _seed_state(seed: int, rep, role: int) -> list:
     return [state[2 * k] | (state[2 * k + 1] << 32) for k in range(4)]
 
 
-class _SeedWords:
-    """Hands PCG64 the state words that ``_seed_state`` computed, so PCG64
-    runs its own seeding exactly as it does from a SeedSequence.
-    ``_role_generators`` registers the class as numpy's ISeedSequence, so
-    that importing the engine does not load ``numpy.random``; a verb that
-    never draws never loads it.
+@functools.cache
+def _seed_words_type() -> type:
+    """The ISeedSequence that hands PCG64 the state words ``_seed_state``
+    computed, so PCG64 runs its own seeding exactly as it does from a
+    SeedSequence.  It is defined at the first draw, so that importing the
+    engine does not load ``numpy.random``: a verb that never draws never
+    loads it.  A true subclass, not a registered one, makes PCG64's
+    isinstance check cheap.
 
     PCG64 reads the words once, while it is built, and keeps the object as
     its ``seed_seq``.  ``_role_generators`` seeds all the generators of one
     call through one such object and sets ``words`` to None afterwards, so
     an engine generator's ``seed_seq`` holds no words, costs no memory per
     generator and cannot spawn."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("words",)
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
 
-    def __init__(self, words: Optional[np.ndarray] = None):
-        self.words = words
+        def __init__(self, words: Optional[np.ndarray] = None):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("only PCG64's four uint64 seed words are precomputed")
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 passes the type itself, which skips building a dtype
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ValueError("only PCG64's four uint64 seed words are precomputed")
+            return self.words
+
+    return SeedWords
 
 
 # a replication index is one 32-bit word of its substream key
@@ -694,17 +733,15 @@ def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(rep, role)))``,
     with the SeedSequence hash run once for all replications (on plain
     ints for a single one), and every PCG64 seeded through one shared
-    ``_SeedWords``."""
+    ``_seed_words_type()`` object."""
     reps = np.asarray(reps, dtype=np.int64)
     if reps.size and (reps.min() < 0 or reps.max() >= MAX_REPLICATIONS):
         raise ValueError(_REPS_ERROR)
     key = int(reps[0]) if reps.size == 1 else reps.astype(np.uint64)
     state = np.array(_seed_state(seed, key, role), dtype=np.uint64).reshape(4, -1)
     from numpy.random import Generator, PCG64
-    from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_SeedWords)
-    seeds, gens = _SeedWords(), []
+    seeds, gens = _seed_words_type()(), []
     for row in np.ascontiguousarray(state.T):
         seeds.words = row
         gens.append(Generator(PCG64(seeds)))
@@ -923,8 +960,11 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                     if record_logs:
                         logs["projected"][n] = np.any(proj_new[0] != x_new[0])
                     x_new = proj_new
-                np.isfinite(x_new, out=finite)
-                if not finite.all():
+                # a non-finite entry makes the sum non-finite, so one reduction
+                # finds every blow-up; an overflowing sum only asks for the
+                # exact test
+                if (not math.isfinite(np.add.reduce(x_new, axis=None))
+                        and not np.isfinite(x_new, out=finite).all()):
                     newly = ~finite.all(axis=1) & (fail_tile < 0)
                     fail_tile[newly] = n
                 x = x_new

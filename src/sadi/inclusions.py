@@ -58,10 +58,12 @@ class InclusionPath:
         cols = ["n", "t", "a"] + [f"x{i}" for i in range(d)] + [f"set{i}" for i in range(d)]
         meta = [("dt", self.dt), ("horizon", self.horizon), *provenance]
         n = self.selector_values.shape[0]
-        rows = column_blocks(range(n), np.arange(n) * self.dt, np.full(n, self.dt),
+        rows = column_blocks(range(n), np.arange(n) * self.dt,
                              *self.states[:n].T, *self.selector_values.T)
+        # the constant ``a`` column is printed once, into the row template
+        a = ("%.17g" % self.dt).replace("%", "%%")
         Artifact(cols, rows, provenance=meta,
-                 template=",".join(["%d", *["%.17g"] * (2 + 2 * d)]) + "\n").write(path)
+                 template=",".join(["%d", "%.17g", a, *["%.17g"] * (2 * d)]) + "\n").write(path)
 
 
 def _crossings(x_old: list, x_new: list, thresholds):
@@ -101,6 +103,8 @@ def _box_velocity(lo, hi, h: list, sliding: bool):
     return [a + b for a, b in zip(h, g)], g
 
 
+# a blow-up overflows on its way to the non-finite state that raises it
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
               x0, dt: float, horizon: float, strategy=None,
               projection: Optional[ConvexSet] = None) -> InclusionPath:

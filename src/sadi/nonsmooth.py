@@ -444,6 +444,9 @@ def _outside_ball(pts: np.ndarray, radius: float) -> np.ndarray:
     return keep
 
 
+# a derivative or threshold that overflows fails its point, so numpy's
+# warnings about it are not errors
+@np.errstate(over="ignore", invalid="ignore")
 def certify_stability(v: PiecewiseSmoothScalar,
                       u_list: Sequence[PiecewiseSmoothScalar],
                       fmap: SetValuedMap,
@@ -487,7 +490,12 @@ def certify_stability(v: PiecewiseSmoothScalar,
     derivs[near] = -math.inf
     for j in near[~_empty_on_rows(u_list, fmap, rows[near])].tolist():
         derivs[j] = u_generalized_derivative(v, u_list, fmap, rows[j])
-    passes = (derivs == -math.inf) | (derivs <= thresholds + _PASS_TOL)
+    # -inf is an empty reduction only near a kink; elsewhere, and for a
+    # threshold, a non-finite value is an overflow, which certifies nothing
+    empty = np.zeros(rows.shape[0], dtype=bool)
+    empty[near] = derivs[near] == -math.inf
+    passes = empty | (np.isfinite(derivs) & np.isfinite(thresholds)
+                      & (derivs <= thresholds + _PASS_TOL))
     return StabilityCertificate(
         grid_lo=tuple(np.atleast_1d(np.asarray(grid_lo, dtype=float)).tolist()),
         grid_hi=tuple(np.atleast_1d(np.asarray(grid_hi, dtype=float)).tolist()),

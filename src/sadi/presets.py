@@ -141,8 +141,19 @@ class RegressionLaw:
             theta_sum = float(np.sum(theta))
 
             def term(w_rows, z_rows):
-                resid = theta_sum + z_rows[:, 0] - np.sum(w_rows, axis=1)
-                return _by_column(resid, np.broadcast_to(1.0, w_rows.shape))  # x is all ones
+                # the residual as one column.  np.sum starts from 0.0, so at
+                # d = 1 a -0.0 entry sums to +0.0, as w + 0.0 gives it without
+                # a reduction over a length-1 axis
+                d = w_rows.shape[1]
+                resid = np.add(z_rows[:, :1], theta_sum)
+                resid -= w_rows + 0.0 if d == 1 else np.sum(w_rows, axis=1, keepdims=True)
+                if d == 1:
+                    return resid
+                # x is all ones, and resid * 1.0 is resid: each column is a copy
+                out = np.empty(w_rows.shape)
+                for col in out.T:
+                    col[...] = resid[:, 0]
+                return out
 
             return term
 
@@ -423,6 +434,10 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
         raise ValueError("lam must be positive")
     mu = np.atleast_1d(np.asarray(feature_mean, dtype=float))
     dim = mu.shape[0]
+    with np.errstate(over="ignore"):
+        mu2 = float(mu @ mu)
+    if not math.isfinite(mu2):
+        raise ValueError("feature_mean must have a finite squared norm")
     cov = as_matrix(1.0 if feature_cov is None else feature_cov, dim,
                     "feature_cov must match feature_mean")
     kappa = float(ridge_coeff) * lam
@@ -459,13 +474,21 @@ def pegasos_preset(lam: float, feature_mean=(1.0, 2.0), feature_cov=None,
         return -kappa * np.asarray(w, dtype=float)
 
     def sample_term(w_rows, xi_rows):
-        active = np.einsum("ij,ij->i", w_rows, xi_rows) < 1.0
-        return _by_column(active, xi_rows)  # masked by column, not by an (R, 1) broadcast
+        if dim <= 2:
+            # the margin by columns, w0*x0 + w1*x1: einsum's sum of the two
+            # products has the same value, and only the sign of a zero could
+            # differ, which < ignores
+            terms = w_rows * xi_rows
+            margin = terms[:, 0] if dim == 1 else terms[:, 0] + terms[:, 1]
+        else:
+            margin = np.einsum("ij,ij->i", w_rows, xi_rows)
+        # masked by column, not by an (R, 1) broadcast; a float mask is what
+        # a bool one is cast to, once instead of in every column's product
+        return _by_column((margin < 1.0).astype(float), xi_rows)
 
     drift = Drift(dim=dim, smooth=smooth, smooth_mean=smooth_mean,
                   set_map=gmap, sample_term=sample_term)
 
-    mu2 = float(mu @ mu)
     if mu2 == 0.0:
         x_star = np.zeros(dim)
     elif kappa <= mu2:

@@ -204,7 +204,10 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
             linear *= dt
             u += linear
             u += dw
-            if not np.isfinite(u, out=finite).all():  # the first replication that blew up
+            # one reduction, and the exact test only when the sum is not finite
+            if (not math.isfinite(np.add.reduce(u, axis=None))
+                    and not np.isfinite(u, out=finite).all()):
+                # the first replication that blew up
                 raise SimulationBlowup(k, u[np.argmin(finite.all(axis=1))])
             if record_paths:
                 paths[:, k + 1, :] = u

@@ -195,6 +195,40 @@ def test_a_simulator_blowup_exits_3_with_its_step_and_state(tmp_path, verb, chan
     assert proc.stderr == f"sadi {verb}: non-finite iterate at step 0: state [nan]\n"
 
 
+def _shipped(name, tmp_path, **changes):
+    raw = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        raw[key] = dict(raw[key], **value) if isinstance(value, dict) else value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("verb,name,changes,code,said", [
+    # the inclusion overflows in the preset's smooth mean on its way to inf
+    ("simulate-di", "svm_plane", {"preset_params": {"lam": 1e155}}, 3,
+     "sadi simulate-di: non-finite iterate at step 1: state [1.2000000000000001e+305, inf]\n"),
+    # the shifted map's support along grad v overflows to -inf at most points
+    ("certify", "svm_plane", {"preset_params": {"lam": 1e307}}, 1, "FAIL"),
+    *[(verb, "svm_plane", {"preset_params": {"feature_mean": [1e155, 2.0]}}, 2,
+       "preset_params: feature_mean must have a finite squared norm")
+      for verb in ("run", "certify", "simulate-di")],
+    # finite finals of about 1e154, whose squares the diagnostics take
+    ("run", "ou_rates", {"noise": {"zeta": {"kind": "gaussian", "mean": [0.0],
+                                            "cov": [[8e307]]}},
+                         "replications": 200, "iterations": 2000}, 3,
+     "sadi run: a value overflows the float range: overflow encountered in"),
+], ids=["di-lam", "certify-lam", "run-mean", "certify-mean", "di-mean", "run-cov"])
+def test_an_overflow_exits_with_its_documented_code_and_no_traceback(tmp_path, verb, name,
+                                                                      changes, code, said):
+    cfg = _shipped(name, tmp_path, **changes)
+    proc = _python("-W", "error::RuntimeWarning", "-m", "sadi", verb, str(cfg),
+                   "--out-dir", str(tmp_path / "out"), capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert said in proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("kind", ["box", "ball"])
 @pytest.mark.parametrize("name", ["ex1", "svm_plane"])
 def test_projected_run_end_to_end(tmp_path, capsys, name, kind):

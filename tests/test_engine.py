@@ -799,6 +799,55 @@ def test_block_draws_equal_one_whole_horizon_draw(name, n_reps, start, cuts, per
     assert single.tobytes() == whole.tobytes()
 
 
+def _affine_by_products(model, z):
+    """The column map with every kept root entry multiplied, a unit entry
+    too, and the mean added last.  An entry is kept when it is not zero, or
+    when its column's mean is -0.0."""
+    out = np.empty(z.shape)
+    for k, m in enumerate(model.mean.tolist()):
+        keep_zeros = m == 0.0 and math.copysign(1.0, m) < 0
+        terms = [(j, r) for j, r in enumerate(model._root[k].tolist()) if r != 0.0 or keep_zeros]
+        col = out[..., k]
+        if terms:
+            (j, r), *rest = terms
+            np.multiply(z[..., j], r, out=col)
+            for j, r in rest:
+                col += z[..., j] * r
+        else:
+            col.fill(0.0)
+        col += m
+    return out
+
+
+def test_the_gaussian_map_keeps_the_bits_of_its_products(monkeypatch):
+    # a unit entry under a -0.0 mean, a zero row under a -0.0 mean, a block
+    # with off-diagonal entries, and a unit entry alone in its column; the
+    # normals hold signed zeros, infinities and NaNs, which a product by
+    # 0.0 or 1.0 would show
+    model = GaussianNoise([-0.0, -0.0, 0.25, 0.5, 1.5], np.block([
+        [np.diag([1.0, 0.0]), np.zeros((2, 3))],
+        [np.zeros((2, 2)), np.array([[3.0, 1.0], [1.0, 3.0]]), np.zeros((2, 1))],
+        [np.zeros((1, 4)), np.ones((1, 1))]]))
+    root = model._root
+    assert root[0, 0] == root[4, 4] == 1.0 and not root[1].any() and root[2, 3] != 0.0
+    assert not root[4, :4].any()
+    z = np.random.default_rng(9).standard_normal((6, 9, 5))
+    z.flat[::7], z.flat[3::11], z.flat[5::13] = 0.0, -0.0, np.inf
+    z.flat[6::17], z.flat[2::19] = -np.inf, np.nan
+    got = np.empty(z.shape)
+    with np.errstate(all="ignore"):
+        model._affine(model._columns(z, got))
+        want = _affine_by_products(model, z)
+    assert got.tobytes() == want.tobytes()
+    # the step-major fill, 3 replications a chunk and a last chunk of 1
+    monkeypatch.setattr(engine, "_NORMALS_CHUNK", 3 * 9 * 5)
+    out = np.empty((9, 7, 5))
+    model.fill_block(_streams(7), 0, out)
+    for i, gen in enumerate(_streams(7)):
+        want = _affine_by_products(model, gen.standard_normal((9, 5)))
+        assert out[:, i].tobytes() == want.tobytes()
+
+
 def _square_map():
     square = Box([-1.0, -1.0], [1.0, 1.0])
     return SetValuedMap(2, lambda x: square, common_bound=1.5)
@@ -1198,6 +1247,25 @@ def test_blowup_inside_a_block_matches_the_reference(monkeypatch, block):
         got = run_ensemble(spec, 2, 4, [0, 10, 20], record_paths=True)
     assert (want.fail_steps >= 0).all() and (want.fail_steps % 5 != 0).any()
     _same_result(got, want)
+
+
+def test_huge_finite_rows_are_not_blowups_and_infinite_ones_are(monkeypatch):
+    # every row starts at 1e308 in both coordinates, so the sum over the
+    # tile is inf at every step; the noise pushes some rows past the float
+    # range and leaves others finite.  One tile of 6 and tiles of 1 agree
+    # with the reference's exact test at every step
+    drift = Drift(dim=2, smooth=lambda x, z: 4e307 * z)
+    spec = RunSpec(drift=drift, schedule=StepSchedule.power_law(1.0, 0.5), x0=[1e308, 1e308],
+                   n_steps=30, noise_zeta=GaussianNoise([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = engine_reference.run_ensemble(spec, 4, 6, [0, 15, 30], record_paths=True)
+        got = [run_ensemble(spec, 4, 6, [0, 15, 30], record_paths=True)]
+        monkeypatch.setattr(engine, "_TILE_REPS", 1)
+        got.append(run_ensemble(spec, 4, 6, [0, 15, 30], record_paths=True))
+    clean = want.finals[want.fail_steps < 0]
+    assert 0 < clean.shape[0] < 6 and (np.abs(clean) > 1e307).all()
+    for result in got:
+        _same_result(result, want)
 
 
 def test_the_step_writes_into_no_term_output_and_no_input():

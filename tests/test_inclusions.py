@@ -148,6 +148,21 @@ def test_inclusion_csv(tmp_path):
     assert len(lines) == 2 + path.n_steps
 
 
+@pytest.mark.parametrize("dt", [0.1, 1.0 / 3.0, 1e-3])
+def test_inclusion_csv_rows_print_each_cell_as_its_own_column(tmp_path, dt):
+    # the constant ``a`` column is in the row template; every row reads as
+    # the table of n, n*dt, dt, the states and the selections printed cell
+    # by cell with %.17g
+    path = integrate(neg_sign_map(2.0), lambda x: -x, [1.5], dt, 20 * dt)
+    out = tmp_path / "path.csv"
+    path.to_csv(out)
+    n = path.n_steps
+    table = np.column_stack([np.arange(n) * dt, np.full(n, dt), path.states[:n],
+                             path.selector_values])
+    want = [",".join([str(i), *("%.17g" % v for v in row)]) for i, row in enumerate(table.tolist())]
+    assert out.read_text(encoding="utf-8").splitlines()[2:] == want
+
+
 def test_inclusion_validation():
     with pytest.raises(ValueError):
         integrate(None, lambda x: -x, [1.0], -1e-3, 1.0)

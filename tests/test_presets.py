@@ -292,6 +292,50 @@ def test_row_terms_keep_the_bits_of_their_broadcast_forms(dim):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_the_lasso_ones_term_keeps_the_bits_of_its_product_with_ones(dim):
+    # the term as a product: the residual of np.sum over the row times an
+    # all-ones x, one column at a time
+    w, z = _awkward_rows(3, 400, dim), _awkward_rows(4, 400, 1)
+    w[:40] = -0.0
+    z[20:60] = -0.0
+    for theta in (np.linspace(-1.0, 1.5, dim), np.full(dim, -0.0)):
+        theta_sum = float(np.sum(theta))
+        with np.errstate(all="ignore"):
+            resid = theta_sum + z[:, 0] - np.sum(w, axis=1)
+            want = np.empty(w.shape)
+            for col, ones in zip(want.T, np.ones(w.shape).T):
+                np.multiply(resid, ones, out=col)
+            got = RegressionLaw(theta=theta, features="ones").smooth_term()(w, z)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_the_pegasos_margin_by_columns_masks_as_einsum_does():
+    rng = np.random.default_rng(6)
+    n = 6000
+    w, x = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+    # margins built to land on 1.0: dyadic a*b is exact, and so is 1 - a*b;
+    # then the neighbours of the last term on either side
+    a, b = rng.integers(-64, 64, (2, 3000)) / 16.0
+    w[:3000], x[:3000] = np.stack([a, np.ones(3000)], 1), np.stack([b, 1.0 - a * b], 1)
+    x[1000:2000, 1] = np.nextafter(x[1000:2000, 1], np.inf)
+    x[2000:3000, 1] = np.nextafter(x[2000:3000, 1], -np.inf)
+    for rows, seed in ((w, 7), (x, 8)):
+        rows[3000:] = _awkward_rows(seed, n - 3000, 2)
+    hinge = pegasos_preset(1.0).spec.drift.sample_term
+    with np.errstate(all="ignore"):
+        margin = np.einsum("ij,ij->i", w, x)
+        want = np.empty(x.shape)
+        for col, r in zip(want.T, x.T):
+            np.multiply(margin < 1.0, r, out=col)
+        got = hinge(w, x)
+    assert np.count_nonzero(margin[:1000] == 1.0) == 1000
+    # a neighbour's sum lands on 1.0 too where a*b is large, else just past it
+    near = margin[1000:3000]
+    assert (near > 1.0).any() and (near < 1.0).any() and (near == 1.0).any()
+    assert got.tobytes() == want.tobytes()
+
+
 # --- cross-cutting preset properties ---------------------------------------------
 
 

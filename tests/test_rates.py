@@ -277,6 +277,25 @@ def test_sdi_blowup_step_matches_the_per_step_loop(monkeypatch, block):
     assert steps[0] % 7  # inside a block of 7 steps
 
 
+def test_huge_finite_sdi_paths_are_not_blowups_and_infinite_ones_are():
+    # the sum over the paths is inf from the first step while every entry
+    # is finite; the fastest path grows past the float range at a later step
+    model = SDIModel(A=[[0.1, 0.0], [0.0, 0.1]], sigma=[[1.0, 0.0], [0.0, 1.0]])
+    u0 = [[1e308, 1e308], [1.5e308, 1e308], [1e308, -1e308], [1.2e308, 1.3e308]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = simulate_sdi(model, u0, dt=0.1, horizon=1.0, seed=3, n_reps=4)
+        want = sdi_reference.simulate_sdi(model, u0, dt=0.1, horizon=1.0, seed=3, n_reps=4)
+    assert np.isfinite(got).all() and _same_bits(got, want)
+    blowups = []
+    for simulate in (simulate_sdi, sdi_reference.simulate_sdi):
+        with pytest.raises(SimulationBlowup) as err, np.errstate(over="ignore",
+                                                                 invalid="ignore"):
+            simulate(model, u0, dt=0.1, horizon=10.0, seed=3, n_reps=4)
+        blowups.append(err.value)
+    assert blowups[0].step_index == blowups[1].step_index > 10
+    assert math.isinf(blowups[0].state[0]) and math.isfinite(blowups[0].state[1])
+
+
 def test_an_overflowing_sdi_raises_its_blowup_under_warnings_as_errors():
     import warnings
 
