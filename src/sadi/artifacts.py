@@ -32,7 +32,7 @@ def column_blocks(*columns):
                     for c in columns])
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class Artifact:
     columns: Optional[Sequence[str]]  # None: no column line
     rows: Iterable                    # of cell sequences, read once

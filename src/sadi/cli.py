@@ -5,29 +5,27 @@ certification, and the deterministic/stochastic inclusion simulators.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import _deferred
 from .artifacts import Artifact, column_blocks
 from .config import ConfigError, parse_config
 from .engine import SimulationBlowup
-from .inclusions import epsilon_chain_diagnostic, integrate
-from .rates import simulate_sdi
-from .runner import run_experiment, sweep
+
+# each verb's entry point, imported at its first call, so a verb loads only
+# the modules it runs
+run_experiment, sweep = _deferred(globals(), "runner", "run_experiment", "sweep")
+integrate, epsilon_chain_diagnostic = _deferred(
+    globals(), "inclusions", "integrate", "epsilon_chain_diagnostic")
+simulate_sdi, = _deferred(globals(), "rates", "simulate_sdi")
 
 # the exit code of a simulator whose path blew up, and of any other value
 # that overflows the float range; a config error exits 2
 EXIT_BLOWUP = 3
-
-
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("config", help="path to a JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted, no effect; results never depended on it")
-    parser.add_argument("--out-dir", default="out", help="artifact directory")
 
 
 def _provenance(config) -> list:  # the header pairs of the simulators' artifacts
@@ -119,36 +117,35 @@ def _cmd_simulate_sdi(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sadi",
         description="stochastic approximation with set-valued dynamics: "
                     "experiments, certification, and inclusion simulators")
     sub = parser.add_subparsers(dest="command", required=True)
+    for verb, fn, text in (
+            ("run", _cmd_run, "run a replicated experiment"),
+            ("sweep", _cmd_sweep, "sweep one scalar config field"),
+            ("certify", _cmd_certify, "grid-certify the preset stability bundle"),
+            ("simulate-di", _cmd_simulate_di, "integrate the preset limit inclusion"),
+            ("simulate-sdi", _cmd_simulate_sdi, "simulate the normalized limit inclusion")):
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("config", help="path to a JSON experiment config")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted, no effect; results never depended on it")
+        p.add_argument("--out-dir", default="out", help="artifact directory")
+        p.set_defaults(fn=fn)
+    sweep_args = sub.choices["sweep"]
+    sweep_args.add_argument("--param", required=True, help="dotted path, e.g. bias.gamma")
+    sweep_args.add_argument("--values", required=True, help="comma-separated values")
+    return parser
 
-    p_run = sub.add_parser("run", help="run a replicated experiment")
-    _common(p_run)
-    p_run.set_defaults(fn=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one scalar config field")
-    _common(p_sweep)
-    p_sweep.add_argument("--param", required=True, help="dotted path, e.g. bias.gamma")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.set_defaults(fn=_cmd_sweep)
-
-    p_cert = sub.add_parser("certify", help="grid-certify the preset stability bundle")
-    _common(p_cert)
-    p_cert.set_defaults(fn=_cmd_certify)
-
-    p_di = sub.add_parser("simulate-di", help="integrate the preset limit inclusion")
-    _common(p_di)
-    p_di.set_defaults(fn=_cmd_simulate_di)
-
-    p_sdi = sub.add_parser("simulate-sdi", help="simulate the normalized limit inclusion")
-    _common(p_sdi)
-    p_sdi.set_defaults(fn=_cmd_simulate_sdi)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         # the simulators and the certifier turn overflow warnings off where
         # they handle non-finite values themselves; anywhere else, in a

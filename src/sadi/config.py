@@ -31,7 +31,6 @@ from .engine import (
     as_matrix,
     step_count,
 )
-from .rates import SDIModel, shifted_index
 from .presets import Preset, default_schedule, preset_by_name, sign_interval_map, sign_term
 from .sets import Ball, Box, SetValuedMap
 
@@ -106,7 +105,7 @@ def OUTPUTS(v):  # a value type that names the unknown artifact
 REQUIRED = object()  # the default of a key that must be given
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Leaf:
     """One key of a block.  ``type`` is a value type, a Block, or a dict of
     Blocks by kind.  ``default`` is what an absent key takes: REQUIRED, None
@@ -122,7 +121,7 @@ class Leaf:
     kinds: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Block:
     """A JSON object: its keys, and the key (if any) whose value, the kind,
     decides which of the others are read."""
@@ -277,7 +276,7 @@ def _walk(spec: dict, block: Block, where: str, errors: list) -> dict:
     return out
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class ExperimentConfig:
     """Validated description of one replicated experiment family, with every
     block built once by ``validate_config``.  ``sdi``, ``di`` and ``chain``
@@ -481,6 +480,8 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
     if compare and "sdi" not in cfg:
         errors.append("sdi: sdi_compare needs an sdi block")
     elif sdi is not None:
+        from .rates import SDIModel, shifted_index
+
         # simulate-sdi reads the block whatever the outputs, so it is checked when present
         if compare and sdi.get("n_reps", 200) < 200:
             errors.append("sdi.n_reps: must be at least 200")

@@ -78,6 +78,12 @@ def step_count(span: float, dt: float) -> int:
     return n if abs(ratio - n) <= 4 * math.ulp(n) else math.ceil(ratio)
 
 
+def tightness_indices(start: int, last: int, n_checkpoints: int = 10) -> np.ndarray:
+    """The mesh indices the tightness diagnostic reads: ``n_checkpoints``
+    spread evenly over [start, last], repeats removed."""
+    return np.unique(np.linspace(start, last, max(2, n_checkpoints)).astype(int))
+
+
 # ---------------------------------------------------------------------------
 # step-size schedules and the interpolation time mesh
 # ---------------------------------------------------------------------------
@@ -459,7 +465,7 @@ class CustomBias(BiasModel):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class Drift:
     """One step's deterministic structure.
 
@@ -519,7 +525,7 @@ class Drift:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class Trajectory:
     """A recorded run: N+1 iterates plus the per-step summands that rebuild
     each transition exactly."""
@@ -592,7 +598,7 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class RunSpec:
     drift: Drift
     schedule: StepSchedule
@@ -749,7 +755,7 @@ def _role_generators(seed: int, reps: Sequence[int], role: int) -> list:
     return gens
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class EnsembleResult:
     finals: np.ndarray               # (R, d)
     fail_steps: np.ndarray           # (R,) first non-finite step, -1 if clean
@@ -869,6 +875,12 @@ class _Draws:
                                  _role_generators(self._seed, range(r0, r1), role))
         self.n_reps = r1 - r0
 
+    def zeros(self, role: int) -> bool:
+        """Whether ``role``, which every step reads, is draw-free rows of
+        +0.0, whose bits are all zero."""
+        model, gens = self._roles[role]
+        return gens is None and not any(model.sample_block(None, 1).tobytes())
+
     def block(self, n0: int, k: int) -> list:
         """Steps n0 .. n0+k-1 of every role for the tile, in role order; a
         buffer is reused by the next block."""
@@ -930,6 +942,11 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
     rows = np.empty((3, tile_reps, d))
     zeros, finite_rows = np.zeros((tile_reps, d)), np.empty((tile_reps, d), dtype=bool)
     block = block_steps(n_steps, tile_reps * max(1, draws.width))
+    # the first add of +0.0 rows (b + h without a smooth part, or a zero
+    # role) turns -0.0 into +0.0, and a later zero role changes no bit
+    zero_zt, zero_beta = draws.zeros(ROLE_ZETATILDE), draws.zeros(ROLE_BIAS)
+    add_zt = not (zero_zt and drift.smooth is None)
+    add_beta = not (zero_beta and (zero_zt or drift.smooth is None))
     for r0, r1 in _tiles(n_reps):
         m = r1 - r0
         draws.tile(r0, r1)
@@ -950,9 +967,11 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                                         None if usel is None else usel[j, :, 0],
                                         None if pert is None else pert[j])
                 h = drift.smooth(x, zeta[j]) if drift.smooth is not None else zeros[:m]
-                np.add(b, h, out=total)  # zero roles too: (b + h) + 0.0 turns -0.0 into +0.0
-                total += zt[j]
-                total += beta[j]
+                np.add(b, h, out=total)
+                if add_zt:
+                    total += zt[j]
+                if add_beta:
+                    total += beta[j]
                 total *= a[j]
                 x_new = np.add(x, total, out=own[x is own[0]])  # the buffer x is not
                 if spec.projection is not None:

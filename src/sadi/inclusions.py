@@ -38,7 +38,7 @@ _BEAM_WIDTH = 6
 _BLOCK = 1024
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class InclusionPath:
     dt: float
     horizon: float
@@ -167,7 +167,7 @@ def integrate(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
                          events=events)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class ChainProbeReport:
     probe: tuple
     found: bool

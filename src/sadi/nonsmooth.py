@@ -70,7 +70,7 @@ def linprog(*args, **kwargs):
     raise NotImplementedError("sadi solves no linear program")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class SmoothPiece:
     region: Optional[Sequence]  # intervals per coordinate; None for everywhere
     value: Callable[[np.ndarray], float]
@@ -315,7 +315,7 @@ def u_generalized_derivative(v: PiecewiseSmoothScalar,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class GridRecord:
     x: tuple
     derivative: float   # -inf where the reduction is empty
@@ -332,7 +332,7 @@ def _cells(column: np.ndarray) -> np.ndarray:
     return np.array([f"{v:.17g}" for v in keys.view(float).tolist()], dtype=object)[index]
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class StabilityCertificate:
     """Grid evidence for a decay condition ``derivative <= -bound`` away
     from the equilibrium.  Evidence only: grid parameters are part of the

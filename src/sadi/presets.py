@@ -80,7 +80,7 @@ def _by_column(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class RegressionLaw:
     """(feature, response) law y = theta^T x + noise for regression drifts.
 
@@ -168,7 +168,7 @@ class RegressionLaw:
         return term
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class SignFilterLaw:
     """Stationary (y, phi) law with phi = all-ones: y = phi^T theta + noise."""
 
@@ -227,7 +227,7 @@ class SignFilterLaw:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class StabilityBundle:
     """Everything the grid certifier needs: the shifted map (equilibrium at
     the origin), the Lyapunov function, the reduction collection, the decay
@@ -261,7 +261,7 @@ def _recursion(name: str, drift: Drift, x0, **pieces) -> RunSpec:
                    **pieces)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class Preset:
     """One application: ``spec`` is its recursion (``spec.name`` names the
     preset), the rest its limit analysis."""
@@ -629,25 +629,23 @@ def sign_error_filter_preset(law: Optional[SignFilterLaw] = None) -> Preset:
 # non-convergence showcase preset
 # ---------------------------------------------------------------------------
 
-# region ids 1..6: the double-root cell, the four annular corridors, and the
-# inward creep everywhere else
-_NONCONV_CELLS = CellTable(2, [
-    Cell(((2.0, 2.0), (2.0, 2.0)), (0.0, -2.0), (1.0, 1.0)),
-    Cell(((1.0, 2.0), (-1.0, 2.0, "(]")), (0.0, -2.0), (0.0, -1.0)),
-    Cell(((-1.0, 2.0, "(]"), (-2.0, -1.0, "(]")), (-2.0, 0.0), (-1.0, 0.0)),
-    Cell(((-2.0, -1.0, "(]"), (-2.0, -1.0, "[)")), (0.0, 1.0), (0.0, 2.0)),
-    Cell(((-2.0, 1.0, "[)"), (1.0, 2.0)), (1.0, 0.0), (2.0, 0.0)),
-    Cell(None, (0.0, 0.0), (0.0, 0.0), slope=-0.005),
-])
-
-
 def nonconvergence_preset() -> Preset:
     """The cycling field whose roots repel: corridor branches push the state
     around an annulus, so checkpoints rarely sit near either root."""
     dim = 2
-    gmap = SetValuedMap(dim, bounds=_NONCONV_CELLS.bounds, common_bound=4.0, name="nonconv",
-                        thresholds=_NONCONV_CELLS.thresholds)
-    drift = Drift(dim=dim, set_map=gmap, sample_term=_NONCONV_CELLS)
+    # region ids 1..6: the double-root cell, the four annular corridors, and
+    # the inward creep everywhere else
+    cells = CellTable(dim, [
+        Cell(((2.0, 2.0), (2.0, 2.0)), (0.0, -2.0), (1.0, 1.0)),
+        Cell(((1.0, 2.0), (-1.0, 2.0, "(]")), (0.0, -2.0), (0.0, -1.0)),
+        Cell(((-1.0, 2.0, "(]"), (-2.0, -1.0, "(]")), (-2.0, 0.0), (-1.0, 0.0)),
+        Cell(((-2.0, -1.0, "(]"), (-2.0, -1.0, "[)")), (0.0, 1.0), (0.0, 2.0)),
+        Cell(((-2.0, 1.0, "[)"), (1.0, 2.0)), (1.0, 0.0), (2.0, 0.0)),
+        Cell(None, (0.0, 0.0), (0.0, 0.0), slope=-0.005),
+    ])
+    gmap = SetValuedMap(dim, bounds=cells.bounds, common_bound=4.0, name="nonconv",
+                        thresholds=cells.thresholds)
+    drift = Drift(dim=dim, set_map=gmap, sample_term=cells)
 
     return Preset(_recursion("nonconv", drift, np.array([2.0, 2.0]),
                              bias=ShrinkingGaussianBias(dim, c=1.0, gamma=0.0)),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .artifacts import Artifact
 from .engine import (SimulationBlowup, StepSchedule, as_matrix, block_steps, psd_root,
-                     step_count)
+                     step_count, tightness_indices)
 from .sets import (
     Polytope,
     SetValuedMap,
@@ -49,7 +49,7 @@ _HOMOGENEITY_TOL = 1e-6
 _SELECTION_KEY = (8,)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class NormalizedSeries:
     """Iterate deviations from a limit point, scaled by 1/sqrt(step size)."""
 
@@ -99,7 +99,7 @@ def shifted_index(schedule: StepSchedule, start: int, t: float, last: int) -> in
     return max(start, min(n, last))
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class SDIModel:
     """Linear-plus-set-valued drift with additive Brownian noise.
 
@@ -214,7 +214,7 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     return paths if record_paths else u
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class TightnessReport:
     checkpoints: np.ndarray
     quantiles: np.ndarray
@@ -233,12 +233,6 @@ class TightnessReport:
 
     def to_text(self) -> str:
         return "".join(self.artifact().lines())
-
-
-def tightness_indices(start: int, last: int, n_checkpoints: int = 10) -> np.ndarray:
-    """The mesh indices the tightness diagnostic reads: ``n_checkpoints``
-    spread evenly over [start, last], repeats removed."""
-    return np.unique(np.linspace(start, last, max(2, n_checkpoints)).astype(int))
 
 
 def tightness_diagnostic(indices, values, kappa: float) -> TightnessReport:
@@ -273,7 +267,7 @@ def tightness_diagnostic(indices, values, kappa: float) -> TightnessReport:
     return TightnessReport(checkpoints=indices, quantiles=quant, kappa=kappa, flag=flag)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class OuterDerivativeReport:
     x_star: tuple
     delta: float
@@ -336,7 +330,7 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class KSReport:
     t_eval: float
     distances: np.ndarray  # per coordinate

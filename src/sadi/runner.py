@@ -13,11 +13,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _deferred
 from .artifacts import Artifact, column_blocks
 from .config import ConfigError, ExperimentConfig, validate_config
-from .engine import run, run_ensemble
-from .rates import compare_to_sdi, normalize, tightness_diagnostic, tightness_indices
+from .engine import run, run_ensemble, tightness_indices
+
+# the rate outputs' functions, imported at their first call: a run without
+# them never loads ``sadi.rates``
+normalize, tightness_diagnostic, compare_to_sdi = _deferred(
+    globals(), "rates", "normalize", "tightness_diagnostic", "compare_to_sdi")
 
 __all__ = ["StartAggregate", "AggregateReport", "run_experiment", "sweep",
            "set_by_path", "write_report_csv"]
@@ -25,7 +29,7 @@ __all__ = ["StartAggregate", "AggregateReport", "run_experiment", "sweep",
 _ERR_QS = (0.1, 0.5, 0.9)  # the report's err_q10, err_q50 and err_q90
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class StartAggregate:
     start: np.ndarray
     finals: np.ndarray            # (R, d) per-replication final iterates
@@ -78,7 +82,7 @@ class StartAggregate:
         return np.full(len(_ERR_QS), math.nan) if errs is None else np.quantile(errs, _ERR_QS)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class AggregateReport:
     name: str
     fingerprint: str

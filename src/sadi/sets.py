@@ -593,7 +593,7 @@ class LeastNorm:
         return "LeastNorm()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremeVertex:
     """Support point in a fixed direction."""
 
@@ -624,7 +624,7 @@ class Midpoint:
         return "Midpoint()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomSelector:
     """Caller-supplied rule ``fn(value_set, x, rng) -> vector``; membership is checked."""
 
@@ -880,7 +880,7 @@ class ThresholdCells:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class Cell:
     region: Optional[Sequence]  # intervals per coordinate; None for the catch-all
     lo: tuple
@@ -969,7 +969,7 @@ class CellTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class FieldPiece:
     region: Optional[Sequence]  # intervals per coordinate; None for everywhere
     formula: Callable[[np.ndarray], np.ndarray]

@@ -87,6 +87,36 @@ def test_verbs_that_never_draw_leave_numpy_random_unloaded(tmp_path):
                 str(tmp_path / verb), check=True, stdout=subprocess.DEVNULL)
 
 
+def test_import_sadi_loads_no_submodule():
+    # a submodule loads at the first access to it or to a name from it
+    _python("-c", "import sys, sadi\n"
+            "assert [m for m in sys.modules if m.startswith('sadi.')] == []\n"
+            "assert sadi.engine.run is sadi.run and 'sadi.rates' not in sys.modules\n"
+            "assert sadi.artifacts.Artifact and sadi.Box is sys.modules['sadi.sets'].Box",
+            check=True)
+
+
+_UNLOADED = """
+import sys
+import sadi.cli
+assert sadi.cli.main(sys.argv[2:]) == 0
+loaded = [m for m in sys.argv[1].split(",") if m in sys.modules]
+assert loaded == [], loaded
+"""
+
+
+@pytest.mark.parametrize("verb, name, unloaded", [
+    ("certify", "rootfind_two_starts", "sadi.runner,sadi.inclusions,sadi.rates"),
+    ("run", "ex1", "sadi.rates,sadi.inclusions"),
+])
+def test_a_verb_loads_only_the_modules_it_runs(tmp_path, verb, name, unloaded):
+    # the verbs' entry points and the rate functions are imported at their
+    # first call, so a certificate never loads the simulators, and a run with
+    # no rate output never loads the rate diagnostics or the integrators
+    _python("-c", _UNLOADED, unloaded, verb, str(CONFIGS / f"{name}.json"), "--out-dir",
+            str(tmp_path / verb), check=True, stdout=subprocess.DEVNULL)
+
+
 def test_run_verb(tmp_path, capsys):
     cfg = _small_config(tmp_path)
     code = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])

@@ -1205,6 +1205,11 @@ _REFERENCE_SPECS = {
                                                     ZeroBias(3)),
     "constant_bias_3d": lambda n: _signed_zero_spec(n, _rows_of(-0.0), _NegativeZeros(3),
                                                     ConstantBias([0.25, -1.0, -0.0])),
+    # two or three +0.0 roles: the loop skips every zero role after the first
+    "zero_additive_and_bias": lambda n: _signed_zero_spec(n, _rows_of(-0.0), NoNoise(),
+                                                          ZeroBias(3)),
+    "zero_smooth_additive_and_bias": lambda n: _signed_zero_spec(n, None, NoNoise(),
+                                                                 ConstantBias([0.0] * 3)),
     "box": lambda n: _projected_spec(n, Box([-1.0, -1.0], [1.0, 1.0])),
     "ball": lambda n: _projected_spec(n, Ball([0.0, 0.0], 1.0)),
     "lasso_gaussian": lambda n: replace(lasso_preset(0.3, RegressionLaw(
@@ -1229,11 +1234,25 @@ def test_row_loop_matches_the_allocating_reference(monkeypatch, name, n_reps):
         _same_result(run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True), want)
 
 
+def test_draws_tell_the_draw_free_roles_of_positive_zeros():
+    def zeros(name, role):
+        return engine._Draws(_REFERENCE_SPECS[name](5), 3, 2).zeros(role)
+
+    assert zeros("zero_additive_and_bias", engine.ROLE_ZETATILDE)
+    assert zeros("zero_additive_and_bias", engine.ROLE_BIAS)
+    assert zeros("zero_smooth_additive_and_bias", engine.ROLE_BIAS)  # ConstantBias of +0.0
+    # a -0.0 entry, a nonzero entry, and a role that draws are not zeros
+    assert not zeros("signed_zero_smooth", engine.ROLE_BIAS)
+    assert not zeros("constant_bias_3d", engine.ROLE_BIAS)
+    assert not zeros("signed_zero_smooth", engine.ROLE_ZETATILDE)
+
+
 def test_signed_zeros_survive_only_where_every_role_is_negative_zero():
     # a -0.0 sum leaves a -0.0 coordinate alone; one +0.0 role makes it +0.0
     got = run_ensemble(_REFERENCE_SPECS["constant_bias_3d"](5), 3, 2).finals
     assert got[0, 2] == 0.0 and [math.copysign(1.0, v) for v in got[0]] == [1.0, 1.0, -1.0]
-    for name in ("signed_zero_smooth", "signed_zero_additive", "signed_zero_bias"):
+    for name in ("signed_zero_smooth", "signed_zero_additive", "signed_zero_bias",
+                 "zero_additive_and_bias", "zero_smooth_additive_and_bias"):
         got = run_ensemble(_REFERENCE_SPECS[name](5), 3, 2).finals
         assert math.copysign(1.0, got[0, 0]) == 1.0 and math.copysign(1.0, got[0, 2]) == 1.0
 
