@@ -105,14 +105,13 @@ def _cmd_simulate_sdi(args) -> int:
         print("simulate-sdi requires an sdi block in the config", file=sys.stderr)
         return 2
     model, horizon = sdi["model"], sdi["t_eval"]
-    n_reps = 100 if sdi["n_reps"] is None else sdi["n_reps"]
     finals = simulate_sdi(model, np.zeros(model.dim), dt=sdi["dt"], horizon=horizon,
-                          seed=config.seed, n_reps=n_reps, record_paths=False)
+                          seed=config.seed, n_reps=sdi["n_reps"], record_paths=False)
     Artifact([f"u{j}" for j in range(model.dim)], column_blocks(*finals.T),
              provenance=_provenance(config),
              template=",".join(["%.17g"] * model.dim) + "\n").write(
                  Path(args.out_dir) / "sdi_finals.csv")
-    print(f"simulated {n_reps} paths to t={horizon}; "
+    print(f"simulated {sdi['n_reps']} paths to t={horizon}; "
           f"mean |u| = {float(np.mean(np.linalg.norm(finals, axis=1))):.6g}")
     return 0
 

@@ -282,9 +282,10 @@ class ExperimentConfig:
     block built once by ``validate_config``.  ``sdi``, ``di`` and ``chain``
     are their blocks with the defaults applied (``sdi`` and ``chain`` are
     None when absent); ``sdi["model"]`` is the built SDIModel.
-    ``sdi["n_reps"]`` stays None when absent, so that each verb picks its
-    count; ``sdi["eval_index"]``, the mesh index a series from
-    ``start_index`` reads at ``t_eval``, is set only for sdi_compare."""
+    ``sdi["n_reps"]`` is the count of paths simulate-sdi draws, 100 when
+    absent, and ``sdi["compare_reps"]`` the count sdi_compare draws, one per
+    replication when absent; ``sdi["eval_index"]``, the mesh index a series
+    from ``start_index`` reads at ``t_eval``, is set only for sdi_compare."""
 
     raw: dict
     name: str
@@ -293,16 +294,13 @@ class ExperimentConfig:
     replications: int
     outputs: Sequence[str]
     checkpoints: int
+    fingerprint: str           # of ``raw``
     preset: Optional[Preset]   # None for an inline drift
     specs: list                # one RunSpec per start
     x_star: Optional[np.ndarray]
     sdi: Optional[dict]        # the block's keys, model and eval_index
     di: dict                   # dt horizon x0
     chain: Optional[dict]      # probes eps t_min budget
-
-    @property
-    def fingerprint(self) -> str:
-        return config_fingerprint(self.raw)
 
     def resolve(self):
         """Returns (preset or None, list of RunSpec (one per start), x_star)."""
@@ -489,12 +487,13 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
         if fit("sdi", sdi, ("A", "sigma")):
             model = attempt("sdi", lambda: SDIModel(
                 A=as_matrix(sdi["A"], dim), sigma=sdi["sigma"], half_identity=sdi["half_identity"]))
-        sdi = dict(sdi, model=model, n_reps=sdi.get("n_reps"), eval_index=None)
-        # a step of the paths a verb simulates fills 2*n_reps*dim doubles of draws:
-        # absent, simulate-sdi's 100 paths or sdi_compare's one per replication
-        paths = sdi["n_reps"] or max(100, cfg["replications"] if compare else 0)
+        count = sdi.get("n_reps")
+        sdi = dict(sdi, model=model, n_reps=count or 100,
+                   compare_reps=count or cfg["replications"], eval_index=None)
+        # a step of the paths a verb simulates fills 2*n_reps*dim doubles of draws
+        paths = max(sdi["n_reps"], sdi["compare_reps"] if compare else 0)
         if model is not None and 2 * paths * model.dim > _DRAW_BUDGET:
-            given = "" if sdi["n_reps"] else f" (absent, so {paths} paths)"
+            given = "" if count else f" (absent, so {paths} paths)"
             errors.append(f"sdi.n_reps{given}: n_reps * dim must be at most "
                           f"{_DRAW_BUDGET // 2}, the draw budget of one step")
         if compare and sdi["start_index"] > n:
@@ -528,7 +527,8 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
              for i, x0 in enumerate(starts or [template.x0])]
     di["x0"] = np.asarray(di["x0"], dtype=float) if "x0" in di else template.x0
     return {"preset": preset, "specs": specs, "di": di, "chain": chain, "sdi": sdi,
-            "x_star": None if x_star is None else np.asarray(x_star, dtype=float)}
+            "x_star": None if x_star is None else np.asarray(x_star, dtype=float),
+            "fingerprint": fingerprint}
 
 
 def parse_config(path, seed: Optional[int] = None) -> ExperimentConfig:

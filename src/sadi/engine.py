@@ -760,8 +760,7 @@ class EnsembleResult:
     finals: np.ndarray               # (R, d)
     fail_steps: np.ndarray           # (R,) first non-finite step, -1 if clean
     checkpoint_indices: np.ndarray   # (K,)
-    checkpoint_states: Optional[np.ndarray]  # (R, K, d)
-    paths: Optional[np.ndarray]      # (R, N+1, d)
+    checkpoint_states: Optional[np.ndarray]  # (R, K, d), None when K = 0
 
     @property
     def n_failed(self) -> int:
@@ -909,29 +908,31 @@ class _Draws:
 # failed replication, so numpy's warnings about it are not errors
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
-                   checkpoints: Optional[Sequence[int]], record_paths: bool,
-                   record_logs: bool):
-    """The replications, tile by tile.  ``record_logs`` logs replication 0,
-    for one-replication runs."""
+                   checkpoints: Optional[Sequence[int]], record_logs: bool):
+    """The replications, tile by tile, with their states at the mesh indices
+    ``checkpoints`` (any int sequence, range or array, in any order, with
+    repeats).  ``record_logs`` logs replication 0, for one-replication
+    runs."""
     drift = spec.drift
     d = drift.dim
     n_steps = spec.n_steps
-    ck = sorted(set(int(c) for c in checkpoints)) if checkpoints else []
-    if ck and not 0 <= ck[0] <= ck[-1] <= n_steps:
+    # sorted and distinct, as int64: no Python object per index.  np.unique hashes
+    # integers (numpy 2.4), about 20 times slower than a sort at 200,001 indices
+    ck = np.sort(np.asarray([] if checkpoints is None else checkpoints, dtype=np.int64))
+    ck = ck[np.diff(ck, prepend=ck[:1] - 1) != 0]
+    if ck.size and not 0 <= ck[0] <= ck[-1] <= n_steps:
         raise ValueError("checkpoints must lie in [0, n_steps]")
     if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
             and drift.m_rule is None and spec.projection is None):
         draws = _Draws(spec, seed, 1)
         draws.tile(0, 1)
-        return _simulate_float(spec, draws, ck, record_paths, record_logs)
+        return _simulate_float(spec, draws, ck, record_logs)
 
     tile_reps = next(_tiles(n_reps))[1]
     draws = _Draws(spec, seed, tile_reps)
     finals = np.empty((n_reps, d))
     fail = np.full(n_reps, -1, dtype=int)
-    ck_states = np.empty((n_reps, len(ck), d)) if ck else None
-    ck_pos = {c: i for i, c in enumerate(ck)}
-    paths = np.empty((n_reps, n_steps + 1, d)) if record_paths else None
+    ck_states = np.empty((n_reps, ck.size, d)) if ck.size else None
     logs = None
     if record_logs:
         logs = {k: np.zeros((n_steps, d)) for k in ("set", "smooth", "noise", "bias")}
@@ -953,16 +954,19 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         total, own, finite = rows[2, :m], (rows[0, :m], rows[1, :m]), finite_rows[:m]
         x, fail_tile = own[0], fail[r0:r1]
         x[:] = spec.x0
-        if record_paths:
-            paths[r0:r1, 0, :] = x
-        if 0 in ck_pos:
-            ck_states[r0:r1, ck_pos[0], :] = x
+        # the cursor: the slot of the next checkpoint and its index, -1 past the
+        # last; the state at index n is read before step n, and N's after the loop
+        marks = enumerate(map(int, ck))
+        slot, due = next(marks, (0, -1))
         for n0 in range(0, n_steps, block):
             k = min(block, n_steps - n0)
             a = spec.schedule.step_sizes(n0, n0 + k)
             xi, zeta, zt, beta, usel, pert = draws.block(n0, k)
             for j in range(k):
                 n = n0 + j
+                if n == due:
+                    ck_states[r0:r1, slot] = x
+                    slot, due = next(marks, (0, -1))
                 b = drift.set_term_rows(x, None if xi is None else xi[j],
                                         None if usel is None else usel[j, :, 0],
                                         None if pert is None else pert[j])
@@ -987,29 +991,19 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                     newly = ~finite.all(axis=1) & (fail_tile < 0)
                     fail_tile[newly] = n
                 x = x_new
-                if record_paths:
-                    paths[r0:r1, n + 1, :] = x
-                if (n + 1) in ck_pos:
-                    ck_states[r0:r1, ck_pos[n + 1], :] = x
                 if record_logs:
                     logs["set"][n] = b[0]
                     logs["smooth"][n] = h[0]
                     logs["noise"][n] = zt[j, 0]
                     logs["bias"][n] = beta[j, 0]
+        if due == n_steps:
+            ck_states[r0:r1, slot] = x
         finals[r0:r1] = x
 
-    result = EnsembleResult(
-        finals=finals,
-        fail_steps=fail,
-        checkpoint_indices=np.asarray(ck, dtype=int),
-        checkpoint_states=ck_states,
-        paths=paths,
-    )
-    return result, logs
+    return EnsembleResult(finals, fail, ck, ck_states), logs
 
 
-def _simulate_float(spec: RunSpec, draws: _Draws, ck: list,
-                    record_paths: bool, record_logs: bool):
+def _simulate_float(spec: RunSpec, draws: _Draws, ck: np.ndarray, record_logs: bool):
     """One replication of a ``CellTable``-only drift on plain floats.  It reads
     the additive-noise and bias draws as the row loop does (a table reads no
     other role) and sums in the same order, x + a*(((b + h) + h0) + beta)
@@ -1046,20 +1040,22 @@ def _simulate_float(spec: RunSpec, draws: _Draws, ck: list,
         logs["set"] = spec.drift.sample_term(path[:-1])
         logs["projected"] = np.zeros(n_steps, dtype=bool)
     result = EnsembleResult(path[-1:].copy(), np.array([np.argmax(bad) if bad.any() else -1]),
-                            np.asarray(ck, dtype=int), path[ck][None] if ck else None,
-                            path[None] if record_paths else None)
+                            ck, path[ck][None] if ck.size else None)
     return result, logs
 
 
 def run(spec: RunSpec, seed: int) -> Trajectory:
-    """One fully-logged replication; raises on the first non-finite iterate."""
-    result, logs = _simulate_reps(spec, seed, 1, None, record_paths=True, record_logs=True)
+    """One fully-logged replication, its state at every mesh index; raises on
+    the first non-finite iterate."""
+    # a range, so that the caller holds no second array of the indices
+    result, logs = _simulate_reps(spec, seed, 1, range(spec.n_steps + 1), record_logs=True)
+    iterates = result.checkpoint_states[0]
     if result.fail_steps[0] >= 0:
         step = int(result.fail_steps[0])
-        raise SimulationBlowup(step, result.paths[0, step + 1])
+        raise SimulationBlowup(step, iterates[step + 1])
     return Trajectory(
         schedule=spec.schedule,
-        iterates=result.paths[0],
+        iterates=iterates,
         step_sizes_used=spec.schedule.step_sizes(0, spec.n_steps),
         set_terms=logs["set"],
         smooth_terms=logs["smooth"],
@@ -1074,8 +1070,10 @@ def run(spec: RunSpec, seed: int) -> Trajectory:
 
 def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
                  checkpoints: Optional[Sequence[int]] = None,
-                 record_paths: bool = False, threads: int = 1) -> EnsembleResult:
-    """Independent replications with per-replication substreams.
+                 threads: int = 1) -> EnsembleResult:
+    """Independent replications with per-replication substreams, with the
+    state of each at the mesh indices ``checkpoints``: any int sequence,
+    range or array, read sorted and without repeats.
 
     The replications run in tiles of at most ``_TILE_REPS``, each tile
     through all N steps before the next starts, so the generators and draw
@@ -1088,5 +1086,5 @@ def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
         raise ValueError("n_reps must be at least 1")
     if n_reps > MAX_REPLICATIONS:
         raise ValueError(_REPS_ERROR)
-    result, _ = _simulate_reps(spec, seed, n_reps, checkpoints, record_paths, False)
+    result, _ = _simulate_reps(spec, seed, n_reps, checkpoints, False)
     return result

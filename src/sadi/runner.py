@@ -156,7 +156,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
     aggregates = []
     for i, spec in enumerate(specs):
         result = run_ensemble(spec, config.seed, config.replications,
-                              checkpoints=run_idx.tolist(), threads=threads)
+                              checkpoints=run_idx, threads=threads)
         if i == 0:
             first = result
         clean = result.checkpoint_states[np.ix_(result.fail_steps < 0, cols)]
@@ -194,9 +194,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
         if "sdi_compare" in config.outputs:
             u = normalize(first.checkpoint_states[:, np.searchsorted(run_idx, sdi_idx)], sdi_idx,
                           specs[0].schedule, x_star, sdi_idx[0], n)
-            n_sdi = config.replications if sdi["n_reps"] is None else sdi["n_reps"]
             ks = compare_to_sdi(u[:, 0], u[:, 1], sdi["model"], t_eval=sdi["t_eval"],
-                                n_sdi_reps=n_sdi, seed=config.seed, dt=sdi["dt"])
+                                n_sdi_reps=sdi["compare_reps"], seed=config.seed, dt=sdi["dt"])
             Artifact(None, [[str(ks)]], provenance=_provenance(config)).write(
                 out / "sdi_compare.txt")
     return report

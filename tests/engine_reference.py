@@ -31,7 +31,7 @@ def _project(projection, rows):
     return projection.project_rows(rows)
 
 
-def run_ensemble(spec, seed, n_reps, checkpoints=None, record_paths=False):
+def run_ensemble(spec, seed, n_reps, checkpoints=None):
     drift = spec.drift
     d = drift.dim
     n_steps = spec.n_steps
@@ -43,9 +43,6 @@ def run_ensemble(spec, seed, n_reps, checkpoints=None, record_paths=False):
     fail = np.full(n_reps, -1, dtype=int)
     ck_states = np.empty((n_reps, len(ck), d)) if ck else None
     ck_pos = {c: i for i, c in enumerate(ck)}
-    paths = np.empty((n_reps, n_steps + 1, d)) if record_paths else None
-    if record_paths:
-        paths[:, 0, :] = x
     if 0 in ck_pos:
         ck_states[:, ck_pos[0], :] = x
 
@@ -70,10 +67,8 @@ def run_ensemble(spec, seed, n_reps, checkpoints=None, record_paths=False):
                 newly = ~finite.all(axis=1) & (fail < 0)
                 fail[newly] = n
             x = x_new
-            if record_paths:
-                paths[:, n + 1, :] = x
             if (n + 1) in ck_pos:
                 ck_states[:, ck_pos[n + 1], :] = x
 
     return EnsembleResult(finals=x, fail_steps=fail, checkpoint_indices=np.asarray(ck, dtype=int),
-                          checkpoint_states=ck_states, paths=paths)
+                          checkpoint_states=ck_states)

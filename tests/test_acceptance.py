@@ -87,13 +87,12 @@ def test_c03_root_finding_both_starts():
 def test_c04_nonconvergent_cycling():
     preset = nonconvergence_preset()
     spec = replace(preset.spec, x0=[2.0, 2.0], n_steps=1_000_000)
-    nc = run_ensemble(spec, 3, 1, checkpoints=range(100_000, 1_000_001, 100_000),
-                      record_paths=True)
-    ck = nc.checkpoint_states[0]
+    path = run_ensemble(spec, 3, 1, checkpoints=range(1_000_001)).checkpoint_states[0]
+    ck = path[100_000::100_000]
     near = np.minimum(np.linalg.norm(ck, axis=1),
                       np.linalg.norm(ck - 2.0, axis=1)) <= 0.1
     frac = float(np.mean(near))
-    visited = set(preset.spec.drift.sample_term.region_ids(nc.paths[0][:-1]).tolist())
+    visited = set(preset.spec.drift.sample_term.region_ids(path[:-1]).tolist())
     corridors = visited & {2, 3, 4, 5}
     ok = frac <= 0.3 and len(corridors) >= 3
     assert _report("4 non-convergence", ok,
@@ -178,11 +177,12 @@ def test_c08_rate_diagnostics():
     cfg = parse_config(CONFIGS / "ou_rates.json")
     _, specs, x_star = cfg.resolve()
     spec = specs[0]
-    res = run_ensemble(spec, cfg.seed, cfg.replications, record_paths=True)
+    res = run_ensemble(spec, cfg.seed, cfg.replications, checkpoints=range(spec.n_steps + 1))
     sched = spec.schedule
     sdi = cfg.raw["sdi"]
     start = int(sdi["start_index"])
-    series = [NormalizedSeries.from_iterates(res.paths[r], sched, x_star, start=start)
+    series = [NormalizedSeries.from_iterates(res.checkpoint_states[r], sched, x_star,
+                                             start=start)
               for r in range(cfg.replications)]
     model = SDIModel(A=np.asarray(sdi["A"]), sigma=np.asarray(sdi["sigma"]),
                      half_identity=sdi["half_identity"])
@@ -194,8 +194,10 @@ def test_c08_rate_diagnostics():
 
     ex1 = parse_config(CONFIGS / "ex1.json")
     _, ex1_specs, ex1_star = ex1.resolve()
-    ex1_res = run_ensemble(ex1_specs[0], ex1.seed, ex1.replications, record_paths=True)
-    ex1_series = [NormalizedSeries.from_iterates(ex1_res.paths[r], ex1_specs[0].schedule,
+    ex1_res = run_ensemble(ex1_specs[0], ex1.seed, ex1.replications,
+                           checkpoints=range(ex1.iterations + 1))
+    ex1_series = [NormalizedSeries.from_iterates(ex1_res.checkpoint_states[r],
+                                                 ex1_specs[0].schedule,
                                                  ex1_star, start=0)
                   for r in range(ex1.replications)]
     tight = tightness_diagnostic(*tightness_arrays(ex1_series, 20), kappa=0.05)

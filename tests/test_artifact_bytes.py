@@ -5,7 +5,8 @@ the Krasovskii hull of the gradient field; the rootfind path and the
 two-dimensional lasso certificate before box-valued maps declared their
 bounds; the pegasos certificate before every certified map answered its
 support on rows; the pegasos ensemble's finals before draw-free roles read
-as dense rows and the step was summed in place.  A changed digest means a
+as dense rows and the step was summed in place; the nonconv and boxed
+rootfind trajectories before checkpoint indices replaced recorded paths.  A changed digest means a
 changed output byte; re-record one only for a change to the artifact layout
 that is meant and documented."""
 
@@ -102,6 +103,31 @@ _SVM_PLANE = {
 _SVM_ENSEMBLE = dict(_SVM_PLANE, name="golden_svm_ensemble", replications=12,
                      outputs=["finals"])
 
+# the two loops of a one-replication run: nonconv's cell table takes the
+# plain-float loop, and rootfind's box-valued map from (10, -20) takes the row
+# loop, whose box projection is active at the first step and wherever the
+# bias pushes the path out, so its projected column holds 1s
+_NONCONV_RUN = {
+    "name": "golden_nonconv_run",
+    "preset": "nonconv",
+    "x0": [2.0, 2.0],
+    "iterations": 60,
+    "replications": 1,
+    "seed": 3,
+    "outputs": ["trajectory"],
+}
+_ROOTFIND_BOX = {
+    "name": "golden_rootfind_box",
+    "preset": "rootfind",
+    "x0": [10.0, -20.0],
+    "iterations": 60,
+    "replications": 1,
+    "seed": 3,
+    "projection": {"kind": "box", "lo": [-2.0, -2.0], "hi": [2.0, 2.0]},
+    "bias": {"kind": "gaussian_shrinking", "c": 10.0, "gamma": 0.0},
+    "outputs": ["trajectory"],
+}
+
 
 def _ou_rates():
     raw = json.loads((CONFIGS / "ou_rates.json").read_text(encoding="utf-8"))
@@ -124,6 +150,8 @@ _JOBS = [
     ("lasso_2d", "certify", _LASSO_2D, []),
     ("svm_plane", "certify", _SVM_PLANE, []),
     ("svm_ensemble", "run", _SVM_ENSEMBLE, []),
+    ("nonconv_run", "run", _NONCONV_RUN, []),
+    ("rootfind_box", "run", _ROOTFIND_BOX, []),
 ]
 
 GOLDEN = {
@@ -165,6 +193,10 @@ GOLDEN = {
         "d543b8fd7927afe3b9e25f3aa51c81964f21accb3e7e946329b5a4ecb81055d3",
     "svm_ensemble/finals.csv":
         "7d8679f790e0d8cdd5bbd2bd6ceed6c3fdeba411252b841e6c24b47a075dd14c",
+    "nonconv_run/trajectory_start0.csv":
+        "192666fc4a5c175df1ef75080441a09b480670e8ff05b568b8f4930de1e8811f",
+    "rootfind_box/trajectory_start0.csv":
+        "c9af8156fb20baaf2c3d7bb6630b21d075e486807812c4ae8c90b5c5aac9761e",
 }
 
 

@@ -550,6 +550,39 @@ def test_the_shipped_sdi_paths_fit_the_draw_budget(tmp_path, capsys):
     assert widest.sdi["n_reps"] == 2**20
 
 
+def test_the_config_resolves_the_sdi_path_counts_the_verbs_draw(tmp_path, monkeypatch,
+                                                                capsys):
+    import sadi.cli
+    import sadi.runner
+    from sadi.config import config_fingerprint, parse_config
+
+    given = parse_config(_ou_rates_copy(tmp_path, sdi=dict(_SDI, n_reps=250)))
+    assert given.sdi["n_reps"] == given.sdi["compare_reps"] == 250
+    # absent, simulate-sdi draws 100 paths and sdi_compare one per replication
+    sdi = dict({k: v for k, v in _SDI.items() if k != "n_reps"}, start_index=150)
+    absent = {"sdi": sdi, "replications": 300, "iterations": 200}
+    cfg = parse_config(_ou_rates_copy(tmp_path, **absent))
+    assert (cfg.sdi["n_reps"], cfg.sdi["compare_reps"]) == (100, 300)
+    assert cfg.fingerprint == config_fingerprint(cfg.raw)
+    drawn = []
+
+    def sdi_paths(model, u0, dt, horizon, seed, n_reps, record_paths):
+        drawn.append(("simulate-sdi", n_reps))
+        return np.zeros((n_reps, model.dim))
+
+    def compare(*args, n_sdi_reps, **kwargs):
+        drawn.append(("sdi_compare", n_sdi_reps))
+        return "ks"
+
+    monkeypatch.setattr(sadi.cli, "simulate_sdi", sdi_paths)
+    monkeypatch.setattr(sadi.runner, "compare_to_sdi", compare)
+    path = _ou_rates_copy(tmp_path, **absent)
+    assert main(["simulate-sdi", str(path), "--out-dir", str(tmp_path / "sdi")]) == 0
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+    assert drawn == [("simulate-sdi", 100), ("sdi_compare", 300)]
+    assert "simulated 100 paths" in capsys.readouterr().out
+
+
 _NON_FINITE = "a vector of finite numbers"
 _INFINITE_START = "without an infinite entry"
 

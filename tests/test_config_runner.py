@@ -323,7 +323,8 @@ def test_rate_outputs_equal_the_per_series_computation(tmp_path, t_eval):
     run_experiment(cfg, out_dir=tmp_path)
     _, specs, x_star = cfg.resolve()
     sched = specs[0].schedule
-    paths = run_ensemble(specs[0], cfg.seed, cfg.replications, record_paths=True).paths
+    paths = run_ensemble(specs[0], cfg.seed, cfg.replications,
+                         checkpoints=range(cfg.iterations + 1)).checkpoint_states
     header = (f"# name={cfg.name} fingerprint={cfg.fingerprint} seed={cfg.seed} "
               f"version={sadi.__version__}\n")
 
@@ -360,12 +361,11 @@ def test_rate_indices_stay_out_of_the_other_artifacts(tmp_path, monkeypatch):
     asked = []
     real = sadi.runner.run_ensemble
 
-    def no_paths(spec, seed, n_reps, checkpoints=None, record_paths=False, threads=1):
-        assert not record_paths
+    def spy(spec, seed, n_reps, checkpoints=None, threads=1):
         asked.append(list(checkpoints))
         return real(spec, seed, n_reps, checkpoints=checkpoints, threads=threads)
 
-    monkeypatch.setattr(sadi.runner, "run_ensemble", no_paths)
+    monkeypatch.setattr(sadi.runner, "run_ensemble", spy)
     plain, rates = tmp_path / "plain", tmp_path / "rates"
     run_experiment(_planar_rates(outputs=["report", "checkpoints", "finals"]), out_dir=plain)
     run_experiment(_planar_rates(), out_dir=rates)

@@ -379,15 +379,18 @@ def test_float_loop_matches_row_loop_bitwise():
     # seed 3 enters all four corridors by step 713; 5,000 steps span ten of
     # the float loop's 512-step blocks
     spec = replace(p.spec, x0=[2.0, 2.0], n_steps=5_000)
-    ck = [0, 4_096, 4_500, 5_000]
-    one = run_ensemble(spec, 3, 1, checkpoints=ck, record_paths=True)
-    two = run_ensemble(spec, 3, 2, checkpoints=ck, record_paths=True)
+    one = run_ensemble(spec, 3, 1, checkpoints=range(5_001))
+    two = run_ensemble(spec, 3, 2, checkpoints=range(5_001))
     traj = run(spec, 3)
-    assert len(set(table.region_ids(one.paths[0][:-1]).tolist()) & {2, 3, 4, 5}) >= 3
-    _assert_same_bits(one.paths[0], two.paths[0])
-    _assert_same_bits(traj.iterates, two.paths[0])
-    _assert_same_bits(one.finals[0], two.finals[0])
+    assert len(set(table.region_ids(one.checkpoint_states[0][:-1]).tolist())
+               & {2, 3, 4, 5}) >= 3
     _assert_same_bits(one.checkpoint_states[0], two.checkpoint_states[0])
+    _assert_same_bits(traj.iterates, two.checkpoint_states[0])
+    _assert_same_bits(one.finals[0], two.finals[0])
+    # a few indices of the float loop are those rows of the row loop's path
+    ck = [0, 4_096, 4_500, 5_000]
+    _assert_same_bits(run_ensemble(spec, 3, 1, checkpoints=ck).checkpoint_states[0],
+                      two.checkpoint_states[0, ck])
     assert one.fail_steps.tolist() == [-1]
     _assert_same_bits(traj.set_terms, table(traj.iterates[:-1]))
 
@@ -410,9 +413,8 @@ def test_float_loop_additive_noise_and_constant_bias():
     p = nonconvergence_preset()
     spec = replace(p.spec, x0=[0.0, 0.0], n_steps=2_000, bias=ConstantBias([0.01, -0.02]))
     spec.noise_zetatilde = GaussianNoise([0.0, 0.0], [[0.5, 0.1], [0.1, 0.3]])
-    one = run_ensemble(spec, 8, 1, checkpoints=[0, 1_000, 2_000], record_paths=True)
-    two = run_ensemble(spec, 8, 2, checkpoints=[0, 1_000, 2_000], record_paths=True)
-    _assert_same_bits(one.paths[0], two.paths[0])
+    one = run_ensemble(spec, 8, 1, checkpoints=range(2_001))
+    two = run_ensemble(spec, 8, 2, checkpoints=range(2_001))
     _assert_same_bits(one.checkpoint_states[0], two.checkpoint_states[0])
     traj = run(spec, 8)
     assert np.all(traj.bias_terms == [0.01, -0.02])
@@ -436,16 +438,47 @@ def test_checkpoints_outside_the_horizon_rejected(n_reps):
         run_ensemble(spec, 0, n_reps, checkpoints=[0, 11])
 
 
+# each form of checkpoints, and the sorted list of its distinct indices
+_CHECKPOINT_FORMS = [
+    ("tuple", (0, 7, 30), [0, 7, 30]),
+    ("range", range(0, 31, 10), [0, 10, 20, 30]),
+    ("array", np.array([0, 7, 30]), [0, 7, 30]),
+    ("array_int32", np.array([3, 29], dtype=np.int32), [3, 29]),
+    ("array_of_zero", np.array([0]), [0]),
+    ("array_of_last", np.array([30]), [30]),
+    ("unsorted_repeated_list", [30, 7, 0, 7, 30], [0, 7, 30]),
+    ("unsorted_repeated_array", np.array([29, 3, 3, 29]), [3, 29]),
+    ("empty_array", np.array([], dtype=np.int64), []),
+]
+
+
+@pytest.mark.parametrize("n_reps", [1, 3])
+@pytest.mark.parametrize("form, checkpoints, sorted_list", _CHECKPOINT_FORMS,
+                         ids=[form for form, _, _ in _CHECKPOINT_FORMS])
+def test_checkpoints_are_read_in_any_form(form, checkpoints, sorted_list, n_reps):
+    # one replication of the cell table takes the plain-float loop, three the row loop
+    spec = replace(nonconvergence_preset().spec, x0=[2.0, 2.0], n_steps=30)
+    got = run_ensemble(spec, 4, n_reps, checkpoints=checkpoints)
+    want = run_ensemble(spec, 4, n_reps, checkpoints=sorted_list)
+    assert got.checkpoint_indices.tolist() == sorted_list
+    for field_name in ("checkpoint_indices", "checkpoint_states"):
+        a, b = getattr(got, field_name), getattr(want, field_name)
+        assert (a is None) == (b is None) == (field_name == "checkpoint_states"
+                                              and not sorted_list)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_float_loop_records_blowup_and_run_raises():
     spec = _diverging_table_spec()
     with np.errstate(over="ignore", invalid="ignore"):
-        one = run_ensemble(spec, 0, 1, checkpoints=[0, 40], record_paths=True)
-        two = run_ensemble(spec, 0, 2, checkpoints=[0, 40], record_paths=True)
+        one = run_ensemble(spec, 0, 1, checkpoints=range(41))
+        two = run_ensemble(spec, 0, 2, checkpoints=range(41))
     fail = int(one.fail_steps[0])
     assert fail >= 0 and fail == int(two.fail_steps[0])
-    assert np.all(np.isfinite(one.paths[0, :fail + 1]))
-    assert not np.isfinite(one.paths[0, fail + 1, 0])
-    _assert_same_bits(one.paths[0], two.paths[0])
+    assert np.all(np.isfinite(one.checkpoint_states[0, :fail + 1]))
+    assert not np.isfinite(one.checkpoint_states[0, fail + 1, 0])
+    _assert_same_bits(one.checkpoint_states[0], two.checkpoint_states[0])
     _assert_same_bits(one.finals[0], two.finals[0])
     with pytest.raises(SimulationBlowup) as err, np.errstate(over="ignore"):
         run(spec, 0)
@@ -492,8 +525,8 @@ def test_run_decomposition_audit_exact():
 def test_ensemble_matches_single_run_bitwise():
     spec = _ou_spec(n_steps=200)
     traj = run(spec, 9)
-    ens = run_ensemble(spec, 9, 3, record_paths=True)
-    assert np.array_equal(ens.paths[0], traj.iterates)
+    ens = run_ensemble(spec, 9, 3, checkpoints=range(201))
+    assert np.array_equal(ens.checkpoint_states[0], traj.iterates)
 
 
 def test_ensemble_thread_chunking_identical():
@@ -563,8 +596,8 @@ def _shrinking_bias_spec(n_steps, bias=None):
 def test_run_matches_ensemble_row_bitwise(make_spec):
     spec = make_spec(250)
     traj = run(spec, 13)
-    ens = run_ensemble(spec, 13, 4, record_paths=True)
-    assert np.array_equal(ens.paths[0], traj.iterates)
+    ens = run_ensemble(spec, 13, 4, checkpoints=range(251))
+    assert np.array_equal(ens.checkpoint_states[0], traj.iterates)
     assert np.array_equal(ens.finals[0], traj.iterates[-1])
 
 
@@ -900,14 +933,14 @@ _CHUNK_SPECS = {
 def test_ensemble_bytes_do_not_depend_on_block_length(name, n_reps, block, tile):
     n_steps = 45
     spec = _CHUNK_SPECS[name](n_steps)
-    reference = run_ensemble(spec, 11, n_reps, checkpoints=[0, 13, 45], record_paths=True)
+    reference = run_ensemble(spec, 11, n_reps, checkpoints=range(n_steps + 1))
     width = engine._Draws(spec, 11, n_reps).width
     saved = engine._DRAW_BUDGET, engine._TILE_REPS
     # tiles of at most `tile` replications, each read `block` steps at a time
     engine._TILE_REPS = tile
     engine._DRAW_BUDGET = block * next(engine._tiles(n_reps))[1] * max(width, 1)
     try:
-        blocked = run_ensemble(spec, 11, n_reps, checkpoints=[0, 13, 45], record_paths=True)
+        blocked = run_ensemble(spec, 11, n_reps, checkpoints=range(n_steps + 1))
     finally:
         engine._DRAW_BUDGET, engine._TILE_REPS = saved
     _same_result(blocked, reference)
@@ -915,9 +948,9 @@ def test_ensemble_bytes_do_not_depend_on_block_length(name, n_reps, block, tile)
 
 def test_a_blowup_in_a_later_tile_is_written_at_its_replication(monkeypatch):
     spec = _late_blowup_spec(45)
-    want = engine_reference.run_ensemble(spec, 11, 3, [0, 13, 45], record_paths=True)
+    want = engine_reference.run_ensemble(spec, 11, 3, range(46))
     monkeypatch.setattr(engine, "_TILE_REPS", 1)
-    got = run_ensemble(spec, 11, 3, [0, 13, 45], record_paths=True)
+    got = run_ensemble(spec, 11, 3, range(46))
     assert got.fail_steps.tolist() == [-1, 27, -1]
     _same_result(got, want)
 
@@ -1082,14 +1115,14 @@ def test_uniform_vertex_selects_with_selector_stream():
     spec = RunSpec(drift=Drift(dim=2, set_map=gmap, selector=UniformVertex()),
                    schedule=StepSchedule.power_law(1.0, 0.5), x0=[0.2, -0.1], n_steps=60)
     seed = 9
-    ens = run_ensemble(spec, seed, 3, record_paths=True)
+    ens = run_ensemble(spec, seed, 3, checkpoints=range(spec.n_steps + 1))
     a = spec.schedule.step_sizes(0, spec.n_steps)
     for rep in range(3):
         gen = _reference_generator(seed, rep, ROLE_SELECTOR)
         x = spec.x0.copy()
         for n in range(spec.n_steps):
             x = x + a[n] * select(gmap, x, UniformVertex(), gen)
-            assert np.array_equal(ens.paths[rep, n + 1], x)
+            assert np.array_equal(ens.checkpoint_states[rep, n + 1], x)
 
 
 @pytest.mark.parametrize("budget", [1 << 22, 5])
@@ -1105,14 +1138,14 @@ def test_perturbation_reads_d_plus_2_normals(monkeypatch, budget):
     a = spec.schedule.step_sizes(0, spec.n_steps)
     for chunk in (engine._NORMALS_CHUNK, 7):
         monkeypatch.setattr(engine, "_NORMALS_CHUNK", chunk)
-        ens = run_ensemble(spec, seed, 2, record_paths=True)
+        ens = run_ensemble(spec, seed, 2, checkpoints=range(spec.n_steps + 1))
         for rep in range(2):
             g = _reference_generator(seed, rep, ROLE_PERTURB).standard_normal((spec.n_steps, 4))
             points = 0.5 * g[:, :2] / np.linalg.norm(g, axis=1)[:, None]
             x = spec.x0.copy()
             for n in range(spec.n_steps):
                 x = x + a[n] * (0.0 + points[n])
-                assert np.array_equal(ens.paths[rep, n + 1], x)
+                assert np.array_equal(ens.checkpoint_states[rep, n + 1], x)
 
 
 def test_perturbation_radii_are_read_per_row():
@@ -1135,8 +1168,8 @@ def test_perturbation_radii_are_read_per_row():
     assert np.all(dist <= r * (1.0 + 1e-12)) and np.ptp(r) > 0.1
     # rows of one ensemble step get their own radii: each replication's path
     # is the one-replication run of its seed's stream
-    ens = run_ensemble(spec, 5, 3, record_paths=True)
-    assert np.array_equal(ens.paths[0], traj.iterates)
+    ens = run_ensemble(spec, 5, 3, checkpoints=range(61))
+    assert np.array_equal(ens.checkpoint_states[0], traj.iterates)
     x_rows = np.array([[0.0, 0.0], [2.0, 0.0]])
     pert = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     b = drift.set_term_rows(x_rows, np.zeros((2, 0)), None, pert)
@@ -1153,8 +1186,7 @@ def test_perturbation_radii_are_read_per_row():
 
 def _same_result(got, want):
     # bytes, so that the sign of a zero and a NaN's bits count
-    for field_name in ("finals", "fail_steps", "checkpoint_indices", "checkpoint_states",
-                       "paths"):
+    for field_name in ("finals", "fail_steps", "checkpoint_indices", "checkpoint_states"):
         a, b = getattr(got, field_name), getattr(want, field_name)
         assert (a is None) == (b is None), field_name
         if a is not None:
@@ -1230,8 +1262,11 @@ def test_row_loop_matches_the_allocating_reference(monkeypatch, name, n_reps):
         monkeypatch.setattr(engine, "_TILE_REPS", tile)
         # blocks of 7 steps, so that a block boundary falls inside the run
         monkeypatch.setattr(engine, "_DRAW_BUDGET", 7 * min(tile, n_reps) * width)
-        want = engine_reference.run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True)
-        _same_result(run_ensemble(spec, 11, n_reps, [0, 13, 45], record_paths=True), want)
+        want = engine_reference.run_ensemble(spec, 11, n_reps, range(46))
+        _same_result(run_ensemble(spec, 11, n_reps, range(46)), want)
+        # sparse checkpoints, out of order and repeated
+        want = engine_reference.run_ensemble(spec, 11, n_reps, [45, 13, 0, 13])
+        _same_result(run_ensemble(spec, 11, n_reps, [45, 13, 0, 13]), want)
 
 
 def test_draws_tell_the_draw_free_roles_of_positive_zeros():
@@ -1262,8 +1297,8 @@ def test_blowup_inside_a_block_matches_the_reference(monkeypatch, block):
     spec = _blowup_spec(20)
     monkeypatch.setattr(engine, "_DRAW_BUDGET", block * 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = engine_reference.run_ensemble(spec, 2, 4, [0, 10, 20], record_paths=True)
-        got = run_ensemble(spec, 2, 4, [0, 10, 20], record_paths=True)
+        want = engine_reference.run_ensemble(spec, 2, 4, range(21))
+        got = run_ensemble(spec, 2, 4, range(21))
     assert (want.fail_steps >= 0).all() and (want.fail_steps % 5 != 0).any()
     _same_result(got, want)
 
@@ -1277,10 +1312,10 @@ def test_huge_finite_rows_are_not_blowups_and_infinite_ones_are(monkeypatch):
     spec = RunSpec(drift=drift, schedule=StepSchedule.power_law(1.0, 0.5), x0=[1e308, 1e308],
                    n_steps=30, noise_zeta=GaussianNoise([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = engine_reference.run_ensemble(spec, 4, 6, [0, 15, 30], record_paths=True)
-        got = [run_ensemble(spec, 4, 6, [0, 15, 30], record_paths=True)]
+        want = engine_reference.run_ensemble(spec, 4, 6, range(31))
+        got = [run_ensemble(spec, 4, 6, range(31))]
         monkeypatch.setattr(engine, "_TILE_REPS", 1)
-        got.append(run_ensemble(spec, 4, 6, [0, 15, 30], record_paths=True))
+        got.append(run_ensemble(spec, 4, 6, range(31)))
     clean = want.finals[want.fail_steps < 0]
     assert 0 < clean.shape[0] < 6 and (np.abs(clean) > 1e307).all()
     for result in got:
@@ -1292,13 +1327,13 @@ def test_the_step_writes_into_no_term_output_and_no_input():
     drift = Drift(dim=2, sample_term=lambda x, xi: shared, smooth=lambda x, z: x)
     spec = RunSpec(drift=drift, schedule=StepSchedule.power_law(0.5, 0.5), x0=[0.3, -0.2],
                    n_steps=30, projection=Box([-1.0, -1.0], [1.0, 1.0]))
-    first = run_ensemble(spec, 1, 4, record_paths=True)
+    first = run_ensemble(spec, 1, 4, checkpoints=range(31))
     kept = first.finals.copy()
-    second = run_ensemble(spec, 1, 4, record_paths=True)
+    second = run_ensemble(spec, 1, 4, checkpoints=range(31))
     assert np.array_equal(shared, np.full((4, 2), 0.25))
     assert np.array_equal(spec.x0, [0.3, -0.2])
     assert np.array_equal(first.finals, kept)
-    _same_result(second, engine_reference.run_ensemble(spec, 1, 4, record_paths=True))
+    _same_result(second, engine_reference.run_ensemble(spec, 1, 4, range(31)))
     # with no projection the iterate alternates between the loop's own buffers
     free = replace(spec, projection=None)
     first = run_ensemble(free, 1, 4)

@@ -240,19 +240,18 @@ def test_nonconv_fast_loop_matches_engine():
     # one replication takes the plain-float loop, two the row loop
     p = nonconvergence_preset()
     spec = replace(p.spec, x0=[2.0, 2.0], n_steps=5000)
-    fast = run_ensemble(spec, 31, 1, record_paths=True)
-    rows = run_ensemble(spec, 31, 2, record_paths=True)
-    assert fast.paths[0].tobytes() == rows.paths[0].tobytes()
+    fast = run_ensemble(spec, 31, 1, checkpoints=range(5001))
+    rows = run_ensemble(spec, 31, 2, checkpoints=range(5001))
+    assert fast.checkpoint_states[0].tobytes() == rows.checkpoint_states[0].tobytes()
 
 
 def test_nonconv_long_run_cycles_without_converging():
     p = nonconvergence_preset()
     spec = replace(p.spec, x0=[2.0, 2.0], n_steps=200_000)
-    nc = run_ensemble(spec, 2, 1, checkpoints=range(20_000, 200_001, 20_000),
-                      record_paths=True)
-    visited = set(p.spec.drift.sample_term.region_ids(nc.paths[0][:-1]).tolist())
+    path = run_ensemble(spec, 2, 1, checkpoints=range(200_001)).checkpoint_states[0]
+    visited = set(p.spec.drift.sample_term.region_ids(path[:-1]).tolist())
     assert len(visited & {2, 3, 4, 5}) >= 3
-    ck = nc.checkpoint_states[0]
+    ck = path[20_000::20_000]
     d0 = np.linalg.norm(ck, axis=1)
     d2 = np.linalg.norm(ck - 2.0, axis=1)
     assert np.mean(np.minimum(d0, d2) <= 0.1) <= 0.3

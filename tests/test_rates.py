@@ -342,8 +342,8 @@ def test_tightness_requires_ensemble():
 
 def test_tightness_stationary_ensemble():
     spec = _ou_spec(n_steps=600)
-    res = run_ensemble(spec, 5, 200, record_paths=True)
-    series = _series_from_paths(res.paths, spec.schedule, [0.3])
+    res = run_ensemble(spec, 5, 200, checkpoints=range(spec.n_steps + 1))
+    series = _series_from_paths(res.checkpoint_states, spec.schedule, [0.3])
     rep = tightness_diagnostic(*tightness_arrays(series, 15), kappa=0.05)
     assert rep.flag == "tight-consistent"
 
@@ -477,8 +477,8 @@ def test_compare_to_sdi_linear_gaussian():
     sched = spec.schedule
     t_n = sched.time_at(2000)
     start = next(n for n in range(2000) if sched.time_at(n) >= t_n - 5.0) - 1
-    res = run_ensemble(spec, 11, 500, record_paths=True)
-    series = _series_from_paths(res.paths, sched, [0.3], start=start)
+    res = run_ensemble(spec, 11, 500, checkpoints=range(spec.n_steps + 1))
+    series = _series_from_paths(res.checkpoint_states, sched, [0.3], start=start)
     model = SDIModel(A=[[-1.0]], sigma=[[1.0]])
     rep = compare_to_sdi(*sdi_arrays(series, 5.0), model, t_eval=5.0, n_sdi_reps=500, seed=11)
     assert rep.distances[0] <= 0.15
@@ -496,8 +496,8 @@ def test_compare_to_sdi_detects_mismatch():
     spec = _ou_spec(n_steps=2000, x0=2.3)
     sched = spec.schedule
     start = 1500
-    res = run_ensemble(spec, 13, 400, record_paths=True)
-    series = _series_from_paths(res.paths, sched, [0.3], start=start)
+    res = run_ensemble(spec, 13, 400, checkpoints=range(spec.n_steps + 1))
+    series = _series_from_paths(res.checkpoint_states, sched, [0.3], start=start)
     wrong = SDIModel(A=[[-8.0]], sigma=[[1.0]])
     rep = compare_to_sdi(*sdi_arrays(series, 1.0), wrong, t_eval=1.0, n_sdi_reps=400, seed=13)
     assert rep.distances[0] > 0.2
@@ -508,8 +508,8 @@ def test_compare_to_sdi_detects_mismatch():
 
 def test_compare_requires_enough_replications():
     spec = _ou_spec(n_steps=50)
-    res = run_ensemble(spec, 1, 10, record_paths=True)
-    series = _series_from_paths(res.paths, spec.schedule, [0.3])
+    res = run_ensemble(spec, 1, 10, checkpoints=range(spec.n_steps + 1))
+    series = _series_from_paths(res.checkpoint_states, spec.schedule, [0.3])
     model = SDIModel(A=[[-1.0]], sigma=[[1.0]])
     with pytest.raises(ValueError):
         compare_to_sdi(*sdi_arrays(series, 1.0), model, t_eval=1.0, n_sdi_reps=500)
