@@ -106,7 +106,7 @@ def _cmd_simulate_sdi(args) -> int:
         return 2
     model, horizon = sdi["model"], sdi["t_eval"]
     finals = simulate_sdi(model, np.zeros(model.dim), dt=sdi["dt"], horizon=horizon,
-                          seed=config.seed, n_reps=sdi["n_reps"], record_paths=False)
+                          seed=config.seed, n_reps=sdi["n_reps"])
     Artifact([f"u{j}" for j in range(model.dim)], column_blocks(*finals.T),
              provenance=_provenance(config),
              template=",".join(["%.17g"] * model.dim) + "\n").write(

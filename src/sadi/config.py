@@ -208,7 +208,7 @@ _PRESET_PARAMS = {
 _SDI = Block({
     "A": Leaf(MATRIX, REQUIRED), "sigma": Leaf(MATRIX, REQUIRED),
     "half_identity": Leaf(BOOL, False),
-    "t_eval": Leaf(NUMBER, 1.0, math.isfinite, "a finite number"),
+    "t_eval": Leaf(NUMBER, 1.0, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "dt": Leaf(NUMBER, 1e-3, **_POSITIVE),
     "n_reps": Leaf(INT, None, lambda v: v >= 1, "at least 1"),  # absent: each verb picks
     "start_index": Leaf(INT, 0, lambda v: v >= 0, "an integer >= 0"),

@@ -922,21 +922,23 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
     ck = ck[np.diff(ck, prepend=ck[:1] - 1) != 0]
     if ck.size and not 0 <= ck[0] <= ck[-1] <= n_steps:
         raise ValueError("checkpoints must lie in [0, n_steps]")
-    if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
-            and drift.m_rule is None and spec.projection is None):
-        draws = _Draws(spec, seed, 1)
-        draws.tile(0, 1)
-        return _simulate_float(spec, draws, ck, record_logs)
-
-    tile_reps = next(_tiles(n_reps))[1]
-    draws = _Draws(spec, seed, tile_reps)
     finals = np.empty((n_reps, d))
     fail = np.full(n_reps, -1, dtype=int)
     ck_states = np.empty((n_reps, ck.size, d)) if ck.size else None
+    result = EnsembleResult(finals, fail, ck, ck_states)
     logs = None
     if record_logs:
         logs = {k: np.zeros((n_steps, d)) for k in ("set", "smooth", "noise", "bias")}
         logs["projected"] = np.zeros(n_steps, dtype=bool)
+    if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
+            and drift.m_rule is None and spec.projection is None):
+        draws = _Draws(spec, seed, 1)
+        draws.tile(0, 1)
+        _simulate_float(spec, draws, result, logs)
+        return result, logs
+
+    tile_reps = next(_tiles(n_reps))[1]
+    draws = _Draws(spec, seed, tile_reps)
 
     # the step is summed into the loop's own buffers: never a term's output,
     # x0 or a projection; every tile uses their leading rows
@@ -999,49 +1001,50 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         if due == n_steps:
             ck_states[r0:r1, slot] = x
         finals[r0:r1] = x
+    return result, logs
 
-    return EnsembleResult(finals, fail, ck, ck_states), logs
 
-
-def _simulate_float(spec: RunSpec, draws: _Draws, ck: np.ndarray, record_logs: bool):
-    """One replication of a ``CellTable``-only drift on plain floats.  It reads
+def _simulate_float(spec: RunSpec, draws: _Draws, result: EnsembleResult, logs):
+    """One replication of a ``CellTable``-only drift on plain floats, written
+    into row 0 of ``result`` and into ``logs`` (None for none).  It reads
     the additive-noise and bias draws as the row loop does (a table reads no
     other role) and sums in the same order, x + a*(((b + h) + h0) + beta)
-    with h = 0, so every output is bit-identical."""
-    d, n_steps = spec.drift.dim, spec.n_steps
+    with h = 0, so every output is bit-identical.  Only a block's states are
+    held as an array, so memory does not grow with N."""
+    n_steps, ck = spec.n_steps, result.checkpoint_indices
     term_at = spec.drift.sample_term.term_at
-    path = np.empty((n_steps + 1, d))
-    path[0] = x = spec.x0.tolist()
-    logs = None
-    if record_logs:
-        logs = {k: np.zeros((n_steps, d)) for k in ("smooth", "noise", "bias")}
+    x = spec.x0.tolist()
+    slot = 0  # the cursor: the first checkpoint not yet written
     # a block of draws is also the steps turned into Python floats at a time
     block = block_steps(n_steps, draws.width)
     for n0 in range(0, n_steps, block):
         n1 = min(n0 + block, n_steps)
         _, _, h0, beta, _, _ = draws.block(n0, n1 - n0)
         h0, beta = h0[:, 0], beta[:, 0]
-        if record_logs:
-            logs["noise"][n0:n1] = h0
-            logs["bias"][n0:n1] = beta
-        xs = []
+        xs = [x]
         for an, h0_n, beta_n in zip(spec.schedule.step_sizes(n0, n1).tolist(),
                                     h0.tolist(), beta.tolist()):
             offset, slope = term_at(x)
             x = [v + an * ((((o + slope * v if slope else o) + 0.0) + z) + e)
                  for v, o, z, e in zip(x, offset, h0_n, beta_n)]
             xs.append(x)
-        path[n0 + 1:n1 + 1] = xs
-
-    # a non-finite coordinate stays non-finite, so the first bad row is the failure
-    bad = ~np.isfinite(path[1:]).all(axis=1)
-    if record_logs:
-        # the row term picks the same cell at every state, so it rebuilds b exactly
-        logs["set"] = spec.drift.sample_term(path[:-1])
-        logs["projected"] = np.zeros(n_steps, dtype=bool)
-    result = EnsembleResult(path[-1:].copy(), np.array([np.argmax(bad) if bad.any() else -1]),
-                            ck, path[ck][None] if ck.size else None)
-    return result, logs
+        states = np.array(xs)  # indices n0 .. n1
+        # the state at index n is read before step n, and N's after the loop
+        end = int(np.searchsorted(ck, n1))
+        if end > slot:
+            result.checkpoint_states[0, slot:end] = states[ck[slot:end] - n0]
+            slot = end
+        # a non-finite coordinate stays non-finite, so the first bad row is the failure
+        if result.fail_steps[0] < 0 and not np.isfinite(states[1:]).all():
+            result.fail_steps[0] = n0 + np.argmin(np.isfinite(states[1:]).all(axis=1))
+        if logs is not None:
+            # the row term picks the same cell at every state, so it rebuilds b exactly
+            logs["set"][n0:n1] = spec.drift.sample_term(states[:-1])
+            logs["noise"][n0:n1] = h0
+            logs["bias"][n0:n1] = beta
+    if slot < ck.size:
+        result.checkpoint_states[0, slot] = x
+    result.finals[0] = x
 
 
 def run(spec: RunSpec, seed: int) -> Trajectory:

@@ -143,14 +143,13 @@ class SDIModel:
 # a blow-up overflows on its way to the non-finite state that raises it
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
-                 strategy=None, seed: int = 0, n_reps: int = 1,
-                 record_paths: bool = True):
+                 strategy=None, seed: int = 0, n_reps: int = 1):
     """Euler-Maruyama paths of the limit inclusion, one selector value per
     step; reproducible given the seed.
 
     ``u0`` may be a single vector (shared start) or an (n_reps, d) array of
-    per-replication starts.  Returns (n_reps, K+1, d) paths, or (n_reps, d)
-    finals when ``record_paths`` is false.
+    per-replication starts.  Returns the (n_reps, d) states at ``horizon``;
+    no path is kept.
 
     The Brownian increments of k steps are drawn in one call, into a
     (k, n_reps, d) buffer of standard normals; numpy fills it in C order, so
@@ -185,9 +184,6 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     sqdt = math.sqrt(dt)
     drift_t = model.drift_matrix().T
     root_t = model.sigma_root.T
-    paths = np.empty((n_reps, n_steps + 1, d)) if record_paths else None
-    if record_paths:
-        paths[:, 0, :] = u
     block = block_steps(n_steps, 2 * n_reps * d)
     normals, increments = np.empty((block, n_reps, d)), np.empty((block, n_reps, d))
     linear, finite = np.empty((n_reps, d)), np.empty((n_reps, d), dtype=bool)
@@ -209,9 +205,7 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
                     and not np.isfinite(u, out=finite).all()):
                 # the first replication that blew up
                 raise SimulationBlowup(k, u[np.argmin(finite.all(axis=1))])
-            if record_paths:
-                paths[:, k + 1, :] = u
-    return paths if record_paths else u
+    return u
 
 
 @dataclass(repr=False, eq=False)
@@ -367,8 +361,7 @@ def compare_to_sdi(u_start, u_eval, model: SDIModel, t_eval: float, n_sdi_reps: 
     gen = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(7,)))
     pick = gen.integers(0, starts.shape[0], size=n_sdi_reps)
     u0 = starts[pick]
-    finals = simulate_sdi(model, u0, dt=dt, horizon=t_eval, seed=seed, n_reps=n_sdi_reps,
-                          record_paths=False)
+    finals = simulate_sdi(model, u0, dt=dt, horizon=t_eval, seed=seed, n_reps=n_sdi_reps)
     dists = np.array([ks_distance(sa_vals[:, j], finals[:, j])
                       for j in range(sa_vals.shape[1])])
     return KSReport(t_eval=float(t_eval), distances=dists,

@@ -15,8 +15,7 @@ from sadi.engine import SimulationBlowup, step_count
 from sadi.sets import LeastNorm, select
 
 
-def simulate_sdi(model, u0, dt, horizon, strategy=None, seed=0, n_reps=1,
-                 record_paths=True, picks=None):
+def simulate_sdi(model, u0, dt, horizon, strategy=None, seed=0, n_reps=1, picks=None):
     strategy = strategy or LeastNorm()
     d = model.dim
     u0 = np.asarray(u0, dtype=float)
@@ -26,9 +25,6 @@ def simulate_sdi(model, u0, dt, horizon, strategy=None, seed=0, n_reps=1,
     picks = gen if picks is None else picks
     sqdt = math.sqrt(dt)
     drift_matrix = model.drift_matrix()
-    paths = np.empty((n_reps, n_steps + 1, d)) if record_paths else None
-    if record_paths:
-        paths[:, 0, :] = u
     for k in range(n_steps):
         linear = u @ drift_matrix.T
         if model.t_map is not None:
@@ -40,6 +36,4 @@ def simulate_sdi(model, u0, dt, horizon, strategy=None, seed=0, n_reps=1,
         u = u + dt * linear + sqdt * noise
         if not np.all(np.isfinite(u)):
             raise SimulationBlowup(k)
-        if record_paths:
-            paths[:, k + 1, :] = u
-    return paths if record_paths else u
+    return u

@@ -473,7 +473,8 @@ _SDI_BLOCK_ERRORS = [
     ("missing_A", {k: v for k, v in _SDI.items() if k != "A"}, "sdi.A: required\n"),
     ("dt", dict(_SDI, dt=0), "sdi.dt: must be > 0"),
     ("n_reps", dict(_SDI, n_reps="x"), "sdi.n_reps: must be at least 1"),
-    ("t_eval", dict(_SDI, t_eval="x"), "sdi.t_eval: must be a finite number"),
+    ("t_eval", dict(_SDI, t_eval="x"), "sdi.t_eval: must be a finite number >= 0"),
+    ("t_eval_negative", dict(_SDI, t_eval=-1.0), "sdi.t_eval: must be a finite number >= 0"),
     ("n_reps_fraction", dict(_SDI, n_reps=250.7), "sdi.n_reps: must be at least 1"),
 ]
 
@@ -566,7 +567,7 @@ def test_the_config_resolves_the_sdi_path_counts_the_verbs_draw(tmp_path, monkey
     assert cfg.fingerprint == config_fingerprint(cfg.raw)
     drawn = []
 
-    def sdi_paths(model, u0, dt, horizon, seed, n_reps, record_paths):
+    def sdi_finals(model, u0, dt, horizon, seed, n_reps):
         drawn.append(("simulate-sdi", n_reps))
         return np.zeros((n_reps, model.dim))
 
@@ -574,7 +575,7 @@ def test_the_config_resolves_the_sdi_path_counts_the_verbs_draw(tmp_path, monkey
         drawn.append(("sdi_compare", n_sdi_reps))
         return "ks"
 
-    monkeypatch.setattr(sadi.cli, "simulate_sdi", sdi_paths)
+    monkeypatch.setattr(sadi.cli, "simulate_sdi", sdi_finals)
     monkeypatch.setattr(sadi.runner, "compare_to_sdi", compare)
     path = _ou_rates_copy(tmp_path, **absent)
     assert main(["simulate-sdi", str(path), "--out-dir", str(tmp_path / "sdi")]) == 0

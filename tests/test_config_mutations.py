@@ -53,7 +53,7 @@ REFUSED = SPANS + [
     ("di.x0", lambda d: [0.0] * (d + 1)), ("di.budget", 4),
     ("chain", lambda d: {"probes": [_probe(d)], "budget": 0}),
     ("preset_params.data.noise_std", 1e308),
-    ("sdi.n_reps", 0), ("sdi.start_index", -1), ("sdi.A", [[1.0, 2.0]]),
+    ("sdi.n_reps", 0), ("sdi.start_index", -1), ("sdi.A", [[1.0, 2.0]]), ("sdi.t_eval", -1.0),
     ("tolerances", {"membership": 1e-9}),
 ]
 

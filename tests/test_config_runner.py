@@ -349,7 +349,7 @@ def test_rate_outputs_equal_the_per_series_computation(tmp_path, t_eval):
     gen = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(7,)))
     u0 = starts[gen.integers(0, starts.shape[0], size=sdi["n_reps"])]
     finals = simulate_sdi(cfg.sdi["model"], u0, dt=sdi["dt"], horizon=sdi["t_eval"],
-                          seed=cfg.seed, n_reps=sdi["n_reps"], record_paths=False)
+                          seed=cfg.seed, n_reps=sdi["n_reps"])
     dists = np.array([ks_distance(at_t[:, j], finals[:, j]) for j in range(2)])
     expected = header + str(KSReport(sdi["t_eval"], dists, len(series), sdi["n_reps"])) + "\n"
     assert (tmp_path / "sdi_compare.txt").read_text(encoding="utf-8") == expected

@@ -376,8 +376,8 @@ def _assert_same_bits(a, b):
 def test_float_loop_matches_row_loop_bitwise():
     p = nonconvergence_preset()
     table = p.spec.drift.sample_term
-    # seed 3 enters all four corridors by step 713; 5,000 steps span ten of
-    # the float loop's 512-step blocks
+    # seed 3 enters all four corridors by step 713; 5,000 steps span twenty
+    # of the float loop's 250-step blocks
     spec = replace(p.spec, x0=[2.0, 2.0], n_steps=5_000)
     one = run_ensemble(spec, 3, 1, checkpoints=range(5_001))
     two = run_ensemble(spec, 3, 2, checkpoints=range(5_001))
@@ -393,6 +393,45 @@ def test_float_loop_matches_row_loop_bitwise():
                       two.checkpoint_states[0, ck])
     assert one.fail_steps.tolist() == [-1]
     _assert_same_bits(traj.set_terms, table(traj.iterates[:-1]))
+
+
+def test_float_loop_matches_row_loop_across_blocks(monkeypatch):
+    # x climbs by a_n = 1/(n+1) from -6.2 to 0 near step 276, in the second
+    # 250-step block, and then grows by about 1e100*a_n a step until it
+    # overflows; the checkpoints are unsorted and repeated at the block edges
+    monkeypatch.setattr(engine, "_BLOCK_STEPS", 250)
+    table = CellTable(1, [
+        Cell(((-math.inf, 0.0, "()"),), (1.0,), (1.0,)),
+        Cell(None, (0.0,), (0.0,), slope=1e100),
+    ])
+    spec = RunSpec(drift=Drift(dim=1, sample_term=table),
+                   schedule=StepSchedule.harmonic(1.0), x0=[-6.2], n_steps=1_000)
+    checkpoints = [1_000, 251, 249, 250, 0, 249, 600, 1_000]
+    one = run_ensemble(spec, 2, 1, checkpoints=checkpoints)
+    two = run_ensemble(spec, 2, 2, checkpoints=checkpoints)
+    assert 250 < one.fail_steps[0] < 500
+    assert one.fail_steps.tolist() == two.fail_steps[:1].tolist()
+    _assert_same_bits(one.checkpoint_states[0], two.checkpoint_states[0])
+    _assert_same_bits(one.finals[0], two.finals[0])
+    assert np.isinf(one.finals[0, 0])
+
+
+def test_float_loop_memory_does_not_grow_with_the_horizon():
+    import tracemalloc
+
+    # one replication with 11 checkpoints holds a block of states, not a path
+    spec = nonconvergence_preset().spec
+    run_ensemble(replace(spec, n_steps=1_000), 3, 1, checkpoints=range(0, 1_001, 100))
+    peaks = []
+    for n_steps in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            run_ensemble(replace(spec, n_steps=n_steps), 3, 1,
+                         checkpoints=range(0, n_steps + 1, n_steps // 10))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
 
 def test_float_loop_is_taken_for_one_replication(monkeypatch):

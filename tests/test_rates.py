@@ -79,44 +79,49 @@ def test_normalize_constant_offset_diverges():
 
 def test_sdi_deterministic_linear_decay():
     model = SDIModel(A=[[-1.0]], sigma=[[0.0]])
-    paths = simulate_sdi(model, [1.0], dt=1e-3, horizon=4.0, seed=0)
-    assert paths[0, -1, 0] == pytest.approx(math.exp(-4.0), abs=5e-3)
+    finals = simulate_sdi(model, [1.0], dt=1e-3, horizon=4.0, seed=0)
+    assert finals.shape == (1, 1)
+    assert finals[0, 0] == pytest.approx(math.exp(-4.0), abs=5e-3)
 
 
 def test_sdi_constant_when_everything_vanishes():
     model = SDIModel(A=[[0.0]], sigma=[[0.0]])
-    paths = simulate_sdi(model, [0.7], dt=1e-2, horizon=2.0, seed=0)
-    assert np.all(paths[:, :, 0] == 0.7)
+    for horizon in (0.0, 0.01, 0.5, 2.0):
+        finals = simulate_sdi(model, [0.7], dt=1e-2, horizon=horizon, seed=0, n_reps=3)
+        assert np.all(finals == 0.7)
 
 
 def test_sdi_long_run_variance_matches_stationary_law():
+    # many paths at one late time: Var u(t) = (1 - exp(-2t))/2 from the origin,
+    # within 1e-9 of the stationary 0.5 at t = 10
     model = SDIModel(A=[[-1.0]], sigma=[[1.0]])
-    paths = simulate_sdi(model, [0.0], dt=1e-3, horizon=200.0, seed=3, n_reps=50)
-    late = paths[:, 20_000:, 0]
-    assert late.var() == pytest.approx(0.5, rel=0.1)
+    finals = simulate_sdi(model, [0.0], dt=1e-2, horizon=10.0, seed=3, n_reps=4_000)
+    assert finals[:, 0].var() == pytest.approx(0.5, rel=0.1)
 
 
 def test_sdi_half_identity_changes_decay():
     model = SDIModel(A=[[-1.0]], sigma=[[0.0]], half_identity=True)
-    paths = simulate_sdi(model, [1.0], dt=1e-3, horizon=4.0, seed=0)
-    assert paths[0, -1, 0] == pytest.approx(math.exp(-2.0), abs=5e-3)
+    finals = simulate_sdi(model, [1.0], dt=1e-3, horizon=4.0, seed=0)
+    assert finals[0, 0] == pytest.approx(math.exp(-2.0), abs=5e-3)
 
 
 def test_sdi_brownian_increment_variance():
+    # one step of length dt from many starts: without drift, the final minus
+    # the start is the Brownian increment
     sigma = np.array([[2.0, 0.0], [0.0, 0.5]])
     model = SDIModel(A=np.zeros((2, 2)), sigma=sigma)
-    dt = 1e-3
-    paths = simulate_sdi(model, [0.0, 0.0], dt=dt, horizon=2.0, seed=8, n_reps=20)
-    incs = np.diff(paths, axis=1) / math.sqrt(dt)
-    flat = incs.reshape(-1, 2)
+    dt, n_reps = 1e-3, 40_000
+    u0 = np.linspace(-1.0, 1.0, 2 * n_reps).reshape(n_reps, 2)
+    finals = simulate_sdi(model, u0, dt=dt, horizon=dt, seed=8, n_reps=n_reps)
+    incs = (finals - u0) / math.sqrt(dt)
     for j, target in enumerate([2.0, 0.5]):
-        var = flat[:, j].var()
-        se = target * math.sqrt(2.0 / flat.shape[0])
+        var = incs[:, j].var()
+        se = target * math.sqrt(2.0 / n_reps)
         assert abs(var - target) < 3 * se
 
 
 def test_sdi_positive_homogeneity_of_paths():
-    # homogeneous selection without noise scales the whole path
+    # homogeneous selection without noise scales the whole path, its final too
     def rule(u):
         r = float(np.linalg.norm(u))
         return Box([-0.5 * r], [0.5 * r])
@@ -163,15 +168,15 @@ def test_sdi_selector_membership(rng):
         r = float(np.linalg.norm(u))
         return Box([-0.5 * r], [0.5 * r])
 
+    from sadi.sets import contains
+
+    # one step of length dt from many starts: the drift is the step over dt
     t_map = SetValuedMap(1, rule, common_bound=10.0)
     model = SDIModel(A=[[-1.0]], sigma=[[0.0]], t_map=t_map)
-    paths = simulate_sdi(model, [1.0], dt=1e-2, horizon=1.0, seed=0)
-    for k in range(paths.shape[1] - 1):
-        u = paths[0, k]
-        drift = (paths[0, k + 1] - u) / 1e-2
-        sel = drift - model.A @ u
-        from sadi.sets import contains
-
+    u0 = np.linspace(-2.0, 2.0, 41)[:, None]
+    finals = simulate_sdi(model, u0, dt=1e-2, horizon=1e-2, seed=0, n_reps=41)
+    for u, u1 in zip(u0, finals):
+        sel = (u1 - u) / 1e-2 - model.A @ u
         assert contains(t_map.value(u), sel, 1e-9)
 
 
@@ -197,16 +202,17 @@ def _force_sdi_block(monkeypatch, steps, n_reps, dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("n_reps", [1, 20])
-@pytest.mark.parametrize("block", [1, 3, 7, 50, 512, 10**6])  # steps per draw; 600 in all
+@pytest.mark.parametrize("block", [1, 3, 7, 50, 512, 10**6])  # steps per draw; 600 at most
 def test_sdi_block_draws_equal_the_per_step_loop(monkeypatch, dim, n_reps, block):
+    # the normals are one sequential stream, so a shorter horizon takes a
+    # prefix of the same steps: the finals at several horizons cover the path
     model = _BLOCK_MODELS[dim]
     _force_sdi_block(monkeypatch, block, n_reps, dim)
     u0 = np.linspace(-1.0, 1.0, n_reps * dim).reshape(n_reps, dim)
-    for record in (True, False):
-        got = simulate_sdi(model, u0, dt=0.01, horizon=6.0, seed=11, n_reps=n_reps,
-                           record_paths=record)
-        want = sdi_reference.simulate_sdi(model, u0, dt=0.01, horizon=6.0, seed=11,
-                                          n_reps=n_reps, record_paths=record)
+    for horizon in (0.0, 0.07, 2.5, 6.0):  # 0, 7, 250 and 600 steps
+        got = simulate_sdi(model, u0, dt=0.01, horizon=horizon, seed=11, n_reps=n_reps)
+        want = sdi_reference.simulate_sdi(model, u0, dt=0.01, horizon=horizon, seed=11,
+                                          n_reps=n_reps)
         assert _same_bits(got, want)
 
 
@@ -216,12 +222,11 @@ def test_sdi_memory_does_not_grow_with_the_horizon():
     model = _BLOCK_MODELS[1]
     peaks = []
     for horizon in (2.0, 8.0):  # 2,000 and 8,000 steps
-        simulate_sdi(model, [0.5], dt=1e-3, horizon=horizon, n_reps=200,
-                     record_paths=False)  # first-call caches stay out of the peak
+        # first-call caches stay out of the peak
+        simulate_sdi(model, [0.5], dt=1e-3, horizon=horizon, n_reps=200)
         tracemalloc.start()
         try:
-            simulate_sdi(model, [0.5], dt=1e-3, horizon=horizon, n_reps=200,
-                         record_paths=False)
+            simulate_sdi(model, [0.5], dt=1e-3, horizon=horizon, n_reps=200)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -237,11 +242,11 @@ def test_an_sdi_of_ou_rates_shape_draws_blocks_of_250_steps():
     # fill two (250, 2,000, 1) buffers of 4 MB, and a step adds only a few
     # (2,000, 1) arrays
     model = _BLOCK_MODELS[1]
-    simulate_sdi(model, [0.5], dt=1e-3, horizon=0.01, n_reps=2_000,
-                 record_paths=False)  # first-call caches stay out of the peak
+    # first-call caches stay out of the peak
+    simulate_sdi(model, [0.5], dt=1e-3, horizon=0.01, n_reps=2_000)
     tracemalloc.start()
     try:
-        simulate_sdi(model, [0.5], dt=1e-3, horizon=5.0, n_reps=2_000, record_paths=False)
+        simulate_sdi(model, [0.5], dt=1e-3, horizon=5.0, n_reps=2_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,10 +314,16 @@ def test_an_overflowing_sdi_raises_its_blowup_under_warnings_as_errors():
 
 
 def test_sdi_step_count_of_a_decimal_horizon():
-    # 128.08 / 0.005 is 25616.000000000004 in floats: 25,616 steps, not one more
+    # 128.08 / 0.005 is 25616.000000000004 in floats: 25,616 steps, not one
+    # more.  Without noise a step is u += dt*(-u) bit for bit: the drift is
+    # -u exactly, and the increment adds a zero
     model = SDIModel(A=[[-1.0]], sigma=[[0.0]])
-    paths = simulate_sdi(model, [1.0], dt=0.005, horizon=128.08)
-    assert paths.shape == (1, 25_617, 1)
+    finals = simulate_sdi(model, [1.0], dt=0.005, horizon=128.08)
+    u = 1.0
+    for _ in range(25_616):
+        u += 0.005 * (-u)
+    assert finals.tolist() == [[u]]
+    assert u + 0.005 * (-u) != u
 
 
 # --- tightness ----------------------------------------------------------------
@@ -465,10 +476,8 @@ def test_ks_distance_basic():
 
 def test_compare_same_law_small_distance():
     model = SDIModel(A=[[-1.0]], sigma=[[1.0]])
-    f1 = simulate_sdi(model, [0.0], dt=1e-2, horizon=5.0, seed=1,
-                      n_reps=300, record_paths=False)
-    f2 = simulate_sdi(model, [0.0], dt=1e-2, horizon=5.0, seed=2,
-                      n_reps=300, record_paths=False)
+    f1 = simulate_sdi(model, [0.0], dt=1e-2, horizon=5.0, seed=1, n_reps=300)
+    f2 = simulate_sdi(model, [0.0], dt=1e-2, horizon=5.0, seed=2, n_reps=300)
     assert ks_distance(f1[:, 0], f2[:, 0]) <= 0.1
 
 
