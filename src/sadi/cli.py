@@ -1,5 +1,7 @@
 """Command-line entry point: config-driven experiments, sweeps, stability
 certification, and the deterministic/stochastic inclusion simulators.
+Every verb runs on the config as resolved; one that lacks what the verb
+needs raises ``ConfigError``, which ``main`` alone reports, with exit code 2.
 """
 
 from __future__ import annotations
@@ -63,11 +65,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     config = _load(args)
-    preset = config.preset
-    if preset is None or preset.stability is None:
-        print("config has no preset stability bundle to certify", file=sys.stderr)
-        return 2
-    cert = preset.stability.certify(name=config.name)
+    stability = getattr(config.preset, "stability", None)
+    if stability is None:
+        raise ConfigError(["certify: needs a preset that declares a stability bundle"])
+    cert = stability.certify(name=config.name)
     cert.write(Path(args.out_dir) / "certificate.txt")
     print(cert.summary())
     return 0 if cert.passed else 1
@@ -75,11 +76,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_simulate_di(args) -> int:
     config = _load(args)
-    preset, di, chain = config.preset, config.di, config.chain
-    if preset is None:
-        print("simulate-di requires a preset config", file=sys.stderr)
-        return 2
-    drift = preset.spec.drift
+    di, chain = config.di, config.chain
+    drift = config.specs[0].drift  # the resolved drift, which every start shares
     smooth = drift.mean_field if drift.smooth_mean is not None else None
     path = integrate(drift.set_map, smooth, di["x0"], di["dt"], di["horizon"])
     out = Path(args.out_dir)
@@ -102,8 +100,7 @@ def _cmd_simulate_sdi(args) -> int:
     config = _load(args)
     sdi = config.sdi
     if sdi is None:
-        print("simulate-sdi requires an sdi block in the config", file=sys.stderr)
-        return 2
+        raise ConfigError(["sdi: simulate-sdi needs an sdi block"])
     model, horizon = sdi["model"], sdi["t_eval"]
     finals = simulate_sdi(model, np.zeros(model.dim), dt=sdi["dt"], horizon=horizon,
                           seed=config.seed, n_reps=sdi["n_reps"])
@@ -128,7 +125,7 @@ def _parser() -> argparse.ArgumentParser:
             ("run", _cmd_run, "run a replicated experiment"),
             ("sweep", _cmd_sweep, "sweep one scalar config field"),
             ("certify", _cmd_certify, "grid-certify the preset stability bundle"),
-            ("simulate-di", _cmd_simulate_di, "integrate the preset limit inclusion"),
+            ("simulate-di", _cmd_simulate_di, "integrate the limit inclusion"),
             ("simulate-sdi", _cmd_simulate_sdi, "simulate the normalized limit inclusion")):
         p = sub.add_parser(verb, help=text)
         p.add_argument("config", help="path to a JSON experiment config")

@@ -908,11 +908,12 @@ class _Draws:
 # failed replication, so numpy's warnings about it are not errors
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
-                   checkpoints: Optional[Sequence[int]], record_logs: bool):
+                   checkpoints: Optional[Sequence[int]], logs: Optional[dict] = None):
     """The replications, tile by tile, with their states at the mesh indices
     ``checkpoints`` (any int sequence, range or array, in any order, with
-    repeats).  ``record_logs`` logs replication 0, for one-replication
-    runs."""
+    repeats).  ``logs``, for one-replication runs, holds the (N, d) arrays
+    "set", "smooth", "noise" and "bias" and the (N,) bool array "projected",
+    into which replication 0's terms are written."""
     drift = spec.drift
     d = drift.dim
     n_steps = spec.n_steps
@@ -926,16 +927,12 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
     fail = np.full(n_reps, -1, dtype=int)
     ck_states = np.empty((n_reps, ck.size, d)) if ck.size else None
     result = EnsembleResult(finals, fail, ck, ck_states)
-    logs = None
-    if record_logs:
-        logs = {k: np.zeros((n_steps, d)) for k in ("set", "smooth", "noise", "bias")}
-        logs["projected"] = np.zeros(n_steps, dtype=bool)
     if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
             and drift.m_rule is None and spec.projection is None):
         draws = _Draws(spec, seed, 1)
         draws.tile(0, 1)
         _simulate_float(spec, draws, result, logs)
-        return result, logs
+        return result
 
     tile_reps = next(_tiles(n_reps))[1]
     draws = _Draws(spec, seed, tile_reps)
@@ -982,7 +979,7 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                 x_new = np.add(x, total, out=own[x is own[0]])  # the buffer x is not
                 if spec.projection is not None:
                     proj_new = spec.projection.project_rows(x_new)
-                    if record_logs:
+                    if logs is not None:
                         logs["projected"][n] = np.any(proj_new[0] != x_new[0])
                     x_new = proj_new
                 # a non-finite entry makes the sum non-finite, so one reduction
@@ -993,7 +990,7 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
                     newly = ~finite.all(axis=1) & (fail_tile < 0)
                     fail_tile[newly] = n
                 x = x_new
-                if record_logs:
+                if logs is not None:
                     logs["set"][n] = b[0]
                     logs["smooth"][n] = h[0]
                     logs["noise"][n] = zt[j, 0]
@@ -1001,7 +998,7 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         if due == n_steps:
             ck_states[r0:r1, slot] = x
         finals[r0:r1] = x
-    return result, logs
+    return result
 
 
 def _simulate_float(spec: RunSpec, draws: _Draws, result: EnsembleResult, logs):
@@ -1048,10 +1045,13 @@ def _simulate_float(spec: RunSpec, draws: _Draws, result: EnsembleResult, logs):
 
 
 def run(spec: RunSpec, seed: int) -> Trajectory:
-    """One fully-logged replication, its state at every mesh index; raises on
-    the first non-finite iterate."""
+    """One fully-logged replication, its state at every mesh index and the
+    term logs it allocates; raises on the first non-finite iterate."""
+    n, d = spec.n_steps, spec.drift.dim
+    logs = {k: np.zeros((n, d)) for k in ("set", "smooth", "noise", "bias")}
+    logs["projected"] = np.zeros(n, dtype=bool)
     # a range, so that the caller holds no second array of the indices
-    result, logs = _simulate_reps(spec, seed, 1, range(spec.n_steps + 1), record_logs=True)
+    result = _simulate_reps(spec, seed, 1, range(spec.n_steps + 1), logs)
     iterates = result.checkpoint_states[0]
     if result.fail_steps[0] >= 0:
         step = int(result.fail_steps[0])
@@ -1089,5 +1089,4 @@ def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
         raise ValueError("n_reps must be at least 1")
     if n_reps > MAX_REPLICATIONS:
         raise ValueError(_REPS_ERROR)
-    result, _ = _simulate_reps(spec, seed, n_reps, checkpoints, False)
-    return result
+    return _simulate_reps(spec, seed, n_reps, checkpoints)

@@ -207,19 +207,20 @@ class SignFilterLaw:
     def noise_model(self) -> NoiseModel:
         if self.noise == "gaussian":
             return GaussianNoise([0.0], [[self.scale ** 2]])
-        b = self.scale
+        return LaplaceNoise(self.scale)
 
-        def sampler_block(gen, n):
-            u = gen.random((n, 1)) - 0.5
-            return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
-        class _Laplace(NoiseModel):
-            dim = 1
+class LaplaceNoise(NoiseModel):
+    """i.i.d. scalar Laplace draws of the given scale, one uniform inverted per draw."""
 
-            def sample_block(self, gen, n, n0=0):
-                return sampler_block(gen, n)
+    dim = 1
 
-        return _Laplace()
+    def __init__(self, scale: float):
+        self.scale = scale
+
+    def sample_block(self, gen, n, n0=0):
+        u = gen.random((n, 1)) - 0.5
+        return -self.scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 # ---------------------------------------------------------------------------

@@ -80,15 +80,15 @@ class NormalizedSeries:
         if start < 0 or start >= iterates.shape[0]:
             raise ValueError("start index outside the recorded range")
         last = iterates.shape[0] - 1
-        vals = normalize(iterates[start:], np.arange(start, last + 1), schedule, x_star, start, last)
+        vals = normalize(iterates[start:], np.arange(start, last + 1), schedule, x_star)
         return cls(schedule=schedule, values=vals, start=start, x_star=x_star)
 
 
-def normalize(states, indices, schedule: StepSchedule, x_star, start: int,
-              last: int) -> np.ndarray:
+def normalize(states, indices, schedule: StepSchedule, x_star) -> np.ndarray:
     """(X_k - x*)/sqrt(a_k) of the states at the mesh indices k along their
-    second-to-last axis, a_k read from the step sizes start..last."""
-    a = schedule.step_sizes(start, last + 1)[np.asarray(indices) - start]
+    second-to-last axis, a_k read from the step sizes over the indices' span."""
+    k = np.asarray(indices)
+    a = schedule.step_sizes(k.min(), k.max() + 1)[k - k.min()]
     return (states - np.atleast_1d(x_star)) / np.sqrt(a)[:, None]
 
 

@@ -188,12 +188,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
         if "certificate" in config.outputs:
             preset.stability.certify(name=config.name).write(out / "certificate.txt")
         if "normalized" in config.outputs:
-            u = normalize(first.checkpoint_states[:, cols], ck_idx, specs[0].schedule, x_star, 0, n)
+            u = normalize(first.checkpoint_states[:, cols], ck_idx, specs[0].schedule, x_star)
             rep = tightness_diagnostic(ck_idx, u, kappa=0.05)
             rep.artifact(_provenance(config)).write(out / "tightness.txt")
         if "sdi_compare" in config.outputs:
             u = normalize(first.checkpoint_states[:, np.searchsorted(run_idx, sdi_idx)], sdi_idx,
-                          specs[0].schedule, x_star, sdi_idx[0], n)
+                          specs[0].schedule, x_star)
             ks = compare_to_sdi(u[:, 0], u[:, 1], sdi["model"], t_eval=sdi["t_eval"],
                                 n_sdi_reps=sdi["compare_reps"], seed=config.seed, dt=sdi["dt"])
             Artifact(None, [[str(ks)]], provenance=_provenance(config)).write(

@@ -335,13 +335,10 @@ def support(s: ConvexSet, p) -> float:
 
 
 def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
-    _check_dims(a.dim, b.dim, "minkowski_sum")
     return MinkowskiSum(a, b)
 
 
 def scale(k: float, a: ConvexSet) -> ConvexSet:
-    if k < 0.0:
-        raise ValueError("scale requires k >= 0")
     return Scaled(k, a)
 
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer (``perfbench/spans.py``) wraps public names of
 ``sadi`` from outside the package.  Deleting or renaming one of them would
 otherwise show only in the benchmark's own, minute-long tests.  Likewise a
-stricter config schema that rejected one of the benchmark's scaled configs."""
+stricter config schema that rejected one of the benchmark's scaled configs,
+and a CLI that no longer took one of the benchmark's command lines."""
 
 import importlib.util
 import sys
@@ -43,3 +44,15 @@ def test_every_benchmark_config_parses(tmp_path):
         workloads.write_configs(workload, ROOT / "configs", dest)
         for job in workload.jobs:
             parse_config(dest / f"{job.label}.json", seed=workloads.DEFAULT_SEED)
+
+
+def test_every_benchmark_command_line_parses(tmp_path):
+    from sadi.cli import _parser
+
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS.values():
+        for job in workload.jobs:
+            argv = job.argv(tmp_path / f"{job.label}.json", tmp_path / job.label,
+                            workloads.DEFAULT_SEED)
+            args = _parser().parse_args(argv)
+            assert (args.command, args.threads) == (job.command, job.threads), argv

@@ -199,6 +199,35 @@ def test_simulate_di_starts_at_the_origin_without_a_preset_start(tmp_path, capsy
     assert lines[1].split(",")[3] == "x0" and lines[2].split(",")[3] == "0"
 
 
+def test_simulate_di_integrates_an_inline_drift_from_the_origin(tmp_path, monkeypatch):
+    import sadi.cli
+    from sadi.inclusions import integrate
+
+    paths = []
+
+    def recorded(*args):
+        paths.append(integrate(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(sadi.cli, "integrate", recorded)
+    out = tmp_path / "out"
+    assert main(["simulate-di", str(CONFIGS / "ou_rates.json"), "--out-dir", str(out)]) == 0
+    assert (out / "inclusion_path.csv").exists()
+    # the Euler path of x' = 0.3 - x from 0 at dt 1e-3: x_n = 0.3 (1 - 0.999^n)
+    assert abs(paths[0].states[-1, 0] - 0.3 * (1.0 - 0.999 ** 10_000)) <= 1e-12
+
+
+def test_only_main_returns_the_config_error_code():
+    import ast
+    import sadi.cli
+
+    tree = ast.parse(Path(sadi.cli.__file__).read_text(encoding="utf-8"))
+    returns_2 = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if isinstance(node, ast.Return)
+                 and isinstance(node.value, ast.Constant) and node.value.value == 2}
+    assert returns_2 == {"main"}
+
+
 def test_simulate_sdi_verb(tmp_path, capsys):
     cfg = _small_config(tmp_path, sdi={"A": [[-1.0]], "sigma": [[1.0]],
                                        "t_eval": 1.0, "dt": 0.01, "n_reps": 50})
