@@ -34,12 +34,7 @@ def _provenance(config) -> list:  # the header pairs of the simulators' artifact
     return [("fingerprint", config.fingerprint), ("seed", config.seed)]
 
 
-def _load(args):
-    return parse_config(args.config, seed=args.seed)
-
-
-def _cmd_run(args) -> int:
-    config = _load(args)
+def _cmd_run(config, args) -> int:
     report = run_experiment(config, out_dir=args.out_dir, threads=args.threads)
     for i, agg in enumerate(report.starts):
         mean = ", ".join(f"{v:.6g}" for v in agg.mean_final)
@@ -50,8 +45,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load(args)
+def _cmd_sweep(config, args) -> int:
     try:
         values = [float(v) for v in args.values.split(",")]
     except ValueError:
@@ -63,8 +57,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_certify(args) -> int:
-    config = _load(args)
+def _cmd_certify(config, args) -> int:
     stability = getattr(config.preset, "stability", None)
     if stability is None:
         raise ConfigError(["certify: needs a preset that declares a stability bundle"])
@@ -74,12 +67,12 @@ def _cmd_certify(args) -> int:
     return 0 if cert.passed else 1
 
 
-def _cmd_simulate_di(args) -> int:
-    config = _load(args)
-    di, chain = config.di, config.chain
-    drift = config.specs[0].drift  # the resolved drift, which every start shares
+def _cmd_simulate_di(config, args) -> int:
+    """The first start's limit inclusion: mean field (no bias), set-valued map, projection."""
+    di, chain, spec = config.di, config.chain, config.specs[0]
+    drift, region = spec.drift, spec.projection  # the drift every start shares
     smooth = drift.mean_field if drift.smooth_mean is not None else None
-    path = integrate(drift.set_map, smooth, di["x0"], di["dt"], di["horizon"])
+    path = integrate(drift.set_map, smooth, di["x0"], di["dt"], di["horizon"], projection=region)
     out = Path(args.out_dir)
     path.to_csv(out / "inclusion_path.csv", _provenance(config))
     end = ", ".join(f"{v:.6g}" for v in path.states[-1])
@@ -87,7 +80,7 @@ def _cmd_simulate_di(args) -> int:
     if chain is not None:
         reports = epsilon_chain_diagnostic(
             drift.set_map, smooth, chain["probes"], eps=chain["eps"],
-            t_min=chain["t_min"], dt=di["dt"], budget=chain["budget"])
+            t_min=chain["t_min"], dt=di["dt"], budget=chain["budget"], projection=region)
         lines = [str(r) for r in reports]
         Artifact(None, ([line] for line in lines),
                  provenance=_provenance(config)).write(out / "chain_report.txt")
@@ -96,8 +89,7 @@ def _cmd_simulate_di(args) -> int:
     return 0
 
 
-def _cmd_simulate_sdi(args) -> int:
-    config = _load(args)
+def _cmd_simulate_sdi(config, args) -> int:
     sdi = config.sdi
     if sdi is None:
         raise ConfigError(["sdi: simulate-sdi needs an sdi block"])
@@ -147,7 +139,7 @@ def main(argv=None) -> int:
         # they handle non-finite values themselves; anywhere else, in a
         # statistic of huge but finite states say, an overflow stops the verb
         with np.errstate(over="raise"):
-            return args.fn(args)
+            return args.fn(parse_config(args.config, seed=args.seed), args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ import numpy as np
 from .engine import (
     MAX_REPLICATIONS,
     MAX_STEPS,
-    _DRAW_BUDGET,
     ConstantBias,
     Drift,
     GaussianNoise,
@@ -210,11 +209,11 @@ _SDI = Block({
     "half_identity": Leaf(BOOL, False),
     "t_eval": Leaf(NUMBER, 1.0, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
     "dt": Leaf(NUMBER, 1e-3, **_POSITIVE),
-    "n_reps": Leaf(INT, None, lambda v: v >= 1, "at least 1"),  # absent: each verb picks
+    "n_reps": Leaf(INT, 200, lambda v: v >= 1, "at least 1"),  # the fewest sdi_compare takes
     "start_index": Leaf(INT, 0, lambda v: v >= 0, "an integer >= 0"),
 })
 _DI = Block({"dt": Leaf(NUMBER, 1e-3, **_POSITIVE), "horizon": Leaf(NUMBER, 10.0, **_NONNEGATIVE),
-             # x0 absent: the preset's start, or the origin
+             # x0 absent: the run's first start
              "x0": Leaf(VECTOR, None, **_start("a vector"))})
 _CHAIN = Block({"probes": Leaf(VECTORS, REQUIRED), "eps": Leaf(NUMBER, 0.5, **_POSITIVE),
                 "t_min": Leaf(NUMBER, 1.0, **_POSITIVE), "budget": Leaf(INT, 16, **_AT_LEAST_1)})
@@ -281,11 +280,11 @@ class ExperimentConfig:
     """Validated description of one replicated experiment family, with every
     block built once by ``validate_config``.  ``sdi``, ``di`` and ``chain``
     are their blocks with the defaults applied (``sdi`` and ``chain`` are
-    None when absent); ``sdi["model"]`` is the built SDIModel.
-    ``sdi["n_reps"]`` is the count of paths simulate-sdi draws, 100 when
-    absent, and ``sdi["compare_reps"]`` the count sdi_compare draws, one per
-    replication when absent; ``sdi["eval_index"]``, the mesh index a series
-    from ``start_index`` reads at ``t_eval``, is set only for sdi_compare."""
+    None when absent); ``sdi["model"]`` is the built SDIModel, and
+    ``sdi["n_reps"]`` the paths both simulate-sdi and sdi_compare draw.
+    ``sdi["eval_index"]``, the mesh index a series from ``start_index``
+    reads at ``t_eval``, is set only for sdi_compare.  An absent
+    ``di["x0"]`` is the run's first start, ``specs[0].x0``."""
 
     raw: dict
     name: str
@@ -478,24 +477,17 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
     if compare and "sdi" not in cfg:
         errors.append("sdi: sdi_compare needs an sdi block")
     elif sdi is not None:
-        from .rates import SDIModel, shifted_index
+        from .rates import SDIModel, check_sdi_paths, shifted_index
 
         # simulate-sdi reads the block whatever the outputs, so it is checked when present
-        if compare and sdi.get("n_reps", 200) < 200:
+        if compare and sdi["n_reps"] < 200:
             errors.append("sdi.n_reps: must be at least 200")
-        model = None
+        sdi = dict(sdi, model=None, eval_index=None)
         if fit("sdi", sdi, ("A", "sigma")):
-            model = attempt("sdi", lambda: SDIModel(
+            sdi["model"] = attempt("sdi", lambda: SDIModel(
                 A=as_matrix(sdi["A"], dim), sigma=sdi["sigma"], half_identity=sdi["half_identity"]))
-        count = sdi.get("n_reps")
-        sdi = dict(sdi, model=model, n_reps=count or 100,
-                   compare_reps=count or cfg["replications"], eval_index=None)
-        # a step of the paths a verb simulates fills 2*n_reps*dim doubles of draws
-        paths = max(sdi["n_reps"], sdi["compare_reps"] if compare else 0)
-        if model is not None and 2 * paths * model.dim > _DRAW_BUDGET:
-            given = "" if count else f" (absent, so {paths} paths)"
-            errors.append(f"sdi.n_reps{given}: n_reps * dim must be at most "
-                          f"{_DRAW_BUDGET // 2}, the draw budget of one step")
+        if sdi["model"] is not None:
+            attempt("sdi.n_reps", lambda: check_sdi_paths(sdi["n_reps"], sdi["model"].dim))
         if compare and sdi["start_index"] > n:
             errors.append(f"sdi.start_index: must lie in [0, {n}]")
         elif compare and schedule is not None:
@@ -525,7 +517,7 @@ def _resolve(raw: dict, cfg: dict, errors: list) -> dict:
     specs = [replace(template, x0=np.asarray(x0, dtype=float), n_steps=n,
                      name=f"{cfg['name']}[start{i}]", fingerprint=fingerprint, **overrides)
              for i, x0 in enumerate(starts or [template.x0])]
-    di["x0"] = np.asarray(di["x0"], dtype=float) if "x0" in di else template.x0
+    di["x0"] = np.asarray(di["x0"], dtype=float) if "x0" in di else specs[0].x0
     return {"preset": preset, "specs": specs, "di": di, "chain": chain, "sdi": sdi,
             "x_star": None if x_star is None else np.asarray(x_star, dtype=float),
             "fingerprint": fingerprint}

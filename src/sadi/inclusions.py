@@ -198,7 +198,8 @@ def _jump_candidates(end: np.ndarray, theta: np.ndarray, eps: float) -> list[np.
 
 def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Callable],
                              probes: Sequence, eps: float, t_min: float, dt: float,
-                             budget: int = 16) -> list[ChainProbeReport]:
+                             budget: int = 16,
+                             projection: Optional[ConvexSet] = None) -> list[ChainProbeReport]:
     """Search for an epsilon-chain of integrated segments that returns to
     within ``eps`` of each probe.
 
@@ -206,7 +207,8 @@ def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Call
     segments the start may jump up to ``eps`` (toward the probe or along
     coordinate axes); a breadth-limited beam with a visited filter spends at
     most ``budget`` integrations per probe.  A hit is constructive evidence
-    of chain recurrence; exhaustion claims nothing.
+    of chain recurrence; exhaustion claims nothing.  Under ``projection``, a
+    Box or a Ball, each segment is projected, and each jump lands in it.
     """
     if eps <= 0 or t_min <= 0:
         raise ValueError("eps and t_min must be positive")
@@ -231,7 +233,7 @@ def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Call
                 if segments >= budget:
                     break
                 visited.append(start)
-                path = integrate(fmap, smooth, start, dt, duration)
+                path = integrate(fmap, smooth, start, dt, duration, projection=projection)
                 segments += 1
                 total_time += path.n_steps * dt
                 dists = np.linalg.norm(path.states[min_index:] - theta, axis=1)
@@ -240,7 +242,8 @@ def epsilon_chain_diagnostic(fmap: Optional[SetValuedMap], smooth: Optional[Call
                 if hit <= eps:
                     found = True
                     break
-                children.extend(_jump_candidates(path.states[-1], theta, eps))
+                jumps = _jump_candidates(path.states[-1], theta, eps)
+                children.extend(jumps if projection is None else projection.project_rows(jumps))
             if found:
                 break
             fresh = []

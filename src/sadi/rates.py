@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import Artifact
-from .engine import (SimulationBlowup, StepSchedule, as_matrix, block_steps, psd_root,
-                     step_count, tightness_indices)
+from .engine import (_DRAW_BUDGET, SimulationBlowup, StepSchedule, as_matrix, block_steps,
+                     psd_root, step_count, tightness_indices)
 from .sets import (
     Polytope,
     SetValuedMap,
@@ -32,6 +32,7 @@ __all__ = [
     "shifted_index",
     "SDIModel",
     "simulate_sdi",
+    "check_sdi_paths",
     "TightnessReport",
     "tightness_indices",
     "tightness_diagnostic",
@@ -140,6 +141,16 @@ class SDIModel:
         return True
 
 
+def check_sdi_paths(n_reps: int, d: int) -> int:
+    """The doubles one step of ``n_reps`` paths in dimension ``d`` draws (normals
+    and increments); ValueError past the draw budget, which a block must hold."""
+    per_step = 2 * n_reps * d
+    if per_step > _DRAW_BUDGET:
+        raise ValueError(f"n_reps * dim must be at most {_DRAW_BUDGET // 2}, "
+                         "the draw budget of one step")
+    return per_step
+
+
 # a blow-up overflows on its way to the non-finite state that raises it
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
@@ -158,7 +169,8 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     use, into a second (k, n_reps, d) buffer that is then scaled by
     sqrt(dt).  The two buffers are allocated once per call and reused by
     every block, k set by the engine's block rule (``block_steps``), so
-    their memory does not grow with the horizon.  A step updates the state
+    their memory does not grow with the horizon; one step must fit the
+    draw budget (``check_sdi_paths``).  A step updates the state
     in place, through one reused (n_reps, d) buffer for the drift, and
     adds dt times the drift and then the increment, the order of
     ``u + dt * drift + dw``, so the sums round as that expression does.  A
@@ -170,6 +182,8 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     d = model.dim
+    n_steps = step_count(horizon, dt)
+    block = block_steps(n_steps, check_sdi_paths(n_reps, d))  # before any (n_reps, d) array
     u0 = np.asarray(u0, dtype=float)
     if u0.ndim <= 1:
         u = np.tile(np.atleast_1d(u0), (n_reps, 1))
@@ -177,14 +191,12 @@ def simulate_sdi(model: SDIModel, u0, dt: float, horizon: float,
         if u0.shape != (n_reps, d):
             raise ValueError("u0 must be a vector or an (n_reps, dim) array")
         u = np.array(u0)
-    n_steps = step_count(horizon, dt)
     gen = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     picks = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
                                                          spawn_key=_SELECTION_KEY))
     sqdt = math.sqrt(dt)
     drift_t = model.drift_matrix().T
     root_t = model.sigma_root.T
-    block = block_steps(n_steps, 2 * n_reps * d)
     normals, increments = np.empty((block, n_reps, d)), np.empty((block, n_reps, d))
     linear, finite = np.empty((n_reps, d)), np.empty((n_reps, d), dtype=bool)
     for k0 in range(0, n_steps, block):

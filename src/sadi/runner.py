@@ -195,7 +195,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads: int = 1) -> 
             u = normalize(first.checkpoint_states[:, np.searchsorted(run_idx, sdi_idx)], sdi_idx,
                           specs[0].schedule, x_star)
             ks = compare_to_sdi(u[:, 0], u[:, 1], sdi["model"], t_eval=sdi["t_eval"],
-                                n_sdi_reps=sdi["compare_reps"], seed=config.seed, dt=sdi["dt"])
+                                n_sdi_reps=sdi["n_reps"], seed=config.seed, dt=sdi["dt"])
             Artifact(None, [[str(ks)]], provenance=_provenance(config)).write(
                 out / "sdi_compare.txt")
     return report

@@ -2,9 +2,12 @@
 ``sadi`` from outside the package.  Deleting or renaming one of them would
 otherwise show only in the benchmark's own, minute-long tests.  Likewise a
 stricter config schema that rejected one of the benchmark's scaled configs,
-and a CLI that no longer took one of the benchmark's command lines."""
+a CLI that no longer took one of the benchmark's command lines, and a scaled
+config that read a default (``di.x0``, ``sdi.n_reps``) whose change would move
+a digest."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -56,3 +59,16 @@ def test_every_benchmark_command_line_parses(tmp_path):
                             workloads.DEFAULT_SEED)
             args = _parser().parse_args(argv)
             assert (args.command, args.threads) == (job.command, job.threads), argv
+
+
+def test_no_benchmark_job_reads_the_start_or_path_count_defaults(tmp_path):
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS.values():
+        dest = tmp_path / workload.name
+        workloads.write_configs(workload, ROOT / "configs", dest)
+        for job in workload.jobs:
+            raw = json.loads((dest / f"{job.label}.json").read_text(encoding="utf-8"))
+            if job.command == "simulate-di":
+                assert "x0" in raw.get("di", {}), job.label
+            if "sdi" in raw:
+                assert "n_reps" in raw["sdi"], job.label

@@ -189,7 +189,7 @@ def test_simulate_di_with_chain(tmp_path, capsys):
 
 
 def test_simulate_di_starts_at_the_origin_without_a_preset_start(tmp_path, capsys):
-    # sign_filter declares no start, so di.x0 defaults to the origin, as a run's x0 does
+    # sign_filter declares no start, so the run's first start, and with it di.x0, is the origin
     cfg = tmp_path / "sign_filter.json"
     cfg.write_text(json.dumps({"preset": "sign_filter", "iterations": 10, "replications": 2,
                                "seed": 1, "di": {"horizon": 0.1}}), encoding="utf-8")
@@ -199,22 +199,71 @@ def test_simulate_di_starts_at_the_origin_without_a_preset_start(tmp_path, capsy
     assert lines[1].split(",")[3] == "x0" and lines[2].split(",")[3] == "0"
 
 
-def test_simulate_di_integrates_an_inline_drift_from_the_origin(tmp_path, monkeypatch):
-    import sadi.cli
+def _recorded_paths(monkeypatch, module):
+    """The paths ``module`` integrates from now on, as a list that fills."""
     from sadi.inclusions import integrate
 
     paths = []
 
-    def recorded(*args):
-        paths.append(integrate(*args))
+    def recorded(*args, **kwargs):
+        paths.append(integrate(*args, **kwargs))
         return paths[-1]
 
-    monkeypatch.setattr(sadi.cli, "integrate", recorded)
+    monkeypatch.setattr(module, "integrate", recorded)
+    return paths
+
+
+def test_simulate_di_integrates_an_inline_drift_from_its_first_start(tmp_path, monkeypatch):
+    import sadi.cli
+
+    paths = _recorded_paths(monkeypatch, sadi.cli)
     out = tmp_path / "out"
     assert main(["simulate-di", str(CONFIGS / "ou_rates.json"), "--out-dir", str(out)]) == 0
     assert (out / "inclusion_path.csv").exists()
-    # the Euler path of x' = 0.3 - x from 0 at dt 1e-3: x_n = 0.3 (1 - 0.999^n)
-    assert abs(paths[0].states[-1, 0] - 0.3 * (1.0 - 0.999 ** 10_000)) <= 1e-12
+    # the Euler path of x' = 0.3 - x from x0 = 1.3 at dt 1e-3: x_n = 0.3 + 0.999^n
+    assert paths[0].states[0, 0] == 1.3
+    assert abs(paths[0].states[-1, 0] - (0.3 + 0.999 ** 10_000)) <= 1e-12
+
+
+def test_simulate_di_starts_where_run_starts(tmp_path):
+    from sadi.config import validate_config
+
+    # ex2's run starts at 50, away from the lasso preset's own start
+    out = tmp_path / "out"
+    assert main(["simulate-di", str(CONFIGS / "ex2.json"), "--out-dir", str(out)]) == 0
+    row = (out / "inclusion_path.csv").read_text(encoding="utf-8").splitlines()[2].split(",")
+    assert (row[0], row[3]) == ("0", "50")
+    for path in sorted(CONFIGS.glob("*.json")):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw.get("di", {}).pop("x0", None)
+        config = validate_config(raw)
+        assert np.array_equal(config.di["x0"], config.specs[0].x0), path.name
+
+
+# x' = 3 - x, noiseless, projected onto the box [-1, 1]
+_BOXED = {"drift": {"smooth": {"kind": "linear", "matrix": -1.0, "offset": [3.0],
+                               "noise": "none"}},
+          "dim": 1, "x0": [0.0], "iterations": 2000, "replications": 1, "seed": 1,
+          "projection": {"kind": "box", "lo": [-1.0], "hi": [1.0]}, "outputs": ["finals"]}
+
+
+def test_simulate_di_integrates_under_the_config_projection(tmp_path, monkeypatch, capsys):
+    import sadi.inclusions
+
+    cfg = tmp_path / "boxed.json"
+    cfg.write_text(json.dumps(_BOXED), encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    assert "mean_final=(1)" in capsys.readouterr().out
+    assert main(["simulate-di", str(cfg), "--out-dir", str(tmp_path / "di")]) == 0
+    assert "final state (1)" in capsys.readouterr().out
+    # a chain search whose jumps from the boundary would leave the box
+    cfg.write_text(json.dumps(dict(_BOXED, chain={"probes": [[0.9], [-0.5]], "eps": 0.05,
+                                                    "t_min": 0.5, "budget": 8})),
+                   encoding="utf-8")
+    segments = _recorded_paths(monkeypatch, sadi.inclusions)
+    assert main(["simulate-di", str(cfg), "--out-dir", str(tmp_path / "chain")]) == 0
+    assert len(segments) > 2
+    assert all(np.all(np.abs(path.states) <= 1.0) for path in segments)
 
 
 def test_only_main_returns_the_config_error_code():
@@ -534,11 +583,7 @@ _SDI_PATHS = "sdi.n_reps: n_reps * dim must be at most 1048576, the draw budget 
 @pytest.mark.parametrize("verb,changes,needle", [
     ("simulate-sdi", {"sdi": dict(_SDI, n_reps=2**40)}, _SDI_PATHS),
     ("run", {"sdi": dict(_SDI, n_reps=2**40)}, _SDI_PATHS),
-    # absent, sdi_compare simulates one path per replication
-    ("run", {"sdi": {k: v for k, v in _SDI.items() if k != "n_reps"},
-             "replications": 2**20 + 1},
-     "sdi.n_reps (absent, so 1048577 paths): n_reps * dim must be at most 1048576"),
-], ids=["simulate_sdi", "run", "run_absent"])
+], ids=["simulate_sdi", "run"])
 def test_sdi_paths_past_the_draw_budget_exit_2_before_anything_runs(tmp_path, capsys,
                                                                     monkeypatch, verb,
                                                                     changes, needle):
@@ -586,14 +631,6 @@ def test_the_config_resolves_the_sdi_path_counts_the_verbs_draw(tmp_path, monkey
     import sadi.runner
     from sadi.config import config_fingerprint, parse_config
 
-    given = parse_config(_ou_rates_copy(tmp_path, sdi=dict(_SDI, n_reps=250)))
-    assert given.sdi["n_reps"] == given.sdi["compare_reps"] == 250
-    # absent, simulate-sdi draws 100 paths and sdi_compare one per replication
-    sdi = dict({k: v for k, v in _SDI.items() if k != "n_reps"}, start_index=150)
-    absent = {"sdi": sdi, "replications": 300, "iterations": 200}
-    cfg = parse_config(_ou_rates_copy(tmp_path, **absent))
-    assert (cfg.sdi["n_reps"], cfg.sdi["compare_reps"]) == (100, 300)
-    assert cfg.fingerprint == config_fingerprint(cfg.raw)
     drawn = []
 
     def sdi_finals(model, u0, dt, horizon, seed, n_reps):
@@ -606,11 +643,21 @@ def test_the_config_resolves_the_sdi_path_counts_the_verbs_draw(tmp_path, monkey
 
     monkeypatch.setattr(sadi.cli, "simulate_sdi", sdi_finals)
     monkeypatch.setattr(sadi.runner, "compare_to_sdi", compare)
-    path = _ou_rates_copy(tmp_path, **absent)
-    assert main(["simulate-sdi", str(path), "--out-dir", str(tmp_path / "sdi")]) == 0
-    assert main(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 0
-    assert drawn == [("simulate-sdi", 100), ("sdi_compare", 300)]
-    assert "simulated 100 paths" in capsys.readouterr().out
+    # one count for both verbs: as given, or, absent, 200, the fewest sdi_compare
+    # takes, whatever the replications
+    for given, count in ((250, 250), (None, 200)):
+        sdi = dict({k: v for k, v in _SDI.items() if k != "n_reps"}, start_index=150)
+        if given is not None:
+            sdi["n_reps"] = given
+        path = _ou_rates_copy(tmp_path, sdi=sdi, replications=300, iterations=200)
+        cfg = parse_config(path)
+        assert cfg.sdi["n_reps"] == count and "compare_reps" not in cfg.sdi
+        assert cfg.fingerprint == config_fingerprint(cfg.raw)
+        drawn.clear()
+        assert main(["simulate-sdi", str(path), "--out-dir", str(tmp_path / f"sdi{count}")]) == 0
+        assert main(["run", str(path), "--out-dir", str(tmp_path / f"run{count}")]) == 0
+        assert drawn == [("simulate-sdi", count), ("sdi_compare", count)]
+        assert f"simulated {count} paths" in capsys.readouterr().out
 
 
 _NON_FINITE = "a vector of finite numbers"

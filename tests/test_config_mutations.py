@@ -70,11 +70,16 @@ def _dim(raw) -> int:
     return len(x0[0] if isinstance(x0[0], list) else x0)
 
 
+# a block a config lacks starts from these keys, so that only the mutated leaf
+# is refused: a number is m*I, which fits any dimension
+VALID = {"sdi": {"A": -1.0, "sigma": 1.0}}
+
+
 def _set(raw, path, value):
     *parents, leaf = path.split(".")
     node = raw
     for key in parents:
-        node = node.setdefault(key, {})
+        node = node.setdefault(key, dict(VALID.get(key, {})))
     node[leaf] = value(_dim(raw)) if callable(value) else value
 
 

@@ -158,6 +158,22 @@ def test_sdi_rejects_fewer_than_one_replication(n_reps):
             simulate_sdi(model, u0, 0.1, 1.0, n_reps=n_reps)
 
 
+def test_sdi_rejects_paths_past_the_draw_budget_before_allocating():
+    import tracemalloc
+
+    model = SDIModel(A=[[-1.0]], sigma=[[1.0]])
+    # one step of 2**40 paths would draw 16 TiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_reps \\* dim must be at most 1048576"):
+            simulate_sdi(model, [1.0], 0.1, 1.0, n_reps=2**40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert simulate_sdi(model, [1.0], 0.1, 0.1, n_reps=2**20).shape == (2**20, 1)
+
+
 def test_sdi_rejects_indefinite_sigma():
     with pytest.raises(ValueError):
         SDIModel(A=[[-1.0]], sigma=[[-1.0]])
