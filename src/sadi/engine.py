@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -794,14 +795,23 @@ def block_steps(n_steps: int, per_step: int) -> int:
 _TILE_REPS = 4096
 
 
-def _tiles(n_reps: int):
-    """``(r0, r1)`` of each tile: the fewest tiles of at most ``_TILE_REPS``
-    replications, balanced, so the first is the largest."""
-    count = -(-n_reps // _TILE_REPS)
-    size, extra = divmod(n_reps, count)
+def _split(n: int, count: int):
+    """``(r0, r1)`` of ``count`` contiguous ranges that cover 0 .. n-1,
+    balanced, so the first is the largest."""
+    size, extra = divmod(n, count)
     for i in range(count):
         r0 = i * size + min(i, extra)
         yield r0, r0 + size + (i < extra)
+
+
+def _tile_count(n_reps: int) -> int:
+    return -(-n_reps // _TILE_REPS)
+
+
+def _tiles(n_reps: int):
+    """``(r0, r1)`` of each tile: the fewest tiles of at most ``_TILE_REPS``
+    replications, balanced, so the first is the largest."""
+    return _split(n_reps, _tile_count(n_reps))
 
 
 def _mapped(n: int) -> np.ndarray:
@@ -809,6 +819,32 @@ def _mapped(n: int) -> np.ndarray:
     the array is dropped, so the memory a later block reuses never depends
     on where malloc put it, and a forked child's writes never reach it."""
     return np.frombuffer(mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE), dtype=float)
+
+
+def _new_result(spec: RunSpec, n_reps: int, checkpoints: Optional[Sequence[int]],
+                shared: bool = False) -> EnsembleResult:
+    """The outputs of ``n_reps`` replications, with the states at the mesh
+    indices ``checkpoints`` (any int sequence, range or array, in any order,
+    with repeats); fail steps start at -1.  ``shared`` puts each array in
+    a shared anonymous mapping of its own, which forked workers write into."""
+    # sorted and distinct, as int64: no Python object per index.  np.unique hashes
+    # integers (numpy 2.4), about 20 times slower than a sort at 200,001 indices
+    ck = np.sort(np.asarray([] if checkpoints is None else checkpoints, dtype=np.int64))
+    ck = ck[np.diff(ck, prepend=ck[:1] - 1) != 0]
+    if ck.size and not 0 <= ck[0] <= ck[-1] <= spec.n_steps:
+        raise ValueError("checkpoints must lie in [0, n_steps]")
+
+    def empty(shape, dtype=float):
+        if not shared:
+            return np.empty(shape, dtype)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_SHARED),
+                             dtype=dtype).reshape(shape)
+
+    d = spec.drift.dim
+    finals, fail = empty((n_reps, d)), empty((n_reps,), int)
+    fail.fill(-1)
+    return EnsembleResult(finals, fail, ck, empty((n_reps, ck.size, d)) if ck.size else None)
 
 
 class _Draws:
@@ -907,34 +943,25 @@ class _Draws:
 # a blow-up overflows and makes NaNs on its way; the loop records it as a
 # failed replication, so numpy's warnings about it are not errors
 @np.errstate(over="ignore", invalid="ignore")
-def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
-                   checkpoints: Optional[Sequence[int]], logs: Optional[dict] = None):
-    """The replications, tile by tile, with their states at the mesh indices
-    ``checkpoints`` (any int sequence, range or array, in any order, with
-    repeats).  ``logs``, for one-replication runs, holds the (N, d) arrays
-    "set", "smooth", "noise" and "bias" and the (N,) bool array "projected",
-    into which replication 0's terms are written."""
+def _simulate_reps(spec: RunSpec, seed: int, result: EnsembleResult, lo: int, hi: int,
+                   logs: Optional[dict] = None) -> None:
+    """Replications lo .. hi-1, tile by tile from lo, into their rows of
+    ``result``.  ``logs``, for one-replication runs, holds the (N, d)
+    arrays "set", "smooth", "noise" and "bias" and the (N,) bool array
+    "projected", into which replication lo's terms are written."""
     drift = spec.drift
     d = drift.dim
     n_steps = spec.n_steps
-    # sorted and distinct, as int64: no Python object per index.  np.unique hashes
-    # integers (numpy 2.4), about 20 times slower than a sort at 200,001 indices
-    ck = np.sort(np.asarray([] if checkpoints is None else checkpoints, dtype=np.int64))
-    ck = ck[np.diff(ck, prepend=ck[:1] - 1) != 0]
-    if ck.size and not 0 <= ck[0] <= ck[-1] <= n_steps:
-        raise ValueError("checkpoints must lie in [0, n_steps]")
-    finals = np.empty((n_reps, d))
-    fail = np.full(n_reps, -1, dtype=int)
-    ck_states = np.empty((n_reps, ck.size, d)) if ck.size else None
-    result = EnsembleResult(finals, fail, ck, ck_states)
-    if (n_reps == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
+    if (hi - lo == 1 and isinstance(drift.sample_term, CellTable) and drift.smooth is None
             and drift.m_rule is None and spec.projection is None):
         draws = _Draws(spec, seed, 1)
-        draws.tile(0, 1)
-        _simulate_float(spec, draws, result, logs)
-        return result
+        draws.tile(lo, hi)
+        _simulate_float(spec, draws, result, lo, logs)
+        return
 
-    tile_reps = next(_tiles(n_reps))[1]
+    finals, fail = result.finals, result.fail_steps
+    ck, ck_states = result.checkpoint_indices, result.checkpoint_states
+    tile_reps = next(_tiles(hi - lo))[1]
     draws = _Draws(spec, seed, tile_reps)
 
     # the step is summed into the loop's own buffers: never a term's output,
@@ -947,8 +974,8 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
     zero_zt, zero_beta = draws.zeros(ROLE_ZETATILDE), draws.zeros(ROLE_BIAS)
     add_zt = not (zero_zt and drift.smooth is None)
     add_beta = not (zero_beta and (zero_zt or drift.smooth is None))
-    for r0, r1 in _tiles(n_reps):
-        m = r1 - r0
+    for t0, t1 in _tiles(hi - lo):
+        r0, r1, m = lo + t0, lo + t1, t1 - t0
         draws.tile(r0, r1)
         total, own, finite = rows[2, :m], (rows[0, :m], rows[1, :m]), finite_rows[:m]
         x, fail_tile = own[0], fail[r0:r1]
@@ -998,12 +1025,11 @@ def _simulate_reps(spec: RunSpec, seed: int, n_reps: int,
         if due == n_steps:
             ck_states[r0:r1, slot] = x
         finals[r0:r1] = x
-    return result
 
 
-def _simulate_float(spec: RunSpec, draws: _Draws, result: EnsembleResult, logs):
+def _simulate_float(spec: RunSpec, draws: _Draws, result: EnsembleResult, row: int, logs):
     """One replication of a ``CellTable``-only drift on plain floats, written
-    into row 0 of ``result`` and into ``logs`` (None for none).  It reads
+    into ``row`` of ``result`` and into ``logs`` (None for none).  It reads
     the additive-noise and bias draws as the row loop does (a table reads no
     other role) and sums in the same order, x + a*(((b + h) + h0) + beta)
     with h = 0, so every output is bit-identical.  Only a block's states are
@@ -1029,19 +1055,19 @@ def _simulate_float(spec: RunSpec, draws: _Draws, result: EnsembleResult, logs):
         # the state at index n is read before step n, and N's after the loop
         end = int(np.searchsorted(ck, n1))
         if end > slot:
-            result.checkpoint_states[0, slot:end] = states[ck[slot:end] - n0]
+            result.checkpoint_states[row, slot:end] = states[ck[slot:end] - n0]
             slot = end
         # a non-finite coordinate stays non-finite, so the first bad row is the failure
-        if result.fail_steps[0] < 0 and not np.isfinite(states[1:]).all():
-            result.fail_steps[0] = n0 + np.argmin(np.isfinite(states[1:]).all(axis=1))
+        if result.fail_steps[row] < 0 and not np.isfinite(states[1:]).all():
+            result.fail_steps[row] = n0 + np.argmin(np.isfinite(states[1:]).all(axis=1))
         if logs is not None:
             # the row term picks the same cell at every state, so it rebuilds b exactly
             logs["set"][n0:n1] = spec.drift.sample_term(states[:-1])
             logs["noise"][n0:n1] = h0
             logs["bias"][n0:n1] = beta
     if slot < ck.size:
-        result.checkpoint_states[0, slot] = x
-    result.finals[0] = x
+        result.checkpoint_states[row, slot] = x
+    result.finals[row] = x
 
 
 def run(spec: RunSpec, seed: int) -> Trajectory:
@@ -1051,7 +1077,8 @@ def run(spec: RunSpec, seed: int) -> Trajectory:
     logs = {k: np.zeros((n, d)) for k in ("set", "smooth", "noise", "bias")}
     logs["projected"] = np.zeros(n, dtype=bool)
     # a range, so that the caller holds no second array of the indices
-    result = _simulate_reps(spec, seed, 1, range(spec.n_steps + 1), logs)
+    result = _new_result(spec, 1, range(spec.n_steps + 1))
+    _simulate_reps(spec, seed, result, 0, 1, logs)
     iterates = result.checkpoint_states[0]
     if result.fail_steps[0] >= 0:
         step = int(result.fail_steps[0])
@@ -1071,6 +1098,61 @@ def run(spec: RunSpec, seed: int) -> Trajectory:
     )
 
 
+def _workers(threads: int, n_reps: int) -> int:
+    """Processes that run ``n_reps`` replications when ``threads`` are asked
+    for: at most the CPUs this process may run on and the tile count, and
+    one where there is no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(threads, cpus, _tile_count(n_reps))
+
+
+def _fork(spec: RunSpec, seed: int, result: EnsembleResult, lo: int, hi: int) -> tuple:
+    """Fork a worker that runs replications lo .. hi-1 into the shared
+    ``result`` and leaves through ``os._exit``, so that none of this
+    process's cleanup or buffered output runs twice.  Returns its pid and
+    the read end of a pipe that carries the worker's exception, pickled,
+    if it raises."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 0
+        try:
+            os.close(r)
+            _simulate_reps(spec, seed, result, lo, hi)
+        except BaseException as exc:
+            code = 1
+            import pickle
+            import traceback
+
+            exc.add_note(f"raised in the worker of replications {lo} .. {hi - 1}:\n"
+                         + traceback.format_exc())
+            try:
+                data = pickle.dumps(exc)
+            except Exception:
+                data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid: int, r: int) -> tuple:
+    """Wait for a worker: what it sent through its pipe, and its exit code."""
+    with os.fdopen(r, "rb") as pipe:
+        data = pipe.read()
+    return data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
 def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
                  checkpoints: Optional[Sequence[int]] = None,
                  threads: int = 1) -> EnsembleResult:
@@ -1082,11 +1164,38 @@ def run_ensemble(spec: RunSpec, seed: int, n_reps: int,
     through all N steps before the next starts, so the generators and draw
     buffers held at once do not grow with ``n_reps``; the outputs are
     written by absolute replication index and do not depend on the tiles.
-    ``threads`` is accepted and has no effect: every replication's draws
-    are keyed by its absolute index, so results never depended on it.
+
+    ``threads`` is the number of worker processes, at most the CPUs this
+    process may run on and the tile count (so at most 4,096 replications
+    never fork).  The replications split into that many balanced
+    contiguous ranges; this process runs the first and a forked worker each
+    other, writing its rows into outputs that live in shared mappings.
+    Where there is no fork, everything runs in this process.  A worker's
+    exception is raised here once every worker has ended.  Every
+    replication's draws are keyed by its absolute index, so the result
+    never depends on ``threads``.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     if n_reps > MAX_REPLICATIONS:
         raise ValueError(_REPS_ERROR)
-    return _simulate_reps(spec, seed, n_reps, checkpoints)
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    workers = _workers(threads, n_reps)
+    result = _new_result(spec, n_reps, checkpoints, shared=workers > 1)
+    (lo, hi), *rest = _split(n_reps, workers)
+    children = []
+    try:
+        for r0, r1 in rest:
+            children.append(_fork(spec, seed, result, r0, r1))
+        _simulate_reps(spec, seed, result, lo, hi)
+    finally:
+        ended = [_reap(pid, r) for pid, r in children]
+    for data, code in ended:
+        if data:
+            import pickle
+
+            raise pickle.loads(data)
+        if code:
+            raise RuntimeError(f"a worker process exited with code {code}")
+    return result

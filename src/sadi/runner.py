@@ -1,6 +1,9 @@
 """Experiment orchestration: replicated runs, aggregation, sweeps, and the
 CSV/report artifacts.  All file output carries the config fingerprint and
-seed in a header comment.  ``threads`` is accepted and has no effect.
+seed in a header comment.  ``threads`` is the number of worker processes
+each start's ensemble runs in (see ``sadi.engine.run_ensemble``): at most
+the CPUs available and the tile count, in-process where there is no fork;
+the bytes written never depend on it.
 """
 
 from __future__ import annotations

@@ -7,11 +7,13 @@ says so.
 """
 
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+import sadi.engine as engine
 from sadi.config import parse_config
 from sadi.engine import run_ensemble
 from sadi.inclusions import integrate
@@ -243,3 +245,22 @@ def test_c10_thread_determinism(tmp_path):
             and (a / "finals.csv").read_bytes() == (b / "finals.csv").read_bytes())
     assert _report("10 determinism", bool(same),
                    "report.csv and finals.csv byte-identical at 1 and 8 threads")
+
+
+def test_c10_thread_determinism_with_forked_workers(tmp_path, monkeypatch):
+    # ex1's 1,000 replications in tiles of at most 64, on 8 CPUs: 3 workers
+    # run 334, 333 and 333 of them in tiles of 55 or 56, 8 workers 125 each
+    # in tiles of 62 or 63, where one process runs them as one tile
+    cfg = parse_config(CONFIGS / "ex1.json")
+    a = tmp_path / "t1"
+    run_experiment(cfg, out_dir=a, threads=1)
+    monkeypatch.setattr(engine, "_TILE_REPS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    same = True
+    for threads in (3, 8):
+        b = tmp_path / f"t{threads}"
+        run_experiment(cfg, out_dir=b, threads=threads)
+        same &= ((a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+                 and (a / "finals.csv").read_bytes() == (b / "finals.csv").read_bytes())
+    assert _report("10 determinism, forked workers", bool(same),
+                   "report.csv and finals.csv byte-identical in 1, 3 and 8 processes")

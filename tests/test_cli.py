@@ -368,6 +368,21 @@ def test_projected_run_end_to_end(tmp_path, capsys, name, kind):
         assert np.any(n2 > (0.99 * region["radius"]) ** 2)
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("verb", [["run"], ["sweep", "--param", "seed", "--values", "1"]])
+def test_threads_below_one_exit_2_before_anything_runs(tmp_path, capsys, monkeypatch, verb,
+                                                       threads):
+    def no_config(*args, **kwargs):
+        raise AssertionError("the config was read")
+
+    monkeypatch.setattr(sadi.cli, "parse_config", no_config)
+    out = tmp_path / "out"
+    argv = [verb[0], str(CONFIGS / "ex1.json"), *verb[1:], "--threads", threads]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"sadi {verb[0]}: --threads must be at least 1, not {threads}\n"
+    assert not out.exists()
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "iterations": 0}), encoding="utf-8")

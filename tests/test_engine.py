@@ -4,6 +4,7 @@ determinism guarantees."""
 
 import math
 import os
+import signal
 from dataclasses import replace
 from decimal import Decimal
 
@@ -576,6 +577,78 @@ def test_ensemble_thread_chunking_identical():
     assert np.array_equal(a.fail_steps, b.fail_steps)
 
 
+def _forking(monkeypatch, tile=3, cpus=4):
+    """Tiles of at most ``tile`` replications, so that a small ensemble
+    forks, and ``cpus`` CPUs, so that more workers than the host's cores
+    fork; returns the list that each fork appends to."""
+    monkeypatch.setattr(engine, "_TILE_REPS", tile)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_ensemble_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    # 23 replications in tiles of at most 3 (8 tiles): 2 workers run 12 and
+    # 11 of them (tiles of 3, 3, 3, 3 and 3, 3, 3, 2), 3 workers 8, 8 and 7
+    # (3, 3, 2 and 3, 3, 2 and 3, 2, 2), so neither split is even.  Replication
+    # 1 blows up in this process's range, 13 and 18 in the workers' (a zeta
+    # above 2.7 at steps 27, 29 and 18), and each stays at +inf
+    spec = _late_blowup_spec(45)
+    ck = [45, 13, 0, 7, 13]
+    want = engine_reference.run_ensemble(spec, 11, 23, ck)
+    forks = _forking(monkeypatch)
+    for workers in (1, 2, 3):
+        forks.clear()
+        got = run_ensemble(spec, 11, 23, ck, threads=workers)
+        assert len(forks) == workers - 1
+        assert got.fail_steps.tolist() == [-1, 27] + [-1] * 11 + [29] + [-1] * 4 + [18] + [-1] * 4
+        assert got.checkpoint_indices.tolist() == [0, 7, 13, 45]
+        _same_result(got, want)
+
+
+def test_the_worker_count_is_capped_by_the_cpus_and_the_tiles(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # one tile per 4,096 replications: at most 4,096 never fork
+    assert [engine._workers(8, r) for r in (1, 4_096, 4_097, 10_000)] == [1, 1, 2, 2]
+    assert engine._workers(1, 10_000) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert [engine._workers(8, r) for r in (10_000, 40_000)] == [3, 8]
+    monkeypatch.delattr(os, "fork")
+    assert engine._workers(8, 40_000) == 1
+
+
+class _WorkerError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["worker", "killed_worker", "this_process"])
+def test_a_failing_range_fails_the_run_and_leaves_no_child(monkeypatch, where):
+    parent = os.getpid()
+
+    def smooth(x, z):
+        if (os.getpid() == parent) == (where == "this_process"):
+            if where == "killed_worker":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise _WorkerError("no step may run here")
+        return -x + z
+
+    spec = replace(_ou_spec(n_steps=10), drift=Drift(dim=1, smooth=smooth))
+    forks = _forking(monkeypatch)
+    want = (RuntimeError, "a worker process exited with code -9") if where == "killed_worker" \
+        else (_WorkerError, "no step may run here")
+    with pytest.raises(want[0]) as info:
+        run_ensemble(spec, 2, 23, threads=3)
+    assert len(forks) == 2 and (type(info.value), str(info.value)) == want
+    if where == "worker":
+        # the first worker's, of replications 8 .. 15, with its traceback
+        assert info.value.__notes__[0].startswith("raised in the worker of replications 8 .. 15:")
+        assert "Traceback" in info.value.__notes__[0]
+    # every worker was waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _reference_generator(seed, rep, role):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep, role)))
 
@@ -1090,6 +1163,29 @@ def test_a_forked_child_never_writes_into_the_parents_draw_block():
     assert block.tolist() == [1.0] * 4
 
 
+def test_a_block_mapped_before_the_workers_fork_keeps_the_parents_bytes(monkeypatch):
+    # the workers draw into a block this process mapped before they forked;
+    # their writes stay their own, so the block and the outputs do not move
+    forks = _forking(monkeypatch)
+    spec = _shrinking_bias_spec(45)
+    parent, block, mapped = os.getpid(), engine._mapped(1 << 12), engine._mapped
+    block[:] = 1.0
+    taken = [0]  # a worker's doubles of the block, each buffer the next ones
+
+    def draw_buffer(n):
+        if os.getpid() == parent:
+            return mapped(n)
+        taken[0] += n
+        return block[taken[0] - n:taken[0]]
+
+    monkeypatch.setattr(engine, "_mapped", draw_buffer)
+    results = [run_ensemble(spec, 11, 23, [0, 13, 45], threads=w) for w in (1, 2, 3)]
+    assert len(forks) == 3
+    assert block.tolist() == [1.0] * (1 << 12)
+    for result in results[1:]:
+        _same_result(result, results[0])
+
+
 def test_draw_memory_does_not_grow_with_the_horizon(monkeypatch):
     # a budget below R*N*width for both horizons, so both run in blocks
     monkeypatch.setattr(engine, "_DRAW_BUDGET", 1 << 14)
@@ -1114,6 +1210,8 @@ def test_replications_and_checkpoints_are_checked_before_any_tile(monkeypatch):
     for ck in ([-1], [11], [0, 5, 11]):
         with pytest.raises(ValueError, match="checkpoints"):
             run_ensemble(spec, 1, 4, ck)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_ensemble(spec, 1, 4, threads=0)
 
 
 @pytest.mark.parametrize("make_spec", [_shrinking_bias_spec, _uniform_vertex_spec])
